@@ -77,27 +77,10 @@ class NetworkGraph:
         object.__setattr__(self, "n_nodes", int(self.n_nodes))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "edges", tuple(normalized))
-        if not self._is_connected():
+        if not _is_connected(self.n_nodes, ((i, j) for i, j, _ in self.edges)):
             raise DisconnectedGraphError(
                 f"graph with {self.n_nodes} nodes and {len(self.edges)} edges is not connected"
             )
-
-    def _is_connected(self) -> bool:
-        if self.n_nodes == 1:
-            return True
-        neighbors: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for i, j, _ in self.edges:
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            node = frontier.pop()
-            for nbr in neighbors[node]:
-                if nbr not in reached:
-                    reached.add(nbr)
-                    frontier.append(nbr)
-        return len(reached) == self.n_nodes
 
 
 @dataclass(frozen=True)
@@ -227,21 +210,23 @@ def build_random_connected_graph(
     if not (0.0 < lo <= hi) or not np.isfinite(hi):
         raise ValidationError(f"b_range must satisfy 0 < low <= high, got {b_range!r}")
     rng = np.random.default_rng(seed)
-    pairs = list(itertools.combinations(range(n_nodes), 2))
+    # the draw for a seed is fixed: pairs i < j in lexicographic order, one
+    # uniform per pair, then one weight per chosen pair
+    rows, cols = np.triu_indices(n_nodes, 1)
     for _ in range(1000):
-        mask = rng.random(len(pairs)) < p
-        chosen = [pair for pair, keep in zip(pairs, mask) if keep]
-        if not _pairs_connected(n_nodes, chosen):
+        mask = rng.random(rows.size) < p
+        ends_i, ends_j = rows[mask].tolist(), cols[mask].tolist()
+        if not _is_connected(n_nodes, zip(ends_i, ends_j)):
             continue
-        weights = rng.uniform(lo, hi, size=len(chosen))
-        edges = tuple((i, j, float(w)) for (i, j), w in zip(chosen, weights))
-        return NetworkGraph(n_nodes=n_nodes, edges=edges, alpha=alpha)
+        weights = rng.uniform(lo, hi, size=len(ends_i)).tolist()
+        return NetworkGraph(n_nodes=n_nodes, edges=tuple(zip(ends_i, ends_j, weights)), alpha=alpha)
     raise GraphGenerationError(
         f"no connected sample in 1000 draws (n_nodes={n_nodes}, edge_probability={p})"
     )
 
 
-def _pairs_connected(n_nodes: int, pairs) -> bool:
+def _is_connected(n_nodes: int, pairs) -> bool:
+    """Whether the undirected edges ``pairs`` of (i, j) reach every node from node 0."""
     neighbors: list[list[int]] = [[] for _ in range(n_nodes)]
     for i, j in pairs:
         neighbors[i].append(j)

@@ -31,8 +31,9 @@ _GAMMA_CAP = 1e6
 class TuningResult:
     """Outcome of the gain search.
 
-    ``bracket`` is the initial derivative sign-change interval; a boundary
-    optimum (gamma_star = 0) carries the degenerate bracket (0, 0) and zero
+    ``bracket`` is the derivative sign-change interval that gamma_star was
+    bisected from in ``iterations`` steps; a boundary optimum
+    (gamma_star = 0) carries the degenerate bracket (0, 0) and zero
     iterations.
     """
 
@@ -107,9 +108,11 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     The gamma field of ``params`` is ignored.  The derivative sign is
     bracketed by geometric growth from gamma = 1 (capped at 1e6), then
     bisected to an interval of width 1e-10; a nonnegative derivative at
-    gamma = 0 means the boundary is already optimal.  A derivative with
-    more than one sign change on a dense probe grid (never observed) would
-    be reported with a warning and resolved by comparing the minima.
+    gamma = 0 means the boundary is already optimal.  One vectorised
+    derivative call on a 257-point grid over twice the bracket then probes
+    for further sign changes.  More than one (never observed) is reported
+    with a warning and resolved by comparing the minima; the result then
+    carries the probe interval and bisection of the global one.
 
     Raises:
         TuningError: derivative still negative at the gamma cap.
@@ -117,7 +120,7 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     lams = spectrum.nonzero
     m, k, tau = params.m, params.k, params.tau
 
-    def deriv(g: float) -> float:
+    def deriv(g):
         return norm_gamma_derivative(g, lams, alpha, m, k, tau)
 
     def norm_at(g: float) -> float:
@@ -139,15 +142,16 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
 
     crossings = _descending_crossings(deriv, hi)
     if len(crossings) > 1:
-        candidates = [_bisect_derivative(deriv, lo_i, hi_i)[0] for lo_i, hi_i in crossings]
-        norms = [norm_at(g) for g in candidates]
-        best = int(np.argmin(norms))
+        found = [_bisect_derivative(deriv, lo_i, hi_i) for lo_i, hi_i in crossings]
+        candidates = [float(g) for g, _ in found]
+        best = int(np.argmin([norm_at(g) for g in candidates]))
         warnings.warn(
             f"multiple local minima at gamma = {candidates}; returning the global one",
             RuntimeWarning,
             stacklevel=2,
         )
-        gamma_star = candidates[best]
+        gamma_star, iterations = found[best]
+        bracket = crossings[best]
     return TuningResult(
         gamma_star=gamma_star,
         norm_at_star=norm_at(gamma_star),
@@ -169,14 +173,11 @@ def _bisect_derivative(deriv, lo: float, hi: float) -> tuple[float, int]:
 
 
 def _descending_crossings(deriv, hi: float) -> list[tuple[float, float]]:
-    # probe for negative-to-nonnegative derivative transitions (local minima)
+    # negative-to-nonnegative derivative transitions (local minima)
     grid = np.linspace(0.0, 2.0 * hi, 257)
-    signs = np.array([deriv(g) for g in grid]) < 0.0
-    out = []
-    for i in range(len(grid) - 1):
-        if signs[i] and not signs[i + 1]:
-            out.append((grid[i], grid[i + 1]))
-    return out
+    signs = deriv(grid) < 0.0
+    starts = np.flatnonzero(signs[:-1] & ~signs[1:])
+    return [(float(grid[i]), float(grid[i + 1])) for i in starts]
 
 
 def optimal_gamma_complete(n_nodes: int, b: float, k: float, m: float, tau: float) -> float:
@@ -227,34 +228,39 @@ def sweep(
     return SweepCurve(parameter_name=parameter_name, grid=grid, values=values)
 
 
-def gamma_star_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k_grid) -> SweepCurve:
-    """Optimal gain at each integral constant k (values are gamma_star)."""
-    k_grid = np.array(k_grid, dtype=float)
-    values = np.empty_like(k_grid)
-    for i, k in enumerate(k_grid):
+def optimal_gamma_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k_grid) -> list[TuningResult]:
+    """``optimal_gamma`` at each integral constant k, one search per grid point.
+
+    Raises:
+        ValidationError: a grid point is not a valid k; the message names it.
+    """
+    results = []
+    for i, k in enumerate(np.array(k_grid, dtype=float)):
         try:
             p = ControllerParams(m=m, tau=tau, k=float(k))
         except ValidationError as err:
             raise ValidationError(f"grid point {i} (k={k!r}): {err}") from None
-        values[i] = optimal_gamma(spectrum, p, alpha).gamma_star
-    return SweepCurve(parameter_name="k", grid=k_grid, values=values)
+        results.append(optimal_gamma(spectrum, p, alpha))
+    return results
+
+
+def gamma_star_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k_grid) -> SweepCurve:
+    """Optimal gain at each integral constant k (values are gamma_star), one
+    ``optimal_gamma_vs_k`` search per k."""
+    k_grid = np.array(k_grid, dtype=float)
+    return SweepCurve("k", k_grid, [r.gamma_star for r in optimal_gamma_vs_k(spectrum, alpha, m, tau, k_grid)])
 
 
 def loss_reduction_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k_grid) -> SweepCurve:
     """Relative loss reduction of optimally tuned DAPI over droop, per k.
 
     values[i] = 1 - dapi(gamma_star(k_i)) / droop, in [0, 1); larger means
-    the averaging layer pays off more at that integral constant.
+    the averaging layer pays off more at that integral constant.  Runs the
+    same ``optimal_gamma_vs_k`` search per k as ``gamma_star_vs_k``.
     """
     k_grid = np.array(k_grid, dtype=float)
     droop = alpha * (spectrum.n_nodes - 1) / (2.0 * m)
     if droop <= 0:
         raise ValidationError("loss reduction undefined for a single-node network")
-    values = np.empty_like(k_grid)
-    for i, k in enumerate(k_grid):
-        try:
-            p = ControllerParams(m=m, tau=tau, k=float(k))
-        except ValidationError as err:
-            raise ValidationError(f"grid point {i} (k={k!r}): {err}") from None
-        values[i] = 1.0 - optimal_gamma(spectrum, p, alpha).norm_at_star / droop
-    return SweepCurve(parameter_name="k", grid=k_grid, values=values)
+    results = optimal_gamma_vs_k(spectrum, alpha, m, tau, k_grid)
+    return SweepCurve("k", k_grid, [1.0 - r.norm_at_star / droop for r in results])

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from gridloss.cli import _parse_grid, main
+from gridloss.dynamics import ControllerParams
 from gridloss.errors import ValidationError
+from gridloss.network import build_random_connected_graph, laplacians, spectral_decomposition
+from gridloss.tuning import optimal_gamma
 
 
 def _read_rows(path):
@@ -217,6 +220,22 @@ class TestSweep:
         assert header == ["k", "loss_reduction", "gamma_star"]
         reductions = [float(row[1]) for row in rows]
         assert all(a > b for a, b in zip(reductions, reductions[1:]))
+
+    def test_at_optimal_gamma_rows_are_per_k_searches(self, tmp_path, capsys):
+        out = tmp_path / "k.json"
+        assert main(["sweep", "--random", "30,0.2", "--seed", "4", "--m", "1.5", "--tau", "0.8",
+                     "--param", "k", "--grid", "0.25:4:0.25", "--at-optimal-gamma",
+                     "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        graph = build_random_connected_graph(30, 0.2, (0.5, 1.5), 1.0, seed=4)
+        spectrum = spectral_decomposition(laplacians(graph, 0.0)[0])
+        droop = 1.0 * (30 - 1) / (2.0 * 1.5)
+        assert len(payload["grid"]) == 16
+        for k, reduction, gain in zip(payload["grid"], payload["loss_reduction"], payload["gamma_star"]):
+            res = optimal_gamma(spectrum, ControllerParams(m=1.5, tau=0.8, k=k), 1.0)
+            assert gain == res.gamma_star
+            assert reduction == 1.0 - res.norm_at_star / droop
 
     def test_invalid_grid_point_exits_two(self, tmp_path, capsys):
         code = main(["sweep", "--line", "5", "--param", "m",

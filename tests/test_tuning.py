@@ -5,6 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gridloss.tuning
 
 from gridloss.dynamics import ControllerParams
 from gridloss.errors import ValidationError
@@ -24,6 +28,7 @@ from gridloss.tuning import (
     norm_gamma_derivative,
     optimal_gamma,
     optimal_gamma_complete,
+    optimal_gamma_vs_k,
     sweep,
 )
 
@@ -58,6 +63,23 @@ class TestDerivative:
         vec = norm_gamma_derivative(gammas, lams, 1.0, 1.0, 1.0, 1.0)
         for g, v in zip(gammas, vec):
             assert v == norm_gamma_derivative(float(g), lams, 1.0, 1.0, 1.0, 1.0)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        lams=st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=60),
+        gammas=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=300),
+        m=st.floats(1e-3, 1e3),
+        k=st.floats(1e-3, 1e3),
+        tau=st.floats(0.0, 1e3),
+    )
+    def test_vectorized_matches_scalar_exactly(self, lams, gammas, m, k, tau):
+        # optimal_gamma's probe reads signs from the vectorised call, so every
+        # element must be the scalar value bit for bit, not just close to it
+        lams = np.sort(np.array(lams))
+        vec = norm_gamma_derivative(np.array(gammas), lams, 1.0, m, k, tau)
+        assert vec.shape == (len(gammas),)
+        for g, v in zip(gammas, vec):
+            assert v == norm_gamma_derivative(g, lams, 1.0, m, k, tau)
 
     def test_sign_at_zero(self):
         # at gamma = 0 each summand carries sign 1 - m tau lam
@@ -149,6 +171,46 @@ class TestOptimalGamma:
             else:
                 assert norm_at(1e-3) >= res.norm_at_star
 
+    def test_derivative_calls_per_search(self, monkeypatch):
+        # one call at 0, one per bracket end tried, one per bisection step and
+        # one for the whole probe grid
+        calls = []
+
+        def counting(gamma, *args):
+            calls.append(np.ndim(gamma))
+            return norm_gamma_derivative(gamma, *args)
+
+        monkeypatch.setattr(gridloss.tuning, "norm_gamma_derivative", counting)
+        for graph, m, k in ((build_complete_graph(50, b=1.0, alpha=1.0), 1.0, 1.0),
+                            (build_line_graph(20, [1.0] * 19, alpha=1.0), 1.0, 1.0),
+                            (build_complete_graph(30, b=2.0, alpha=1.0), 40.0, 300.0)):
+            calls.clear()
+            res = optimal_gamma(_spectrum_of(graph), ControllerParams(m=m, tau=1.0, k=k), alpha=1.0)
+            assert res.gamma_star > 0
+            doublings = int(round(math.log2(res.bracket[1])))
+            assert len(calls) <= res.iterations + doublings + 3
+            assert calls.count(1) == 1
+
+    def test_global_pick_outside_first_bracket(self, monkeypatch):
+        # a derivative with minima at 0.05 and 1.9: the search brackets the
+        # first in (0, 1), the probe over (0, 2) finds the second, and on
+        # this graph the loss keeps falling up to gamma = 13.9
+        def two_minima(gamma, lams, alpha, m, k, tau):
+            g = np.asarray(gamma, dtype=float)
+            d = (g - 0.05) * (g - 1.1) * (g - 1.9)
+            return d.item() if d.ndim == 0 else d
+
+        monkeypatch.setattr(gridloss.tuning, "norm_gamma_derivative", two_minima)
+        spec = _spectrum_of(build_complete_graph(50, b=1.0, alpha=1.0))
+        with pytest.warns(RuntimeWarning, match=r"gamma = \[[\d.]+, [\d.]+\];"):
+            res = optimal_gamma(spec, ControllerParams(m=100.0, tau=1.0, k=10.0), alpha=1.0)
+        assert res.gamma_star == pytest.approx(1.9, abs=1e-9)
+        assert res.bracket[0] <= res.gamma_star <= res.bracket[1]
+        assert res.bracket[1] - res.bracket[0] == pytest.approx(2.0 / 256)
+        assert res.iterations > 0
+        q = ControllerParams(m=100.0, tau=1.0, k=10.0, gamma=res.gamma_star)
+        assert res.norm_at_star == h2_dapi_closed_form(1.0, q, spec).squared_norm
+
     def test_params_gamma_field_ignored(self):
         g = build_complete_graph(9, b=1.0, alpha=1.0)
         spec = _spectrum_of(g)
@@ -224,6 +286,24 @@ class TestCurvesVsK:
         assert np.all(curve.values > 0)
         assert np.all(curve.values < 1)
         assert np.all(np.diff(curve.values) < 0)
+
+    def test_curves_project_one_search_per_k(self):
+        spec = _spectrum_of(build_random_connected_graph(25, 0.3, (0.5, 1.5), alpha=1.0, seed=12))
+        k_grid = np.linspace(0.2, 5.0, 7)
+        results = optimal_gamma_vs_k(spec, 1.3, 2.0, 0.7, k_grid)
+        for k, res in zip(k_grid, results):
+            assert res == optimal_gamma(spec, ControllerParams(m=2.0, tau=0.7, k=float(k)), 1.3)
+        droop = 1.3 * 24 / (2.0 * 2.0)
+        gains = gamma_star_vs_k(spec, 1.3, 2.0, 0.7, k_grid)
+        reduction = loss_reduction_vs_k(spec, 1.3, 2.0, 0.7, k_grid)
+        assert list(gains.values) == [r.gamma_star for r in results]
+        assert list(reduction.values) == [1.0 - r.norm_at_star / droop for r in results]
+
+    def test_invalid_k_named(self):
+        spec = _spectrum_of(build_line_graph(3, [1.0, 1.0], alpha=1.0))
+        for curve in (optimal_gamma_vs_k, gamma_star_vs_k, loss_reduction_vs_k):
+            with pytest.raises(ValidationError, match="grid point 1"):
+                curve(spec, 1.0, 1.0, 1.0, [0.5, -1.0, 1.0])
 
 
 class TestResultTypes:
