@@ -13,9 +13,7 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from .network import (
     laplacians,
     spectral_decomposition,
 )
-from .sim import SimConfig, empirical_h2, export_trajectory, integrated_loss, phase_perturbation, simulate
+from .sim import SimConfig, _atomic_writer, empirical_h2, export_trajectory, integrated_loss, phase_perturbation, simulate
 from .tuning import gamma_star_vs_k, loss_reduction_vs_k, optimal_gamma, optimal_gamma_complete, sweep
 
 
@@ -207,29 +205,18 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _atomic_write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
-
-
 def _write_csv(path, columns, rows, comments=()) -> None:
     lines = [f"# {comment}" for comment in comments]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    with _atomic_writer(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path, payload) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _atomic_writer(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_metadata(out_path, command: str, inputs: dict, fmt: str) -> None:

@@ -163,22 +163,10 @@ def assemble_droop(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
         A = [[ 0,            I        ],      B = [[ 0   ],      C = [L_G^{1/2}, 0]
              [ -(m/tau) L_B, -(1/tau) I ]]         [ I/tau]]
 
-    Neither k nor gamma enters.  Raises AssemblyError when tau == 0.
+    These are the leading 2N rows and columns of the DAPI system, bit for
+    bit.  Neither k nor gamma enters.  Raises AssemblyError when tau == 0.
     """
-    if params.tau == 0:
-        raise AssemblyError(_TAU_ZERO_MSG)
-    lb, _, _ = laplacians(graph, params.gamma)
-    spectrum = spectral_decomposition(lb)
-    n = graph.n_nodes
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    a = np.block([
-        [zero, eye],
-        [-(params.m / params.tau) * lb.matrix, -(1.0 / params.tau) * eye],
-    ])
-    b = np.vstack([zero, eye / params.tau])
-    c = np.hstack([_conductance_sqrt(spectrum, graph.alpha), zero])
-    return StateSpace(a=a, b=b, c=c, controller_kind="droop")
+    return _assemble(graph, params, "droop")
 
 
 def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
@@ -193,8 +181,7 @@ def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
     averaging layer then contributes N-1 marginal modes and every norm route
     will refuse the system.
     """
-    if params.tau == 0:
-        raise AssemblyError(_TAU_ZERO_MSG)
+    ss = _assemble(graph, params, "dapi")
     if params.gamma == 0:
         warnings.warn(
             "gamma is zero: integrator states do not communicate, the closed "
@@ -202,6 +189,13 @@ def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
             RuntimeWarning,
             stacklevel=2,
         )
+    return ss
+
+
+def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> StateSpace:
+    # the DAPI system; droop keeps its leading (theta, omega) blocks
+    if params.tau == 0:
+        raise AssemblyError(_TAU_ZERO_MSG)
     lb, _, lc = laplacians(graph, params.gamma)
     spectrum = spectral_decomposition(lb)
     n = graph.n_nodes
@@ -214,7 +208,8 @@ def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
     ])
     b = np.vstack([zero, eye / params.tau, zero])
     c = np.hstack([_conductance_sqrt(spectrum, graph.alpha), zero, zero])
-    return StateSpace(a=a, b=b, c=c, controller_kind="dapi")
+    s = (2 if kind == "droop" else 3) * n
+    return StateSpace(a=a[:s, :s], b=b[:s], c=c[:, :s], controller_kind=kind)
 
 
 def modal_subsystems(

@@ -131,7 +131,8 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     solver.  The residual is checked against 1e-8 of the largest entry of Q.
 
     Raises:
-        StabilityError: A has an eigenvalue with real part >= -1e-10.
+        StabilityError: A has an eigenvalue with real part >= -1e-10 *
+            max(max|A|, 1) (both absolutely and relative to A's scale).
         LyapunovSolveError: residual above tolerance.
     """
     a = np.asarray(a, dtype=float)
@@ -142,7 +143,7 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     if not np.allclose(q, q.T, rtol=0, atol=1e-12 * max(q_scale, 1.0)):
         raise ValidationError("Q must be symmetric")
     eigs = np.linalg.eigvals(a)
-    if np.any(eigs.real >= -1e-10):
+    if np.any(eigs.real >= -1e-10 * float(np.max(np.abs(a), initial=1.0))):
         raise StabilityError(
             f"matrix is not safely Hurwitz (max eigenvalue real part {np.max(eigs.real):.3e})"
         )
@@ -213,7 +214,8 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     mode of a healthy loop; it is removed by restricting the theta block to
     the orthogonal complement of the all-ones vector, built from an explicit
     Householder reflector so this route shares no spectral machinery with
-    the modal one.  No per-mode breakdown is available here.
+    the modal one.  No per-mode breakdown is available here.  The Hurwitz
+    verdict on the deflated matrix is the one ``solve_lyapunov`` reaches.
 
     Raises:
         StabilityError: marginal or unstable modes survive deflation (DAPI
@@ -226,15 +228,13 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     a = transform.T @ ss.a @ transform
     b = transform.T @ ss.b
     c = ss.c @ transform
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    eigs = np.linalg.eigvals(a)
-    if np.any(eigs.real >= -1e-10 * scale):
+    try:
+        gram = solve_lyapunov(a, c.T @ c)
+    except StabilityError as err:
         raise StabilityError(
-            "marginal or unstable modes remain after deflating the rigid phase "
-            f"shift (max real part {np.max(eigs.real):.3e}); for DAPI this "
-            "typically means gamma = 0"
-        )
-    gram = solve_lyapunov(a, c.T @ c)
+            f"marginal or unstable modes remain after deflating the rigid phase shift ({err}); "
+            "for DAPI this typically means gamma = 0"
+        ) from err
     squared = float(np.trace(b.T @ gram @ b))
     return H2Result(squared_norm=max(squared, 0.0), method="full_gramian", per_mode=None)
 

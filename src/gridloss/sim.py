@@ -11,6 +11,7 @@ system.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import tempfile
@@ -238,8 +239,8 @@ def export_trajectory(trajectory: Trajectory, n_nodes: int, path, stride: int = 
 
     Columns: t, loss, theta_1..theta_N, omega_1..omega_N, and Omega_1..
     Omega_N when the state has an integrator block.  ``stride`` keeps every
-    stride-th sample (the first is always kept).  The file is written to a
-    temp name and renamed, so readers never see a partial file.
+    stride-th sample (the first is always kept).  Rows are streamed through
+    the package's atomic writer, so readers never see a partial file.
     """
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValidationError(f"stride must be a positive integer, got {stride!r}")
@@ -250,16 +251,23 @@ def export_trajectory(trajectory: Trajectory, n_nodes: int, path, stride: int = 
     names = ["t", "loss"]
     for block in ("theta", "omega", "Omega")[:blocks]:
         names.extend(f"{block}_{i + 1}" for i in range(n_nodes))
-    rows = range(0, trajectory.times.size, int(stride))
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    with _atomic_writer(path) as fh:
+        fh.write(",".join(names) + "\n")
+        for row in range(0, trajectory.times.size, int(stride)):
+            values = [trajectory.times[row], trajectory.instantaneous_loss[row]]
+            values.extend(trajectory.states[row])
+            fh.write(",".join(f"{v:.12g}" for v in values) + "\n")
+
+
+@contextlib.contextmanager
+def _atomic_writer(path):
+    """Yield a UTF-8 text file that replaces ``path`` only once the block
+    completes; on any error the temp file is removed and ``path`` is left
+    as it was."""
+    fd, tmp_name = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in rows:
-                values = [trajectory.times[row], trajectory.instantaneous_loss[row]]
-                values.extend(trajectory.states[row])
-                fh.write(",".join(f"{v:.12g}" for v in values) + "\n")
+            yield fh
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import ControllerParams
 from .errors import TuningError, ValidationError
-from .h2 import h2_dapi_closed_form
+from .h2 import h2_dapi_closed_form, h2_droop_closed_form
 from .network import Spectrum
 
 SWEEPABLE = ("gamma", "k", "tau", "m")
@@ -219,9 +219,9 @@ def sweep(
         raise ValidationError(f"parameter_name must be one of {SWEEPABLE}, got {parameter_name!r}")
     grid = np.array(grid, dtype=float)
     values = np.empty_like(grid)
-    for i, point in enumerate(grid):
+    for i, point in enumerate(grid.tolist()):
         try:
-            q = dataclasses.replace(params, **{parameter_name: float(point)})
+            q = dataclasses.replace(params, **{parameter_name: point})
         except ValidationError as err:
             raise ValidationError(f"grid point {i} ({parameter_name}={point!r}): {err}") from None
         values[i] = h2_dapi_closed_form(alpha, q, spectrum).squared_norm
@@ -235,9 +235,9 @@ def optimal_gamma_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k
         ValidationError: a grid point is not a valid k; the message names it.
     """
     results = []
-    for i, k in enumerate(np.array(k_grid, dtype=float)):
+    for i, k in enumerate(np.array(k_grid, dtype=float).tolist()):
         try:
-            p = ControllerParams(m=m, tau=tau, k=float(k))
+            p = ControllerParams(m=m, tau=tau, k=k)
         except ValidationError as err:
             raise ValidationError(f"grid point {i} (k={k!r}): {err}") from None
         results.append(optimal_gamma(spectrum, p, alpha))
@@ -254,13 +254,14 @@ def gamma_star_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k_gr
 def loss_reduction_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k_grid) -> SweepCurve:
     """Relative loss reduction of optimally tuned DAPI over droop, per k.
 
-    values[i] = 1 - dapi(gamma_star(k_i)) / droop, in [0, 1); larger means
-    the averaging layer pays off more at that integral constant.  Runs the
-    same ``optimal_gamma_vs_k`` search per k as ``gamma_star_vs_k``.
+    values[i] = 1 - dapi(gamma_star(k_i)) / droop, in [0, 1), with droop
+    from ``h2_droop_closed_form``; larger means the averaging layer pays off
+    more at that integral constant.  Runs the same ``optimal_gamma_vs_k``
+    search per k as ``gamma_star_vs_k``.
     """
     k_grid = np.array(k_grid, dtype=float)
-    droop = alpha * (spectrum.n_nodes - 1) / (2.0 * m)
+    droop = h2_droop_closed_form(alpha, m, spectrum.n_nodes).squared_norm
     if droop <= 0:
-        raise ValidationError("loss reduction undefined for a single-node network")
+        raise ValidationError("loss reduction undefined: the droop loss is zero (alpha = 0 or a single node)")
     results = optimal_gamma_vs_k(spectrum, alpha, m, tau, k_grid)
     return SweepCurve("k", k_grid, [1.0 - r.norm_at_star / droop for r in results])

@@ -188,6 +188,19 @@ class TestTune:
         assert abs(payload["gamma_star"] - payload["gamma_star_closed_form"]) < 1e-8
         assert payload["bracket"][0] <= payload["gamma_star"] <= payload["bracket"][1]
 
+    def test_loss_reduction_matches_sweep_bit_for_bit(self, tmp_path, capsys):
+        # both commands divide by the same droop norm; N=6, m=1.5 is a case
+        # where alpha (N-1) / (2m) and a sum of N-1 mode terms differ in the
+        # last bit
+        network = ["--complete", "6", "--m", "1.5", "--k", "1"]
+        tuned, swept = tmp_path / "tune.json", tmp_path / "k.json"
+        assert main(["tune", *network, "--format", "json", "--out", str(tuned)]) == 0
+        assert main(["sweep", *network, "--param", "k", "--grid", "1:1:1", "--at-optimal-gamma",
+                     "--format", "json", "--out", str(swept)]) == 0
+        capsys.readouterr()
+        reduction = json.loads(tuned.read_text())["loss_reduction"]
+        assert json.loads(swept.read_text())["loss_reduction"] == [reduction]
+
 
 class TestSweep:
     def test_gamma_sweep_rows(self, tmp_path, capsys):
@@ -236,6 +249,12 @@ class TestSweep:
             res = optimal_gamma(spectrum, ControllerParams(m=1.5, tau=0.8, k=k), 1.0)
             assert gain == res.gamma_star
             assert reduction == 1.0 - res.norm_at_star / droop
+
+    def test_zero_alpha_at_optimal_gamma_names_alpha(self, tmp_path, capsys):
+        code = main(["sweep", "--complete", "5", "--alpha", "0", "--param", "k",
+                     "--grid", "0.5:1:0.5", "--at-optimal-gamma", "--out", str(tmp_path / "k.csv")])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
 
     def test_invalid_grid_point_exits_two(self, tmp_path, capsys):
         code = main(["sweep", "--line", "5", "--param", "m",

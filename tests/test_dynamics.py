@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridloss.dynamics import (
     ControllerParams,
@@ -217,6 +219,29 @@ class TestCheckStability:
     def test_tau_zero_rejected(self):
         with pytest.raises(AssemblyError):
             check_stability(ControllerParams(m=1.0, tau=0.0), 1.0, "dapi")
+
+
+class TestDroopIsLeadingDapiBlock:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(2, 12),
+        p=st.floats(0.2, 1.0),
+        seed=st.integers(0, 10_000),
+        alpha=st.floats(0.0, 5.0),
+        m=st.floats(0.05, 20.0),
+        tau=st.floats(0.05, 20.0),
+        k=st.floats(0.05, 20.0),
+        gamma=st.floats(0.01, 20.0),
+    )
+    def test_droop_equals_leading_dapi_blocks(self, n, p, seed, alpha, m, tau, k, gamma):
+        # the droop loop is the DAPI loop without its averaging layer: the
+        # leading 2N rows and columns must match bit for bit
+        g = build_random_connected_graph(n, p, (0.5, 1.5), alpha=alpha, seed=seed)
+        params = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        droop, dapi = assemble_droop(g, params), assemble_dapi(g, params)
+        assert np.array_equal(droop.a, dapi.a[:2 * n, :2 * n])
+        assert np.array_equal(droop.b, dapi.b[:2 * n])
+        assert np.array_equal(droop.c, dapi.c[:, :2 * n])
 
 
 class TestModalEquivalence:

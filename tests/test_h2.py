@@ -83,6 +83,14 @@ class TestSolveLyapunov:
         with pytest.raises(StabilityError):
             solve_lyapunov(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
 
+    def test_relative_tolerance_on_large_matrices(self):
+        # with max|A| = 1e3 the cut-off is -1e-10 * 1e3 = -1e-7, so an
+        # eigenvalue of -5e-9 is not safely Hurwitz on either solver path
+        for n in (2, 5):
+            a = np.diag([-1e3] + [-1.0] * (n - 2) + [-5e-9])
+            with pytest.raises(StabilityError):
+                solve_lyapunov(a, np.eye(n))
+
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):
             solve_lyapunov(-np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -232,7 +240,7 @@ class TestFullGramianRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
-        with pytest.raises(StabilityError):
+        with pytest.raises(StabilityError, match="gamma = 0"):
             h2_full_gramian(ss)
 
     def test_two_node_droop_small_path(self):

@@ -245,9 +245,10 @@ class TestSweep:
 
     def test_invalid_grid_point_named(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
-        with pytest.raises(ValidationError, match="grid point 1"):
+        with pytest.raises(ValidationError, match="grid point 1") as err:
             sweep(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0,
                   parameter_name="k", grid=[0.5, 0.0, 1.0])
+        assert "(k=0.0)" in str(err.value)
 
     def test_unknown_parameter_rejected(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
@@ -302,8 +303,9 @@ class TestCurvesVsK:
     def test_invalid_k_named(self):
         spec = _spectrum_of(build_line_graph(3, [1.0, 1.0], alpha=1.0))
         for curve in (optimal_gamma_vs_k, gamma_star_vs_k, loss_reduction_vs_k):
-            with pytest.raises(ValidationError, match="grid point 1"):
+            with pytest.raises(ValidationError, match="grid point 1") as err:
                 curve(spec, 1.0, 1.0, 1.0, [0.5, -1.0, 1.0])
+            assert "(k=-1.0)" in str(err.value)
 
 
 class TestResultTypes:
