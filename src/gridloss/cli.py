@@ -10,7 +10,6 @@ input so a run can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -485,9 +484,7 @@ def _cmd_scaling(args) -> int:
         for draw in range(args.seeds):
             rng = np.random.default_rng((args.seed, draw, n))
             line = build_line_graph(n, rng.uniform(b_range[0], b_range[1], n - 1), alpha)
-            pairs = list(itertools.combinations(range(n), 2))
-            weights = rng.uniform(b_range[0], b_range[1], len(pairs))
-            complete = NetworkGraph(n, tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights)), alpha)
+            complete = build_complete_graph(n, rng.uniform(b_range[0], b_range[1], n * (n - 1) // 2), alpha)
             for graph, bucket in ((line, line_norms), (complete, complete_norms)):
                 spectrum = spectral_decomposition(laplacians(graph, params.gamma)[0])
                 bucket.append(h2_dapi_closed_form(alpha, params, spectrum).squared_norm)

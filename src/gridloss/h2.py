@@ -12,8 +12,10 @@ equals the squared H2 norm of the closed loop.  Three routes compute it:
 * full Gramian: one dense Lyapunov solve on the assembled system after
   deflating the rigid phase-shift direction.
 
-The routes share no linear algebra, so their agreement cross-checks both
-the models and the closed forms.
+The modal and full-Gramian routes share one Lyapunov solver but build their
+systems independently; the closed form shares no linear algebra with
+either, so the agreement of all three cross-checks both the models and the
+closed forms.
 """
 
 from __future__ import annotations
@@ -126,14 +128,15 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, eigenvalues) -> 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A' X + X A = -Q for Hurwitz A and symmetric Q.
 
-    Systems of size <= 3 go through a direct linear solve over the unique
-    entries of X (no Schur form); larger systems use the Bartels-Stewart
-    solver.  The residual is checked against 1e-8 of the largest entry of Q.
+    Bartels-Stewart: one real Schur form A' = U T U' serves both the Hurwitz
+    check and the triangular Sylvester solve.  The residual is checked
+    against 1e-8 of the largest entry of Q.
 
     Raises:
         StabilityError: A has an eigenvalue with real part >= -1e-10 *
             max(max|A|, 1) (both absolutely and relative to A's scale).
-        LyapunovSolveError: residual above tolerance.
+        LyapunovSolveError: the triangular solve fails or the residual is
+            above tolerance.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -142,42 +145,25 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     q_scale = float(np.max(np.abs(q))) if q.size else 0.0
     if not np.allclose(q, q.T, rtol=0, atol=1e-12 * max(q_scale, 1.0)):
         raise ValidationError("Q must be symmetric")
-    eigs = np.linalg.eigvals(a)
-    if np.any(eigs.real >= -1e-10 * float(np.max(np.abs(a), initial=1.0))):
+    t, u = scipy.linalg.schur(a.T, output="real")
+    # LAPACK standardises each 2x2 block of the real Schur form so that both
+    # diagonal entries equal the real part of its complex pair
+    real_parts = np.diag(t)
+    if np.any(real_parts >= -1e-10 * float(np.max(np.abs(a), initial=1.0))):
         raise StabilityError(
-            f"matrix is not safely Hurwitz (max eigenvalue real part {np.max(eigs.real):.3e})"
+            f"matrix is not safely Hurwitz (max eigenvalue real part {np.max(real_parts):.3e})"
         )
-    if a.shape[0] <= 3:
-        x = _solve_lyapunov_small(a, q)
-    else:
-        x = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+    f = u.T @ (-q @ u)
+    y, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
+    if info < 0:
+        raise LyapunovSolveError(f"triangular Sylvester solve rejected argument {-info}")
+    x = u @ (y * scale) @ u.T
     x = (x + x.T) / 2.0
     residual = float(np.max(np.abs(a.T @ x + x @ a + q)))
     if residual > 1e-8 * max(q_scale, 1e-300):
         raise LyapunovSolveError(
             f"Lyapunov residual {residual:.3e} exceeds tolerance for Q scale {q_scale:.3e}"
         )
-    return x
-
-
-def _solve_lyapunov_small(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # unknowns: the n(n+1)/2 unique entries of symmetric X
-    n = a.shape[0]
-    idx = [(i, j) for i in range(n) for j in range(i, n)]
-    coeff = np.zeros((len(idx), len(idx)))
-    for col, (p, r) in enumerate(idx):
-        basis = np.zeros((n, n))
-        basis[p, r] = 1.0
-        basis[r, p] = 1.0
-        image = a.T @ basis + basis @ a
-        for row, (i, j) in enumerate(idx):
-            coeff[row, col] = image[i, j]
-    rhs = np.array([-q[i, j] for i, j in idx])
-    unique = np.linalg.solve(coeff, rhs)
-    x = np.zeros((n, n))
-    for (i, j), value in zip(idx, unique):
-        x[i, j] = value
-        x[j, i] = value
     return x
 
 

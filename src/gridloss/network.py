@@ -169,14 +169,24 @@ def build_line_graph(n_nodes: int, susceptances, alpha: float) -> NetworkGraph:
     return NetworkGraph(n_nodes=n_nodes, edges=edges, alpha=alpha)
 
 
-def build_complete_graph(n_nodes: int, b: float, alpha: float) -> NetworkGraph:
-    """Complete graph on ``n_nodes`` buses with uniform susceptance ``b``."""
+def build_complete_graph(n_nodes: int, b, alpha: float) -> NetworkGraph:
+    """Complete graph on ``n_nodes`` buses with uniform susceptance ``b``, or
+    with one susceptance per node pair in ``itertools.combinations`` order."""
     if n_nodes < 2:
         raise ValidationError(f"complete graph needs at least 2 nodes, got {n_nodes}")
-    b = float(b)
-    if not np.isfinite(b) or b <= 0:
-        raise ValidationError(f"susceptance must be positive, got {b!r}")
-    edges = tuple((i, j, b) for i, j in itertools.combinations(range(n_nodes), 2))
+    pairs = list(itertools.combinations(range(n_nodes), 2))
+    if np.ndim(b) == 0:
+        b = float(b)
+        if not np.isfinite(b) or b <= 0:
+            raise ValidationError(f"susceptance must be positive, got {b!r}")
+        weights = [b] * len(pairs)
+    else:
+        weights = [float(x) for x in b]
+        if len(weights) != len(pairs):
+            raise ValidationError(
+                f"complete graph on {n_nodes} nodes needs {len(pairs)} susceptances, got {len(weights)}"
+            )
+    edges = tuple((i, j, w) for (i, j), w in zip(pairs, weights))
     return NetworkGraph(n_nodes=n_nodes, edges=edges, alpha=alpha)
 
 

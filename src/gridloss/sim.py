@@ -251,12 +251,12 @@ def export_trajectory(trajectory: Trajectory, n_nodes: int, path, stride: int = 
     names = ["t", "loss"]
     for block in ("theta", "omega", "Omega")[:blocks]:
         names.extend(f"{block}_{i + 1}" for i in range(n_nodes))
+    row_format = ",".join(["%.12g"] * (2 + dim)) + "\n"
+    times, loss, states = trajectory.times, trajectory.instantaneous_loss, trajectory.states
     with _atomic_writer(path) as fh:
         fh.write(",".join(names) + "\n")
-        for row in range(0, trajectory.times.size, int(stride)):
-            values = [trajectory.times[row], trajectory.instantaneous_loss[row]]
-            values.extend(trajectory.states[row])
-            fh.write(",".join(f"{v:.12g}" for v in values) + "\n")
+        for row in range(0, times.size, int(stride)):
+            fh.write(row_format % (times[row], loss[row], *states[row].tolist()))
 
 
 @contextlib.contextmanager

@@ -4,6 +4,7 @@ Every test drives ``gridloss.cli.main`` in process and inspects exit
 codes, stdout, and the files it writes.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -12,7 +13,14 @@ import pytest
 from gridloss.cli import _parse_grid, main
 from gridloss.dynamics import ControllerParams
 from gridloss.errors import ValidationError
-from gridloss.network import build_random_connected_graph, laplacians, spectral_decomposition
+from gridloss.h2 import h2_dapi_closed_form, h2_droop_closed_form
+from gridloss.network import (
+    NetworkGraph,
+    build_line_graph,
+    build_random_connected_graph,
+    laplacians,
+    spectral_decomposition,
+)
 from gridloss.tuning import optimal_gamma
 
 
@@ -318,6 +326,28 @@ class TestScaling:
             n, droop, comp, line = (float(v) for v in row)
             assert line < comp < droop
             assert droop == (n - 1) / 2.0
+
+    def test_rows_equal_hand_built_graphs(self, tmp_path, capsys):
+        out = tmp_path / "scaling.json"
+        assert main(["scaling", "--n-grid", "3:6:1", "--seeds", "3", "--seed", "5",
+                     "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        params = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)  # CLI defaults
+        expected = []
+        for n in (3, 4, 5, 6):
+            line_norms, complete_norms = [], []
+            for draw in range(3):
+                rng = np.random.default_rng((5, draw, n))
+                line = build_line_graph(n, rng.uniform(0.5, 1.5, n - 1), 1.0)
+                pairs = list(itertools.combinations(range(n), 2))
+                weights = rng.uniform(0.5, 1.5, len(pairs))
+                complete = NetworkGraph(n, tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights)), 1.0)
+                for graph, bucket in ((line, line_norms), (complete, complete_norms)):
+                    spectrum = spectral_decomposition(laplacians(graph, params.gamma)[0])
+                    bucket.append(h2_dapi_closed_form(1.0, params, spectrum).squared_norm)
+            droop = h2_droop_closed_form(1.0, params.m, n).squared_norm
+            expected.append([float(n), droop, float(np.mean(complete_norms)), float(np.mean(line_norms))])
+        assert json.loads(out.read_text())["rows"] == expected
 
     def test_rejects_tiny_sizes(self, tmp_path, capsys):
         code = main(["scaling", "--n-grid", "1:3:1", "--seeds", "1",

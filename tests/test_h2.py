@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import StabilityError, ValidationError
@@ -90,6 +91,69 @@ class TestSolveLyapunov:
             a = np.diag([-1e3] + [-1.0] * (n - 2) + [-5e-9])
             with pytest.raises(StabilityError):
                 solve_lyapunov(a, np.eye(n))
+
+    @pytest.mark.parametrize("e, stable", [(5e-8, False), (1e-6, True)])
+    def test_complex_pair_near_cutoff(self, e, stable):
+        # a rotation block with frequency 1e3 has eigenvalues -e +- 1e3 i;
+        # the cut-off reads their real part off the 2x2 Schur block
+        block = np.array([[-e, 1e3], [-1e3, -e]])
+        rng = np.random.default_rng(3)
+        rotation = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        embedded = np.zeros((5, 5))
+        embedded[:2, :2] = block
+        embedded[2:, 2:] = np.diag([-1.0, -2.0, -3.0])
+        big = rotation @ embedded @ rotation.T
+        # the similarity keeps max|A| large enough that -5e-8 is inside the
+        # cut-off -1e-10 * max|A|
+        assert np.max(np.abs(big)) > 700.0
+        # Q observes only the damped block: a Gramian of size 1/(2e) on the
+        # pair would put rounding above the residual tolerance at n = 5
+        q_big = rotation @ np.diag([0.0, 0.0, 1.0, 1.0, 1.0]) @ rotation.T
+        q_big = (q_big + q_big.T) / 2.0
+        for a, q in ((block, np.eye(2)), (big, q_big)):
+            if stable:
+                x = solve_lyapunov(a, q)
+                assert np.max(np.abs(a.T @ x + x @ a + q)) <= 1e-8
+            else:
+                with pytest.raises(StabilityError, match="not safely Hurwitz"):
+                    solve_lyapunov(a, q)
+
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        checked = 0
+        for n in (4, 5, 9, 30):
+            for _ in range(3):
+                a = -np.diag(rng.uniform(0.5, 3, n)) + 0.2 * rng.standard_normal((n, n))
+                if np.any(np.linalg.eigvals(a).real >= -1e-6):
+                    continue
+                c = rng.standard_normal((2, n))
+                q = c.T @ c
+                expected = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+                assert np.array_equal(solve_lyapunov(a, q), (expected + expected.T) / 2.0)
+                checked += 1
+        assert checked >= 8
+
+    def test_one_schur_and_no_eigvals_per_solve(self, monkeypatch):
+        calls = []
+        schur = scipy.linalg.schur
+
+        def counting_schur(*args, **kwargs):
+            calls.append(1)
+            return schur(*args, **kwargs)
+
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("solve_lyapunov must not call np.linalg.eigvals")
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        for n in (1, 2, 3, 5, 8):
+            calls.clear()
+            solve_lyapunov(-np.eye(n) + 0.1 * np.triu(np.ones((n, n)), 1), np.eye(n))
+            assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(StabilityError):
+            solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+        assert len(calls) == 1
 
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.resources
+import itertools
 import math
 
 import numpy as np
@@ -81,6 +82,18 @@ class TestBuilders:
         assert len(g.edges) == 10
         lb, _, _ = laplacians(g, gamma=0.0)
         assert np.allclose(np.diag(lb.matrix), 8.0)
+
+    def test_complete_graph_per_pair_weights(self):
+        weights = np.linspace(0.5, 1.5, 10)
+        g = build_complete_graph(5, weights, alpha=1.0)
+        pairs = itertools.combinations(range(5), 2)
+        assert g.edges == tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights))
+        with pytest.raises(ValidationError, match="needs 10 susceptances, got 9"):
+            build_complete_graph(5, weights[:-1], alpha=1.0)
+        with pytest.raises(ValidationError, match="non-positive"):
+            build_complete_graph(5, np.r_[weights[:-1], 0.0], alpha=1.0)
+        with pytest.raises(ValidationError, match="susceptance must be positive"):
+            build_complete_graph(5, -1.0, alpha=1.0)
 
     def test_random_graph_deterministic(self):
         g1 = build_random_connected_graph(12, 0.3, (0.5, 1.5), alpha=1.0, seed=7)

@@ -1,10 +1,14 @@
 """Euler-Maruyama simulation and empirical loss estimation tests."""
 
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import StabilityError, StepSizeError, ValidationError
@@ -257,3 +261,34 @@ class TestExport:
         traj = self._trajectory(blocks=2)
         with pytest.raises(ValidationError):
             export_trajectory(traj, n_nodes=3, path=tmp_path / "x.csv", stride=0)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_rows_are_12g_of_time_loss_and_state(self, data):
+        # -0.0, subnormals and values near 1e300; times stay within +-1e300
+        # so their differences do not overflow
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300]
+        near_1e300 = st.floats(9e299, 1.1e300)
+        time = st.one_of(st.sampled_from(special), st.floats(-1e300, 1e300), near_1e300)
+        value = st.one_of(st.sampled_from(special), st.floats(allow_nan=False), near_1e300)
+        loss_value = st.one_of(st.sampled_from([-0.0, 5e-324, 1e-310, 1e300]), st.floats(0.0, 1.1e300))
+        n_nodes = data.draw(st.integers(1, 3))
+        dim = n_nodes * data.draw(st.sampled_from([2, 3]))
+        times = sorted(data.draw(st.lists(time, min_size=1, max_size=12, unique=True)))
+        rows = len(times)
+        loss = data.draw(st.lists(loss_value, min_size=rows, max_size=rows))
+        states = data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=rows, max_size=rows))
+        stride = data.draw(st.integers(1, 4))
+        traj = Trajectory(times=np.array(times), states=np.array(states), instantaneous_loss=np.array(loss))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.csv"
+            if stride == 1:
+                export_trajectory(traj, n_nodes=n_nodes, path=path)
+            else:
+                export_trajectory(traj, n_nodes=n_nodes, path=path, stride=stride)
+            lines = path.read_text().split("\n")
+        expected = [
+            ",".join(f"{v:.12g}" for v in (t, l, *state))
+            for t, l, state in list(zip(times, loss, states))[::stride]
+        ]
+        assert lines[1:] == expected + [""]
