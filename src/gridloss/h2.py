@@ -129,8 +129,10 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A' X + X A = -Q for Hurwitz A and symmetric Q.
 
     Bartels-Stewart: one real Schur form A' = U T U' serves both the Hurwitz
-    check and the triangular Sylvester solve.  The residual is checked
-    against 1e-8 of the largest entry of Q.
+    check and the triangular Sylvester solve.  The residual is checked as a
+    backward error: against 1e-8 of 2 max|A| max|X| + max|Q|, the scale of
+    the terms it is the sum of, so a lightly damped system with a large
+    Gramian is judged by the rounding its solve can reach.
 
     Raises:
         StabilityError: A has an eigenvalue with real part >= -1e-10 *
@@ -160,7 +162,8 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     x = u @ (y * scale) @ u.T
     x = (x + x.T) / 2.0
     residual = float(np.max(np.abs(a.T @ x + x @ a + q)))
-    if residual > 1e-8 * max(q_scale, 1e-300):
+    terms = 2.0 * float(np.max(np.abs(a), initial=0.0)) * float(np.max(np.abs(x), initial=0.0)) + q_scale
+    if not residual <= 1e-8 * terms:
         raise LyapunovSolveError(
             f"Lyapunov residual {residual:.3e} exceeds tolerance for Q scale {q_scale:.3e}"
         )

@@ -45,7 +45,7 @@ _PER_MODE_ATOL = 1e-9
 _GAMMA_STAR_ATOL = 1e-6
 _EMPIRICAL_SIGMA = 3.0
 _EMPIRICAL_RTOL = 0.10
-_RUN_BUDGET_SECONDS = 120.0
+_RUN_BUDGET_SECONDS = 30.0
 
 
 def _report(criterion, passed, label):

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
-from gridloss.errors import StabilityError, ValidationError
+from gridloss.errors import LyapunovSolveError, StabilityError, ValidationError
 from gridloss.h2 import (
     H2Result,
     h2_dapi_closed_form,
@@ -117,6 +117,36 @@ class TestSolveLyapunov:
             else:
                 with pytest.raises(StabilityError, match="not safely Hurwitz"):
                     solve_lyapunov(a, q)
+
+    def test_lightly_damped_pair_with_large_gramian_solves(self):
+        # a pair -1e-6 +- 1e3 i observed by Q = I has a Gramian of about
+        # 1/(2e) = 5e5; its residual is rounding of max|A| max|X|, far above
+        # 1e-8 max|Q| but a tiny backward error
+        block = np.array([[-1e-6, 1e3], [-1e3, -1e-6]])
+        rng = np.random.default_rng(3)
+        rotation = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        embedded = np.zeros((5, 5))
+        embedded[:2, :2] = block
+        embedded[2:, 2:] = np.diag([-1.0, -2.0, -3.0])
+        a = rotation @ embedded @ rotation.T
+        x = solve_lyapunov(a, np.eye(5))
+        assert np.max(np.abs(x)) > 1e5
+        resid = np.max(np.abs(a.T @ x + x @ a + np.eye(5)))
+        assert resid <= 1e-8 * (2.0 * np.max(np.abs(a)) * np.max(np.abs(x)) + 1.0)
+        expected = scipy.linalg.solve_continuous_lyapunov(a.T, -np.eye(5))
+        assert np.max(np.abs(x - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+    def test_wrong_triangular_solution_rejected(self, monkeypatch):
+        dtrsyl = scipy.linalg.lapack.dtrsyl
+
+        def perturbed(*args, **kwargs):
+            y, scale, info = dtrsyl(*args, **kwargs)
+            return y * (1.0 + 1e-4), scale, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", perturbed)
+        a = -np.eye(3) + 0.1 * np.triu(np.ones((3, 3)), 1)
+        with pytest.raises(LyapunovSolveError, match="exceeds tolerance for Q scale"):
+            solve_lyapunov(a, np.eye(3))
 
     def test_matches_scipy_bit_for_bit(self):
         rng = np.random.default_rng(4)

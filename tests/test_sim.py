@@ -1,19 +1,29 @@
 """Euler-Maruyama simulation and empirical loss estimation tests."""
 
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
+from gridloss.dynamics import ControllerParams, StateSpace, assemble_dapi, assemble_droop
 from gridloss.errors import StabilityError, StepSizeError, ValidationError
 from gridloss.h2 import h2_dapi_closed_form
-from gridloss.network import build_complete_graph, build_line_graph, laplacians, spectral_decomposition
+from gridloss.network import (
+    build_complete_graph,
+    build_line_graph,
+    build_random_connected_graph,
+    laplacians,
+    spectral_decomposition,
+)
 from gridloss.sim import (
     SimConfig,
     Trajectory,
@@ -155,6 +165,133 @@ class TestSimulate:
         assert traj.instantaneous_loss[-1] < 1e-6 * traj.instantaneous_loss[0]
 
 
+def _step_loop(ss, l_g, config):
+    """Reference: the Euler-Maruyama loop one Python iteration per step,
+    recentring the phase block after every step."""
+    n = ss.n_nodes
+    n_steps = int(round(config.horizon / config.dt))
+    x = config.initial_state.copy() if config.initial_state is not None else np.zeros(ss.n_states)
+    rng = np.random.default_rng(config.seed)
+    noise_scale = math.sqrt(config.dt * config.noise_intensity)
+    a, b, lg = ss.a, ss.b, l_g.matrix
+    states = np.empty((n_steps + 1, ss.n_states))
+    loss = np.empty(n_steps + 1)
+    x[:n] -= x[:n].mean()
+    for step in range(n_steps + 1):
+        states[step] = x
+        theta = x[:n]
+        loss[step] = max(float(theta @ lg @ theta), 0.0)
+        if step == n_steps:
+            break
+        x = x + config.dt * (a @ x)
+        if noise_scale > 0.0:
+            x += noise_scale * (b @ rng.standard_normal(n))
+        x[:n] -= x[:n].mean()
+    return states, loss
+
+
+def _assert_close_to_step_loop(ss, lg, cfg, rtol=1e-10):
+    traj = simulate(ss, lg, cfg)
+    states, loss = _step_loop(ss, lg, cfg)
+    assert traj.states.shape == states.shape
+    assert np.max(np.abs(traj.states - states)) <= rtol * np.max(np.abs(states))
+    assert np.max(np.abs(traj.instantaneous_loss - loss)) <= rtol * np.max(loss)
+    return traj
+
+
+class TestAgainstStepLoop:
+    """The blocked scan reproduces the per-step loop to rounding."""
+
+    def _system(self, kind):
+        g = build_line_graph(8, [1.0, 0.7, 1.3, 0.9, 1.1, 0.6, 1.4], alpha=0.8)
+        p = ControllerParams(m=1.2, tau=0.8, k=1.5, gamma=0.7)
+        ss = assemble_droop(g, p) if kind == "droop" else assemble_dapi(g, p)
+        return ss, laplacians(g, 1.0)[1]
+
+    @pytest.mark.parametrize("kind", ["droop", "dapi"])
+    # 100 and 1024 are whole numbers of blocks of isqrt(steps) rows, 997 is
+    # prime and 1050 = 32 * 32 + 26 leaves a remainder past the last block
+    @pytest.mark.parametrize("steps", [100, 997, 1024, 1050])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_noisy_runs_agree(self, kind, steps, perturbed):
+        ss, lg = self._system(kind)
+        x0 = phase_perturbation(8, ss.n_states, scale=0.3, seed=5) if perturbed else None
+        cfg = SimConfig(dt=0.01, horizon=steps * 0.01, noise_intensity=1.5, seed=17, initial_state=x0)
+        traj = _assert_close_to_step_loop(ss, lg, cfg)
+        assert traj.times.size == steps + 1
+
+    @pytest.mark.parametrize("kind", ["droop", "dapi"])
+    @pytest.mark.parametrize("steps", [100, 997, 1024, 1050])
+    def test_noiseless_runs_agree(self, kind, steps):
+        ss, lg = self._system(kind)
+        # a phase offset of 0.5 that the first row must already have removed
+        x0 = phase_perturbation(8, ss.n_states, scale=0.3, seed=5) + 0.5
+        x0[8:] = np.linspace(-0.2, 0.2, ss.n_states - 8)
+        cfg = SimConfig(dt=0.01, horizon=steps * 0.01, noise_intensity=0.0, seed=17, initial_state=x0)
+        _assert_close_to_step_loop(ss, lg, cfg)
+
+    @pytest.mark.parametrize("kind", ["droop", "dapi"])
+    @pytest.mark.parametrize("steps", [100, 997, 1024, 1050])
+    def test_noiseless_from_origin_is_exactly_zero(self, kind, steps):
+        ss, lg = self._system(kind)
+        cfg = SimConfig(dt=0.01, horizon=steps * 0.01, noise_intensity=0.0, seed=17)
+        traj = simulate(ss, lg, cfg)
+        states, loss = _step_loop(ss, lg, cfg)
+        for new, old in ((traj.states, states), (traj.instantaneous_loss, loss)):
+            assert np.array_equal(new, old)
+            assert not np.any(new) and not np.any(np.signbit(new))
+
+    @pytest.mark.parametrize("kind", ["droop", "dapi"])
+    def test_noise_entering_the_phases_is_recentred(self, kind):
+        # assembled systems drive only the frequencies; a hand-built B that
+        # also drives the phases must have its phase mean removed every step
+        ss, lg = self._system(kind)
+        b = ss.b.copy()
+        b[:8] += np.linspace(0.1, 0.8, 8)[:, None]
+        ss = StateSpace(a=ss.a, b=b, c=ss.c, controller_kind=kind)
+        cfg = SimConfig(dt=0.01, horizon=10.5, noise_intensity=1.0, seed=4)
+        traj = _assert_close_to_step_loop(ss, lg, cfg)
+        assert np.max(np.abs(traj.states[:, :8].mean(axis=1))) <= 1e-12
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        n_nodes=st.integers(2, 6),
+        graph_seed=st.integers(0, 2**31 - 1),
+        seed=st.integers(0, 2**31 - 1),
+        dt=st.floats(0.001, 0.05),
+        steps=st.integers(100, 700),
+        kind=st.sampled_from(["droop", "dapi"]),
+    )
+    def test_random_graphs_agree(self, n_nodes, graph_seed, seed, dt, steps, kind):
+        g = build_random_connected_graph(n_nodes, 0.6, (0.5, 1.5), 1.0, seed=graph_seed)
+        p = ControllerParams(m=1.0, tau=0.5, k=1.0, gamma=2.0)
+        ss = assemble_droop(g, p) if kind == "droop" else assemble_dapi(g, p)
+        lg = laplacians(g, 1.0)[1]
+        cfg = SimConfig(dt=dt, horizon=steps * dt, noise_intensity=1.0, seed=seed)
+        try:
+            _assert_close_to_step_loop(ss, lg, cfg)
+        except StepSizeError:
+            assume(False)
+
+    def test_does_not_import_scipy_signal(self):
+        # scipy.signal costs over a second and tens of MB to import
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import gridloss\n"
+            "g = gridloss.build_line_graph(3, np.ones(2), alpha=1.0)\n"
+            "p = gridloss.ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)\n"
+            "cfg = gridloss.SimConfig(dt=0.01, horizon=2.0, seed=0)\n"
+            "gridloss.simulate(gridloss.assemble_dapi(g, p), gridloss.laplacians(g, 1.0)[1], cfg)\n"
+            "print('scipy.signal' in sys.modules)\n"
+        )
+        src = str(Path(__import__("gridloss").__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+
 class TestEmpiricalH2:
     def test_zero_noise_estimates_zero(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
@@ -211,6 +348,36 @@ class TestTrajectoryType:
             Trajectory(times=np.array([0.0, 0.0, 1.0]), states=x, instantaneous_loss=np.zeros(3))
         with pytest.raises(ValidationError):
             Trajectory(times=t, states=np.zeros((2, 4)), instantaneous_loss=np.zeros(3))
+
+    def test_simulate_hands_over_its_arrays_without_a_copy(self):
+        g = build_line_graph(20, np.ones(19), alpha=1.0)
+        ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0))
+        lg = laplacians(g, 1.0)[1]
+        cfg = SimConfig(dt=0.005, horizon=50.0, seed=3)
+        tracemalloc.start()
+        try:
+            traj = simulate(ss, lg, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (10001, 60)
+        assert peak < 1.5 * traj.states.nbytes
+        assert not traj.states.flags.writeable
+
+    def test_caller_arrays_stay_writeable(self):
+        t = np.array([0.0, 1.0, 2.0])
+        x = np.zeros((3, 4))
+        loss = np.zeros(3)
+        traj = Trajectory(times=t, states=x, instantaneous_loss=loss)
+        assert t.flags.writeable and x.flags.writeable and loss.flags.writeable
+        assert not traj.states.flags.writeable
+        x[0, 0] = 5.0
+        assert traj.states[0, 0] == 0.0
+        frozen = np.ones((3, 4))
+        frozen.setflags(write=False)
+        assert Trajectory(times=t, states=frozen, instantaneous_loss=loss).states is frozen
+        ints = Trajectory(times=t, states=np.zeros((3, 4), dtype=int), instantaneous_loss=loss)
+        assert ints.states.dtype == np.float64
 
     def test_integrated_loss_constant(self):
         t = np.linspace(0.0, 7.0, 701)
