@@ -12,6 +12,17 @@ equals the squared H2 norm of the closed loop.  Three routes compute it:
 * full Gramian: one dense Lyapunov solve on the assembled system after
   deflating the rigid phase-shift direction.
 
+``solve_lyapunov`` is Bartels-Stewart with a recursive blocked triangular
+stage (Jonsson & Kagstrom 2002, ACM TOMS 28(4), "RECSY"): the quasi-
+triangular equation T Y + Y T' = F is cut at the midpoint of T, moved by one
+row where the cut would split a 2x2 block, into two half-size Lyapunov
+equations and one Sylvester equation, so most of the work becomes matrix
+products.  Blocks of at most 64 rows go to LAPACK's ``dtrsyl``; every system
+of at most 64 states, the 2x2/3x3 modal Gramians included, is one
+``dtrsyl`` call.  If a block needs ``dtrsyl``'s overflow scaling, the
+partial result is dropped and the whole equation goes to one ``dtrsyl``
+call.
+
 The modal and full-Gramian routes share one Lyapunov solver but build their
 systems independently; the closed form shares no linear algebra with
 either, so the agreement of all three cross-checks both the models and the
@@ -31,6 +42,10 @@ from .errors import LyapunovSolveError, StabilityError, ValidationError
 from .network import Spectrum
 
 H2_METHODS = ("closed_form", "modal_lyapunov", "full_gramian")
+
+# largest block handed to dtrsyl whole; also the size up to which
+# solve_lyapunov is exactly scipy's solve_continuous_lyapunov
+_LEAF_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -129,7 +144,16 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A' X + X A = -Q for Hurwitz A and symmetric Q.
 
     Bartels-Stewart: one real Schur form A' = U T U' serves both the Hurwitz
-    check and the triangular Sylvester solve.  The residual is checked as a
+    check and the triangular solve T Y + Y T' = -U' Q U.  That solve is
+    recursive and blocked (Jonsson & Kagstrom 2002, ACM TOMS 28(4)): T is
+    cut at its midpoint, one row further where the cut would split a 2x2
+    block; Y22 is solved first, then the Sylvester block T11 Y12 + Y12 T22'
+    = F12 - T12 Y22, then Y11 from F11 - T12 Y12' - Y12 T12', with Y21 =
+    Y12'.  Blocks of at most 64 rows go to LAPACK's ``dtrsyl``, diagonal
+    ones symmetrised, so for n <= 64 the solve is one ``dtrsyl`` call, as in
+    ``scipy.linalg.solve_continuous_lyapunov``.  If any block comes back
+    with an overflow scale below 1, the whole equation is handed to one
+    ``dtrsyl`` call instead.  The residual is checked as a
     backward error: against 1e-8 of 2 max|A| max|X| + max|Q|, the scale of
     the terms it is the sum of, so a lightly damped system with a large
     Gramian is judged by the rounding its solve can reach.
@@ -156,9 +180,7 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
             f"matrix is not safely Hurwitz (max eigenvalue real part {np.max(real_parts):.3e})"
         )
     f = u.T @ (-q @ u)
-    y, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
-    if info < 0:
-        raise LyapunovSolveError(f"triangular Sylvester solve rejected argument {-info}")
+    y, scale = _solve_quasi_triangular(t, f)
     x = u @ (y * scale) @ u.T
     x = (x + x.T) / 2.0
     residual = float(np.max(np.abs(a.T @ x + x @ a + q)))
@@ -168,6 +190,86 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
             f"Lyapunov residual {residual:.3e} exceeds tolerance for Q scale {q_scale:.3e}"
         )
     return x
+
+
+class _Rescaled(Exception):
+    """A dtrsyl block scaled its right-hand side down to avoid overflow."""
+
+
+def _solve_quasi_triangular(t: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
+    """(Y, scale) with T Y + Y T' = scale F for upper quasi-triangular T and
+    symmetric F.  Above the leaf size Y is exactly symmetric; a whole-matrix
+    dtrsyl solution is symmetric up to rounding."""
+    if t.shape[0] > _LEAF_ROWS:
+        y = f.copy()
+        try:
+            _lyapunov_blocks(t, y)
+            return y, 1.0
+        except _Rescaled:
+            pass
+    y, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
+    _check_trsyl_info(info)
+    return y, scale
+
+
+def _lyapunov_blocks(t: np.ndarray, y: np.ndarray) -> None:
+    """Overwrite y = F with the solution of T Y + Y T' = F, recursively."""
+    n = t.shape[0]
+    if n <= _LEAF_ROWS:
+        # only the symmetric part of Y is used, and the blocks above take
+        # Y21 = Y12': a rounding asymmetry left here, magnified by a lightly
+        # damped pair, would make them solve a different equation
+        x = _trsyl_block(t, t, y)
+        y[...] = (x + x.T) / 2.0
+        return
+    mid = _cut(t)
+    t12 = t[:mid, mid:]
+    y12 = y[:mid, mid:]
+    _lyapunov_blocks(t[mid:, mid:], y[mid:, mid:])
+    y12 -= t12 @ y[mid:, mid:]
+    _sylvester_blocks(t[:mid, :mid], t[mid:, mid:], y12)
+    g = t12 @ y12.T
+    y[:mid, :mid] -= g + g.T
+    _lyapunov_blocks(t[:mid, :mid], y[:mid, :mid])
+    y[mid:, :mid] = y12.T
+
+
+def _sylvester_blocks(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> None:
+    """Overwrite y = F with the solution of A Y + Y B' = F for upper
+    quasi-triangular A and B, splitting the larger dimension."""
+    m, n = y.shape
+    if max(m, n) <= _LEAF_ROWS:
+        y[...] = _trsyl_block(a, b, y)
+    elif m >= n:
+        mid = _cut(a)
+        _sylvester_blocks(a[mid:, mid:], b, y[mid:])
+        y[:mid] -= a[:mid, mid:] @ y[mid:]
+        _sylvester_blocks(a[:mid, :mid], b, y[:mid])
+    else:
+        mid = _cut(b)
+        _sylvester_blocks(a, b[mid:, mid:], y[:, mid:])
+        y[:, :mid] -= y[:, mid:] @ b[:mid, mid:].T
+        _sylvester_blocks(a, b[:mid, :mid], y[:, :mid])
+
+
+def _cut(t: np.ndarray) -> int:
+    """Midpoint of T, moved down one row where it would split a 2x2 block."""
+    mid = t.shape[0] // 2
+    return mid + 1 if t[mid, mid - 1] != 0.0 else mid
+
+
+def _trsyl_block(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    x, scale, info = scipy.linalg.lapack.dtrsyl(a, b, c, tranb="T")
+    _check_trsyl_info(info)
+    if scale < 1.0:
+        raise _Rescaled
+    return x
+
+
+def _check_trsyl_info(info: int) -> None:
+    # info > 0 (close eigenvalues, perturbed solve) is left to the residual check
+    if info < 0:
+        raise LyapunovSolveError(f"triangular Sylvester solve rejected argument {-info}")
 
 
 def h2_modal(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: str) -> H2Result:
@@ -211,12 +313,13 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
             with gamma = 0, or an unstable parameterization).
     """
     n = ss.n_nodes
-    blocks = ss.n_states // n
     basis = _ones_complement_basis(n)
-    transform = scipy.linalg.block_diag(basis, *[np.eye(n)] * (blocks - 1))
-    a = transform.T @ ss.a @ transform
-    b = transform.T @ ss.b
-    c = ss.c @ transform
+    # the congruence by blockdiag(basis, I, ...) touches only the theta
+    # rows and columns
+    rows = np.vstack([basis.T @ ss.a[:n], ss.a[n:]])
+    a = np.hstack([rows[:, :n] @ basis, rows[:, n:]])
+    b = np.vstack([basis.T @ ss.b[:n], ss.b[n:]])
+    c = np.hstack([ss.c[:, :n] @ basis, ss.c[:, n:]])
     try:
         gram = solve_lyapunov(a, c.T @ c)
     except StabilityError as err:

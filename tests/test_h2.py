@@ -6,11 +6,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import LyapunovSolveError, StabilityError, ValidationError
 from gridloss.h2 import (
     H2Result,
+    _solve_quasi_triangular,
     h2_dapi_closed_form,
     h2_droop_closed_form,
     h2_full_gramian,
@@ -28,6 +31,36 @@ from gridloss.network import (
 
 def _spectrum_of(graph):
     return spectral_decomposition(laplacians(graph, 1.0)[0])
+
+
+def _stable_random(n, rng):
+    """A well-conditioned Hurwitz matrix: eigenvalues within 0.5 of [-3, -1]."""
+    return -np.diag(rng.uniform(1.0, 3.0, n)) + 0.5 * rng.standard_normal((n, n)) / math.sqrt(n)
+
+
+def _bumped_quasi_triangular(n, rng, pair=None):
+    """Upper quasi-triangular T in LAPACK's standard form, with a 2x2 block
+    straddling the midpoint of every block the recursive solve cuts, so that
+    every cut above the 64-row leaf has to move.  ``pair`` = (re, im) sets
+    the eigenvalues of the top-level block; the others are -U(1, 3) +- i."""
+    t = np.triu(0.3 * rng.standard_normal((n, n)) / math.sqrt(n), 1)
+    t[np.diag_indices(n)] = -rng.uniform(1.0, 3.0, n)
+    bumps = []
+
+    def place(lo, hi):
+        if hi - lo <= 64:
+            return
+        mid = lo + (hi - lo) // 2
+        re, im = pair if pair is not None and not bumps else (-rng.uniform(1.0, 3.0), 1.0)
+        t[mid - 1, mid - 1] = t[mid, mid] = re
+        t[mid - 1, mid] = im
+        t[mid, mid - 1] = -im
+        bumps.append(mid)
+        place(lo, mid + 1)
+        place(mid + 1, hi)
+
+    place(0, n)
+    return t, bumps
 
 
 class TestSolveLyapunov:
@@ -162,6 +195,108 @@ class TestSolveLyapunov:
                 assert np.array_equal(solve_lyapunov(a, q), (expected + expected.T) / 2.0)
                 checked += 1
         assert checked >= 8
+
+    @pytest.mark.parametrize("n", [31, 48, 64, 65])
+    def test_matches_scipy_at_the_leaf_size(self, n):
+        # up to 64 rows the triangular stage is one dtrsyl call, exactly
+        # scipy's; from 65 rows on it is the recursive blocked solve
+        rng = np.random.default_rng(n)
+        a = _stable_random(n, rng)
+        c = rng.standard_normal((2, n))
+        q = c.T @ c
+        expected = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+        expected = (expected + expected.T) / 2.0
+        x = solve_lyapunov(a, q)
+        if n <= 64:
+            assert np.array_equal(x, expected)
+        else:
+            assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    # solve_lyapunov keeps only the symmetric part of Y, and the recursive
+    # stage returns an exactly symmetric Y; the whole-matrix dtrsyl keeps a
+    # rounding asymmetry, which a lightly damped pair magnifies to 1e-9 of
+    # max|Y|, so the two are compared on their symmetric parts
+    @pytest.mark.parametrize("n", [4, 37, 64, 65, 66, 127, 130, 200, 263, 449, 600])
+    def test_recursive_stage_matches_whole_dtrsyl(self, n):
+        rng = np.random.default_rng(1000 + n)
+        t, bumps = _bumped_quasi_triangular(n, rng)
+        assert bool(bumps) == (n > 64)
+        f = rng.standard_normal((n, n))
+        f = f + f.T
+        expected, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
+        assert scale == 1.0 and info == 0
+        y, y_scale = _solve_quasi_triangular(t, f)
+        assert y_scale == 1.0
+        gap = (y + y.T) / 2.0 - (expected + expected.T) / 2.0
+        assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [65, 200, 600])
+    def test_recursive_stage_on_lightly_damped_pair(self, n):
+        # the pair -1e-6 +- 1e3 i of the 5x5 cases above, on the first cut
+        rng = np.random.default_rng(2000 + n)
+        t, bumps = _bumped_quasi_triangular(n, rng, pair=(-1e-6, 1e3))
+        assert t[bumps[0], bumps[0]] == -1e-6
+        f = -np.eye(n)
+        expected, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
+        assert scale == 1.0 and info == 0
+        assert np.max(np.abs(expected)) > 1e5
+        y, _ = _solve_quasi_triangular(t, f)
+        assert np.array_equal(y, y.T)
+        gap = y - (expected + expected.T) / 2.0
+        assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(expected))
+        # backward error no worse than the whole-matrix solve's
+        scale_terms = 2.0 * np.max(np.abs(t)) * np.max(np.abs(expected)) + 1.0
+        sym = (expected + expected.T) / 2.0
+        reference = np.max(np.abs(t @ sym + sym @ t.T - f)) / scale_terms
+        assert np.max(np.abs(t @ y + y @ t.T - f)) / scale_terms <= max(2.0 * reference, 1e-15)
+
+    def test_no_dtrsyl_call_above_leaf_size(self, monkeypatch):
+        sizes = []
+        dtrsyl = scipy.linalg.lapack.dtrsyl
+
+        def counting(a, b, c, **kwargs):
+            sizes.append((a.shape[0], b.shape[0]))
+            return dtrsyl(a, b, c, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", counting)
+        g = build_random_connected_graph(150, 0.05, (0.5, 1.5), alpha=1.0, seed=7)
+        ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0))
+        assert ss.n_states - 1 >= 449
+        h2_full_gramian(ss)
+        assert len(sizes) > 1
+        assert max(max(pair) for pair in sizes) <= 64
+
+    def test_rescaled_leaf_falls_back_to_one_whole_solve(self, monkeypatch):
+        n = 100
+        calls = []
+        dtrsyl = scipy.linalg.lapack.dtrsyl
+
+        def rescaling_leaves(a, b, c, **kwargs):
+            calls.append(a.shape[0])
+            y, scale, info = dtrsyl(a, b, c, **kwargs)
+            return y, (0.5 if a.shape[0] <= 64 else scale), info
+
+        rng = np.random.default_rng(5)
+        a = _stable_random(n, rng)
+        q = np.eye(n)
+        expected = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", rescaling_leaves)
+        x = solve_lyapunov(a, q)
+        assert calls.count(n) == 1
+        assert np.array_equal(x, (expected + expected.T) / 2.0)
+
+    @pytest.mark.parametrize("n", [5, 100])
+    def test_rejected_argument_raises(self, monkeypatch, n):
+        dtrsyl = scipy.linalg.lapack.dtrsyl
+
+        def rejecting(*args, **kwargs):
+            y, scale, _ = dtrsyl(*args, **kwargs)
+            return y, scale, -3
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", rejecting)
+        a = _stable_random(n, np.random.default_rng(6))
+        with pytest.raises(LyapunovSolveError, match="rejected argument 3"):
+            solve_lyapunov(a, np.eye(n))
 
     def test_one_schur_and_no_eigvals_per_solve(self, monkeypatch):
         calls = []
@@ -303,6 +438,26 @@ class TestModalRoute:
         with pytest.raises(StabilityError, match="mode 2"):
             h2_modal(_spectrum_of(g), p, alpha=1.0, kind="dapi")
 
+    @pytest.mark.parametrize("kind", ["droop", "dapi"])
+    def test_stiff_line_is_refused_or_exact(self, kind):
+        # m = 0.01, tau = 1e-9 puts the slow eigenvalues of each mode below
+        # the solver's cut-off -1e-10 max|A|; every mode passes the Routh
+        # test, but solving past the cut-off gives 950.0054 (droop) and
+        # 13734.9 (DAPI, closed form 534.52) at a backward error of 1e-16.
+        # Refusing is right; a value must be the closed form.
+        g = build_line_graph(20, [1.0] * 19, alpha=1.0)
+        spec = _spectrum_of(g)
+        p = ControllerParams(m=0.01, tau=1e-9)
+        if kind == "droop":
+            closed = h2_droop_closed_form(1.0, p.m, 20).squared_norm
+        else:
+            closed = h2_dapi_closed_form(1.0, p, spec).squared_norm
+        try:
+            value = h2_modal(spec, p, alpha=1.0, kind=kind).squared_norm
+        except StabilityError:
+            return
+        assert abs(value - closed) <= 1e-7 * closed
+
     def test_per_mode_sums_to_total(self):
         g = build_random_connected_graph(10, 0.4, (0.5, 1.5), alpha=1.0, seed=3)
         p = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
@@ -368,6 +523,26 @@ class TestThreeWayAgreement:
             for values in (droop, dapi):
                 spread = (max(values) - min(values)) / max(values)
                 assert spread <= 1e-7, f"routes disagree: {values} (seed {seed})"
+
+    @settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(23, 80),
+        p_edge=st.floats(0.15, 0.5),
+        seed=st.integers(0, 2**31 - 1),
+        m=st.floats(0.3, 3.0),
+        tau=st.floats(0.3, 3.0),
+        k=st.floats(0.3, 3.0),
+        gamma=st.floats(0.3, 3.0),
+    )
+    def test_full_gramian_matches_closed_forms_past_the_leaf(self, n, p_edge, seed, m, tau, k, gamma):
+        # DAPI has 3N - 1 >= 68 deflated states here, so the recursive
+        # triangular solve runs; droop reaches it from N = 33
+        g = build_random_connected_graph(n, p_edge, (0.5, 1.5), alpha=1.0, seed=seed)
+        p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        droop = h2_droop_closed_form(1.0, m, n).squared_norm
+        dapi = h2_dapi_closed_form(1.0, p, _spectrum_of(g)).squared_norm
+        assert abs(h2_full_gramian(assemble_droop(g, p)).squared_norm - droop) <= 1e-9 * droop
+        assert abs(h2_full_gramian(assemble_dapi(g, p)).squared_norm - dapi) <= 1e-9 * dapi
 
     def test_alpha_linearity_all_routes(self):
         g = build_line_graph(5, [1.0, 2.0, 0.5, 1.5], alpha=1.0)
