@@ -26,6 +26,7 @@ from .network import (
     build_line_graph,
     build_random_connected_graph,
     ingest_edge_list,
+    laplacian_eigenvalues,
     laplacians,
     spectral_decomposition,
 )
@@ -328,7 +329,7 @@ def _cmd_tune(args) -> int:
     graph, net_meta = _resolve_network(args)
     params = ControllerParams(m=args.m, tau=args.tau, k=args.k)
     alpha = graph.alpha
-    spectrum = spectral_decomposition(laplacians(graph, 0.0)[0])
+    spectrum = laplacian_eigenvalues(laplacians(graph, 0.0)[0])
     result = optimal_gamma(spectrum, params, alpha)
     droop_norm = h2_droop_closed_form(alpha, params.m, graph.n_nodes).squared_norm
     reduction = 1.0 - result.norm_at_star / droop_norm if droop_norm > 0 else 0.0
@@ -366,7 +367,7 @@ def _cmd_sweep(args) -> int:
     params = _resolve_params(args)
     alpha = graph.alpha
     grid = _parse_grid(args.grid)
-    spectrum = spectral_decomposition(laplacians(graph, 0.0)[0])
+    spectrum = laplacian_eigenvalues(laplacians(graph, 0.0)[0])
     inputs = {
         "network": net_meta,
         "params": _params_meta(params),
@@ -486,7 +487,7 @@ def _cmd_scaling(args) -> int:
             line = build_line_graph(n, rng.uniform(b_range[0], b_range[1], n - 1), alpha)
             complete = build_complete_graph(n, rng.uniform(b_range[0], b_range[1], n * (n - 1) // 2), alpha)
             for graph, bucket in ((line, line_norms), (complete, complete_norms)):
-                spectrum = spectral_decomposition(laplacians(graph, params.gamma)[0])
+                spectrum = laplacian_eigenvalues(laplacians(graph, params.gamma)[0])
                 bucket.append(h2_dapi_closed_form(alpha, params, spectrum).squared_norm)
         rows.append((float(n), droop_norm, float(np.mean(complete_norms)), float(np.mean(line_norms))))
 

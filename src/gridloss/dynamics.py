@@ -152,7 +152,7 @@ def _conductance_sqrt(spectrum: Spectrum, alpha: float) -> np.ndarray:
     kernel vector of the result, so the loss output ignores rigid phase
     shifts up to rounding.
     """
-    u = spectrum.eigenvectors
+    u = _require_eigenvectors(spectrum)
     root = u @ np.diag(np.sqrt(alpha * spectrum.eigenvalues)) @ u.T
     return (root + root.T) / 2.0
 
@@ -236,6 +236,7 @@ def modal_subsystems(
     nothing.
     """
     kind = _validated_kind(kind)
+    _require_eigenvectors(spectrum)
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
     if not np.isfinite(alpha) or alpha < 0:
@@ -306,7 +307,7 @@ def verify_modal_equivalence(
             f"dimension mismatch: {ss.controller_kind} system with {ss.n_states} states, "
             f"{n}-node spectrum, {len(subsystems)} subsystems"
         )
-    t = np.kron(np.eye(blocks), spectrum.eigenvectors)
+    t = np.kron(np.eye(blocks), _require_eigenvectors(spectrum))
     m = t.T @ ss.a @ t
     perm = [blk * n + mode for mode in range(n) for blk in range(blocks)]
     m = m[np.ix_(perm, perm)]
@@ -315,6 +316,16 @@ def verify_modal_equivalence(
         lo = (sub.mode_index - 1) * blocks
         stacked[lo:lo + blocks, lo:lo + blocks] = sub.a
     return float(np.max(np.abs(m - stacked)))
+
+
+def _require_eigenvectors(spectrum: Spectrum) -> np.ndarray:
+    # the modal blocks are the closed loop in the eigenvector basis, so an
+    # eigenvalue-only spectrum cannot stand for that basis
+    if spectrum.eigenvectors is None:
+        raise ValidationError(
+            "spectrum has no eigenvectors; build it with spectral_decomposition, not laplacian_eigenvalues"
+        )
+    return spectrum.eigenvectors
 
 
 def _validated_kind(kind: str) -> str:

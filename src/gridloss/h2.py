@@ -118,7 +118,8 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, eigenvalues) -> 
         params: controller parameters; tau = 0 and gamma = 0 are permitted
             here (the formula is the continuous limit).
         eigenvalues: ascending eigenvalues with the zero mode first, as
-            produced by spectral_decomposition (a Spectrum is also accepted).
+            produced by spectral_decomposition or laplacian_eigenvalues (a
+            Spectrum is also accepted).
     """
     if not np.isfinite(alpha) or alpha < 0:
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
@@ -133,7 +134,7 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, eigenvalues) -> 
         n_zero = int(np.count_nonzero(w == 0.0))
         raise ValidationError(
             f"exactly one zero eigenvalue expected first (got {n_zero} zeros); "
-            "clamp via spectral_decomposition"
+            "clamp via spectral_decomposition or laplacian_eigenvalues"
         )
     factors = _dapi_mode_factor(w[1:], params.m, params.k, params.tau, params.gamma)
     per_mode = alpha / (2.0 * params.m) * factors

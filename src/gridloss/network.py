@@ -13,6 +13,7 @@ Node indices are 0-based in memory; the edge-list file format is 1-based.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,15 +103,15 @@ class Laplacian:
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"Laplacian must be square, got shape {mat.shape}")
-        scale = float(np.max(np.abs(mat))) if mat.size else 0.0
+        # max and min are both NaN when any entry is
+        scale = max(float(mat.max()), -float(mat.min())) if mat.size else 0.0
         tol = 1e-12 * scale
-        if not np.allclose(mat, mat.T, rtol=0, atol=tol):
+        if not _symmetric_within(mat, tol):
             raise ValidationError("Laplacian must be symmetric")
         row_sums = mat.sum(axis=1)
         if np.any(np.abs(row_sums) > tol):
             raise ValidationError("Laplacian row sums must be zero")
-        off = mat - np.diag(np.diag(mat))
-        if np.any(off > tol):
+        if np.count_nonzero(mat > tol) > np.count_nonzero(np.diagonal(mat) > tol):
             raise ValidationError("Laplacian off-diagonal entries must be <= 0")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -120,33 +121,49 @@ class Laplacian:
         return self.matrix.shape[0]
 
 
+def _symmetric_within(mat: np.ndarray, tol: float) -> bool:
+    """The verdict of ``np.allclose(mat, mat.T, rtol=0, atol=tol)``.
+
+    An infinite entry makes ``tol`` infinite, and then each mirrored pair
+    must be finite or equal.  A NaN entry fails: its gap is NaN.
+    """
+    if math.isinf(tol):
+        return bool(np.all((np.isfinite(mat) & np.isfinite(mat.T)) | (mat == mat.T)))
+    gap = mat - mat.T
+    np.abs(gap, out=gap)
+    return gap.size == 0 or bool(gap.max() <= tol)
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a susceptance Laplacian.
+    """Eigenvalues of a susceptance Laplacian, with or without eigenvectors.
 
     ``eigenvalues`` are ascending with the zero mode clamped to exactly 0.0
-    in position 0; ``eigenvectors`` holds the matching orthonormal columns,
-    column 0 being the normalized all-ones vector.  Column signs follow a
-    fixed convention (first component of noticeable magnitude positive) so
-    repeated runs produce identical matrices.
+    in position 0.  ``eigenvectors`` is None for an eigenvalue-only spectrum
+    (``laplacian_eigenvalues``); otherwise it holds the matching orthonormal
+    columns, column 0 being the normalized all-ones vector.  Column signs
+    follow a fixed convention (first component of noticeable magnitude
+    positive) so repeated runs produce identical matrices.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         w = np.array(self.eigenvalues, dtype=float)
-        u = np.array(self.eigenvectors, dtype=float)
-        if w.ndim != 1 or u.ndim != 2 or u.shape != (w.size, w.size):
+        u = None if self.eigenvectors is None else np.array(self.eigenvectors, dtype=float)
+        if w.ndim != 1 or (u is not None and u.shape != (w.size, w.size)):
             raise ValidationError(
-                f"inconsistent spectrum shapes: eigenvalues {w.shape}, eigenvectors {u.shape}"
+                f"inconsistent spectrum shapes: eigenvalues {w.shape}, "
+                f"eigenvectors {None if u is None else u.shape}"
             )
         if np.any(np.diff(w) < 0):
             raise ValidationError("eigenvalues must be ascending")
         w.setflags(write=False)
-        u.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", u)
+        if u is not None:
+            u.setflags(write=False)
+            object.__setattr__(self, "eigenvectors", u)
 
     @property
     def n_nodes(self) -> int:
@@ -333,10 +350,12 @@ def laplacians(graph: NetworkGraph, gamma: float) -> tuple[Laplacian, Laplacian,
     gamma = float(gamma)
     if not np.isfinite(gamma) or gamma < 0:
         raise ValidationError(f"gamma must be finite and >= 0, got {gamma!r}")
+    edges = np.array(graph.edges, dtype=float).reshape(-1, 3)
+    ends_i, ends_j = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
     lb = np.zeros((graph.n_nodes, graph.n_nodes))
-    for i, j, b in graph.edges:
-        lb[i, j] -= b
-        lb[j, i] -= b
+    # each node pair appears at most once, so every entry is written once
+    lb[ends_i, ends_j] = -edges[:, 2]
+    lb[ends_j, ends_i] = -edges[:, 2]
     # diagonal set from the finished off-diagonal rows: row sums vanish
     np.fill_diagonal(lb, -lb.sum(axis=1))
     l_b = Laplacian(matrix=lb, kind="susceptance")
@@ -358,9 +377,33 @@ def spectral_decomposition(laplacian: Laplacian) -> Spectrum:
         ValidationError: an eigenvalue is negative beyond tolerance.
     """
     w, u = np.linalg.eigh(laplacian.matrix)
+    w = _pinned_zero_mode(w)
+    for col in range(u.shape[1]):
+        nz = np.flatnonzero(np.abs(u[:, col]) > 1e-8)
+        lead = nz[0] if nz.size else 0
+        if u[lead, col] < 0:
+            u[:, col] = -u[:, col]
+    return Spectrum(eigenvalues=w, eigenvectors=u)
+
+
+def laplacian_eigenvalues(laplacian: Laplacian) -> Spectrum:
+    """Eigenvalue-only spectrum (``eigenvectors`` is None), for callers that
+    read eigenvalues alone.
+
+    The zero mode is clamped and checked exactly as in
+    ``spectral_decomposition``, with the same errors; the eigenvalues come
+    from ``np.linalg.eigvalsh`` and may differ from ``eigh``'s in the last
+    bits.
+    """
+    return Spectrum(eigenvalues=_pinned_zero_mode(np.linalg.eigvalsh(laplacian.matrix)))
+
+
+def _pinned_zero_mode(w: np.ndarray) -> np.ndarray:
+    # ascending eigenvalues of a Laplacian: check PSD, clamp the zero mode
+    # and require exactly one
+    if w.size == 1:
+        return np.zeros(1)
     scale = float(w[-1])
-    if laplacian.n_nodes == 1:
-        return Spectrum(eigenvalues=np.zeros(1), eigenvectors=np.ones((1, 1)))
     if scale <= 0:
         raise DisconnectedGraphError("Laplacian is zero; graph has no edges")
     tol = _ZERO_EIG_RTOL * scale
@@ -372,9 +415,4 @@ def spectral_decomposition(laplacian: Laplacian) -> Spectrum:
         raise DisconnectedGraphError(
             f"Laplacian has {n_zero} zero modes; the graph splits into {n_zero} components"
         )
-    for col in range(u.shape[1]):
-        nz = np.flatnonzero(np.abs(u[:, col]) > 1e-8)
-        lead = nz[0] if nz.size else 0
-        if u[lead, col] < 0:
-            u[:, col] = -u[:, col]
-    return Spectrum(eigenvalues=w, eigenvectors=u)
+    return w

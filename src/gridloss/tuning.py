@@ -110,7 +110,8 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     bisected to an interval of width 1e-10; a nonnegative derivative at
     gamma = 0 means the boundary is already optimal.  One vectorised
     derivative call on a 257-point grid over twice the bracket then probes
-    for further sign changes.  More than one (never observed) is reported
+    for further sign changes, skipping grid points where every mode's
+    summand has the same sign.  More than one (never observed) is reported
     with a warning and resolved by comparing the minima; the result then
     carries the probe interval and bisection of the global one.
 
@@ -140,7 +141,7 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     bracket = (0.0, hi)
     gamma_star, iterations = _bisect_derivative(deriv, 0.0, hi)
 
-    crossings = _descending_crossings(deriv, hi)
+    crossings = _descending_crossings(deriv, hi, _derivative_sign_band(lams, m, k, tau))
     if len(crossings) > 1:
         found = [_bisect_derivative(deriv, lo_i, hi_i) for lo_i, hi_i in crossings]
         candidates = [float(g) for g, _ in found]
@@ -172,10 +173,32 @@ def _bisect_derivative(deriv, lo: float, hi: float) -> tuple[float, int]:
     return 0.5 * (lo + hi), iterations
 
 
-def _descending_crossings(deriv, hi: float) -> list[tuple[float, float]]:
-    # negative-to-nonnegative derivative transitions (local minima)
+def _derivative_sign_band(lams, m: float, k: float, tau: float) -> tuple[float, float]:
+    """Interval (c_min, c_max) outside which the derivative's sign is known.
+
+    The summand numerator lam ((gamma tau lam + k)^2 - k^2 m tau lam) is
+    negative exactly for gamma < c(lam) = k (sqrt(m tau lam) - 1) / (tau lam)
+    when m tau lam > 1, and never otherwise (c = 0).  So the derivative is
+    negative below min c and positive above max c.  tau = 0 gives (0, 0).
+    """
+    lams = np.asarray(lams, dtype=float)
+    x = m * tau * lams
+    falling = x > 1.0  # never true when tau = 0, so nothing divides by zero
+    if not falling.any():
+        return 0.0, 0.0
+    c = k * (np.sqrt(x[falling]) - 1.0) / (tau * lams[falling])
+    return (float(c.min()) if falling.all() else 0.0), float(c.max())
+
+
+def _descending_crossings(deriv, hi: float, band: tuple[float, float]) -> list[tuple[float, float]]:
+    # negative-to-nonnegative derivative transitions (local minima); the sign
+    # is set directly outside the band (with a relative margin for rounding)
+    # and one vectorised call evaluates the points inside it
     grid = np.linspace(0.0, 2.0 * hi, 257)
-    signs = deriv(grid) < 0.0
+    below = grid < band[0] * (1.0 - 1e-6)
+    inside = ~below & (grid <= band[1] * (1.0 + 1e-6))
+    signs = below.copy()
+    signs[inside] = deriv(grid[inside]) < 0.0
     starts = np.flatnonzero(signs[:-1] & ~signs[1:])
     return [(float(grid[i]), float(grid[i + 1])) for i in starts]
 

@@ -405,7 +405,7 @@ class TestDapiClosedForm:
 
     def test_eigenvalue_vector_validation(self):
         p = ControllerParams(m=1.0, tau=1.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="spectral_decomposition or laplacian_eigenvalues"):
             h2_dapi_closed_form(1.0, p, [0.0, 0.0, 3.0])  # two zeros
         with pytest.raises(ValidationError):
             h2_dapi_closed_form(1.0, p, [3.0, 0.0, 1.0])  # not ascending
@@ -524,7 +524,7 @@ class TestThreeWayAgreement:
                 spread = (max(values) - min(values)) / max(values)
                 assert spread <= 1e-7, f"routes disagree: {values} (seed {seed})"
 
-    @settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=15)
     @given(
         n=st.integers(23, 80),
         p_edge=st.floats(0.15, 0.5),

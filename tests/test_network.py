@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridloss.errors import (
     DisconnectedGraphError,
@@ -21,9 +23,43 @@ from gridloss.network import (
     build_line_graph,
     build_random_connected_graph,
     ingest_edge_list,
+    laplacian_eigenvalues,
     laplacians,
     spectral_decomposition,
 )
+
+
+def _edge_loop_laplacian(graph):
+    # reference build: one edge at a time, then the diagonal from the row sums
+    lb = np.zeros((graph.n_nodes, graph.n_nodes))
+    for i, j, b in graph.edges:
+        lb[i, j] -= b
+        lb[j, i] -= b
+    np.fill_diagonal(lb, -lb.sum(axis=1))
+    return lb
+
+
+def _assert_matches_edge_loop(graph, gamma):
+    reference = _edge_loop_laplacian(graph)
+    lb, lg, lc = laplacians(graph, gamma)
+    for got, want in ((lb, reference), (lg, graph.alpha * reference), (lc, gamma * reference)):
+        assert got.matrix.dtype == want.dtype and got.matrix.shape == want.shape
+        assert got.matrix.tobytes() == want.tobytes()
+
+
+def _reference_laplacian_verdict(mat):
+    """Message of the first failed Laplacian check, or None: the checks as
+    first written, with np.allclose for symmetry and an explicit diagonal."""
+    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
+    tol = 1e-12 * scale
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not np.allclose(mat, mat.T, rtol=0, atol=tol):
+            return "Laplacian must be symmetric"
+        if np.any(np.abs(mat.sum(axis=1)) > tol):
+            return "Laplacian row sums must be zero"
+        if np.any(mat - np.diag(np.diag(mat)) > tol):
+            return "Laplacian off-diagonal entries must be <= 0"
+    return None
 
 
 class TestNetworkGraph:
@@ -177,6 +213,82 @@ class TestLaplacians:
         _, _, lc = laplacians(g, gamma=0.0)
         assert np.array_equal(lc.matrix, np.zeros((3, 3)))
 
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(2, 40),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10_000),
+        alpha=st.floats(0.0, 5.0),
+        gamma=st.floats(0.0, 5.0),
+    )
+    def test_random_graph_matches_edge_loop_bit_for_bit(self, n, p, seed, alpha, gamma):
+        # keep the edge probability high enough that a connected draw comes quickly
+        low = min(1.0, 2.0 * math.log(n) / n)
+        g = build_random_connected_graph(n, low + (1.0 - low) * p, (0.5, 1.5), alpha=alpha, seed=seed)
+        _assert_matches_edge_loop(g, gamma)
+
+    def test_fixed_graphs_match_edge_loop_bit_for_bit(self):
+        ieee57 = ingest_edge_list(str(importlib.resources.files("gridloss") / "data" / "ieee57.edges"))
+        graphs = [
+            ieee57,
+            NetworkGraph(n_nodes=1, edges=(), alpha=1.0),
+            build_line_graph(2, [0.7], alpha=0.4),
+            build_line_graph(30, np.linspace(0.1, 3.0, 29), alpha=1.0),
+            build_complete_graph(2, 1.5, alpha=1.0),
+            build_complete_graph(50, 1.0, alpha=2.0),
+            build_complete_graph(12, np.linspace(0.5, 1.5, 66), alpha=0.3),
+        ]
+        for g in graphs:
+            for gamma in (0.0, 1.0, 0.37):
+                _assert_matches_edge_loop(g, gamma)
+
+    @pytest.mark.parametrize(("matrix", "message"), [
+        ([[1.0, -1.0], [0.0, 1.0]], "Laplacian must be symmetric"),
+        ([[1.0, -1.0], [-1.0 + 1e-11, 1.0]], "Laplacian must be symmetric"),
+        ([[2.0, -1.0], [-1.0, 1.0]], "Laplacian row sums must be zero"),
+        ([[-1.0, 1.0], [1.0, -1.0]], "Laplacian off-diagonal entries must be <= 0"),
+        ([[0.0, 1e-3, -1e-3], [1e-3, 0.0, -1e-3], [-1e-3, -1e-3, 2e-3]],
+         "Laplacian off-diagonal entries must be <= 0"),
+        ([[float("nan"), 0.0], [0.0, 0.0]], "Laplacian must be symmetric"),
+        ([[1.0, -1.0], [-1.0, float("nan")]], "Laplacian must be symmetric"),
+        ([[1.0, float("-inf")], [-1.0, 1.0]], "Laplacian must be symmetric"),
+        ([[1.0, float("inf")], [-1.0, 1.0]], "Laplacian must be symmetric"),
+        ([[1.0, float("inf")], [float("-inf"), 1.0]], "Laplacian must be symmetric"),
+        ([1.0, -1.0], "Laplacian must be square, got shape (2,)"),
+        ([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]], "Laplacian must be square, got shape (2, 3)"),
+    ])
+    def test_invalid_matrix_message(self, matrix, message):
+        with pytest.raises(ValidationError) as err:
+            Laplacian(matrix=np.array(matrix), kind="susceptance")
+        assert str(err.value) == message
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_verdict_matches_reference_checks(self, data):
+        # small matrices of ordinary, tiny, huge and non-finite entries, often
+        # with a mirrored or row-sum diagonal, and sometimes one entry changed
+        n = data.draw(st.integers(1, 4))
+        entry = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-13, -1e-13, 1e300, -1e300,
+                                 float("nan"), float("inf"), float("-inf")])
+        mat = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+        shape = data.draw(st.sampled_from(["raw", "mirrored", "laplacian"]))
+        if shape != "raw":
+            mat = np.triu(mat) + np.triu(mat, 1).T
+            if shape == "laplacian":
+                np.fill_diagonal(mat, 0.0)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    np.fill_diagonal(mat, -mat.sum(axis=1))
+        if data.draw(st.booleans()):
+            mat[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = data.draw(entry)
+        expected = _reference_laplacian_verdict(mat)
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                Laplacian(matrix=mat, kind="susceptance")
+        except ValidationError as err:
+            assert str(err) == expected
+        else:
+            assert expected is None
+
 
 class TestSpectralDecomposition:
     def test_unit_line_four_nodes_eigenvalues(self):
@@ -261,6 +373,46 @@ class TestSpectralDecomposition:
         gap_line = spectral_decomposition(laplacians(line, 1.0)[0]).eigenvalues[1]
         gap_comp = spectral_decomposition(laplacians(comp, 1.0)[0]).eigenvalues[1]
         assert gap_line < gap_comp
+
+
+class TestLaplacianEigenvalues:
+    def test_matches_spectral_decomposition(self):
+        ieee57 = ingest_edge_list(str(importlib.resources.files("gridloss") / "data" / "ieee57.edges"))
+        graphs = [ieee57, build_line_graph(40, np.linspace(0.2, 2.0, 39), alpha=1.0),
+                  build_complete_graph(30, 1.0, alpha=1.0)]
+        graphs += [build_random_connected_graph(n, p, (0.5, 1.5), alpha=1.0, seed=seed)
+                   for n, p, seed in ((2, 1.0, 0), (25, 0.3, 1), (120, 0.05, 2), (300, 0.03, 3))]
+        for g in graphs:
+            lb = laplacians(g, 1.0)[0]
+            full = spectral_decomposition(lb)
+            spec = laplacian_eigenvalues(lb)
+            assert spec.eigenvectors is None
+            assert spec.n_nodes == g.n_nodes
+            assert spec.eigenvalues[0] == 0.0 and np.all(spec.nonzero > 0)
+            assert not spec.eigenvalues.flags.writeable
+            tol = 1e-12 * full.eigenvalues[-1]
+            assert np.max(np.abs(spec.eigenvalues - full.eigenvalues)) <= tol
+
+    def test_single_node(self):
+        lb = laplacians(NetworkGraph(n_nodes=1, edges=(), alpha=1.0), 1.0)[0]
+        assert laplacian_eigenvalues(lb).eigenvalues.tobytes() == np.zeros(1).tobytes()
+        full = spectral_decomposition(lb)
+        assert full.eigenvalues.tobytes() == np.zeros(1).tobytes()
+        assert full.eigenvectors.tobytes() == np.ones((1, 1)).tobytes()
+
+    @pytest.mark.parametrize(("matrix", "error", "message"), [
+        (np.kron(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]]), DisconnectedGraphError,
+         "Laplacian has 2 zero modes; the graph splits into 2 components"),
+        (np.kron(np.eye(3), [[2.0, -2.0], [-2.0, 2.0]]), DisconnectedGraphError,
+         "Laplacian has 3 zero modes; the graph splits into 3 components"),
+        (np.zeros((3, 3)), DisconnectedGraphError, "Laplacian is zero; graph has no edges"),
+    ])
+    def test_same_errors_as_spectral_decomposition(self, matrix, error, message):
+        lap = Laplacian(matrix, "susceptance")
+        for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
+            with pytest.raises(error) as err:
+                spectrum_of(lap)
+            assert str(err.value) == message
 
 
 class TestIngest:

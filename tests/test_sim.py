@@ -253,7 +253,7 @@ class TestAgainstStepLoop:
         traj = _assert_close_to_step_loop(ss, lg, cfg)
         assert np.max(np.abs(traj.states[:, :8].mean(axis=1))) <= 1e-12
 
-    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=25)
     @given(
         n_nodes=st.integers(2, 6),
         graph_seed=st.integers(0, 2**31 - 1),
@@ -429,7 +429,7 @@ class TestExport:
         with pytest.raises(ValidationError):
             export_trajectory(traj, n_nodes=3, path=tmp_path / "x.csv", stride=0)
 
-    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_rows_are_12g_of_time_loss_and_state(self, data):
         # -0.0, subnormals and values near 1e300; times stay within +-1e300

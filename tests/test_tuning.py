@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ class TestDerivative:
         for g, v in zip(gammas, vec):
             assert v == norm_gamma_derivative(float(g), lams, 1.0, 1.0, 1.0, 1.0)
 
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=200)
     @given(
         lams=st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=60),
         gammas=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=300),
@@ -99,6 +100,68 @@ class TestDerivative:
             d = norm_gamma_derivative(grid, lams, 1.0, m, k, tau)
             changes = int(np.count_nonzero(np.diff(np.sign(d)) != 0))
             assert changes <= 1
+
+
+class TestSignBandProbe:
+    @settings(max_examples=300)
+    @given(
+        n=st.integers(2, 30),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10_000),
+        m=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+        k=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+        tau=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+        hi=st.sampled_from([1.0, 2.0, 8.0, 64.0, 1024.0]),
+    )
+    def test_matches_full_probe(self, n, p, seed, m, k, tau, hi):
+        low = min(1.0, 2.0 * math.log(n) / n)
+        g = build_random_connected_graph(n, low + (1.0 - low) * p, (0.5, 1.5), alpha=1.0, seed=seed)
+        lams = _spectrum_of(g).nonzero
+
+        def deriv(gv):
+            return norm_gamma_derivative(gv, lams, 1.0, m, k, tau)
+
+        band = gridloss.tuning._derivative_sign_band(lams, m, k, tau)
+        grid = np.linspace(0.0, 2.0 * hi, 257)
+        full = deriv(grid) < 0.0
+        # the band's claims hold on the grid, so the crossings agree
+        assert np.all(full[grid < band[0] * (1.0 - 1e-6)])
+        assert not np.any(full[grid > band[1] * (1.0 + 1e-6)])
+        starts = np.flatnonzero(full[:-1] & ~full[1:])
+        expected = [(float(grid[i]), float(grid[i + 1])) for i in starts]
+        assert gridloss.tuning._descending_crossings(deriv, hi, band) == expected
+
+    def test_band_edges(self):
+        lams = np.array([0.5, 2.0, 7.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gridloss.tuning._derivative_sign_band(lams, 1.0, 1.0, 0.0) == (0.0, 0.0)
+            # m tau lam <= 1 for every mode: the derivative is never negative
+            assert gridloss.tuning._derivative_sign_band(lams, 0.1, 1.0, 1.0) == (0.0, 0.0)
+        # one mode with m tau lam <= 1 pins the lower end at zero
+        c_min, c_max = gridloss.tuning._derivative_sign_band(lams, 1.0, 2.0, 1.0)
+        assert c_min == 0.0
+        assert c_max == pytest.approx(2.0 * (math.sqrt(7.0) - 1.0) / 7.0, rel=1e-15)
+        # a uniform complete graph has one nonzero eigenvalue: the band is the optimum
+        spec = _spectrum_of(build_complete_graph(20, b=1.0, alpha=1.0))
+        c_min, c_max = gridloss.tuning._derivative_sign_band(spec.nonzero, 1.0, 3.0, 2.0)
+        assert c_min == pytest.approx(optimal_gamma_complete(20, 1.0, 3.0, 1.0, 2.0), rel=1e-12)
+        assert c_max == pytest.approx(c_min, rel=1e-12)
+
+    def test_no_point_inside_band_still_makes_one_call(self):
+        calls = []
+
+        def deriv(gv):
+            calls.append(np.shape(gv))
+            return norm_gamma_derivative(gv, np.array([3.0]), 1.0, 1.0, 1.0, 1.0)
+
+        # band below the grid's second point: only gamma = 0 is evaluated
+        assert gridloss.tuning._descending_crossings(deriv, 1.0, (0.0, 1e-9)) == [(0.0, 0.0078125)]
+        assert calls == [(1,)]
+        calls.clear()
+        # band between two grid points: nothing is inside, one empty call
+        assert gridloss.tuning._descending_crossings(deriv, 1.0, (0.5001, 0.5002)) == [(0.5, 0.5078125)]
+        assert calls == [(0,)]
 
 
 class TestOptimalGammaComplete:
@@ -201,6 +264,9 @@ class TestOptimalGamma:
             return d.item() if d.ndim == 0 else d
 
         monkeypatch.setattr(gridloss.tuning, "norm_gamma_derivative", two_minima)
+        # the cubic is negative below 0.05 and positive above 1.9, so that is
+        # its sign band; the model's band for this graph would not bound it
+        monkeypatch.setattr(gridloss.tuning, "_derivative_sign_band", lambda *args: (0.05, 1.9))
         spec = _spectrum_of(build_complete_graph(50, b=1.0, alpha=1.0))
         with pytest.warns(RuntimeWarning, match=r"gamma = \[[\d.]+, [\d.]+\];"):
             res = optimal_gamma(spec, ControllerParams(m=100.0, tau=1.0, k=10.0), alpha=1.0)
