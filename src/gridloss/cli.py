@@ -29,6 +29,7 @@ from .network import (
     laplacian_eigenvalues,
     laplacians,
     spectral_decomposition,
+    susceptance_laplacian,
 )
 from .sim import SimConfig, _atomic_writer, empirical_h2, export_trajectory, integrated_loss, phase_perturbation, simulate
 from .tuning import gamma_star_vs_k, loss_reduction_vs_k, optimal_gamma, optimal_gamma_complete, sweep
@@ -144,7 +145,7 @@ def _resolve_network(args) -> tuple[NetworkGraph, dict]:
             graph = NetworkGraph(graph.n_nodes, graph.edges, args.alpha)
         meta = {"topology": "file", "path": args.file, "n_nodes": graph.n_nodes}
     meta["alpha"] = graph.alpha
-    meta["n_edges"] = len(graph.edges)
+    meta["n_edges"] = graph.weights.size
     return graph, meta
 
 
@@ -243,8 +244,7 @@ def _cmd_analyze(args) -> int:
     graph, net_meta = _resolve_network(args)
     params = _resolve_params(args)
     alpha = graph.alpha
-    lb, _, _ = laplacians(graph, params.gamma)
-    spectrum = spectral_decomposition(lb)
+    spectrum = spectral_decomposition(susceptance_laplacian(graph))
 
     droop = {
         "closed_form": h2_droop_closed_form(alpha, params.m, graph.n_nodes),
@@ -329,7 +329,7 @@ def _cmd_tune(args) -> int:
     graph, net_meta = _resolve_network(args)
     params = ControllerParams(m=args.m, tau=args.tau, k=args.k)
     alpha = graph.alpha
-    spectrum = laplacian_eigenvalues(laplacians(graph, 0.0)[0])
+    spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
     result = optimal_gamma(spectrum, params, alpha)
     droop_norm = h2_droop_closed_form(alpha, params.m, graph.n_nodes).squared_norm
     reduction = 1.0 - result.norm_at_star / droop_norm if droop_norm > 0 else 0.0
@@ -367,7 +367,7 @@ def _cmd_sweep(args) -> int:
     params = _resolve_params(args)
     alpha = graph.alpha
     grid = _parse_grid(args.grid)
-    spectrum = laplacian_eigenvalues(laplacians(graph, 0.0)[0])
+    spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
     inputs = {
         "network": net_meta,
         "params": _params_meta(params),
@@ -487,7 +487,7 @@ def _cmd_scaling(args) -> int:
             line = build_line_graph(n, rng.uniform(b_range[0], b_range[1], n - 1), alpha)
             complete = build_complete_graph(n, rng.uniform(b_range[0], b_range[1], n * (n - 1) // 2), alpha)
             for graph, bucket in ((line, line_norms), (complete, complete_norms)):
-                spectrum = laplacian_eigenvalues(laplacians(graph, params.gamma)[0])
+                spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
                 bucket.append(h2_dapi_closed_form(alpha, params, spectrum).squared_norm)
         rows.append((float(n), droop_norm, float(np.mean(complete_norms)), float(np.mean(line_norms))))
 

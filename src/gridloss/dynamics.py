@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, ValidationError
-from .network import NetworkGraph, Spectrum, laplacians, spectral_decomposition
+from .network import NetworkGraph, Spectrum, spectral_decomposition, susceptance_laplacian
 
 CONTROLLER_KINDS = ("droop", "dapi")
 
@@ -196,7 +196,7 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
     # the DAPI system; droop keeps its leading (theta, omega) blocks
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
-    lb, _, lc = laplacians(graph, params.gamma)
+    lb = susceptance_laplacian(graph)
     spectrum = spectral_decomposition(lb)
     n = graph.n_nodes
     eye = np.eye(n)
@@ -204,7 +204,7 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
     a = np.block([
         [zero, eye, zero],
         [-(params.m / params.tau) * lb.matrix, -(1.0 / params.tau) * eye, (1.0 / params.tau) * eye],
-        [zero, -(1.0 / params.k) * eye, -(1.0 / params.k) * lc.matrix],
+        [zero, -(1.0 / params.k) * eye, -(1.0 / params.k) * (params.gamma * lb.matrix)],
     ])
     b = np.vstack([zero, eye / params.tau, zero])
     c = np.hstack([_conductance_sqrt(spectrum, graph.alpha), zero, zero])

@@ -12,7 +12,6 @@ Node indices are 0-based in memory; the edge-list file format is 1-based.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,23 +30,50 @@ _LAPLACIAN_KINDS = ("susceptance", "conductance", "communication")
 _ZERO_EIG_RTOL = 1e-9
 
 
+class _EdgeView:
+    """Descriptor for the ``edges`` field of ``NetworkGraph``.
+
+    The dataclass ``__init__`` passes the constructor's ``edges`` to
+    ``__set__``, which only stores them for ``__post_init__``; that method
+    keeps three arrays instead.  ``__get__`` builds the tuple of
+    ``(i, j, b)`` Python numbers from the arrays on first access and caches
+    it, so ``repr``, ``==`` and ``hash`` of a graph work as for a plain
+    tuple field.
+    """
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            raise AttributeError("edges")  # the field has no default
+        view = graph.__dict__.get("_edge_tuples")
+        if view is None:
+            view = tuple(zip(graph.ends_i.tolist(), graph.ends_j.tolist(), graph.weights.tolist()))
+            graph.__dict__["_edge_tuples"] = view
+        return view
+
+    def __set__(self, graph, edges):
+        graph.__dict__["_edges_given"] = edges
+
+
 @dataclass(frozen=True)
 class NetworkGraph:
     """Connected undirected graph with positive edge weights.
 
     Args:
         n_nodes: number of buses (>= 1).
-        edges: iterable of ``(i, j, b_ij)`` with 0-based endpoints and
-            susceptance ``b_ij > 0``.  At most one edge per node pair, no
-            self-loops.
+        edges: ``(i, j, b_ij)`` triples with 0-based endpoints and
+            susceptance ``b_ij > 0``, as any iterable or an (E, 3) array.
+            At most one edge per node pair, no self-loops.
         alpha: uniform conductance-to-susceptance ratio, >= 0.
 
+    The edges are stored in input order as three read-only arrays:
+    ``ends_i < ends_j`` (integers) and ``weights``.  ``edges`` is their
+    tuple view with Python ints and floats, built on first access.
     Connectivity is checked at construction; every analysis operation in
     this package assumes it.
     """
 
     n_nodes: int
-    edges: tuple[tuple[int, int, float], ...]
+    edges: tuple[tuple[int, int, float], ...] = _EdgeView()
     alpha: float
 
     def __post_init__(self) -> None:
@@ -55,43 +81,115 @@ class NetworkGraph:
             raise ValidationError(f"n_nodes must be a positive integer, got {self.n_nodes!r}")
         if not np.isfinite(self.alpha) or self.alpha < 0:
             raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        normalized = []
-        seen: set[tuple[int, int]] = set()
-        for edge in self.edges:
-            try:
-                i, j, b = edge
-            except (TypeError, ValueError):
-                raise ValidationError(f"edge {edge!r} is not an (i, j, b) triple") from None
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValidationError(f"self-loop at node {i} is not allowed")
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ValidationError(f"edge ({i}, {j}) has an endpoint outside 0..{self.n_nodes - 1}")
-            b = float(b)
-            if not np.isfinite(b) or b <= 0:
-                raise ValidationError(f"edge ({i}, {j}) has non-positive weight {b!r}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValidationError(f"duplicate edge between nodes {key[0]} and {key[1]}")
-            seen.add(key)
-            normalized.append((key[0], key[1], b))
-        object.__setattr__(self, "n_nodes", int(self.n_nodes))
+        n_nodes = int(self.n_nodes)
+        ends_i, ends_j, weights = _validated_edges(n_nodes, self.__dict__.pop("_edges_given"))
+        for arr in (ends_i, ends_j, weights):
+            arr.setflags(write=False)
+        object.__setattr__(self, "n_nodes", n_nodes)
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "edges", tuple(normalized))
-        if not _is_connected(self.n_nodes, ((i, j) for i, j, _ in self.edges)):
+        object.__setattr__(self, "ends_i", ends_i)
+        object.__setattr__(self, "ends_j", ends_j)
+        object.__setattr__(self, "weights", weights)
+        if _component_count(n_nodes, ends_i, ends_j) != 1:
             raise DisconnectedGraphError(
-                f"graph with {self.n_nodes} nodes and {len(self.edges)} edges is not connected"
+                f"graph with {n_nodes} nodes and {weights.size} edges is not connected"
             )
+
+
+def _validated_edges(n_nodes: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ends_i, ends_j, weights)`` of checked edges, with ``ends_i < ends_j``.
+
+    Every check runs on whole arrays.  The error raised is the one for the
+    first bad edge in input order, whose checks run in this order: a triple
+    of numbers, finite endpoints (``int()``'s own error), no self-loop,
+    endpoints in range, a finite positive weight, and no earlier edge
+    between the same two nodes.  Endpoints are truncated like ``int()``.
+    """
+    rows = edges if isinstance(edges, np.ndarray) else tuple(edges)
+    table, malformed = _number_triples(rows)
+    ti, tj, weights = table[:, 0], table[:, 1], table[:, 2].copy()
+    i, j = np.trunc(ti), np.trunc(tj)
+    finite = np.isfinite(i) & np.isfinite(j)
+    loop = i == j
+    outside = ~((i >= 0) & (i < n_nodes) & (j >= 0) & (j < n_nodes))
+    bad_weight = ~(np.isfinite(weights) & (weights > 0))
+    fault = ~finite | loop | outside | bad_weight
+    # a repeated pair among the edges that pass every other check: all edges
+    # before the first faulty one do, so this is the duplicate test in order
+    rows_ok = np.flatnonzero(~fault)
+    lo = np.minimum(i[rows_ok], j[rows_ok]).astype(np.intp)
+    hi = np.maximum(i[rows_ok], j[rows_ok]).astype(np.intp)
+    order = np.lexsort((hi, lo))  # stable: a pair's first edge sorts first
+    repeat = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    fault[rows_ok[order[1:][repeat]]] = True
+    if fault.any():
+        r = int(np.argmax(fault))
+        end_i, end_j = int(ti[r]), int(tj[r])  # int()'s error for a NaN or infinite endpoint
+        if loop[r]:
+            raise ValidationError(f"self-loop at node {end_i} is not allowed")
+        if outside[r]:
+            raise ValidationError(f"edge ({end_i}, {end_j}) has an endpoint outside 0..{n_nodes - 1}")
+        if bad_weight[r]:
+            raise ValidationError(f"edge ({end_i}, {end_j}) has non-positive weight {float(weights[r])!r}")
+        raise ValidationError(f"duplicate edge between nodes {min(end_i, end_j)} and {max(end_i, end_j)}")
+    if malformed is not None:
+        raise ValidationError(f"edge {rows[malformed]!r} is not an (i, j, b) triple")
+    return lo, hi, weights
+
+
+def _number_triples(rows) -> tuple[np.ndarray, int | None]:
+    """``rows`` as an (E, 3) float array, and None; or, if some row is not
+    three numbers, the rows before the first such row and its index."""
+    try:
+        table = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        table = None
+    if table is not None and ((table.ndim == 2 and table.shape[1] == 3) or len(rows) == 0):
+        return table.reshape(-1, 3), None
+    # only on malformed input: find the first row that is not three numbers
+    malformed = next(r for r, row in enumerate(rows) if not _is_number_triple(row))
+    return np.asarray(rows[:malformed], dtype=float).reshape(-1, 3), malformed
+
+
+def _is_number_triple(row) -> bool:
+    try:
+        return np.asarray(row, dtype=float).shape == (3,)
+    except (TypeError, ValueError):
+        return False
+
+
+def _component_count(n_nodes: int, ends_i: np.ndarray, ends_j: np.ndarray) -> int:
+    """Number of connected components of the undirected edges (i, j).
+
+    Pointer jumping (Shiloach & Vishkin 1982, J. Algorithms 3(1)): each
+    round hooks every root that an edge joins to a smaller root onto the
+    smallest such root, then jumps pointers until every node points at a
+    root.  Roots only ever point lower, so no cycle forms, and the rounds
+    stop when no edge joins two roots; each component is then one tree.
+    """
+    parent = np.arange(n_nodes)
+    while True:
+        pi, pj = parent[ends_i], parent[ends_j]
+        split = pi != pj
+        if not split.any():
+            return int(np.count_nonzero(parent == np.arange(n_nodes)))
+        np.minimum.at(parent, np.maximum(pi[split], pj[split]), np.minimum(pi[split], pj[split]))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
 @dataclass(frozen=True)
 class Laplacian:
     """Symmetric PSD graph Laplacian with a kind tag.
 
-    Invariants checked at construction: square and symmetric, row sums zero
-    (within 1e-12 of the largest entry), off-diagonal entries <= 0.  Together
-    these make the matrix diagonally dominant with a nonnegative diagonal,
-    hence positive semidefinite.  The stored array is read-only.
+    Invariants checked at construction: square with finite entries,
+    symmetric, row sums zero (within 1e-12 of the largest entry),
+    off-diagonal entries <= 0.  Together these make the matrix diagonally
+    dominant with a nonnegative diagonal, hence positive semidefinite.  The
+    stored array is read-only.
     """
 
     matrix: np.ndarray
@@ -103,9 +201,11 @@ class Laplacian:
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"Laplacian must be square, got shape {mat.shape}")
-        # max and min are both NaN when any entry is
-        scale = max(float(mat.max()), -float(mat.min())) if mat.size else 0.0
-        tol = 1e-12 * scale
+        top, bottom = (float(mat.max()), float(mat.min())) if mat.size else (0.0, 0.0)
+        # both are NaN when any entry is, and one is infinite when an entry is
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            raise ValidationError("Laplacian entries must be finite")
+        tol = 1e-12 * max(top, -bottom)
         if not _symmetric_within(mat, tol):
             raise ValidationError("Laplacian must be symmetric")
         row_sums = mat.sum(axis=1)
@@ -122,13 +222,8 @@ class Laplacian:
 
 
 def _symmetric_within(mat: np.ndarray, tol: float) -> bool:
-    """The verdict of ``np.allclose(mat, mat.T, rtol=0, atol=tol)``.
-
-    An infinite entry makes ``tol`` infinite, and then each mirrored pair
-    must be finite or equal.  A NaN entry fails: its gap is NaN.
-    """
-    if math.isinf(tol):
-        return bool(np.all((np.isfinite(mat) & np.isfinite(mat.T)) | (mat == mat.T)))
+    """The verdict of ``np.allclose(mat, mat.T, rtol=0, atol=tol)`` for a
+    finite matrix."""
     gap = mat - mat.T
     np.abs(gap, out=gap)
     return gap.size == 0 or bool(gap.max() <= tol)
@@ -179,11 +274,11 @@ def build_line_graph(n_nodes: int, susceptances, alpha: float) -> NetworkGraph:
     """Path graph on ``n_nodes`` buses with the given n-1 edge susceptances."""
     if n_nodes < 2:
         raise ValidationError(f"line graph needs at least 2 nodes, got {n_nodes}")
-    b = [float(x) for x in susceptances]
+    b = np.asarray(susceptances, dtype=float)
     if len(b) != n_nodes - 1:
         raise ValidationError(f"line graph on {n_nodes} nodes needs {n_nodes - 1} susceptances, got {len(b)}")
-    edges = tuple((i, i + 1, b[i]) for i in range(n_nodes - 1))
-    return NetworkGraph(n_nodes=n_nodes, edges=edges, alpha=alpha)
+    ends = np.arange(n_nodes - 1)
+    return NetworkGraph(n_nodes=n_nodes, edges=np.column_stack((ends, ends + 1, b)), alpha=alpha)
 
 
 def build_complete_graph(n_nodes: int, b, alpha: float) -> NetworkGraph:
@@ -191,20 +286,19 @@ def build_complete_graph(n_nodes: int, b, alpha: float) -> NetworkGraph:
     with one susceptance per node pair in ``itertools.combinations`` order."""
     if n_nodes < 2:
         raise ValidationError(f"complete graph needs at least 2 nodes, got {n_nodes}")
-    pairs = list(itertools.combinations(range(n_nodes), 2))
+    ends_i, ends_j = np.triu_indices(n_nodes, 1)
     if np.ndim(b) == 0:
         b = float(b)
         if not np.isfinite(b) or b <= 0:
             raise ValidationError(f"susceptance must be positive, got {b!r}")
-        weights = [b] * len(pairs)
+        weights = np.full(ends_i.size, b)
     else:
-        weights = [float(x) for x in b]
-        if len(weights) != len(pairs):
+        weights = np.asarray(b, dtype=float)
+        if len(weights) != ends_i.size:
             raise ValidationError(
-                f"complete graph on {n_nodes} nodes needs {len(pairs)} susceptances, got {len(weights)}"
+                f"complete graph on {n_nodes} nodes needs {ends_i.size} susceptances, got {len(weights)}"
             )
-    edges = tuple((i, j, w) for (i, j), w in zip(pairs, weights))
-    return NetworkGraph(n_nodes=n_nodes, edges=edges, alpha=alpha)
+    return NetworkGraph(n_nodes=n_nodes, edges=np.column_stack((ends_i, ends_j, weights)), alpha=alpha)
 
 
 def build_random_connected_graph(
@@ -238,35 +332,21 @@ def build_random_connected_graph(
         raise ValidationError(f"b_range must satisfy 0 < low <= high, got {b_range!r}")
     rng = np.random.default_rng(seed)
     # the draw for a seed is fixed: pairs i < j in lexicographic order, one
-    # uniform per pair, then one weight per chosen pair
-    rows, cols = np.triu_indices(n_nodes, 1)
+    # uniform per pair, then one weight per chosen pair; pair k lies in the
+    # row i whose first pair is k = i (2n - i - 1) / 2
+    nodes = np.arange(n_nodes)
+    row_starts = nodes * (2 * n_nodes - nodes - 1) // 2
     for _ in range(1000):
-        mask = rng.random(rows.size) < p
-        ends_i, ends_j = rows[mask].tolist(), cols[mask].tolist()
-        if not _is_connected(n_nodes, zip(ends_i, ends_j)):
+        chosen = np.flatnonzero(rng.random(n_nodes * (n_nodes - 1) // 2) < p)
+        ends_i = np.searchsorted(row_starts, chosen, side="right") - 1
+        ends_j = chosen - row_starts[ends_i] + ends_i + 1
+        if _component_count(n_nodes, ends_i, ends_j) != 1:
             continue
-        weights = rng.uniform(lo, hi, size=len(ends_i)).tolist()
-        return NetworkGraph(n_nodes=n_nodes, edges=tuple(zip(ends_i, ends_j, weights)), alpha=alpha)
+        weights = rng.uniform(lo, hi, size=chosen.size)
+        return NetworkGraph(n_nodes=n_nodes, edges=np.column_stack((ends_i, ends_j, weights)), alpha=alpha)
     raise GraphGenerationError(
         f"no connected sample in 1000 draws (n_nodes={n_nodes}, edge_probability={p})"
     )
-
-
-def _is_connected(n_nodes: int, pairs) -> bool:
-    """Whether the undirected edges ``pairs`` of (i, j) reach every node from node 0."""
-    neighbors: list[list[int]] = [[] for _ in range(n_nodes)]
-    for i, j in pairs:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        node = frontier.pop()
-        for nbr in neighbors[node]:
-            if nbr not in reached:
-                reached.add(nbr)
-                frontier.append(nbr)
-    return len(reached) == n_nodes
 
 
 def ingest_edge_list(path) -> NetworkGraph:
@@ -340,27 +420,31 @@ def ingest_edge_list(path) -> NetworkGraph:
     return NetworkGraph(n_nodes=n_nodes, edges=edges, alpha=alpha)
 
 
+def susceptance_laplacian(graph: NetworkGraph) -> Laplacian:
+    """Susceptance Laplacian L_B of a graph, filled from its edge arrays."""
+    lb = np.zeros((graph.n_nodes, graph.n_nodes))
+    # each node pair appears at most once, so every entry is written once
+    lb[graph.ends_i, graph.ends_j] = -graph.weights
+    lb[graph.ends_j, graph.ends_i] = -graph.weights
+    # diagonal set from the finished off-diagonal rows: row sums vanish
+    np.fill_diagonal(lb, -lb.sum(axis=1))
+    return Laplacian(matrix=lb, kind="susceptance")
+
+
 def laplacians(graph: NetworkGraph, gamma: float) -> tuple[Laplacian, Laplacian, Laplacian]:
     """Susceptance, conductance, and communication Laplacians of a graph.
 
     The conductance and communication matrices are built by scaling the
     susceptance Laplacian by ``alpha`` and ``gamma``, so the proportionality
-    is exact entrywise.
+    is exact entrywise.  Callers that read only L_B use
+    ``susceptance_laplacian``.
     """
     gamma = float(gamma)
     if not np.isfinite(gamma) or gamma < 0:
         raise ValidationError(f"gamma must be finite and >= 0, got {gamma!r}")
-    edges = np.array(graph.edges, dtype=float).reshape(-1, 3)
-    ends_i, ends_j = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
-    lb = np.zeros((graph.n_nodes, graph.n_nodes))
-    # each node pair appears at most once, so every entry is written once
-    lb[ends_i, ends_j] = -edges[:, 2]
-    lb[ends_j, ends_i] = -edges[:, 2]
-    # diagonal set from the finished off-diagonal rows: row sums vanish
-    np.fill_diagonal(lb, -lb.sum(axis=1))
-    l_b = Laplacian(matrix=lb, kind="susceptance")
-    l_g = Laplacian(matrix=graph.alpha * lb, kind="conductance")
-    l_c = Laplacian(matrix=gamma * lb, kind="communication")
+    l_b = susceptance_laplacian(graph)
+    l_g = Laplacian(matrix=graph.alpha * l_b.matrix, kind="conductance")
+    l_c = Laplacian(matrix=gamma * l_b.matrix, kind="communication")
     return l_b, l_g, l_c
 
 
@@ -377,7 +461,7 @@ def spectral_decomposition(laplacian: Laplacian) -> Spectrum:
         ValidationError: an eigenvalue is negative beyond tolerance.
     """
     w, u = np.linalg.eigh(laplacian.matrix)
-    w = _pinned_zero_mode(w)
+    w = _pinned_zero_mode(w, laplacian.matrix)
     for col in range(u.shape[1]):
         nz = np.flatnonzero(np.abs(u[:, col]) > 1e-8)
         lead = nz[0] if nz.size else 0
@@ -395,12 +479,18 @@ def laplacian_eigenvalues(laplacian: Laplacian) -> Spectrum:
     from ``np.linalg.eigvalsh`` and may differ from ``eigh``'s in the last
     bits.
     """
-    return Spectrum(eigenvalues=_pinned_zero_mode(np.linalg.eigvalsh(laplacian.matrix)))
+    return Spectrum(eigenvalues=_pinned_zero_mode(np.linalg.eigvalsh(laplacian.matrix), laplacian.matrix))
 
 
-def _pinned_zero_mode(w: np.ndarray) -> np.ndarray:
-    # ascending eigenvalues of a Laplacian: check PSD, clamp the zero mode
-    # and require exactly one
+def _pinned_zero_mode(w: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Ascending Laplacian eigenvalues ``w`` with the zero mode clamped.
+
+    Eigenvalues within 1e-9 of the largest in relative terms count as zero.
+    When more than one does, the threshold cannot tell a split graph from a
+    weak tie, so the component count of the matrix's off-diagonal pattern
+    decides: a connected graph keeps every eigenvalue but the first, which
+    is clamped.
+    """
     if w.size == 1:
         return np.zeros(1)
     scale = float(w[-1])
@@ -409,10 +499,22 @@ def _pinned_zero_mode(w: np.ndarray) -> np.ndarray:
     tol = _ZERO_EIG_RTOL * scale
     if np.any(w < -tol):
         raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    w = np.where(np.abs(w) < tol, 0.0, w)
-    n_zero = int(np.count_nonzero(w == 0.0))
-    if n_zero != 1:
-        raise DisconnectedGraphError(
-            f"Laplacian has {n_zero} zero modes; the graph splits into {n_zero} components"
-        )
-    return w
+    clamped = np.where(np.abs(w) < tol, 0.0, w)
+    n_zero = int(np.count_nonzero(clamped == 0.0))
+    if n_zero == 1:
+        return clamped
+    if n_zero > 1:
+        # a Laplacian has one exact zero mode per component; its lines are
+        # the negative entries
+        rows, cols = np.nonzero(matrix < 0)
+        n_zero = _component_count(w.size, rows, cols)
+        if n_zero == 1:
+            if not w[1] > 0:
+                raise DisconnectedGraphError(
+                    f"the graph is connected, but its second eigenvalue {w[1]:.3e} is not resolved above zero"
+                )
+            w[0] = 0.0
+            return w
+    raise DisconnectedGraphError(
+        f"Laplacian has {n_zero} zero modes; the graph splits into {n_zero} components"
+    )

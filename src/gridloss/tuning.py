@@ -92,14 +92,19 @@ def norm_gamma_derivative(gamma, eigenvalues_nonzero, alpha: float, m: float, k:
     alpha / (2 m).  Accepts a scalar or a vector of gamma values.
     """
     lam = np.asarray(eigenvalues_nonzero, dtype=float)
-    g = np.asarray(gamma, dtype=float)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)[:, None]
+    if np.ndim(gamma) == 0:
+        # the bisection's path: the row below on 1-D arrays, in the same
+        # order of operations, so it equals the vector result bit for bit
+        g = float(gamma)
+        s = (g * tau) * lam + k
+        p = (g * lam) * s + (k * k * m) * lam
+        summands = lam * (s * s - (k * k * m * tau) * lam) / (p + s) ** 2
+        return float(alpha / (2.0 * m) * summands.sum())
+    g = np.asarray(gamma, dtype=float)[:, None]
     s = g * tau * lam + k
     p = g * lam * s + k * k * m * lam
     summands = lam * (s * s - k * k * m * tau * lam) / (p + s) ** 2
-    total = alpha / (2.0 * m) * summands.sum(axis=1)
-    return total.item() if scalar else total
+    return alpha / (2.0 * m) * summands.sum(axis=1)
 
 
 def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) -> TuningResult:

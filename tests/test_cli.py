@@ -6,10 +6,15 @@ codes, stdout, and the files it writes.
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridloss.network
 from gridloss.cli import _parse_grid, main
 from gridloss.dynamics import ControllerParams
 from gridloss.errors import ValidationError
@@ -120,6 +125,33 @@ class TestComputationErrors:
                      "--out", str(tmp_path / "t.csv")])
         assert code == 1
         assert "dt <" in capsys.readouterr().err
+
+
+class TestWeakTie:
+    """Two 5-cliques joined by one line of susceptance 1e-10: connected, with
+    lambda_2 of about 4e-11, below the eigenvalue threshold for zero."""
+
+    @pytest.fixture
+    def weak_tie(self, tmp_path):
+        lines = ["alpha 1.0"]
+        for base in (1, 6):
+            lines += [f"{i} {j} 1.0" for i, j in itertools.combinations(range(base, base + 5), 2)]
+        lines.append("5 6 1e-10")
+        path = tmp_path / "weak.edges"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_tune_succeeds(self, weak_tie, tmp_path, capsys):
+        out = tmp_path / "tune.json"
+        assert main(["tune", "--file", str(weak_tie), "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert 0.0 < json.loads(out.read_text())["gamma_star"] < 1.0
+
+    def test_analyze_refuses_the_near_marginal_mode(self, weak_tie, capsys):
+        # both Gramian routes solve Lyapunov equations, and the slowest mode
+        # sits past the solver's Hurwitz cut-off
+        assert main(["analyze", "--file", str(weak_tie)]) == 1
+        assert "not safely Hurwitz" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -355,6 +387,35 @@ class TestScaling:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         capsys.readouterr()
+
+
+class TestDesignPath:
+    def test_reads_no_edge_tuples(self, tmp_path, capsys, monkeypatch):
+        # the tuple view costs a Python object per edge; nothing here needs it
+        def refuse(view, graph, owner=None):
+            raise AssertionError("graph.edges was built")
+
+        monkeypatch.setattr(gridloss.network._EdgeView, "__get__", refuse)
+        for command in (["sweep", "--param", "k", "--grid", "0.5:2:0.5", "--at-optimal-gamma"],
+                        ["tune"]):
+            assert main([*command, "--random", "50,0.1", "--out", str(tmp_path / "out.csv")]) == 0
+        capsys.readouterr()
+
+    def test_does_not_import_scipy_sparse(self, tmp_path):
+        # scipy.sparse adds about 0.05 s to every start-up
+        code = (
+            "import sys\n"
+            "import gridloss\n"
+            "from gridloss.cli import main\n"
+            "assert main(['sweep', '--random', '50,0.1', '--param', 'k', '--grid', '0.5:2:0.5',\n"
+            f"             '--at-optimal-gamma', '--out', {str(tmp_path / 'k.csv')!r}]) == 0\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        src = str(Path(__import__("gridloss").__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "False"
 
 
 class TestReproducibility:

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridloss.dynamics import ControllerParams
 from gridloss.errors import (
     DisconnectedGraphError,
     EdgeListParseError,
     GraphGenerationError,
     ValidationError,
 )
+from gridloss.h2 import h2_dapi_closed_form
 from gridloss.network import (
     Laplacian,
     NetworkGraph,
@@ -26,6 +28,7 @@ from gridloss.network import (
     laplacian_eigenvalues,
     laplacians,
     spectral_decomposition,
+    susceptance_laplacian,
 )
 
 
@@ -47,9 +50,138 @@ def _assert_matches_edge_loop(graph, gamma):
         assert got.matrix.tobytes() == want.tobytes()
 
 
+def _reference_graph_edges(n_nodes, edges):
+    """The normalised edge tuple of a graph, or the error, from the per-edge
+    validation loop and breadth-first connectivity search that
+    ``NetworkGraph`` first had."""
+    normalized = []
+    seen = set()
+    for edge in edges:
+        try:
+            i, j, b = edge
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge {edge!r} is not an (i, j, b) triple") from None
+        i, j = int(i), int(j)
+        if i == j:
+            raise ValidationError(f"self-loop at node {i} is not allowed")
+        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+            raise ValidationError(f"edge ({i}, {j}) has an endpoint outside 0..{n_nodes - 1}")
+        b = float(b)
+        if not np.isfinite(b) or b <= 0:
+            raise ValidationError(f"edge ({i}, {j}) has non-positive weight {b!r}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ValidationError(f"duplicate edge between nodes {key[0]} and {key[1]}")
+        seen.add(key)
+        normalized.append((key[0], key[1], b))
+    neighbors = [[] for _ in range(n_nodes)]
+    for i, j, _ in normalized:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    reached, frontier = {0}, [0]
+    while frontier:
+        for nbr in neighbors[frontier.pop()]:
+            if nbr not in reached:
+                reached.add(nbr)
+                frontier.append(nbr)
+    if len(reached) != n_nodes:
+        raise DisconnectedGraphError(f"graph with {n_nodes} nodes and {len(normalized)} edges is not connected")
+    return tuple(normalized)
+
+
+_WEIGHTS = st.one_of(st.floats(0.01, 100.0), st.sampled_from([0.0, -0.0, -1.5, float("nan"), float("inf"),
+                                                              float("-inf")]))
+
+
+@st.composite
+def _faulty_edge_lists(draw):
+    """(n_nodes, rows, container): a random connected graph in random edge
+    order and orientation, then up to three injected faults."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[draw(st.integers(0, pos - 1))], order[pos]) for pos in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+                           max_size=4))
+    rows = [(i, j, draw(st.floats(0.01, 100.0))) for i, j in draw(st.permutations(pairs))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["self-loop", "range", "duplicate", "weight", "non-triple", "drop",
+                                     "isolated node"]))
+        at = draw(st.integers(0, len(rows)))
+        if kind == "isolated node":
+            n += 1
+            continue
+        if kind == "non-triple":
+            rows.insert(at, draw(st.sampled_from([(0, 1), (0, 1, 1.0, 2.0), (), None, 7])))
+            continue
+        at = min(at, len(rows) - 1)
+        if at < 0 or not (isinstance(rows[at], tuple) and len(rows[at]) == 3):
+            continue
+        i, j, b = rows[at]
+        if kind == "self-loop":
+            rows[at] = (i, i, b)
+        elif kind == "range":
+            bad = draw(st.sampled_from([-1, -7, n, n + 3]))
+            rows[at] = draw(st.sampled_from([(i, bad, b), (bad, j, b), (bad, bad, b)]))
+        elif kind == "duplicate":
+            copy = (j, i) if draw(st.booleans()) else (i, j)
+            rows.insert(draw(st.integers(at + 1, len(rows))), (*copy, draw(_WEIGHTS)))
+        elif kind == "weight":
+            rows[at] = (i, j, draw(_WEIGHTS))
+        else:
+            del rows[at]
+    triples = all(isinstance(r, tuple) and len(r) == 3 for r in rows)
+    container = draw(st.sampled_from(["tuple", "list", "generator"] + (["array"] if triples else [])))
+    return n, rows, container
+
+
+def _as_container(rows, container):
+    if container == "array":
+        return np.array(rows, dtype=float).reshape(-1, 3)
+    if container == "generator":
+        return (row for row in rows)
+    return tuple(rows) if container == "tuple" else list(rows)
+
+
+def _reference_random_edges(n, p, b_range, seed):
+    """The random draw as first written: the pair arrays of np.triu_indices
+    and the reference connectivity search on every draw."""
+    rng = np.random.default_rng(seed)
+    rows, cols = np.triu_indices(n, 1)
+    for _ in range(1000):
+        mask = rng.random(rows.size) < p
+        ends_i, ends_j = rows[mask].tolist(), cols[mask].tolist()
+        try:
+            _reference_graph_edges(n, [(i, j, 1.0) for i, j in zip(ends_i, ends_j)])
+        except DisconnectedGraphError:
+            continue
+        weights = rng.uniform(b_range[0], b_range[1], size=len(ends_i)).tolist()
+        return tuple(zip(ends_i, ends_j, weights))
+    raise AssertionError("no connected draw")
+
+
+def _cliques_with_tie(sizes, tie):
+    """Laplacian of cliques of unit weight on consecutive nodes, each joined
+    to the next by one edge of weight ``tie`` (none where ``tie`` is 0)."""
+    n = sum(sizes)
+    lb = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        block = slice(start, start + size)
+        lb[block, block] = -1.0
+        if tie and start + size < n:
+            lb[start + size - 1, start + size] = lb[start + size, start + size - 1] = -tie
+        start += size
+    np.fill_diagonal(lb, 0.0)
+    np.fill_diagonal(lb, -lb.sum(axis=1))
+    return lb
+
+
 def _reference_laplacian_verdict(mat):
     """Message of the first failed Laplacian check, or None: the checks as
-    first written, with np.allclose for symmetry and an explicit diagonal."""
+    first written, with np.allclose for symmetry and an explicit diagonal,
+    after a check that every entry is finite."""
+    if not np.all(np.isfinite(mat)):
+        return "Laplacian entries must be finite"
     scale = float(np.max(np.abs(mat))) if mat.size else 0.0
     tol = 1e-12 * scale
     with np.errstate(invalid="ignore", over="ignore"):
@@ -100,6 +232,49 @@ class TestNetworkGraph:
     def test_single_node_graph_allowed(self):
         g = NetworkGraph(n_nodes=1, edges=(), alpha=1.0)
         assert g.n_nodes == 1
+
+    def test_array_input_and_edge_view(self):
+        rows = [(2, 0, 1.5), (1, 2, 0.5), (3, 1, 2.0)]
+        want = ((0, 2, 1.5), (1, 2, 0.5), (1, 3, 2.0))
+        table = np.array(rows, dtype=float)
+        for edges in (rows, iter(rows), table):
+            assert NetworkGraph(4, edges, 1.0).edges == want
+        assert repr(NetworkGraph(3, np.array([(2, 0, 3), (1, 2, 1)]), 1.0).edges) == "((0, 2, 3.0), (1, 2, 1.0))"
+        g = NetworkGraph(4, table, 1.0)
+        table[0, 2] = 99.0  # the graph keeps its own copy
+        assert g.edges == want and g.edges is g.edges
+        assert [type(x) for x in g.edges[0]] == [int, int, float]
+        assert (g.ends_i.tolist(), g.ends_j.tolist(), g.weights.tolist()) == ([0, 1, 1], [2, 2, 3], [1.5, 0.5, 2.0])
+        assert not any(arr.flags.writeable for arr in (g.ends_i, g.ends_j, g.weights))
+        assert g == NetworkGraph(4, want, 1.0) and hash(g) == hash(NetworkGraph(4, want, 1.0))
+
+    def test_duplicate_is_flagged_at_its_second_occurrence(self):
+        # every pair of a 40-bus line repeats later, reversed; a self-loop
+        # sits between a pair's first edge and its repeat, so it is the first
+        # bad edge; the lists are long enough that an unstable sort would
+        # flag some pair's first edge instead
+        line = [(i, i + 1, 1.0) for i in range(39)]
+        repeats = [(j, i, 2.0) for i, j, _ in line]
+        with pytest.raises(ValidationError, match="^self-loop at node 7 is not allowed$"):
+            NetworkGraph(40, line + [(7, 7, 1.0)] + repeats, 1.0)
+        with pytest.raises(ValidationError, match="^duplicate edge between nodes 0 and 1$"):
+            NetworkGraph(40, line + repeats, 1.0)
+
+    @settings(max_examples=500)
+    @given(case=_faulty_edge_lists())
+    def test_matches_reference_edge_loop(self, case):
+        # same normalised edges, or the same error for the first bad edge
+        n, rows, container = case
+        try:
+            expected = _reference_graph_edges(n, _as_container(rows, container))
+        except Exception as err:  # noqa: BLE001  (the class is compared below)
+            with pytest.raises(type(err)) as got:
+                NetworkGraph(n_nodes=n, edges=_as_container(rows, container), alpha=1.0)
+            assert type(got.value) is type(err)
+            assert str(got.value) == str(err)
+        else:
+            g = NetworkGraph(n_nodes=n, edges=_as_container(rows, container), alpha=1.0)
+            assert repr(g.edges) == repr(expected)
 
 
 class TestBuilders:
@@ -155,6 +330,15 @@ class TestBuilders:
         assert len(g.edges) == n_edges
         assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == digest
 
+    @settings(max_examples=80)
+    @given(n=st.integers(2, 60), p=st.floats(0.02, 1.0), seed=st.integers(0, 10_000))
+    def test_random_draw_matches_pair_array_reference(self, n, p, seed):
+        # the flat pair index maps to (i, j) without the pair arrays; the
+        # draw keeps every bit, including the rejected disconnected draws
+        p = max(p, 1.5 * math.log(n) / n)
+        g = build_random_connected_graph(n, p, (0.5, 1.5), alpha=1.0, seed=seed)
+        assert repr(g.edges) == repr(_reference_random_edges(n, p, (0.5, 1.5), seed))
+
     def test_random_graph_weights_in_range(self):
         g = build_random_connected_graph(10, 0.5, (0.5, 1.5), alpha=1.0, seed=0)
         assert all(0.5 <= b <= 1.5 for _, _, b in g.edges)
@@ -208,6 +392,36 @@ class TestLaplacians:
         with pytest.raises(ValidationError):
             Laplacian(matrix=np.array([[-1.0, 1.0], [1.0, -1.0]]), kind="susceptance")
 
+    @settings(max_examples=60)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 10_000), exponent=st.integers(-20, 20),
+           alpha=st.floats(0.0, 50.0), m=st.floats(0.1, 10.0), k=st.floats(0.1, 10.0),
+           tau=st.floats(0.0, 10.0), gamma=st.floats(0.0, 10.0))
+    def test_exactly_linear_in_alpha(self, n, seed, exponent, alpha, m, k, tau, gamma):
+        # L_G = alpha L_B entrywise, and a power-of-two alpha scales L_G, every
+        # per-mode closed-form term and the norm with no rounding at all
+        params = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        unit = build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=1.0, seed=seed)
+        spectrum = laplacian_eigenvalues(susceptance_laplacian(unit))
+        base = h2_dapi_closed_form(1.0, params, spectrum)
+        for a in (alpha, 2.0 ** exponent):
+            graph = NetworkGraph(unit.n_nodes, unit.edges, a)
+            lb, lg, _ = laplacians(graph, gamma)
+            assert lg.matrix.tobytes() == (a * lb.matrix).tobytes()
+            assert lb.matrix.tobytes() == susceptance_laplacian(unit).matrix.tobytes()
+            scaled = h2_dapi_closed_form(a, params, spectrum)
+            if a == 2.0 ** exponent:
+                assert lg.matrix.tobytes() == (a * laplacians(unit, gamma)[1].matrix).tobytes()
+                assert scaled.per_mode.tobytes() == (a * base.per_mode).tobytes()
+                assert scaled.squared_norm == a * base.squared_norm
+            else:
+                assert scaled.squared_norm == pytest.approx(a * base.squared_norm, rel=1e-15, abs=0.0)
+
+    def test_susceptance_laplacian_is_the_first_of_three(self):
+        g = build_random_connected_graph(30, 0.2, (0.5, 1.5), alpha=0.7, seed=4)
+        lb = susceptance_laplacian(g)
+        assert lb.kind == "susceptance" and not lb.matrix.flags.writeable
+        assert lb.matrix.tobytes() == laplacians(g, 1.3)[0].matrix.tobytes()
+
     def test_gamma_zero_gives_zero_communication_matrix(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
         _, _, lc = laplacians(g, gamma=0.0)
@@ -249,11 +463,11 @@ class TestLaplacians:
         ([[-1.0, 1.0], [1.0, -1.0]], "Laplacian off-diagonal entries must be <= 0"),
         ([[0.0, 1e-3, -1e-3], [1e-3, 0.0, -1e-3], [-1e-3, -1e-3, 2e-3]],
          "Laplacian off-diagonal entries must be <= 0"),
-        ([[float("nan"), 0.0], [0.0, 0.0]], "Laplacian must be symmetric"),
-        ([[1.0, -1.0], [-1.0, float("nan")]], "Laplacian must be symmetric"),
-        ([[1.0, float("-inf")], [-1.0, 1.0]], "Laplacian must be symmetric"),
-        ([[1.0, float("inf")], [-1.0, 1.0]], "Laplacian must be symmetric"),
-        ([[1.0, float("inf")], [float("-inf"), 1.0]], "Laplacian must be symmetric"),
+        ([[float("nan"), 0.0], [0.0, 0.0]], "Laplacian entries must be finite"),
+        ([[1.0, -1.0], [-1.0, float("nan")]], "Laplacian entries must be finite"),
+        ([[1.0, float("-inf")], [-1.0, 1.0]], "Laplacian entries must be finite"),
+        ([[1.0, float("inf")], [-1.0, 1.0]], "Laplacian entries must be finite"),
+        ([[1.0, float("inf")], [float("-inf"), 1.0]], "Laplacian entries must be finite"),
         ([1.0, -1.0], "Laplacian must be square, got shape (2,)"),
         ([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]], "Laplacian must be square, got shape (2, 3)"),
     ])
@@ -413,6 +627,67 @@ class TestLaplacianEigenvalues:
             with pytest.raises(error) as err:
                 spectrum_of(lap)
             assert str(err.value) == message
+
+
+class TestZeroModes:
+    """The zero mode is found by a 1e-9 relative threshold; when that finds
+    several, the Laplacian's off-diagonal pattern decides."""
+
+    def test_weak_tie_is_connected(self):
+        lb = Laplacian(_cliques_with_tie([5, 5], 1e-10), "susceptance")
+        raw = np.linalg.eigvalsh(lb.matrix)
+        for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
+            w = spectrum_of(lb).eigenvalues
+            assert w[0] == 0.0 and np.count_nonzero(w == 0.0) == 1
+            assert 3.9e-11 < w[1] < 4.1e-11
+            assert np.allclose(w[1:], raw[1:], rtol=1e-4, atol=0.0)
+        assert laplacian_eigenvalues(lb).eigenvalues[1:].tobytes() == raw[1:].tobytes()
+
+    @pytest.mark.parametrize(("sizes", "tie", "components"), [
+        ([2, 2], 0.0, 2),
+        ([2, 2, 2], 0.0, 3),
+        ([5, 5, 1], 1e-10, 1),
+    ])
+    def test_components_counted_from_the_pattern(self, sizes, tie, components):
+        lap = Laplacian(_cliques_with_tie(sizes, tie), "susceptance")
+        for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
+            if components == 1:
+                assert np.count_nonzero(spectrum_of(lap).eigenvalues == 0.0) == 1
+                continue
+            with pytest.raises(DisconnectedGraphError) as err:
+                spectrum_of(lap)
+            assert str(err.value) == (f"Laplacian has {components} zero modes; "
+                                      f"the graph splits into {components} components")
+
+    def test_weak_tie_beside_a_split_reports_the_components(self):
+        # the threshold finds three zero eigenvalues, the graph has two parts
+        mat = np.zeros((13, 13))
+        mat[:10, :10] = _cliques_with_tie([5, 5], 1e-10)
+        mat[10:, 10:] = _cliques_with_tie([3], 0.0)
+        assert np.count_nonzero(np.abs(np.linalg.eigvalsh(mat)) < 1e-9 * 5) == 3
+        for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
+            with pytest.raises(DisconnectedGraphError, match="has 2 zero modes; the graph splits into 2 components$"):
+                spectrum_of(Laplacian(mat, "susceptance"))
+
+    def test_unresolved_second_eigenvalue_is_refused(self, monkeypatch):
+        # a tie so weak that rounding leaves lambda_2 at or below zero
+        lap = Laplacian(_cliques_with_tie([5, 5], 1e-10), "susceptance")
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([-1e-16, -1e-63] + [5.0] * 8))
+        with pytest.raises(DisconnectedGraphError, match="second eigenvalue -1.000e-63 is not resolved above zero"):
+            laplacian_eigenvalues(lap)
+
+    @settings(max_examples=60)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 10_000), data=st.data())
+    def test_eigenvalues_invariant_under_relabelling(self, n, seed, data):
+        g = build_random_connected_graph(n, min(1.0, 3.0 / n + 0.1), (0.5, 1.5), alpha=1.0, seed=seed)
+        perm = data.draw(st.permutations(range(n)))
+        order = data.draw(st.permutations(range(len(g.edges))))
+        relabelled = NetworkGraph(n, [(perm[j], perm[i], b) for i, j, b in (g.edges[e] for e in order)], 1.0)
+        want = laplacian_eigenvalues(susceptance_laplacian(g)).eigenvalues
+        for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
+            got = spectrum_of(susceptance_laplacian(relabelled)).eigenvalues
+            assert got[0] == 0.0
+            assert np.max(np.abs(got - want)) <= 1e-12 * want[-1]
 
 
 class TestIngest:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridloss.tuning
@@ -72,15 +72,21 @@ class TestDerivative:
         m=st.floats(1e-3, 1e3),
         k=st.floats(1e-3, 1e3),
         tau=st.floats(0.0, 1e3),
+        alpha=st.floats(0.0, 1e3),
     )
-    def test_vectorized_matches_scalar_exactly(self, lams, gammas, m, k, tau):
+    @example(lams=[0.5, 3.0, 40.0], gammas=[0.0, 0.25, 7.0], m=1.5, k=0.7, tau=0.0, alpha=1.0)
+    @example(lams=[1e-4, 2.0], gammas=[0.0], m=3.0, k=2.0, tau=1.0, alpha=0.3)
+    @example(lams=[2.0], gammas=[0.0, 1.0], m=1.0, k=1.0, tau=0.0, alpha=0.0)
+    def test_vectorized_matches_scalar_exactly(self, lams, gammas, m, k, tau, alpha):
         # optimal_gamma's probe reads signs from the vectorised call, so every
         # element must be the scalar value bit for bit, not just close to it
         lams = np.sort(np.array(lams))
-        vec = norm_gamma_derivative(np.array(gammas), lams, 1.0, m, k, tau)
+        vec = norm_gamma_derivative(np.array(gammas), lams, alpha, m, k, tau)
         assert vec.shape == (len(gammas),)
         for g, v in zip(gammas, vec):
-            assert v == norm_gamma_derivative(g, lams, 1.0, m, k, tau)
+            scalar = norm_gamma_derivative(g, lams, alpha, m, k, tau)
+            assert type(scalar) is float
+            assert np.float64(scalar).tobytes() == v.tobytes()
 
     def test_sign_at_zero(self):
         # at gamma = 0 each summand carries sign 1 - m tau lam
