@@ -27,8 +27,6 @@ from .network import (
     build_random_connected_graph,
     ingest_edge_list,
     laplacian_eigenvalues,
-    laplacians,
-    spectral_decomposition,
     susceptance_laplacian,
 )
 from .sim import SimConfig, _atomic_writer, empirical_h2, export_trajectory, integrated_loss, phase_perturbation, simulate
@@ -244,7 +242,7 @@ def _cmd_analyze(args) -> int:
     graph, net_meta = _resolve_network(args)
     params = _resolve_params(args)
     alpha = graph.alpha
-    spectrum = spectral_decomposition(susceptance_laplacian(graph))
+    spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
 
     droop = {
         "closed_form": h2_droop_closed_form(alpha, params.m, graph.n_nodes),
@@ -421,13 +419,12 @@ def _cmd_simulate(args) -> int:
         ss = assemble_droop(graph, params)
     else:
         ss = assemble_dapi(graph, params)
-    _, lg, _ = laplacians(graph, params.gamma)
     initial = None
     if args.init_perturb > 0:
         initial = phase_perturbation(graph.n_nodes, ss.n_states, args.init_perturb, args.seed)
     config = SimConfig(dt=args.dt, horizon=args.horizon, burn_in=args.burn_in,
                        noise_intensity=args.noise, seed=args.seed, initial_state=initial)
-    trajectory = simulate(ss, lg, config)
+    trajectory = simulate(ss, ss.l_g, config)
 
     total = integrated_loss(trajectory)
     summary = {

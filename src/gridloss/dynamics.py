@@ -6,8 +6,8 @@ theta, filtered frequency deviations omega) and a third-order model per bus
 under DAPI control, which adds a distributed-averaging integral state Omega
 communicated over a network proportional to the electrical one.
 
-The performance output is chosen so that the squared output norm equals the
-instantaneous resistive power loss of circulating currents, theta' L_G theta.
+Each closed loop carries its loss weight, the conductance Laplacian L_G:
+the resistive power loss of circulating currents is theta' L_G theta.
 Because all Laplacians commute, both closed loops block-diagonalize in the
 eigenbasis of the susceptance Laplacian into independent 2x2 / 3x3 modal
 subsystems, one per eigenvalue.
@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AssemblyError, ValidationError
-from .network import NetworkGraph, Spectrum, spectral_decomposition, susceptance_laplacian
+from .network import Laplacian, NetworkGraph, Spectrum, laplacians, spectral_decomposition
 
 CONTROLLER_KINDS = ("droop", "dapi")
 
@@ -66,16 +67,17 @@ class ControllerParams:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Closed-loop LTI system (A, B, C) with unit-intensity disturbance input.
+    """Closed-loop LTI system (A, B) with unit-intensity disturbance input.
 
     State ordering is block-wise: theta block first, then omega, then (for
-    DAPI) Omega.  The output matrix is [L_G^{1/2}, 0, ...], so ||C x||^2 is
-    the instantaneous resistive loss.
+    DAPI) Omega.  ``l_g`` is the conductance ``Laplacian``: the loss is
+    theta' L_G theta.  ``c`` = [L_G^{1/2}, 0, ...], with ||C x||^2 the loss,
+    is built from ``spectral_decomposition(l_g)`` on first access.
     """
 
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray
+    l_g: Laplacian
     controller_kind: str
 
     def __post_init__(self) -> None:
@@ -83,18 +85,16 @@ class StateSpace:
             raise ValidationError(f"controller_kind must be one of {CONTROLLER_KINDS}")
         a = np.array(self.a, dtype=float)
         b = np.array(self.b, dtype=float)
-        c = np.array(self.c, dtype=float)
         blocks = 2 if self.controller_kind == "droop" else 3
         n = b.shape[1] if b.ndim == 2 else 0
-        if a.shape != (blocks * n, blocks * n) or b.shape != (blocks * n, n) or c.shape != (n, blocks * n):
+        if a.shape != (blocks * n, blocks * n) or b.shape != (blocks * n, n) or self.l_g.n_nodes != n:
             raise ValidationError(
-                f"inconsistent {self.controller_kind} system shapes: A {a.shape}, B {b.shape}, C {c.shape}"
+                f"inconsistent {self.controller_kind} system shapes: A {a.shape}, B {b.shape}, L_G {self.l_g.n_nodes} nodes"
             )
-        for arr in (a, b, c):
+        for arr in (a, b):
             arr.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
 
     @property
     def n_nodes(self) -> int:
@@ -103,6 +103,20 @@ class StateSpace:
     @property
     def n_states(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """[L_G^{1/2}, 0, ...], read-only and cached; zero when L_G is.  The
+        clamped zero eigenvalue puts the uniform phase in its kernel."""
+        n = self.n_nodes
+        c = np.zeros((n, self.n_states))
+        if self.l_g.matrix.any():
+            spectrum = spectral_decomposition(self.l_g)
+            u = spectrum.eigenvectors
+            root = u @ np.diag(np.sqrt(spectrum.eigenvalues)) @ u.T
+            c[:, :n] = (root + root.T) / 2.0
+        c.setflags(write=False)
+        return c
 
     def dump(self, path) -> None:
         """Write A, B, C as plain text: per block a 'rows cols' header line,
@@ -145,26 +159,15 @@ class ModalSubsystem:
         object.__setattr__(self, "c", c)
 
 
-def _conductance_sqrt(spectrum: Spectrum, alpha: float) -> np.ndarray:
-    """Symmetric PSD square root of alpha * L_B, built spectrally.
-
-    The clamped zero eigenvalue makes the uniform-phase direction an exact
-    kernel vector of the result, so the loss output ignores rigid phase
-    shifts up to rounding.
-    """
-    u = _require_eigenvectors(spectrum)
-    root = u @ np.diag(np.sqrt(alpha * spectrum.eigenvalues)) @ u.T
-    return (root + root.T) / 2.0
-
-
 def assemble_droop(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
     """Closed-loop droop system on 2N states (theta, omega).
 
-        A = [[ 0,            I        ],      B = [[ 0   ],      C = [L_G^{1/2}, 0]
+        A = [[ 0,            I        ],      B = [[ 0   ],
              [ -(m/tau) L_B, -(1/tau) I ]]         [ I/tau]]
 
-    These are the leading 2N rows and columns of the DAPI system, bit for
-    bit.  Neither k nor gamma enters.  Raises AssemblyError when tau == 0.
+    with loss weight L_G = alpha * L_B.  These are the leading 2N rows and
+    columns of the DAPI system, bit for bit.  Neither k nor gamma enters.
+    Raises AssemblyError when tau == 0.
     """
     return _assemble(graph, params, "droop")
 
@@ -176,10 +179,10 @@ def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
              [ -(m/tau) L_B, -(1/tau) I,  (1/tau) I  ],           [ I/tau ],
              [ 0,            -(1/k) I,    -(1/k) L_C ]]           [ 0    ]]
 
-    with C = [L_G^{1/2}, 0, 0] and L_C = gamma * L_B.  Raises AssemblyError
-    when tau == 0.  gamma == 0 is assembled but flagged with a warning: the
-    averaging layer then contributes N-1 marginal modes and every norm route
-    will refuse the system.
+    with loss weight L_G = alpha * L_B and L_C = gamma * L_B.  Raises
+    AssemblyError when tau == 0.  gamma == 0 is assembled but flagged with a
+    warning: the averaging layer then contributes N-1 marginal modes and
+    every norm route will refuse the system.
     """
     ss = _assemble(graph, params, "dapi")
     if params.gamma == 0:
@@ -196,20 +199,18 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
     # the DAPI system; droop keeps its leading (theta, omega) blocks
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
-    lb = susceptance_laplacian(graph)
-    spectrum = spectral_decomposition(lb)
+    lb, lg, lc = laplacians(graph, params.gamma)
     n = graph.n_nodes
     eye = np.eye(n)
     zero = np.zeros((n, n))
     a = np.block([
         [zero, eye, zero],
         [-(params.m / params.tau) * lb.matrix, -(1.0 / params.tau) * eye, (1.0 / params.tau) * eye],
-        [zero, -(1.0 / params.k) * eye, -(1.0 / params.k) * (params.gamma * lb.matrix)],
+        [zero, -(1.0 / params.k) * eye, -(1.0 / params.k) * lc.matrix],
     ])
     b = np.vstack([zero, eye / params.tau, zero])
-    c = np.hstack([_conductance_sqrt(spectrum, graph.alpha), zero, zero])
     s = (2 if kind == "droop" else 3) * n
-    return StateSpace(a=a[:s, :s], b=b[:s], c=c[:, :s], controller_kind=kind)
+    return StateSpace(a=a[:s, :s], b=b[:s], l_g=lg, controller_kind=kind)
 
 
 def modal_subsystems(
@@ -233,10 +234,9 @@ def modal_subsystems(
         B_n = [0, 1/tau, 0]',  C_n = sqrt(alpha lam) [1, 0, 0].
 
     Mode 1 (lam = 0) gets a zero output row: rigid phase motion dissipates
-    nothing.
+    nothing.  Only eigenvalues are read; ``laplacian_eigenvalues`` serves.
     """
     kind = _validated_kind(kind)
-    _require_eigenvectors(spectrum)
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
     if not np.isfinite(alpha) or alpha < 0:
@@ -307,7 +307,13 @@ def verify_modal_equivalence(
             f"dimension mismatch: {ss.controller_kind} system with {ss.n_states} states, "
             f"{n}-node spectrum, {len(subsystems)} subsystems"
         )
-    t = np.kron(np.eye(blocks), _require_eigenvectors(spectrum))
+    # the modal blocks are the closed loop in the eigenvector basis, so an
+    # eigenvalue-only spectrum cannot stand for that basis
+    if spectrum.eigenvectors is None:
+        raise ValidationError(
+            "spectrum has no eigenvectors; build it with spectral_decomposition, not laplacian_eigenvalues"
+        )
+    t = np.kron(np.eye(blocks), spectrum.eigenvectors)
     m = t.T @ ss.a @ t
     perm = [blk * n + mode for mode in range(n) for blk in range(blocks)]
     m = m[np.ix_(perm, perm)]
@@ -316,16 +322,6 @@ def verify_modal_equivalence(
         lo = (sub.mode_index - 1) * blocks
         stacked[lo:lo + blocks, lo:lo + blocks] = sub.a
     return float(np.max(np.abs(m - stacked)))
-
-
-def _require_eigenvectors(spectrum: Spectrum) -> np.ndarray:
-    # the modal blocks are the closed loop in the eigenvector basis, so an
-    # eigenvalue-only spectrum cannot stand for that basis
-    if spectrum.eigenvectors is None:
-        raise ValidationError(
-            "spectrum has no eigenvectors; build it with spectral_decomposition, not laplacian_eigenvalues"
-        )
-    return spectrum.eigenvectors
 
 
 def _validated_kind(kind: str) -> str:

@@ -9,8 +9,8 @@ equals the squared H2 norm of the closed loop.  Three routes compute it:
   that depends on the mode eigenvalue and the controller parameters.
 * modal Lyapunov: one 2x2 or 3x3 observability Gramian per nonzero mode,
   summed in eigenvalue order.
-* full Gramian: one dense Lyapunov solve on the assembled system after
-  deflating the rigid phase-shift direction.
+* full Gramian: one dense Lyapunov solve on the assembled system and its
+  loss weight L_G after deflating the rigid phase-shift direction.
 
 ``solve_lyapunov`` is Bartels-Stewart with a recursive blocked triangular
 stage (Jonsson & Kagstrom 2002, ACM TOMS 28(4), "RECSY"): the quasi-
@@ -24,9 +24,9 @@ partial result is dropped and the whole equation goes to one ``dtrsyl``
 call.
 
 The modal and full-Gramian routes share one Lyapunov solver but build their
-systems independently; the closed form shares no linear algebra with
-either, so the agreement of all three cross-checks both the models and the
-closed forms.
+systems independently, and neither reads an eigenvector; the closed form
+shares no linear algebra with either, so the agreement of all three
+cross-checks both the models and the closed forms.
 """
 
 from __future__ import annotations
@@ -304,9 +304,10 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
 
     The rigid phase shift (uniform theta direction) is the only marginal
     mode of a healthy loop; it is removed by restricting the theta block to
-    the orthogonal complement of the all-ones vector, built from an explicit
-    Householder reflector so this route shares no spectral machinery with
-    the modal one.  No per-mode breakdown is available here.  The Hurwitz
+    the orthogonal complement of the all-ones vector, with basis H from an
+    explicit Householder reflector, and the weight is Q = blockdiag(H' L_G
+    H, 0, ...), so this route computes no spectrum.  No per-mode breakdown
+    is available here.  The Hurwitz
     verdict on the deflated matrix is the one ``solve_lyapunov`` reaches.
 
     Raises:
@@ -320,9 +321,10 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     rows = np.vstack([basis.T @ ss.a[:n], ss.a[n:]])
     a = np.hstack([rows[:, :n] @ basis, rows[:, n:]])
     b = np.vstack([basis.T @ ss.b[:n], ss.b[n:]])
-    c = np.hstack([ss.c[:, :n] @ basis, ss.c[:, n:]])
+    q = np.zeros_like(a)
+    q[:n - 1, :n - 1] = basis.T @ ss.l_g.matrix @ basis
     try:
-        gram = solve_lyapunov(a, c.T @ c)
+        gram = solve_lyapunov(a, q)
     except StabilityError as err:
         raise StabilityError(
             f"marginal or unstable modes remain after deflating the rigid phase shift ({err}); "

@@ -489,7 +489,10 @@ def _pinned_zero_mode(w: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     When more than one does, the threshold cannot tell a split graph from a
     weak tie, so the component count of the matrix's off-diagonal pattern
     decides: a connected graph keeps every eigenvalue but the first, which
-    is clamped.
+    is clamped, provided its second eigenvalue lies above the rounding
+    floor n eps lambda_max of the symmetric eigensolvers.  Below that floor
+    its sign and size are rounding noise, which differs between ``eigh``
+    and ``eigvalsh``, so the graph is refused.
     """
     if w.size == 1:
         return np.zeros(1)
@@ -509,9 +512,11 @@ def _pinned_zero_mode(w: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         rows, cols = np.nonzero(matrix < 0)
         n_zero = _component_count(w.size, rows, cols)
         if n_zero == 1:
-            if not w[1] > 0:
+            floor = w.size * np.finfo(float).eps * scale
+            if not w[1] > floor:
                 raise DisconnectedGraphError(
-                    f"the graph is connected, but its second eigenvalue {w[1]:.3e} is not resolved above zero"
+                    f"the graph is connected, but its second eigenvalue {w[1]:.3e} is not resolved above zero "
+                    f"(rounding floor n eps lambda_max = {floor:.3e})"
                 )
             w[0] = 0.0
             return w

@@ -29,6 +29,8 @@ from gridloss.network import (
 )
 from gridloss.tuning import optimal_gamma
 
+IEEE57 = Path(gridloss.network.__file__).parent / "data" / "ieee57.edges"
+
 
 def _read_rows(path):
     """Parse a CSV written by the CLI into (comments, header, rows)."""
@@ -133,13 +135,7 @@ class TestWeakTie:
 
     @pytest.fixture
     def weak_tie(self, tmp_path):
-        lines = ["alpha 1.0"]
-        for base in (1, 6):
-            lines += [f"{i} {j} 1.0" for i, j in itertools.combinations(range(base, base + 5), 2)]
-        lines.append("5 6 1e-10")
-        path = tmp_path / "weak.edges"
-        path.write_text("\n".join(lines) + "\n")
-        return path
+        return _cliques_file(tmp_path, "1e-10")
 
     def test_tune_succeeds(self, weak_tie, tmp_path, capsys):
         out = tmp_path / "tune.json"
@@ -152,6 +148,63 @@ class TestWeakTie:
         # sits past the solver's Hurwitz cut-off
         assert main(["analyze", "--file", str(weak_tie)]) == 1
         assert "not safely Hurwitz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("tie", "resolved"), [
+        ("1e-10", True), ("1e-13", True),
+        ("1e-14", False), ("1e-15", False), ("1e-16", False), ("1e-18", False), ("1e-20", False),
+    ])
+    def test_tune_verdict_follows_the_rounding_floor(self, tie, resolved, tmp_path, capsys):
+        out = tmp_path / "tune.json"
+        code = main(["tune", "--file", str(_cliques_file(tmp_path, tie)), "--format", "json", "--out", str(out)])
+        err = capsys.readouterr().err
+        if resolved:
+            assert code == 0 and out.exists()
+        else:
+            assert code == 1 and not out.exists()
+            assert "is not resolved above zero (rounding floor n eps lambda_max = 1.110e-14)" in err
+
+
+def _cliques_file(tmp_path, tie):
+    """Edge list of two unit 5-cliques joined by one line of susceptance ``tie``."""
+    lines = ["alpha 1.0"]
+    for base in (1, 6):
+        lines += [f"{i} {j} 1.0" for i, j in itertools.combinations(range(base, base + 5), 2)]
+    lines.append(f"5 6 {tie}")
+    path = tmp_path / "weak.edges"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestSpectrumCalls:
+    """Each command computes only the spectrum it reads: ``analyze`` reads
+    eigenvalues alone (the closed forms and the modal route), and neither
+    the full-Gramian route nor ``simulate`` reads any spectrum."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("network", [["--random", "30,0.2"], ["--file", str(IEEE57)]])
+    def test_analyze_takes_one_eigenvalue_only_spectrum(self, calls, network, tmp_path, capsys):
+        assert main(["analyze", *network, "--format", "json", "--out", str(tmp_path / "a.json")]) == 0
+        capsys.readouterr()
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+
+    @pytest.mark.parametrize("controller", ["droop", "dapi"])
+    def test_simulate_takes_no_spectrum(self, calls, controller, tmp_path, capsys):
+        assert main(["simulate", "--random", "12,0.3", "--controller", controller, "--horizon", "5",
+                     "--dt", "0.01", "--format", "json", "--out", str(tmp_path / "s.json")]) == 0
+        capsys.readouterr()
+        assert calls == {"eigh": 0, "eigvalsh": 0}
 
 
 class TestAnalyze:

@@ -7,19 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridloss.dynamics
 from gridloss.dynamics import (
     ControllerParams,
     ModalSubsystem,
     StateSpace,
     assemble_dapi,
     assemble_droop,
-    _conductance_sqrt,
     check_stability,
     modal_subsystems,
     verify_modal_equivalence,
 )
 from gridloss.errors import AssemblyError, ValidationError
+from gridloss.h2 import h2_modal
 from gridloss.network import (
+    Laplacian,
+    NetworkGraph,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
@@ -31,6 +34,10 @@ from gridloss.network import (
 
 def _spectrum_of(graph):
     return spectral_decomposition(laplacians(graph, 1.0)[0])
+
+
+def _zero_laplacian(n):
+    return Laplacian(np.zeros((n, n)), "conductance")
 
 
 class TestControllerParams:
@@ -179,13 +186,33 @@ class TestModalSubsystems:
             modal_subsystems(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="pi")
 
     def test_eigenvalue_only_spectrum_rejected(self):
-        # the modal blocks stand for the closed loop in the eigenvector basis
-        spec = laplacian_eigenvalues(laplacians(build_line_graph(4, [1.0] * 3, alpha=1.0), 1.0)[0])
+        # the modal blocks stand for the closed loop in the eigenvector basis,
+        # so only the check against the assembled loop needs the vectors
+        g = build_line_graph(4, [1.0] * 3, alpha=1.0)
+        spec = laplacian_eigenvalues(laplacians(g, 1.0)[0])
         p = ControllerParams(m=1.0, tau=1.0)
+        subs = modal_subsystems(spec, p, alpha=1.0, kind="dapi")
         with pytest.raises(ValidationError, match="spectral_decomposition"):
-            modal_subsystems(spec, p, alpha=1.0, kind="dapi")
-        with pytest.raises(ValidationError, match="spectral_decomposition"):
-            _conductance_sqrt(spec, 1.0)
+            verify_modal_equivalence(assemble_dapi(g, p), subs, spec)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        seed=st.integers(0, 10_000),
+        alpha=st.floats(0.1, 3.0),
+        m=st.floats(0.2, 3.0),
+        tau=st.floats(0.2, 3.0),
+        k=st.floats(0.2, 3.0),
+        gamma=st.floats(0.1, 3.0),
+    )
+    def test_eigenvalue_only_spectrum_gives_the_same_modal_norm(self, n, seed, alpha, m, tau, k, gamma):
+        g = build_random_connected_graph(n, min(1.0, 3.0 / n + 0.1), (0.5, 1.5), alpha=alpha, seed=seed)
+        lb = laplacians(g, 1.0)[0]
+        p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        for kind in ("droop", "dapi"):
+            want = h2_modal(spectral_decomposition(lb), p, alpha, kind).squared_norm
+            got = h2_modal(laplacian_eigenvalues(lb), p, alpha, kind).squared_norm
+            assert abs(got - want) <= 1e-14 * want
 
 
 class TestCheckStability:
@@ -306,13 +333,13 @@ class TestStateSpaceType:
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError, match="shapes"):
-            StateSpace(a=np.eye(4), b=np.zeros((4, 2)), c=np.zeros((2, 5)), controller_kind="droop")
+            StateSpace(a=np.eye(4), b=np.zeros((4, 2)), l_g=_zero_laplacian(3), controller_kind="droop")
         with pytest.raises(ValidationError):
-            StateSpace(a=np.eye(4), b=np.zeros((4, 2)), c=np.zeros((2, 4)), controller_kind="dapi")
+            StateSpace(a=np.eye(4), b=np.zeros((4, 2)), l_g=_zero_laplacian(2), controller_kind="dapi")
 
     def test_bad_kind(self):
         with pytest.raises(ValidationError):
-            StateSpace(a=np.eye(2), b=np.zeros((2, 1)), c=np.zeros((1, 2)), controller_kind="pid")
+            StateSpace(a=np.eye(2), b=np.zeros((2, 1)), l_g=_zero_laplacian(1), controller_kind="pid")
 
     def test_modal_shape_validation(self):
         with pytest.raises(ValidationError):
@@ -333,3 +360,52 @@ class TestStateSpaceType:
             assert np.array_equal(block, mat)
             pos += rows * cols
         assert pos == len(tokens)
+
+
+class TestDerivedOutput:
+    """``StateSpace`` carries the loss weight L_G; its output matrix C is
+    derived from it on first access."""
+
+    @pytest.mark.parametrize("assemble", [assemble_droop, assemble_dapi])
+    def test_built_once_read_only_and_a_square_root_of_the_weight(self, assemble, monkeypatch):
+        g = build_random_connected_graph(9, 0.5, (0.5, 1.5), alpha=1.7, seed=3)
+        ss = assemble(g, ControllerParams(m=0.8, tau=1.3, k=0.9, gamma=1.1))
+        calls = []
+        real = gridloss.dynamics.spectral_decomposition
+        monkeypatch.setattr(gridloss.dynamics, "spectral_decomposition",
+                            lambda lap: calls.append(lap) or real(lap))
+        c = ss.c
+        assert ss.c is c and len(calls) == 1 and calls[0] is ss.l_g
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            ss.c = np.zeros_like(c)
+        n = g.n_nodes
+        assert c.shape == (n, ss.n_states) and not c[:, n:].any()
+        assert np.allclose(c.T @ c, np.pad(ss.l_g.matrix, (0, ss.n_states - n)), rtol=0, atol=1e-13)
+        uniform = np.concatenate([np.ones(n), np.zeros(ss.n_states - n)])
+        assert np.linalg.norm(c @ uniform) <= 1e-12
+
+    def test_zero_without_conductance(self, monkeypatch):
+        monkeypatch.setattr(gridloss.dynamics, "spectral_decomposition", _refuse)
+        g = build_line_graph(4, [1.0, 2.0, 0.5], alpha=0.0)
+        ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0))
+        assert ss.c.shape == (4, 12) and not ss.c.any()
+
+    @pytest.mark.parametrize("assemble", [assemble_droop, assemble_dapi])
+    def test_zero_on_a_single_bus(self, assemble, monkeypatch):
+        monkeypatch.setattr(gridloss.dynamics, "spectral_decomposition", _refuse)
+        ss = assemble(NetworkGraph(n_nodes=1, edges=(), alpha=2.0), ControllerParams(m=1.0, tau=1.0))
+        assert ss.c.shape == (1, ss.n_states) and not ss.c.any()
+
+    def test_carries_the_conductance_laplacian(self):
+        g = build_random_connected_graph(12, 0.4, (0.5, 1.5), alpha=1.3, seed=4)
+        p = ControllerParams(m=1.0, tau=1.0, k=2.0, gamma=0.5)
+        for ss in (assemble_droop(g, p), assemble_dapi(g, p)):
+            assert ss.l_g.kind == "conductance"
+            assert ss.l_g.matrix.tobytes() == (g.alpha * laplacians(g, 0.5)[0].matrix).tobytes()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a spectrum was computed")

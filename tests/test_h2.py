@@ -9,6 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridloss.dynamics
+import gridloss.network
 from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import LyapunovSolveError, StabilityError, ValidationError
 from gridloss.h2 import (
@@ -498,6 +500,25 @@ class TestFullGramianRoute:
         ss = assemble_droop(g, ControllerParams(m=1.0, tau=1.0))
         res = h2_full_gramian(ss)
         assert abs(res.squared_norm - 0.5) <= 1e-12
+
+    def test_reads_no_spectrum(self, monkeypatch):
+        # the loss weight enters as H' L_G H, so neither assembly nor the
+        # route computes an eigendecomposition
+        g = build_random_connected_graph(15, 0.3, (0.5, 1.5), alpha=1.4, seed=9)
+        p = ControllerParams(m=0.9, tau=1.2, k=1.5, gamma=0.7)
+        spectrum = _spectrum_of(g)
+        closed = {"droop": h2_droop_closed_form(1.4, 0.9, 15), "dapi": h2_dapi_closed_form(1.4, p, spectrum)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spectrum was computed")
+
+        for module, name in ((gridloss.dynamics, "spectral_decomposition"),
+                             (gridloss.network, "spectral_decomposition"),
+                             (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+            monkeypatch.setattr(module, name, refuse)
+        for kind, assemble in (("droop", assemble_droop), ("dapi", assemble_dapi)):
+            res = h2_full_gramian(assemble(g, p))
+            assert abs(res.squared_norm - closed[kind].squared_norm) <= 1e-9 * closed[kind].squared_norm
 
 
 class TestThreeWayAgreement:

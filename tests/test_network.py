@@ -4,6 +4,7 @@ import hashlib
 import importlib.resources
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -675,6 +676,28 @@ class TestZeroModes:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([-1e-16, -1e-63] + [5.0] * 8))
         with pytest.raises(DisconnectedGraphError, match="second eigenvalue -1.000e-63 is not resolved above zero"):
             laplacian_eigenvalues(lap)
+
+    @pytest.mark.parametrize(("tie", "resolved"), [
+        (1e-10, True), (1e-13, True),
+        (1e-14, False), (1e-15, False), (1e-16, False), (1e-18, False), (1e-20, False),
+    ])
+    def test_second_eigenvalue_needs_the_rounding_floor(self, tie, resolved):
+        # below n eps lambda_max = 1.110e-14 the sign and size of lambda_2 are
+        # rounding noise, different for eigh and eigvalsh; the verdict is not
+        lap = Laplacian(_cliques_with_tie([5, 5], tie), "susceptance")
+        texts = set()
+        for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
+            if resolved:
+                w = spectrum_of(lap).eigenvalues
+                assert np.count_nonzero(w == 0.0) == 1
+                assert 0.3 * tie < w[1] < 0.5 * tie
+                continue
+            with pytest.raises(DisconnectedGraphError, match="is not resolved above zero") as err:
+                spectrum_of(lap)
+            texts.add(re.sub(r"eigenvalue \S+ is", "eigenvalue <lambda_2> is", str(err.value)))
+        if not resolved:
+            assert texts == {"the graph is connected, but its second eigenvalue <lambda_2> is not resolved "
+                             "above zero (rounding floor n eps lambda_max = 1.110e-14)"}
 
     @settings(max_examples=60)
     @given(n=st.integers(2, 40), seed=st.integers(0, 10_000), data=st.data())

@@ -248,7 +248,7 @@ class TestAgainstStepLoop:
         ss, lg = self._system(kind)
         b = ss.b.copy()
         b[:8] += np.linspace(0.1, 0.8, 8)[:, None]
-        ss = StateSpace(a=ss.a, b=b, c=ss.c, controller_kind=kind)
+        ss = StateSpace(a=ss.a, b=b, l_g=ss.l_g, controller_kind=kind)
         cfg = SimConfig(dt=0.01, horizon=10.5, noise_intensity=1.0, seed=4)
         traj = _assert_close_to_step_loop(ss, lg, cfg)
         assert np.max(np.abs(traj.states[:, :8].mean(axis=1))) <= 1e-12
