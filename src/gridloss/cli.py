@@ -32,6 +32,9 @@ from .network import (
 from .sim import SimConfig, _atomic_writer, empirical_h2, export_trajectory, integrated_loss, phase_perturbation, simulate
 from .tuning import gamma_star_vs_k, loss_reduction_vs_k, optimal_gamma, optimal_gamma_complete, sweep
 
+# largest --grid or --n-grid accepted; a larger one is refused before it is allocated
+_GRID_MAX_POINTS = 10**7
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -115,10 +118,21 @@ def _add_controller_flags(p: argparse.ArgumentParser, gamma: bool) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser, out_required: bool) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed, >= 0 (default 0)")
     p.add_argument("--out", metavar="PATH", required=out_required,
                    help="output file" + ("" if out_required else " (default: report to stdout)"))
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default csv)")
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative seeds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------- resolution
@@ -183,14 +197,17 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValidationError(f"grid bounds must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValidationError(f"grid needs step > 0 and stop >= start, got {text!r}")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
-    return start + step * np.arange(count)
+    # floor(span + 0.5) + 1 points; span is inf when the division overflows
+    span = (stop - start) / step
+    if span + 0.5 >= _GRID_MAX_POINTS:
+        raise ValidationError(f"grid has more than {_GRID_MAX_POINTS} points, got {text!r}")
+    return start + step * np.arange(int(math.floor(span + 0.5)) + 1)
 
 
 def _parse_int_grid(text: str) -> list[int]:
     values = _parse_grid(text)
     out = []
-    for v in values:
+    for v in values.tolist():
         rounded = int(round(v))
         if abs(v - rounded) > 1e-9:
             raise ValidationError(f"size grid must contain integers, got {v!r}")

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError, ValidationError
-from .network import Laplacian, NetworkGraph, Spectrum, laplacians, spectral_decomposition
+from .network import Laplacian, NetworkGraph, Spectrum, spectral_decomposition, susceptance_laplacian
 
 CONTROLLER_KINDS = ("droop", "dapi")
 
@@ -199,18 +199,19 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
     # the DAPI system; droop keeps its leading (theta, omega) blocks
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
-    lb, lg, lc = laplacians(graph, params.gamma)
+    lb = susceptance_laplacian(graph).matrix
     n = graph.n_nodes
     eye = np.eye(n)
     zero = np.zeros((n, n))
     a = np.block([
         [zero, eye, zero],
-        [-(params.m / params.tau) * lb.matrix, -(1.0 / params.tau) * eye, (1.0 / params.tau) * eye],
-        [zero, -(1.0 / params.k) * eye, -(1.0 / params.k) * lc.matrix],
+        [-(params.m / params.tau) * lb, -(1.0 / params.tau) * eye, (1.0 / params.tau) * eye],
+        [zero, -(1.0 / params.k) * eye, -(1.0 / params.k) * (params.gamma * lb)],
     ])
     b = np.vstack([zero, eye / params.tau, zero])
     s = (2 if kind == "droop" else 3) * n
-    return StateSpace(a=a[:s, :s], b=b[:s], l_g=lg, controller_kind=kind)
+    l_g = Laplacian(matrix=graph.alpha * lb, kind="conductance")
+    return StateSpace(a=a[:s, :s], b=b[:s], l_g=l_g, controller_kind=kind)
 
 
 def modal_subsystems(

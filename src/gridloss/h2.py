@@ -21,7 +21,8 @@ products.  Blocks of at most 64 rows go to LAPACK's ``dtrsyl``; every system
 of at most 64 states, the 2x2/3x3 modal Gramians included, is one
 ``dtrsyl`` call.  If a block needs ``dtrsyl``'s overflow scaling, the
 partial result is dropped and the whole equation goes to one ``dtrsyl``
-call.
+call.  The solver imports ``scipy.linalg`` when it runs, so importing
+gridloss, and every command but ``analyze``, loads numpy alone.
 
 The modal and full-Gramian routes share one Lyapunov solver but build their
 systems independently, and neither reads an eigenvector; the closed form
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import ControllerParams, StateSpace, check_stability, modal_subsystems
 from .errors import LyapunovSolveError, StabilityError, ValidationError
@@ -172,6 +172,8 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     q_scale = float(np.max(np.abs(q))) if q.size else 0.0
     if not np.allclose(q, q.T, rtol=0, atol=1e-12 * max(q_scale, 1.0)):
         raise ValidationError("Q must be symmetric")
+    import scipy.linalg  # at call time: see the module docstring
+
     t, u = scipy.linalg.schur(a.T, output="real")
     # LAPACK standardises each 2x2 block of the real Schur form so that both
     # diagonal entries equal the real part of its complex pair
@@ -208,6 +210,8 @@ def _solve_quasi_triangular(t: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, f
             return y, 1.0
         except _Rescaled:
             pass
+    import scipy.linalg
+
     y, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
     _check_trsyl_info(info)
     return y, scale
@@ -260,6 +264,8 @@ def _cut(t: np.ndarray) -> int:
 
 
 def _trsyl_block(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    import scipy.linalg
+
     x, scale, info = scipy.linalg.lapack.dtrsyl(a, b, c, tranb="T")
     _check_trsyl_info(info)
     if scale < 1.0:

@@ -30,30 +30,6 @@ _LAPLACIAN_KINDS = ("susceptance", "conductance", "communication")
 _ZERO_EIG_RTOL = 1e-9
 
 
-class _EdgeView:
-    """Descriptor for the ``edges`` field of ``NetworkGraph``.
-
-    The dataclass ``__init__`` passes the constructor's ``edges`` to
-    ``__set__``, which only stores them for ``__post_init__``; that method
-    keeps three arrays instead.  ``__get__`` builds the tuple of
-    ``(i, j, b)`` Python numbers from the arrays on first access and caches
-    it, so ``repr``, ``==`` and ``hash`` of a graph work as for a plain
-    tuple field.
-    """
-
-    def __get__(self, graph, owner=None):
-        if graph is None:
-            raise AttributeError("edges")  # the field has no default
-        view = graph.__dict__.get("_edge_tuples")
-        if view is None:
-            view = tuple(zip(graph.ends_i.tolist(), graph.ends_j.tolist(), graph.weights.tolist()))
-            graph.__dict__["_edge_tuples"] = view
-        return view
-
-    def __set__(self, graph, edges):
-        graph.__dict__["_edges_given"] = edges
-
-
 @dataclass(frozen=True)
 class NetworkGraph:
     """Connected undirected graph with positive edge weights.
@@ -66,14 +42,14 @@ class NetworkGraph:
         alpha: uniform conductance-to-susceptance ratio, >= 0.
 
     The edges are stored in input order as three read-only arrays:
-    ``ends_i < ends_j`` (integers) and ``weights``.  ``edges`` is their
-    tuple view with Python ints and floats, built on first access.
+    ``ends_i < ends_j`` (integers) and ``weights``.  ``edges`` holds
+    their tuple view with Python ints and floats, built at construction.
     Connectivity is checked at construction; every analysis operation in
     this package assumes it.
     """
 
     n_nodes: int
-    edges: tuple[tuple[int, int, float], ...] = _EdgeView()
+    edges: tuple[tuple[int, int, float], ...]
     alpha: float
 
     def __post_init__(self) -> None:
@@ -82,7 +58,7 @@ class NetworkGraph:
         if not np.isfinite(self.alpha) or self.alpha < 0:
             raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         n_nodes = int(self.n_nodes)
-        ends_i, ends_j, weights = _validated_edges(n_nodes, self.__dict__.pop("_edges_given"))
+        ends_i, ends_j, weights = _validated_edges(n_nodes, self.edges)
         for arr in (ends_i, ends_j, weights):
             arr.setflags(write=False)
         object.__setattr__(self, "n_nodes", n_nodes)
@@ -90,6 +66,7 @@ class NetworkGraph:
         object.__setattr__(self, "ends_i", ends_i)
         object.__setattr__(self, "ends_j", ends_j)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "edges", tuple(zip(ends_i.tolist(), ends_j.tolist(), weights.tolist())))
         if _component_count(n_nodes, ends_i, ends_j) != 1:
             raise DisconnectedGraphError(
                 f"graph with {n_nodes} nodes and {weights.size} edges is not connected"

@@ -7,6 +7,7 @@ codes, stdout, and the files it writes.
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +16,12 @@ import numpy as np
 import pytest
 
 import gridloss.network
-from gridloss.cli import _parse_grid, main
+from gridloss.cli import _build_parser, _parse_grid, main
 from gridloss.dynamics import ControllerParams
 from gridloss.errors import ValidationError
 from gridloss.h2 import h2_dapi_closed_form, h2_droop_closed_form
 from gridloss.network import (
+    Laplacian,
     NetworkGraph,
     build_line_graph,
     build_random_connected_graph,
@@ -30,6 +32,7 @@ from gridloss.network import (
 from gridloss.tuning import optimal_gamma
 
 IEEE57 = Path(gridloss.network.__file__).parent / "data" / "ieee57.edges"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _read_rows(path):
@@ -108,6 +111,37 @@ class TestUsageErrors:
                      "--at-optimal-gamma", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--line", "5", "--param", "gamma", "--grid", "0:1e30:1e-30"],
+        ["scaling", "--n-grid", "0:10000000:1"],
+    ], ids=["grid", "n-grid"])
+    def test_oversized_grid(self, command, tmp_path, capsys):
+        # 1e60 and 10**7 + 1 points, both refused before they are allocated
+        out = tmp_path / "x.csv"
+        assert main([*command, "--out", str(out)]) == 2
+        assert "grid has more than 10000000 points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fractional_size_is_reported_as_a_plain_number(self, tmp_path, capsys):
+        assert main(["scaling", "--n-grid", "2:3:0.5", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: size grid must contain integers, got 2.5\n"
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--random", "3,0.5"],
+        ["simulate", "--line", "3", "--horizon", "1"],
+        ["scaling", "--n-grid", "3:4:1", "--seeds", "1"],
+    ], ids=["analyze", "simulate", "scaling"])
+    def test_negative_seed(self, command, tmp_path, capsys):
+        # numpy's generators refuse a negative seed; argparse refuses it first
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--seed", "-1", "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestComputationErrors:
@@ -205,6 +239,34 @@ class TestSpectrumCalls:
                      "--dt", "0.01", "--format", "json", "--out", str(tmp_path / "s.json")]) == 0
         capsys.readouterr()
         assert calls == {"eigh": 0, "eigvalsh": 0}
+
+
+class TestLaplacianBuilds:
+    """``analyze`` builds L_B for its spectrum and L_B and L_G in each of its
+    two assemblies; ``simulate`` builds L_B and L_G once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        real = Laplacian.__post_init__
+
+        def counted(laplacian):
+            count[0] += 1
+            real(laplacian)
+
+        monkeypatch.setattr(Laplacian, "__post_init__", counted)
+        return count
+
+    def test_analyze_builds_five(self, builds, tmp_path, capsys):
+        assert main(["analyze", "--random", "30,0.2", "--format", "json", "--out", str(tmp_path / "a.json")]) == 0
+        capsys.readouterr()
+        assert builds == [5]
+
+    def test_simulate_builds_two(self, builds, tmp_path, capsys):
+        assert main(["simulate", "--line", "6", "--horizon", "5", "--dt", "0.01",
+                     "--format", "json", "--out", str(tmp_path / "s.json")]) == 0
+        capsys.readouterr()
+        assert builds == [2]
 
 
 class TestAnalyze:
@@ -443,32 +505,45 @@ class TestScaling:
 
 
 class TestDesignPath:
-    def test_reads_no_edge_tuples(self, tmp_path, capsys, monkeypatch):
-        # the tuple view costs a Python object per edge; nothing here needs it
-        def refuse(view, graph, owner=None):
-            raise AssertionError("graph.edges was built")
-
-        monkeypatch.setattr(gridloss.network._EdgeView, "__get__", refuse)
-        for command in (["sweep", "--param", "k", "--grid", "0.5:2:0.5", "--at-optimal-gamma"],
-                        ["tune"]):
-            assert main([*command, "--random", "50,0.1", "--out", str(tmp_path / "out.csv")]) == 0
-        capsys.readouterr()
-
     def test_does_not_import_scipy_sparse(self, tmp_path):
-        # scipy.sparse adds about 0.05 s to every start-up
+        # importing scipy.linalg about doubles the start-up time and memory of
+        # a command; only the Gramian routes of analyze need it
+        target = str(tmp_path / "out")
         code = (
             "import sys\n"
-            "import gridloss\n"
             "from gridloss.cli import main\n"
-            "assert main(['sweep', '--random', '50,0.1', '--param', 'k', '--grid', '0.5:2:0.5',\n"
-            f"             '--at-optimal-gamma', '--out', {str(tmp_path / 'k.csv')!r}]) == 0\n"
-            "print('scipy.sparse' in sys.modules)\n"
+            "def scipy_loaded():\n"
+            "    return any(name.split('.')[0] == 'scipy' for name in sys.modules)\n"
+            "for argv in (['tune', '--random', '50,0.1'],\n"
+            "             ['sweep', '--random', '50,0.1', '--param', 'k', '--grid', '0.5:2:0.5', '--at-optimal-gamma'],\n"
+            "             ['scaling', '--n-grid', '3:5:1', '--seeds', '2'],\n"
+            "             ['simulate', '--line', '4', '--horizon', '1'],\n"
+            "             ['simulate', '--line', '4', '--horizon', '1', '--format', 'json']):\n"
+            f"    assert main([*argv, '--out', {target!r}]) == 0\n"
+            "    assert not scipy_loaded(), argv\n"
+            f"assert main(['analyze', '--line', '4', '--out', {target!r}]) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n"
         )
         src = str(Path(__import__("gridloss").__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "False"
+        assert out.stdout.splitlines()[-1] == "True"
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        # a renamed or removed flag would leave the README's examples stale
+        commands, in_sh = [], False
+        for line in README.read_text().splitlines():
+            if line.startswith("```"):
+                in_sh = line.strip() == "```sh"
+            elif in_sh and line.startswith("gridloss "):
+                commands.append(shlex.split(line, comments=True)[1:])
+        assert len(commands) >= 7
+        parser = _build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv).command == argv[0]
 
 
 class TestReproducibility:
