@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dynamics import ControllerParams, assemble_dapi, assemble_droop
+from .dynamics import ControllerParams, assemble_dapi, assemble_droop, droop_part
 from .errors import GridlossError, ValidationError
 from .h2 import h2_dapi_closed_form, h2_droop_closed_form, h2_full_gramian, h2_modal
 from .network import (
@@ -264,13 +264,16 @@ def _cmd_analyze(args) -> int:
     droop = {
         "closed_form": h2_droop_closed_form(alpha, params.m, graph.n_nodes),
         "modal_lyapunov": h2_modal(spectrum, params, alpha, "droop"),
-        "full_gramian": h2_full_gramian(assemble_droop(graph, params)),
     }
     dapi = {
         "closed_form": h2_dapi_closed_form(alpha, params, spectrum),
         "modal_lyapunov": h2_modal(spectrum, params, alpha, "dapi"),
-        "full_gramian": h2_full_gramian(assemble_dapi(graph, params)),
     }
+    # one assembly for both full Gramians; the modal routes have already
+    # refused tau = 0 and gamma = 0, so it neither fails nor warns
+    closed_loop = assemble_dapi(graph, params)
+    droop["full_gramian"] = h2_full_gramian(droop_part(closed_loop))
+    dapi["full_gramian"] = h2_full_gramian(closed_loop)
 
     def _spread(values: dict) -> float:
         norms = [res.squared_norm for res in values.values()]
@@ -430,6 +433,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if not (math.isfinite(args.init_perturb) and args.init_perturb >= 0):
+        raise ValidationError(f"--init-perturb must be finite and >= 0, got {args.init_perturb!r}")
+    if args.stride < 1:
+        raise ValidationError(f"--stride must be >= 1, got {args.stride}")
     graph, net_meta = _resolve_network(args)
     params = _resolve_params(args)
     if args.controller == "droop":
@@ -441,7 +448,7 @@ def _cmd_simulate(args) -> int:
         initial = phase_perturbation(graph.n_nodes, ss.n_states, args.init_perturb, args.seed)
     config = SimConfig(dt=args.dt, horizon=args.horizon, burn_in=args.burn_in,
                        noise_intensity=args.noise, seed=args.seed, initial_state=initial)
-    trajectory = simulate(ss, ss.l_g, config)
+    trajectory = simulate(ss, config)
 
     total = integrated_loss(trajectory)
     summary = {

@@ -118,15 +118,6 @@ class StateSpace:
         c.setflags(write=False)
         return c
 
-    def dump(self, path) -> None:
-        """Write A, B, C as plain text: per block a 'rows cols' header line,
-        then one line per row of whitespace-separated floats."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for mat in (self.a, self.b, self.c):
-                fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-                for row in mat:
-                    fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
 
 @dataclass(frozen=True)
 class ModalSubsystem:
@@ -165,11 +156,10 @@ def assemble_droop(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
         A = [[ 0,            I        ],      B = [[ 0   ],
              [ -(m/tau) L_B, -(1/tau) I ]]         [ I/tau]]
 
-    with loss weight L_G = alpha * L_B.  These are the leading 2N rows and
-    columns of the DAPI system, bit for bit.  Neither k nor gamma enters.
-    Raises AssemblyError when tau == 0.
+    with loss weight L_G = alpha * L_B: ``droop_part`` of the DAPI system.
+    Neither k nor gamma enters.  Raises AssemblyError when tau == 0.
     """
-    return _assemble(graph, params, "droop")
+    return droop_part(_assemble(graph, params))
 
 
 def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
@@ -184,7 +174,7 @@ def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
     warning: the averaging layer then contributes N-1 marginal modes and
     every norm route will refuse the system.
     """
-    ss = _assemble(graph, params, "dapi")
+    ss = _assemble(graph, params)
     if params.gamma == 0:
         warnings.warn(
             "gamma is zero: integrator states do not communicate, the closed "
@@ -195,8 +185,16 @@ def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
     return ss
 
 
-def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> StateSpace:
-    # the DAPI system; droop keeps its leading (theta, omega) blocks
+def droop_part(ss: StateSpace) -> StateSpace:
+    """The droop loop inside a closed loop: its leading 2N rows and columns
+    (theta, omega), bit for bit, with the same loss weight.  The DAPI
+    integrator enters the droop blocks nowhere, so one DAPI assembly serves
+    both controllers."""
+    s = 2 * ss.n_nodes
+    return StateSpace(a=ss.a[:s, :s], b=ss.b[:s], l_g=ss.l_g, controller_kind="droop")
+
+
+def _assemble(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
     lb = susceptance_laplacian(graph).matrix
@@ -209,9 +207,8 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
         [zero, -(1.0 / params.k) * eye, -(1.0 / params.k) * (params.gamma * lb)],
     ])
     b = np.vstack([zero, eye / params.tau, zero])
-    s = (2 if kind == "droop" else 3) * n
     l_g = Laplacian(matrix=graph.alpha * lb, kind="conductance")
-    return StateSpace(a=a[:s, :s], b=b[:s], l_g=l_g, controller_kind=kind)
+    return StateSpace(a=a, b=b, l_g=l_g, controller_kind="dapi")
 
 
 def modal_subsystems(

@@ -21,7 +21,9 @@ products.  Blocks of at most 64 rows go to LAPACK's ``dtrsyl``; every system
 of at most 64 states, the 2x2/3x3 modal Gramians included, is one
 ``dtrsyl`` call.  If a block needs ``dtrsyl``'s overflow scaling, the
 partial result is dropped and the whole equation goes to one ``dtrsyl``
-call.  The solver imports ``scipy.linalg`` when it runs, so importing
+call.  Around it the solver forms five dense products: U_r' Q_r U_r from
+the r rows of U that meet Q's nonzero leading block, U Y U', and A' X for
+the residual.  It imports ``scipy.linalg`` when it runs, so importing
 gridloss, and every command but ``analyze``, loads numpy alone.
 
 The modal and full-Gramian routes share one Lyapunov solver but build their
@@ -145,7 +147,11 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A' X + X A = -Q for Hurwitz A and symmetric Q.
 
     Bartels-Stewart: one real Schur form A' = U T U' serves both the Hurwitz
-    check and the triangular solve T Y + Y T' = -U' Q U.  That solve is
+    check and the triangular solve T Y + Y T' = -U' Q U.  When Q is zero
+    outside its leading r x r block Q_r (r = N - 1 of the full-Gramian
+    route's 2N - 1 or 3N - 1 states, r = 1 in a modal block), U' Q U is
+    formed as U_r' Q_r U_r from the first r rows of U; r is read off Q, and
+    a dense Q has r = n.  That solve is
     recursive and blocked (Jonsson & Kagstrom 2002, ACM TOMS 28(4)): T is
     cut at its midpoint, one row further where the cut would split a 2x2
     block; Y22 is solved first, then the Sylvester block T11 Y12 + Y12 T22'
@@ -154,10 +160,11 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     ones symmetrised, so for n <= 64 the solve is one ``dtrsyl`` call, as in
     ``scipy.linalg.solve_continuous_lyapunov``.  If any block comes back
     with an overflow scale below 1, the whole equation is handed to one
-    ``dtrsyl`` call instead.  The residual is checked as a
-    backward error: against 1e-8 of 2 max|A| max|X| + max|Q|, the scale of
-    the terms it is the sum of, so a lightly damped system with a large
-    Gramian is judged by the rounding its solve can reach.
+    ``dtrsyl`` call instead.  X = U Y U' is symmetrised, so the residual
+    A' X + X A + Q is M + M' + Q from the one product M = A' X.  It is
+    checked as a backward error: against 1e-8 of 2 max|A| max|X| + max|Q|,
+    the scale of the terms it is the sum of, so a lightly damped system with
+    a large Gramian is judged by the rounding its solve can reach.
 
     Raises:
         StabilityError: A has an eigenvalue with real part >= -1e-10 *
@@ -182,11 +189,17 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise StabilityError(
             f"matrix is not safely Hurwitz (max eigenvalue real part {np.max(real_parts):.3e})"
         )
-    f = u.T @ (-q @ u)
+    # Q = blockdiag(Q_r, 0) gives U' Q U = U_r' Q_r U_r, U_r the first r rows
+    r = int(np.max(np.flatnonzero(q.any(axis=0) | q.any(axis=1)), initial=-1)) + 1
+    u_r = u[:r]
+    f = u_r.T @ (-q[:r, :r] @ u_r)
     y, scale = _solve_quasi_triangular(t, f)
     x = u @ (y * scale) @ u.T
     x = (x + x.T) / 2.0
-    residual = float(np.max(np.abs(a.T @ x + x @ a + q)))
+    # X is exactly symmetric, so X A = (A' X)'
+    m = a.T @ x
+    m = m + m.T + q
+    residual = float(np.max(np.abs(m, out=m)))
     terms = 2.0 * float(np.max(np.abs(a), initial=0.0)) * float(np.max(np.abs(x), initial=0.0)) + q_scale
     if not residual <= 1e-8 * terms:
         raise LyapunovSolveError(
@@ -323,9 +336,9 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     n = ss.n_nodes
     basis = _ones_complement_basis(n)
     # the congruence by blockdiag(basis, I, ...) touches only the theta
-    # rows and columns
-    rows = np.vstack([basis.T @ ss.a[:n], ss.a[n:]])
-    a = np.hstack([rows[:, :n] @ basis, rows[:, n:]])
+    # rows and columns; the half-transformed copy is dropped before the solve
+    a = np.vstack([basis.T @ ss.a[:n], ss.a[n:]])
+    a = np.hstack([a[:, :n] @ basis, a[:, n:]])
     b = np.vstack([basis.T @ ss.b[:n], ss.b[n:]])
     q = np.zeros_like(a)
     q[:n - 1, :n - 1] = basis.T @ ss.l_g.matrix @ basis

@@ -408,23 +408,6 @@ def susceptance_laplacian(graph: NetworkGraph) -> Laplacian:
     return Laplacian(matrix=lb, kind="susceptance")
 
 
-def laplacians(graph: NetworkGraph, gamma: float) -> tuple[Laplacian, Laplacian, Laplacian]:
-    """Susceptance, conductance, and communication Laplacians of a graph.
-
-    The conductance and communication matrices are built by scaling the
-    susceptance Laplacian by ``alpha`` and ``gamma``, so the proportionality
-    is exact entrywise.  Callers that read only L_B use
-    ``susceptance_laplacian``.
-    """
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma < 0:
-        raise ValidationError(f"gamma must be finite and >= 0, got {gamma!r}")
-    l_b = susceptance_laplacian(graph)
-    l_g = Laplacian(matrix=graph.alpha * l_b.matrix, kind="conductance")
-    l_c = Laplacian(matrix=gamma * l_b.matrix, kind="communication")
-    return l_b, l_g, l_c
-
-
 def spectral_decomposition(laplacian: Laplacian) -> Spectrum:
     """Orthonormal eigendecomposition with the zero mode pinned.
 

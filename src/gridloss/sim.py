@@ -143,8 +143,9 @@ def phase_perturbation(n_nodes: int, n_states: int, scale: float, seed: int) -> 
     return x0
 
 
-def simulate(ss: StateSpace, l_g: Laplacian, config: SimConfig) -> Trajectory:
-    """Euler-Maruyama integration of the closed loop under white noise.
+def simulate(ss: StateSpace, config: SimConfig) -> Trajectory:
+    """Euler-Maruyama integration of the closed loop under white noise,
+    with the loss theta' L_G theta weighted by the system's own ``l_g``.
 
     The step map is x <- x + dt A x + sqrt(dt noise_intensity) B xi with
     standard normal xi, after which the phase block is recentred to zero
@@ -171,9 +172,6 @@ def simulate(ss: StateSpace, l_g: Laplacian, config: SimConfig) -> Trajectory:
             the largest usable step in the message.
     """
     n = ss.n_nodes
-    if l_g.n_nodes != n:
-        raise ValidationError(f"Laplacian is {l_g.n_nodes}-node but system has {n} nodes")
-
     eigs = np.linalg.eigvals(ss.a)
     scale = max(float(np.max(np.abs(ss.a))), 1e-300)
     tol = 1e-9 * scale
@@ -225,7 +223,7 @@ def simulate(ss: StateSpace, l_g: Laplacian, config: SimConfig) -> Trajectory:
         states[1:] = 0.0
     _scan(states, step)
 
-    lg = l_g.matrix
+    lg = ss.l_g.matrix
     loss = np.empty(n_steps + 1)
     for row in range(0, n_steps + 1, chunk):
         theta = states[row:row + chunk, :n]

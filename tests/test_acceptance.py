@@ -30,13 +30,13 @@ from gridloss import (
     h2_modal,
     ingest_edge_list,
     integrated_loss,
-    laplacians,
     loss_reduction_vs_k,
     optimal_gamma,
     optimal_gamma_complete,
     phase_perturbation,
     simulate,
     spectral_decomposition,
+    susceptance_laplacian,
     sweep,
 )
 
@@ -82,7 +82,7 @@ def test_criterion_01_three_routes_agree():
     start = time.monotonic()
     worst = 0.0
     for graph, params in _random_network_draws():
-        spectrum = spectral_decomposition(laplacians(graph, params.gamma)[0])
+        spectrum = spectral_decomposition(susceptance_laplacian(graph))
         droop = (
             h2_droop_closed_form(graph.alpha, params.m, graph.n_nodes).squared_norm,
             h2_modal(spectrum, params, graph.alpha, "droop").squared_norm,
@@ -114,7 +114,7 @@ def test_criterion_02_droop_per_mode_value():
         graph = build_random_connected_graph(
             n, float(rng.uniform(0.3, 0.9)), (0.5, 1.5), alpha,
             seed=int(rng.integers(0, 2**31)))
-        spectrum = spectral_decomposition(laplacians(graph, 1.0)[0])
+        spectrum = spectral_decomposition(susceptance_laplacian(graph))
         # per-mode droop loss must be alpha/(2m) no matter the eigenvalue,
         # and must ignore k and gamma entirely
         for k, gamma in ((1.0, 1.0), (3.7, 0.2)):
@@ -133,7 +133,7 @@ def test_criterion_03_dapi_strictly_below_droop():
     violations = 0
     min_ratio = np.inf
     for graph, params in _random_network_draws():
-        spectrum = spectral_decomposition(laplacians(graph, params.gamma)[0])
+        spectrum = spectral_decomposition(susceptance_laplacian(graph))
         droop = h2_droop_closed_form(graph.alpha, params.m, graph.n_nodes).squared_norm
         dapi = h2_dapi_closed_form(graph.alpha, params, spectrum).squared_norm
         if not dapi < droop:
@@ -163,7 +163,7 @@ def test_criterion_04_complete_graph_gain_formula():
         k = float(rng.uniform(0.2, 5.0))
         params = ControllerParams(m=m, tau=tau, k=k)
         graph = build_complete_graph(n, b, 1.0)
-        spectrum = spectral_decomposition(laplacians(graph, 1.0)[0])
+        spectrum = spectral_decomposition(susceptance_laplacian(graph))
         numeric = optimal_gamma(spectrum, params, 1.0).gamma_star
         closed = optimal_gamma_complete(n, b, k, m, tau)
         worst = max(worst, abs(numeric - closed))
@@ -171,7 +171,7 @@ def test_criterion_04_complete_graph_gain_formula():
     for j in range(10):
         m = 0.3 + 0.02 * j  # keeps N*b*m*tau in (0.6, 0.98]
         params = ControllerParams(m=m, tau=1.0, k=1.0)
-        spectrum = spectral_decomposition(laplacians(build_complete_graph(2, 1.0, 1.0), 1.0)[0])
+        spectrum = spectral_decomposition(susceptance_laplacian(build_complete_graph(2, 1.0, 1.0)))
         numeric = optimal_gamma(spectrum, params, 1.0).gamma_star
         closed = optimal_gamma_complete(2, 1.0, 1.0, m, 1.0)
         boundary_ok = boundary_ok and numeric == 0.0 and closed == 0.0
@@ -185,7 +185,7 @@ def test_criterion_04_complete_graph_gain_formula():
 
 def test_criterion_05_gamma_sweep_minimum_location():
     graph = build_complete_graph(50, 1.0, 1.0)
-    spectrum = spectral_decomposition(laplacians(graph, 1.0)[0])
+    spectrum = spectral_decomposition(susceptance_laplacian(graph))
     grid = np.linspace(0.0, 4.0, 401)
     verdicts = []
     details = []
@@ -225,7 +225,7 @@ def test_criterion_06_topology_ordering_with_size():
             line_graph = build_line_graph(n, rng.uniform(0.5, 1.5, n - 1), 1.0)
             complete_graph = _random_complete_graph(n, rng, 1.0)
             for graph, bucket in ((line_graph, line_norms), (complete_graph, complete_norms)):
-                spectrum = spectral_decomposition(laplacians(graph, 1.0)[0])
+                spectrum = spectral_decomposition(susceptance_laplacian(graph))
                 bucket.append(h2_dapi_closed_form(1.0, params, spectrum).squared_norm)
         droop = h2_droop_closed_form(1.0, params.m, n).squared_norm
         mean_line = float(np.mean(line_norms))
@@ -247,18 +247,16 @@ def test_criterion_07_empirical_norms_match_analytic():
 
     graph = build_complete_graph(3, 1.0, 1.0)
     params = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
-    cases.append(("triangle dapi", assemble_dapi(graph, params),
-                  laplacians(graph, 1.0)[1], 15.0 / 19.0))
+    cases.append(("triangle dapi", assemble_dapi(graph, params), 15.0 / 19.0))
 
     graph = build_line_graph(20, np.ones(19), 1.0)
-    cases.append(("line droop", assemble_droop(graph, params),
-                  laplacians(graph, 1.0)[1], 9.5))
+    cases.append(("line droop", assemble_droop(graph, params), 9.5))
 
     ok = True
     details = []
-    for name, ss, lg, target in cases:
+    for name, ss, target in cases:
         start = time.monotonic()
-        trajectory = simulate(ss, lg, config)
+        trajectory = simulate(ss, config)
         elapsed = time.monotonic() - start
         estimate, stderr = empirical_h2(trajectory, config)
         within_sigma = abs(estimate - target) <= _EMPIRICAL_SIGMA * stderr
@@ -277,14 +275,13 @@ def test_criterion_07_empirical_norms_match_analytic():
 
 def test_criterion_08_integrated_loss_vs_gamma():
     graph = build_line_graph(20, np.ones(19), 1.0)
-    lg = laplacians(graph, 1.0)[1]
     initial = phase_perturbation(20, 60, 0.1, seed=42)
     config = SimConfig(dt=0.005, horizon=500.0, noise_intensity=1.0,
                        seed=0, initial_state=initial)
     losses = {}
     for gamma in (0.1, 10.0):
         params = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=gamma)
-        trajectory = simulate(assemble_dapi(graph, params), lg, config)
+        trajectory = simulate(assemble_dapi(graph, params), config)
         losses[gamma] = integrated_loss(trajectory)
     passed = losses[10.0] > losses[0.1]
     line = _report(8, passed,
@@ -334,7 +331,7 @@ def test_criterion_09_stability_everywhere():
 def test_criterion_10_benchmark_network_trends():
     path = resources.files("gridloss.data") / "ieee57.edges"
     graph = ingest_edge_list(str(path))
-    spectrum = spectral_decomposition(laplacians(graph, 1.0)[0])
+    spectrum = spectral_decomposition(susceptance_laplacian(graph))
     k_grid = np.linspace(0.1, 10.0, 12)
     reduction = loss_reduction_vs_k(spectrum, 1.0, 1.0, 1.0, k_grid)
     gains = gamma_star_vs_k(spectrum, 1.0, 1.0, 1.0, k_grid)

@@ -7,6 +7,7 @@ codes, stdout, and the files it writes.
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gridloss.cli
 import gridloss.network
 from gridloss.cli import _build_parser, _parse_grid, main
 from gridloss.dynamics import ControllerParams
@@ -26,13 +28,19 @@ from gridloss.network import (
     build_line_graph,
     build_random_connected_graph,
     laplacian_eigenvalues,
-    laplacians,
     spectral_decomposition,
+    susceptance_laplacian,
 )
 from gridloss.tuning import optimal_gamma
 
 IEEE57 = Path(gridloss.network.__file__).parent / "data" / "ieee57.edges"
 README = Path(__file__).resolve().parents[1] / "README.md"
+_TAU_ZERO = ("filter time constant tau is zero: the loop degenerates to first order "
+             "and has no state-space form here; use the closed-form norm route")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("simulate was called")
 
 
 def _read_rows(path):
@@ -143,6 +151,21 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(("flags", "message"), [
+        (["--init-perturb", "-1"], "--init-perturb must be finite and >= 0, got -1.0"),
+        (["--init-perturb", "nan"], "--init-perturb must be finite and >= 0, got nan"),
+        (["--init-perturb", "inf", "--format", "json"], "--init-perturb must be finite and >= 0, got inf"),
+        (["--stride", "0"], "--stride must be >= 1, got 0"),
+        (["--stride", "0", "--format", "json"], "--stride must be >= 1, got 0"),
+    ], ids=["perturb-negative", "perturb-nan", "perturb-inf-json", "stride-0", "stride-0-json"])
+    def test_bad_simulate_flag(self, flags, message, monkeypatch, tmp_path, capsys):
+        # refused before anything is simulated, so no file and no sidecar
+        monkeypatch.setattr(gridloss.cli, "simulate", _refuse)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--line", "3", "--horizon", "1", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestComputationErrors:
     def test_missing_edge_file_exits_one(self, capsys):
@@ -154,6 +177,20 @@ class TestComputationErrors:
         code = main(["analyze", "--line", "10", "--gamma", "0"])
         assert code == 1
         assert "stable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("flags", "message"), [
+        (["--line", "20", "--tau", "1e-9", "--m", "0.01"],
+         "matrix is not safely Hurwitz (max eigenvalue real part -2.462e-04)"),
+        (["--line", "10", "--gamma", "0"],
+         "mode 2 (eigenvalue 0.097887) is not asymptotically stable; the steady-state loss is unbounded"),
+        (["--line", "10", "--tau", "0"], _TAU_ZERO),
+        (["--line", "10", "--gamma", "0", "--tau", "0"], _TAU_ZERO),
+    ], ids=["stiff", "gamma-0", "tau-0", "gamma-0-tau-0"])
+    def test_analyze_reports_the_first_refusal(self, flags, message, capsys):
+        # droop routes before DAPI ones, and both modal routes before the
+        # one assembly, so gamma = 0 is refused without its assembly warning
+        assert main(["analyze", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_coarse_step_on_stiff_system_exits_one(self, tmp_path, capsys):
         code = main(["simulate", "--line", "5", "--controller", "droop",
@@ -242,8 +279,9 @@ class TestSpectrumCalls:
 
 
 class TestLaplacianBuilds:
-    """``analyze`` builds L_B for its spectrum and L_B and L_G in each of its
-    two assemblies; ``simulate`` builds L_B and L_G once."""
+    """``analyze`` builds L_B for its spectrum, and L_B and L_G in its one
+    DAPI assembly, whose leading blocks are the droop loop: 3 in all.
+    ``simulate`` builds L_B and L_G once."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -257,10 +295,10 @@ class TestLaplacianBuilds:
         monkeypatch.setattr(Laplacian, "__post_init__", counted)
         return count
 
-    def test_analyze_builds_five(self, builds, tmp_path, capsys):
+    def test_analyze_builds_three(self, builds, tmp_path, capsys):
         assert main(["analyze", "--random", "30,0.2", "--format", "json", "--out", str(tmp_path / "a.json")]) == 0
         capsys.readouterr()
-        assert builds == [5]
+        assert builds == [3]
 
     def test_simulate_builds_two(self, builds, tmp_path, capsys):
         assert main(["simulate", "--line", "6", "--horizon", "5", "--dt", "0.01",
@@ -398,7 +436,7 @@ class TestSweep:
         capsys.readouterr()
         payload = json.loads(out.read_text())
         graph = build_random_connected_graph(30, 0.2, (0.5, 1.5), 1.0, seed=4)
-        spectrum = laplacian_eigenvalues(laplacians(graph, 0.0)[0])
+        spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
         droop = 1.0 * (30 - 1) / (2.0 * 1.5)
         assert len(payload["grid"]) == 16
         for k, reduction, gain in zip(payload["grid"], payload["loss_reduction"], payload["gamma_star"]):
@@ -491,7 +529,7 @@ class TestScaling:
                 weights = rng.uniform(0.5, 1.5, len(pairs))
                 complete = NetworkGraph(n, tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights)), 1.0)
                 for graph, bucket in ((line, line_norms), (complete, complete_norms)):
-                    spectrum = spectral_decomposition(laplacians(graph, params.gamma)[0])
+                    spectrum = spectral_decomposition(susceptance_laplacian(graph))
                     bucket.append(h2_dapi_closed_form(1.0, params, spectrum).squared_norm)
             droop = h2_droop_closed_form(1.0, params.m, n).squared_norm
             expected.append([float(n), droop, float(np.mean(complete_norms)), float(np.mean(line_norms))])
@@ -544,6 +582,16 @@ class TestReadme:
         parser = _build_parser()
         for argv in commands:
             assert parser.parse_args(argv).command == argv[0]
+
+    def test_library_example_runs(self, capsys):
+        # a stale call or a removed name in the README's example fails here;
+        # the simulation is shortened 100-fold to keep the test fast
+        (code,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+        long_run = "horizon=2000.0, burn_in=200.0"
+        assert code.count(long_run) == 1
+        exec(compile(code.replace(long_run, "horizon=20.0, burn_in=2.0"), str(README), "exec"), {})
+        loss, empirical = capsys.readouterr().out.splitlines()
+        assert loss.startswith("loss ") and empirical.startswith("empirical ")
 
 
 class TestReproducibility:

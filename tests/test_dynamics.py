@@ -15,6 +15,7 @@ from gridloss.dynamics import (
     assemble_dapi,
     assemble_droop,
     check_stability,
+    droop_part,
     modal_subsystems,
     verify_modal_equivalence,
 )
@@ -27,13 +28,13 @@ from gridloss.network import (
     build_line_graph,
     build_random_connected_graph,
     laplacian_eigenvalues,
-    laplacians,
     spectral_decomposition,
+    susceptance_laplacian,
 )
 
 
 def _spectrum_of(graph):
-    return spectral_decomposition(laplacians(graph, 1.0)[0])
+    return spectral_decomposition(susceptance_laplacian(graph))
 
 
 def _zero_laplacian(n):
@@ -189,7 +190,7 @@ class TestModalSubsystems:
         # the modal blocks stand for the closed loop in the eigenvector basis,
         # so only the check against the assembled loop needs the vectors
         g = build_line_graph(4, [1.0] * 3, alpha=1.0)
-        spec = laplacian_eigenvalues(laplacians(g, 1.0)[0])
+        spec = laplacian_eigenvalues(susceptance_laplacian(g))
         p = ControllerParams(m=1.0, tau=1.0)
         subs = modal_subsystems(spec, p, alpha=1.0, kind="dapi")
         with pytest.raises(ValidationError, match="spectral_decomposition"):
@@ -207,7 +208,7 @@ class TestModalSubsystems:
     )
     def test_eigenvalue_only_spectrum_gives_the_same_modal_norm(self, n, seed, alpha, m, tau, k, gamma):
         g = build_random_connected_graph(n, min(1.0, 3.0 / n + 0.1), (0.5, 1.5), alpha=alpha, seed=seed)
-        lb = laplacians(g, 1.0)[0]
+        lb = susceptance_laplacian(g)
         p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
         for kind in ("droop", "dapi"):
             want = h2_modal(spectral_decomposition(lb), p, alpha, kind).squared_norm
@@ -273,13 +274,18 @@ class TestDroopIsLeadingDapiBlock:
     )
     def test_droop_equals_leading_dapi_blocks(self, n, p, seed, alpha, m, tau, k, gamma):
         # the droop loop is the DAPI loop without its averaging layer: the
-        # leading 2N rows and columns must match bit for bit
+        # leading 2N rows and columns must match bit for bit, and droop_part
+        # cuts exactly those from an assembled DAPI loop
         g = build_random_connected_graph(n, p, (0.5, 1.5), alpha=alpha, seed=seed)
         params = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
         droop, dapi = assemble_droop(g, params), assemble_dapi(g, params)
         assert np.array_equal(droop.a, dapi.a[:2 * n, :2 * n])
         assert np.array_equal(droop.b, dapi.b[:2 * n])
         assert np.array_equal(droop.c, dapi.c[:, :2 * n])
+        part = droop_part(dapi)
+        assert part.controller_kind == "droop" and part.l_g is dapi.l_g
+        assert part.a.tobytes() == droop.a.tobytes() and part.b.tobytes() == droop.b.tobytes()
+        assert droop.l_g.matrix.tobytes() == dapi.l_g.matrix.tobytes()
 
 
 class TestModalEquivalence:
@@ -345,22 +351,6 @@ class TestStateSpaceType:
         with pytest.raises(ValidationError):
             ModalSubsystem(mode_index=1, eigenvalue=1.0, a=np.eye(4), b=np.zeros((4, 1)), c=np.zeros((1, 4)))
 
-    def test_dump_round_trip(self, tmp_path):
-        g = build_line_graph(3, [1.0, 2.0], alpha=1.0)
-        ss = assemble_dapi(g, ControllerParams(m=0.3, tau=0.7, k=1.1, gamma=2.0))
-        path = tmp_path / "system.txt"
-        ss.dump(path)
-        tokens = path.read_text().split()
-        pos = 0
-        for mat in (ss.a, ss.b, ss.c):
-            rows, cols = int(tokens[pos]), int(tokens[pos + 1])
-            assert (rows, cols) == mat.shape
-            pos += 2
-            block = np.array(tokens[pos:pos + rows * cols], dtype=float).reshape(rows, cols)
-            assert np.array_equal(block, mat)
-            pos += rows * cols
-        assert pos == len(tokens)
-
 
 class TestDerivedOutput:
     """``StateSpace`` carries the loss weight L_G; its output matrix C is
@@ -404,7 +394,7 @@ class TestDerivedOutput:
         p = ControllerParams(m=1.0, tau=1.0, k=2.0, gamma=0.5)
         for ss in (assemble_droop(g, p), assemble_dapi(g, p)):
             assert ss.l_g.kind == "conductance"
-            assert ss.l_g.matrix.tobytes() == (g.alpha * laplacians(g, 0.5)[0].matrix).tobytes()
+            assert ss.l_g.matrix.tobytes() == (g.alpha * susceptance_laplacian(g).matrix).tobytes()
 
 
 def _refuse(*args, **kwargs):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridloss.dynamics
@@ -26,13 +26,13 @@ from gridloss.network import (
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
-    laplacians,
     spectral_decomposition,
+    susceptance_laplacian,
 )
 
 
 def _spectrum_of(graph):
-    return spectral_decomposition(laplacians(graph, 1.0)[0])
+    return spectral_decomposition(susceptance_laplacian(graph))
 
 
 def _stable_random(n, rng):
@@ -213,6 +213,28 @@ class TestSolveLyapunov:
             assert np.array_equal(x, expected)
         else:
             assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 130), fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(n=100, fraction=0.0, seed=1)
+    @example(n=5, fraction=0.5, seed=2)
+    @example(n=100, fraction=0.5, seed=3)
+    @example(n=130, fraction=1.0, seed=4)
+    def test_zero_padded_weight_matches_scipy(self, n, fraction, seed):
+        # Q = blockdiag(Q_r, 0) is projected from the first r rows of U only;
+        # r = 0 (Q = 0, X = 0), r < n, and n > 64 for the recursive stage
+        r = int(fraction * n)
+        rng = np.random.default_rng(seed)
+        a = _stable_random(n, rng)
+        c = rng.standard_normal((2, r))
+        q = np.zeros((n, n))
+        q[:r, :r] = c.T @ c
+        expected = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+        x = solve_lyapunov(a, q)
+        assert np.array_equal(x, x.T)
+        if r == 0:
+            assert not x.any()
+        assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     # solve_lyapunov keeps only the symmetric part of Y, and the recursive
     # stage returns an exactly symmetric Y; the whole-matrix dtrsyl keeps a

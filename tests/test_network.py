@@ -5,13 +5,14 @@ import importlib.resources
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridloss.dynamics import ControllerParams
+from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import (
     DisconnectedGraphError,
     EdgeListParseError,
@@ -27,7 +28,6 @@ from gridloss.network import (
     build_random_connected_graph,
     ingest_edge_list,
     laplacian_eigenvalues,
-    laplacians,
     spectral_decomposition,
     susceptance_laplacian,
 )
@@ -44,11 +44,27 @@ def _edge_loop_laplacian(graph):
 
 
 def _assert_matches_edge_loop(graph, gamma):
+    # L_B, and L_G = alpha L_B and L_C = gamma L_B as the DAPI loop carries
+    # them: its loss weight and, with k = 1, its -L_C integrator block
     reference = _edge_loop_laplacian(graph)
-    lb, lg, lc = laplacians(graph, gamma)
-    for got, want in ((lb, reference), (lg, graph.alpha * reference), (lc, gamma * reference)):
-        assert got.matrix.dtype == want.dtype and got.matrix.shape == want.shape
-        assert got.matrix.tobytes() == want.tobytes()
+    ss = _dapi_loop(graph, gamma)
+    n = graph.n_nodes
+    for got, want in ((susceptance_laplacian(graph).matrix, reference),
+                      (ss.l_g.matrix, graph.alpha * reference),
+                      (ss.a[2 * n:, 2 * n:], -(gamma * reference))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _dapi_loop(graph, gamma, k=1.0):
+    with warnings.catch_warnings():
+        # gamma = 0 is assembled with a RuntimeWarning
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return assemble_dapi(graph, ControllerParams(m=1.0, tau=1.0, k=k, gamma=gamma))
+
+
+def _loss_weight(graph):
+    return assemble_droop(graph, ControllerParams(m=1.0, tau=1.0)).l_g
 
 
 def _reference_graph_edges(n_nodes, edges):
@@ -198,7 +214,7 @@ def _reference_laplacian_verdict(mat):
 class TestNetworkGraph:
     def test_two_node_line(self):
         g = build_line_graph(2, [1.0], alpha=1.0)
-        lb, _, _ = laplacians(g, gamma=1.0)
+        lb = susceptance_laplacian(g)
         assert np.array_equal(lb.matrix, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_disconnected_rejected(self):
@@ -281,7 +297,7 @@ class TestNetworkGraph:
 class TestBuilders:
     def test_line_graph_weighted(self):
         g = build_line_graph(3, [2.0, 3.0], alpha=0.5)
-        lb, _, _ = laplacians(g, gamma=1.0)
+        lb = susceptance_laplacian(g)
         expected = np.array([[2.0, -2.0, 0.0], [-2.0, 5.0, -3.0], [0.0, -3.0, 3.0]])
         assert np.array_equal(lb.matrix, expected)
 
@@ -292,7 +308,7 @@ class TestBuilders:
     def test_complete_graph_edge_count(self):
         g = build_complete_graph(5, b=2.0, alpha=1.0)
         assert len(g.edges) == 10
-        lb, _, _ = laplacians(g, gamma=0.0)
+        lb = susceptance_laplacian(g)
         assert np.allclose(np.diag(lb.matrix), 8.0)
 
     def test_complete_graph_per_pair_weights(self):
@@ -362,17 +378,18 @@ class TestBuilders:
 class TestLaplacians:
     def test_scaling_is_exact(self):
         g = build_random_connected_graph(9, 0.4, (0.5, 1.5), alpha=0.3, seed=2)
-        lb, lg, lc = laplacians(g, gamma=2.5)
-        assert np.array_equal(lg.matrix, 0.3 * lb.matrix)
-        assert np.array_equal(lc.matrix, 2.5 * lb.matrix)
-        assert (lb.kind, lg.kind, lc.kind) == ("susceptance", "conductance", "communication")
+        lb = susceptance_laplacian(g)
+        ss = _dapi_loop(g, gamma=2.5, k=0.5)
+        assert np.array_equal(ss.l_g.matrix, 0.3 * lb.matrix)
+        assert np.array_equal(ss.a[18:, 18:], -2.0 * (2.5 * lb.matrix))
+        assert (lb.kind, ss.l_g.kind) == ("susceptance", "conductance")
 
     def test_row_sums_and_offdiagonal_signs(self):
         rng = np.random.default_rng(11)
         for seed in range(20):
             n = int(rng.integers(2, 25))
             g = build_random_connected_graph(n, 0.4, (0.5, 1.5), alpha=1.0, seed=seed)
-            lb, _, _ = laplacians(g, gamma=1.0)
+            lb = susceptance_laplacian(g)
             scale = np.max(np.abs(lb.matrix))
             assert np.all(np.abs(lb.matrix.sum(axis=1)) <= 1e-12 * scale)
             off = lb.matrix - np.diag(np.diag(lb.matrix))
@@ -381,7 +398,7 @@ class TestLaplacians:
 
     def test_matrix_is_read_only(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
-        lb, _, _ = laplacians(g, gamma=1.0)
+        lb = susceptance_laplacian(g)
         with pytest.raises(ValueError):
             lb.matrix[0, 0] = 99.0
 
@@ -406,27 +423,29 @@ class TestLaplacians:
         base = h2_dapi_closed_form(1.0, params, spectrum)
         for a in (alpha, 2.0 ** exponent):
             graph = NetworkGraph(unit.n_nodes, unit.edges, a)
-            lb, lg, _ = laplacians(graph, gamma)
+            lb, lg = susceptance_laplacian(graph), _loss_weight(graph)
             assert lg.matrix.tobytes() == (a * lb.matrix).tobytes()
             assert lb.matrix.tobytes() == susceptance_laplacian(unit).matrix.tobytes()
             scaled = h2_dapi_closed_form(a, params, spectrum)
             if a == 2.0 ** exponent:
-                assert lg.matrix.tobytes() == (a * laplacians(unit, gamma)[1].matrix).tobytes()
+                assert lg.matrix.tobytes() == (a * _loss_weight(unit).matrix).tobytes()
                 assert scaled.per_mode.tobytes() == (a * base.per_mode).tobytes()
                 assert scaled.squared_norm == a * base.squared_norm
             else:
                 assert scaled.squared_norm == pytest.approx(a * base.squared_norm, rel=1e-15, abs=0.0)
 
     def test_susceptance_laplacian_is_the_first_of_three(self):
+        # L_B, from which the assembly scales L_G and L_C, enters the swing
+        # block of the closed loop as -(m/tau) L_B
         g = build_random_connected_graph(30, 0.2, (0.5, 1.5), alpha=0.7, seed=4)
         lb = susceptance_laplacian(g)
         assert lb.kind == "susceptance" and not lb.matrix.flags.writeable
-        assert lb.matrix.tobytes() == laplacians(g, 1.3)[0].matrix.tobytes()
+        assert _dapi_loop(g, 1.3).a[30:60, :30].tobytes() == (-lb.matrix).tobytes()
 
     def test_gamma_zero_gives_zero_communication_matrix(self):
+        # the integrator block -(1/k) L_C of the DAPI loop vanishes
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
-        _, _, lc = laplacians(g, gamma=0.0)
-        assert np.array_equal(lc.matrix, np.zeros((3, 3)))
+        assert np.array_equal(_dapi_loop(g, gamma=0.0).a[6:, 6:], np.zeros((3, 3)))
 
     @settings(max_examples=60)
     @given(
@@ -509,7 +528,7 @@ class TestSpectralDecomposition:
     def test_unit_line_four_nodes_eigenvalues(self):
         # path graph on 4 nodes: eigenvalues 0, 2-sqrt(2), 2, 2+sqrt(2)
         g = build_line_graph(4, [1.0, 1.0, 1.0], alpha=1.0)
-        lb, _, _ = laplacians(g, gamma=1.0)
+        lb = susceptance_laplacian(g)
         spec = spectral_decomposition(lb)
         expected = np.array([0.0, 2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)])
         assert spec.eigenvalues[0] == 0.0
@@ -521,7 +540,7 @@ class TestSpectralDecomposition:
             np.array([[2.0, -2.0, 0.0], [-2.0, 5.0, -3.0], [0.0, -3.0, 3.0]])
         )
         g = build_line_graph(3, [2.0, 3.0], alpha=1.0)
-        lb, _, _ = laplacians(g, gamma=1.0)
+        lb = susceptance_laplacian(g)
         spec = spectral_decomposition(lb)
         assert spec.eigenvalues[0] == 0.0
         assert np.allclose(spec.eigenvalues[1:], oracle[1:], rtol=1e-12, atol=1e-12)
@@ -530,7 +549,7 @@ class TestSpectralDecomposition:
         # complete graph on N nodes, uniform b: nonzero eigenvalues all N*b
         for n, b in ((3, 1.0), (10, 0.7), (50, 1.0)):
             g = build_complete_graph(n, b=b, alpha=1.0)
-            lb, _, _ = laplacians(g, gamma=1.0)
+            lb = susceptance_laplacian(g)
             spec = spectral_decomposition(lb)
             assert spec.eigenvalues[0] == 0.0
             assert np.allclose(spec.eigenvalues[1:], n * b, rtol=1e-9, atol=0)
@@ -538,7 +557,7 @@ class TestSpectralDecomposition:
     def test_orthonormality_and_reconstruction(self):
         for seed in range(10):
             g = build_random_connected_graph(15, 0.3, (0.5, 1.5), alpha=1.0, seed=seed)
-            lb, _, _ = laplacians(g, gamma=1.0)
+            lb = susceptance_laplacian(g)
             spec = spectral_decomposition(lb)
             u, w = spec.eigenvectors, spec.eigenvalues
             assert np.max(np.abs(u.T @ u - np.eye(15))) <= 1e-10
@@ -547,13 +566,13 @@ class TestSpectralDecomposition:
 
     def test_zero_mode_column_is_uniform_positive(self):
         g = build_random_connected_graph(20, 0.3, (0.5, 1.5), alpha=1.0, seed=5)
-        lb, _, _ = laplacians(g, gamma=1.0)
+        lb = susceptance_laplacian(g)
         spec = spectral_decomposition(lb)
         assert np.allclose(spec.eigenvectors[:, 0], 1.0 / math.sqrt(20), atol=1e-10)
 
     def test_sign_convention_deterministic(self):
         g = build_line_graph(6, [1.0] * 5, alpha=1.0)
-        lb, _, _ = laplacians(g, gamma=1.0)
+        lb = susceptance_laplacian(g)
         u1 = spectral_decomposition(lb).eigenvectors
         u2 = spectral_decomposition(Laplacian(lb.matrix.copy(), "susceptance")).eigenvectors
         assert np.array_equal(u1, u2)
@@ -575,7 +594,7 @@ class TestSpectralDecomposition:
 
     def test_eigenvalues_ascending(self):
         g = build_random_connected_graph(25, 0.2, (0.5, 1.5), alpha=1.0, seed=9)
-        lb, _, _ = laplacians(g, gamma=1.0)
+        lb = susceptance_laplacian(g)
         spec = spectral_decomposition(lb)
         assert np.all(np.diff(spec.eigenvalues) >= 0)
         assert spec.nonzero.size == 24
@@ -585,8 +604,8 @@ class TestSpectralDecomposition:
         # long paths synchronize poorly: lambda_2 far below the complete graph's
         line = build_line_graph(20, [1.0] * 19, alpha=1.0)
         comp = build_complete_graph(20, b=1.0, alpha=1.0)
-        gap_line = spectral_decomposition(laplacians(line, 1.0)[0]).eigenvalues[1]
-        gap_comp = spectral_decomposition(laplacians(comp, 1.0)[0]).eigenvalues[1]
+        gap_line = spectral_decomposition(susceptance_laplacian(line)).eigenvalues[1]
+        gap_comp = spectral_decomposition(susceptance_laplacian(comp)).eigenvalues[1]
         assert gap_line < gap_comp
 
 
@@ -598,7 +617,7 @@ class TestLaplacianEigenvalues:
         graphs += [build_random_connected_graph(n, p, (0.5, 1.5), alpha=1.0, seed=seed)
                    for n, p, seed in ((2, 1.0, 0), (25, 0.3, 1), (120, 0.05, 2), (300, 0.03, 3))]
         for g in graphs:
-            lb = laplacians(g, 1.0)[0]
+            lb = susceptance_laplacian(g)
             full = spectral_decomposition(lb)
             spec = laplacian_eigenvalues(lb)
             assert spec.eigenvectors is None
@@ -609,7 +628,7 @@ class TestLaplacianEigenvalues:
             assert np.max(np.abs(spec.eigenvalues - full.eigenvalues)) <= tol
 
     def test_single_node(self):
-        lb = laplacians(NetworkGraph(n_nodes=1, edges=(), alpha=1.0), 1.0)[0]
+        lb = susceptance_laplacian(NetworkGraph(n_nodes=1, edges=(), alpha=1.0))
         assert laplacian_eigenvalues(lb).eigenvalues.tobytes() == np.zeros(1).tobytes()
         full = spectral_decomposition(lb)
         assert full.eigenvalues.tobytes() == np.zeros(1).tobytes()
@@ -791,6 +810,6 @@ class TestPackagedTopology:
         assert g.n_nodes == 57
         assert len(g.edges) == 78
         assert g.alpha == 1.0
-        spec = spectral_decomposition(laplacians(g, 1.0)[0])
+        spec = spectral_decomposition(susceptance_laplacian(g))
         assert spec.eigenvalues[0] == 0.0
         assert spec.eigenvalues[1] > 0

@@ -1,5 +1,6 @@
 """Euler-Maruyama simulation and empirical loss estimation tests."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -21,8 +22,8 @@ from gridloss.network import (
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
-    laplacians,
     spectral_decomposition,
+    susceptance_laplacian,
 )
 from gridloss.sim import (
     SimConfig,
@@ -59,16 +60,20 @@ class TestSimConfig:
         SimConfig(dt=0.1, horizon=10.0)
 
 
+def _conductance(graph):
+    """L_G = alpha L_B, the loss weight the assembled closed loop carries."""
+    return assemble_droop(graph, ControllerParams(m=1.0, tau=1.0)).l_g
+
+
 class TestInstantaneousLoss:
     def test_uniform_phase_dissipates_nothing(self):
         g = build_complete_graph(4, b=1.0, alpha=1.0)
-        _, lg, _ = laplacians(g, 1.0)
-        assert instantaneous_loss(np.full(4, 3.7), lg) == 0.0
+        assert instantaneous_loss(np.full(4, 3.7), _conductance(g)) == 0.0
 
     def test_matches_edgewise_sum(self):
         # oracle: loss = sum over edges of g_ij (theta_i - theta_j)^2
         g = build_line_graph(5, [1.0, 2.0, 0.5, 1.5], alpha=0.8)
-        _, lg, _ = laplacians(g, 1.0)
+        lg = _conductance(g)
         rng = np.random.default_rng(2)
         for _ in range(10):
             theta = rng.standard_normal(5)
@@ -77,53 +82,50 @@ class TestInstantaneousLoss:
 
     def test_dimension_mismatch(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
-        _, lg, _ = laplacians(g, 1.0)
         with pytest.raises(ValidationError):
-            instantaneous_loss(np.zeros(4), lg)
+            instantaneous_loss(np.zeros(4), _conductance(g))
 
 
 class TestSimulate:
     def _droop(self, n=3):
         g = build_line_graph(n, [1.0] * (n - 1), alpha=1.0)
-        ss = assemble_droop(g, ControllerParams(m=1.0, tau=1.0))
-        _, lg, _ = laplacians(g, 1.0)
-        return ss, lg
+        return assemble_droop(g, ControllerParams(m=1.0, tau=1.0))
 
     def test_zero_noise_zero_init_stays_at_origin(self):
-        ss, lg = self._droop()
-        traj = simulate(ss, lg, SimConfig(dt=0.01, horizon=2.0, noise_intensity=0.0, seed=0))
+        ss = self._droop()
+        traj = simulate(ss, SimConfig(dt=0.01, horizon=2.0, noise_intensity=0.0, seed=0))
         assert np.array_equal(traj.states, np.zeros_like(traj.states))
         assert np.array_equal(traj.instantaneous_loss, np.zeros_like(traj.instantaneous_loss))
 
     def test_times_grid(self):
-        ss, lg = self._droop()
-        traj = simulate(ss, lg, SimConfig(dt=0.01, horizon=1.0, seed=0))
+        ss = self._droop()
+        traj = simulate(ss, SimConfig(dt=0.01, horizon=1.0, seed=0))
         assert traj.times.size == 101
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_seed_determinism_bit_identical(self):
-        ss, lg = self._droop()
+        ss = self._droop()
         cfg = SimConfig(dt=0.01, horizon=5.0, noise_intensity=1.0, seed=42)
-        t1 = simulate(ss, lg, cfg)
-        t2 = simulate(ss, lg, cfg)
+        t1 = simulate(ss, cfg)
+        t2 = simulate(ss, cfg)
         assert np.array_equal(t1.states, t2.states)
         assert np.array_equal(t1.instantaneous_loss, t2.instantaneous_loss)
-        t3 = simulate(ss, lg, SimConfig(dt=0.01, horizon=5.0, noise_intensity=1.0, seed=43))
+        t3 = simulate(ss, SimConfig(dt=0.01, horizon=5.0, noise_intensity=1.0, seed=43))
         assert not np.array_equal(t1.states, t3.states)
 
     def test_phase_block_recentred(self):
-        ss, lg = self._droop(4)
-        traj = simulate(ss, lg, SimConfig(dt=0.01, horizon=3.0, seed=1))
+        ss = self._droop(4)
+        traj = simulate(ss, SimConfig(dt=0.01, horizon=3.0, seed=1))
         means = traj.states[:, :4].mean(axis=1)
         assert np.max(np.abs(means)) <= 1e-12
 
     def test_noise_intensity_linearity(self):
-        ss, lg = self._droop(4)
+        ss = self._droop(4)
         cfg1 = SimConfig(dt=0.01, horizon=50.0, burn_in=5.0, noise_intensity=1.0, seed=11)
         cfg4 = SimConfig(dt=0.01, horizon=50.0, burn_in=5.0, noise_intensity=4.0, seed=11)
-        est1, _ = empirical_h2(simulate(ss, lg, cfg1), cfg1)
-        est4, _ = empirical_h2(simulate(ss, lg, cfg4), cfg4)
+        est1, _ = empirical_h2(simulate(ss, cfg1), cfg1)
+        est4, _ = empirical_h2(simulate(ss, cfg4), cfg4)
         assert est4 == pytest.approx(est1, rel=1e-12)
 
     def test_gamma_zero_dapi_refused(self):
@@ -131,41 +133,39 @@ class TestSimulate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
-        _, lg, _ = laplacians(g, 1.0)
         with pytest.raises(StabilityError, match="marginal"):
-            simulate(ss, lg, SimConfig(dt=0.01, horizon=10.0, seed=0))
+            simulate(ss, SimConfig(dt=0.01, horizon=10.0, seed=0))
 
     def test_step_too_large_reports_bound(self):
-        ss, lg = self._droop()
+        ss = self._droop()
         with pytest.raises(StepSizeError, match="dt <"):
-            simulate(ss, lg, SimConfig(dt=2.0, horizon=300.0, seed=0))
+            simulate(ss, SimConfig(dt=2.0, horizon=300.0, seed=0))
 
     def test_initial_state_wrong_length(self):
-        ss, lg = self._droop()
+        ss = self._droop()
         cfg = SimConfig(dt=0.01, horizon=2.0, seed=0, initial_state=np.zeros(5))
         with pytest.raises(ValidationError, match="initial_state"):
-            simulate(ss, lg, cfg)
+            simulate(ss, cfg)
 
     def test_laplacian_dimension_mismatch(self):
-        ss, _ = self._droop(3)
+        # simulate weights the loss with ss.l_g, whose size the system checks
+        ss = self._droop(3)
         g4 = build_line_graph(4, [1.0] * 3, alpha=1.0)
-        _, lg4, _ = laplacians(g4, 1.0)
-        with pytest.raises(ValidationError):
-            simulate(ss, lg4, SimConfig(dt=0.01, horizon=2.0, seed=0))
+        with pytest.raises(ValidationError, match="L_G 4 nodes"):
+            dataclasses.replace(ss, l_g=_conductance(g4))
 
     def test_deterministic_decay_from_perturbation(self):
         g = build_line_graph(6, [1.0] * 5, alpha=1.0)
         p = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
         ss = assemble_dapi(g, p)
-        _, lg, _ = laplacians(g, 1.0)
         x0 = phase_perturbation(6, ss.n_states, scale=0.1, seed=9)
         cfg = SimConfig(dt=0.005, horizon=150.0, noise_intensity=0.0, seed=9, initial_state=x0)
-        traj = simulate(ss, lg, cfg)
+        traj = simulate(ss, cfg)
         assert traj.instantaneous_loss[0] > 0
         assert traj.instantaneous_loss[-1] < 1e-6 * traj.instantaneous_loss[0]
 
 
-def _step_loop(ss, l_g, config):
+def _step_loop(ss, config):
     """Reference: the Euler-Maruyama loop one Python iteration per step,
     recentring the phase block after every step."""
     n = ss.n_nodes
@@ -173,7 +173,7 @@ def _step_loop(ss, l_g, config):
     x = config.initial_state.copy() if config.initial_state is not None else np.zeros(ss.n_states)
     rng = np.random.default_rng(config.seed)
     noise_scale = math.sqrt(config.dt * config.noise_intensity)
-    a, b, lg = ss.a, ss.b, l_g.matrix
+    a, b, lg = ss.a, ss.b, ss.l_g.matrix
     states = np.empty((n_steps + 1, ss.n_states))
     loss = np.empty(n_steps + 1)
     x[:n] -= x[:n].mean()
@@ -190,9 +190,9 @@ def _step_loop(ss, l_g, config):
     return states, loss
 
 
-def _assert_close_to_step_loop(ss, lg, cfg, rtol=1e-10):
-    traj = simulate(ss, lg, cfg)
-    states, loss = _step_loop(ss, lg, cfg)
+def _assert_close_to_step_loop(ss, cfg, rtol=1e-10):
+    traj = simulate(ss, cfg)
+    states, loss = _step_loop(ss, cfg)
     assert traj.states.shape == states.shape
     assert np.max(np.abs(traj.states - states)) <= rtol * np.max(np.abs(states))
     assert np.max(np.abs(traj.instantaneous_loss - loss)) <= rtol * np.max(loss)
@@ -206,7 +206,7 @@ class TestAgainstStepLoop:
         g = build_line_graph(8, [1.0, 0.7, 1.3, 0.9, 1.1, 0.6, 1.4], alpha=0.8)
         p = ControllerParams(m=1.2, tau=0.8, k=1.5, gamma=0.7)
         ss = assemble_droop(g, p) if kind == "droop" else assemble_dapi(g, p)
-        return ss, laplacians(g, 1.0)[1]
+        return ss
 
     @pytest.mark.parametrize("kind", ["droop", "dapi"])
     # 100 and 1024 are whole numbers of blocks of isqrt(steps) rows, 997 is
@@ -214,29 +214,29 @@ class TestAgainstStepLoop:
     @pytest.mark.parametrize("steps", [100, 997, 1024, 1050])
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_noisy_runs_agree(self, kind, steps, perturbed):
-        ss, lg = self._system(kind)
+        ss = self._system(kind)
         x0 = phase_perturbation(8, ss.n_states, scale=0.3, seed=5) if perturbed else None
         cfg = SimConfig(dt=0.01, horizon=steps * 0.01, noise_intensity=1.5, seed=17, initial_state=x0)
-        traj = _assert_close_to_step_loop(ss, lg, cfg)
+        traj = _assert_close_to_step_loop(ss, cfg)
         assert traj.times.size == steps + 1
 
     @pytest.mark.parametrize("kind", ["droop", "dapi"])
     @pytest.mark.parametrize("steps", [100, 997, 1024, 1050])
     def test_noiseless_runs_agree(self, kind, steps):
-        ss, lg = self._system(kind)
+        ss = self._system(kind)
         # a phase offset of 0.5 that the first row must already have removed
         x0 = phase_perturbation(8, ss.n_states, scale=0.3, seed=5) + 0.5
         x0[8:] = np.linspace(-0.2, 0.2, ss.n_states - 8)
         cfg = SimConfig(dt=0.01, horizon=steps * 0.01, noise_intensity=0.0, seed=17, initial_state=x0)
-        _assert_close_to_step_loop(ss, lg, cfg)
+        _assert_close_to_step_loop(ss, cfg)
 
     @pytest.mark.parametrize("kind", ["droop", "dapi"])
     @pytest.mark.parametrize("steps", [100, 997, 1024, 1050])
     def test_noiseless_from_origin_is_exactly_zero(self, kind, steps):
-        ss, lg = self._system(kind)
+        ss = self._system(kind)
         cfg = SimConfig(dt=0.01, horizon=steps * 0.01, noise_intensity=0.0, seed=17)
-        traj = simulate(ss, lg, cfg)
-        states, loss = _step_loop(ss, lg, cfg)
+        traj = simulate(ss, cfg)
+        states, loss = _step_loop(ss, cfg)
         for new, old in ((traj.states, states), (traj.instantaneous_loss, loss)):
             assert np.array_equal(new, old)
             assert not np.any(new) and not np.any(np.signbit(new))
@@ -245,12 +245,12 @@ class TestAgainstStepLoop:
     def test_noise_entering_the_phases_is_recentred(self, kind):
         # assembled systems drive only the frequencies; a hand-built B that
         # also drives the phases must have its phase mean removed every step
-        ss, lg = self._system(kind)
+        ss = self._system(kind)
         b = ss.b.copy()
         b[:8] += np.linspace(0.1, 0.8, 8)[:, None]
         ss = StateSpace(a=ss.a, b=b, l_g=ss.l_g, controller_kind=kind)
         cfg = SimConfig(dt=0.01, horizon=10.5, noise_intensity=1.0, seed=4)
-        traj = _assert_close_to_step_loop(ss, lg, cfg)
+        traj = _assert_close_to_step_loop(ss, cfg)
         assert np.max(np.abs(traj.states[:, :8].mean(axis=1))) <= 1e-12
 
     @settings(max_examples=25)
@@ -266,10 +266,9 @@ class TestAgainstStepLoop:
         g = build_random_connected_graph(n_nodes, 0.6, (0.5, 1.5), 1.0, seed=graph_seed)
         p = ControllerParams(m=1.0, tau=0.5, k=1.0, gamma=2.0)
         ss = assemble_droop(g, p) if kind == "droop" else assemble_dapi(g, p)
-        lg = laplacians(g, 1.0)[1]
         cfg = SimConfig(dt=dt, horizon=steps * dt, noise_intensity=1.0, seed=seed)
         try:
-            _assert_close_to_step_loop(ss, lg, cfg)
+            _assert_close_to_step_loop(ss, cfg)
         except StepSizeError:
             assume(False)
 
@@ -282,7 +281,7 @@ class TestAgainstStepLoop:
             "g = gridloss.build_line_graph(3, np.ones(2), alpha=1.0)\n"
             "p = gridloss.ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)\n"
             "cfg = gridloss.SimConfig(dt=0.01, horizon=2.0, seed=0)\n"
-            "gridloss.simulate(gridloss.assemble_dapi(g, p), gridloss.laplacians(g, 1.0)[1], cfg)\n"
+            "gridloss.simulate(gridloss.assemble_dapi(g, p), cfg)\n"
             "print('scipy.signal' in sys.modules)\n"
         )
         src = str(Path(__import__("gridloss").__file__).resolve().parents[1])
@@ -296,9 +295,8 @@ class TestEmpiricalH2:
     def test_zero_noise_estimates_zero(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
         ss = assemble_droop(g, ControllerParams(m=1.0, tau=1.0))
-        _, lg, _ = laplacians(g, 1.0)
         cfg = SimConfig(dt=0.01, horizon=5.0, noise_intensity=0.0, seed=0)
-        est, stderr = empirical_h2(simulate(ss, lg, cfg), cfg)
+        est, stderr = empirical_h2(simulate(ss, cfg), cfg)
         assert est == 0.0
         assert stderr == 0.0
 
@@ -306,18 +304,16 @@ class TestEmpiricalH2:
         g = build_complete_graph(3, b=1.0, alpha=1.0)
         p = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
         ss = assemble_dapi(g, p)
-        _, lg, _ = laplacians(g, 1.0)
         cfg = SimConfig(dt=0.01, horizon=400.0, burn_in=40.0, noise_intensity=1.0, seed=5)
-        est, stderr = empirical_h2(simulate(ss, lg, cfg), cfg)
-        true = h2_dapi_closed_form(1.0, p, spectral_decomposition(laplacians(g, 1.0)[0])).squared_norm
+        est, stderr = empirical_h2(simulate(ss, cfg), cfg)
+        true = h2_dapi_closed_form(1.0, p, spectral_decomposition(susceptance_laplacian(g))).squared_norm
         assert abs(est - true) <= max(4.0 * stderr, 0.2 * true)
 
     def test_insufficient_samples(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
         ss = assemble_droop(g, ControllerParams(m=1.0, tau=1.0))
-        _, lg, _ = laplacians(g, 1.0)
         cfg = SimConfig(dt=0.01, horizon=2.0, burn_in=1.9, seed=0)
-        traj = simulate(ss, lg, cfg)
+        traj = simulate(ss, cfg)
         with pytest.raises(ValidationError, match="insufficient"):
             empirical_h2(traj, cfg)
 
@@ -352,11 +348,10 @@ class TestTrajectoryType:
     def test_simulate_hands_over_its_arrays_without_a_copy(self):
         g = build_line_graph(20, np.ones(19), alpha=1.0)
         ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0))
-        lg = laplacians(g, 1.0)[1]
         cfg = SimConfig(dt=0.005, horizon=50.0, seed=3)
         tracemalloc.start()
         try:
-            traj = simulate(ss, lg, cfg)
+            traj = simulate(ss, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

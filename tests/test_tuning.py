@@ -18,8 +18,8 @@ from gridloss.network import (
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
-    laplacians,
     spectral_decomposition,
+    susceptance_laplacian,
 )
 from gridloss.tuning import (
     SweepCurve,
@@ -35,7 +35,7 @@ from gridloss.tuning import (
 
 
 def _spectrum_of(graph):
-    return spectral_decomposition(laplacians(graph, 1.0)[0])
+    return spectral_decomposition(susceptance_laplacian(graph))
 
 
 class TestDerivative:
