@@ -72,7 +72,9 @@ class StateSpace:
     State ordering is block-wise: theta block first, then omega, then (for
     DAPI) Omega.  ``l_g`` is the conductance ``Laplacian``: the loss is
     theta' L_G theta.  ``c`` = [L_G^{1/2}, 0, ...], with ||C x||^2 the loss,
-    is built from ``spectral_decomposition(l_g)`` on first access.
+    is built from ``spectral_decomposition(l_g)`` on first access.  A and B
+    are kept as handed in when they are already read-only float64 arrays,
+    as the assemblers hand them over; anything else is copied.
     """
 
     a: np.ndarray
@@ -83,16 +85,14 @@ class StateSpace:
     def __post_init__(self) -> None:
         if self.controller_kind not in CONTROLLER_KINDS:
             raise ValidationError(f"controller_kind must be one of {CONTROLLER_KINDS}")
-        a = np.array(self.a, dtype=float)
-        b = np.array(self.b, dtype=float)
+        a = _frozen(self.a)
+        b = _frozen(self.b)
         blocks = 2 if self.controller_kind == "droop" else 3
         n = b.shape[1] if b.ndim == 2 else 0
         if a.shape != (blocks * n, blocks * n) or b.shape != (blocks * n, n) or self.l_g.n_nodes != n:
             raise ValidationError(
                 f"inconsistent {self.controller_kind} system shapes: A {a.shape}, B {b.shape}, L_G {self.l_g.n_nodes} nodes"
             )
-        for arr in (a, b):
-            arr.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -189,9 +189,13 @@ def droop_part(ss: StateSpace) -> StateSpace:
     """The droop loop inside a closed loop: its leading 2N rows and columns
     (theta, omega), bit for bit, with the same loss weight.  The DAPI
     integrator enters the droop blocks nowhere, so one DAPI assembly serves
-    both controllers."""
+    both controllers.  A and B are contiguous copies, so the droop system
+    does not keep the larger one alive."""
     s = 2 * ss.n_nodes
-    return StateSpace(a=ss.a[:s, :s], b=ss.b[:s], l_g=ss.l_g, controller_kind="droop")
+    a, b = ss.a[:s, :s].copy(), ss.b[:s].copy()
+    for arr in (a, b):
+        arr.setflags(write=False)
+    return StateSpace(a=a, b=b, l_g=ss.l_g, controller_kind="droop")
 
 
 def _assemble(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
@@ -208,7 +212,20 @@ def _assemble(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
     ])
     b = np.vstack([zero, eye / params.tau, zero])
     l_g = Laplacian(matrix=graph.alpha * lb, kind="conductance")
+    for arr in (a, b):
+        arr.setflags(write=False)
     return StateSpace(a=a, b=b, l_g=l_g, controller_kind="dapi")
+
+
+def _frozen(values) -> np.ndarray:
+    """Read-only float64 array of ``values``.  An array that is already
+    read-only float64 is kept as it is; anything else is copied, so a
+    caller's writeable array is never frozen."""
+    arr = np.asarray(values)
+    if arr.dtype != np.float64 or arr.flags.writeable:
+        arr = np.array(arr, dtype=float)
+        arr.setflags(write=False)
+    return arr
 
 
 def modal_subsystems(

@@ -488,6 +488,20 @@ class TestSimulate:
         assert payload["stderr"] > 0.0
         assert payload["empirical_squared_norm"] == pytest.approx(15.0 / 19.0, rel=0.5)
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_outputs_get_the_umask_mode(self, umask, tmp_path, capsys):
+        # the atomic writer's temp file is created 0o600; the outputs get
+        # what a plain open() would give them
+        out = tmp_path / "p.csv"
+        previous = os.umask(umask)
+        try:
+            assert main(["simulate", "--line", "3", "--horizon", "1", "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        capsys.readouterr()
+        for path in (out, tmp_path / "p.csv.meta.json"):
+            assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
     def test_deterministic_decay_run(self, tmp_path, capsys):
         out = tmp_path / "decay.json"
         assert main(["simulate", "--line", "6", "--noise", "0",

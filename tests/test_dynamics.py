@@ -1,6 +1,7 @@
 """Closed-loop assembly, modal decomposition, and stability tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +337,40 @@ class TestStateSpaceType:
         ss = assemble_droop(g, ControllerParams(m=1.0, tau=1.0))
         with pytest.raises(ValueError):
             ss.a[0, 0] = 1.0
+
+    def test_read_only_float_arrays_are_kept_as_handed_in(self):
+        a, b = -np.eye(4), np.vstack([np.zeros((2, 2)), np.eye(2)])
+        writeable = StateSpace(a=a, b=b, l_g=_zero_laplacian(2), controller_kind="droop")
+        assert writeable.a is not a and writeable.b is not b and a.flags.writeable
+        for arr in (a, b):
+            arr.setflags(write=False)
+        kept = StateSpace(a=a, b=b, l_g=_zero_laplacian(2), controller_kind="droop")
+        assert kept.a is a and kept.b is b
+
+    def test_assemblers_hand_over_contiguous_arrays_of_their_own(self):
+        g = build_random_connected_graph(9, 0.5, (0.5, 1.5), alpha=1.3, seed=2)
+        dapi = assemble_dapi(g, ControllerParams(m=0.7, tau=1.2, k=0.9, gamma=1.4))
+        droop = droop_part(dapi)
+        for ss in (dapi, droop):
+            for arr in (ss.a, ss.b):
+                assert arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable
+        # the droop system holds copies, not views that keep the DAPI arrays alive
+        assert not np.shares_memory(droop.a, dapi.a) and not np.shares_memory(droop.b, dapi.b)
+        assert droop.a.tobytes() == dapi.a[:18, :18].tobytes() and droop.b.tobytes() == dapi.b[:18].tobytes()
+
+    @pytest.mark.parametrize("assemble", [assemble_dapi, assemble_droop])
+    def test_assembly_peak_memory(self, assemble):
+        # np.block builds each block row and then the matrix, so the peak is
+        # about twice the 3N x 3N DAPI matrix; StateSpace adds no copy of it
+        g = build_line_graph(300, np.ones(299), alpha=1.0)
+        tracemalloc.start()
+        try:
+            ss = assemble(g, ControllerParams(m=1.0, tau=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ss.n_nodes == 300
+        assert peak < 2.3 * (3 * 300) ** 2 * 8
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError, match="shapes"):

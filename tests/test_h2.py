@@ -15,6 +15,7 @@ from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import LyapunovSolveError, StabilityError, ValidationError
 from gridloss.h2 import (
     H2Result,
+    _is_symmetric,
     _solve_quasi_triangular,
     h2_dapi_closed_form,
     h2_droop_closed_form,
@@ -351,6 +352,32 @@ class TestSolveLyapunov:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             solve_lyapunov(-np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("q", [
+        [[1.0, 0.2], [0.2, 3.0]],
+        [[1.0, 0.2], [0.3, 3.0]],
+        [[0.0, 0.5], [0.5 + 2.0**-40, 0.0]],
+        [[0.0, 0.5], [0.5 + 2.0**-39, 0.0]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[0.0, np.nan], [np.nan, 0.0]],
+        [[0.0, np.inf], [np.inf, 0.0]],
+        [[0.0, -np.inf], [-np.inf, 0.0]],
+        [[0.0, np.inf], [-np.inf, 0.0]],
+        [[0.0, np.inf], [1.0, 0.0]],
+        [[np.inf, 0.0], [0.0, 0.0]],
+        [[0.0, np.inf, 0.0], [np.inf, 0.0, 0.5], [0.0, 0.5 + 2.0**-40, 0.0]],
+        np.zeros((0, 0)),
+    ], ids=["symmetric", "asymmetric", "gap-at-atol", "gap-above-atol", "nan-diagonal", "nan-pair",
+            "inf-pair", "minus-inf-pair", "opposite-infs", "inf-against-finite", "inf-diagonal",
+            "inf-pair-and-gap", "empty"])
+    @pytest.mark.parametrize("atol", [2.0**-40, 1e-12, 0.0, np.inf, np.nan])
+    def test_symmetry_verdict_is_allclose(self, q, atol):
+        q = np.array(q, dtype=float)
+        with warnings.catch_warnings():
+            # allclose warns about an infinite or NaN atol
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.allclose(q, q.T, rtol=0, atol=atol)
+        assert _is_symmetric(q, atol) == expected
 
 
 class TestDroopClosedForm:

@@ -1,6 +1,7 @@
 """Euler-Maruyama simulation and empirical loss estimation tests."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gridloss.sim
+from gridloss.cli import main
 from gridloss.dynamics import ControllerParams, StateSpace, assemble_dapi, assemble_droop
 from gridloss.errors import StabilityError, StepSizeError, ValidationError
 from gridloss.h2 import h2_dapi_closed_form
@@ -454,3 +457,129 @@ class TestExport:
             for t, l, state in list(zip(times, loss, states))[::stride]
         ]
         assert lines[1:] == expected + [""]
+
+
+def _reference_csv(traj, stride=1):
+    """The data rows as the per-row '%.12g' formatting writes them."""
+    table = np.column_stack((traj.times, traj.instantaneous_loss, traj.states))[::stride]
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return "".join(row % tuple(values) for values in table.tolist())
+
+
+def _wide_values(rng, size):
+    """Values across the whole float range: mostly 1e-6..1e3 as in a
+    trajectory, with zeros of both signs, infinities, NaN, subnormals,
+    huge and tiny magnitudes, short decimals with trailing zeros, and
+    exact 12-digit ties."""
+    magnitude = rng.uniform(1.0, 10.0, size) * 10.0 ** rng.integers(-6, 4, size)
+    wide = rng.random(size) < 0.1
+    magnitude[wide] = rng.uniform(1.0, 10.0, wide.sum()) * 10.0 ** rng.integers(-330, 308, wide.sum())
+    short = (rng.random(size) < 0.1) & (magnitude < 1e6)
+    magnitude[short] = np.round(magnitude[short], rng.integers(0, 4))
+    values = np.where(rng.random(size) < 0.5, -magnitude, magnitude)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 123456789012.5,
+                        999999999999.5, 9.9999999999995e-5, 1e-5, 1e12, 1e-12, 1.5e300])
+    picks = rng.random(size) < 0.02
+    values[picks] = rng.choice(special, picks.sum())
+    return values
+
+
+class TestExportFormatter:
+    """``export_trajectory`` formats blocks of rows with numpy; every value
+    must still come out exactly as '%.12g' writes it."""
+
+    @settings(max_examples=20)
+    @given(
+        n_nodes=st.integers(1, 25),
+        blocks=st.sampled_from([2, 3]),
+        stride=st.integers(2, 5),
+        extra_rows=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tables_longer_than_a_block(self, n_nodes, blocks, stride, extra_rows, seed):
+        rng = np.random.default_rng(seed)
+        dim = n_nodes * blocks
+        block_rows = gridloss.sim._BLOCK_VALUES // (2 + dim)
+        # the kept rows fill two blocks and part of a third
+        samples = stride * (2 * block_rows + extra_rows) + 1
+        times = np.cumsum(rng.uniform(0.1, 1.0, samples) * 10.0 ** rng.integers(-3, 2, samples)) - 1.0
+        loss = np.abs(_wide_values(rng, samples))
+        loss[~np.isfinite(loss)] = 0.0
+        states = _wide_values(rng, samples * dim).reshape(samples, dim)
+        traj = Trajectory(times=times, states=states, instantaneous_loss=loss)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.csv"
+            export_trajectory(traj, n_nodes=n_nodes, path=path, stride=stride)
+            body = path.read_text().split("\n", 1)[1]
+        assert body == _reference_csv(traj, stride)
+
+    @pytest.mark.parametrize("value", [
+        0.5, 2.5, 123456789012.5, 123456789013.5, 1.234567890125, 0.1234567890125,
+        999999999999.5, 999999999999.4, 9.9999999999995e-5, 9.9999999999994e-5,
+        1e-5, 9.99999999999e-6, 1e-4, 1e11, 1e12, 999999999999.0, 99999999999.95,
+        0.0, -0.0, np.inf, -np.inf, np.nan,
+        5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+        1e-11, 9.99999999999e-12, 1e-12, 3.3e-15, 1e33, 9.999999999995e33, 1e34, 1.7976931348623157e308,
+        math.nextafter(1e6, 0.0), math.nextafter(1e-4, 0.0), math.nextafter(1e12, 0.0), math.nextafter(1e-11, 0.0),
+    ])
+    def test_fallback_cases(self, value, tmp_path):
+        # ties, values rounding up to the next power of ten, the 1e-5 and
+        # 1e12 edges between fixed and exponent form, zeros, non-finite
+        # values, subnormals and magnitudes outside 1e-11..1e34, each with
+        # both signs and next to ordinary values
+        row = [value, -value, 1.0, -0.25, 3.14159265358979, value * 3.0, -value / 7.0, 1e-7]
+        states = np.array([row, row[::-1]])
+        traj = Trajectory(times=np.array([0.0, 1.0]), states=states, instantaneous_loss=np.array([0.0, 1.5]))
+        path = tmp_path / "traj.csv"
+        export_trajectory(traj, n_nodes=4, path=path)
+        assert path.read_text().split("\n", 1)[1] == _reference_csv(traj)
+
+    @pytest.mark.parametrize(("argv", "csv_sha256", "meta_sha256"), [
+        ([], "a1a995ca0ec68eda5dafb44602845f2332640531cedb7355ef0dc3b6af5269c9",
+         "2c78cdd853300f1acfab35c82a6a6718cc015360d3ac6f0eb032d98f33ebb6cf"),
+        (["--seed", "11"], "a71be15e2e0df08d29f4c98f43a9d4c5c75fc528b9c52e99c6f8c4f50c575a62",
+         "bcf4dd52c377c13359c3fe9934297b15b57f112fa04168308374c4012c1259c1"),
+        (["--stride", "7"], "a313691e33594ba8d545355d3deceaa4396314aab97a1f36515be6c00ee543db",
+         "5ebfee125fab6859a541634cdaf7f0dc2ac741a9762a7fadcdc9f8473294b4ce"),
+        (["--controller", "droop"], "1451ee6a0a2e6ae870807547cfda90e862f6ca2f96218fd03ab8d6221768fffa",
+         "33b1749753ff4d404000f7a87cdab6b19e1865fe1734ae0a9b0a9953ed08cfd7"),
+    ], ids=["seed5", "seed11", "stride7", "droop"])
+    def test_cli_output_bytes_are_pinned(self, argv, csv_sha256, meta_sha256, tmp_path, monkeypatch, capsys):
+        # digests of the files the per-row '%.12g' export wrote; the states
+        # come from matrix products, so they are pinned for numpy's bundled
+        # OpenBLAS, and a different BLAS may change their last bits
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--line", "20", "--dt", "0.005", "--horizon", "50", "--seed", "5", *argv]
+        assert main([*argv, "--out", "traj.csv"]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest() == csv_sha256
+        assert hashlib.sha256((tmp_path / "traj.csv.meta.json").read_bytes()).hexdigest() == meta_sha256
+
+    def test_memory_does_not_grow_with_the_path(self, tmp_path):
+        rng = np.random.default_rng(4)
+        peaks = []
+        for samples in (2_000, 8_000):
+            traj = Trajectory(times=np.arange(samples) * 0.005, states=rng.standard_normal((samples, 60)),
+                              instantaneous_loss=rng.random(samples))
+            tracemalloc.start()
+            try:
+                export_trajectory(traj, n_nodes=20, path=tmp_path / "traj.csv")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        # one block at a time: the peak is set by the block, not the path
+        assert peaks[1] < 1.1 * peaks[0]
+        assert peaks[1] < 4e6
+
+    @pytest.mark.parametrize("fill", [0.0, np.inf], ids=["zeros", "inf"])
+    def test_no_floating_point_warnings(self, fill, tmp_path):
+        states = np.zeros((200, 6))
+        states[::3, 1::2] = fill
+        states[1::3, ::4] = -fill
+        traj = Trajectory(times=np.arange(200.0), states=states, instantaneous_loss=np.zeros(200))
+        path = tmp_path / "traj.csv"
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            export_trajectory(traj, n_nodes=3, path=path)
+        assert path.read_text().split("\n", 1)[1] == _reference_csv(traj)
