@@ -120,34 +120,28 @@ class StateSpace:
 
 
 @dataclass(frozen=True)
-class ModalSubsystem:
-    """One eigenvalue's 2x2 (droop) or 3x3 (DAPI) subsystem.
+class ModalBlocks:
+    """Every eigenvalue's 2x2 (droop) or 3x3 (DAPI) subsystem, stacked.
 
-    ``mode_index`` is 1-based and matches the ascending eigenvalue order of
-    the originating spectrum; mode 1 carries the zero eigenvalue and has a
-    zero output row.
+    ``a`` (N, s, s), ``b`` (N, s, 1) and ``c`` (N, 1, s) hold the blocks of
+    ``eigenvalues[i]``, in the ascending order of the originating spectrum;
+    the first carries the zero eigenvalue and has a zero output row.  The
+    arrays are read-only.
     """
 
-    mode_index: int
-    eigenvalue: float
+    eigenvalues: np.ndarray
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.a, dtype=float)
-        b = np.array(self.b, dtype=float)
-        c = np.array(self.c, dtype=float)
-        s = a.shape[0]
-        if a.shape != (s, s) or b.shape != (s, 1) or c.shape != (1, s) or s not in (2, 3):
-            raise ValidationError(
-                f"inconsistent modal shapes: A {a.shape}, B {b.shape}, C {c.shape}"
-            )
-        for arr in (a, b, c):
-            arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        for name in ("eigenvalues", "a", "b", "c"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        n = self.eigenvalues.size if self.eigenvalues.ndim == 1 else -1
+        s = self.a.shape[-1] if self.a.ndim == 3 else 0
+        shapes = (self.eigenvalues.shape, self.a.shape, self.b.shape, self.c.shape)
+        if s not in (2, 3) or shapes[1:] != ((n, s, s), (n, s, 1), (n, 1, s)):
+            raise ValidationError("inconsistent modal shapes: eigenvalues {}, A {}, B {}, C {}".format(*shapes))
 
 
 def assemble_droop(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
@@ -228,12 +222,7 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def modal_subsystems(
-    spectrum: Spectrum,
-    params: ControllerParams,
-    alpha: float,
-    kind: str,
-) -> list[ModalSubsystem]:
+def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: str) -> ModalBlocks:
     """Per-eigenvalue subsystems of the block-diagonalized closed loop.
 
     For eigenvalue lam the droop block is
@@ -248,8 +237,9 @@ def modal_subsystems(
                [0, -1/k, -gamma lam / k]],
         B_n = [0, 1/tau, 0]',  C_n = sqrt(alpha lam) [1, 0, 0].
 
-    Mode 1 (lam = 0) gets a zero output row: rigid phase motion dissipates
-    nothing.  Only eigenvalues are read; ``laplacian_eigenvalues`` serves.
+    The zero eigenvalue gets a zero output row: rigid phase motion
+    dissipates nothing.  Only eigenvalues are read; ``laplacian_eigenvalues``
+    serves.
     """
     kind = _validated_kind(kind)
     if params.tau == 0:
@@ -257,23 +247,21 @@ def modal_subsystems(
     if not np.isfinite(alpha) or alpha < 0:
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
     m, tau, k, gamma = params.m, params.tau, params.k, params.gamma
-    out = []
-    for idx, lam in enumerate(spectrum.eigenvalues, start=1):
-        gain = np.sqrt(alpha * lam)
-        if kind == "droop":
-            a = np.array([[0.0, 1.0], [-m * lam / tau, -1.0 / tau]])
-            b = np.array([[0.0], [1.0 / tau]])
-            c = np.array([[gain, 0.0]])
-        else:
-            a = np.array([
-                [0.0, 1.0, 0.0],
-                [-m * lam / tau, -1.0 / tau, 1.0 / tau],
-                [0.0, -1.0 / k, -gamma * lam / k],
-            ])
-            b = np.array([[0.0], [1.0 / tau], [0.0]])
-            c = np.array([[gain, 0.0, 0.0]])
-        out.append(ModalSubsystem(mode_index=idx, eigenvalue=float(lam), a=a, b=b, c=c))
-    return out
+    lam = spectrum.eigenvalues
+    n, s = lam.size, 2 if kind == "droop" else 3
+    a, b, c = np.zeros((n, s, s)), np.zeros((n, s, 1)), np.zeros((n, 1, s))
+    a[:, 0, 1] = 1.0
+    a[:, 1, 0] = -m * lam / tau
+    a[:, 1, 1] = -1.0 / tau
+    if kind == "dapi":
+        a[:, 1, 2] = 1.0 / tau
+        a[:, 2, 1] = -1.0 / k
+        a[:, 2, 2] = -gamma * lam / k
+    b[:, 1, 0] = 1.0 / tau
+    c[:, 0, 0] = np.sqrt(alpha * lam)
+    for arr in (a, b, c):
+        arr.setflags(write=False)
+    return ModalBlocks(eigenvalues=lam, a=a, b=b, c=c)
 
 
 def check_stability(params: ControllerParams, lam: float, kind: str) -> bool:
@@ -303,24 +291,20 @@ def check_stability(params: ControllerParams, lam: float, kind: str) -> bool:
     return p > 0 and r > 0 and p * q > r
 
 
-def verify_modal_equivalence(
-    ss: StateSpace,
-    subsystems: list[ModalSubsystem],
-    spectrum: Spectrum,
-) -> float:
+def verify_modal_equivalence(ss: StateSpace, blocks: ModalBlocks, spectrum: Spectrum) -> float:
     """Largest entrywise gap between the congruence-transformed full A and
-    the stacked modal blocks.
+    the block diagonal of the modal blocks.
 
     Transforms A by blockdiag(U, U[, U]), reorders states mode-by-mode and
     compares against blockdiag(A_1, ..., A_N).  Values at rounding level
     certify that the modal route analyzes the same system as the full one.
     """
-    blocks = 2 if ss.controller_kind == "droop" else 3
+    s = 2 if ss.controller_kind == "droop" else 3
     n = spectrum.n_nodes
-    if ss.n_states != blocks * n or len(subsystems) != n:
+    if ss.n_states != s * n or blocks.a.shape != (n, s, s):
         raise ValidationError(
             f"dimension mismatch: {ss.controller_kind} system with {ss.n_states} states, "
-            f"{n}-node spectrum, {len(subsystems)} subsystems"
+            f"{n}-node spectrum, modal blocks of shape {blocks.a.shape}"
         )
     # the modal blocks are the closed loop in the eigenvector basis, so an
     # eigenvalue-only spectrum cannot stand for that basis
@@ -328,15 +312,12 @@ def verify_modal_equivalence(
         raise ValidationError(
             "spectrum has no eigenvectors; build it with spectral_decomposition, not laplacian_eigenvalues"
         )
-    t = np.kron(np.eye(blocks), spectrum.eigenvectors)
-    m = t.T @ ss.a @ t
-    perm = [blk * n + mode for mode in range(n) for blk in range(blocks)]
-    m = m[np.ix_(perm, perm)]
-    stacked = np.zeros_like(m)
-    for sub in sorted(subsystems, key=lambda s: s.mode_index):
-        lo = (sub.mode_index - 1) * blocks
-        stacked[lo:lo + blocks, lo:lo + blocks] = sub.a
-    return float(np.max(np.abs(m - stacked)))
+    t = np.kron(np.eye(s), spectrum.eigenvectors)
+    # state (block, mode) of the transformed A, indexed [mode, block, mode', block']
+    m = (t.T @ ss.a @ t).reshape(s, n, s, n).transpose(1, 0, 3, 2)
+    modes = np.arange(n)
+    m[modes, :, modes, :] -= blocks.a
+    return float(np.max(np.abs(m)))
 
 
 def _validated_kind(kind: str) -> str:

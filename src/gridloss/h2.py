@@ -8,28 +8,22 @@ equals the squared H2 norm of the closed loop.  Three routes compute it:
   DAPI loss multiplies each droop mode contribution by a factor in (0, 1)
   that depends on the mode eigenvalue and the controller parameters.
 * modal Lyapunov: one 2x2 or 3x3 observability Gramian per nonzero mode,
-  summed in eigenvalue order.
+  all of them from one batched linear solve, summed in eigenvalue order.
 * full Gramian: one dense Lyapunov solve on the assembled system and its
   loss weight L_G after deflating the rigid phase-shift direction.
 
-``solve_lyapunov`` is Bartels-Stewart with a recursive blocked triangular
-stage (Jonsson & Kagstrom 2002, ACM TOMS 28(4), "RECSY"): the quasi-
-triangular equation T Y + Y T' = F is cut at the midpoint of T, moved by one
-row where the cut would split a 2x2 block, into two half-size Lyapunov
-equations and one Sylvester equation, so most of the work becomes matrix
-products.  Blocks of at most 64 rows go to LAPACK's ``dtrsyl``; every system
-of at most 64 states, the 2x2/3x3 modal Gramians included, is one
-``dtrsyl`` call.  If a block needs ``dtrsyl``'s overflow scaling, the
-partial result is dropped and the whole equation goes to one ``dtrsyl``
-call.  Around it the solver forms five dense products: U_r' Q_r U_r from
-the r rows of U that meet Q's nonzero leading block, U Y U', and A' X for
-the residual.  It imports ``scipy.linalg`` when it runs, so importing
-gridloss, and every command but ``analyze``, loads numpy alone.
+``solve_lyapunov``, the full Gramian's solver, is Bartels-Stewart with a
+recursive blocked triangular stage (Jonsson & Kagstrom 2002, "RECSY"); its
+docstring has the details.  It imports ``scipy.linalg`` when it runs, so
+importing gridloss, and every command but ``analyze``, loads numpy alone.
 
-The modal and full-Gramian routes share one Lyapunov solver but build their
-systems independently, and neither reads an eigenvector; the closed form
-shares no linear algebra with either, so the agreement of all three
-cross-checks both the models and the closed forms.
+The modal route solves each mode's 4 or 9 unknowns as one small linear
+system (its Kronecker form), all modes in one batched ``np.linalg.solve``
+with one refinement step, and loads no scipy.  It accepts its solutions by
+the Hurwitz margin and the residual test of ``solve_lyapunov``, each written
+once.  So the two Gramian routes share no solver and neither reads an
+eigenvector; the closed form shares no linear algebra with either, so the
+agreement of all three cross-checks both the models and the closed forms.
 """
 
 from __future__ import annotations
@@ -45,8 +39,7 @@ from .network import Spectrum
 
 H2_METHODS = ("closed_form", "modal_lyapunov", "full_gramian")
 
-# largest block handed to dtrsyl whole; also the size up to which
-# solve_lyapunov is exactly scipy's solve_continuous_lyapunov
+# largest block of the full route's triangular solve handed to dtrsyl whole
 _LEAF_ROWS = 64
 
 
@@ -144,16 +137,11 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, eigenvalues) -> 
 
 
 def _is_symmetric(q: np.ndarray, atol: float) -> bool:
-    """The verdict of ``np.allclose(q, q.T, rtol=0, atol=atol)`` at a fifth
-    of its cost on the small matrices of the modal route.  A finite largest
-    gap |q - q'| within atol settles it; otherwise each pair must be within
-    atol with a finite partner, or equal, so equal infinities pass and a NaN
-    never does."""
+    """The verdict of ``np.allclose(q, q.T, rtol=0, atol=atol)``, without its
+    warning on the infinite or NaN atol that a non-finite Q gives: each pair
+    within atol with a finite partner, or equal."""
     with np.errstate(invalid="ignore"):
-        gap = np.abs(q - q.T)
-    if math.isfinite(atol) and gap.max(initial=0.0) <= atol:
-        return True
-    return bool(np.all(((gap <= atol) & np.isfinite(q.T)) | (q == q.T)))
+        return bool(np.all(((np.abs(q - q.T) <= atol) & np.isfinite(q.T)) | (q == q.T)))
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -162,10 +150,9 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     Bartels-Stewart: one real Schur form A' = U T U' serves both the Hurwitz
     check and the triangular solve T Y + Y T' = -U' Q U.  When Q is zero
     outside its leading r x r block Q_r (r = N - 1 of the full-Gramian
-    route's 2N - 1 or 3N - 1 states, r = 1 in a modal block), U' Q U is
-    formed as U_r' Q_r U_r from the first r rows of U; r is read off Q, and
-    a dense Q has r = n.  That solve is
-    recursive and blocked (Jonsson & Kagstrom 2002, ACM TOMS 28(4)): T is
+    route's 2N - 1 or 3N - 1 states), U' Q U is formed as U_r' Q_r U_r from
+    the first r rows of U; r is read off Q, and a dense Q has r = n.  That
+    solve is recursive and blocked (Jonsson & Kagstrom 2002, ACM TOMS 28(4)): T is
     cut at its midpoint, one row further where the cut would split a 2x2
     block; Y22 is solved first, then the Sylvester block T11 Y12 + Y12 T22'
     = F12 - T12 Y22, then Y11 from F11 - T12 Y12' - Y12 T12', with Y21 =
@@ -174,10 +161,8 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``scipy.linalg.solve_continuous_lyapunov``.  If any block comes back
     with an overflow scale below 1, the whole equation is handed to one
     ``dtrsyl`` call instead.  X = U Y U' is symmetrised, so the residual
-    A' X + X A + Q is M + M' + Q from the one product M = A' X.  It is
-    checked as a backward error: against 1e-8 of 2 max|A| max|X| + max|Q|,
-    the scale of the terms it is the sum of, so a lightly damped system with
-    a large Gramian is judged by the rounding its solve can reach.
+    A' X + X A + Q is M + M' + Q from the one product M = A' X, checked as
+    a backward error (``_check_residual``).
 
     Raises:
         StabilityError: A has an eigenvalue with real part >= -1e-10 *
@@ -197,11 +182,7 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     t, u = scipy.linalg.schur(a.T, output="real")
     # LAPACK standardises each 2x2 block of the real Schur form so that both
     # diagonal entries equal the real part of its complex pair
-    real_parts = np.diag(t)
-    if np.any(real_parts >= -1e-10 * float(np.max(np.abs(a), initial=1.0))):
-        raise StabilityError(
-            f"matrix is not safely Hurwitz (max eigenvalue real part {np.max(real_parts):.3e})"
-        )
+    _check_hurwitz(np.diag(t), a)
     # Q = blockdiag(Q_r, 0) gives U' Q U = U_r' Q_r U_r, U_r the first r rows
     r = int(np.max(np.flatnonzero(q.any(axis=0) | q.any(axis=1)), initial=-1)) + 1
     u_r = u[:r]
@@ -212,13 +193,32 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     # X is exactly symmetric, so X A = (A' X)'
     m = a.T @ x
     m = m + m.T + q
-    residual = float(np.max(np.abs(m, out=m)))
-    terms = 2.0 * float(np.max(np.abs(a), initial=0.0)) * float(np.max(np.abs(x), initial=0.0)) + q_scale
-    if not residual <= 1e-8 * terms:
-        raise LyapunovSolveError(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance for Q scale {q_scale:.3e}"
-        )
+    _check_residual(np.max(np.abs(m, out=m)), a, x, q_scale)
     return x
+
+
+def _check_hurwitz(real_parts: np.ndarray, a: np.ndarray) -> None:
+    """Refuse the first A of a stack (or one A) whose eigenvalue real parts,
+    one row per A, reach -1e-10 max(max|A|, 1), absolutely or relatively."""
+    scale = np.max(np.abs(a), axis=(-2, -1), initial=1.0)
+    unsafe = np.any(real_parts >= -1e-10 * scale[..., None], axis=-1)
+    if np.any(unsafe):
+        worst = np.max(real_parts.reshape(-1, real_parts.shape[-1])[np.argmax(unsafe)])
+        raise StabilityError(f"matrix is not safely Hurwitz (max eigenvalue real part {worst:.3e})")
+
+
+def _check_residual(residual, a: np.ndarray, x: np.ndarray, q_scale) -> None:
+    """Refuse the first Lyapunov solution X of a stack (or one X) whose
+    residual max|A' X + X A + Q| exceeds 1e-8 of 2 max|A| max|X| + max|Q|, the
+    scale of the terms it sums: a backward error, so a lightly damped system
+    with a large Gramian is judged by the rounding its solve can reach."""
+    a_max = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    terms = 2.0 * a_max * np.max(np.abs(x), axis=(-2, -1), initial=0.0) + q_scale
+    failed = ~(residual <= 1e-8 * terms)
+    if np.any(failed):
+        first = np.argmax(failed)
+        raise LyapunovSolveError(f"Lyapunov residual {np.ravel(residual)[first]:.3e} exceeds "
+                                 f"tolerance for Q scale {np.ravel(q_scale)[first]:.3e}")
 
 
 class _Rescaled(Exception):
@@ -310,24 +310,40 @@ def h2_modal(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: s
 
     Each nonzero mode contributes B_n' X_n B_n with A_n' X_n + X_n A_n =
     -C_n' C_n; the zero mode is unobservable through the loss output and is
-    skipped rather than solved.  Contributions are summed in eigenvalue
-    order.
+    skipped rather than solved.  The Kronecker forms (A_n' (x) I + I (x)
+    A_n') vec X_n = -vec(C_n' C_n) of all modes are solved together.  Modes
+    are judged in eigenvalue order by the Routh test, then by the Hurwitz
+    margin of ``solve_lyapunov``; the solutions must pass its residual test.
 
     Raises:
         StabilityError: some mode fails the Routh test (e.g. DAPI with
-            gamma = 0), named in the message.
+            gamma = 0), named in the message, or is not safely Hurwitz.
+        LyapunovSolveError: some mode's residual is above tolerance.
     """
-    subsystems = modal_subsystems(spectrum, params, alpha, kind)
-    contributions = []
-    for sub in subsystems[1:]:
-        if not check_stability(params, sub.eigenvalue, kind):
-            raise StabilityError(
-                f"mode {sub.mode_index} (eigenvalue {sub.eigenvalue:.6g}) is not "
-                "asymptotically stable; the steady-state loss is unbounded"
-            )
-        gram = solve_lyapunov(sub.a, sub.c.T @ sub.c)
-        contributions.append((sub.b.T @ gram @ sub.b).item())
-    per_mode = np.array(contributions)
+    blocks = modal_subsystems(spectrum, params, alpha, kind)
+    lams, a, b, c = blocks.eigenvalues[1:], blocks.a[1:], blocks.b[1:], blocks.c[1:]
+    n_stable = next((i for i, lam in enumerate(lams) if not check_stability(params, lam, kind)), lams.size)
+    # a margin failure below the first Routh failure is found first
+    _check_hurwitz(np.linalg.eigvals(a[:n_stable]).real, a[:n_stable])
+    if n_stable < lams.size:
+        raise StabilityError(
+            f"mode {n_stable + 2} (eigenvalue {lams[n_stable]:.6g}) is not "
+            "asymptotically stable; the steady-state loss is unbounded"
+        )
+    n, s = a.shape[:2]
+    at, eye = a.mT, np.eye(s)
+    # K vec X = vec(X A + A' X), X's entries in row-major order
+    kron = (np.einsum("ik,njl->nijkl", eye, at) + np.einsum("nik,jl->nijkl", at, eye)).reshape(n, s * s, s * s)
+    q = c.mT @ c
+    rhs = -q.reshape(n, s * s, 1)
+    vec = np.linalg.solve(kron, rhs)
+    # one step of refinement in working precision makes Gaussian elimination
+    # componentwise backward stable (Skeel 1980, Math. Comp. 35(151))
+    vec += np.linalg.solve(kron, rhs - kron @ vec)
+    gram = vec.reshape(n, s, s)
+    residual = np.max(np.abs(at @ gram + gram @ a + q), axis=(-2, -1))
+    _check_residual(residual, a, gram, np.max(np.abs(q), axis=(-2, -1)))
+    per_mode = (b.mT @ gram @ b)[:, 0, 0]
     return H2Result(squared_norm=math.fsum(per_mode), method="modal_lyapunov", per_mode=per_mode)
 
 
@@ -339,8 +355,8 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     the orthogonal complement of the all-ones vector, with basis H from an
     explicit Householder reflector, and the weight is Q = blockdiag(H' L_G
     H, 0, ...), so this route computes no spectrum.  No per-mode breakdown
-    is available here.  The Hurwitz
-    verdict on the deflated matrix is the one ``solve_lyapunov`` reaches.
+    is available here.  The Hurwitz verdict on the deflated matrix is the
+    one ``solve_lyapunov`` reaches.
 
     Raises:
         StabilityError: marginal or unstable modes survive deflation (DAPI
@@ -358,9 +374,9 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     try:
         gram = solve_lyapunov(a, q)
     except StabilityError as err:
+        hint = "; for DAPI this typically means gamma = 0" if ss.controller_kind == "dapi" else ""
         raise StabilityError(
-            f"marginal or unstable modes remain after deflating the rigid phase shift ({err}); "
-            "for DAPI this typically means gamma = 0"
+            f"marginal or unstable modes remain after deflating the rigid phase shift ({err}){hint}"
         ) from err
     squared = float(np.trace(b.T @ gram @ b))
     return H2Result(squared_norm=max(squared, 0.0), method="full_gramian", per_mode=None)

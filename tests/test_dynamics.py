@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import gridloss.dynamics
 from gridloss.dynamics import (
     ControllerParams,
-    ModalSubsystem,
+    ModalBlocks,
     StateSpace,
     assemble_dapi,
     assemble_droop,
@@ -147,35 +147,79 @@ class TestAssembleDapi:
 class TestModalSubsystems:
     def test_droop_mode_matrices(self):
         g = build_complete_graph(3, b=1.0, alpha=1.0)  # eigenvalues 0, 3, 3
-        subs = modal_subsystems(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="droop")
-        assert [s.mode_index for s in subs] == [1, 2, 3]
-        sub = subs[1]
-        assert sub.eigenvalue == 3.0
-        assert np.allclose(sub.a, np.array([[0.0, 1.0], [-3.0, -1.0]]), atol=0)
-        assert np.allclose(sub.b, np.array([[0.0], [1.0]]), atol=0)
-        assert np.allclose(sub.c, np.array([[math.sqrt(3.0), 0.0]]), atol=1e-15)
+        blocks = modal_subsystems(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="droop")
+        assert (blocks.a.shape, blocks.b.shape, blocks.c.shape) == ((3, 2, 2), (3, 2, 1), (3, 1, 2))
+        assert blocks.eigenvalues[1] == 3.0
+        assert np.allclose(blocks.a[1], np.array([[0.0, 1.0], [-3.0, -1.0]]), atol=0)
+        assert np.allclose(blocks.b[1], np.array([[0.0], [1.0]]), atol=0)
+        assert np.allclose(blocks.c[1], np.array([[math.sqrt(3.0), 0.0]]), atol=1e-15)
 
     def test_dapi_mode_matrix_coupling_signs(self):
         # omega'_n couples +1/tau into the averaging state; the averaging row
         # couples -1/k and -gamma lam / k.  A sign slip in the (2,3) entry
         # breaks the match with the assembled loop (see equivalence tests).
         g = build_complete_graph(3, b=1.0, alpha=1.0)
-        subs = modal_subsystems(
+        blocks = modal_subsystems(
             _spectrum_of(g), ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0), alpha=1.0, kind="dapi"
         )
         expected = np.array([[0.0, 1.0, 0.0], [-3.0, -1.0, 1.0], [0.0, -1.0, -3.0]])
-        assert np.allclose(subs[2].a, expected, atol=0)
-        assert np.allclose(subs[2].b, np.array([[0.0], [1.0], [0.0]]), atol=0)
-        assert np.allclose(subs[2].c, np.array([[math.sqrt(3.0), 0.0, 0.0]]), atol=1e-15)
+        assert np.allclose(blocks.a[2], expected, atol=0)
+        assert np.allclose(blocks.b[2], np.array([[0.0], [1.0], [0.0]]), atol=0)
+        assert np.allclose(blocks.c[2], np.array([[math.sqrt(3.0), 0.0, 0.0]]), atol=1e-15)
 
     def test_zero_mode_has_zero_output(self):
         g = build_line_graph(5, [1.0] * 4, alpha=3.0)
         for kind in ("droop", "dapi"):
-            subs = modal_subsystems(
+            blocks = modal_subsystems(
                 _spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=3.0, kind=kind
             )
-            assert subs[0].eigenvalue == 0.0
-            assert np.array_equal(subs[0].c, np.zeros_like(subs[0].c))
+            assert blocks.eigenvalues[0] == 0.0
+            assert np.array_equal(blocks.c[0], np.zeros_like(blocks.c[0]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 10_000),
+        alpha=st.sampled_from([0.0, 0.37, 1.0, 2.5]),
+        m=st.floats(1e-3, 1e3),
+        tau=st.floats(1e-4, 1e2),
+        k=st.floats(1e-3, 1e3),
+        gamma=st.sampled_from([0.0, 1e-3, 0.7, 1e3]),
+    )
+    def test_stack_equals_per_mode_literals_bit_for_bit(self, n, seed, alpha, m, tau, k, gamma):
+        # the reference builds each mode from array literals; every bit,
+        # the sign of each zero included (-m 0 / tau is -0.0), must match
+        g = build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=alpha, seed=seed)
+        spec = laplacian_eigenvalues(susceptance_laplacian(g))
+        p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        for kind in ("droop", "dapi"):
+            blocks = modal_subsystems(spec, p, alpha, kind)
+            assert isinstance(blocks, ModalBlocks)
+            assert blocks.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+            for i, lam in enumerate(spec.eigenvalues):
+                gain = np.sqrt(alpha * lam)
+                if kind == "droop":
+                    a = np.array([[0.0, 1.0], [-m * lam / tau, -1.0 / tau]])
+                    b = np.array([[0.0], [1.0 / tau]])
+                    c = np.array([[gain, 0.0]])
+                else:
+                    a = np.array([
+                        [0.0, 1.0, 0.0],
+                        [-m * lam / tau, -1.0 / tau, 1.0 / tau],
+                        [0.0, -1.0 / k, -gamma * lam / k],
+                    ])
+                    b = np.array([[0.0], [1.0 / tau], [0.0]])
+                    c = np.array([[gain, 0.0, 0.0]])
+                for got, want in ((blocks.a[i], a), (blocks.b[i], b), (blocks.c[i], c)):
+                    assert got.tobytes() == want.tobytes()
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_stack_is_read_only(self):
+        g = build_line_graph(4, [1.0] * 3, alpha=1.0)
+        blocks = modal_subsystems(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="dapi")
+        for arr in (blocks.eigenvalues, blocks.a, blocks.b, blocks.c):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     def test_tau_zero_rejected(self):
         g = build_line_graph(2, [1.0], alpha=1.0)
@@ -193,9 +237,9 @@ class TestModalSubsystems:
         g = build_line_graph(4, [1.0] * 3, alpha=1.0)
         spec = laplacian_eigenvalues(susceptance_laplacian(g))
         p = ControllerParams(m=1.0, tau=1.0)
-        subs = modal_subsystems(spec, p, alpha=1.0, kind="dapi")
+        blocks = modal_subsystems(spec, p, alpha=1.0, kind="dapi")
         with pytest.raises(ValidationError, match="spectral_decomposition"):
-            verify_modal_equivalence(assemble_dapi(g, p), subs, spec)
+            verify_modal_equivalence(assemble_dapi(g, p), blocks, spec)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -295,16 +339,16 @@ class TestModalEquivalence:
         p = ControllerParams(m=1.0, tau=1.0)
         ss = assemble_droop(g, p)
         spec = _spectrum_of(g)
-        subs = modal_subsystems(spec, p, alpha=1.0, kind="droop")
-        assert verify_modal_equivalence(ss, subs, spec) <= 1e-12
+        blocks = modal_subsystems(spec, p, alpha=1.0, kind="droop")
+        assert verify_modal_equivalence(ss, blocks, spec) <= 1e-12
 
     def test_complete_graph_dapi(self):
         g = build_complete_graph(3, b=1.0, alpha=1.0)
         p = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
         ss = assemble_dapi(g, p)
         spec = _spectrum_of(g)
-        subs = modal_subsystems(spec, p, alpha=1.0, kind="dapi")
-        assert verify_modal_equivalence(ss, subs, spec) <= 1e-12
+        blocks = modal_subsystems(spec, p, alpha=1.0, kind="dapi")
+        assert verify_modal_equivalence(ss, blocks, spec) <= 1e-12
 
     def test_random_graphs_within_tolerance(self):
         rng = np.random.default_rng(3)
@@ -316,8 +360,8 @@ class TestModalEquivalence:
             spec = _spectrum_of(g)
             for kind, assemble in (("droop", assemble_droop), ("dapi", assemble_dapi)):
                 ss = assemble(g, p)
-                subs = modal_subsystems(spec, p, alpha=1.0, kind=kind)
-                dev = verify_modal_equivalence(ss, subs, spec)
+                blocks = modal_subsystems(spec, p, alpha=1.0, kind=kind)
+                dev = verify_modal_equivalence(ss, blocks, spec)
                 assert dev <= 1e-8 * np.max(np.abs(ss.a))
 
     def test_dimension_mismatch_rejected(self):
@@ -326,9 +370,9 @@ class TestModalEquivalence:
         p = ControllerParams(m=1.0, tau=1.0)
         ss = assemble_droop(g2, p)
         spec3 = _spectrum_of(g3)
-        subs3 = modal_subsystems(spec3, p, alpha=1.0, kind="droop")
+        blocks3 = modal_subsystems(spec3, p, alpha=1.0, kind="droop")
         with pytest.raises(ValidationError, match="mismatch"):
-            verify_modal_equivalence(ss, subs3, spec3)
+            verify_modal_equivalence(ss, blocks3, spec3)
 
 
 class TestStateSpaceType:
@@ -383,8 +427,15 @@ class TestStateSpaceType:
             StateSpace(a=np.eye(2), b=np.zeros((2, 1)), l_g=_zero_laplacian(1), controller_kind="pid")
 
     def test_modal_shape_validation(self):
-        with pytest.raises(ValidationError):
-            ModalSubsystem(mode_index=1, eigenvalue=1.0, a=np.eye(4), b=np.zeros((4, 1)), c=np.zeros((1, 4)))
+        for eigenvalues, a, b, c in [
+            (np.ones(1), np.eye(4)[None], np.zeros((1, 4, 1)), np.zeros((1, 1, 4))),  # order 4
+            (np.ones(2), np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), np.zeros((1, 1, 2))),  # mode count
+            (np.ones(1), np.zeros((1, 3, 3)), np.zeros((1, 2, 1)), np.zeros((1, 1, 3))),  # B's order
+            (np.ones(1), np.zeros((1, 3, 3)), np.zeros((1, 3, 1)), np.zeros((1, 3))),  # C unstacked
+            (np.float64(1.0), np.zeros((3, 3)), np.zeros((3, 1)), np.zeros((1, 3))),  # one mode, unstacked
+        ]:
+            with pytest.raises(ValidationError, match="inconsistent modal shapes"):
+                ModalBlocks(eigenvalues=eigenvalues, a=a, b=b, c=c)
 
 
 class TestDerivedOutput:

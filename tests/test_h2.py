@@ -1,7 +1,12 @@
 """H2 norm routes: closed forms, modal Lyapunov, full Gramian."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +29,11 @@ from gridloss.h2 import (
     solve_lyapunov,
 )
 from gridloss.network import (
+    NetworkGraph,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
+    laplacian_eigenvalues,
     spectral_decomposition,
     susceptance_laplacian,
 )
@@ -516,6 +523,121 @@ class TestModalRoute:
         assert res.per_mode.size == 9
         assert abs(res.squared_norm - math.fsum(res.per_mode)) <= 1e-10 * res.squared_norm
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        seed=st.integers(0, 10_000),
+        alpha=st.floats(0.1, 3.0),
+        log_m=st.floats(-3.0, 3.0),
+        log_k=st.floats(-3.0, 3.0),
+        log_gamma=st.floats(-3.0, 3.0),
+        log_tau=st.floats(-4.0, 2.0),
+    )
+    def test_every_mode_matches_the_closed_form(self, n, seed, alpha, log_m, log_k, log_gamma, log_tau):
+        # parameters log-uniform over 4 to 6 decades; a route that refuses
+        # (the Hurwitz margin on a stiff mode) is not compared
+        g = build_random_connected_graph(n, min(1.0, 3.0 / n + 0.1), (0.5, 1.5), alpha=alpha, seed=seed)
+        spec = laplacian_eigenvalues(susceptance_laplacian(g))
+        p = ControllerParams(m=10.0**log_m, tau=10.0**log_tau, k=10.0**log_k, gamma=10.0**log_gamma)
+        closed = {"droop": h2_droop_closed_form(alpha, p.m, n), "dapi": h2_dapi_closed_form(alpha, p, spec)}
+        for kind in ("droop", "dapi"):
+            try:
+                modal = h2_modal(spec, p, alpha, kind)
+            except StabilityError:
+                continue
+            want = closed[kind].per_mode
+            assert np.all(np.abs(modal.per_mode - want) <= 1e-10 * want)
+
+    @pytest.mark.parametrize("kind", ["droop", "dapi"])
+    def test_single_node_has_no_mode(self, kind):
+        spec = laplacian_eigenvalues(susceptance_laplacian(NetworkGraph(1, [], alpha=1.0)))
+        res = h2_modal(spec, ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind=kind)
+        assert res.squared_norm == 0.0 and res.per_mode.shape == (0,)
+
+    def test_two_nodes_have_one_mode(self):
+        g = build_line_graph(2, [1.5], alpha=0.8)
+        spec = laplacian_eigenvalues(susceptance_laplacian(g))
+        p = ControllerParams(m=0.7, tau=1.3, k=0.9, gamma=1.1)
+        for kind, closed in (("droop", h2_droop_closed_form(0.8, 0.7, 2)), ("dapi", h2_dapi_closed_form(0.8, p, spec))):
+            res = h2_modal(spec, p, alpha=0.8, kind=kind)
+            assert res.per_mode.shape == (1,)
+            assert abs(res.squared_norm - closed.squared_norm) <= 1e-14 * closed.squared_norm
+
+    def test_solves_the_blocks_that_verify_modal_equivalence_certifies(self, monkeypatch):
+        g = build_random_connected_graph(12, 0.4, (0.5, 1.5), alpha=1.3, seed=4)
+        spec = _spectrum_of(g)
+        p = ControllerParams(m=0.8, tau=1.2, k=1.4, gamma=0.6)
+        solved = []
+
+        def recording(*args):
+            solved.append(gridloss.dynamics.modal_subsystems(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(gridloss.h2, "modal_subsystems", recording)
+        for kind, assemble in (("droop", assemble_droop), ("dapi", assemble_dapi)):
+            h2_modal(spec, p, alpha=1.3, kind=kind)
+            assert gridloss.dynamics.verify_modal_equivalence(assemble(g, p), solved[-1], spec) <= 1e-12
+
+    def test_numpy_only(self):
+        # the modal route solves its small systems with numpy; scipy stays
+        # for the full Gramian
+        code = (
+            "import sys\n"
+            "from gridloss import ControllerParams, build_random_connected_graph, h2_modal,"
+            " laplacian_eigenvalues, susceptance_laplacian\n"
+            "g = build_random_connected_graph(150, 0.05, (0.5, 1.5), alpha=1.0, seed=3)\n"
+            "spec = laplacian_eigenvalues(susceptance_laplacian(g))\n"
+            "for kind in ('droop', 'dapi'):\n"
+            "    h2_modal(spec, ControllerParams(m=1.0, tau=1.0), 1.0, kind)\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(gridloss.h2.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
+
+    def test_never_calls_solve_lyapunov(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the modal route must not reach solve_lyapunov")
+
+        monkeypatch.setattr(gridloss.h2, "solve_lyapunov", refuse)
+        g = build_random_connected_graph(20, 0.3, (0.5, 1.5), alpha=1.0, seed=5)
+        for kind in ("droop", "dapi"):
+            h2_modal(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind=kind)
+
+    @pytest.mark.parametrize("kind", ["droop", "dapi"])
+    def test_weak_tie_is_refused(self, kind):
+        # the slowest mode decays at about 4e-11 (droop), past the margin
+        with pytest.raises(StabilityError, match="not safely Hurwitz"):
+            h2_modal(_cliques_spectrum(1e-10), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind=kind)
+
+    def test_weaker_tie_droop_is_exact(self):
+        res = h2_modal(_cliques_spectrum(1e-8), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="droop")
+        assert abs(res.squared_norm - 4.5) <= 1e-12 * 4.5
+
+    @pytest.mark.parametrize(("routh_fails_at", "message"), [
+        (3, "matrix is not safely Hurwitz (max eigenvalue real part -2.462e-04)"),
+        (2, "mode 2 (eigenvalue 0.0246233) is not asymptotically stable"),
+    ], ids=["margin-first", "routh-first"])
+    def test_each_mode_is_judged_by_routh_then_margin(self, monkeypatch, routh_fails_at, message):
+        # on the stiff line mode 2 fails the margin: a Routh failure in a
+        # higher mode comes after it, one in the same mode before it
+        g = build_line_graph(20, [1.0] * 19, alpha=1.0)
+        spec = laplacian_eigenvalues(susceptance_laplacian(g))
+        lam = spec.eigenvalues[routh_fails_at - 1]
+        monkeypatch.setattr(gridloss.h2, "check_stability", lambda params, mode_lam, kind: mode_lam != lam)
+        with pytest.raises(StabilityError) as info:
+            h2_modal(spec, ControllerParams(m=0.01, tau=1e-9), alpha=1.0, kind="droop")
+        assert str(info.value).startswith(message)
+
+    def test_wrong_solution_rejected(self, monkeypatch):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda k, rhs: 1.01 * solve(k, rhs))
+        g = build_line_graph(5, [1.0] * 4, alpha=1.0)
+        with pytest.raises(LyapunovSolveError, match="Lyapunov residual"):
+            h2_modal(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="dapi")
+
 
 class TestFullGramianRoute:
     def test_droop_matches_closed_form(self):
@@ -542,6 +664,15 @@ class TestFullGramianRoute:
             ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
         with pytest.raises(StabilityError, match="gamma = 0"):
             h2_full_gramian(ss)
+
+    def test_droop_refusal_has_no_dapi_hint(self):
+        ss = assemble_droop(build_line_graph(20, [1.0] * 19, alpha=1.0), ControllerParams(m=0.01, tau=1e-9))
+        with pytest.raises(StabilityError) as info:
+            h2_full_gramian(ss)
+        assert str(info.value) == (
+            "marginal or unstable modes remain after deflating the rigid phase shift "
+            "(matrix is not safely Hurwitz (max eigenvalue real part -2.463e-04))"
+        )
 
     def test_two_node_droop_small_path(self):
         # deflated droop pair has 3 states, exercising the direct solver
@@ -649,3 +780,10 @@ class TestH2ResultType:
         res = h2_droop_closed_form(1.0, 1.0, 5)
         with pytest.raises(ValueError):
             res.per_mode[0] = 9.9
+
+
+def _cliques_spectrum(tie):
+    """Eigenvalues of two unit 5-cliques joined by one line of susceptance ``tie``."""
+    edges = [(i, j, 1.0) for base in (0, 5) for i, j in itertools.combinations(range(base, base + 5), 2)]
+    graph = NetworkGraph(10, [*edges, (4, 5, tie)], alpha=1.0)
+    return laplacian_eigenvalues(susceptance_laplacian(graph))
