@@ -35,6 +35,9 @@ from .tuning import gamma_star_vs_k, loss_reduction_vs_k, optimal_gamma, optimal
 # largest --grid or --n-grid accepted; a larger one is refused before it is allocated
 _GRID_MAX_POINTS = 10**7
 
+# relative spread within which the three norm routes must agree
+_ROUTE_RTOL = 1e-7
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -280,7 +283,12 @@ def _cmd_analyze(args) -> int:
         top = max(norms)
         return (top - min(norms)) / top if top > 0 else 0.0
 
-    deviation = max(_spread(droop), _spread(dapi))
+    spreads = {"droop": _spread(droop), "dapi": _spread(dapi)}
+    for kind, spread in spreads.items():
+        if spread > _ROUTE_RTOL:
+            print(f"warning: the three {kind} norm routes spread {spread:.3e} (relative), "
+                  f"beyond their {_ROUTE_RTOL:g} agreement contract", file=sys.stderr)
+    deviation = max(spreads.values())
     droop_norm = droop["closed_form"].squared_norm
     dapi_norm = dapi["closed_form"].squared_norm
     below = dapi_norm < droop_norm

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError, ValidationError
-from .network import Laplacian, NetworkGraph, Spectrum, spectral_decomposition, susceptance_laplacian
+from .network import Laplacian, NetworkGraph, Spectrum, _frozen, spectral_decomposition, susceptance_laplacian
 
 CONTROLLER_KINDS = ("droop", "dapi")
 
@@ -150,10 +150,11 @@ def assemble_droop(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
         A = [[ 0,            I        ],      B = [[ 0   ],
              [ -(m/tau) L_B, -(1/tau) I ]]         [ I/tau]]
 
-    with loss weight L_G = alpha * L_B: ``droop_part`` of the DAPI system.
-    Neither k nor gamma enters.  Raises AssemblyError when tau == 0.
+    with loss weight L_G = alpha * L_B: bit for bit ``droop_part`` of the
+    DAPI system, assembled without it.  Neither k nor gamma enters.  Raises
+    AssemblyError when tau == 0.
     """
-    return droop_part(_assemble(graph, params))
+    return _assemble(graph, params, "droop")
 
 
 def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
@@ -168,7 +169,7 @@ def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
     warning: the averaging layer then contributes N-1 marginal modes and
     every norm route will refuse the system.
     """
-    ss = _assemble(graph, params)
+    ss = _assemble(graph, params, "dapi")
     if params.gamma == 0:
         warnings.warn(
             "gamma is zero: integrator states do not communicate, the closed "
@@ -192,34 +193,47 @@ def droop_part(ss: StateSpace) -> StateSpace:
     return StateSpace(a=a, b=b, l_g=ss.l_g, controller_kind="droop")
 
 
-def _assemble(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
+def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> StateSpace:
+    """The closed loop of ``assemble_dapi``, or its leading 2N states for
+    droop, filled block by block into one matrix.
+
+    Each block holds the bits of the scalar-times-matrix product that
+    ``np.block`` would stack, the sign of its zeros included: a negative
+    scalar makes -0.0 of the zeros of I and L_B."""
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
     lb = susceptance_laplacian(graph).matrix
     n = graph.n_nodes
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    a = np.block([
-        [zero, eye, zero],
-        [-(params.m / params.tau) * lb, -(1.0 / params.tau) * eye, (1.0 / params.tau) * eye],
-        [zero, -(1.0 / params.k) * eye, -(1.0 / params.k) * (params.gamma * lb)],
-    ])
-    b = np.vstack([zero, eye / params.tau, zero])
-    l_g = Laplacian(matrix=graph.alpha * lb, kind="conductance")
+    s = 2 if kind == "droop" else 3
+    a = np.zeros((s * n, s * n))
+
+    def block(row: int, col: int) -> np.ndarray:
+        return a[row * n:(row + 1) * n, col * n:(col + 1) * n]
+
+    _fill_scaled_eye(block(0, 1), 1.0)
+    np.multiply(-(params.m / params.tau), lb, out=block(1, 0))
+    _fill_scaled_eye(block(1, 1), -(1.0 / params.tau))
+    if kind == "dapi":
+        _fill_scaled_eye(block(1, 2), 1.0 / params.tau)
+        _fill_scaled_eye(block(2, 1), -(1.0 / params.k))
+        l_c = np.multiply(params.gamma, lb, out=block(2, 2))
+        l_c *= -(1.0 / params.k)
+    g_matrix = graph.alpha * lb
+    g_matrix.setflags(write=False)
+    l_g = Laplacian(matrix=g_matrix, kind="conductance")
+    del lb  # so that B is allocated without it
+    b = np.zeros((s * n, n))
+    np.fill_diagonal(b[n:2 * n], 1.0 / params.tau)
     for arr in (a, b):
         arr.setflags(write=False)
-    return StateSpace(a=a, b=b, l_g=l_g, controller_kind="dapi")
+    return StateSpace(a=a, b=b, l_g=l_g, controller_kind=kind)
 
 
-def _frozen(values) -> np.ndarray:
-    """Read-only float64 array of ``values``.  An array that is already
-    read-only float64 is kept as it is; anything else is copied, so a
-    caller's writeable array is never frozen."""
-    arr = np.asarray(values)
-    if arr.dtype != np.float64 or arr.flags.writeable:
-        arr = np.array(arr, dtype=float)
-        arr.setflags(write=False)
-    return arr
+def _fill_scaled_eye(out: np.ndarray, scale: float) -> None:
+    """Write ``scale * np.eye(n)`` into ``out`` with its bits: ``scale`` on
+    the diagonal and ``scale * 0.0`` off it."""
+    out.fill(scale * 0.0)
+    np.fill_diagonal(out, scale)
 
 
 def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: str) -> ModalBlocks:

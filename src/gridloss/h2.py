@@ -35,7 +35,7 @@ import numpy as np
 
 from .dynamics import ControllerParams, StateSpace, check_stability, modal_subsystems
 from .errors import LyapunovSolveError, StabilityError, ValidationError
-from .network import Spectrum
+from .network import _ROW_BLOCK, Spectrum, _symmetric_within
 
 H2_METHODS = ("closed_form", "modal_lyapunov", "full_gramian")
 
@@ -136,14 +136,6 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, eigenvalues) -> 
     return H2Result(squared_norm=math.fsum(per_mode), method="closed_form", per_mode=per_mode)
 
 
-def _is_symmetric(q: np.ndarray, atol: float) -> bool:
-    """The verdict of ``np.allclose(q, q.T, rtol=0, atol=atol)``, without its
-    warning on the infinite or NaN atol that a non-finite Q gives: each pair
-    within atol with a finite partner, or equal."""
-    with np.errstate(invalid="ignore"):
-        return bool(np.all(((np.abs(q - q.T) <= atol) & np.isfinite(q.T)) | (q == q.T)))
-
-
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A' X + X A = -Q for Hurwitz A and symmetric Q.
 
@@ -162,7 +154,11 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     with an overflow scale below 1, the whole equation is handed to one
     ``dtrsyl`` call instead.  X = U Y U' is symmetrised, so the residual
     A' X + X A + Q is M + M' + Q from the one product M = A' X, checked as
-    a backward error (``_check_residual``).
+    a backward error (``_check_residual``).  The triangular stage works in
+    place on U' Q U, T, U and Y are dropped once used, and the
+    symmetrisation and the residual run 64 rows at a time, so no step holds
+    more than four n x n arrays besides A and Q (the Schur routine itself
+    holds four).
 
     Raises:
         StabilityError: A has an eigenvalue with real part >= -1e-10 *
@@ -175,7 +171,7 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != q.shape:
         raise ValidationError(f"A and Q must be square and same shape, got {a.shape} and {q.shape}")
     q_scale = float(np.max(np.abs(q))) if q.size else 0.0
-    if not _is_symmetric(q, 1e-12 * max(q_scale, 1.0)):
+    if not _symmetric_within(q, 1e-12 * max(q_scale, 1.0)):
         raise ValidationError("Q must be symmetric")
     import scipy.linalg  # at call time: see the module docstring
 
@@ -186,15 +182,39 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     # Q = blockdiag(Q_r, 0) gives U' Q U = U_r' Q_r U_r, U_r the first r rows
     r = int(np.max(np.flatnonzero(q.any(axis=0) | q.any(axis=1)), initial=-1)) + 1
     u_r = u[:r]
-    f = u_r.T @ (-q[:r, :r] @ u_r)
-    y, scale = _solve_quasi_triangular(t, f)
-    x = u @ (y * scale) @ u.T
-    x = (x + x.T) / 2.0
+    y, scale = _solve_quasi_triangular(t, lambda: u_r.T @ (-q[:r, :r] @ u_r))
+    del t
+    if scale != 1.0:
+        y *= scale
+    x = u @ y
+    del y
+    x = x @ u.T
+    del u
+    _symmetrise(x)
     # X is exactly symmetric, so X A = (A' X)'
-    m = a.T @ x
-    m = m + m.T + q
-    _check_residual(np.max(np.abs(m, out=m)), a, x, q_scale)
+    _check_residual(_max_abs_sum_with_transpose(a.T @ x, q), a, x, q_scale)
     return x
+
+
+def _symmetrise(x: np.ndarray) -> None:
+    """x <- (x + x') / 2 in place, one block of rows and its mirrored
+    columns at a time."""
+    for lo in range(0, x.shape[0], _ROW_BLOCK):
+        hi = lo + _ROW_BLOCK
+        half = x[lo:hi, lo:] + x[lo:, lo:hi].T
+        half /= 2.0
+        x[lo:hi, lo:] = half
+        x[lo:, lo:hi] = half.T
+
+
+def _max_abs_sum_with_transpose(m: np.ndarray, q: np.ndarray) -> float:
+    """max|M + M' + Q|, one block of rows at a time."""
+    peaks = []
+    for lo in range(0, m.shape[0], _ROW_BLOCK):
+        rows = m[lo:lo + _ROW_BLOCK] + m[:, lo:lo + _ROW_BLOCK].T
+        rows += q[lo:lo + _ROW_BLOCK]
+        peaks.append(np.max(np.abs(rows, out=rows)))
+    return np.max(peaks)
 
 
 def _check_hurwitz(real_parts: np.ndarray, a: np.ndarray) -> None:
@@ -225,17 +245,20 @@ class _Rescaled(Exception):
     """A dtrsyl block scaled its right-hand side down to avoid overflow."""
 
 
-def _solve_quasi_triangular(t: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve_quasi_triangular(t: np.ndarray, rhs) -> tuple[np.ndarray, float]:
     """(Y, scale) with T Y + Y T' = scale F for upper quasi-triangular T and
-    symmetric F.  Above the leaf size Y is exactly symmetric; a whole-matrix
-    dtrsyl solution is symmetric up to rounding."""
+    symmetric F = ``rhs()``, a fresh array.  Above the leaf size Y is solved
+    in place on F and is exactly symmetric; if a block rescales, ``rhs()``
+    forms F again for one whole-matrix dtrsyl call, whose solution is
+    symmetric up to rounding."""
+    f = rhs()
     if t.shape[0] > _LEAF_ROWS:
-        y = f.copy()
         try:
-            _lyapunov_blocks(t, y)
-            return y, 1.0
+            _lyapunov_blocks(t, f)
+            return f, 1.0
         except _Rescaled:
-            pass
+            del f  # partly overwritten; freed before F is formed again
+            f = rhs()
     import scipy.linalg
 
     y, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
@@ -362,13 +385,19 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
         StabilityError: marginal or unstable modes survive deflation (DAPI
             with gamma = 0, or an unstable parameterization).
     """
-    n = ss.n_nodes
+    n, states = ss.n_nodes, ss.n_states - 1
     basis = _ones_complement_basis(n)
     # the congruence by blockdiag(basis, I, ...) touches only the theta
-    # rows and columns; the half-transformed copy is dropped before the solve
-    a = np.vstack([basis.T @ ss.a[:n], ss.a[n:]])
-    a = np.hstack([a[:, :n] @ basis, a[:, n:]])
-    b = np.vstack([basis.T @ ss.b[:n], ss.b[n:]])
+    # rows and columns: one product for all theta rows, then one for all
+    # theta columns, each written into the one deflated matrix
+    a = np.empty((states, states))
+    theta_rows = basis.T @ ss.a[:n]
+    a[:n - 1, n - 1:] = theta_rows[:, n:]
+    a[n - 1:, n - 1:] = ss.a[n:, n:]
+    theta_cols = np.concatenate([theta_rows[:, :n], ss.a[n:, :n]])
+    del theta_rows
+    np.matmul(theta_cols, basis, out=a[:, :n - 1])
+    del theta_cols
     q = np.zeros_like(a)
     q[:n - 1, :n - 1] = basis.T @ ss.l_g.matrix @ basis
     try:
@@ -378,6 +407,9 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
         raise StabilityError(
             f"marginal or unstable modes remain after deflating the rigid phase shift ({err}){hint}"
         ) from err
+    b = np.empty((states, n))
+    np.matmul(basis.T, ss.b[:n], out=b[:n - 1])
+    b[n - 1:] = ss.b[n:]
     squared = float(np.trace(b.T @ gram @ b))
     return H2Result(squared_norm=max(squared, 0.0), method="full_gramian", per_mode=None)
 

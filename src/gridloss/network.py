@@ -29,6 +29,14 @@ _LAPLACIAN_KINDS = ("susceptance", "conductance", "communication")
 # relative threshold below which a computed eigenvalue is treated as zero
 _ZERO_EIG_RTOL = 1e-9
 
+# rows per pass of the row-blocked passes over a dense square matrix (the
+# symmetry check here, and the Gramian's symmetrisation and residual)
+_ROW_BLOCK = 64
+
+# uniforms per call in the random-graph draw: the stream does not depend on
+# how it is cut, so the edges of a seed stay the same
+_DRAW_CHUNK = 2**16
+
 
 @dataclass(frozen=True)
 class NetworkGraph:
@@ -166,7 +174,8 @@ class Laplacian:
     symmetric, row sums zero (within 1e-12 of the largest entry),
     off-diagonal entries <= 0.  Together these make the matrix diagonally
     dominant with a nonnegative diagonal, hence positive semidefinite.  The
-    stored array is read-only.
+    stored array is read-only: a matrix that is already a read-only float64
+    array is kept as handed in, anything else is copied (``_frozen``).
     """
 
     matrix: np.ndarray
@@ -175,7 +184,7 @@ class Laplacian:
     def __post_init__(self) -> None:
         if self.kind not in _LAPLACIAN_KINDS:
             raise ValidationError(f"kind must be one of {_LAPLACIAN_KINDS}, got {self.kind!r}")
-        mat = np.array(self.matrix, dtype=float)
+        mat = _frozen(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"Laplacian must be square, got shape {mat.shape}")
         top, bottom = (float(mat.max()), float(mat.min())) if mat.size else (0.0, 0.0)
@@ -190,7 +199,6 @@ class Laplacian:
             raise ValidationError("Laplacian row sums must be zero")
         if np.count_nonzero(mat > tol) > np.count_nonzero(np.diagonal(mat) > tol):
             raise ValidationError("Laplacian off-diagonal entries must be <= 0")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -198,12 +206,31 @@ class Laplacian:
         return self.matrix.shape[0]
 
 
-def _symmetric_within(mat: np.ndarray, tol: float) -> bool:
-    """The verdict of ``np.allclose(mat, mat.T, rtol=0, atol=tol)`` for a
-    finite matrix."""
-    gap = mat - mat.T
-    np.abs(gap, out=gap)
-    return gap.size == 0 or bool(gap.max() <= tol)
+def _frozen(values) -> np.ndarray:
+    """Read-only float64 array of ``values``.  An array that is already
+    read-only float64 is kept as it is; anything else is copied, so a
+    caller's writeable array is never frozen."""
+    arr = np.asarray(values)
+    if arr.dtype != np.float64 or arr.flags.writeable:
+        arr = np.array(arr, dtype=float)
+        arr.setflags(write=False)
+    return arr
+
+
+def _symmetric_within(mat: np.ndarray, atol: float) -> bool:
+    """The verdict of ``np.allclose(mat, mat.T, rtol=0, atol=atol)`` for a
+    square matrix, without its warning on the infinite or NaN atol that a
+    non-finite matrix gives: each pair within atol with a finite partner, or
+    equal.  It is taken ``_ROW_BLOCK`` rows at a time, so no temporary is
+    larger than ``_ROW_BLOCK`` rows."""
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, mat.shape[0], _ROW_BLOCK):
+            rows, partners = mat[lo:lo + _ROW_BLOCK], mat[:, lo:lo + _ROW_BLOCK].T
+            gap = rows - partners
+            np.abs(gap, out=gap)
+            if not np.all(((gap <= atol) & np.isfinite(partners)) | (rows == partners)):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -313,8 +340,12 @@ def build_random_connected_graph(
     # row i whose first pair is k = i (2n - i - 1) / 2
     nodes = np.arange(n_nodes)
     row_starts = nodes * (2 * n_nodes - nodes - 1) // 2
+    n_pairs = n_nodes * (n_nodes - 1) // 2
     for _ in range(1000):
-        chosen = np.flatnonzero(rng.random(n_nodes * (n_nodes - 1) // 2) < p)
+        chosen = np.concatenate([
+            np.flatnonzero(rng.random(min(_DRAW_CHUNK, n_pairs - start)) < p) + start
+            for start in range(0, n_pairs, _DRAW_CHUNK)
+        ])
         ends_i = np.searchsorted(row_starts, chosen, side="right") - 1
         ends_j = chosen - row_starts[ends_i] + ends_i + 1
         if _component_count(n_nodes, ends_i, ends_j) != 1:
@@ -405,6 +436,7 @@ def susceptance_laplacian(graph: NetworkGraph) -> Laplacian:
     lb[graph.ends_j, graph.ends_i] = -graph.weights
     # diagonal set from the finished off-diagonal rows: row sums vanish
     np.fill_diagonal(lb, -lb.sum(axis=1))
+    lb.setflags(write=False)  # frozen here, so the Laplacian keeps it uncopied
     return Laplacian(matrix=lb, kind="susceptance")
 
 

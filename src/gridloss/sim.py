@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import StateSpace, _frozen
+from .dynamics import StateSpace
 from .errors import StabilityError, StepSizeError, ValidationError
-from .network import Laplacian
+from .network import Laplacian, _frozen
 
 _N_BATCHES = 20
 

@@ -26,6 +26,10 @@ SWEEPABLE = ("gamma", "k", "tau", "m")
 _GAMMA_TOL = 1e-10
 _GAMMA_CAP = 1e6
 
+# summands per block of a vectorised derivative call: the (rows, N)
+# temporaries stay small whatever the number of gamma values
+_PROBE_ELEMENTS = 8192
+
 
 @dataclass(frozen=True)
 class TuningResult:
@@ -89,22 +93,37 @@ def norm_gamma_derivative(gamma, eigenvalues_nonzero, alpha: float, m: float, k:
     Per nonzero eigenvalue lam the summand derivative is
     lam ((gamma tau lam + k)^2 - k^2 m tau lam) / (P + s)^2 with
     s = gamma tau lam + k and P = gamma lam s + k^2 m lam, scaled by
-    alpha / (2 m).  Accepts a scalar or a vector of gamma values.
+    alpha / (2 m).  Accepts a scalar or a vector of gamma values; a vector
+    is evaluated in blocks of about ``_PROBE_ELEMENTS`` summands.
     """
     lam = np.asarray(eigenvalues_nonzero, dtype=float)
     if np.ndim(gamma) == 0:
-        # the bisection's path: the row below on 1-D arrays, in the same
-        # order of operations, so it equals the vector result bit for bit
-        g = float(gamma)
-        s = (g * tau) * lam + k
-        p = (g * lam) * s + (k * k * m) * lam
-        summands = lam * (s * s - (k * k * m * tau) * lam) / (p + s) ** 2
-        return float(alpha / (2.0 * m) * summands.sum())
-    g = np.asarray(gamma, dtype=float)[:, None]
-    s = g * tau * lam + k
-    p = g * lam * s + k * k * m * lam
-    summands = lam * (s * s - k * k * m * tau * lam) / (p + s) ** 2
-    return alpha / (2.0 * m) * summands.sum(axis=1)
+        return float(alpha / (2.0 * m) * _derivative_summands(float(gamma), lam, m, k, tau).sum())
+    g = np.asarray(gamma, dtype=float)
+    sums = np.empty(g.size)
+    rows = max(1, _PROBE_ELEMENTS // max(lam.size, 1))
+    for lo in range(0, g.size, rows):
+        sums[lo:lo + rows] = _derivative_summands(g[lo:lo + rows, None], lam, m, k, tau).sum(axis=1)
+    return alpha / (2.0 * m) * sums
+
+
+def _derivative_summands(g, lam: np.ndarray, m: float, k: float, tau: float) -> np.ndarray:
+    """The summands of ``norm_gamma_derivative`` for a float g (one row) or
+    a column of gamma values (one row each), with in-place ufuncs.  Every
+    row holds the float's bits: the bisection's scalar calls and the
+    vectorised probe read the same signs."""
+    s = (g * tau) * lam
+    s += k
+    p = g * lam
+    p *= s
+    p += (k * k * m) * lam
+    summands = s * s
+    summands -= (k * k * m * tau) * lam
+    summands *= lam
+    p += s
+    p *= p
+    summands /= p
+    return summands
 
 
 def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) -> TuningResult:

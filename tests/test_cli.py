@@ -343,6 +343,29 @@ class TestAnalyze:
         spread = max(payload["droop"].values()) - min(payload["droop"].values())
         assert spread < 1e-9
 
+    def test_route_spread_beyond_the_contract_warns(self, tmp_path, capsys):
+        # the full Gramian of this stiff DAPI loop is off the closed form and
+        # the modal route by about 1e-6: the report, the file and the exit
+        # code stay as they are, and stderr names the contract and the spread
+        argv = ["analyze", "--random", "60,0.1", "--seed", "5", "--m", "0.01", "--tau", "1e-3",
+                "--k", "100", "--gamma", "1e-3"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        spread = re.search(r"max relative deviation across methods: (\S+)", captured.out).group(1)
+        assert float(spread) > 1e-7
+        assert captured.err == (f"warning: the three dapi norm routes spread {spread} (relative), "
+                                "beyond their 1e-07 agreement contract\n")
+        out = tmp_path / "r.json"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: the three dapi norm routes spread ")
+        assert "warning" not in captured.out
+        assert json.loads(out.read_text())["max_rel_deviation"] > 1e-7
+
+    def test_agreeing_routes_print_nothing_on_stderr(self, capsys):
+        assert main(["analyze", "--random", "30,0.2", "--seed", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_alpha_scales_report(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main(["analyze", "--line", "6", "--alpha", "2.5", "--format", "json",

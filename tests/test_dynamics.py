@@ -1,7 +1,7 @@
 """Closed-loop assembly, modal decomposition, and stability tests."""
 
 import math
-import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +333,51 @@ class TestDroopIsLeadingDapiBlock:
         assert droop.l_g.matrix.tobytes() == dapi.l_g.matrix.tobytes()
 
 
+def _np_block_loop(lb, params, alpha, kind):
+    """(A, B, L_G) stacked by np.block from scalar-times-matrix blocks, as
+    the closed loop was first assembled."""
+    n = lb.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    m, tau, k, gamma = params.m, params.tau, params.k, params.gamma
+    a = np.block([
+        [zero, eye, zero],
+        [-(m / tau) * lb, -(1.0 / tau) * eye, (1.0 / tau) * eye],
+        [zero, -(1.0 / k) * eye, -(1.0 / k) * (gamma * lb)],
+    ])
+    b = np.vstack([zero, eye / tau, zero])
+    s = 2 * n if kind == "droop" else 3 * n
+    return a[:s, :s], b[:s], alpha * lb
+
+
+class TestFilledAssembly:
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(1, 14),
+        seed=st.integers(0, 10_000),
+        alpha=st.floats(0.0, 5.0),
+        m=st.floats(1e-3, 1e3),
+        tau=st.floats(1e-3, 1e3),
+        k=st.floats(1e-3, 1e3),
+        gamma=st.floats(0.0, 1e3),
+    )
+    def test_filled_matrix_equals_np_block_bit_for_bit(self, n, seed, alpha, m, tau, k, gamma):
+        # the scaled identities and L_B blocks carry -0.0 where a negative
+        # scalar meets a zero; the fill must keep those signs
+        g = (NetworkGraph(n_nodes=1, edges=(), alpha=alpha) if n == 1
+             else build_random_connected_graph(n, 0.4, (0.5, 1.5), alpha=alpha, seed=seed))
+        params = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        lb = susceptance_laplacian(g).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # gamma = 0
+            systems = {"dapi": assemble_dapi(g, params), "droop": assemble_droop(g, params)}
+        for kind, ss in systems.items():
+            for got, expected in zip((ss.a, ss.b, ss.l_g.matrix), _np_block_loop(lb, params, alpha, kind)):
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert np.signbit(systems["dapi"].a).any()
+
+
 class TestModalEquivalence:
     def test_two_node_droop_exact(self):
         g = build_line_graph(2, [1.0], alpha=1.0)
@@ -403,18 +448,15 @@ class TestStateSpaceType:
         assert droop.a.tobytes() == dapi.a[:18, :18].tobytes() and droop.b.tobytes() == dapi.b[:18].tobytes()
 
     @pytest.mark.parametrize("assemble", [assemble_dapi, assemble_droop])
-    def test_assembly_peak_memory(self, assemble):
-        # np.block builds each block row and then the matrix, so the peak is
-        # about twice the 3N x 3N DAPI matrix; StateSpace adds no copy of it
+    def test_assembly_peak_memory(self, assemble, peak_bytes):
+        # A is filled in place, L_B is dropped before B is allocated, and
+        # StateSpace adds no copy: the DAPI peak is A, B and L_G, 13 N^2
+        # floats or 1.44 of the 3N x 3N A; droop assembles 2N states only
         g = build_line_graph(300, np.ones(299), alpha=1.0)
-        tracemalloc.start()
-        try:
+        with peak_bytes() as peak:
             ss = assemble(g, ControllerParams(m=1.0, tau=1.0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert ss.n_nodes == 300
-        assert peak < 2.3 * (3 * 300) ** 2 * 8
+        assert peak.bytes < 1.5 * (3 * 300) ** 2 * 8
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError, match="shapes"):

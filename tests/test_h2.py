@@ -20,7 +20,6 @@ from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import LyapunovSolveError, StabilityError, ValidationError
 from gridloss.h2 import (
     H2Result,
-    _is_symmetric,
     _solve_quasi_triangular,
     h2_dapi_closed_form,
     h2_droop_closed_form,
@@ -30,6 +29,7 @@ from gridloss.h2 import (
 )
 from gridloss.network import (
     NetworkGraph,
+    _symmetric_within,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
@@ -257,7 +257,7 @@ class TestSolveLyapunov:
         f = f + f.T
         expected, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
         assert scale == 1.0 and info == 0
-        y, y_scale = _solve_quasi_triangular(t, f)
+        y, y_scale = _solve_quasi_triangular(t, f.copy)
         assert y_scale == 1.0
         gap = (y + y.T) / 2.0 - (expected + expected.T) / 2.0
         assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(expected))
@@ -272,7 +272,7 @@ class TestSolveLyapunov:
         expected, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
         assert scale == 1.0 and info == 0
         assert np.max(np.abs(expected)) > 1e5
-        y, _ = _solve_quasi_triangular(t, f)
+        y, _ = _solve_quasi_triangular(t, f.copy)
         assert np.array_equal(y, y.T)
         gap = y - (expected + expected.T) / 2.0
         assert np.max(np.abs(gap)) <= 1e-14 * np.max(np.abs(expected))
@@ -384,7 +384,7 @@ class TestSolveLyapunov:
             # allclose warns about an infinite or NaN atol
             warnings.simplefilter("ignore", RuntimeWarning)
             expected = np.allclose(q, q.T, rtol=0, atol=atol)
-        assert _is_symmetric(q, atol) == expected
+        assert _symmetric_within(q, atol) == expected
 
 
 class TestDroopClosedForm:
@@ -680,6 +680,19 @@ class TestFullGramianRoute:
         ss = assemble_droop(g, ControllerParams(m=1.0, tau=1.0))
         res = h2_full_gramian(ss)
         assert abs(res.squared_norm - 0.5) <= 1e-12
+
+    def test_peak_memory(self, peak_bytes):
+        # the deflated A and Q, and inside the solve at most four more n x n
+        # arrays (scipy's Schur routine holds four): about 6.2 in all
+        h2_full_gramian(assemble_dapi(build_line_graph(3, [1.0, 1.0], alpha=1.0),
+                                      ControllerParams(m=1.0, tau=1.0)))  # loads scipy
+        g = build_random_connected_graph(100, 0.05, (0.5, 1.5), alpha=1.0, seed=3)
+        ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0))
+        states = ss.n_states - 1
+        with peak_bytes() as peak:
+            res = h2_full_gramian(ss)
+        assert res.squared_norm > 0
+        assert peak.bytes <= 6.5 * 8 * states**2
 
     def test_reads_no_spectrum(self, monkeypatch):
         # the loss weight enters as H' L_G H, so neither assembly nor the

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridloss.network
 from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import (
     DisconnectedGraphError,
@@ -23,6 +24,7 @@ from gridloss.h2 import h2_dapi_closed_form
 from gridloss.network import (
     Laplacian,
     NetworkGraph,
+    _symmetric_within,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
@@ -356,6 +358,17 @@ class TestBuilders:
         g = build_random_connected_graph(n, p, (0.5, 1.5), alpha=1.0, seed=seed)
         assert repr(g.edges) == repr(_reference_random_edges(n, p, (0.5, 1.5), seed))
 
+    @settings(max_examples=40)
+    @given(n=st.integers(2, 40), p=st.floats(0.05, 1.0), seed=st.integers(0, 10_000), chunk=st.integers(1, 64))
+    def test_random_draw_does_not_depend_on_its_chunks(self, n, p, seed, chunk):
+        # the uniforms are drawn _DRAW_CHUNK at a time; any cut of the one
+        # PCG64 stream gives the same pairs, here with chunks of 1 to 64
+        p = max(p, 1.5 * math.log(n) / n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gridloss.network, "_DRAW_CHUNK", chunk)
+            g = build_random_connected_graph(n, p, (0.5, 1.5), alpha=1.0, seed=seed)
+        assert repr(g.edges) == repr(_reference_random_edges(n, p, (0.5, 1.5), seed))
+
     def test_random_graph_weights_in_range(self):
         g = build_random_connected_graph(10, 0.5, (0.5, 1.5), alpha=1.0, seed=0)
         assert all(0.5 <= b <= 1.5 for _, _, b in g.edges)
@@ -401,6 +414,32 @@ class TestLaplacians:
         lb = susceptance_laplacian(g)
         with pytest.raises(ValueError):
             lb.matrix[0, 0] = 99.0
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32])
+    def test_adopts_only_read_only_float_matrices(self, dtype, writeable):
+        # a read-only float64 matrix is kept as handed in; anything else is
+        # copied, and the caller's array stays as it was
+        mat = np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]], dtype=dtype)
+        mat.setflags(write=writeable)
+        before = mat.copy()
+        lap = Laplacian(matrix=mat, kind="susceptance")
+        if dtype is np.float64 and not writeable:
+            assert lap.matrix is mat
+        else:
+            assert not np.shares_memory(lap.matrix, mat)
+        assert lap.matrix.dtype == np.float64 and not lap.matrix.flags.writeable
+        assert mat.flags.writeable == writeable and mat.dtype == dtype
+        assert mat.tobytes() == before.tobytes()
+
+    def test_susceptance_laplacian_peak_memory(self, peak_bytes):
+        # the fill, adopted without a copy, and the row-blocked symmetry
+        # check: the peak is the N x N result and small temporaries
+        g = build_random_connected_graph(1000, 0.01, (0.5, 1.5), alpha=1.0, seed=3)
+        with peak_bytes() as peak:
+            lb = susceptance_laplacian(g)
+        assert lb.n_nodes == 1000
+        assert peak.bytes <= 1.25 * 8 * 1000**2
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):
@@ -522,6 +561,39 @@ class TestLaplacians:
             assert str(err) == expected
         else:
             assert expected is None
+
+
+class TestSymmetryCheck:
+    @settings(max_examples=200)
+    @given(
+        n=st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129]),
+        symmetric=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        spots=st.lists(st.tuples(st.integers(0, 128), st.integers(0, 128),
+                                 st.sampled_from(["nan", "inf", "-inf", "inf-pair", "gap", "small-gap"])),
+                       max_size=3),
+        atol=st.sampled_from([0.0, 1e-12, 1e-3, np.inf, np.nan]),
+    )
+    def test_blocked_verdict_is_allclose(self, n, symmetric, seed, spots, atol):
+        # the check runs 64 rows at a time; sizes and spots straddle the
+        # block edges, and non-finite entries and atol keep allclose's verdict
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((n, n))
+        if symmetric:
+            mat = mat + mat.T
+        for i, j, kind in spots:
+            i, j = i % n, j % n
+            if kind == "inf-pair":
+                mat[i, j] = mat[j, i] = np.inf
+            elif kind in ("gap", "small-gap"):
+                mat[i, j] += 1e-2 if kind == "gap" else 1e-13
+            else:
+                mat[i, j] = float(kind)
+        with warnings.catch_warnings():
+            # allclose warns about an infinite or NaN atol
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.allclose(mat, mat.T, rtol=0, atol=atol)
+        assert _symmetric_within(mat, atol) == expected
 
 
 class TestSpectralDecomposition:

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -348,18 +347,14 @@ class TestTrajectoryType:
         with pytest.raises(ValidationError):
             Trajectory(times=t, states=np.zeros((2, 4)), instantaneous_loss=np.zeros(3))
 
-    def test_simulate_hands_over_its_arrays_without_a_copy(self):
+    def test_simulate_hands_over_its_arrays_without_a_copy(self, peak_bytes):
         g = build_line_graph(20, np.ones(19), alpha=1.0)
         ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0))
         cfg = SimConfig(dt=0.005, horizon=50.0, seed=3)
-        tracemalloc.start()
-        try:
+        with peak_bytes() as peak:
             traj = simulate(ss, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert traj.states.shape == (10001, 60)
-        assert peak < 1.5 * traj.states.nbytes
+        assert peak.bytes < 1.5 * traj.states.nbytes
         assert not traj.states.flags.writeable
 
     def test_caller_arrays_stay_writeable(self):
@@ -555,19 +550,15 @@ class TestExportFormatter:
         assert hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest() == csv_sha256
         assert hashlib.sha256((tmp_path / "traj.csv.meta.json").read_bytes()).hexdigest() == meta_sha256
 
-    def test_memory_does_not_grow_with_the_path(self, tmp_path):
+    def test_memory_does_not_grow_with_the_path(self, tmp_path, peak_bytes):
         rng = np.random.default_rng(4)
         peaks = []
         for samples in (2_000, 8_000):
             traj = Trajectory(times=np.arange(samples) * 0.005, states=rng.standard_normal((samples, 60)),
                               instantaneous_loss=rng.random(samples))
-            tracemalloc.start()
-            try:
+            with peak_bytes() as peak:
                 export_trajectory(traj, n_nodes=20, path=tmp_path / "traj.csv")
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peaks.append(peak)
+            peaks.append(peak.bytes)
         # one block at a time: the peak is set by the block, not the path
         assert peaks[1] < 1.1 * peaks[0]
         assert peaks[1] < 4e6

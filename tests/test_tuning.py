@@ -77,9 +77,16 @@ class TestDerivative:
     @example(lams=[0.5, 3.0, 40.0], gammas=[0.0, 0.25, 7.0], m=1.5, k=0.7, tau=0.0, alpha=1.0)
     @example(lams=[1e-4, 2.0], gammas=[0.0], m=3.0, k=2.0, tau=1.0, alpha=0.3)
     @example(lams=[2.0], gammas=[0.0, 1.0], m=1.0, k=1.0, tau=0.0, alpha=0.0)
+    # blocks of 8192 // N rows: edges at 136 and 272 rows for N = 60, at
+    # 2730 for N = 3, at 8192 for N = 1
+    @example(lams=np.linspace(0.01, 50.0, 60).tolist(), gammas=np.geomspace(1e-3, 1e3, 300).tolist(),
+             m=2.0, k=0.5, tau=0.3, alpha=1.0)
+    @example(lams=[0.2, 3.0, 90.0], gammas=np.linspace(0.0, 40.0, 2731).tolist(), m=1.0, k=1.0, tau=1.0, alpha=1.0)
+    @example(lams=[7.0], gammas=np.linspace(0.0, 20.0, 8193).tolist(), m=0.7, k=1.3, tau=2.0, alpha=0.5)
     def test_vectorized_matches_scalar_exactly(self, lams, gammas, m, k, tau, alpha):
         # optimal_gamma's probe reads signs from the vectorised call, so every
-        # element must be the scalar value bit for bit, not just close to it
+        # element must be the scalar value bit for bit, not just close to it,
+        # across the edges of the blocks the vectorised call runs in
         lams = np.sort(np.array(lams))
         vec = norm_gamma_derivative(np.array(gammas), lams, alpha, m, k, tau)
         assert vec.shape == (len(gammas),)
