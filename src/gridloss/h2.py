@@ -13,9 +13,13 @@ equals the squared H2 norm of the closed loop.  Three routes compute it:
   loss weight L_G after deflating the rigid phase-shift direction.
 
 ``solve_lyapunov``, the full Gramian's solver, is Bartels-Stewart with a
-recursive blocked triangular stage (Jonsson & Kagstrom 2002, "RECSY"); its
-docstring has the details.  It imports ``scipy.linalg`` when it runs, so
-importing gridloss, and every command but ``analyze``, loads numpy alone.
+recursive blocked triangular stage (Jonsson & Kagstrom 2002, "RECSY").  It
+takes the loss weight as its nonzero leading block, factorises a copy of A'
+it owns with one LAPACK ``dgees`` call and back-transforms in place, so
+the full-Gramian route peaks at about five n x n arrays, the deflated A
+included; its docstring has the details and the array accounting.  It
+imports ``scipy.linalg`` when it runs, so importing gridloss, and every
+command but ``analyze``, loads numpy alone.
 
 The modal route solves each mode's 4 or 9 unknowns as one small linear
 system (its Kronecker form), all modes in one batched ``np.linalg.solve``
@@ -139,61 +143,102 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, eigenvalues) -> 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve A' X + X A = -Q for Hurwitz A and symmetric Q.
 
-    Bartels-Stewart: one real Schur form A' = U T U' serves both the Hurwitz
-    check and the triangular solve T Y + Y T' = -U' Q U.  When Q is zero
-    outside its leading r x r block Q_r (r = N - 1 of the full-Gramian
-    route's 2N - 1 or 3N - 1 states), U' Q U is formed as U_r' Q_r U_r from
-    the first r rows of U; r is read off Q, and a dense Q has r = n.  That
-    solve is recursive and blocked (Jonsson & Kagstrom 2002, ACM TOMS 28(4)): T is
-    cut at its midpoint, one row further where the cut would split a 2x2
-    block; Y22 is solved first, then the Sylvester block T11 Y12 + Y12 T22'
-    = F12 - T12 Y22, then Y11 from F11 - T12 Y12' - Y12 T12', with Y21 =
-    Y12'.  Blocks of at most 64 rows go to LAPACK's ``dtrsyl``, diagonal
-    ones symmetrised, so for n <= 64 the solve is one ``dtrsyl`` call, as in
-    ``scipy.linalg.solve_continuous_lyapunov``.  If any block comes back
-    with an overflow scale below 1, the whole equation is handed to one
-    ``dtrsyl`` call instead.  X = U Y U' is symmetrised, so the residual
-    A' X + X A + Q is M + M' + Q from the one product M = A' X, checked as
-    a backward error (``_check_residual``).  The triangular stage works in
-    place on U' Q U, T, U and Y are dropped once used, and the
-    symmetrisation and the residual run 64 rows at a time, so no step holds
-    more than four n x n arrays besides A and Q (the Schur routine itself
-    holds four).
+    Q is either dense (n x n, like A) or its own leading r x r block Q_r,
+    standing for Q = blockdiag(Q_r, 0); the full-Gramian route passes the
+    (N - 1) x (N - 1) block H' L_G H of its 2N - 1 or 3N - 1 states.  Of
+    either form, r is read off Q's trailing zero rows and columns, so a
+    dense Q with zeros outside Q_r is solved as its block.
+
+    Bartels-Stewart: one real Schur form A' = U T U' (``_real_schur``)
+    serves both the Hurwitz check and the triangular solve T Y + Y T' = -U'
+    Q U, with U' Q U formed as U_r' Q_r U_r from the first r rows of U.
+    That solve is recursive and blocked (Jonsson & Kagstrom 2002, ACM TOMS
+    28(4)): T is cut at its midpoint, one row further where the cut would
+    split a 2x2 block; Y22 is solved first, then the Sylvester block T11
+    Y12 + Y12 T22' = F12 - T12 Y22, then Y11 from F11 - T12 Y12' - Y12
+    T12', with Y21 = Y12'.  Blocks of at most 64 rows go to LAPACK's
+    ``dtrsyl``, diagonal ones symmetrised, so for n <= 64 the solve is one
+    ``dtrsyl`` call, as in ``scipy.linalg.solve_continuous_lyapunov``.  If
+    any block comes back with an overflow scale below 1, the whole equation
+    is handed to one ``dtrsyl`` call instead, and its Y, which solves the
+    equation scaled by that factor, is divided by it.  X = U Y U' is
+    written into Y's own buffer (a C-ordered Y; the whole-matrix ``dtrsyl``
+    returns a Fortran-ordered one, which gets a fresh X) and symmetrised,
+    so the residual A' X + X A + Q is M + M' + Q from the one product M =
+    A' X, checked as a backward error (``_check_residual``).
+
+    Memory, in n x n arrays besides A and the r x r Q: the Schur form holds
+    its owned copy of A' (overwritten by T), U and LAPACK's workspace, two;
+    the triangular stage works in place on U'QU, and T, U and Y are dropped
+    once used; the symmetrisation and the residual run 64 rows at a time.
+    The peak, about 3.6, is the triangular stage: T, U, Y and the products
+    of its cuts.
 
     Raises:
         StabilityError: A has an eigenvalue with real part >= -1e-10 *
             max(max|A|, 1) (both absolutely and relative to A's scale).
-        LyapunovSolveError: the triangular solve fails or the residual is
-            above tolerance.
+        LyapunovSolveError: the triangular solve fails, its unscaled
+            solution overflows, or the residual is above tolerance.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != q.shape:
-        raise ValidationError(f"A and Q must be square and same shape, got {a.shape} and {q.shape}")
+    if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0
+            or q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] > a.shape[0]):
+        raise ValidationError(
+            f"A must be square and nonempty and Q square and no larger, got {a.shape} and {q.shape}")
     q_scale = float(np.max(np.abs(q))) if q.size else 0.0
     if not _symmetric_within(q, 1e-12 * max(q_scale, 1.0)):
         raise ValidationError("Q must be symmetric")
-    import scipy.linalg  # at call time: see the module docstring
-
-    t, u = scipy.linalg.schur(a.T, output="real")
+    t, u = _real_schur(a)
     # LAPACK standardises each 2x2 block of the real Schur form so that both
     # diagonal entries equal the real part of its complex pair
     _check_hurwitz(np.diag(t), a)
     # Q = blockdiag(Q_r, 0) gives U' Q U = U_r' Q_r U_r, U_r the first r rows
     r = int(np.max(np.flatnonzero(q.any(axis=0) | q.any(axis=1)), initial=-1)) + 1
+    q = q[:r, :r]
     u_r = u[:r]
-    y, scale = _solve_quasi_triangular(t, lambda: u_r.T @ (-q[:r, :r] @ u_r))
+    y, scale = _solve_quasi_triangular(t, lambda: u_r.T @ (-q @ u_r))
     del t
     if scale != 1.0:
-        y *= scale
-    x = u @ y
-    del y
-    x = x @ u.T
-    del u
+        try:
+            with np.errstate(over="raise"):
+                y /= scale
+        except FloatingPointError:
+            raise LyapunovSolveError(
+                f"triangular Sylvester solve overflows: its solution exceeds the float range "
+                f"once divided by its scale {scale:.3e}") from None
+    uy = u @ y
+    # into a Fortran-ordered out the product would not keep its bits
+    x = np.matmul(uy, u.T, out=y if y.flags.c_contiguous else None)
+    del uy, y, u
     _symmetrise(x)
     # X is exactly symmetric, so X A = (A' X)'
     _check_residual(_max_abs_sum_with_transpose(a.T @ x, q), a, x, q_scale)
     return x
+
+
+def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, U) with A' = U T U', bit for bit ``scipy.linalg.schur(a.T,
+    output="real")``: the same ``dgees`` call with the same queried
+    workspace, the same finiteness check and error messages.  It factorises
+    an F-ordered copy of A' that it owns in place (which becomes T), and
+    its workspace query runs on that copy and is dropped before the
+    factorisation, so it holds no spare copy of A and no spare U."""
+    import scipy.linalg  # at call time: see the module docstring
+
+    dgees = scipy.linalg.lapack.dgees
+    at = np.array(np.asarray_chkfinite(a).T, order="F")
+    lwork = int(dgees(_unsorted, at, lwork=-1, overwrite_a=1)[-2][0])
+    t, _, _, _, u, _, info = dgees(_unsorted, at, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return t, u
+
+
+def _unsorted(re: float, im: float) -> None:
+    """``dgees``'s eigenvalue selector, required but unused: no sorting."""
 
 
 def _symmetrise(x: np.ndarray) -> None:
@@ -208,11 +253,12 @@ def _symmetrise(x: np.ndarray) -> None:
 
 
 def _max_abs_sum_with_transpose(m: np.ndarray, q: np.ndarray) -> float:
-    """max|M + M' + Q|, one block of rows at a time."""
+    """max|M + M' + Q| for Q = blockdiag(q, 0), one block of rows at a time."""
     peaks = []
     for lo in range(0, m.shape[0], _ROW_BLOCK):
         rows = m[lo:lo + _ROW_BLOCK] + m[:, lo:lo + _ROW_BLOCK].T
-        rows += q[lo:lo + _ROW_BLOCK]
+        q_rows = q[lo:lo + _ROW_BLOCK]
+        rows[:len(q_rows), :q.shape[1]] += q_rows
         peaks.append(np.max(np.abs(rows, out=rows)))
     return np.max(peaks)
 
@@ -377,7 +423,8 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     mode of a healthy loop; it is removed by restricting the theta block to
     the orthogonal complement of the all-ones vector, with basis H from an
     explicit Householder reflector, and the weight is Q = blockdiag(H' L_G
-    H, 0, ...), so this route computes no spectrum.  No per-mode breakdown
+    H, 0, ...), handed to ``solve_lyapunov`` as its (N-1) x (N-1) block, so
+    this route computes no spectrum.  No per-mode breakdown
     is available here.  The Hurwitz verdict on the deflated matrix is the
     one ``solve_lyapunov`` reaches.
 
@@ -398,10 +445,8 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     del theta_rows
     np.matmul(theta_cols, basis, out=a[:, :n - 1])
     del theta_cols
-    q = np.zeros_like(a)
-    q[:n - 1, :n - 1] = basis.T @ ss.l_g.matrix @ basis
     try:
-        gram = solve_lyapunov(a, q)
+        gram = solve_lyapunov(a, basis.T @ ss.l_g.matrix @ basis)
     except StabilityError as err:
         hint = "; for DAPI this typically means gamma = 0" if ss.controller_kind == "dapi" else ""
         raise StabilityError(

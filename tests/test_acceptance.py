@@ -71,11 +71,21 @@ def _random_network_draws(count=200, seed=20260816):
         yield graph, params
 
 
-def _random_complete_graph(n, rng, alpha):
-    pairs = list(itertools.combinations(range(n), 2))
-    weights = rng.uniform(0.5, 1.5, len(pairs))
-    edges = tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights))
-    return NetworkGraph(n, edges, alpha)
+def test_random_complete_graphs_keep_their_edges():
+    # criterion 06's complete graphs equal, bit for bit, the graphs built
+    # from one (i, j, w) tuple per pair in itertools.combinations order
+    same = []
+    for n in (10, 30, 50, 100):
+        rng = np.random.default_rng((2026, 0, n))
+        rng.uniform(0.5, 1.5, n - 1)  # the line graph's weights come first
+        weights = rng.uniform(0.5, 1.5, n * (n - 1) // 2)
+        graph = build_complete_graph(n, weights, 1.0)
+        pairs = itertools.combinations(range(n), 2)
+        by_pairs = NetworkGraph(n, tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights)), 1.0)
+        same.append(graph.edges == by_pairs.edges and all(
+            getattr(graph, name).tobytes() == getattr(by_pairs, name).tobytes()
+            for name in ("ends_i", "ends_j", "weights")))
+    assert all(same)
 
 
 def test_criterion_01_three_routes_agree():
@@ -223,7 +233,7 @@ def test_criterion_06_topology_ordering_with_size():
         for draw in range(20):
             rng = np.random.default_rng((2026, draw, n))
             line_graph = build_line_graph(n, rng.uniform(0.5, 1.5, n - 1), 1.0)
-            complete_graph = _random_complete_graph(n, rng, 1.0)
+            complete_graph = build_complete_graph(n, rng.uniform(0.5, 1.5, n * (n - 1) // 2), 1.0)
             for graph, bucket in ((line_graph, line_norms), (complete_graph, complete_norms)):
                 spectrum = spectral_decomposition(susceptance_laplacian(graph))
                 bucket.append(h2_dapi_closed_form(1.0, params, spectrum).squared_norm)

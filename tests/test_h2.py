@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import LyapunovSolveError, StabilityError, ValidationError
 from gridloss.h2 import (
     H2Result,
+    _real_schur,
     _solve_quasi_triangular,
     h2_dapi_closed_form,
     h2_droop_closed_form,
@@ -331,17 +333,19 @@ class TestSolveLyapunov:
             solve_lyapunov(a, np.eye(n))
 
     def test_one_schur_and_no_eigvals_per_solve(self, monkeypatch):
+        # one factorising dgees call; its lwork = -1 workspace query is not one
         calls = []
-        schur = scipy.linalg.schur
+        dgees = scipy.linalg.lapack.dgees
 
-        def counting_schur(*args, **kwargs):
-            calls.append(1)
-            return schur(*args, **kwargs)
+        def counting_dgees(*args, **kwargs):
+            if kwargs.get("lwork") != -1:
+                calls.append(1)
+            return dgees(*args, **kwargs)
 
         def no_eigvals(*args, **kwargs):
             raise AssertionError("solve_lyapunov must not call np.linalg.eigvals")
 
-        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgees", counting_dgees)
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
         for n in (1, 2, 3, 5, 8):
             calls.clear()
@@ -352,6 +356,88 @@ class TestSolveLyapunov:
             solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("n", [5, 299, 449])
+    def test_schur_form_is_scipys_bit_for_bit(self, n):
+        a = _stable_random(n, np.random.default_rng(40 + n))
+        t, u = _real_schur(a)
+        expected_t, expected_u = scipy.linalg.schur(a.T, output="real")
+        assert np.array_equal(t, expected_t) and np.array_equal(u, expected_u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_a_refused_like_schur(self, bad):
+        a = -np.eye(4)
+        a[1, 2] = bad
+        with pytest.raises(ValueError) as expected:
+            scipy.linalg.schur(a.T, output="real", check_finite=True)
+        with pytest.raises(ValueError) as got:
+            solve_lyapunov(a, np.eye(4))
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value) == "array must not contain infs or NaNs"
+
+    def test_schur_failure_raises_like_schur(self, monkeypatch):
+        dgees = scipy.linalg.lapack.dgees
+
+        def failing(*args, **kwargs):
+            *result, info = dgees(*args, **kwargs)
+            return (*result, info if kwargs.get("lwork") == -1 else 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing)
+        # scipy.linalg.schur looks gees up through its own module's getter
+        monkeypatch.setattr(scipy.linalg._decomp_schur, "get_lapack_funcs", lambda names, arrays: (failing,))
+        a = _stable_random(5, np.random.default_rng(8))
+        with pytest.raises(np.linalg.LinAlgError) as expected:
+            scipy.linalg.schur(a.T, output="real")
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            solve_lyapunov(a, np.eye(5))
+        assert str(got.value) == str(expected.value) == "Schur form not found. Possibly ill-conditioned."
+
+    @pytest.mark.parametrize("n", [5, 100])
+    def test_rescaled_whole_solve_is_divided_by_its_scale(self, monkeypatch, n):
+        # dtrsyl's Y solves T Y + Y T' = scale F, so X comes from Y / scale;
+        # the halving is exact, so X keeps the unscaled solve's bits
+        rng = np.random.default_rng(9)
+        a = _stable_random(n, rng)
+        q = np.eye(n)
+        expected = solve_lyapunov(a, q)
+        dtrsyl = scipy.linalg.lapack.dtrsyl
+
+        def halving(a, b, c, **kwargs):
+            y, scale, info = dtrsyl(a, b, c, **kwargs)
+            if a.shape[0] <= 64 < n:
+                return y, 0.5, info  # a recursive leaf rescales
+            return 0.5 * y, 0.5 * scale, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", halving)
+        x = solve_lyapunov(a, q)
+        if n > 64:
+            # the whole-matrix fallback: no longer the recursive stage's bits
+            assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
+        else:
+            assert np.array_equal(x, expected)
+
+    def test_unscaled_overflow_raises(self, monkeypatch):
+        dtrsyl = scipy.linalg.lapack.dtrsyl
+
+        def tiny_scale(*args, **kwargs):
+            y, _, info = dtrsyl(*args, **kwargs)
+            return y, 1e-310, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", tiny_scale)
+        with pytest.raises(LyapunovSolveError, match="overflows: .* scale 1.000e-310"):
+            solve_lyapunov(-np.eye(3), np.eye(3))
+
+    @pytest.mark.parametrize(("n", "r"), [(1, 1), (5, 0), (5, 2), (5, 5), (64, 20), (100, 33), (130, 129), (299, 99)])
+    def test_block_weight_matches_dense_bit_for_bit(self, n, r):
+        rng = np.random.default_rng(n + r)
+        a = _stable_random(n, rng)
+        c = rng.standard_normal((3, r))
+        q = np.zeros((n, n))
+        q[:r, :r] = c.T @ c
+        dense = solve_lyapunov(a, q)
+        assert np.array_equal(solve_lyapunov(a, q[:r, :r]), dense)
+        # trailing zero rows and columns of a block are read off it too
+        assert np.array_equal(solve_lyapunov(a, q[:r + (r < n), :r + (r < n)]), dense)
+
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):
             solve_lyapunov(-np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -359,6 +445,16 @@ class TestSolveLyapunov:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             solve_lyapunov(-np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize(("a", "q"), [
+        (-np.eye(2), np.eye(3)),
+        (-np.eye(3), np.ones((2, 3))),
+        (-np.ones((2, 3)), np.eye(2)),
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+    ], ids=["q-larger", "q-not-square", "a-not-square", "empty"])
+    def test_shape_rule_names_the_block_form(self, a, q):
+        with pytest.raises(ValidationError, match="A must be square and nonempty and Q square and no larger"):
+            solve_lyapunov(a, q)
 
     @pytest.mark.parametrize("q", [
         [[1.0, 0.2], [0.2, 3.0]],
@@ -682,8 +778,9 @@ class TestFullGramianRoute:
         assert abs(res.squared_norm - 0.5) <= 1e-12
 
     def test_peak_memory(self, peak_bytes):
-        # the deflated A and Q, and inside the solve at most four more n x n
-        # arrays (scipy's Schur routine holds four): about 6.2 in all
+        # the deflated A, and inside the solve its triangular stage: T, U,
+        # Y and the products of its cuts; Q is an (N-1) x (N-1) block and
+        # the Schur form holds only its own copy of A' and U: about 4.9 in all
         h2_full_gramian(assemble_dapi(build_line_graph(3, [1.0, 1.0], alpha=1.0),
                                       ControllerParams(m=1.0, tau=1.0)))  # loads scipy
         g = build_random_connected_graph(100, 0.05, (0.5, 1.5), alpha=1.0, seed=3)
@@ -692,7 +789,37 @@ class TestFullGramianRoute:
         with peak_bytes() as peak:
             res = h2_full_gramian(ss)
         assert res.squared_norm > 0
-        assert peak.bytes <= 6.5 * 8 * states**2
+        assert peak.bytes <= 5.25 * 8 * states**2
+
+    def test_norms_are_pinned_bit_for_bit(self):
+        # analyze's full-Gramian norms, one BLAS thread: a blocked product's
+        # bits depend on the BLAS thread count
+        code = textwrap.dedent("""
+            import contextlib, io, json, os, tempfile
+            from importlib import resources
+            from gridloss.cli import main
+            ieee57 = str(resources.files("gridloss") / "data" / "ieee57.edges")
+            cases = [["--line", "20"], ["--file", ieee57], ["--random", "150,0.05", "--seed", "3"]]
+            with tempfile.TemporaryDirectory() as tmp:
+                out = os.path.join(tmp, "report.json")
+                for argv in cases:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        assert main(["analyze", *argv, "--format", "json", "--out", out]) == 0
+                    with open(out) as fh:
+                        payload = json.load(fh)
+                    print(payload["droop"]["full_gramian"].hex(), payload["dapi"]["full_gramian"].hex())
+        """)
+        src = str(Path(gridloss.h2.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n") == [
+            "0x1.3000000000003p+3 0x1.7ac59962c3815p+2",  # --line 20
+            "0x1.c000000000008p+4 0x1.3823d635e4d79p+4",  # ieee57
+            "0x1.2a00000000000p+6 0x1.071a7c540bfc2p+6",  # --random 150,0.05 --seed 3
+            "",
+        ]
 
     def test_reads_no_spectrum(self, monkeypatch):
         # the loss weight enters as H' L_G H, so neither assembly nor the
