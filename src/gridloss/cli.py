@@ -10,8 +10,10 @@ input so a run can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -552,6 +554,41 @@ def main(argv=None) -> int:
     except (GridlossError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        _release_freed_memory()
+
+
+def _release_freed_memory() -> None:
+    """Return the heap's free pages to the OS once a command's arrays are
+    freed (glibc ``malloc_trim``; elsewhere nothing happens).
+
+    glibc keeps freed heap pages resident, and whether the caller's next
+    large allocation reuses them or grows the heap depends on where small
+    long-lived blocks happened to land.  A process that ran ``simulate
+    --line 20 --horizon 50`` through ``main`` thirty times, reading each
+    9.5 MB CSV back, peaked at about 49.5 or 55.5 MB by that layout alone.
+    Trimmed, the heap holds no resident free pages between commands, so
+    the peak is the live data plus what the caller allocates, whatever the
+    layout."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+@functools.cache
+def _malloc_trim():
+    if os.name != "posix":
+        return None
+    import ctypes  # only here: the CLI's other paths do not need it
+
+    try:
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except OSError:
+        return None
+    if trim is not None:
+        trim.argtypes = [ctypes.c_size_t]
+        trim.restype = ctypes.c_int
+    return trim
 
 
 def run() -> None:

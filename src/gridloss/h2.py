@@ -17,9 +17,13 @@ recursive blocked triangular stage (Jonsson & Kagstrom 2002, "RECSY").  It
 takes the loss weight as its nonzero leading block, factorises a copy of A'
 it owns with one LAPACK ``dgees`` call and back-transforms in place, so
 the full-Gramian route peaks at about five n x n arrays, the deflated A
-included; its docstring has the details and the array accounting.  It
-imports ``scipy.linalg`` when it runs, so importing gridloss, and every
-command but ``analyze``, loads numpy alone.
+included; its docstring has the details and the array accounting.  Its
+two LAPACK kernels, ``dgees`` and ``dtrsyl``, are scipy's own wrappers
+from the compiled extension ``scipy.linalg._flapack``, which ``_lapack``
+loads on the first solve without importing the ``scipy.linalg`` package
+(about 0.3 s and 28 MB of start-up).  So importing gridloss, and every
+command but ``analyze``, loads numpy alone, and ``analyze`` adds that one
+extension module.
 
 The modal route solves each mode's 4 or 9 unknowns as one small linear
 system (its Kronecker form), all modes in one batched ``np.linalg.solve``
@@ -32,7 +36,11 @@ agreement of all three cross-checks both the models and the closed forms.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +53,9 @@ H2_METHODS = ("closed_form", "modal_lyapunov", "full_gramian")
 
 # largest block of the full route's triangular solve handed to dtrsyl whole
 _LEAF_ROWS = 64
+
+# scipy's compiled LAPACK wrappers, home of dgees and dtrsyl
+_FLAPACK = "scipy.linalg._flapack"
 
 
 @dataclass(frozen=True)
@@ -219,14 +230,13 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T, U) with A' = U T U', bit for bit ``scipy.linalg.schur(a.T,
-    output="real")``: the same ``dgees`` call with the same queried
-    workspace, the same finiteness check and error messages.  It factorises
-    an F-ordered copy of A' that it owns in place (which becomes T), and
-    its workspace query runs on that copy and is dropped before the
-    factorisation, so it holds no spare copy of A and no spare U."""
-    import scipy.linalg  # at call time: see the module docstring
-
-    dgees = scipy.linalg.lapack.dgees
+    output="real")``: the same ``dgees`` function (``_lapack``'s, the one
+    ``scipy.linalg.lapack`` exports) with the same queried workspace, the
+    same finiteness check and error messages.  It factorises an F-ordered
+    copy of A' that it owns in place (which becomes T), and its workspace
+    query runs on that copy and is dropped before the factorisation, so it
+    holds no spare copy of A and no spare U."""
+    dgees = _lapack().dgees
     at = np.array(np.asarray_chkfinite(a).T, order="F")
     lwork = int(dgees(_unsorted, at, lwork=-1, overwrite_a=1)[-2][0])
     t, _, _, _, u, _, info = dgees(_unsorted, at, lwork=lwork, overwrite_a=1)
@@ -235,6 +245,40 @@ def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if info > 0:
         raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     return t, u
+
+
+def _lapack():
+    """The module ``scipy.linalg._flapack``, loaded once per process.
+
+    The ``sys.modules`` entry is used if there is one.  Otherwise the
+    extension file is loaded from scipy's directory, found without running
+    ``scipy/__init__``, and registered under its own name, so a later
+    ``import scipy.linalg`` reuses this module object.  Only if no such
+    file is found, or it cannot be loaded on its own, is the
+    ``scipy.linalg`` package imported for it."""
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    try:
+        return _load_flapack()
+    except ImportError:
+        import scipy.linalg.lapack  # noqa: F401  (the whole package)
+
+        return sys.modules[_FLAPACK]
+
+
+def _load_flapack():
+    scipy_spec = importlib.util.find_spec("scipy")
+    for directory in (scipy_spec and scipy_spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[_FLAPACK] = module
+                return module
+    raise ImportError(f"no {_FLAPACK} extension file in scipy's directory")
 
 
 def _unsorted(re: float, im: float) -> None:
@@ -305,9 +349,7 @@ def _solve_quasi_triangular(t: np.ndarray, rhs) -> tuple[np.ndarray, float]:
         except _Rescaled:
             del f  # partly overwritten; freed before F is formed again
             f = rhs()
-    import scipy.linalg
-
-    y, scale, info = scipy.linalg.lapack.dtrsyl(t, t, f, tranb="T")
+    y, scale, info = _lapack().dtrsyl(t, t, f, tranb="T")
     _check_trsyl_info(info)
     return y, scale
 
@@ -359,9 +401,7 @@ def _cut(t: np.ndarray) -> int:
 
 
 def _trsyl_block(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    import scipy.linalg
-
-    x, scale, info = scipy.linalg.lapack.dtrsyl(a, b, c, tranb="T")
+    x, scale, info = _lapack().dtrsyl(a, b, c, tranb="T")
     _check_trsyl_info(info)
     if scale < 1.0:
         raise _Rescaled

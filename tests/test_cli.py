@@ -580,9 +580,10 @@ class TestScaling:
 
 
 class TestDesignPath:
-    def test_does_not_import_scipy_sparse(self, tmp_path):
+    def test_only_analyze_loads_scipy_and_only_its_lapack_extension(self, tmp_path):
         # importing scipy.linalg about doubles the start-up time and memory of
-        # a command; only the Gramian routes of analyze need it
+        # a command; the full Gramian of analyze needs only its compiled
+        # LAPACK wrappers, and the other commands no scipy at all
         target = str(tmp_path / "out")
         code = (
             "import sys\n"
@@ -597,13 +598,43 @@ class TestDesignPath:
             f"    assert main([*argv, '--out', {target!r}]) == 0\n"
             "    assert not scipy_loaded(), argv\n"
             f"assert main(['analyze', '--line', '4', '--out', {target!r}]) == 0\n"
-            "print('scipy.linalg' in sys.modules)\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(__import__("gridloss").__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "True"
+        assert out.stdout.splitlines()[-1] == "['scipy.linalg._flapack']"
+
+
+class TestFreedMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident set from /proc")
+    def test_a_command_leaves_no_free_heap_pages_resident(self, tmp_path):
+        # once glibc has raised its mmap threshold (here by freeing a 16 MB
+        # block), a command's arrays come from the heap; freed, they would
+        # stay resident until main trims the heap
+        if gridloss.cli._malloc_trim() is None:
+            pytest.skip("no malloc_trim in this C library")
+        target = str(tmp_path / "path.csv")
+        code = (
+            "import os\n"
+            "import numpy as np\n"
+            "from gridloss.cli import main\n"
+            "def resident_mb():\n"
+            "    with open('/proc/self/statm') as fh:\n"
+            "        return int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE') / 2**20\n"
+            f"assert main(['simulate', '--line', '3', '--horizon', '1', '--out', {target!r}]) == 0\n"
+            "np.ones(2**21)\n"
+            "before = resident_mb()\n"
+            f"assert main(['simulate', '--line', '20', '--horizon', '50', '--out', {target!r}]) == 0\n"
+            "print(resident_mb() - before)\n"
+        )
+        src = str(Path(__import__("gridloss").__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        # the 10001 x 60 state array alone is 4.8 MB
+        assert float(out.stdout.splitlines()[-1]) < 1.5
 
 
 class TestReadme:

@@ -21,6 +21,7 @@ from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import LyapunovSolveError, StabilityError, ValidationError
 from gridloss.h2 import (
     H2Result,
+    _lapack,
     _real_schur,
     _solve_quasi_triangular,
     h2_dapi_closed_form,
@@ -31,6 +32,7 @@ from gridloss.h2 import (
 )
 from gridloss.network import (
     NetworkGraph,
+    Spectrum,
     _symmetric_within,
     build_complete_graph,
     build_line_graph,
@@ -73,6 +75,18 @@ def _bumped_quasi_triangular(n, rng, pair=None):
 
     place(0, n)
     return t, bumps
+
+
+def _run_fresh(code):
+    """stdout of ``code`` run by a fresh interpreter that imports this
+    checkout's gridloss, with one BLAS thread."""
+    src = str(Path(gridloss.h2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 class TestSolveLyapunov:
@@ -182,13 +196,13 @@ class TestSolveLyapunov:
         assert np.max(np.abs(x - expected)) <= 1e-8 * np.max(np.abs(expected))
 
     def test_wrong_triangular_solution_rejected(self, monkeypatch):
-        dtrsyl = scipy.linalg.lapack.dtrsyl
+        dtrsyl = _lapack().dtrsyl
 
         def perturbed(*args, **kwargs):
             y, scale, info = dtrsyl(*args, **kwargs)
             return y * (1.0 + 1e-4), scale, info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", perturbed)
+        monkeypatch.setattr(_lapack(), "dtrsyl", perturbed)
         a = -np.eye(3) + 0.1 * np.triu(np.ones((3, 3)), 1)
         with pytest.raises(LyapunovSolveError, match="exceeds tolerance for Q scale"):
             solve_lyapunov(a, np.eye(3))
@@ -286,13 +300,13 @@ class TestSolveLyapunov:
 
     def test_no_dtrsyl_call_above_leaf_size(self, monkeypatch):
         sizes = []
-        dtrsyl = scipy.linalg.lapack.dtrsyl
+        dtrsyl = _lapack().dtrsyl
 
         def counting(a, b, c, **kwargs):
             sizes.append((a.shape[0], b.shape[0]))
             return dtrsyl(a, b, c, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", counting)
+        monkeypatch.setattr(_lapack(), "dtrsyl", counting)
         g = build_random_connected_graph(150, 0.05, (0.5, 1.5), alpha=1.0, seed=7)
         ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0))
         assert ss.n_states - 1 >= 449
@@ -303,7 +317,7 @@ class TestSolveLyapunov:
     def test_rescaled_leaf_falls_back_to_one_whole_solve(self, monkeypatch):
         n = 100
         calls = []
-        dtrsyl = scipy.linalg.lapack.dtrsyl
+        dtrsyl = _lapack().dtrsyl
 
         def rescaling_leaves(a, b, c, **kwargs):
             calls.append(a.shape[0])
@@ -314,20 +328,20 @@ class TestSolveLyapunov:
         a = _stable_random(n, rng)
         q = np.eye(n)
         expected = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", rescaling_leaves)
+        monkeypatch.setattr(_lapack(), "dtrsyl", rescaling_leaves)
         x = solve_lyapunov(a, q)
         assert calls.count(n) == 1
         assert np.array_equal(x, (expected + expected.T) / 2.0)
 
     @pytest.mark.parametrize("n", [5, 100])
     def test_rejected_argument_raises(self, monkeypatch, n):
-        dtrsyl = scipy.linalg.lapack.dtrsyl
+        dtrsyl = _lapack().dtrsyl
 
         def rejecting(*args, **kwargs):
             y, scale, _ = dtrsyl(*args, **kwargs)
             return y, scale, -3
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", rejecting)
+        monkeypatch.setattr(_lapack(), "dtrsyl", rejecting)
         a = _stable_random(n, np.random.default_rng(6))
         with pytest.raises(LyapunovSolveError, match="rejected argument 3"):
             solve_lyapunov(a, np.eye(n))
@@ -335,7 +349,7 @@ class TestSolveLyapunov:
     def test_one_schur_and_no_eigvals_per_solve(self, monkeypatch):
         # one factorising dgees call; its lwork = -1 workspace query is not one
         calls = []
-        dgees = scipy.linalg.lapack.dgees
+        dgees = _lapack().dgees
 
         def counting_dgees(*args, **kwargs):
             if kwargs.get("lwork") != -1:
@@ -345,7 +359,7 @@ class TestSolveLyapunov:
         def no_eigvals(*args, **kwargs):
             raise AssertionError("solve_lyapunov must not call np.linalg.eigvals")
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgees", counting_dgees)
+        monkeypatch.setattr(_lapack(), "dgees", counting_dgees)
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
         for n in (1, 2, 3, 5, 8):
             calls.clear()
@@ -375,13 +389,13 @@ class TestSolveLyapunov:
         assert str(got.value) == str(expected.value) == "array must not contain infs or NaNs"
 
     def test_schur_failure_raises_like_schur(self, monkeypatch):
-        dgees = scipy.linalg.lapack.dgees
+        dgees = _lapack().dgees
 
         def failing(*args, **kwargs):
             *result, info = dgees(*args, **kwargs)
             return (*result, info if kwargs.get("lwork") == -1 else 1)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing)
+        monkeypatch.setattr(_lapack(), "dgees", failing)
         # scipy.linalg.schur looks gees up through its own module's getter
         monkeypatch.setattr(scipy.linalg._decomp_schur, "get_lapack_funcs", lambda names, arrays: (failing,))
         a = _stable_random(5, np.random.default_rng(8))
@@ -399,7 +413,7 @@ class TestSolveLyapunov:
         a = _stable_random(n, rng)
         q = np.eye(n)
         expected = solve_lyapunov(a, q)
-        dtrsyl = scipy.linalg.lapack.dtrsyl
+        dtrsyl = _lapack().dtrsyl
 
         def halving(a, b, c, **kwargs):
             y, scale, info = dtrsyl(a, b, c, **kwargs)
@@ -407,7 +421,7 @@ class TestSolveLyapunov:
                 return y, 0.5, info  # a recursive leaf rescales
             return 0.5 * y, 0.5 * scale, info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", halving)
+        monkeypatch.setattr(_lapack(), "dtrsyl", halving)
         x = solve_lyapunov(a, q)
         if n > 64:
             # the whole-matrix fallback: no longer the recursive stage's bits
@@ -416,13 +430,13 @@ class TestSolveLyapunov:
             assert np.array_equal(x, expected)
 
     def test_unscaled_overflow_raises(self, monkeypatch):
-        dtrsyl = scipy.linalg.lapack.dtrsyl
+        dtrsyl = _lapack().dtrsyl
 
         def tiny_scale(*args, **kwargs):
             y, _, info = dtrsyl(*args, **kwargs)
             return y, 1e-310, info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", tiny_scale)
+        monkeypatch.setattr(_lapack(), "dtrsyl", tiny_scale)
         with pytest.raises(LyapunovSolveError, match="overflows: .* scale 1.000e-310"):
             solve_lyapunov(-np.eye(3), np.eye(3))
 
@@ -481,6 +495,78 @@ class TestSolveLyapunov:
             warnings.simplefilter("ignore", RuntimeWarning)
             expected = np.allclose(q, q.T, rtol=0, atol=atol)
         assert _symmetric_within(q, atol) == expected
+
+
+# full-Gramian norms of a line (one dtrsyl call) and of a random graph (the
+# recursive stage), printed exactly, and the scipy modules loaded for them
+_NORMS = textwrap.dedent("""
+    import sys
+    from gridloss import ControllerParams, assemble_dapi, assemble_droop, build_line_graph
+    from gridloss import build_random_connected_graph, h2_full_gramian
+    p = ControllerParams(m=0.7, tau=1.3, k=1.1, gamma=0.9)
+    for g in (build_line_graph(20, [1.0] * 19, alpha=1.0),
+              build_random_connected_graph(40, 0.1, (0.5, 1.5), alpha=1.0, seed=4)):
+        print(h2_full_gramian(assemble_droop(g, p)).squared_norm.hex(),
+              h2_full_gramian(assemble_dapi(g, p)).squared_norm.hex())
+    print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
+""")
+
+
+class TestLapackLoader:
+    """``_lapack`` in a fresh process, each way the module is found."""
+
+    def test_analyze_first_then_scipy_linalg_shares_the_module(self, tmp_path):
+        out = _run_fresh(f"""
+            import contextlib, io, sys
+            import numpy as np
+            from gridloss import h2
+            from gridloss.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["analyze", "--line", "4", "--out", {str(tmp_path / "out")!r}]) == 0
+            loaded = h2._lapack()
+            assert "scipy.linalg" not in sys.modules
+            import scipy.linalg
+            assert sys.modules["scipy.linalg._flapack"] is loaded
+            assert scipy.linalg.lapack.dgees is loaded.dgees
+            assert scipy.linalg.lapack.dtrsyl is loaded.dtrsyl
+            a = -np.eye(6) + 0.4 * np.random.default_rng(1).standard_normal((6, 6))
+            t, u = scipy.linalg.schur(a.T, output="real")
+            own_t, own_u = h2._real_schur(a)
+            assert np.array_equal(t, own_t) and np.array_equal(u, own_u)
+            print("ok")
+        """)
+        assert out.splitlines()[-1] == "ok"
+
+    def test_scipy_linalg_first_reuses_its_module(self):
+        out = _run_fresh(textwrap.dedent("""
+            import sys
+            import scipy.linalg
+            from gridloss import h2
+
+            def refuse():
+                raise AssertionError("the extension was loaded a second time")
+
+            h2._load_flapack = refuse
+        """) + _NORMS + textwrap.dedent("""
+            assert h2._lapack() is sys.modules["scipy.linalg._flapack"]
+            assert h2._lapack().dtrsyl is scipy.linalg.lapack.dtrsyl
+            print("ok")
+        """))
+        assert out.splitlines()[-1] == "ok"
+
+    @pytest.mark.parametrize("hide", [
+        "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n",
+        "import importlib.util\n"
+        "def refuse(spec):\n"
+        "    raise ImportError('DLL load failed')\n"
+        "importlib.util.module_from_spec = refuse\n",
+    ], ids=["no-file", "file-not-loadable"])
+    def test_fallback_imports_scipy_linalg_with_the_same_norms(self, hide):
+        direct = _run_fresh(_NORMS).splitlines()
+        fallback = _run_fresh(hide + _NORMS).splitlines()
+        assert direct[-1] == "['scipy.linalg._flapack']"
+        assert "scipy.linalg" in fallback[-1] and "scipy.linalg.lapack" in fallback[-1]
+        assert fallback[:-1] == direct[:-1]
 
 
 class TestDroopClosedForm:
@@ -687,11 +773,7 @@ class TestModalRoute:
             "    h2_modal(spec, ControllerParams(m=1.0, tau=1.0), 1.0, kind)\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         )
-        src = str(Path(gridloss.h2.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout == "[]\n"
+        assert _run_fresh(code) == "[]\n"
 
     def test_never_calls_solve_lyapunov(self, monkeypatch):
         def refuse(*args):
@@ -839,6 +921,50 @@ class TestFullGramianRoute:
         for kind, assemble in (("droop", assemble_droop), ("dapi", assemble_dapi)):
             res = h2_full_gramian(assemble(g, p))
             assert abs(res.squared_norm - closed[kind].squared_norm) <= 1e-9 * closed[kind].squared_norm
+
+
+_gains = st.floats(0.1, 10.0)
+_spectra = st.lists(st.floats(0.05, 20.0), min_size=1, max_size=12).map(lambda w: np.array([0.0, *sorted(w)]))
+
+
+class TestScalingIdentity:
+    """H2(c L; m, gamma) = c H2(L; c m, c gamma) for droop and DAPI: scaling
+    every susceptance by c is undone by scaling m and gamma by c, up to the
+    loss weight alpha c L_B's factor c.  Each route checks it on its own."""
+
+    @settings(max_examples=60)
+    @given(w=_spectra, c=_gains, m=_gains, tau=_gains, k=_gains, gamma=_gains, alpha=st.floats(0.1, 3.0))
+    @example(w=np.array([0.0, 1.0, 3.0]), c=0.3, m=1.0, tau=1.0, k=1.0, gamma=1.0, alpha=1.0)
+    @example(w=np.array([0.0, 1.0, 3.0]), c=2.0, m=1.0, tau=1.0, k=1.0, gamma=1.0, alpha=1.0)
+    @example(w=np.array([0.0, 1.0, 3.0]), c=7.0, m=1.0, tau=1.0, k=1.0, gamma=1.0, alpha=1.0)
+    def test_closed_forms(self, w, c, m, tau, k, gamma, alpha):
+        p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        p_c = ControllerParams(m=c * m, tau=tau, k=k, gamma=c * gamma)
+        droop = h2_droop_closed_form(alpha, m, w.size).squared_norm  # no eigenvalue enters
+        assert droop == pytest.approx(c * h2_droop_closed_form(alpha, c * m, w.size).squared_norm, rel=1e-14)
+        dapi = h2_dapi_closed_form(alpha, p, c * w).squared_norm
+        assert dapi == pytest.approx(c * h2_dapi_closed_form(alpha, p_c, w).squared_norm, rel=1e-14)
+
+    @settings(max_examples=40)
+    @given(w=_spectra, c=_gains, m=_gains, tau=_gains, k=_gains, gamma=_gains, alpha=st.floats(0.1, 3.0))
+    def test_modal_route(self, w, c, m, tau, k, gamma, alpha):
+        p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        p_c = ControllerParams(m=c * m, tau=tau, k=k, gamma=c * gamma)
+        for kind in ("droop", "dapi"):
+            scaled = h2_modal(Spectrum(c * w), p, alpha, kind).squared_norm
+            assert scaled == pytest.approx(c * h2_modal(Spectrum(w), p_c, alpha, kind).squared_norm, rel=1e-13)
+
+    @settings(max_examples=20)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), c=_gains, m=_gains, tau=_gains, k=_gains,
+           gamma=_gains, alpha=st.floats(0.1, 3.0))
+    def test_full_gramian(self, n, seed, c, m, tau, k, gamma, alpha):
+        g = build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=alpha, seed=seed)
+        g_c = NetworkGraph(n, tuple((i, j, c * b) for i, j, b in g.edges), alpha)
+        p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        p_c = ControllerParams(m=c * m, tau=tau, k=k, gamma=c * gamma)
+        for assemble in (assemble_droop, assemble_dapi):
+            scaled = h2_full_gramian(assemble(g_c, p)).squared_norm
+            assert scaled == pytest.approx(c * h2_full_gramian(assemble(g, p_c)).squared_norm, rel=1e-10)
 
 
 class TestThreeWayAgreement:
