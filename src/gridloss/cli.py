@@ -151,8 +151,8 @@ def _resolve_network(args) -> tuple[NetworkGraph, dict]:
         graph = build_complete_graph(args.complete, args.b, alpha)
         meta = {"topology": "complete", "n_nodes": graph.n_nodes, "b": args.b}
     elif args.random is not None:
-        n, p = _parse_random(args.random)
-        b_range = _parse_pair(args.b_range, "--b-range")
+        n, p = _parse_pair(args.random, int, "--random expects 'N,P' (e.g. 20,0.3)")
+        b_range = _parse_pair(args.b_range, float, "--b-range expects 'LO,HI'")
         graph = build_random_connected_graph(n, p, b_range, alpha, seed=args.seed)
         meta = {"topology": "random", "n_nodes": n, "edge_probability": p,
                 "b_range": list(b_range), "seed": args.seed}
@@ -170,24 +170,16 @@ def _resolve_params(args) -> ControllerParams:
     return ControllerParams(m=args.m, tau=args.tau, k=args.k, gamma=getattr(args, "gamma", 1.0))
 
 
-def _parse_random(text: str) -> tuple[int, float]:
+def _parse_pair(text: str, first: type, expects: str) -> tuple:
+    """Two comma-separated values, the first read by ``first`` and the
+    second as a float; otherwise ``expects`` names the form in the error."""
     parts = text.split(",")
     try:
         if len(parts) != 2:
             raise ValueError
-        return int(parts[0]), float(parts[1])
+        return first(parts[0]), float(parts[1])
     except ValueError:
-        raise ValidationError(f"--random expects 'N,P' (e.g. 20,0.3), got {text!r}") from None
-
-
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    try:
-        if len(parts) != 2:
-            raise ValueError
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValidationError(f"{flag} expects 'LO,HI', got {text!r}") from None
+        raise ValidationError(f"{expects}, got {text!r}") from None
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -355,7 +347,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_tune(args) -> int:
     graph, net_meta = _resolve_network(args)
-    params = ControllerParams(m=args.m, tau=args.tau, k=args.k)
+    params = _resolve_params(args)
     alpha = graph.alpha
     spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
     result = optimal_gamma(spectrum, params, alpha)
@@ -504,7 +496,7 @@ def _cmd_scaling(args) -> int:
         raise ValidationError(f"network sizes must be >= 2, got {sizes}")
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
-    b_range = _parse_pair(args.b_range, "--b-range")
+    b_range = _parse_pair(args.b_range, float, "--b-range expects 'LO,HI'")
     params = _resolve_params(args)
     alpha = args.alpha
 

@@ -7,7 +7,8 @@ under DAPI control, which adds a distributed-averaging integral state Omega
 communicated over a network proportional to the electrical one.
 
 Each closed loop carries its loss weight, the conductance Laplacian L_G:
-the resistive power loss of circulating currents is theta' L_G theta.
+the resistive power loss of circulating currents is theta' L_G theta.  Its
+controller is read off its shapes: 2N states for droop, 3N for DAPI.
 Because all Laplacians commute, both closed loops block-diagonalize in the
 eigenbasis of the susceptance Laplacian into independent 2x2 / 3x3 modal
 subsystems, one per eigenvalue.
@@ -70,7 +71,9 @@ class StateSpace:
     """Closed-loop LTI system (A, B) with unit-intensity disturbance input.
 
     State ordering is block-wise: theta block first, then omega, then (for
-    DAPI) Omega.  ``l_g`` is the conductance ``Laplacian``: the loss is
+    DAPI) Omega.  The shapes fix the controller: with N = ``b.shape[1]``
+    buses, 2N states are the droop loop and 3N the DAPI loop, and any other
+    shape is refused.  ``l_g`` is the conductance ``Laplacian``: the loss is
     theta' L_G theta.  ``c`` = [L_G^{1/2}, 0, ...], with ||C x||^2 the loss,
     is built from ``spectral_decomposition(l_g)`` on first access.  A and B
     are kept as handed in when they are already read-only float64 arrays,
@@ -80,18 +83,15 @@ class StateSpace:
     a: np.ndarray
     b: np.ndarray
     l_g: Laplacian
-    controller_kind: str
 
     def __post_init__(self) -> None:
-        if self.controller_kind not in CONTROLLER_KINDS:
-            raise ValidationError(f"controller_kind must be one of {CONTROLLER_KINDS}")
         a = _frozen(self.a)
         b = _frozen(self.b)
-        blocks = 2 if self.controller_kind == "droop" else 3
         n = b.shape[1] if b.ndim == 2 else 0
-        if a.shape != (blocks * n, blocks * n) or b.shape != (blocks * n, n) or self.l_g.n_nodes != n:
+        s = b.shape[0] // n if n else 0
+        if s not in (2, 3) or a.shape != (s * n, s * n) or b.shape != (s * n, n) or self.l_g.n_nodes != n:
             raise ValidationError(
-                f"inconsistent {self.controller_kind} system shapes: A {a.shape}, B {b.shape}, L_G {self.l_g.n_nodes} nodes"
+                f"inconsistent system shapes: A {a.shape}, B {b.shape}, L_G {self.l_g.n_nodes} nodes"
             )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -103,6 +103,11 @@ class StateSpace:
     @property
     def n_states(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def controller_kind(self) -> str:
+        """The controller: droop for 2N states, DAPI for 3N."""
+        return "droop" if self.n_states == 2 * self.n_nodes else "dapi"
 
     @cached_property
     def c(self) -> np.ndarray:
@@ -190,7 +195,7 @@ def droop_part(ss: StateSpace) -> StateSpace:
     a, b = ss.a[:s, :s].copy(), ss.b[:s].copy()
     for arr in (a, b):
         arr.setflags(write=False)
-    return StateSpace(a=a, b=b, l_g=ss.l_g, controller_kind="droop")
+    return StateSpace(a=a, b=b, l_g=ss.l_g)
 
 
 def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> StateSpace:
@@ -220,13 +225,13 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
         l_c *= -(1.0 / params.k)
     g_matrix = graph.alpha * lb
     g_matrix.setflags(write=False)
-    l_g = Laplacian(matrix=g_matrix, kind="conductance")
+    l_g = Laplacian(matrix=g_matrix)
     del lb  # so that B is allocated without it
     b = np.zeros((s * n, n))
     np.fill_diagonal(b[n:2 * n], 1.0 / params.tau)
     for arr in (a, b):
         arr.setflags(write=False)
-    return StateSpace(a=a, b=b, l_g=l_g, controller_kind=kind)
+    return StateSpace(a=a, b=b, l_g=l_g)
 
 
 def _fill_scaled_eye(out: np.ndarray, scale: float) -> None:
@@ -313,9 +318,9 @@ def verify_modal_equivalence(ss: StateSpace, blocks: ModalBlocks, spectrum: Spec
     compares against blockdiag(A_1, ..., A_N).  Values at rounding level
     certify that the modal route analyzes the same system as the full one.
     """
-    s = 2 if ss.controller_kind == "droop" else 3
+    s = ss.n_states // ss.n_nodes
     n = spectrum.n_nodes
-    if ss.n_states != s * n or blocks.a.shape != (n, s, s):
+    if ss.n_nodes != n or blocks.a.shape != (n, s, s):
         raise ValidationError(
             f"dimension mismatch: {ss.controller_kind} system with {ss.n_states} states, "
             f"{n}-node spectrum, modal blocks of shape {blocks.a.shape}"

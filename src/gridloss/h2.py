@@ -6,7 +6,8 @@ equals the squared H2 norm of the closed loop.  Three routes compute it:
 
 * closed form: droop loss is alpha (N-1) / (2 m) independent of topology;
   DAPI loss multiplies each droop mode contribution by a factor in (0, 1)
-  that depends on the mode eigenvalue and the controller parameters.
+  that depends on the mode eigenvalue, read from a ``Spectrum``, and the
+  controller parameters.
 * modal Lyapunov: one 2x2 or 3x3 observability Gramian per nonzero mode,
   all of them from one batched linear solve, summed in eigenvalue order.
 * full Gramian: one dense Lyapunov solve on the assembled system and its
@@ -120,26 +121,27 @@ def h2_droop_closed_form(alpha: float, m: float, n_nodes: int) -> H2Result:
     return H2Result(squared_norm=math.fsum(per_mode), method="closed_form", per_mode=per_mode)
 
 
-def h2_dapi_closed_form(alpha: float, params: ControllerParams, eigenvalues) -> H2Result:
+def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectrum) -> H2Result:
     """DAPI loss from the susceptance Laplacian eigenvalues alone.
 
     Args:
         alpha: conductance-to-susceptance ratio.
         params: controller parameters; tau = 0 and gamma = 0 are permitted
             here (the formula is the continuous limit).
-        eigenvalues: ascending eigenvalues with the zero mode first, as
-            produced by spectral_decomposition or laplacian_eigenvalues (a
-            Spectrum is also accepted).
+        spectrum: the ``Spectrum`` of spectral_decomposition or
+            laplacian_eigenvalues, whose eigenvalues are ascending with the
+            zero mode first; only the eigenvalues are read.
     """
     if not np.isfinite(alpha) or alpha < 0:
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
-    if isinstance(eigenvalues, Spectrum):
-        eigenvalues = eigenvalues.eigenvalues
-    w = np.asarray(eigenvalues, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise ValidationError(f"eigenvalues must be a nonempty vector, got shape {w.shape}")
-    if np.any(np.diff(w) < 0):
-        raise ValidationError("eigenvalues must be ascending with the zero mode first")
+    if not isinstance(spectrum, Spectrum):
+        raise ValidationError(
+            "spectrum must be a Spectrum (from spectral_decomposition or laplacian_eigenvalues), "
+            f"got {type(spectrum).__name__}"
+        )
+    w = spectrum.eigenvalues
+    if w.size < 1:
+        raise ValidationError("spectrum has no eigenvalues")
     if w[0] != 0.0 or (w.size > 1 and w[1] <= 0.0):
         n_zero = int(np.count_nonzero(w == 0.0))
         raise ValidationError(

@@ -24,8 +24,6 @@ from .errors import (
     ValidationError,
 )
 
-_LAPLACIAN_KINDS = ("susceptance", "conductance", "communication")
-
 # relative threshold below which a computed eigenvalue is treated as zero
 _ZERO_EIG_RTOL = 1e-9
 
@@ -168,7 +166,9 @@ def _component_count(n_nodes: int, ends_i: np.ndarray, ends_j: np.ndarray) -> in
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Symmetric PSD graph Laplacian with a kind tag.
+    """Symmetric PSD graph Laplacian: the susceptance Laplacian L_B of
+    ``susceptance_laplacian``, or the conductance Laplacian L_G that a
+    closed loop carries as its loss weight.
 
     Invariants checked at construction: square with finite entries,
     symmetric, row sums zero (within 1e-12 of the largest entry),
@@ -179,11 +179,8 @@ class Laplacian:
     """
 
     matrix: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in _LAPLACIAN_KINDS:
-            raise ValidationError(f"kind must be one of {_LAPLACIAN_KINDS}, got {self.kind!r}")
         mat = _frozen(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"Laplacian must be square, got shape {mat.shape}")
@@ -437,7 +434,7 @@ def susceptance_laplacian(graph: NetworkGraph) -> Laplacian:
     # diagonal set from the finished off-diagonal rows: row sums vanish
     np.fill_diagonal(lb, -lb.sum(axis=1))
     lb.setflags(write=False)  # frozen here, so the Laplacian keeps it uncopied
-    return Laplacian(matrix=lb, kind="susceptance")
+    return Laplacian(matrix=lb)
 
 
 def spectral_decomposition(laplacian: Laplacian) -> Spectrum:

@@ -1,8 +1,8 @@
 """Stochastic time-domain validation of the loss analysis.
 
 Integrates dx = A x dt + B dW with an Euler-Maruyama scheme under white
-power disturbances of configurable intensity, tracks the instantaneous
-resistive loss theta' L_G theta along the path, and estimates its long-run
+power disturbances of configurable intensity, stores the instantaneous
+resistive loss theta' L_G theta with the path, and estimates its long-run
 average for comparison against the analytic norms.  The uniform phase
 component is unobservable and performs a random walk, so every step
 recentres the phase block to zero mean.  The recentring is a linear
@@ -21,6 +21,7 @@ go through Python's own '%.12g'.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import tempfile
@@ -30,7 +31,7 @@ import numpy as np
 
 from .dynamics import StateSpace
 from .errors import StabilityError, StepSizeError, ValidationError
-from .network import Laplacian, _frozen
+from .network import _frozen
 
 _N_BATCHES = 20
 
@@ -107,17 +108,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", x)
         object.__setattr__(self, "instantaneous_loss", loss)
-
-
-def instantaneous_loss(theta: np.ndarray, l_g: Laplacian) -> float:
-    """Resistive loss theta' L_G theta of a phase vector (clamped at 0 to
-    absorb rounding on the PSD quadratic form)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size != l_g.n_nodes:
-        raise ValidationError(
-            f"theta has shape {theta.shape}, Laplacian is {l_g.n_nodes}x{l_g.n_nodes}"
-        )
-    return max(float(theta @ l_g.matrix @ theta), 0.0)
 
 
 def phase_perturbation(n_nodes: int, n_states: int, scale: float, seed: int) -> np.ndarray:
@@ -324,24 +314,27 @@ def export_trajectory(trajectory: Trajectory, n_nodes: int, path, stride: int = 
             fh.write(_format_12g(table))
 
 
+@functools.cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     """The text of each 4-digit group 0000..9999 as one uint32 of 4 ASCII
     bytes, built from the 100 digit pairs; and, for a group that is the 1st,
     2nd or 3rd of 12 digits, how many of the 12 run up to its last nonzero
-    digit (0 for 0000)."""
+    digit (0 for 0000).  Built on the first export, not at import, and
+    read-only, since every later call gets the same arrays."""
     pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
     text = np.stack(np.meshgrid(pairs, pairs, indexing="ij"), axis=-1).view(np.uint32).ravel()
     group = np.arange(10000, dtype=np.int16)
     digits = np.int8(4) - (group % 10 == 0) - (group % 100 == 0) - (group % 1000 == 0)
     significant = np.array([np.where(group > 0, 4 * i + digits, 0) for i in range(3)], np.uint8)
+    for arr in (text, significant):
+        arr.setflags(write=False)
     return text, significant
 
 
-# _format_12g: values per block, the powers of ten it scales by (all exact
-# in binary64), and its digit tables
+# _format_12g: values per block and the powers of ten it scales by (all
+# exact in binary64)
 _BLOCK_VALUES = 1 << 14
 _POW10 = 10.0 ** np.arange(16)
-_GROUP_TEXT, _GROUP_SIGNIFICANT = _digit_tables()
 # a value's text sits in columns 1..19 of a 21-column row, column 0 holds
 # '-' and column 1 + length the separator; row 20 * negative + length of
 # _KEEP marks the columns that go out
@@ -428,10 +421,11 @@ def _lay_out(exponent: np.ndarray, rounded: np.ndarray) -> tuple[np.ndarray, np.
     tail = (whole - head * 100_000_000).astype(np.int32)
     middle = tail // 10_000
     low = tail - middle * 10_000
-    digits = np.column_stack((_GROUP_TEXT[head], _GROUP_TEXT[middle], _GROUP_TEXT[low])).view(np.uint8)
+    group_text, group_significant = _digit_tables()
+    digits = np.column_stack((group_text[head], group_text[middle], group_text[low])).view(np.uint8)
     # how many of the 12 digits are left once trailing zeros are stripped
-    significant = np.maximum(np.maximum(_GROUP_SIGNIFICANT[0].take(head), _GROUP_SIGNIFICANT[1].take(middle)),
-                             _GROUP_SIGNIFICANT[2].take(low))
+    significant = np.maximum(np.maximum(group_significant[0].take(head), group_significant[1].take(middle)),
+                             group_significant[2].take(low))
     # the length of each layout: for e >= 0, e + 1 integer digits and the
     # fraction's point and digits if any are left; for e < 0, '0.', -e - 1
     # zeros and the digits

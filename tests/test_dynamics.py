@@ -39,7 +39,7 @@ def _spectrum_of(graph):
 
 
 def _zero_laplacian(n):
-    return Laplacian(np.zeros((n, n)), "conductance")
+    return Laplacian(np.zeros((n, n)))
 
 
 class TestControllerParams:
@@ -429,11 +429,11 @@ class TestStateSpaceType:
 
     def test_read_only_float_arrays_are_kept_as_handed_in(self):
         a, b = -np.eye(4), np.vstack([np.zeros((2, 2)), np.eye(2)])
-        writeable = StateSpace(a=a, b=b, l_g=_zero_laplacian(2), controller_kind="droop")
+        writeable = StateSpace(a=a, b=b, l_g=_zero_laplacian(2))
         assert writeable.a is not a and writeable.b is not b and a.flags.writeable
         for arr in (a, b):
             arr.setflags(write=False)
-        kept = StateSpace(a=a, b=b, l_g=_zero_laplacian(2), controller_kind="droop")
+        kept = StateSpace(a=a, b=b, l_g=_zero_laplacian(2))
         assert kept.a is a and kept.b is b
 
     def test_assemblers_hand_over_contiguous_arrays_of_their_own(self):
@@ -460,13 +460,27 @@ class TestStateSpaceType:
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError, match="shapes"):
-            StateSpace(a=np.eye(4), b=np.zeros((4, 2)), l_g=_zero_laplacian(3), controller_kind="droop")
-        with pytest.raises(ValidationError):
-            StateSpace(a=np.eye(4), b=np.zeros((4, 2)), l_g=_zero_laplacian(2), controller_kind="dapi")
+            StateSpace(a=np.eye(4), b=np.zeros((4, 2)), l_g=_zero_laplacian(3))
+        with pytest.raises(ValidationError, match="shapes"):
+            StateSpace(a=np.eye(6), b=np.zeros((4, 2)), l_g=_zero_laplacian(2))
 
     def test_bad_kind(self):
-        with pytest.raises(ValidationError):
-            StateSpace(a=np.eye(2), b=np.zeros((2, 1)), l_g=_zero_laplacian(1), controller_kind="pid")
+        # neither 2N (droop) nor 3N (DAPI) states for N = B's columns
+        for states, n in ((8, 2), (1, 1), (5, 2), (0, 0)):
+            with pytest.raises(ValidationError, match="inconsistent system shapes"):
+                StateSpace(a=np.eye(states), b=np.zeros((states, n)), l_g=_zero_laplacian(n))
+        with pytest.raises(ValidationError, match="inconsistent system shapes"):
+            StateSpace(a=np.eye(2), b=np.zeros(2), l_g=_zero_laplacian(1))
+
+    def test_kind_is_read_off_the_shapes(self):
+        g = build_random_connected_graph(7, 0.5, (0.5, 1.5), alpha=1.1, seed=5)
+        p = ControllerParams(m=0.9, tau=1.1, k=0.8, gamma=1.2)
+        dapi = assemble_dapi(g, p)
+        for ss, kind, states in ((assemble_droop(g, p), "droop", 14), (dapi, "dapi", 21),
+                                 (droop_part(dapi), "droop", 14)):
+            assert (ss.controller_kind, ss.n_states, ss.n_nodes) == (kind, states, 7)
+        by_hand = StateSpace(a=dapi.a, b=dapi.b, l_g=dapi.l_g)
+        assert by_hand.controller_kind == "dapi" and by_hand.a is dapi.a
 
     def test_modal_shape_validation(self):
         for eigenvalues, a, b, c in [
@@ -521,7 +535,6 @@ class TestDerivedOutput:
         g = build_random_connected_graph(12, 0.4, (0.5, 1.5), alpha=1.3, seed=4)
         p = ControllerParams(m=1.0, tau=1.0, k=2.0, gamma=0.5)
         for ss in (assemble_droop(g, p), assemble_dapi(g, p)):
-            assert ss.l_g.kind == "conductance"
             assert ss.l_g.matrix.tobytes() == (g.alpha * susceptance_laplacian(g).matrix).tobytes()
 
 

@@ -605,13 +605,12 @@ class TestDapiClosedForm:
         assert abs(res.squared_norm - 15.0 / 19.0) < 1e-15
         assert np.allclose(res.per_mode, 15.0 / 38.0, atol=1e-15)
 
-    def test_accepts_spectrum_or_vector(self):
-        g = build_line_graph(4, [1.0] * 3, alpha=1.0)
-        spec = _spectrum_of(g)
+    def test_refuses_a_raw_vector(self):
+        spec = _spectrum_of(build_line_graph(4, [1.0] * 3, alpha=1.0))
         p = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
-        a = h2_dapi_closed_form(1.0, p, spec)
-        b = h2_dapi_closed_form(1.0, p, spec.eigenvalues)
-        assert a.squared_norm == b.squared_norm
+        for raw in (spec.eigenvalues, spec.eigenvalues.tolist()):
+            with pytest.raises(ValidationError, match="laplacian_eigenvalues"):
+                h2_dapi_closed_form(1.0, p, raw)
 
     def test_below_droop_for_positive_gamma(self):
         rng = np.random.default_rng(5)
@@ -645,12 +644,14 @@ class TestDapiClosedForm:
 
     def test_eigenvalue_vector_validation(self):
         p = ControllerParams(m=1.0, tau=1.0)
-        with pytest.raises(ValidationError, match="spectral_decomposition or laplacian_eigenvalues"):
-            h2_dapi_closed_form(1.0, p, [0.0, 0.0, 3.0])  # two zeros
-        with pytest.raises(ValidationError):
-            h2_dapi_closed_form(1.0, p, [3.0, 0.0, 1.0])  # not ascending
-        with pytest.raises(ValidationError):
-            h2_dapi_closed_form(1.0, p, [1.0, 2.0])  # no zero mode
+        with pytest.raises(ValidationError, match="got 2 zeros"):
+            h2_dapi_closed_form(1.0, p, Spectrum(np.array([0.0, 0.0, 3.0])))
+        with pytest.raises(ValidationError, match="got 0 zeros"):
+            h2_dapi_closed_form(1.0, p, Spectrum(np.array([1.0, 2.0])))
+        with pytest.raises(ValidationError, match="no eigenvalues"):
+            h2_dapi_closed_form(1.0, p, Spectrum(np.zeros(0)))
+        with pytest.raises(ValidationError, match="ascending"):  # refused by the Spectrum itself
+            Spectrum(np.array([3.0, 0.0, 1.0]))
 
 
 class TestModalRoute:
@@ -942,8 +943,8 @@ class TestScalingIdentity:
         p_c = ControllerParams(m=c * m, tau=tau, k=k, gamma=c * gamma)
         droop = h2_droop_closed_form(alpha, m, w.size).squared_norm  # no eigenvalue enters
         assert droop == pytest.approx(c * h2_droop_closed_form(alpha, c * m, w.size).squared_norm, rel=1e-14)
-        dapi = h2_dapi_closed_form(alpha, p, c * w).squared_norm
-        assert dapi == pytest.approx(c * h2_dapi_closed_form(alpha, p_c, w).squared_norm, rel=1e-14)
+        dapi = h2_dapi_closed_form(alpha, p, Spectrum(c * w)).squared_norm
+        assert dapi == pytest.approx(c * h2_dapi_closed_form(alpha, p_c, Spectrum(w)).squared_norm, rel=1e-14)
 
     @settings(max_examples=40)
     @given(w=_spectra, c=_gains, m=_gains, tau=_gains, k=_gains, gamma=_gains, alpha=st.floats(0.1, 3.0))

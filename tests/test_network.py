@@ -395,7 +395,6 @@ class TestLaplacians:
         ss = _dapi_loop(g, gamma=2.5, k=0.5)
         assert np.array_equal(ss.l_g.matrix, 0.3 * lb.matrix)
         assert np.array_equal(ss.a[18:, 18:], -2.0 * (2.5 * lb.matrix))
-        assert (lb.kind, ss.l_g.kind) == ("susceptance", "conductance")
 
     def test_row_sums_and_offdiagonal_signs(self):
         rng = np.random.default_rng(11)
@@ -423,7 +422,7 @@ class TestLaplacians:
         mat = np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]], dtype=dtype)
         mat.setflags(write=writeable)
         before = mat.copy()
-        lap = Laplacian(matrix=mat, kind="susceptance")
+        lap = Laplacian(matrix=mat)
         if dtype is np.float64 and not writeable:
             assert lap.matrix is mat
         else:
@@ -443,11 +442,11 @@ class TestLaplacians:
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):
-            Laplacian(matrix=np.array([[1.0, -1.0], [0.0, 1.0]]), kind="susceptance")
+            Laplacian(matrix=np.array([[1.0, -1.0], [0.0, 1.0]]))
 
     def test_positive_offdiagonal_rejected(self):
         with pytest.raises(ValidationError):
-            Laplacian(matrix=np.array([[-1.0, 1.0], [1.0, -1.0]]), kind="susceptance")
+            Laplacian(matrix=np.array([[-1.0, 1.0], [1.0, -1.0]]))
 
     @settings(max_examples=60)
     @given(n=st.integers(2, 30), seed=st.integers(0, 10_000), exponent=st.integers(-20, 20),
@@ -478,7 +477,7 @@ class TestLaplacians:
         # block of the closed loop as -(m/tau) L_B
         g = build_random_connected_graph(30, 0.2, (0.5, 1.5), alpha=0.7, seed=4)
         lb = susceptance_laplacian(g)
-        assert lb.kind == "susceptance" and not lb.matrix.flags.writeable
+        assert not lb.matrix.flags.writeable
         assert _dapi_loop(g, 1.3).a[30:60, :30].tobytes() == (-lb.matrix).tobytes()
 
     def test_gamma_zero_gives_zero_communication_matrix(self):
@@ -532,7 +531,7 @@ class TestLaplacians:
     ])
     def test_invalid_matrix_message(self, matrix, message):
         with pytest.raises(ValidationError) as err:
-            Laplacian(matrix=np.array(matrix), kind="susceptance")
+            Laplacian(matrix=np.array(matrix))
         assert str(err.value) == message
 
     @settings(max_examples=400)
@@ -556,7 +555,7 @@ class TestLaplacians:
         expected = _reference_laplacian_verdict(mat)
         try:
             with np.errstate(invalid="ignore", over="ignore"):
-                Laplacian(matrix=mat, kind="susceptance")
+                Laplacian(matrix=mat)
         except ValidationError as err:
             assert str(err) == expected
         else:
@@ -646,7 +645,7 @@ class TestSpectralDecomposition:
         g = build_line_graph(6, [1.0] * 5, alpha=1.0)
         lb = susceptance_laplacian(g)
         u1 = spectral_decomposition(lb).eigenvectors
-        u2 = spectral_decomposition(Laplacian(lb.matrix.copy(), "susceptance")).eigenvectors
+        u2 = spectral_decomposition(Laplacian(lb.matrix.copy())).eigenvectors
         assert np.array_equal(u1, u2)
         for col in range(6):
             lead = np.flatnonzero(np.abs(u1[:, col]) > 1e-8)[0]
@@ -662,7 +661,7 @@ class TestSpectralDecomposition:
             ]
         )
         with pytest.raises(DisconnectedGraphError, match="2"):
-            spectral_decomposition(Laplacian(mat, "susceptance"))
+            spectral_decomposition(Laplacian(mat))
 
     def test_eigenvalues_ascending(self):
         g = build_random_connected_graph(25, 0.2, (0.5, 1.5), alpha=1.0, seed=9)
@@ -714,7 +713,7 @@ class TestLaplacianEigenvalues:
         (np.zeros((3, 3)), DisconnectedGraphError, "Laplacian is zero; graph has no edges"),
     ])
     def test_same_errors_as_spectral_decomposition(self, matrix, error, message):
-        lap = Laplacian(matrix, "susceptance")
+        lap = Laplacian(matrix)
         for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
             with pytest.raises(error) as err:
                 spectrum_of(lap)
@@ -726,7 +725,7 @@ class TestZeroModes:
     several, the Laplacian's off-diagonal pattern decides."""
 
     def test_weak_tie_is_connected(self):
-        lb = Laplacian(_cliques_with_tie([5, 5], 1e-10), "susceptance")
+        lb = Laplacian(_cliques_with_tie([5, 5], 1e-10))
         raw = np.linalg.eigvalsh(lb.matrix)
         for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
             w = spectrum_of(lb).eigenvalues
@@ -741,7 +740,7 @@ class TestZeroModes:
         ([5, 5, 1], 1e-10, 1),
     ])
     def test_components_counted_from_the_pattern(self, sizes, tie, components):
-        lap = Laplacian(_cliques_with_tie(sizes, tie), "susceptance")
+        lap = Laplacian(_cliques_with_tie(sizes, tie))
         for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
             if components == 1:
                 assert np.count_nonzero(spectrum_of(lap).eigenvalues == 0.0) == 1
@@ -759,11 +758,11 @@ class TestZeroModes:
         assert np.count_nonzero(np.abs(np.linalg.eigvalsh(mat)) < 1e-9 * 5) == 3
         for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
             with pytest.raises(DisconnectedGraphError, match="has 2 zero modes; the graph splits into 2 components$"):
-                spectrum_of(Laplacian(mat, "susceptance"))
+                spectrum_of(Laplacian(mat))
 
     def test_unresolved_second_eigenvalue_is_refused(self, monkeypatch):
         # a tie so weak that rounding leaves lambda_2 at or below zero
-        lap = Laplacian(_cliques_with_tie([5, 5], 1e-10), "susceptance")
+        lap = Laplacian(_cliques_with_tie([5, 5], 1e-10))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([-1e-16, -1e-63] + [5.0] * 8))
         with pytest.raises(DisconnectedGraphError, match="second eigenvalue -1.000e-63 is not resolved above zero"):
             laplacian_eigenvalues(lap)
@@ -775,7 +774,7 @@ class TestZeroModes:
     def test_second_eigenvalue_needs_the_rounding_floor(self, tie, resolved):
         # below n eps lambda_max = 1.110e-14 the sign and size of lambda_2 are
         # rounding noise, different for eigh and eigvalsh; the verdict is not
-        lap = Laplacian(_cliques_with_tie([5, 5], tie), "susceptance")
+        lap = Laplacian(_cliques_with_tie([5, 5], tie))
         texts = set()
         for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
             if resolved:

@@ -32,7 +32,6 @@ from gridloss.sim import (
     Trajectory,
     empirical_h2,
     export_trajectory,
-    instantaneous_loss,
     integrated_loss,
     phase_perturbation,
     simulate,
@@ -68,24 +67,27 @@ def _conductance(graph):
 
 
 class TestInstantaneousLoss:
-    def test_uniform_phase_dissipates_nothing(self):
-        g = build_complete_graph(4, b=1.0, alpha=1.0)
-        assert instantaneous_loss(np.full(4, 3.7), _conductance(g)) == 0.0
+    """The loss theta' L_G theta that ``simulate`` stores with each sample."""
 
-    def test_matches_edgewise_sum(self):
-        # oracle: loss = sum over edges of g_ij (theta_i - theta_j)^2
-        g = build_line_graph(5, [1.0, 2.0, 0.5, 1.5], alpha=0.8)
-        lg = _conductance(g)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            theta = rng.standard_normal(5)
-            by_edges = sum(0.8 * b * (theta[i] - theta[j]) ** 2 for i, j, b in g.edges)
-            assert instantaneous_loss(theta, lg) == pytest.approx(by_edges, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
-        with pytest.raises(ValidationError):
-            instantaneous_loss(np.zeros(4), _conductance(g))
+    @settings(max_examples=30)
+    @given(
+        n_nodes=st.integers(2, 6),
+        graph_seed=st.integers(0, 2**31 - 1),
+        seed=st.integers(0, 2**31 - 1),
+        alpha=st.floats(0.1, 3.0),
+        kind=st.sampled_from(["droop", "dapi"]),
+    )
+    def test_matches_edgewise_sum(self, n_nodes, graph_seed, seed, alpha, kind):
+        # oracle: each row's loss = sum over edges of alpha b_ij (theta_i - theta_j)^2
+        g = build_random_connected_graph(n_nodes, 0.6, (0.5, 1.5), alpha, seed=graph_seed)
+        p = ControllerParams(m=1.0, tau=0.5, k=1.0, gamma=2.0)
+        ss = assemble_droop(g, p) if kind == "droop" else assemble_dapi(g, p)
+        traj = simulate(ss, SimConfig(dt=0.01, horizon=2.0, seed=seed))
+        theta = traj.states[:, :n_nodes]
+        by_edges = sum(alpha * b * (theta[:, i] - theta[:, j]) ** 2 for i, j, b in g.edges)
+        loss = traj.instantaneous_loss
+        assert np.all(loss >= 0)
+        assert np.all(np.abs(loss - by_edges) <= 1e-12 * by_edges)
 
 
 class TestSimulate:
@@ -250,7 +252,7 @@ class TestAgainstStepLoop:
         ss = self._system(kind)
         b = ss.b.copy()
         b[:8] += np.linspace(0.1, 0.8, 8)[:, None]
-        ss = StateSpace(a=ss.a, b=b, l_g=ss.l_g, controller_kind=kind)
+        ss = StateSpace(a=ss.a, b=b, l_g=ss.l_g)
         cfg = SimConfig(dt=0.01, horizon=10.5, noise_intensity=1.0, seed=4)
         traj = _assert_close_to_step_loop(ss, cfg)
         assert np.max(np.abs(traj.states[:, :8].mean(axis=1))) <= 1e-12
@@ -507,6 +509,25 @@ class TestExportFormatter:
             export_trajectory(traj, n_nodes=n_nodes, path=path, stride=stride)
             body = path.read_text().split("\n", 1)[1]
         assert body == _reference_csv(traj, stride)
+
+    def test_digit_tables_are_built_on_the_first_export(self, tmp_path):
+        # importing the CLI builds no table; the first export builds them once
+        code = (
+            "import numpy as np\n"
+            "import gridloss.cli\n"
+            "from gridloss.sim import Trajectory, _digit_tables, export_trajectory\n"
+            "print(_digit_tables.cache_info().currsize)\n"
+            "traj = Trajectory(times=np.arange(3.0), states=np.ones((3, 2)), instantaneous_loss=np.zeros(3))\n"
+            "for _ in range(2):\n"
+            f"    export_trajectory(traj, n_nodes=1, path={str(tmp_path / 'traj.csv')!r})\n"
+            "info = _digit_tables.cache_info()\n"
+            "print(info.currsize, info.misses, *(arr.flags.writeable for arr in _digit_tables()))\n"
+        )
+        src = str(Path(gridloss.sim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:2] == ["0", "1 1 False False"]
 
     @pytest.mark.parametrize("value", [
         0.5, 2.5, 123456789012.5, 123456789013.5, 1.234567890125, 0.1234567890125,
