@@ -24,6 +24,7 @@ from .errors import GridlossError, ValidationError
 from .h2 import h2_dapi_closed_form, h2_droop_closed_form, h2_full_gramian, h2_modal
 from .network import (
     NetworkGraph,
+    Spectrum,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
@@ -142,7 +143,10 @@ def _seed(text: str) -> int:
 
 # ---------------------------------------------------------------- resolution
 
-def _resolve_network(args) -> tuple[NetworkGraph, dict]:
+def _resolve(args, spectrum: bool = True) -> tuple[NetworkGraph, dict, ControllerParams, Spectrum | None]:
+    """The network flags resolved: the graph, the inputs the sidecar records
+    for it (network and controller), the controller parameters and, unless
+    ``spectrum`` is false, the graph's eigenvalue-only Laplacian spectrum."""
     alpha = 1.0 if args.alpha is None else args.alpha
     if args.line is not None:
         graph = build_line_graph(args.line, [args.b] * max(args.line - 1, 0), alpha)
@@ -163,11 +167,23 @@ def _resolve_network(args) -> tuple[NetworkGraph, dict]:
         meta = {"topology": "file", "path": args.file, "n_nodes": graph.n_nodes}
     meta["alpha"] = graph.alpha
     meta["n_edges"] = graph.weights.size
-    return graph, meta
+    params, params_meta = _resolve_params(args)
+    return graph, {"network": meta, "params": params_meta}, params, _spectrum(graph) if spectrum else None
 
 
-def _resolve_params(args) -> ControllerParams:
-    return ControllerParams(m=args.m, tau=args.tau, k=args.k, gamma=getattr(args, "gamma", 1.0))
+def _resolve_params(args) -> tuple[ControllerParams, dict]:
+    """The controller parameters and their sidecar record; ``gamma`` is
+    recorded only by the commands that take ``--gamma``."""
+    gamma = getattr(args, "gamma", None)
+    params = ControllerParams(m=args.m, tau=args.tau, k=args.k, gamma=1.0 if gamma is None else gamma)
+    meta = {"m": params.m, "k": params.k, "tau": params.tau}
+    if gamma is not None:
+        meta["gamma"] = params.gamma
+    return params, meta
+
+
+def _spectrum(graph: NetworkGraph) -> Spectrum:
+    return laplacian_eigenvalues(susceptance_laplacian(graph))
 
 
 def _parse_pair(text: str, first: type, expects: str) -> tuple:
@@ -218,6 +234,33 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _reduction(norm: float, droop_norm: float) -> float:
+    """Relative loss reduction of a DAPI norm over the droop norm."""
+    return 1.0 - norm / droop_norm if droop_norm > 0 else 0.0
+
+
+def _write_out(args, command: str, inputs: dict, payload, table=None, export=None) -> None:
+    """Write ``--out`` in the chosen format, then its ``.meta.json`` sidecar
+    recording the tool version, ``inputs`` and the seed.
+
+    Only the chosen format's content is built: ``payload()`` gives the JSON
+    document; for CSV, ``table()`` gives ``(columns, rows[, comments])``,
+    or ``export(path)`` writes the file itself."""
+    if args.format == "json":
+        _write_json(args.out, payload())
+    elif export is not None:
+        export(args.out)
+    else:
+        _write_csv(args.out, *table())
+    _write_json(f"{args.out}.meta.json", {
+        "tool": "gridloss",
+        "version": __version__,
+        "command": command,
+        "inputs": {**inputs, "seed": args.seed},
+        "output": {"path": str(args.out), "format": args.format},
+    })
+
+
 def _write_csv(path, columns, rows, comments=()) -> None:
     lines = [f"# {comment}" for comment in comments]
     lines.append(",".join(columns))
@@ -232,204 +275,128 @@ def _write_json(path, payload) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_metadata(out_path, command: str, inputs: dict, fmt: str) -> None:
-    payload = {
-        "tool": "gridloss",
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "output": {"path": str(out_path), "format": fmt},
-    }
-    _write_json(f"{out_path}.meta.json", payload)
-
-
-def _params_meta(params: ControllerParams, gamma: bool = True) -> dict:
-    meta = {"m": params.m, "k": params.k, "tau": params.tau}
-    if gamma:
-        meta["gamma"] = params.gamma
-    return meta
-
-
 # ----------------------------------------------------------------- handlers
 
 def _cmd_analyze(args) -> int:
-    graph, net_meta = _resolve_network(args)
-    params = _resolve_params(args)
+    graph, inputs, params, spectrum = _resolve(args)
     alpha = graph.alpha
-    spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
-
-    droop = {
-        "closed_form": h2_droop_closed_form(alpha, params.m, graph.n_nodes),
-        "modal_lyapunov": h2_modal(spectrum, params, alpha, "droop"),
-    }
-    dapi = {
-        "closed_form": h2_dapi_closed_form(alpha, params, spectrum),
-        "modal_lyapunov": h2_modal(spectrum, params, alpha, "dapi"),
-    }
+    droop = h2_droop_closed_form(alpha, params.m, graph.n_nodes)
+    norms = {"droop": {"closed_form": droop.squared_norm,
+                       "modal_lyapunov": h2_modal(spectrum, params, alpha, "droop").squared_norm}}
+    dapi = h2_dapi_closed_form(alpha, params, spectrum)
+    norms["dapi"] = {"closed_form": dapi.squared_norm,
+                     "modal_lyapunov": h2_modal(spectrum, params, alpha, "dapi").squared_norm}
     # one assembly for both full Gramians; the modal routes have already
     # refused tau = 0 and gamma = 0, so it neither fails nor warns
     closed_loop = assemble_dapi(graph, params)
-    droop["full_gramian"] = h2_full_gramian(droop_part(closed_loop))
-    dapi["full_gramian"] = h2_full_gramian(closed_loop)
+    norms["droop"]["full_gramian"] = h2_full_gramian(droop_part(closed_loop)).squared_norm
+    norms["dapi"]["full_gramian"] = h2_full_gramian(closed_loop).squared_norm
 
-    def _spread(values: dict) -> float:
-        norms = [res.squared_norm for res in values.values()]
-        top = max(norms)
-        return (top - min(norms)) / top if top > 0 else 0.0
-
-    spreads = {"droop": _spread(droop), "dapi": _spread(dapi)}
-    for kind, spread in spreads.items():
-        if spread > _ROUTE_RTOL:
-            print(f"warning: the three {kind} norm routes spread {spread:.3e} (relative), "
+    spreads = {}
+    for kind, routes in norms.items():
+        top = max(routes.values())
+        spreads[kind] = (top - min(routes.values())) / top if top > 0 else 0.0
+        if spreads[kind] > _ROUTE_RTOL:
+            print(f"warning: the three {kind} norm routes spread {spreads[kind]:.3e} (relative), "
                   f"beyond their {_ROUTE_RTOL:g} agreement contract", file=sys.stderr)
     deviation = max(spreads.values())
-    droop_norm = droop["closed_form"].squared_norm
-    dapi_norm = dapi["closed_form"].squared_norm
-    below = dapi_norm < droop_norm
-    reduction = 1.0 - dapi_norm / droop_norm if droop_norm > 0 else 0.0
-    mode_rows = [
-        (idx + 2, spectrum.eigenvalues[idx + 1],
-         droop["closed_form"].per_mode[idx], dapi["closed_form"].per_mode[idx])
-        for idx in range(graph.n_nodes - 1)
-    ]
+    below = dapi.squared_norm < droop.squared_norm
+    reduction = _reduction(dapi.squared_norm, droop.squared_norm)
+    modes = [(idx + 2, spectrum.eigenvalues[idx + 1], droop.per_mode[idx], dapi.per_mode[idx])
+             for idx in range(graph.n_nodes - 1)]
 
-    inputs = {"network": net_meta, "params": _params_meta(params), "seed": args.seed}
     if args.out:
-        if args.format == "json":
-            payload = {
-                "network": net_meta,
-                "params": _params_meta(params),
-                "droop": {k: v.squared_norm for k, v in droop.items()},
-                "dapi": {k: v.squared_norm for k, v in dapi.items()},
-                "max_rel_deviation": deviation,
-                "dapi_below_droop": below,
-                "loss_reduction": reduction,
-                "per_mode": [
-                    {"mode": mode, "eigenvalue": lam, "droop": d, "dapi": a}
-                    for mode, lam, d, a in mode_rows
-                ],
-            }
-            _write_json(args.out, payload)
-        else:
-            comments = ["command: analyze"]
-            comments += [f"droop_{k} = {_fmt(v.squared_norm)}" for k, v in droop.items()]
-            comments += [f"dapi_{k} = {_fmt(v.squared_norm)}" for k, v in dapi.items()]
-            comments.append(f"max_rel_deviation = {deviation:.3e}")
-            comments.append(f"dapi_below_droop = {'true' if below else 'false'}")
-            comments.append(f"loss_reduction = {_fmt(reduction)}")
-            _write_csv(args.out, ("mode", "eigenvalue", "droop", "dapi"),
-                       [(str(mode), lam, d, a) for mode, lam, d, a in mode_rows], comments)
-        _write_metadata(args.out, "analyze", inputs, args.format)
-        print(f"wrote {args.out} ({len(mode_rows)} modes); "
-              f"droop {_fmt(droop_norm)}, dapi {_fmt(dapi_norm)}, max deviation {deviation:.2e}")
+        _write_out(args, "analyze", inputs, lambda: {
+            **inputs,
+            **norms,
+            "max_rel_deviation": deviation,
+            "dapi_below_droop": below,
+            "loss_reduction": reduction,
+            "per_mode": [{"mode": mode, "eigenvalue": lam, "droop": d, "dapi": a} for mode, lam, d, a in modes],
+        }, lambda: (
+            ("mode", "eigenvalue", "droop", "dapi"),
+            [(str(mode), lam, d, a) for mode, lam, d, a in modes],
+            ["command: analyze",
+             *(f"{kind}_{route} = {_fmt(norm)}" for kind, routes in norms.items() for route, norm in routes.items()),
+             f"max_rel_deviation = {deviation:.3e}",
+             f"dapi_below_droop = {'true' if below else 'false'}",
+             f"loss_reduction = {_fmt(reduction)}"],
+        ))
+        print(f"wrote {args.out} ({len(modes)} modes); droop {_fmt(droop.squared_norm)}, "
+              f"dapi {_fmt(dapi.squared_norm)}, max deviation {deviation:.2e}")
         return 0
 
-    line = f"{net_meta['topology']}, {graph.n_nodes} nodes, {net_meta['n_edges']} edges, alpha = {_fmt(alpha)}"
-    print(f"network: {line}")
+    net = inputs["network"]
+    print(f"network: {net['topology']}, {graph.n_nodes} nodes, {net['n_edges']} edges, alpha = {_fmt(alpha)}")
     print(f"controller: m = {_fmt(params.m)}, k = {_fmt(params.k)}, "
           f"tau = {_fmt(params.tau)}, gamma = {_fmt(params.gamma)}")
     print()
     print("squared H2 norm (steady-state expected resistive loss, unit noise):")
     print(f"  {'method':<16} {'droop':<18} {'dapi':<18}")
-    for key in ("closed_form", "modal_lyapunov", "full_gramian"):
-        print(f"  {key:<16} {_fmt(droop[key].squared_norm):<18} {_fmt(dapi[key].squared_norm):<18}")
+    for route, norm in norms["droop"].items():
+        print(f"  {route:<16} {_fmt(norm):<18} {_fmt(norms['dapi'][route]):<18}")
     print(f"  max relative deviation across methods: {deviation:.3e}")
     print()
-    verdict = "yes" if below else "no"
-    print(f"dapi below droop: {verdict} (loss reduction {100.0 * reduction:.2f}%)")
+    print(f"dapi below droop: {'yes' if below else 'no'} (loss reduction {100.0 * reduction:.2f}%)")
     print()
     print("per-mode contributions (closed form):")
     print(f"  {'mode':<6} {'eigenvalue':<16} {'droop':<16} {'dapi':<16}")
-    for mode, lam, d, a in mode_rows:
+    for mode, lam, d, a in modes:
         print(f"  {mode:<6} {_fmt(lam):<16} {_fmt(d):<16} {_fmt(a):<16}")
     return 0
 
 
 def _cmd_tune(args) -> int:
-    graph, net_meta = _resolve_network(args)
-    params = _resolve_params(args)
-    alpha = graph.alpha
-    spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
-    result = optimal_gamma(spectrum, params, alpha)
-    droop_norm = h2_droop_closed_form(alpha, params.m, graph.n_nodes).squared_norm
-    reduction = 1.0 - result.norm_at_star / droop_norm if droop_norm > 0 else 0.0
+    graph, inputs, params, spectrum = _resolve(args)
+    result = optimal_gamma(spectrum, params, graph.alpha)
+    droop_norm = h2_droop_closed_form(graph.alpha, params.m, graph.n_nodes).squared_norm
+    reduction = _reduction(result.norm_at_star, droop_norm)
     closed = None
     if args.complete is not None:
         closed = optimal_gamma_complete(graph.n_nodes, args.b, params.k, params.m, params.tau)
-
-    inputs = {"network": net_meta, "params": _params_meta(params, gamma=False), "seed": args.seed}
-    if args.format == "json":
-        payload = {
-            "gamma_star": result.gamma_star,
-            "norm_at_star": result.norm_at_star,
-            "droop_norm": droop_norm,
-            "loss_reduction": reduction,
-            "iterations": result.iterations,
-            "bracket": list(result.bracket),
-            "gamma_star_closed_form": closed,
-        }
-        _write_json(args.out, payload)
-    else:
-        columns = ("gamma_star", "norm_at_star", "droop_norm", "loss_reduction",
-                   "iterations", "bracket_lo", "bracket_hi", "gamma_star_closed_form")
-        row = [result.gamma_star, result.norm_at_star, droop_norm, reduction,
-               str(result.iterations), result.bracket[0], result.bracket[1],
-               "" if closed is None else _fmt(closed)]
-        _write_csv(args.out, columns, [row])
-    _write_metadata(args.out, "tune", inputs, args.format)
+    values = {"gamma_star": result.gamma_star, "norm_at_star": result.norm_at_star,
+              "droop_norm": droop_norm, "loss_reduction": reduction}
+    _write_out(args, "tune", inputs, lambda: {
+        **values,
+        "iterations": result.iterations,
+        "bracket": list(result.bracket),
+        "gamma_star_closed_form": closed,
+    }, lambda: (
+        (*values, "iterations", "bracket_lo", "bracket_hi", "gamma_star_closed_form"),
+        [(*values.values(), str(result.iterations), *result.bracket, "" if closed is None else _fmt(closed))],
+    ))
     print(f"gamma_star = {_fmt(result.gamma_star)}; dapi norm {_fmt(result.norm_at_star)} "
           f"vs droop {_fmt(droop_norm)} (reduction {100.0 * reduction:.2f}%)")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    graph, net_meta = _resolve_network(args)
-    params = _resolve_params(args)
-    alpha = graph.alpha
     grid = _parse_grid(args.grid)
-    spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
-    inputs = {
-        "network": net_meta,
-        "params": _params_meta(params),
-        "parameter": args.param,
-        "grid": args.grid,
-        "at_optimal_gamma": bool(args.at_optimal_gamma),
-        "seed": args.seed,
-    }
-
+    if args.at_optimal_gamma and args.param != "k":
+        raise ValidationError("--at-optimal-gamma only applies to --param k")
+    graph, inputs, params, spectrum = _resolve(args)
+    alpha = graph.alpha
+    # the CSV's columns in order; the JSON names the first one "grid"
     if args.at_optimal_gamma:
-        if args.param != "k":
-            raise ValidationError("--at-optimal-gamma only applies to --param k")
-        reduction = loss_reduction_vs_k(spectrum, alpha, params.m, params.tau, grid)
-        gains = gamma_star_vs_k(spectrum, alpha, params.m, params.tau, grid)
-        rows = list(zip(grid, reduction.values, gains.values))
-        if args.format == "json":
-            _write_json(args.out, {
-                "parameter": "k",
-                "grid": [float(v) for v in grid],
-                "loss_reduction": [float(v) for v in reduction.values],
-                "gamma_star": [float(v) for v in gains.values],
-            })
-        else:
-            _write_csv(args.out, ("k", "loss_reduction", "gamma_star"), rows)
+        columns = {
+            "k": grid,
+            "loss_reduction": loss_reduction_vs_k(spectrum, alpha, params.m, params.tau, grid).values,
+            "gamma_star": gamma_star_vs_k(spectrum, alpha, params.m, params.tau, grid).values,
+        }
     else:
-        curve = sweep(spectrum, params, alpha, args.param, grid)
+        columns = {args.param: grid, "dapi": sweep(spectrum, params, alpha, args.param, grid).values}
+        # after the sweep, which names an invalid grid point by its index
         if args.param == "m":
-            droop_values = [h2_droop_closed_form(alpha, float(m_val), graph.n_nodes).squared_norm
-                            for m_val in grid]
+            columns["droop"] = [h2_droop_closed_form(alpha, float(m), graph.n_nodes).squared_norm for m in grid]
         else:
-            droop_values = [h2_droop_closed_form(alpha, params.m, graph.n_nodes).squared_norm] * grid.size
-        rows = list(zip(grid, curve.values, droop_values))
-        if args.format == "json":
-            _write_json(args.out, {
-                "parameter": args.param,
-                "grid": [float(v) for v in grid],
-                "dapi": [float(v) for v in curve.values],
-                "droop": [float(v) for v in droop_values],
-            })
-        else:
-            _write_csv(args.out, (args.param, "dapi", "droop"), rows)
-    _write_metadata(args.out, "sweep", inputs, args.format)
+            columns["droop"] = [h2_droop_closed_form(alpha, params.m, graph.n_nodes).squared_norm] * grid.size
+
+    def payload() -> dict:
+        lists = {name: [float(v) for v in values] for name, values in columns.items()}
+        return {"parameter": args.param, "grid": lists.pop(args.param), **lists}
+
+    inputs.update(parameter=args.param, grid=args.grid, at_optimal_gamma=bool(args.at_optimal_gamma))
+    _write_out(args, "sweep", inputs, payload, lambda: (tuple(columns), zip(*columns.values())))
     print(f"wrote {args.out} ({grid.size} grid points)")
     return 0
 
@@ -439,15 +406,14 @@ def _cmd_simulate(args) -> int:
         raise ValidationError(f"--init-perturb must be finite and >= 0, got {args.init_perturb!r}")
     if args.stride < 1:
         raise ValidationError(f"--stride must be >= 1, got {args.stride}")
-    graph, net_meta = _resolve_network(args)
-    params = _resolve_params(args)
-    if args.controller == "droop":
-        ss = assemble_droop(graph, params)
-    else:
-        ss = assemble_dapi(graph, params)
+    graph, inputs, params, _ = _resolve(args, spectrum=False)
+    ss = (assemble_droop if args.controller == "droop" else assemble_dapi)(graph, params)
     initial = None
     if args.init_perturb > 0:
-        initial = phase_perturbation(graph.n_nodes, ss.n_states, args.init_perturb, args.seed)
+        # a stream of its own: the noise draws from --seed itself, whose
+        # first N normals would otherwise be the perturbation (a trailing 0
+        # in the seed tuple hashes like no entry, hence 1)
+        initial = phase_perturbation(graph.n_nodes, ss.n_states, args.init_perturb, (args.seed, 1))
     config = SimConfig(dt=args.dt, horizon=args.horizon, burn_in=args.burn_in,
                        noise_intensity=args.noise, seed=args.seed, initial_state=initial)
     trajectory = simulate(ss, config)
@@ -469,23 +435,10 @@ def _cmd_simulate(args) -> int:
             summary["stderr"] = stderr
             estimate_note = f"; empirical squared norm {_fmt(estimate)} +/- {_fmt(stderr)}"
 
-    inputs = {
-        "network": net_meta,
-        "params": _params_meta(params),
-        "controller": args.controller,
-        "dt": args.dt,
-        "horizon": args.horizon,
-        "burn_in": args.burn_in,
-        "noise_intensity": args.noise,
-        "init_perturb": args.init_perturb,
-        "stride": args.stride,
-        "seed": args.seed,
-    }
-    if args.format == "json":
-        _write_json(args.out, summary)
-    else:
-        export_trajectory(trajectory, graph.n_nodes, args.out, stride=args.stride)
-    _write_metadata(args.out, "simulate", inputs, args.format)
+    inputs.update(controller=args.controller, dt=args.dt, horizon=args.horizon, burn_in=args.burn_in,
+                  noise_intensity=args.noise, init_perturb=args.init_perturb, stride=args.stride)
+    _write_out(args, "simulate", inputs, lambda: summary,
+               export=lambda path: export_trajectory(trajectory, graph.n_nodes, path, stride=args.stride))
     print(f"wrote {args.out}; integrated loss {_fmt(total)}{estimate_note}")
     return 0
 
@@ -497,7 +450,7 @@ def _cmd_scaling(args) -> int:
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
     b_range = _parse_pair(args.b_range, float, "--b-range expects 'LO,HI'")
-    params = _resolve_params(args)
+    params, params_meta = _resolve_params(args)
     alpha = args.alpha
 
     rows = []
@@ -510,27 +463,14 @@ def _cmd_scaling(args) -> int:
             line = build_line_graph(n, rng.uniform(b_range[0], b_range[1], n - 1), alpha)
             complete = build_complete_graph(n, rng.uniform(b_range[0], b_range[1], n * (n - 1) // 2), alpha)
             for graph, bucket in ((line, line_norms), (complete, complete_norms)):
-                spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
-                bucket.append(h2_dapi_closed_form(alpha, params, spectrum).squared_norm)
+                bucket.append(h2_dapi_closed_form(alpha, params, _spectrum(graph)).squared_norm)
         rows.append((float(n), droop_norm, float(np.mean(complete_norms)), float(np.mean(line_norms))))
 
-    inputs = {
-        "n_grid": args.n_grid,
-        "seeds": args.seeds,
-        "b_range": list(b_range),
-        "alpha": alpha,
-        "params": _params_meta(params),
-        "seed": args.seed,
-    }
+    inputs = {"n_grid": args.n_grid, "seeds": args.seeds, "b_range": list(b_range), "alpha": alpha,
+              "params": params_meta}
     columns = ("N", "droop", "dapi_complete", "dapi_line")
-    if args.format == "json":
-        _write_json(args.out, {
-            "columns": list(columns),
-            "rows": [[v for v in row] for row in rows],
-        })
-    else:
-        _write_csv(args.out, columns, [(str(int(n)), d, c, l) for n, d, c, l in rows])
-    _write_metadata(args.out, "scaling", inputs, args.format)
+    _write_out(args, "scaling", inputs, lambda: {"columns": list(columns), "rows": [list(row) for row in rows]},
+               lambda: (columns, [(str(int(n)), *norms) for n, *norms in rows]))
     print(f"wrote {args.out} ({len(rows)} sizes x {args.seeds} draws)")
     return 0
 

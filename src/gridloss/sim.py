@@ -110,7 +110,7 @@ class Trajectory:
         object.__setattr__(self, "instantaneous_loss", loss)
 
 
-def phase_perturbation(n_nodes: int, n_states: int, scale: float, seed: int) -> np.ndarray:
+def phase_perturbation(n_nodes: int, n_states: int, scale: float, seed: int | tuple[int, ...]) -> np.ndarray:
     """Initial state with a random zero-mean phase block and zero elsewhere.
 
     Used for decay experiments: draw a standard normal phase vector, remove

@@ -277,6 +277,17 @@ class TestSpectrumCalls:
         capsys.readouterr()
         assert calls == {"eigh": 0, "eigvalsh": 0}
 
+    @pytest.mark.parametrize(("flags", "message"), [
+        (["--param", "gamma", "--grid", "0:1:0.5", "--at-optimal-gamma"],
+         "--at-optimal-gamma only applies to --param k"),
+        (["--param", "k", "--grid", "0:1"], "grid must be START:STOP:STEP, got '0:1'"),
+    ], ids=["at-optimal-gamma-without-k", "malformed-grid"])
+    def test_sweep_refuses_its_flags_before_any_spectrum(self, calls, flags, message, tmp_path, capsys):
+        assert main(["sweep", "--random", "30,0.2", *flags, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLaplacianBuilds:
     """``analyze`` builds L_B for its spectrum, and L_B and L_G in its one
@@ -535,6 +546,28 @@ class TestSimulate:
         assert payload["final_loss"] < payload["integrated_loss"]
         assert "empirical_squared_norm" not in payload
 
+    def test_init_perturb_draws_apart_from_the_noise(self, tmp_path, capsys):
+        # The noise draws from default_rng(seed). The initial phases are not
+        # its first normals, and the noise is the same with and without a
+        # perturbation: the loop is linear, so a perturbed run is the plain
+        # run plus the noiseless decay of the perturbation.
+        def states(*flags):
+            out = tmp_path / "p.csv"
+            assert main(["simulate", "--line", "4", "--seed", "7", "--dt", "0.01", "--horizon", "1",
+                         *flags, "--out", str(out)]) == 0
+            return np.array([[float(v) for v in row[2:]] for row in _read_rows(out)[2]])
+
+        perturbed = states("--init-perturb", "0.3")
+        capsys.readouterr()
+        theta0 = perturbed[0, :4]
+        z = np.random.default_rng(7).standard_normal(4)
+        assert np.all(theta0 != 0) and abs(theta0.sum()) < 1e-11
+        assert not np.allclose(theta0, 0.3 * (z - z.mean()), rtol=1e-6, atol=0)
+        decay = states("--init-perturb", "0.3", "--noise", "0")
+        assert np.array_equal(decay[0], perturbed[0])
+        assert np.allclose(perturbed, states() + decay, rtol=0, atol=1e-9)
+        capsys.readouterr()
+
 
 class TestScaling:
     def test_ordering_across_sizes(self, tmp_path, capsys):
@@ -660,6 +693,77 @@ class TestReadme:
         exec(compile(code.replace(long_run, "horizon=20.0, burn_in=2.0"), str(README), "exec"), {})
         loss, empirical = capsys.readouterr().out.splitlines()
         assert loss.startswith("loss ") and empirical.startswith("empirical ")
+
+
+def _g(value) -> str:
+    return "%.12g" % value
+
+
+class TestFormatsAgree:
+    """CSV and JSON outputs of one run carry the same values, the CSV each
+    as ``'%.12g'`` of the JSON's number, and sidecars that differ only in
+    ``output``."""
+
+    COMMANDS = {
+        "analyze": ["analyze", "--random", "12,0.4", "--seed", "2", "--m", "0.8"],
+        "tune": ["tune", "--complete", "6", "--tau", "2"],
+        "tune-line": ["tune", "--line", "6", "--tau", "2"],
+        "sweep": ["sweep", "--random", "10,0.4", "--seed", "1", "--param", "m", "--grid", "0.5:2:0.5"],
+        "sweep-at-optimal-gamma": ["sweep", "--complete", "6", "--param", "k", "--grid", "0.5:2:0.5",
+                                   "--at-optimal-gamma"],
+        "scaling": ["scaling", "--n-grid", "2:6:2", "--seeds", "2", "--seed", "3"],
+        "simulate": ["simulate", "--line", "3", "--dt", "0.01", "--horizon", "2", "--burn-in", "0.5"],
+    }
+
+    @pytest.fixture(params=sorted(COMMANDS))
+    def outputs(self, request, tmp_path, capsys):
+        argv = self.COMMANDS[request.param]
+        paths = {}
+        for fmt in ("csv", "json"):
+            paths[fmt] = tmp_path / f"out.{fmt}"
+            assert main([*argv, "--format", fmt, "--out", str(paths[fmt])]) == 0
+        capsys.readouterr()
+        return argv[0], json.loads(paths["json"].read_text()), _read_rows(paths["csv"]), paths
+
+    def test_sidecars_differ_only_in_output(self, outputs):
+        _, _, _, paths = outputs
+        metas = {fmt: json.loads(Path(f"{path}.meta.json").read_text()) for fmt, path in paths.items()}
+        for fmt, meta in metas.items():
+            assert meta.pop("output") == {"path": str(paths[fmt]), "format": fmt}
+        assert metas["csv"] == metas["json"]
+
+    def test_csv_holds_the_json_values(self, outputs):
+        command, payload, (comments, header, rows), _ = outputs
+        if command == "analyze":
+            assert comments[0] == "command: analyze"
+            assert dict(comment.split(" = ") for comment in comments[1:]) == {
+                **{f"{kind}_{route}": _g(norm) for kind in ("droop", "dapi")
+                   for route, norm in payload[kind].items()},
+                "max_rel_deviation": f"{payload['max_rel_deviation']:.3e}",
+                "dapi_below_droop": str(payload["dapi_below_droop"]).lower(),
+                "loss_reduction": _g(payload["loss_reduction"]),
+            }
+            assert header == ["mode", "eigenvalue", "droop", "dapi"]
+            assert rows == [[str(mode["mode"]), _g(mode["eigenvalue"]), _g(mode["droop"]), _g(mode["dapi"])]
+                            for mode in payload["per_mode"]]
+        elif command == "tune":
+            scalars = ["gamma_star", "norm_at_star", "droop_norm", "loss_reduction"]
+            closed = payload["gamma_star_closed_form"]
+            assert header == [*scalars, "iterations", "bracket_lo", "bracket_hi", "gamma_star_closed_form"]
+            assert rows == [[*(_g(payload[name]) for name in scalars), str(payload["iterations"]),
+                             *map(_g, payload["bracket"]), "" if closed is None else _g(closed)]]
+        elif command == "sweep":
+            assert header[0] == payload["parameter"]
+            columns = [payload["grid"], *(payload[name] for name in header[1:])]
+            assert rows == [list(map(_g, row)) for row in zip(*columns)]
+            assert sorted(payload) == sorted(["parameter", "grid", *header[1:]])
+        elif command == "scaling":
+            assert header == payload["columns"]
+            assert rows == [list(map(_g, row)) for row in payload["rows"]]
+        else:
+            assert len(rows) == payload["samples"]
+            assert rows[-1][1] == _g(payload["final_loss"])
+        assert comments == [] or command == "analyze"
 
 
 class TestReproducibility:

@@ -1,0 +1,54 @@
+"""Every name a ``gridloss`` module imports is used in that module.
+
+The package's ``__init__`` re-exports names and is left out. An import
+kept for its side effect carries ``# noqa: F401`` on its line, as flake8
+reads it; ``from __future__`` imports are directives, not names.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import gridloss
+
+PACKAGE = Path(gridloss.__file__).parent
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+_NOQA_F401 = re.compile(r"#\s*noqa(?!:)|#\s*noqa:[\w\s,]*\bF401\b")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never read as a name."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any(_NOQA_F401.search(line) for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        # ``import a.b`` binds ``a``; ``import a.b as c`` and ``from a import b as c`` bind ``c``
+        imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize(("source", "unused"), [
+    ("import os\nimport sys\nprint(sys.argv)\n", ["os"]),
+    ("import os.path\nos.path.join('a')\n", []),
+    ("from a import (\n    b,\n    c as d,\n)\nb()\n", ["d"]),
+    ("from a import b  # noqa: F401  (a side effect)\n", []),
+    ("from a import b  # noqa: E402\n", ["b"]),
+    ("from __future__ import annotations\ndef f(x: int) -> 'str': ...\n", []),
+    ("from a import T\ndef f(x: T) -> None: ...\n", []),
+], ids=["plain", "dotted", "multi-line", "noqa-f401", "other-noqa", "future", "annotation"])
+def test_the_check_finds_what_it_should(source, unused):
+    assert unused_imports(source) == unused
