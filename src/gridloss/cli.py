@@ -19,12 +19,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dynamics import ControllerParams, assemble_dapi, assemble_droop, droop_part
+from .dynamics import CONTROLLER_KINDS, ControllerParams, assemble_dapi, assemble_droop, droop_part
 from .errors import GridlossError, ValidationError
 from .h2 import h2_dapi_closed_form, h2_droop_closed_form, h2_full_gramian, h2_modal
 from .network import (
     NetworkGraph,
     Spectrum,
+    _validated_b_range,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
@@ -33,7 +34,7 @@ from .network import (
     susceptance_laplacian,
 )
 from .sim import SimConfig, _atomic_writer, empirical_h2, export_trajectory, integrated_loss, phase_perturbation, simulate
-from .tuning import gamma_star_vs_k, loss_reduction_vs_k, optimal_gamma, optimal_gamma_complete, sweep
+from .tuning import SWEEPABLE, gamma_star_vs_k, loss_reduction_vs_k, optimal_gamma, optimal_gamma_complete, sweep
 
 # largest --grid or --n-grid accepted; a larger one is refused before it is allocated
 _GRID_MAX_POINTS = 10**7
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="DAPI norm along one controller parameter")
     _add_network_flags(swp)
     _add_controller_flags(swp, gamma=True)
-    swp.add_argument("--param", required=True, choices=("gamma", "k", "tau", "m"),
+    swp.add_argument("--param", required=True, choices=SWEEPABLE,
                      help="parameter to sweep")
     swp.add_argument("--grid", required=True, metavar="START:STOP:STEP",
                      help="inclusive grid (endpoint kept when within half a step)")
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="stochastic time-domain run with loss tracking")
     _add_network_flags(sim)
     _add_controller_flags(sim, gamma=True)
-    sim.add_argument("--controller", choices=("droop", "dapi"), default="dapi",
+    sim.add_argument("--controller", choices=CONTROLLER_KINDS, default="dapi",
                      help="control architecture to simulate (default dapi)")
     sim.add_argument("--dt", type=float, default=0.005, help="integration step (default 0.005)")
     sim.add_argument("--horizon", type=float, default=100.0, help="final time (default 100)")
@@ -449,7 +450,7 @@ def _cmd_scaling(args) -> int:
         raise ValidationError(f"network sizes must be >= 2, got {sizes}")
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
-    b_range = _parse_pair(args.b_range, float, "--b-range expects 'LO,HI'")
+    b_range = _validated_b_range(_parse_pair(args.b_range, float, "--b-range expects 'LO,HI'"))
     params, params_meta = _resolve_params(args)
     alpha = args.alpha
 

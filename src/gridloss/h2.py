@@ -129,8 +129,7 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectr
         params: controller parameters; tau = 0 and gamma = 0 are permitted
             here (the formula is the continuous limit).
         spectrum: the ``Spectrum`` of spectral_decomposition or
-            laplacian_eigenvalues, whose eigenvalues are ascending with the
-            zero mode first; only the eigenvalues are read.
+            laplacian_eigenvalues; only its nonzero eigenvalues are read.
     """
     if not np.isfinite(alpha) or alpha < 0:
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
@@ -139,16 +138,7 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectr
             "spectrum must be a Spectrum (from spectral_decomposition or laplacian_eigenvalues), "
             f"got {type(spectrum).__name__}"
         )
-    w = spectrum.eigenvalues
-    if w.size < 1:
-        raise ValidationError("spectrum has no eigenvalues")
-    if w[0] != 0.0 or (w.size > 1 and w[1] <= 0.0):
-        n_zero = int(np.count_nonzero(w == 0.0))
-        raise ValidationError(
-            f"exactly one zero eigenvalue expected first (got {n_zero} zeros); "
-            "clamp via spectral_decomposition or laplacian_eigenvalues"
-        )
-    factors = _dapi_mode_factor(w[1:], params.m, params.k, params.tau, params.gamma)
+    factors = _dapi_mode_factor(spectrum.nonzero, params.m, params.k, params.tau, params.gamma)
     per_mode = alpha / (2.0 * params.m) * factors
     return H2Result(squared_norm=math.fsum(per_mode), method="closed_form", per_mode=per_mode)
 

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 
-# relative threshold below which a computed eigenvalue is treated as zero
+# relative depth below zero at which an eigenvalue shows a matrix not PSD
 _ZERO_EIG_RTOL = 1e-9
 
 # rows per pass of the row-blocked passes over a dense square matrix (the
@@ -234,12 +234,13 @@ def _symmetric_within(mat: np.ndarray, atol: float) -> bool:
 class Spectrum:
     """Eigenvalues of a susceptance Laplacian, with or without eigenvectors.
 
-    ``eigenvalues`` are ascending with the zero mode clamped to exactly 0.0
-    in position 0.  ``eigenvectors`` is None for an eigenvalue-only spectrum
-    (``laplacian_eigenvalues``); otherwise it holds the matching orthonormal
-    columns, column 0 being the normalized all-ones vector.  Column signs
-    follow a fixed convention (first component of noticeable magnitude
-    positive) so repeated runs produce identical matrices.
+    ``eigenvalues`` are ascending with exactly one zero, 0.0 in position 0;
+    construction refuses any other vector.  ``eigenvectors`` is None for an
+    eigenvalue-only spectrum (``laplacian_eigenvalues``); otherwise it holds
+    the matching orthonormal columns, column 0 being the normalized all-ones
+    vector.  Column signs follow a fixed convention (first component of
+    noticeable magnitude positive) so repeated runs produce identical
+    matrices.
     """
 
     eigenvalues: np.ndarray
@@ -255,6 +256,13 @@ class Spectrum:
             )
         if np.any(np.diff(w) < 0):
             raise ValidationError("eigenvalues must be ascending")
+        if w.size < 1:
+            raise ValidationError("spectrum has no eigenvalues")
+        if w[0] != 0.0 or (w.size > 1 and w[1] <= 0.0):
+            raise ValidationError(
+                f"exactly one zero eigenvalue expected first (got {np.count_nonzero(w == 0.0)} zeros); "
+                "clamp via spectral_decomposition or laplacian_eigenvalues"
+            )
         w.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
         if u is not None:
@@ -328,9 +336,7 @@ def build_random_connected_graph(
     p = float(edge_probability)
     if not (0.0 < p <= 1.0):
         raise ValidationError(f"edge_probability must be in (0, 1], got {p!r}")
-    lo, hi = float(b_range[0]), float(b_range[1])
-    if not (0.0 < lo <= hi) or not np.isfinite(hi):
-        raise ValidationError(f"b_range must satisfy 0 < low <= high, got {b_range!r}")
+    lo, hi = _validated_b_range(b_range)
     rng = np.random.default_rng(seed)
     # the draw for a seed is fixed: pairs i < j in lexicographic order, one
     # uniform per pair, then one weight per chosen pair; pair k lies in the
@@ -352,6 +358,15 @@ def build_random_connected_graph(
     raise GraphGenerationError(
         f"no connected sample in 1000 draws (n_nodes={n_nodes}, edge_probability={p})"
     )
+
+
+def _validated_b_range(b_range) -> tuple[float, float]:
+    """``(low, high)`` of a uniform susceptance draw as floats, finite with
+    0 < low <= high."""
+    lo, hi = float(b_range[0]), float(b_range[1])
+    if not (0.0 < lo <= hi) or not np.isfinite(hi):
+        raise ValidationError(f"b_range must satisfy 0 < low <= high, got {b_range!r}")
+    return lo, hi
 
 
 def ingest_edge_list(path) -> NetworkGraph:
@@ -440,13 +455,12 @@ def susceptance_laplacian(graph: NetworkGraph) -> Laplacian:
 def spectral_decomposition(laplacian: Laplacian) -> Spectrum:
     """Orthonormal eigendecomposition with the zero mode pinned.
 
-    Eigenvalues are ascending; any eigenvalue within 1e-9 of the largest one
-    in relative terms is clamped to exactly 0.0.  Exactly one zero must
-    remain or the underlying graph is disconnected.  Eigenvector columns are
-    sign-fixed so the decomposition is reproducible.
+    Eigenvalues are ascending; the first is set to exactly 0.0 once the
+    Laplacian's off-diagonal pattern shows one component (``_pinned_zero_mode``).
+    Eigenvector columns are sign-fixed so the decomposition is reproducible.
 
     Raises:
-        DisconnectedGraphError: more than one zero eigenvalue.
+        DisconnectedGraphError: several components, or lambda_2 unresolved.
         ValidationError: an eigenvalue is negative beyond tolerance.
     """
     w, u = np.linalg.eigh(laplacian.matrix)
@@ -463,7 +477,7 @@ def laplacian_eigenvalues(laplacian: Laplacian) -> Spectrum:
     """Eigenvalue-only spectrum (``eigenvectors`` is None), for callers that
     read eigenvalues alone.
 
-    The zero mode is clamped and checked exactly as in
+    The zero mode is decided and pinned exactly as in
     ``spectral_decomposition``, with the same errors; the eigenvalues come
     from ``np.linalg.eigvalsh`` and may differ from ``eigh``'s in the last
     bits.
@@ -472,43 +486,34 @@ def laplacian_eigenvalues(laplacian: Laplacian) -> Spectrum:
 
 
 def _pinned_zero_mode(w: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Ascending Laplacian eigenvalues ``w`` with the zero mode clamped.
+    """Ascending Laplacian eigenvalues ``w`` with the zero mode set to 0.0.
 
-    Eigenvalues within 1e-9 of the largest in relative terms count as zero.
-    When more than one does, the threshold cannot tell a split graph from a
-    weak tie, so the component count of the matrix's off-diagonal pattern
-    decides: a connected graph keeps every eigenvalue but the first, which
-    is clamped, provided its second eigenvalue lies above the rounding
-    floor n eps lambda_max of the symmetric eigensolvers.  Below that floor
-    its sign and size are rounding noise, which differs between ``eigh``
-    and ``eigvalsh``, so the graph is refused.
+    A Laplacian has one exact zero mode per component, so the component
+    count of its off-diagonal pattern (the lines are its negative entries)
+    decides, never the size of a computed eigenvalue.  A connected graph
+    keeps every eigenvalue but the first, provided its second lies above
+    the rounding floor n eps lambda_max of the symmetric eigensolvers;
+    below it, lambda_2's sign and size are rounding noise that differs
+    between ``eigh`` and ``eigvalsh``, so the graph is refused.
     """
     if w.size == 1:
         return np.zeros(1)
     scale = float(w[-1])
     if scale <= 0:
         raise DisconnectedGraphError("Laplacian is zero; graph has no edges")
-    tol = _ZERO_EIG_RTOL * scale
-    if np.any(w < -tol):
+    if w[0] < -_ZERO_EIG_RTOL * scale:
         raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    clamped = np.where(np.abs(w) < tol, 0.0, w)
-    n_zero = int(np.count_nonzero(clamped == 0.0))
-    if n_zero == 1:
-        return clamped
+    rows, cols = np.divmod(np.flatnonzero(matrix < 0), w.size)
+    n_zero = _component_count(w.size, rows, cols)
     if n_zero > 1:
-        # a Laplacian has one exact zero mode per component; its lines are
-        # the negative entries
-        rows, cols = np.nonzero(matrix < 0)
-        n_zero = _component_count(w.size, rows, cols)
-        if n_zero == 1:
-            floor = w.size * np.finfo(float).eps * scale
-            if not w[1] > floor:
-                raise DisconnectedGraphError(
-                    f"the graph is connected, but its second eigenvalue {w[1]:.3e} is not resolved above zero "
-                    f"(rounding floor n eps lambda_max = {floor:.3e})"
-                )
-            w[0] = 0.0
-            return w
-    raise DisconnectedGraphError(
-        f"Laplacian has {n_zero} zero modes; the graph splits into {n_zero} components"
-    )
+        raise DisconnectedGraphError(
+            f"Laplacian has {n_zero} zero modes; the graph splits into {n_zero} components"
+        )
+    floor = w.size * np.finfo(float).eps * scale
+    if not w[1] > floor:
+        raise DisconnectedGraphError(
+            f"the graph is connected, but its second eigenvalue {w[1]:.3e} is not resolved above zero "
+            f"(rounding floor n eps lambda_max = {floor:.3e})"
+        )
+    w[0] = 0.0
+    return w

@@ -457,7 +457,10 @@ def _atomic_writer(path):
     completes; on any error the temp file is removed and ``path`` is left
     as it was.  The file gets the mode ``open`` would give a new file,
     0o666 less the umask, not the temp file's private 0o600."""
-    fd, tmp_name = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    except OSError as err:
+        raise _naming(err, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
@@ -465,8 +468,17 @@ def _atomic_writer(path):
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, path)
+        try:
+            os.replace(tmp_name, path)
+        except OSError as err:
+            raise _naming(err, path) from None
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def _naming(err: OSError, path) -> OSError:
+    """``err`` with ``path`` as its one file name: the temp file's random
+    name would make the message differ from run to run."""
+    return OSError(err.errno, err.strerror, os.fspath(path))

@@ -192,6 +192,13 @@ class TestComputationErrors:
         assert main(["analyze", *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_unbracketed_optimal_gamma_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["tune", "--line", "2", "--k", "1e7", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: loss derivative is still negative at gamma = 1e+06; "
+                                           "no stationary point bracketed\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_coarse_step_on_stiff_system_exits_one(self, tmp_path, capsys):
         code = main(["simulate", "--line", "5", "--controller", "droop",
                      "--tau", "0.01", "--dt", "0.05", "--horizon", "10",
@@ -200,9 +207,44 @@ class TestComputationErrors:
         assert "dt <" in capsys.readouterr().err
 
 
+class TestNoTraceback:
+    """Bad input ends in one ``error: `` line and exit 1 or 2, the same on
+    every run, and leaves no temp file behind."""
+
+    @pytest.mark.parametrize(("argv", "code", "message"), [
+        (["scaling", "--n-grid", "10:20:10", "--b-range=2,1"], 2,
+         "b_range must satisfy 0 < low <= high, got (2.0, 1.0)"),
+        (["scaling", "--n-grid", "10:20:10", "--b-range=0.5,inf"], 2,
+         "b_range must satisfy 0 < low <= high, got (0.5, inf)"),
+        (["scaling", "--n-grid", "10:20:10", "--b-range=nan,1"], 2,
+         "b_range must satisfy 0 < low <= high, got (nan, 1.0)"),
+        (["scaling", "--n-grid", "10:20:10", "--b-range=0,1"], 2,
+         "b_range must satisfy 0 < low <= high, got (0.0, 1.0)"),
+        (["analyze", "--line", "5", "--out", "{missing}"], 1,
+         "[Errno 2] No such file or directory: '{missing}'"),
+        (["analyze", "--line", "5", "--out", "{adir}"], 1, "[Errno 21] Is a directory: '{adir}'"),
+        (["sweep", "--line", "5", "--param", "k", "--grid", "0:inf:1"], 2,
+         "grid bounds must be finite, got '0:inf:1'"),
+        (["scaling", "--n-grid", "10:20:10", "--seeds", "0"], 2, "--seeds must be >= 1, got 0"),
+    ], ids=["b-range-reversed", "b-range-inf", "b-range-nan", "b-range-zero", "out-missing-dir",
+            "out-is-dir", "grid-inf", "seeds-0"])
+    def test_one_error_line(self, argv, code, message, tmp_path, capsys):
+        paths = {"missing": str(tmp_path / "no" / "such" / "x.json"), "adir": str(tmp_path / "adir")}
+        (tmp_path / "adir").mkdir()
+        argv = [arg.format(**paths) for arg in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "x.csv")]
+        errors = []
+        for _ in range(2):
+            assert main(argv) == code
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: {message.format(**paths)}\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
+
+
 class TestWeakTie:
     """Two 5-cliques joined by one line of susceptance 1e-10: connected, with
-    lambda_2 of about 4e-11, below the eigenvalue threshold for zero."""
+    lambda_2 of about 4e-11, which the component count keeps apart from zero."""
 
     @pytest.fixture
     def weak_tie(self, tmp_path):
@@ -377,6 +419,18 @@ class TestAnalyze:
         assert main(["analyze", "--random", "30,0.2", "--seed", "2"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_alpha_overrides_the_file_header(self, tmp_path, capsys):
+        # ieee57.edges declares alpha 1.0; droop is alpha (N - 1) / (2 m)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--file", str(IEEE57), "--alpha", "2", "--format", "json",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        assert payload["network"]["alpha"] == 2.0
+        assert payload["droop"]["closed_form"] == 56.0
+        sidecar = json.loads((tmp_path / "r.json.meta.json").read_text())
+        assert sidecar["inputs"]["network"]["alpha"] == 2.0
+
     def test_alpha_scales_report(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main(["analyze", "--line", "6", "--alpha", "2.5", "--format", "json",
@@ -521,6 +575,15 @@ class TestSimulate:
         assert payload["integrated_loss"] > 0.0
         assert payload["stderr"] > 0.0
         assert payload["empirical_squared_norm"] == pytest.approx(15.0 / 19.0, rel=0.5)
+
+    def test_too_few_samples_give_no_estimate(self, tmp_path, capsys):
+        # 101 samples, 2 after the burn-in: too few for the estimator, so
+        # the summary has no estimate and the message names none
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--line", "3", "--horizon", "1", "--dt", "0.01", "--burn-in", "0.99",
+                     "--format", "json", "--out", str(out)]) == 0
+        assert "empirical" not in capsys.readouterr().out
+        assert sorted(json.loads(out.read_text())) == ["final_loss", "integrated_loss", "samples"]
 
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_outputs_get_the_umask_mode(self, umask, tmp_path, capsys):

@@ -721,8 +721,8 @@ class TestLaplacianEigenvalues:
 
 
 class TestZeroModes:
-    """The zero mode is found by a 1e-9 relative threshold; when that finds
-    several, the Laplacian's off-diagonal pattern decides."""
+    """The Laplacian's off-diagonal pattern decides the zero modes: one per
+    component, whatever the size of the computed eigenvalues."""
 
     def test_weak_tie_is_connected(self):
         lb = Laplacian(_cliques_with_tie([5, 5], 1e-10))
@@ -751,7 +751,7 @@ class TestZeroModes:
                                       f"the graph splits into {components} components")
 
     def test_weak_tie_beside_a_split_reports_the_components(self):
-        # the threshold finds three zero eigenvalues, the graph has two parts
+        # a 1e-9 threshold would find three zero eigenvalues; the graph has two parts
         mat = np.zeros((13, 13))
         mat[:10, :10] = _cliques_with_tie([5, 5], 1e-10)
         mat[10:, 10:] = _cliques_with_tie([3], 0.0)
@@ -766,6 +766,17 @@ class TestZeroModes:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([-1e-16, -1e-63] + [5.0] * 8))
         with pytest.raises(DisconnectedGraphError, match="second eigenvalue -1.000e-63 is not resolved above zero"):
             laplacian_eigenvalues(lap)
+
+    def test_negative_eigenvalue_is_refused(self, monkeypatch):
+        # rounding leaves lambda_1 within 1e-9 lambda_max of zero; deeper,
+        # the matrix is not positive semidefinite
+        lap = Laplacian(_cliques_with_tie([5, 5], 1e-10))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([-5.1e-9, 1.0] + [5.0] * 8))
+        with pytest.raises(ValidationError) as err:
+            laplacian_eigenvalues(lap)
+        assert str(err.value) == "matrix is not positive semidefinite (min eigenvalue -5.100e-09)"
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([-4.9e-9, 1.0] + [5.0] * 8))
+        assert laplacian_eigenvalues(lap).eigenvalues[:2].tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize(("tie", "resolved"), [
         (1e-10, True), (1e-13, True),

@@ -30,6 +30,7 @@ from gridloss.network import (
 from gridloss.sim import (
     SimConfig,
     Trajectory,
+    _atomic_writer,
     empirical_h2,
     export_trajectory,
     integrated_loss,
@@ -595,3 +596,15 @@ class TestExportFormatter:
             warnings.simplefilter("error")
             export_trajectory(traj, n_nodes=3, path=path)
         assert path.read_text().split("\n", 1)[1] == _reference_csv(traj)
+
+
+class TestAtomicWriter:
+    def test_a_failing_block_leaves_the_target_as_it_was(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old bytes\n")
+        with pytest.raises(RuntimeError, match="^midway$"):
+            with _atomic_writer(target) as fh:
+                fh.write("new bytes\n")
+                raise RuntimeError("midway")
+        assert target.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [target]
