@@ -457,18 +457,33 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     explicit Householder reflector, and the weight is Q = blockdiag(H' L_G
     H, 0, ...), handed to ``solve_lyapunov`` as its (N-1) x (N-1) block, so
     this route computes no spectrum.  No per-mode breakdown
-    is available here.  The Hurwitz verdict on the deflated matrix is the
-    one ``solve_lyapunov`` reaches.
+    is available here.  The Hurwitz verdict on the deflated matrix, built by
+    ``_deflate``, is the one ``solve_lyapunov`` reaches; ``sim.simulate``
+    applies the same rule to the same matrix.
 
     Raises:
         StabilityError: marginal or unstable modes survive deflation (DAPI
             with gamma = 0, or an unstable parameterization).
     """
     n, states = ss.n_nodes, ss.n_states - 1
+    a, basis = _deflate(ss)
+    try:
+        gram = solve_lyapunov(a, basis.T @ ss.l_g.matrix @ basis)
+    except StabilityError as err:
+        raise _not_deflatable(ss, err) from err
+    b = np.empty((states, n))
+    np.matmul(basis.T, ss.b[:n], out=b[:n - 1])
+    b[n - 1:] = ss.b[n:]
+    squared = float(np.trace(b.T @ gram @ b))
+    return H2Result(squared_norm=max(squared, 0.0), method="full_gramian", per_mode=None)
+
+
+def _deflate(ss: StateSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(T' A T, H), T = blockdiag(H, I, ...) and H ``_ones_complement_basis``:
+    the loop without its rigid phase shift.  The congruence touches only the
+    theta rows and columns, one product for each, written into one matrix."""
+    n, states = ss.n_nodes, ss.n_states - 1
     basis = _ones_complement_basis(n)
-    # the congruence by blockdiag(basis, I, ...) touches only the theta
-    # rows and columns: one product for all theta rows, then one for all
-    # theta columns, each written into the one deflated matrix
     a = np.empty((states, states))
     theta_rows = basis.T @ ss.a[:n]
     a[:n - 1, n - 1:] = theta_rows[:, n:]
@@ -476,19 +491,16 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     theta_cols = np.concatenate([theta_rows[:, :n], ss.a[n:, :n]])
     del theta_rows
     np.matmul(theta_cols, basis, out=a[:, :n - 1])
-    del theta_cols
-    try:
-        gram = solve_lyapunov(a, basis.T @ ss.l_g.matrix @ basis)
-    except StabilityError as err:
-        hint = "; for DAPI this typically means gamma = 0" if ss.controller_kind == "dapi" else ""
-        raise StabilityError(
-            f"marginal or unstable modes remain after deflating the rigid phase shift ({err}){hint}"
-        ) from err
-    b = np.empty((states, n))
-    np.matmul(basis.T, ss.b[:n], out=b[:n - 1])
-    b[n - 1:] = ss.b[n:]
-    squared = float(np.trace(b.T @ gram @ b))
-    return H2Result(squared_norm=max(squared, 0.0), method="full_gramian", per_mode=None)
+    return a, basis
+
+
+def _not_deflatable(ss: StateSpace, err: StabilityError) -> StabilityError:
+    """The refusal of a loop whose deflated matrix is not safely Hurwitz;
+    the hint goes to a DAPI loop whose -L_C / k block is all zero."""
+    gamma_zero = ss.controller_kind == "dapi" and not ss.a[2 * ss.n_nodes:, 2 * ss.n_nodes:].any()
+    hint = "; for DAPI this typically means gamma = 0" if gamma_zero else ""
+    return StabilityError(
+        f"marginal or unstable modes remain after deflating the rigid phase shift ({err}){hint}")
 
 
 def _ones_complement_basis(n: int) -> np.ndarray:

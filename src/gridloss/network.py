@@ -381,7 +381,9 @@ def ingest_edge_list(path) -> NetworkGraph:
         EdgeListParseError: malformed content, with the offending line number.
         DisconnectedGraphError: well-formed but disconnected graph.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 becomes U+FFFD: ignored in a comment, and
+    # failing its own line's check anywhere else
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         raw_lines = fh.readlines()
 
     alpha: float | None = None

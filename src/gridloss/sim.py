@@ -31,6 +31,7 @@ import numpy as np
 
 from .dynamics import StateSpace
 from .errors import StabilityError, StepSizeError, ValidationError
+from .h2 import _check_hurwitz, _deflate, _not_deflatable
 from .network import _frozen
 
 _N_BATCHES = 20
@@ -138,8 +139,9 @@ def simulate(ss: StateSpace, config: SimConfig) -> Trajectory:
     mean (the uniform phase direction is a pure random walk and carries no
     loss).  The recentring is the projection P inside the step matrix, so a
     step is x <- M x + G xi with M = P (I + dt A) and G = sqrt(dt
-    noise_intensity) P B.  Systems with more than one marginal mode are
-    refused: a DAPI loop with gamma = 0 never reaches a steady loss level.
+    noise_intensity) P B.  On the range of P, M is I + dt A~ with A~ the
+    deflated loop of ``h2.h2_full_gramian``: A~ must pass that route's
+    Hurwitz rule, and dt must put its eigenvalues z in |1 + dt z| < 1.
 
     The noise is drawn in chunks from one generator stream, exactly as one
     draw per step would give it, and G xi_t is written into row t + 1 of
@@ -153,26 +155,19 @@ def simulate(ss: StateSpace, config: SimConfig) -> Trajectory:
     agree with step-by-step stepping to rounding.
 
     Raises:
-        StabilityError: unstable system, or extra marginal modes.
+        StabilityError: the deflated loop is not safely Hurwitz.
         StepSizeError: dt outside the stability region of the scheme, with
             the largest usable step in the message.
     """
     n = ss.n_nodes
-    eigs = np.linalg.eigvals(ss.a)
-    scale = max(float(np.max(np.abs(ss.a))), 1e-300)
-    tol = 1e-9 * scale
-    if np.any(eigs.real > tol):
-        raise StabilityError(f"system is unstable (max eigenvalue real part {np.max(eigs.real):.3e})")
-    n_marginal = int(np.count_nonzero(np.abs(eigs.real) <= tol))
-    if n_marginal > 1:
-        raise StabilityError(
-            f"{n_marginal} marginal modes: only the rigid phase shift may be "
-            "marginal (a DAPI loop with gamma = 0 cannot be simulated to steady state)"
-        )
-    stable = eigs[eigs.real < -tol]
-    amplification = np.abs(1.0 + config.dt * stable)
-    if np.any(amplification >= 1.0):
-        dt_max = float(np.min(-2.0 * stable.real / np.abs(stable) ** 2))
+    deflated, _ = _deflate(ss)
+    eigs = np.linalg.eigvals(deflated)
+    try:
+        _check_hurwitz(eigs.real, deflated)
+    except StabilityError as err:
+        raise _not_deflatable(ss, err) from err
+    if np.any(np.abs(1.0 + config.dt * eigs) >= 1.0):
+        dt_max = float(np.min(-2.0 * eigs.real / np.abs(eigs) ** 2))
         raise StepSizeError(
             f"dt = {config.dt} is outside the explicit scheme's stability region; "
             f"use dt < {dt_max:.6g}"

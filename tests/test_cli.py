@@ -102,6 +102,12 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    def test_non_integer_seed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--line", "5", "--seed", "abc"])
+        assert excinfo.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
     def test_malformed_random_spec(self, capsys):
         assert main(["analyze", "--random", "20;0.3"]) == 2
         assert "N,P" in capsys.readouterr().err
@@ -226,8 +232,11 @@ class TestNoTraceback:
         (["sweep", "--line", "5", "--param", "k", "--grid", "0:inf:1"], 2,
          "grid bounds must be finite, got '0:inf:1'"),
         (["scaling", "--n-grid", "10:20:10", "--seeds", "0"], 2, "--seeds must be >= 1, got 0"),
+        (["analyze", "--line", "1"], 2, "line graph needs at least 2 nodes, got 1"),
+        (["analyze", "--complete", "1"], 2, "complete graph needs at least 2 nodes, got 1"),
+        (["analyze", "--random", "1,0.5"], 2, "random graph needs at least 2 nodes, got 1"),
     ], ids=["b-range-reversed", "b-range-inf", "b-range-nan", "b-range-zero", "out-missing-dir",
-            "out-is-dir", "grid-inf", "seeds-0"])
+            "out-is-dir", "grid-inf", "seeds-0", "line-1", "complete-1", "random-1"])
     def test_one_error_line(self, argv, code, message, tmp_path, capsys):
         paths = {"missing": str(tmp_path / "no" / "such" / "x.json"), "adir": str(tmp_path / "adir")}
         (tmp_path / "adir").mkdir()
@@ -240,6 +249,25 @@ class TestNoTraceback:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == f"error: {message.format(**paths)}\n"
         assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
+
+    @pytest.mark.parametrize(("content", "message"), [
+        (b"alpha -1\n1 2 1\n", "line 1: alpha must be finite and >= 0, got -1.0"),
+        (b"alpha 1\n1 x 1\n", "line 2: could not parse '1 x 1' as '<int> <int> <float>'"),
+        (b"alpha 1\n0 1 1\n", "line 2: node indices are 1-based, got (0, 1)"),
+        (b"# comments\n# only\n", "file has no 'alpha <value>' header line"),
+        (b"alpha 1\n1 2 1\n2 3 \xe9\n", "line 3: could not parse '2 3 \ufffd' as '<int> <int> <float>'"),
+        (b"\xff\xfe bad\n1 2 1\n", "line 1: expected header 'alpha <value>', got '\ufffd\ufffd bad'"),
+    ], ids=["alpha-negative", "index-not-int", "index-0", "comments-only", "latin-1-byte", "leading-0xff"])
+    def test_bad_edge_file_one_error_line(self, content, message, tmp_path, capsys):
+        edges = tmp_path / "bad.edges"
+        edges.write_bytes(content)
+        argv = ["analyze", "--file", str(edges), "--out", str(tmp_path / "x.json")]
+        errors = []
+        for _ in range(2):
+            assert main(argv) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.edges"]
 
 
 class TestWeakTie:
@@ -261,6 +289,23 @@ class TestWeakTie:
         # sits past the solver's Hurwitz cut-off
         assert main(["analyze", "--file", str(weak_tie)]) == 1
         assert "not safely Hurwitz" in capsys.readouterr().err
+
+    def test_simulate_refuses_with_the_full_routes_message(self, weak_tie, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--file", str(weak_tie), "--controller", "droop", "--horizon", "20",
+                     "--format", "json", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: marginal or unstable modes remain after deflating the rigid phase shift "
+            "(matrix is not safely Hurwitz (max eigenvalue real part ")
+        assert not out.exists()
+
+    def test_simulate_runs_droop_on_a_tie_of_1e_8(self, tmp_path, capsys):
+        # lambda_2 about 4e-9: the deflated loop is safely Hurwitz
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--file", str(_cliques_file(tmp_path, "1e-8")), "--controller", "droop",
+                     "--horizon", "20", "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text())["integrated_loss"] > 0.0
 
     @pytest.mark.parametrize(("tie", "resolved"), [
         ("1e-10", True), ("1e-13", True),

@@ -836,6 +836,11 @@ class TestIngest:
         assert g.alpha == 0.5
         assert g.edges == ((0, 1, 2.0), (1, 2, 3.0))
 
+    def test_non_utf8_byte_in_a_comment_is_ignored(self, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_bytes(b"alpha 1.0 # caf\xe9\n1 2 1.0\n")
+        assert ingest_edge_list(path).edges == ((0, 1, 1.0),)
+
     def test_missing_header(self, tmp_path):
         path = self._write(tmp_path, "1 2 1.0\n")
         with pytest.raises(EdgeListParseError, match="line 1"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -19,8 +20,9 @@ import gridloss.sim
 from gridloss.cli import main
 from gridloss.dynamics import ControllerParams, StateSpace, assemble_dapi, assemble_droop
 from gridloss.errors import StabilityError, StepSizeError, ValidationError
-from gridloss.h2 import h2_dapi_closed_form
+from gridloss.h2 import h2_dapi_closed_form, h2_full_gramian
 from gridloss.network import (
+    NetworkGraph,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
@@ -168,6 +170,76 @@ class TestSimulate:
         traj = simulate(ss, cfg)
         assert traj.instantaneous_loss[0] > 0
         assert traj.instantaneous_loss[-1] < 1e-6 * traj.instantaneous_loss[0]
+
+
+def _cliques_droop(tie):
+    """Droop on two unit 5-cliques joined by one line of susceptance ``tie``."""
+    edges = [(i, j, 1.0) for base in (0, 5) for i, j in itertools.combinations(range(base, base + 5), 2)]
+    return assemble_droop(NetworkGraph(10, [*edges, (4, 5, tie)], alpha=1.0), ControllerParams(m=1.0, tau=1.0))
+
+
+def _gamma_zero_dapi():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return assemble_dapi(build_line_graph(3, [1.0, 1.0], alpha=1.0),
+                             ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
+
+
+def _flipped_coupling_droop():
+    """Droop on a 3-bus line with the sign of its coupling flipped: an
+    eigenvalue of +1.303."""
+    ss = assemble_droop(build_line_graph(3, [1.0, 1.0], alpha=1.0), ControllerParams(m=1.0, tau=1.0))
+    a = ss.a.copy()
+    a[3:, :3] *= -1.0
+    return StateSpace(a=a, b=ss.b, l_g=ss.l_g)
+
+
+_STIFF = ControllerParams(m=0.01, tau=1e-9)
+_NO_HINT = "))"
+_GAMMA_HINT = "; for DAPI this typically means gamma = 0"
+
+
+class TestSharedStabilityRule:
+    """``simulate`` judges the deflated loop it steps by the Hurwitz rule of
+    ``h2_full_gramian``: on each loop both refuse, with one message, or
+    both accept.  The gamma = 0 hint goes only to a DAPI loop with L_C = 0.
+    (A tie of 1e-9 sits on the margin, so it is left out.)"""
+
+    @pytest.mark.parametrize(("build", "refusal"), [
+        (_gamma_zero_dapi, _GAMMA_HINT),
+        (lambda: assemble_droop(build_line_graph(20, [1.0] * 19, alpha=1.0), _STIFF), _NO_HINT),
+        (lambda: assemble_dapi(build_line_graph(20, [1.0] * 19, alpha=1.0), _STIFF), _NO_HINT),
+        (lambda: _cliques_droop(1e-10), _NO_HINT),
+        (lambda: _cliques_droop(3e-10), _NO_HINT),
+        (lambda: _cliques_droop(3e-9), None),
+        (lambda: _cliques_droop(1e-8), None),
+        (_flipped_coupling_droop, _NO_HINT),
+    ], ids=["dapi-gamma-0", "droop-stiff", "dapi-stiff", "droop-tie-1e-10", "droop-tie-3e-10",
+            "droop-tie-3e-9", "droop-tie-1e-8", "droop-flipped-coupling"])
+    def test_same_verdict_as_the_full_gramian(self, build, refusal):
+        ss = build()
+        config = SimConfig(dt=0.01, horizon=1.0, seed=0)
+        routes = (lambda: h2_full_gramian(ss), lambda: simulate(ss, config))
+        if refusal is None:
+            for route in routes:
+                route()
+            return
+        for route in routes:
+            with pytest.raises(StabilityError) as info:
+                route()
+            message = str(info.value)
+            assert message.startswith("marginal or unstable modes remain after deflating the rigid phase shift "
+                                      "(matrix is not safely Hurwitz (max eigenvalue real part ")
+            assert message.endswith(refusal)
+
+    @pytest.mark.parametrize("assemble", [assemble_droop, assemble_dapi])
+    def test_one_bus_loses_nothing(self, assemble):
+        # the deflated loop has no theta state left
+        ss = assemble(NetworkGraph(1, [], 1.0), ControllerParams(m=1.0, tau=1.0))
+        assert h2_full_gramian(ss).squared_norm == 0.0
+        traj = simulate(ss, SimConfig(dt=0.01, horizon=1.0, seed=0))
+        assert traj.states.shape == (101, ss.n_states)
+        assert not traj.instantaneous_loss.any()
 
 
 def _step_loop(ss, config):
