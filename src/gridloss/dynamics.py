@@ -11,7 +11,8 @@ the resistive power loss of circulating currents is theta' L_G theta.  Its
 controller is read off its shapes: 2N states for droop, 3N for DAPI.
 Because all Laplacians commute, both closed loops block-diagonalize in the
 eigenbasis of the susceptance Laplacian into independent 2x2 / 3x3 modal
-subsystems, one per eigenvalue.
+subsystems, one per eigenvalue; the zero eigenvalue's block, the rigid phase
+shift, dissipates nothing and is not stacked.
 """
 
 from __future__ import annotations
@@ -126,11 +127,10 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class ModalBlocks:
-    """Every eigenvalue's 2x2 (droop) or 3x3 (DAPI) subsystem, stacked.
+    """Every nonzero eigenvalue's 2x2 (droop) or 3x3 (DAPI) subsystem, stacked.
 
-    ``a`` (N, s, s), ``b`` (N, s, 1) and ``c`` (N, 1, s) hold the blocks of
-    ``eigenvalues[i]``, in the ascending order of the originating spectrum;
-    the first carries the zero eigenvalue and has a zero output row.  The
+    ``a`` (N-1, s, s), ``b`` (N-1, s, 1) and ``c`` (N-1, 1, s) hold the
+    blocks of ``eigenvalues[i]``, in the order of ``Spectrum.nonzero``.  The
     arrays are read-only.
     """
 
@@ -157,7 +157,7 @@ def assemble_droop(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
 
     with loss weight L_G = alpha * L_B: bit for bit ``droop_part`` of the
     DAPI system, assembled without it.  Neither k nor gamma enters.  Raises
-    AssemblyError when tau == 0.
+    AssemblyError when tau == 0 or an entry overflows the float range.
     """
     return _assemble(graph, params, "droop")
 
@@ -170,9 +170,10 @@ def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
              [ 0,            -(1/k) I,    -(1/k) L_C ]]           [ 0    ]]
 
     with loss weight L_G = alpha * L_B and L_C = gamma * L_B.  Raises
-    AssemblyError when tau == 0.  gamma == 0 is assembled but flagged with a
-    warning: the averaging layer then contributes N-1 marginal modes and
-    every norm route will refuse the system.
+    AssemblyError when tau == 0 or an entry overflows the float range.
+    gamma == 0 is assembled but flagged with a warning: the averaging layer
+    then contributes N-1 marginal modes and every norm route will refuse
+    the system.
     """
     ss = _assemble(graph, params, "dapi")
     if params.gamma == 0:
@@ -215,15 +216,18 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
     def block(row: int, col: int) -> np.ndarray:
         return a[row * n:(row + 1) * n, col * n:(col + 1) * n]
 
-    _fill_scaled_eye(block(0, 1), 1.0)
-    np.multiply(-(params.m / params.tau), lb, out=block(1, 0))
-    _fill_scaled_eye(block(1, 1), -(1.0 / params.tau))
-    if kind == "dapi":
-        _fill_scaled_eye(block(1, 2), 1.0 / params.tau)
-        _fill_scaled_eye(block(2, 1), -(1.0 / params.k))
-        l_c = np.multiply(params.gamma, lb, out=block(2, 2))
-        l_c *= -(1.0 / params.k)
-    g_matrix = graph.alpha * lb
+    with np.errstate(over="ignore", invalid="ignore"):
+        _fill_scaled_eye(block(0, 1), 1.0)
+        np.multiply(-(params.m / params.tau), lb, out=block(1, 0))
+        _fill_scaled_eye(block(1, 1), -(1.0 / params.tau))
+        if kind == "dapi":
+            _fill_scaled_eye(block(1, 2), 1.0 / params.tau)
+            _fill_scaled_eye(block(2, 1), -(1.0 / params.k))
+            l_c = np.multiply(params.gamma, lb, out=block(2, 2))
+            l_c *= -(1.0 / params.k)
+        g_matrix = graph.alpha * lb
+    dapi = {"1/k": block(2, 1), "gamma/k": block(2, 2)} if kind == "dapi" else {}
+    _refuse_overflow({"m/tau": block(1, 0), "1/tau": block(1, 1), **dapi, "alpha": g_matrix})
     g_matrix.setflags(write=False)
     l_g = Laplacian(matrix=g_matrix)
     del lb  # so that B is allocated without it
@@ -232,6 +236,17 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
     for arr in (a, b):
         arr.setflags(write=False)
     return StateSpace(a=a, b=b, l_g=l_g)
+
+
+def _refuse_overflow(scaled: dict[str, np.ndarray]) -> None:
+    """Refuse a closed loop with an entry outside the float range, naming
+    the scales whose entries overflowed.  Each entry of A, B and the loss
+    weight or output that is not passed is 0, 1 or, up to sign, one that
+    is."""
+    overflowed = [name for name, entries in scaled.items() if not np.isfinite(entries).all()]
+    if overflowed:
+        raise AssemblyError(
+            f"closed loop leaves the float range: its {', '.join(overflowed)} entries overflow")
 
 
 def _fill_scaled_eye(out: np.ndarray, scale: float) -> None:
@@ -256,9 +271,13 @@ def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float,
                [0, -1/k, -gamma lam / k]],
         B_n = [0, 1/tau, 0]',  C_n = sqrt(alpha lam) [1, 0, 0].
 
-    The zero eigenvalue gets a zero output row: rigid phase motion
-    dissipates nothing.  Only eigenvalues are read; ``laplacian_eigenvalues``
-    serves.
+    One block is stacked per eigenvalue of ``spectrum.nonzero``, in its
+    order; the zero eigenvalue, rigid phase motion, would have a zero
+    output row, dissipates nothing and gets no block.  Only eigenvalues are
+    read; ``laplacian_eigenvalues`` serves.
+
+    Raises:
+        AssemblyError: tau == 0, or an entry overflows the float range.
     """
     kind = _validated_kind(kind)
     if params.tau == 0:
@@ -266,18 +285,21 @@ def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float,
     if not np.isfinite(alpha) or alpha < 0:
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
     m, tau, k, gamma = params.m, params.tau, params.k, params.gamma
-    lam = spectrum.eigenvalues
+    lam = spectrum.nonzero
     n, s = lam.size, 2 if kind == "droop" else 3
     a, b, c = np.zeros((n, s, s)), np.zeros((n, s, 1)), np.zeros((n, 1, s))
-    a[:, 0, 1] = 1.0
-    a[:, 1, 0] = -m * lam / tau
-    a[:, 1, 1] = -1.0 / tau
-    if kind == "dapi":
-        a[:, 1, 2] = 1.0 / tau
-        a[:, 2, 1] = -1.0 / k
-        a[:, 2, 2] = -gamma * lam / k
-    b[:, 1, 0] = 1.0 / tau
-    c[:, 0, 0] = np.sqrt(alpha * lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a[:, 0, 1] = 1.0
+        a[:, 1, 0] = -m * lam / tau
+        a[:, 1, 1] = -1.0 / tau
+        if kind == "dapi":
+            a[:, 1, 2] = 1.0 / tau
+            a[:, 2, 1] = -1.0 / k
+            a[:, 2, 2] = -gamma * lam / k
+        b[:, 1, 0] = 1.0 / tau
+        c[:, 0, 0] = np.sqrt(alpha * lam)
+    dapi = {"1/k": a[:, 2, 1], "gamma/k": a[:, 2, 2]} if kind == "dapi" else {}
+    _refuse_overflow({"m/tau": a[:, 1, 0], "1/tau": a[:, 1, 1], **dapi, "alpha": c})
     for arr in (a, b, c):
         arr.setflags(write=False)
     return ModalBlocks(eigenvalues=lam, a=a, b=b, c=c)
@@ -308,35 +330,6 @@ def check_stability(params: ControllerParams, lam: float, kind: str) -> bool:
     q = (gamma * lam + 1.0) / (k * tau) + m * lam / tau
     r = m * gamma * lam * lam / (k * tau)
     return p > 0 and r > 0 and p * q > r
-
-
-def verify_modal_equivalence(ss: StateSpace, blocks: ModalBlocks, spectrum: Spectrum) -> float:
-    """Largest entrywise gap between the congruence-transformed full A and
-    the block diagonal of the modal blocks.
-
-    Transforms A by blockdiag(U, U[, U]), reorders states mode-by-mode and
-    compares against blockdiag(A_1, ..., A_N).  Values at rounding level
-    certify that the modal route analyzes the same system as the full one.
-    """
-    s = ss.n_states // ss.n_nodes
-    n = spectrum.n_nodes
-    if ss.n_nodes != n or blocks.a.shape != (n, s, s):
-        raise ValidationError(
-            f"dimension mismatch: {ss.controller_kind} system with {ss.n_states} states, "
-            f"{n}-node spectrum, modal blocks of shape {blocks.a.shape}"
-        )
-    # the modal blocks are the closed loop in the eigenvector basis, so an
-    # eigenvalue-only spectrum cannot stand for that basis
-    if spectrum.eigenvectors is None:
-        raise ValidationError(
-            "spectrum has no eigenvectors; build it with spectral_decomposition, not laplacian_eigenvalues"
-        )
-    t = np.kron(np.eye(s), spectrum.eigenvectors)
-    # state (block, mode) of the transformed A, indexed [mode, block, mode', block']
-    m = (t.T @ ss.a @ t).reshape(s, n, s, n).transpose(1, 0, 3, 2)
-    modes = np.arange(n)
-    m[modes, :, modes, :] -= blocks.a
-    return float(np.max(np.abs(m)))
 
 
 def _validated_kind(kind: str) -> str:

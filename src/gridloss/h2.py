@@ -410,19 +410,22 @@ def h2_modal(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: s
     """Squared norm by per-mode observability Gramians.
 
     Each nonzero mode contributes B_n' X_n B_n with A_n' X_n + X_n A_n =
-    -C_n' C_n; the zero mode is unobservable through the loss output and is
-    skipped rather than solved.  The Kronecker forms (A_n' (x) I + I (x)
-    A_n') vec X_n = -vec(C_n' C_n) of all modes are solved together.  Modes
-    are judged in eigenvalue order by the Routh test, then by the Hurwitz
-    margin of ``solve_lyapunov``; the solutions must pass its residual test.
+    -C_n' C_n, one block of ``modal_subsystems`` each, so ``per_mode[i]``
+    belongs to ``spectrum.nonzero[i]``; the zero mode is unobservable
+    through the loss output and has no block.  The Kronecker forms (A_n'
+    (x) I + I (x) A_n') vec X_n = -vec(C_n' C_n) of all modes are solved
+    together.  Modes are judged in eigenvalue order by the Routh test, then
+    by the Hurwitz margin of ``solve_lyapunov``; the solutions must pass its
+    residual test.
 
     Raises:
+        AssemblyError: tau == 0, or a block overflows the float range.
         StabilityError: some mode fails the Routh test (e.g. DAPI with
             gamma = 0), named in the message, or is not safely Hurwitz.
         LyapunovSolveError: some mode's residual is above tolerance.
     """
     blocks = modal_subsystems(spectrum, params, alpha, kind)
-    lams, a, b, c = blocks.eigenvalues[1:], blocks.a[1:], blocks.b[1:], blocks.c[1:]
+    lams, a, b, c = blocks.eigenvalues, blocks.a, blocks.b, blocks.c
     n_stable = next((i for i, lam in enumerate(lams) if not check_stability(params, lam, kind)), lams.size)
     # a margin failure below the first Routh failure is found first
     _check_hurwitz(np.linalg.eigvals(a[:n_stable]).real, a[:n_stable])

@@ -448,8 +448,10 @@ def susceptance_laplacian(graph: NetworkGraph) -> Laplacian:
     # each node pair appears at most once, so every entry is written once
     lb[graph.ends_i, graph.ends_j] = -graph.weights
     lb[graph.ends_j, graph.ends_i] = -graph.weights
-    # diagonal set from the finished off-diagonal rows: row sums vanish
-    np.fill_diagonal(lb, -lb.sum(axis=1))
+    # diagonal set from the finished off-diagonal rows: row sums vanish; a
+    # sum that overflows is left to the Laplacian's finiteness refusal
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.fill_diagonal(lb, -lb.sum(axis=1))
     lb.setflags(write=False)  # frozen here, so the Laplacian keeps it uncopied
     return Laplacian(matrix=lb)
 

@@ -235,8 +235,23 @@ class TestNoTraceback:
         (["analyze", "--line", "1"], 2, "line graph needs at least 2 nodes, got 1"),
         (["analyze", "--complete", "1"], 2, "complete graph needs at least 2 nodes, got 1"),
         (["analyze", "--random", "1,0.5"], 2, "random graph needs at least 2 nodes, got 1"),
+        # a closed loop whose entries overflow is refused where it is built,
+        # with no numpy warning on the way
+        (["analyze", "--line", "3", "--m", "1e308"], 1,
+         "closed loop leaves the float range: its m/tau entries overflow"),
+        (["analyze", "--line", "3", "--tau", "1e-320"], 1,
+         "closed loop leaves the float range: its m/tau, 1/tau entries overflow"),
+        (["simulate", "--line", "3", "--m", "1e308", "--horizon", "1"], 1,
+         "closed loop leaves the float range: its m/tau entries overflow"),
+        (["simulate", "--line", "3", "--tau", "1e-320", "--horizon", "1"], 1,
+         "closed loop leaves the float range: its m/tau, 1/tau entries overflow"),
+        (["analyze", "--line", "3", "--alpha", "1e308"], 1,
+         "closed loop leaves the float range: its alpha entries overflow"),
+        (["analyze", "--line", "3", "--b", "1e308"], 2, "Laplacian entries must be finite"),
     ], ids=["b-range-reversed", "b-range-inf", "b-range-nan", "b-range-zero", "out-missing-dir",
-            "out-is-dir", "grid-inf", "seeds-0", "line-1", "complete-1", "random-1"])
+            "out-is-dir", "grid-inf", "seeds-0", "line-1", "complete-1", "random-1",
+            "analyze-m-overflow", "analyze-tau-overflow", "simulate-m-overflow", "simulate-tau-overflow",
+            "analyze-alpha-overflow", "analyze-b-overflow"])
     def test_one_error_line(self, argv, code, message, tmp_path, capsys):
         paths = {"missing": str(tmp_path / "no" / "such" / "x.json"), "adir": str(tmp_path / "adir")}
         (tmp_path / "adir").mkdir()

@@ -18,7 +18,6 @@ from gridloss.dynamics import (
     check_stability,
     droop_part,
     modal_subsystems,
-    verify_modal_equivalence,
 )
 from gridloss.errors import AssemblyError, ValidationError
 from gridloss.h2 import h2_modal
@@ -32,6 +31,7 @@ from gridloss.network import (
     spectral_decomposition,
     susceptance_laplacian,
 )
+from reference import verify_modal_equivalence
 
 
 def _spectrum_of(graph):
@@ -148,11 +148,11 @@ class TestModalSubsystems:
     def test_droop_mode_matrices(self):
         g = build_complete_graph(3, b=1.0, alpha=1.0)  # eigenvalues 0, 3, 3
         blocks = modal_subsystems(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="droop")
-        assert (blocks.a.shape, blocks.b.shape, blocks.c.shape) == ((3, 2, 2), (3, 2, 1), (3, 1, 2))
-        assert blocks.eigenvalues[1] == 3.0
-        assert np.allclose(blocks.a[1], np.array([[0.0, 1.0], [-3.0, -1.0]]), atol=0)
-        assert np.allclose(blocks.b[1], np.array([[0.0], [1.0]]), atol=0)
-        assert np.allclose(blocks.c[1], np.array([[math.sqrt(3.0), 0.0]]), atol=1e-15)
+        assert (blocks.a.shape, blocks.b.shape, blocks.c.shape) == ((2, 2, 2), (2, 2, 1), (2, 1, 2))
+        assert blocks.eigenvalues[0] == 3.0
+        assert np.allclose(blocks.a[0], np.array([[0.0, 1.0], [-3.0, -1.0]]), atol=0)
+        assert np.allclose(blocks.b[0], np.array([[0.0], [1.0]]), atol=0)
+        assert np.allclose(blocks.c[0], np.array([[math.sqrt(3.0), 0.0]]), atol=1e-15)
 
     def test_dapi_mode_matrix_coupling_signs(self):
         # omega'_n couples +1/tau into the averaging state; the averaging row
@@ -163,18 +163,18 @@ class TestModalSubsystems:
             _spectrum_of(g), ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0), alpha=1.0, kind="dapi"
         )
         expected = np.array([[0.0, 1.0, 0.0], [-3.0, -1.0, 1.0], [0.0, -1.0, -3.0]])
-        assert np.allclose(blocks.a[2], expected, atol=0)
-        assert np.allclose(blocks.b[2], np.array([[0.0], [1.0], [0.0]]), atol=0)
-        assert np.allclose(blocks.c[2], np.array([[math.sqrt(3.0), 0.0, 0.0]]), atol=1e-15)
+        assert np.allclose(blocks.a[1], expected, atol=0)
+        assert np.allclose(blocks.b[1], np.array([[0.0], [1.0], [0.0]]), atol=0)
+        assert np.allclose(blocks.c[1], np.array([[math.sqrt(3.0), 0.0, 0.0]]), atol=1e-15)
 
-    def test_zero_mode_has_zero_output(self):
+    def test_one_block_per_nonzero_mode(self):
+        # the zero mode, whose output row is zero, has no block
         g = build_line_graph(5, [1.0] * 4, alpha=3.0)
+        spec = _spectrum_of(g)
         for kind in ("droop", "dapi"):
-            blocks = modal_subsystems(
-                _spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=3.0, kind=kind
-            )
-            assert blocks.eigenvalues[0] == 0.0
-            assert np.array_equal(blocks.c[0], np.zeros_like(blocks.c[0]))
+            blocks = modal_subsystems(spec, ControllerParams(m=1.0, tau=1.0), alpha=3.0, kind=kind)
+            assert blocks.eigenvalues.tobytes() == spec.nonzero.tobytes()
+            assert np.all(np.any(blocks.c != 0.0, axis=(1, 2)))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -195,8 +195,8 @@ class TestModalSubsystems:
         for kind in ("droop", "dapi"):
             blocks = modal_subsystems(spec, p, alpha, kind)
             assert isinstance(blocks, ModalBlocks)
-            assert blocks.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
-            for i, lam in enumerate(spec.eigenvalues):
+            assert blocks.eigenvalues.tobytes() == spec.nonzero.tobytes()
+            for i, lam in enumerate(spec.nonzero):
                 gain = np.sqrt(alpha * lam)
                 if kind == "droop":
                     a = np.array([[0.0, 1.0], [-m * lam / tau, -1.0 / tau]])
@@ -225,6 +225,29 @@ class TestModalSubsystems:
         g = build_line_graph(2, [1.0], alpha=1.0)
         with pytest.raises(AssemblyError):
             modal_subsystems(_spectrum_of(g), ControllerParams(m=1.0, tau=0.0), alpha=1.0, kind="droop")
+
+    @pytest.mark.parametrize(("params", "alpha", "names"), [
+        (dict(m=1e308), 1.0, "m/tau"),
+        (dict(tau=1e-320), 1.0, "m/tau, 1/tau"),
+        (dict(k=1e-320), 1.0, "1/k, gamma/k"),
+        (dict(k=1e-10, gamma=1e308), 1.0, "gamma/k"),
+        ({}, 1e308, "alpha"),
+    ])
+    def test_overflow_refused_by_modal_and_full_assembly(self, params, alpha, names):
+        # both name the scales whose entries left the float range, and
+        # neither lets numpy warn on the way
+        g = build_line_graph(3, [1.0, 1.0], alpha=alpha)
+        p = ControllerParams(**{"m": 1.0, "tau": 1.0, **params})
+        message = f"^closed loop leaves the float range: its {names} entries overflow$"
+        with pytest.raises(AssemblyError, match=message):
+            modal_subsystems(_spectrum_of(g), p, alpha, "dapi")
+        with pytest.raises(AssemblyError, match=message):
+            assemble_dapi(g, p)
+
+    def test_negative_alpha_rejected(self):
+        g = build_line_graph(2, [1.0], alpha=1.0)
+        with pytest.raises(ValidationError, match="^alpha must be finite and >= 0, got -1.0$"):
+            modal_subsystems(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), -1.0, "dapi")
 
     def test_bad_kind_rejected(self):
         g = build_line_graph(2, [1.0], alpha=1.0)

@@ -41,6 +41,7 @@ from gridloss.network import (
     spectral_decomposition,
     susceptance_laplacian,
 )
+from reference import verify_modal_equivalence
 
 
 def _spectrum_of(graph):
@@ -652,6 +653,13 @@ class TestDapiClosedForm:
             h2_dapi_closed_form(1.0, p, Spectrum(np.zeros(0)))
         with pytest.raises(ValidationError, match="ascending"):  # refused by the Spectrum itself
             Spectrum(np.array([3.0, 0.0, 1.0]))
+        with pytest.raises(ValidationError, match="inconsistent spectrum shapes"):
+            Spectrum(np.array([0.0, 1.0]), np.eye(3))
+
+    def test_non_finite_alpha_rejected(self):
+        spec = _spectrum_of(build_line_graph(3, [1.0] * 2, alpha=1.0))
+        with pytest.raises(ValidationError, match="^alpha must be finite and >= 0, got nan$"):
+            h2_dapi_closed_form(float("nan"), ControllerParams(m=1.0, tau=1.0), spec)
 
 
 class TestModalRoute:
@@ -759,7 +767,7 @@ class TestModalRoute:
         monkeypatch.setattr(gridloss.h2, "modal_subsystems", recording)
         for kind, assemble in (("droop", assemble_droop), ("dapi", assemble_dapi)):
             h2_modal(spec, p, alpha=1.3, kind=kind)
-            assert gridloss.dynamics.verify_modal_equivalence(assemble(g, p), solved[-1], spec) <= 1e-12
+            assert verify_modal_equivalence(assemble(g, p), solved[-1], spec) <= 1e-12
 
     def test_numpy_only(self):
         # the modal route solves its small systems with numpy; scipy stays
@@ -1042,6 +1050,10 @@ class TestH2ResultType:
     def test_bad_method_rejected(self):
         with pytest.raises(ValidationError):
             H2Result(squared_norm=1.0, method="quadrature")
+
+    def test_per_mode_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="per_mode must be a vector"):
+            H2Result(squared_norm=1.0, method="closed_form", per_mode=np.ones((1, 1)))
 
     def test_per_mode_read_only(self):
         res = h2_droop_closed_form(1.0, 1.0, 5)

@@ -1,4 +1,5 @@
-"""Every name a ``gridloss`` module imports is used in that module.
+"""Every name a ``gridloss`` module imports is used in that module, and
+every public name is read by some module of the package.
 
 The package's ``__init__`` re-exports names and is left out. An import
 kept for its side effect carries ``# noqa: F401`` on its line, as flake8
@@ -32,13 +33,25 @@ def unused_imports(source: str) -> list[str]:
             continue
         # ``import a.b`` binds ``a``; ``import a.b as c`` and ``from a import b as c`` bind ``c``
         imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - read)
+    return sorted(imported - names_read(tree))
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name the tree reads as an ``ast.Name``."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # code that only tests call belongs with the tests, not in the public API
+    read = set()
+    for module in MODULES:
+        read |= names_read(ast.parse((PACKAGE / module).read_text()))
+    assert sorted(set(gridloss.__all__) - read) == []
 
 
 @pytest.mark.parametrize(("source", "unused"), [

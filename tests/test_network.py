@@ -248,6 +248,13 @@ class TestNetworkGraph:
         with pytest.raises(ValidationError):
             NetworkGraph(n_nodes=2, edges=((0, 2, 1.0),), alpha=1.0)
 
+    def test_malformed_input_messages(self):
+        with pytest.raises(ValidationError, match="^n_nodes must be a positive integer, got 0$"):
+            NetworkGraph(0, [], 1.0)
+        # a row numpy cannot read as three numbers, among well-formed ones
+        with pytest.raises(ValidationError, match=re.escape("edge (1, 2, 'x') is not an (i, j, b) triple")):
+            NetworkGraph(3, [(0, 1, 1.0), (1, 2, "x")], 1.0)
+
     def test_single_node_graph_allowed(self):
         g = NetworkGraph(n_nodes=1, edges=(), alpha=1.0)
         assert g.n_nodes == 1

@@ -59,6 +59,10 @@ class TestSimConfig:
             SimConfig(dt=0.5, horizon=10.0)  # fewer than 100 steps
         with pytest.raises(ValidationError):
             SimConfig(dt=0.01, horizon=10.0, seed=1.5)
+        with pytest.raises(ValidationError, match="^dt must be finite, got nan$"):
+            SimConfig(dt=float("nan"), horizon=1.0)
+        with pytest.raises(ValidationError, match="^initial_state must be a finite vector$"):
+            SimConfig(dt=0.01, horizon=1.0, initial_state=[0.0, float("inf")])
 
     def test_hundred_steps_boundary_allowed(self):
         SimConfig(dt=0.1, horizon=10.0)
@@ -410,6 +414,10 @@ class TestPhasePerturbation:
         with pytest.raises(ValidationError):
             phase_perturbation(5, 11, 0.1, 0)
 
+    def test_bad_scale(self):
+        with pytest.raises(ValidationError, match="^scale must be finite and >= 0"):
+            phase_perturbation(2, 4, -1.0, 0)
+
 
 class TestTrajectoryType:
     def test_validation(self):
@@ -421,6 +429,8 @@ class TestTrajectoryType:
             Trajectory(times=np.array([0.0, 0.0, 1.0]), states=x, instantaneous_loss=np.zeros(3))
         with pytest.raises(ValidationError):
             Trajectory(times=t, states=np.zeros((2, 4)), instantaneous_loss=np.zeros(3))
+        with pytest.raises(ValidationError, match="^times and loss must be vectors, states a matrix$"):
+            Trajectory(times=t, states=np.zeros(3), instantaneous_loss=np.zeros(3))
 
     def test_simulate_hands_over_its_arrays_without_a_copy(self, peak_bytes):
         g = build_line_graph(20, np.ones(19), alpha=1.0)
@@ -467,6 +477,12 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,loss,theta_1,theta_2,theta_3,omega_1,omega_2,omega_3"
         assert len(lines) == 12
+
+    def test_state_dimension_must_be_whole_blocks(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        with pytest.raises(ValidationError, match="^state dimension 5 is not 2 or 3 blocks of 2 nodes$"):
+            export_trajectory(self._trajectory(blocks=1, n=5), n_nodes=2, path=path)
+        assert not path.exists()
 
     def test_dapi_header_includes_integrator_block(self, tmp_path):
         traj = self._trajectory(blocks=3)

@@ -395,12 +395,16 @@ class TestResultTypes:
             TuningResult(gamma_star=0.5, norm_at_star=-1.0, iterations=3, bracket=(0.0, 1.0))
         with pytest.raises(ValidationError):
             TuningResult(gamma_star=0.5, norm_at_star=1.0, iterations=-1, bracket=(0.0, 1.0))
+        with pytest.raises(ValidationError, match="^bracket must satisfy 0 <= lo <= hi"):
+            TuningResult(gamma_star=0.5, norm_at_star=1.0, iterations=1, bracket=(1.0, 0.5))
 
     def test_sweep_curve_validation(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
             SweepCurve(parameter_name="gamma", grid=np.array([0.0, 0.0, 1.0]), values=np.zeros(3))
         with pytest.raises(ValidationError):
             SweepCurve(parameter_name="gamma", grid=np.array([0.0, 1.0]), values=np.zeros(3))
+        with pytest.raises(ValidationError, match="^grid and values must be finite$"):
+            SweepCurve("gamma", [0.0, 1.0], [1.0, float("nan")])
 
     def test_sweep_curve_read_only(self):
         curve = SweepCurve(parameter_name="gamma", grid=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]))
