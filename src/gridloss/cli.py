@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import CONTROLLER_KINDS, ControllerParams, assemble_dapi, assemble_droop, droop_part
-from .errors import GridlossError, ValidationError
+from .errors import FloatRangeError, GridlossError, ValidationError
 from .h2 import h2_dapi_closed_form, h2_droop_closed_form, h2_full_gramian, h2_modal
 from .network import (
     NetworkGraph,
@@ -34,7 +34,15 @@ from .network import (
     susceptance_laplacian,
 )
 from .sim import SimConfig, _atomic_writer, empirical_h2, export_trajectory, integrated_loss, phase_perturbation, simulate
-from .tuning import SWEEPABLE, gamma_star_vs_k, loss_reduction_vs_k, optimal_gamma, optimal_gamma_complete, sweep
+from .tuning import (
+    SWEEPABLE,
+    _at_grid_point,
+    gamma_star_vs_k,
+    loss_reduction_vs_k,
+    optimal_gamma,
+    optimal_gamma_complete,
+    sweep,
+)
 
 # largest --grid or --n-grid accepted; a larger one is refused before it is allocated
 _GRID_MAX_POINTS = 10**7
@@ -288,7 +296,7 @@ def _cmd_analyze(args) -> int:
     norms["dapi"] = {"closed_form": dapi.squared_norm,
                      "modal_lyapunov": h2_modal(spectrum, params, alpha, "dapi").squared_norm}
     # one assembly for both full Gramians; the modal routes have already
-    # refused tau = 0 and gamma = 0, so it neither fails nor warns
+    # refused tau = 0 and gamma = 0
     closed_loop = assemble_dapi(graph, params)
     norms["droop"]["full_gramian"] = h2_full_gramian(droop_part(closed_loop)).squared_norm
     norms["dapi"]["full_gramian"] = h2_full_gramian(closed_loop).squared_norm
@@ -388,7 +396,7 @@ def _cmd_sweep(args) -> int:
         columns = {args.param: grid, "dapi": sweep(spectrum, params, alpha, args.param, grid).values}
         # after the sweep, which names an invalid grid point by its index
         if args.param == "m":
-            columns["droop"] = [h2_droop_closed_form(alpha, float(m), graph.n_nodes).squared_norm for m in grid]
+            columns["droop"] = [_droop_at(alpha, i, m, graph.n_nodes) for i, m in enumerate(grid.tolist())]
         else:
             columns["droop"] = [h2_droop_closed_form(alpha, params.m, graph.n_nodes).squared_norm] * grid.size
 
@@ -400,6 +408,14 @@ def _cmd_sweep(args) -> int:
     _write_out(args, "sweep", inputs, payload, lambda: (tuple(columns), zip(*columns.values())))
     print(f"wrote {args.out} ({grid.size} grid points)")
     return 0
+
+
+def _droop_at(alpha: float, i: int, m: float, n_nodes: int) -> float:
+    """The droop norm at grid point ``i`` of an ``m`` sweep, which a refusal names."""
+    try:
+        return h2_droop_closed_form(alpha, m, n_nodes).squared_norm
+    except FloatRangeError as err:
+        raise _at_grid_point(err, i, "m", m) from None
 
 
 def _cmd_simulate(args) -> int:

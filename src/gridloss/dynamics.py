@@ -17,7 +17,6 @@ shift, dissipates nothing and is not stacked.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,19 +170,11 @@ def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
 
     with loss weight L_G = alpha * L_B and L_C = gamma * L_B.  Raises
     AssemblyError when tau == 0 or an entry overflows the float range.
-    gamma == 0 is assembled but flagged with a warning: the averaging layer
-    then contributes N-1 marginal modes and every norm route will refuse
-    the system.
+    gamma == 0 is assembled: its integrators do not communicate, so the
+    loop keeps N-1 marginal modes, and ``h2_full_gramian``, ``h2_modal``
+    and ``simulate`` refuse it.
     """
-    ss = _assemble(graph, params, "dapi")
-    if params.gamma == 0:
-        warnings.warn(
-            "gamma is zero: integrator states do not communicate, the closed "
-            "loop keeps N-1 marginal modes and has no finite steady-state loss",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return ss
+    return _assemble(graph, params, "dapi")
 
 
 def droop_part(ss: StateSpace) -> StateSpace:

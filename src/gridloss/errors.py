@@ -40,3 +40,8 @@ class TuningError(GridlossError):
 
 class StepSizeError(GridlossError):
     """Integration step too large for the system's fastest mode."""
+
+
+class FloatRangeError(GridlossError):
+    """A norm, loss or derivative that the inputs define left the float
+    range on its way: a value overflowed or came out NaN."""

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ControllerParams, StateSpace, check_stability, modal_subsystems
-from .errors import LyapunovSolveError, StabilityError, ValidationError
+from .errors import FloatRangeError, LyapunovSolveError, StabilityError, ValidationError
 from .network import _ROW_BLOCK, Spectrum, _symmetric_within
 
 H2_METHODS = ("closed_form", "modal_lyapunov", "full_gramian")
@@ -101,6 +101,9 @@ def _dapi_mode_factor(lam, m: float, k: float, tau: float, gamma: float):
     u = (gamma tau lam + k) / (gamma lam (gamma tau lam + k) + k^2 m lam).
     Well defined for tau = 0 and gamma = 0 (where it gives the limit value of
     the norm; the gamma = 0 loop itself is marginal and has no finite norm).
+    An intermediate may overflow: a denominator that does gives u = 0 and
+    the factor 1.0 its limit has, and one that overflows with its numerator
+    gives NaN, which ``h2_dapi_closed_form`` refuses.
     """
     lam = np.asarray(lam, dtype=float)
     s = gamma * tau * lam + k
@@ -118,7 +121,7 @@ def h2_droop_closed_form(alpha: float, m: float, n_nodes: int) -> H2Result:
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
         raise ValidationError(f"n_nodes must be a positive integer, got {n_nodes!r}")
     per_mode = np.full(n_nodes - 1, alpha / (2.0 * m))
-    return H2Result(squared_norm=math.fsum(per_mode), method="closed_form", per_mode=per_mode)
+    return _summed(per_mode, "closed_form", "droop closed form")
 
 
 def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectrum) -> H2Result:
@@ -130,6 +133,9 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectr
             here (the formula is the continuous limit).
         spectrum: the ``Spectrum`` of spectral_decomposition or
             laplacian_eigenvalues; only its nonzero eigenvalues are read.
+
+    Raises:
+        FloatRangeError: a mode's loss is not finite, or their sum overflows.
     """
     if not np.isfinite(alpha) or alpha < 0:
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
@@ -138,9 +144,23 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectr
             "spectrum must be a Spectrum (from spectral_decomposition or laplacian_eigenvalues), "
             f"got {type(spectrum).__name__}"
         )
-    factors = _dapi_mode_factor(spectrum.nonzero, params.m, params.k, params.tau, params.gamma)
-    per_mode = alpha / (2.0 * params.m) * factors
-    return H2Result(squared_norm=math.fsum(per_mode), method="closed_form", per_mode=per_mode)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        factors = _dapi_mode_factor(spectrum.nonzero, params.m, params.k, params.tau, params.gamma)
+        per_mode = alpha / (2.0 * params.m) * factors
+    return _summed(per_mode, "closed_form", "dapi closed form")
+
+
+def _summed(per_mode: np.ndarray, method: str, route: str) -> H2Result:
+    """The result of ``method`` from its per-mode losses, whose ordered sum
+    is the norm; ``route`` is named where one of them is not finite or the
+    sum overflows."""
+    if not np.isfinite(per_mode).all():
+        raise FloatRangeError(f"the {route} leaves the float range: a mode's loss is not finite")
+    try:
+        total = math.fsum(per_mode)
+    except OverflowError:
+        raise FloatRangeError(f"the {route} leaves the float range: the sum of its mode losses overflows") from None
+    return H2Result(squared_norm=total, method=method, per_mode=per_mode)
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -422,6 +442,8 @@ def h2_modal(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: s
         AssemblyError: tau == 0, or a block overflows the float range.
         StabilityError: some mode fails the Routh test (e.g. DAPI with
             gamma = 0), named in the message, or is not safely Hurwitz.
+        FloatRangeError: a mode's Gramian or loss is not finite, or the
+            sum of the losses overflows.
         LyapunovSolveError: some mode's residual is above tolerance.
     """
     blocks = modal_subsystems(spectrum, params, alpha, kind)
@@ -436,19 +458,26 @@ def h2_modal(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: s
         )
     n, s = a.shape[:2]
     at, eye = a.mT, np.eye(s)
-    # K vec X = vec(X A + A' X), X's entries in row-major order
-    kron = (np.einsum("ik,njl->nijkl", eye, at) + np.einsum("nik,jl->nijkl", at, eye)).reshape(n, s * s, s * s)
-    q = c.mT @ c
-    rhs = -q.reshape(n, s * s, 1)
-    vec = np.linalg.solve(kron, rhs)
-    # one step of refinement in working precision makes Gaussian elimination
-    # componentwise backward stable (Skeel 1980, Math. Comp. 35(151))
-    vec += np.linalg.solve(kron, rhs - kron @ vec)
-    gram = vec.reshape(n, s, s)
-    residual = np.max(np.abs(at @ gram + gram @ a + q), axis=(-2, -1))
-    _check_residual(residual, a, gram, np.max(np.abs(q), axis=(-2, -1)))
-    per_mode = (b.mT @ gram @ b)[:, 0, 0]
-    return H2Result(squared_norm=math.fsum(per_mode), method="modal_lyapunov", per_mode=per_mode)
+    route = f"{kind} modal route"
+    # the weight, the Gramians, their residual scale and the losses may
+    # overflow where the blocks did not; each is judged once formed
+    with np.errstate(over="ignore", invalid="ignore"):
+        # K vec X = vec(X A + A' X), X's entries in row-major order
+        kron = (np.einsum("ik,njl->nijkl", eye, at) + np.einsum("nik,jl->nijkl", at, eye)).reshape(n, s * s, s * s)
+        q = c.mT @ c
+        rhs = -q.reshape(n, s * s, 1)
+        vec = np.linalg.solve(kron, rhs)
+        # one step of refinement in working precision makes Gaussian
+        # elimination componentwise backward stable (Skeel 1980, Math. Comp.
+        # 35(151))
+        vec += np.linalg.solve(kron, rhs - kron @ vec)
+        gram = vec.reshape(n, s, s)
+        if not np.isfinite(gram).all():
+            raise FloatRangeError(f"the {route} leaves the float range: a mode's Gramian is not finite")
+        residual = np.max(np.abs(at @ gram + gram @ a + q), axis=(-2, -1))
+        _check_residual(residual, a, gram, np.max(np.abs(q), axis=(-2, -1)))
+        per_mode = (b.mT @ gram @ b)[:, 0, 0]
+    return _summed(per_mode, "modal_lyapunov", route)
 
 
 def h2_full_gramian(ss: StateSpace) -> H2Result:

@@ -171,7 +171,8 @@ class Laplacian:
     closed loop carries as its loss weight.
 
     Invariants checked at construction: square with finite entries,
-    symmetric, row sums zero (within 1e-12 of the largest entry),
+    symmetric, row sums zero (within 1e-12 of the largest entry, but at
+    least N subnormals),
     off-diagonal entries <= 0.  Together these make the matrix diagonally
     dominant with a nonnegative diagonal, hence positive semidefinite.  The
     stored array is read-only: a matrix that is already a read-only float64
@@ -188,7 +189,11 @@ class Laplacian:
         # both are NaN when any entry is, and one is infinite when an entry is
         if not (math.isfinite(top) and math.isfinite(bottom)):
             raise ValidationError("Laplacian entries must be finite")
-        tol = 1e-12 * max(top, -bottom)
+        # at least the float grid's absolute floor, one subnormal per entry of
+        # a row: an entry rounded to the subnormals (alpha * L_B at alpha =
+        # 5e-324) errs by up to half of one, where the relative term is 0
+        # (the underflow term of the rounding model, Higham 2002)
+        tol = max(1e-12 * max(top, -bottom), mat.shape[0] * math.ulp(0.0))
         if not _symmetric_within(mat, tol):
             raise ValidationError("Laplacian must be symmetric")
         row_sums = mat.sum(axis=1)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import StateSpace
-from .errors import StabilityError, StepSizeError, ValidationError
+from .errors import FloatRangeError, StabilityError, StepSizeError, ValidationError
 from .h2 import _check_hurwitz, _deflate, _not_deflatable
 from .network import _frozen
 
@@ -158,6 +158,8 @@ def simulate(ss: StateSpace, config: SimConfig) -> Trajectory:
         StabilityError: the deflated loop is not safely Hurwitz.
         StepSizeError: dt outside the stability region of the scheme, with
             the largest usable step in the message.
+        FloatRangeError: the loss leaves the float range (the noise
+            intensity, the initial state or L_G is too large for it).
     """
     n = ss.n_nodes
     deflated, _ = _deflate(ss)
@@ -202,13 +204,19 @@ def simulate(ss: StateSpace, config: SimConfig) -> Trajectory:
             np.matmul(rng.standard_normal((rows.shape[0], n)), drive.T, out=rows)
     else:
         states[1:] = 0.0
-    _scan(states, step)
-
-    lg = ss.l_g.matrix
-    loss = np.empty(n_steps + 1)
-    for row in range(0, n_steps + 1, chunk):
-        theta = states[row:row + chunk, :n]
-        np.einsum("ij,ij->i", theta @ lg, theta, out=loss[row:row + chunk])
+    # a path at the edge of the float range may overflow; its loss is judged
+    with np.errstate(over="ignore", invalid="ignore"):
+        _scan(states, step)
+        lg = ss.l_g.matrix
+        loss = np.empty(n_steps + 1)
+        for row in range(0, n_steps + 1, chunk):
+            theta = states[row:row + chunk, :n]
+            np.einsum("ij,ij->i", theta @ lg, theta, out=loss[row:row + chunk])
+    finite = np.isfinite(loss)
+    if not finite.all():
+        raise FloatRangeError(f"the simulated loss leaves the float range at t = {times[np.argmin(finite)]:.6g}; "
+                              f"it grows with the noise intensity ({config.noise_intensity:.6g}), "
+                              "the initial state and alpha")
     np.maximum(loss, 0.0, out=loss)
     for arr in (times, states, loss):
         arr.setflags(write=False)
@@ -256,6 +264,7 @@ def empirical_h2(trajectory: Trajectory, config: SimConfig) -> tuple[float, floa
 
     Raises:
         ValidationError: fewer than 40 post-burn-in samples.
+        FloatRangeError: the estimate or its standard error overflows.
     """
     dt = trajectory.times[1] - trajectory.times[0]
     mask = trajectory.times >= config.burn_in - dt / 2.0
@@ -265,15 +274,27 @@ def empirical_h2(trajectory: Trajectory, config: SimConfig) -> tuple[float, floa
             f"insufficient post-burn-in samples for {_N_BATCHES} batches: got {samples.size}, need {2 * _N_BATCHES}"
         )
     normalizer = config.noise_intensity if config.noise_intensity > 0 else 1.0
-    estimate = float(np.mean(samples)) / normalizer
-    batch_means = np.array([batch.mean() for batch in np.array_split(samples, _N_BATCHES)])
-    stderr = float(np.std(batch_means, ddof=1)) / math.sqrt(_N_BATCHES) / normalizer
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = float(np.mean(samples)) / normalizer
+        batch_means = np.array([batch.mean() for batch in np.array_split(samples, _N_BATCHES)])
+        stderr = float(np.std(batch_means, ddof=1)) / math.sqrt(_N_BATCHES) / normalizer
+    if not (math.isfinite(estimate) and math.isfinite(stderr)):
+        raise FloatRangeError(f"the empirical squared norm or its standard error leaves the float range "
+                              f"(noise intensity {config.noise_intensity:.6g})")
     return estimate, stderr
 
 
 def integrated_loss(trajectory: Trajectory) -> float:
-    """Trapezoidal integral of the loss over the whole trajectory."""
-    return float(np.trapezoid(trajectory.instantaneous_loss, trajectory.times))
+    """Trapezoidal integral of the loss over the whole trajectory.
+
+    Raises:
+        FloatRangeError: the integral overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.trapezoid(trajectory.instantaneous_loss, trajectory.times))
+    if not math.isfinite(total):
+        raise FloatRangeError("the integrated loss leaves the float range")
+    return total
 
 
 def export_trajectory(trajectory: Trajectory, n_nodes: int, path, stride: int = 1) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ControllerParams
-from .errors import TuningError, ValidationError
+from .errors import FloatRangeError, TuningError, ValidationError
 from .h2 import h2_dapi_closed_form, h2_droop_closed_form
 from .network import Spectrum
 
@@ -139,50 +139,64 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     with a warning and resolved by comparing the minima; the result then
     carries the probe interval and bisection of the global one.
 
+    The search runs under one ``np.errstate`` that lets the derivative's
+    intermediates overflow; every derivative it reads must come out finite.
+
     Raises:
-        TuningError: derivative still negative at the gamma cap.
+        TuningError: derivative still negative at the gamma cap, or not
+            finite at some gamma (named in the message).
+        FloatRangeError: the DAPI closed form refuses the norm at the
+            optimum.
     """
     lams = spectrum.nonzero
     m, k, tau = params.m, params.k, params.tau
 
     def deriv(g):
-        return norm_gamma_derivative(g, lams, alpha, m, k, tau)
+        d = norm_gamma_derivative(g, lams, alpha, m, k, tau)
+        # a float for a float g (math.isfinite is the cheap test), an array
+        # for the probe's grid
+        if isinstance(d, float) and math.isfinite(d) or np.isfinite(d).all():
+            return d
+        bad = float(np.ravel(g)[np.argmin(np.isfinite(d))])
+        raise TuningError(f"loss derivative is not finite at gamma = {bad:.6g}: "
+                          "the gain search leaves the float range")
 
     def norm_at(g: float) -> float:
         q = dataclasses.replace(params, gamma=g)
         return h2_dapi_closed_form(alpha, q, spectrum).squared_norm
 
-    if deriv(0.0) >= 0.0:
-        return TuningResult(gamma_star=0.0, norm_at_star=norm_at(0.0), iterations=0, bracket=(0.0, 0.0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if deriv(0.0) >= 0.0:
+            return TuningResult(gamma_star=0.0, norm_at_star=norm_at(0.0), iterations=0, bracket=(0.0, 0.0))
 
-    hi = 1.0
-    while deriv(hi) <= 0.0:
-        hi *= 2.0
-        if hi > _GAMMA_CAP:
-            raise TuningError(
-                f"loss derivative is still negative at gamma = {_GAMMA_CAP:g}; no stationary point bracketed"
+        hi = 1.0
+        while deriv(hi) <= 0.0:
+            hi *= 2.0
+            if hi > _GAMMA_CAP:
+                raise TuningError(
+                    f"loss derivative is still negative at gamma = {_GAMMA_CAP:g}; no stationary point bracketed"
+                )
+        bracket = (0.0, hi)
+        gamma_star, iterations = _bisect_derivative(deriv, 0.0, hi)
+
+        crossings = _descending_crossings(deriv, hi, _derivative_sign_band(lams, m, k, tau))
+        if len(crossings) > 1:
+            found = [_bisect_derivative(deriv, lo_i, hi_i) for lo_i, hi_i in crossings]
+            candidates = [float(g) for g, _ in found]
+            best = int(np.argmin([norm_at(g) for g in candidates]))
+            warnings.warn(
+                f"multiple local minima at gamma = {candidates}; returning the global one",
+                RuntimeWarning,
+                stacklevel=2,
             )
-    bracket = (0.0, hi)
-    gamma_star, iterations = _bisect_derivative(deriv, 0.0, hi)
-
-    crossings = _descending_crossings(deriv, hi, _derivative_sign_band(lams, m, k, tau))
-    if len(crossings) > 1:
-        found = [_bisect_derivative(deriv, lo_i, hi_i) for lo_i, hi_i in crossings]
-        candidates = [float(g) for g, _ in found]
-        best = int(np.argmin([norm_at(g) for g in candidates]))
-        warnings.warn(
-            f"multiple local minima at gamma = {candidates}; returning the global one",
-            RuntimeWarning,
-            stacklevel=2,
+            gamma_star, iterations = found[best]
+            bracket = crossings[best]
+        return TuningResult(
+            gamma_star=gamma_star,
+            norm_at_star=norm_at(gamma_star),
+            iterations=iterations,
+            bracket=bracket,
         )
-        gamma_star, iterations = found[best]
-        bracket = crossings[best]
-    return TuningResult(
-        gamma_star=gamma_star,
-        norm_at_star=norm_at(gamma_star),
-        iterations=iterations,
-        bracket=bracket,
-    )
 
 
 def _bisect_derivative(deriv, lo: float, hi: float) -> tuple[float, int]:
@@ -260,7 +274,8 @@ def sweep(
 
     ``params`` supplies the held-fixed values; ``parameter_name`` is one of
     gamma, k, tau, m.  Grid points must be strictly increasing and valid for
-    the parameter (e.g. k > 0), or a validation error names the point.
+    the parameter (e.g. k > 0), or a validation error names the point; a
+    point where the closed form leaves the float range is named too.
     """
     if parameter_name not in SWEEPABLE:
         raise ValidationError(f"parameter_name must be one of {SWEEPABLE}, got {parameter_name!r}")
@@ -270,24 +285,37 @@ def sweep(
         try:
             q = dataclasses.replace(params, **{parameter_name: point})
         except ValidationError as err:
-            raise ValidationError(f"grid point {i} ({parameter_name}={point!r}): {err}") from None
-        values[i] = h2_dapi_closed_form(alpha, q, spectrum).squared_norm
+            raise _at_grid_point(err, i, parameter_name, point) from None
+        try:
+            values[i] = h2_dapi_closed_form(alpha, q, spectrum).squared_norm
+        except FloatRangeError as err:
+            raise _at_grid_point(err, i, parameter_name, point) from None
     return SweepCurve(parameter_name=parameter_name, grid=grid, values=values)
+
+
+def _at_grid_point(err: Exception, i: int, name: str, point: float) -> Exception:
+    """``err`` again, its message led by the grid point it came from."""
+    return type(err)(f"grid point {i} ({name}={point!r}): {err}")
 
 
 def optimal_gamma_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k_grid) -> list[TuningResult]:
     """``optimal_gamma`` at each integral constant k, one search per grid point.
 
     Raises:
-        ValidationError: a grid point is not a valid k; the message names it.
+        ValidationError: a grid point is not a valid k.
+        TuningError, FloatRangeError: the search at a grid point fails.
+        Each message names the grid point.
     """
     results = []
     for i, k in enumerate(np.array(k_grid, dtype=float).tolist()):
         try:
             p = ControllerParams(m=m, tau=tau, k=k)
         except ValidationError as err:
-            raise ValidationError(f"grid point {i} (k={k!r}): {err}") from None
-        results.append(optimal_gamma(spectrum, p, alpha))
+            raise _at_grid_point(err, i, "k", k) from None
+        try:
+            results.append(optimal_gamma(spectrum, p, alpha))
+        except (TuningError, FloatRangeError) as err:
+            raise _at_grid_point(err, i, "k", k) from None
     return results
 
 

@@ -194,7 +194,7 @@ class TestComputationErrors:
     ], ids=["stiff", "gamma-0", "tau-0", "gamma-0-tau-0"])
     def test_analyze_reports_the_first_refusal(self, flags, message, capsys):
         # droop routes before DAPI ones, and both modal routes before the
-        # one assembly, so gamma = 0 is refused without its assembly warning
+        # one assembly
         assert main(["analyze", *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -248,10 +248,56 @@ class TestNoTraceback:
         (["analyze", "--line", "3", "--alpha", "1e308"], 1,
          "closed loop leaves the float range: its alpha entries overflow"),
         (["analyze", "--line", "3", "--b", "1e308"], 2, "Laplacian entries must be finite"),
+        # a closed form, the gain search or a simulated loss that leaves the
+        # float range is refused by name; a sweep names its grid point
+        (["analyze", "--line", "3", "--gamma", "1e308"], 1,
+         "the dapi closed form leaves the float range: a mode's loss is not finite"),
+        (["sweep", "--line", "3", "--param", "gamma", "--grid", "1e307:1e308:1e307"], 1,
+         "grid point 5 (gamma=6e+307): the dapi closed form leaves the float range: a mode's loss is not finite"),
+        (["scaling", "--n-grid", "2:3:1", "--seeds", "1", "--gamma", "1e308"], 1,
+         "the dapi closed form leaves the float range: a mode's loss is not finite"),
+        (["analyze", "--line", "3", "--m", "1e-310"], 1,
+         "the droop closed form leaves the float range: a mode's loss is not finite"),
+        (["analyze", "--line", "70", "--alpha", "1e307"], 1,
+         "the droop closed form leaves the float range: the sum of its mode losses overflows"),
+        (["tune", "--line", "70", "--alpha", "1e307"], 1,
+         "the dapi closed form leaves the float range: the sum of its mode losses overflows"),
+        (["sweep", "--line", "70", "--alpha", "1e307", "--param", "gamma", "--grid", "1:2:1"], 1,
+         "grid point 0 (gamma=1.0): the dapi closed form leaves the float range: "
+         "the sum of its mode losses overflows"),
+        (["sweep", "--line", "21", "--alpha", "1e307", "--param", "m", "--grid", "0.5:1:0.5"], 1,
+         "grid point 0 (m=0.5): the droop closed form leaves the float range: the sum of its mode losses overflows"),
+        (["scaling", "--n-grid", "70:71:1", "--seeds", "1", "--alpha", "1e307"], 1,
+         "the droop closed form leaves the float range: the sum of its mode losses overflows"),
+        (["tune", "--line", "3", "--k", "1e-320"], 1,
+         "loss derivative is not finite at gamma = 0: the gain search leaves the float range"),
+        (["tune", "--line", "3", "--m", "1e308"], 1,
+         "loss derivative is not finite at gamma = 0: the gain search leaves the float range"),
+        (["sweep", "--line", "3", "--param", "k", "--grid", "1e-320:1e-319:1e-320", "--at-optimal-gamma"], 1,
+         "grid point 0 (k=1e-320): loss derivative is not finite at gamma = 0: the gain search leaves the float range"),
+        (["simulate", "--line", "3", "--noise", "1e300", "--horizon", "1", "--format", "json"], 1,
+         "the empirical squared norm or its standard error leaves the float range (noise intensity 1e+300)"),
+        (["simulate", "--line", "3", "--noise", "1e308", "--horizon", "1"], 1,
+         "the empirical squared norm or its standard error leaves the float range (noise intensity 1e+308)"),
+        (["simulate", "--line", "20", "--noise", "1.7e308", "--horizon", "1"], 1,
+         "the simulated loss leaves the float range at t = 0.445; it grows with the noise intensity (1.7e+308), "
+         "the initial state and alpha"),
+        (["simulate", "--line", "20", "--noise", "1.7e308", "--horizon", "1", "--format", "json"], 1,
+         "the simulated loss leaves the float range at t = 0.445; it grows with the noise intensity (1.7e+308), "
+         "the initial state and alpha"),
+        (["simulate", "--line", "3", "--noise", "0", "--init-perturb", "1e200", "--horizon", "1"], 1,
+         "the simulated loss leaves the float range at t = 0; it grows with the noise intensity (0), "
+         "the initial state and alpha"),
     ], ids=["b-range-reversed", "b-range-inf", "b-range-nan", "b-range-zero", "out-missing-dir",
             "out-is-dir", "grid-inf", "seeds-0", "line-1", "complete-1", "random-1",
             "analyze-m-overflow", "analyze-tau-overflow", "simulate-m-overflow", "simulate-tau-overflow",
-            "analyze-alpha-overflow", "analyze-b-overflow"])
+            "analyze-alpha-overflow", "analyze-b-overflow",
+            "analyze-dapi-closed-form-overflow", "sweep-dapi-closed-form-overflow",
+            "scaling-dapi-closed-form-overflow", "analyze-droop-closed-form-overflow",
+            "analyze-droop-sum-overflow", "tune-dapi-sum-overflow", "sweep-dapi-sum-overflow",
+            "sweep-droop-sum-overflow", "scaling-droop-sum-overflow", "tune-k-subnormal", "tune-m-overflow",
+            "sweep-k-subnormal", "simulate-stderr-overflow-json", "simulate-estimate-overflow",
+            "simulate-loss-overflow", "simulate-loss-overflow-json", "simulate-initial-loss-overflow"])
     def test_one_error_line(self, argv, code, message, tmp_path, capsys):
         paths = {"missing": str(tmp_path / "no" / "such" / "x.json"), "adir": str(tmp_path / "adir")}
         (tmp_path / "adir").mkdir()
@@ -264,6 +310,26 @@ class TestNoTraceback:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == f"error: {message.format(**paths)}\n"
         assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
+
+    def test_gamma_zero_simulation_refused_once(self, tmp_path, capsys):
+        # the refusal is the one report: assembly does not warn first
+        argv = ["simulate", "--line", "3", "--gamma", "0", "--horizon", "1", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: marginal or unstable modes remain after deflating the rigid phase shift "
+                            r"\(matrix is not safely Hurwitz \(max eigenvalue real part \S+\)\); "
+                            r"for DAPI this typically means gamma = 0\n", err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_subnormal_alpha_simulates(self, tmp_path, capsys):
+        # alpha * L_B of subnormal entries is a Laplacian: its row sums are
+        # within the float grid's absolute floor
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--random", "5,0.4", "--seed", "1", "--alpha", "5e-324", "--horizon", "1",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert out.exists()
 
     @pytest.mark.parametrize(("content", "message"), [
         (b"alpha -1\n1 2 1\n", "line 1: alpha must be finite and >= 0, got -1.0"),

@@ -1,7 +1,6 @@
 """Closed-loop assembly, modal decomposition, and stability tests."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -116,10 +115,11 @@ class TestAssembleDapi:
         assert np.array_equal(ss.c[:, 2:], np.zeros((2, 4)))
         assert ss.n_states == 6
 
-    def test_gamma_zero_warns(self):
+    def test_gamma_zero_assembles_without_warning(self):
+        # the norm routes and the simulator refuse this loop; assembly does
+        # not report it a second time (filterwarnings = error fails a warning)
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
-        with pytest.warns(RuntimeWarning, match="marginal"):
-            ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
+        ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
         assert ss.n_states == 9
 
     def test_tau_zero_rejected(self):
@@ -390,9 +390,7 @@ class TestFilledAssembly:
              else build_random_connected_graph(n, 0.4, (0.5, 1.5), alpha=alpha, seed=seed))
         params = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
         lb = susceptance_laplacian(g).matrix
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # gamma = 0
-            systems = {"dapi": assemble_dapi(g, params), "droop": assemble_droop(g, params)}
+        systems = {"dapi": assemble_dapi(g, params), "droop": assemble_droop(g, params)}
         for kind, ss in systems.items():
             for got, expected in zip((ss.a, ss.b, ss.l_g.matrix), _np_block_loop(lb, params, alpha, kind)):
                 assert got.shape == expected.shape

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import gridloss.dynamics
 import gridloss.network
 from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
-from gridloss.errors import LyapunovSolveError, StabilityError, ValidationError
+from gridloss.errors import FloatRangeError, LyapunovSolveError, StabilityError, ValidationError
 from gridloss.h2 import (
     H2Result,
     _lapack,
@@ -825,6 +825,20 @@ class TestModalRoute:
         with pytest.raises(LyapunovSolveError, match="Lyapunov residual"):
             h2_modal(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="dapi")
 
+    @pytest.mark.parametrize("kind", ["droop", "dapi"])
+    def test_float_range_refused_without_warning(self, kind):
+        # 69 modes of about 5e306 each: the droop losses overflow their sum,
+        # the DAPI Gramians overflow first; no numpy warning on the way
+        # (filterwarnings = error), and the residual scale overflows quietly
+        g = build_line_graph(70, [1.0] * 69, alpha=1.0)
+        with pytest.raises(FloatRangeError, match=f"^the {kind} modal route leaves the float range: "):
+            h2_modal(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1e307, kind=kind)
+        # two modes of the same scale stay in range and agree with the closed form
+        spec, params = _spectrum_of(build_line_graph(3, [1.0, 1.0], alpha=1.0)), ControllerParams(m=1.0, tau=1.0)
+        closed = {"droop": h2_droop_closed_form(1e307, 1.0, 3), "dapi": h2_dapi_closed_form(1e307, params, spec)}
+        norm = h2_modal(spec, params, alpha=1e307, kind=kind).squared_norm
+        assert norm == pytest.approx(closed[kind].squared_norm, rel=1e-7)
+
 
 class TestFullGramianRoute:
     def test_droop_matches_closed_form(self):
@@ -846,9 +860,7 @@ class TestFullGramianRoute:
 
     def test_gamma_zero_refused(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
+        ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
         with pytest.raises(StabilityError, match="gamma = 0"):
             h2_full_gramian(ss)
 

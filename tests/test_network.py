@@ -59,10 +59,7 @@ def _assert_matches_edge_loop(graph, gamma):
 
 
 def _dapi_loop(graph, gamma, k=1.0):
-    with warnings.catch_warnings():
-        # gamma = 0 is assembled with a RuntimeWarning
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return assemble_dapi(graph, ControllerParams(m=1.0, tau=1.0, k=k, gamma=gamma))
+    return assemble_dapi(graph, ControllerParams(m=1.0, tau=1.0, k=k, gamma=gamma))
 
 
 def _loss_weight(graph):
@@ -446,6 +443,27 @@ class TestLaplacians:
             lb = susceptance_laplacian(g)
         assert lb.n_nodes == 1000
         assert peak.bytes <= 1.25 * 8 * 1000**2
+
+    def test_subnormal_loss_weight_accepted(self):
+        # alpha * L_B at alpha = 5e-324 rounds each entry to the subnormal
+        # grid, so a row can sum to a few subnormals, where the relative
+        # tolerance 1e-12 max|entry| underflows to 0
+        tiny = math.ulp(0.0)
+        rows_off_zero = 0
+        for n, seed in itertools.product((3, 5, 8), range(20)):
+            g = build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=tiny, seed=seed)
+            weight = tiny * susceptance_laplacian(g).matrix
+            rows_off_zero += np.count_nonzero(weight.sum(axis=1))
+            assert _loss_weight(g).matrix.tobytes() == weight.tobytes()
+        assert rows_off_zero > 0
+
+    def test_row_sum_floor_is_one_subnormal_per_entry(self):
+        tiny = math.ulp(0.0)
+        mat = tiny * np.array([[5.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+        assert Laplacian(matrix=mat).n_nodes == 3  # row 0 sums to 3 subnormals
+        mat[0, 0] += tiny
+        with pytest.raises(ValidationError, match="row sums"):
+            Laplacian(matrix=mat)
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):

@@ -141,9 +141,7 @@ class TestSimulate:
 
     def test_gamma_zero_dapi_refused(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
+        ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
         with pytest.raises(StabilityError, match="marginal"):
             simulate(ss, SimConfig(dt=0.01, horizon=10.0, seed=0))
 
@@ -183,10 +181,7 @@ def _cliques_droop(tie):
 
 
 def _gamma_zero_dapi():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return assemble_dapi(build_line_graph(3, [1.0, 1.0], alpha=1.0),
-                             ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
+    return assemble_dapi(build_line_graph(3, [1.0, 1.0], alpha=1.0), ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0))
 
 
 def _flipped_coupling_droop():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import gridloss.tuning
 
 from gridloss.dynamics import ControllerParams
-from gridloss.errors import ValidationError
+from gridloss.errors import GridlossError, ValidationError
 from gridloss.h2 import h2_dapi_closed_form, h2_droop_closed_form
 from gridloss.network import (
     build_complete_graph,
@@ -410,3 +410,28 @@ class TestResultTypes:
         curve = SweepCurve(parameter_name="gamma", grid=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             curve.values[0] = 5.0
+
+
+# log-uniform over [1e-320, 1e308], subnormals included
+_ANY_SCALE = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+
+
+class TestFloatRange:
+    @settings(max_examples=1000)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 10_000), alpha=_ANY_SCALE, m=_ANY_SCALE, k=_ANY_SCALE,
+           tau=st.one_of(st.just(0.0), _ANY_SCALE), gamma=st.one_of(st.just(0.0), _ANY_SCALE))
+    def test_finite_or_refused_without_warning(self, n, seed, alpha, m, tau, k, gamma):
+        # a value is finite or refused by a GridlossError that names the
+        # float range, not by a result type's validation; filterwarnings =
+        # error fails any numpy warning on the way
+        spectrum = _spectrum_of(build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=alpha, seed=seed))
+        params = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        for compute in (lambda: h2_droop_closed_form(alpha, m, n).squared_norm,
+                        lambda: h2_dapi_closed_form(alpha, params, spectrum).squared_norm,
+                        lambda: optimal_gamma(spectrum, params, alpha).norm_at_star):
+            try:
+                value = compute()
+            except GridlossError as err:
+                assert not isinstance(err, ValidationError), err
+            else:
+                assert math.isfinite(value)
