@@ -300,13 +300,19 @@ def check_stability(params: ControllerParams, lam: float, kind: str) -> bool:
     """Hurwitz test for one nonzero mode, decided on characteristic
     coefficients alone (Routh conditions, no root finding).
 
-    Droop characteristic: z^2 + z/tau + m lam / tau.
+    Droop characteristic: z^2 + z/tau + m lam / tau, stable iff 1/tau > 0
+    and m lam / tau > 0.
     DAPI characteristic:  z^3 + p z^2 + q z + r with
         p = gamma lam / k + 1/tau,
         q = (gamma lam + 1)/(k tau) + m lam / tau,
         r = m gamma lam^2 / (k tau),
-    stable iff p > 0, r > 0 and p q > r.  gamma = 0 gives r = 0, a marginal
-    integrator mode, hence False.
+    stable iff p > 0, r > 0 and p q > r.  Each condition is decided exactly,
+    not on coefficients that may under- or overflow: with m, k, tau and lam
+    positive, the droop conditions always hold, and so do p > 0 and
+    (k tau)^2 (p q - r) = gamma lam tau (gamma lam + 1)
+    + k (gamma lam + 1 + k m lam) > 0.  So a droop mode is always stable and
+    a DAPI mode iff gamma > 0; gamma = 0 gives r = 0, a marginal integrator
+    mode, hence False.
     """
     kind = _validated_kind(kind)
     lam = float(lam)
@@ -314,13 +320,7 @@ def check_stability(params: ControllerParams, lam: float, kind: str) -> bool:
         raise ValidationError(f"mode eigenvalue must be > 0, got {lam!r} (zero mode is excluded)")
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
-    m, tau, k, gamma = params.m, params.tau, params.k, params.gamma
-    if kind == "droop":
-        return 1.0 / tau > 0 and m * lam / tau > 0
-    p = gamma * lam / k + 1.0 / tau
-    q = (gamma * lam + 1.0) / (k * tau) + m * lam / tau
-    r = m * gamma * lam * lam / (k * tau)
-    return p > 0 and r > 0 and p * q > r
+    return kind == "droop" or params.gamma > 0
 
 
 def _validated_kind(kind: str) -> str:

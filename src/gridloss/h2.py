@@ -94,21 +94,31 @@ class H2Result:
             object.__setattr__(self, "per_mode", pm)
 
 
+def _dapi_mode_terms(lam: np.ndarray, m: float, k: float, tau: float, gamma):
+    """s = gamma tau lam + k and P = gamma lam s + k^2 m lam per mode, as new
+    arrays: the terms of the DAPI loss factor and of its gamma-derivative.
+    ``gamma`` is a float or a column of values, each row the float's bits.
+    """
+    s = (gamma * tau) * lam
+    s += k
+    p = gamma * lam
+    p *= s
+    p += (k * k * m) * lam
+    return s, p
+
+
 def _dapi_mode_factor(lam, m: float, k: float, tau: float, gamma: float):
     """Loss factor in (0, 1) multiplying a droop mode's contribution.
 
-    factor = 1 / (1 + u) with
-    u = (gamma tau lam + k) / (gamma lam (gamma tau lam + k) + k^2 m lam).
+    factor = 1 / (1 + s / P) with ``_dapi_mode_terms``' s and P.
     Well defined for tau = 0 and gamma = 0 (where it gives the limit value of
     the norm; the gamma = 0 loop itself is marginal and has no finite norm).
-    An intermediate may overflow: a denominator that does gives u = 0 and
-    the factor 1.0 its limit has, and one that overflows with its numerator
-    gives NaN, which ``h2_dapi_closed_form`` refuses.
+    An intermediate may overflow: a P that does gives s / P = 0 and the
+    factor 1.0 its limit has, and one that overflows with s gives NaN, which
+    ``h2_dapi_closed_form`` refuses.
     """
-    lam = np.asarray(lam, dtype=float)
-    s = gamma * tau * lam + k
-    u = s / (gamma * lam * s + k * k * m * lam)
-    return 1.0 / (1.0 + u)
+    s, p = _dapi_mode_terms(np.asarray(lam, dtype=float), m, k, tau, gamma)
+    return 1.0 / (1.0 + s / p)
 
 
 def h2_droop_closed_form(alpha: float, m: float, n_nodes: int) -> H2Result:

@@ -117,6 +117,9 @@ def phase_perturbation(n_nodes: int, n_states: int, scale: float, seed: int | tu
     Used for decay experiments: draw a standard normal phase vector, remove
     its mean, scale it, and leave all frequency and integrator states at
     zero.
+
+    Raises:
+        FloatRangeError: the scaled phases overflow (the scale is named).
     """
     if n_states not in (2 * n_nodes, 3 * n_nodes):
         raise ValidationError(f"n_states must be 2 or 3 times n_nodes, got {n_states} for {n_nodes}")
@@ -126,7 +129,10 @@ def phase_perturbation(n_nodes: int, n_states: int, scale: float, seed: int | tu
     z = rng.standard_normal(n_nodes)
     z -= z.mean()
     x0 = np.zeros(n_states)
-    x0[:n_nodes] = scale * z
+    with np.errstate(over="ignore"):
+        x0[:n_nodes] = scale * z
+    if not np.isfinite(x0).all():
+        raise FloatRangeError(f"the initial phase perturbation leaves the float range (scale {scale:g})")
     return x0
 
 

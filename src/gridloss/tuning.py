@@ -18,17 +18,13 @@ import numpy as np
 
 from .dynamics import ControllerParams
 from .errors import FloatRangeError, TuningError, ValidationError
-from .h2 import h2_dapi_closed_form, h2_droop_closed_form
+from .h2 import _dapi_mode_terms, h2_dapi_closed_form, h2_droop_closed_form
 from .network import Spectrum
 
 SWEEPABLE = ("gamma", "k", "tau", "m")
 
 _GAMMA_TOL = 1e-10
 _GAMMA_CAP = 1e6
-
-# summands per block of a vectorised derivative call: the (rows, N)
-# temporaries stay small whatever the number of gamma values
-_PROBE_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -91,39 +87,22 @@ def norm_gamma_derivative(gamma, eigenvalues_nonzero, alpha: float, m: float, k:
     """d/d(gamma) of the DAPI squared norm, in closed form.
 
     Per nonzero eigenvalue lam the summand derivative is
-    lam ((gamma tau lam + k)^2 - k^2 m tau lam) / (P + s)^2 with
-    s = gamma tau lam + k and P = gamma lam s + k^2 m lam, scaled by
-    alpha / (2 m).  Accepts a scalar or a vector of gamma values; a vector
-    is evaluated in blocks of about ``_PROBE_ELEMENTS`` summands.
+    lam (s^2 - k^2 m tau lam) / (P + s)^2, with the s and P of the DAPI
+    loss factor (``h2._dapi_mode_terms``), scaled by alpha / (2 m).  A float
+    gamma gives a float, and a vector a vector whose entries have the float
+    calls' bits: one broadcast over (gamma values, modes), two arrays of
+    that shape (4.2 MB traced for 257 values at N = 1000), one sum per row.
     """
     lam = np.asarray(eigenvalues_nonzero, dtype=float)
-    if np.ndim(gamma) == 0:
-        return float(alpha / (2.0 * m) * _derivative_summands(float(gamma), lam, m, k, tau).sum())
-    g = np.asarray(gamma, dtype=float)
-    sums = np.empty(g.size)
-    rows = max(1, _PROBE_ELEMENTS // max(lam.size, 1))
-    for lo in range(0, g.size, rows):
-        sums[lo:lo + rows] = _derivative_summands(g[lo:lo + rows, None], lam, m, k, tau).sum(axis=1)
-    return alpha / (2.0 * m) * sums
-
-
-def _derivative_summands(g, lam: np.ndarray, m: float, k: float, tau: float) -> np.ndarray:
-    """The summands of ``norm_gamma_derivative`` for a float g (one row) or
-    a column of gamma values (one row each), with in-place ufuncs.  Every
-    row holds the float's bits: the bisection's scalar calls and the
-    vectorised probe read the same signs."""
-    s = (g * tau) * lam
-    s += k
-    p = g * lam
-    p *= s
-    p += (k * k * m) * lam
-    summands = s * s
-    summands -= (k * k * m * tau) * lam
-    summands *= lam
+    s, p = _dapi_mode_terms(lam, m, k, tau, np.asarray(gamma, dtype=float)[..., None])
     p += s
     p *= p
-    summands /= p
-    return summands
+    s *= s  # p already holds (P + s)^2, so s's buffer takes the summands
+    s -= (k * k * m * tau) * lam
+    s *= lam
+    s /= p
+    total = alpha / (2.0 * m) * s.sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) -> TuningResult:
@@ -132,12 +111,13 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     The gamma field of ``params`` is ignored.  The derivative sign is
     bracketed by geometric growth from gamma = 1 (capped at 1e6), then
     bisected to an interval of width 1e-10; a nonnegative derivative at
-    gamma = 0 means the boundary is already optimal.  One vectorised
-    derivative call on a 257-point grid over twice the bracket then probes
-    for further sign changes, skipping grid points where every mode's
-    summand has the same sign.  More than one (never observed) is reported
-    with a warning and resolved by comparing the minima; the result then
-    carries the probe interval and bisection of the global one.
+    gamma = 0 means the boundary is already optimal.  One derivative call
+    on a 257-point grid over twice the bracket then probes for further sign
+    changes, skipping grid points where every mode's summand has the same
+    sign; each point gets the bits of a float call, so the probe and the
+    bisection read the same signs.  More than one (never observed) is
+    reported with a warning and resolved by comparing the minima; the result
+    then carries the probe interval and bisection of the global one.
 
     The search runs under one ``np.errstate`` that lets the derivative's
     intermediates overflow; every derivative it reads must come out finite.

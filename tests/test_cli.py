@@ -191,7 +191,11 @@ class TestComputationErrors:
          "mode 2 (eigenvalue 0.097887) is not asymptotically stable; the steady-state loss is unbounded"),
         (["--line", "10", "--tau", "0"], _TAU_ZERO),
         (["--line", "10", "--gamma", "0", "--tau", "0"], _TAU_ZERO),
-    ], ids=["stiff", "gamma-0", "tau-0", "gamma-0-tau-0"])
+        # m lam / tau underflows to 0: the droop modes are stable, but their
+        # blocks are not safely Hurwitz in floating point
+        (["--line", "3", "--m", "1e-200", "--tau", "1e200"],
+         "matrix is not safely Hurwitz (max eigenvalue real part 0.000e+00)"),
+    ], ids=["stiff", "gamma-0", "tau-0", "gamma-0-tau-0", "droop-underflow"])
     def test_analyze_reports_the_first_refusal(self, flags, message, capsys):
         # droop routes before DAPI ones, and both modal routes before the
         # one assembly
@@ -288,6 +292,8 @@ class TestNoTraceback:
         (["simulate", "--line", "3", "--noise", "0", "--init-perturb", "1e200", "--horizon", "1"], 1,
          "the simulated loss leaves the float range at t = 0; it grows with the noise intensity (0), "
          "the initial state and alpha"),
+        (["simulate", "--line", "20", "--init-perturb", "1e308", "--horizon", "1"], 1,
+         "the initial phase perturbation leaves the float range (scale 1e+308)"),
     ], ids=["b-range-reversed", "b-range-inf", "b-range-nan", "b-range-zero", "out-missing-dir",
             "out-is-dir", "grid-inf", "seeds-0", "line-1", "complete-1", "random-1",
             "analyze-m-overflow", "analyze-tau-overflow", "simulate-m-overflow", "simulate-tau-overflow",
@@ -297,7 +303,8 @@ class TestNoTraceback:
             "analyze-droop-sum-overflow", "tune-dapi-sum-overflow", "sweep-dapi-sum-overflow",
             "sweep-droop-sum-overflow", "scaling-droop-sum-overflow", "tune-k-subnormal", "tune-m-overflow",
             "sweep-k-subnormal", "simulate-stderr-overflow-json", "simulate-estimate-overflow",
-            "simulate-loss-overflow", "simulate-loss-overflow-json", "simulate-initial-loss-overflow"])
+            "simulate-loss-overflow", "simulate-loss-overflow-json", "simulate-initial-loss-overflow",
+            "simulate-perturbation-overflow"])
     def test_one_error_line(self, argv, code, message, tmp_path, capsys):
         paths = {"missing": str(tmp_path / "no" / "such" / "x.json"), "adir": str(tmp_path / "adir")}
         (tmp_path / "adir").mkdir()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridloss.dynamics
@@ -18,7 +18,7 @@ from gridloss.dynamics import (
     droop_part,
     modal_subsystems,
 )
-from gridloss.errors import AssemblyError, ValidationError
+from gridloss.errors import AssemblyError, GridlossError, ValidationError
 from gridloss.h2 import h2_modal
 from gridloss.network import (
     Laplacian,
@@ -35,6 +35,10 @@ from reference import verify_modal_equivalence
 
 def _spectrum_of(graph):
     return spectral_decomposition(susceptance_laplacian(graph))
+
+
+# log-uniform over [1e-300, 1e300]
+_ANY_SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 
 
 def _zero_laplacian(n):
@@ -316,6 +320,30 @@ class TestCheckStability:
             oracle = bool(np.all(roots.real < -1e-12))
             p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
             assert check_stability(p, lam, "dapi") == oracle
+
+    @settings(max_examples=300)
+    @given(m=_ANY_SCALE, k=_ANY_SCALE, tau=_ANY_SCALE, lam=_ANY_SCALE,
+           gamma=st.one_of(st.just(0.0), _ANY_SCALE))
+    @example(m=1e-200, k=1.0, tau=1e200, lam=1.0, gamma=1.0)  # m lam / tau underflows
+    def test_exact_across_the_float_range(self, m, k, tau, lam, gamma):
+        # with positive gains every droop mode is stable, and every DAPI mode
+        # exactly when gamma > 0, however far the coefficients under- or
+        # overflow
+        p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        assert check_stability(p, lam, "droop") is True
+        assert check_stability(p, lam, "dapi") is (gamma > 0)
+
+    def test_underflowing_k_tau_is_no_division_by_zero(self):
+        # k tau underflows to 0 while 1/k and 1/tau stay finite
+        p = ControllerParams(m=1.0, tau=1e-200, k=1e-200, gamma=1.0)
+        spectrum = laplacian_eigenvalues(susceptance_laplacian(build_line_graph(3, [1.0, 1.0], alpha=1.0)))
+        assert all(check_stability(p, lam, "dapi") for lam in spectrum.nonzero)
+        try:
+            norm = h2_modal(spectrum, p, 1.0, "dapi").squared_norm
+        except GridlossError:
+            pass
+        else:
+            assert math.isfinite(norm)
 
     def test_nonpositive_eigenvalue_rejected(self):
         p = ControllerParams(m=1.0, tau=1.0)

@@ -1,5 +1,6 @@
-"""Every name a ``gridloss`` module imports is used in that module, and
-every public name is read by some module of the package.
+"""Every name a ``gridloss`` module imports is used in that module, every
+public name is read by some module of the package, and so is every name a
+module assigns at its top level.
 
 The package's ``__init__`` re-exports names and is left out. An import
 kept for its side effect carries ``# noqa: F401`` on its line, as flake8
@@ -37,8 +38,16 @@ def unused_imports(source: str) -> list[str]:
 
 
 def names_read(tree: ast.AST) -> set[str]:
-    """Every name the tree reads as an ``ast.Name``."""
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    """Every name the tree reads (loads) as an ``ast.Name``."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def assigned_names(source: str) -> list[str]:
+    """Names bound by a module-level assignment, ``__all__`` aside."""
+    body = ast.parse(source).body
+    targets = [t for node in body if isinstance(node, ast.Assign) for t in node.targets]
+    targets += [node.target for node in body if isinstance(node, ast.AnnAssign)]
+    return sorted({n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)} - {"__all__"})
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -52,6 +61,20 @@ def test_every_public_name_has_a_caller_in_the_package():
     for module in MODULES:
         read |= names_read(ast.parse((PACKAGE / module).read_text()))
     assert sorted(set(gridloss.__all__) - read) == []
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    # a constant that its last reader left behind fails here
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*(names_read(ast.parse(source)) for source in sources.values()))
+    assert [f"{module}: {name}" for module, source in sources.items()
+            for name in assigned_names(source) if name not in read] == []
+
+
+def test_assigned_names_finds_every_binding():
+    source = "_A = 1\n_B: int = 2\nx, (y, z) = 1, (2, 3)\n__all__ = ['x']\ndef f():\n    local = 1\n"
+    assert assigned_names(source) == ["_A", "_B", "x", "y", "z"]
+    assert names_read(ast.parse(source)) == {"int"}  # the annotation; no target counts as read
 
 
 @pytest.mark.parametrize(("source", "unused"), [

@@ -1,6 +1,7 @@
 """Gain optimization and sweep tests."""
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import gridloss.tuning
 
+from gridloss.cli import main
 from gridloss.dynamics import ControllerParams
 from gridloss.errors import GridlossError, ValidationError
 from gridloss.h2 import h2_dapi_closed_form, h2_droop_closed_form
@@ -18,6 +20,7 @@ from gridloss.network import (
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
+    laplacian_eigenvalues,
     spectral_decomposition,
     susceptance_laplacian,
 )
@@ -77,16 +80,15 @@ class TestDerivative:
     @example(lams=[0.5, 3.0, 40.0], gammas=[0.0, 0.25, 7.0], m=1.5, k=0.7, tau=0.0, alpha=1.0)
     @example(lams=[1e-4, 2.0], gammas=[0.0], m=3.0, k=2.0, tau=1.0, alpha=0.3)
     @example(lams=[2.0], gammas=[0.0, 1.0], m=1.0, k=1.0, tau=0.0, alpha=0.0)
-    # blocks of 8192 // N rows: edges at 136 and 272 rows for N = 60, at
-    # 2730 for N = 3, at 8192 for N = 1
+    # many rows against few or many modes (300 x 60, 2731 x 3, 8193 x 1):
+    # each row's sum must not depend on how many rows the broadcast has
     @example(lams=np.linspace(0.01, 50.0, 60).tolist(), gammas=np.geomspace(1e-3, 1e3, 300).tolist(),
              m=2.0, k=0.5, tau=0.3, alpha=1.0)
     @example(lams=[0.2, 3.0, 90.0], gammas=np.linspace(0.0, 40.0, 2731).tolist(), m=1.0, k=1.0, tau=1.0, alpha=1.0)
     @example(lams=[7.0], gammas=np.linspace(0.0, 20.0, 8193).tolist(), m=0.7, k=1.3, tau=2.0, alpha=0.5)
     def test_vectorized_matches_scalar_exactly(self, lams, gammas, m, k, tau, alpha):
         # optimal_gamma's probe reads signs from the vectorised call, so every
-        # element must be the scalar value bit for bit, not just close to it,
-        # across the edges of the blocks the vectorised call runs in
+        # element must be the scalar value bit for bit, not just close to it
         lams = np.sort(np.array(lams))
         vec = norm_gamma_derivative(np.array(gammas), lams, alpha, m, k, tau)
         assert vec.shape == (len(gammas),)
@@ -435,3 +437,39 @@ class TestFloatRange:
                 assert not isinstance(err, ValidationError), err
             else:
                 assert math.isfinite(value)
+
+
+class TestPinnedBits:
+    """The closed form, the derivative, the gain search and the two sweeps
+    on fixed inputs, bit for bit; the eigenvalues come from LAPACK, so the
+    pins hold for numpy's bundled OpenBLAS."""
+
+    @pytest.fixture(scope="class")
+    def spectrum(self):
+        graph = build_random_connected_graph(200, 0.05, (0.5, 1.5), 1.0, seed=3)
+        return laplacian_eigenvalues(susceptance_laplacian(graph))
+
+    def test_closed_form_derivative_and_search(self, spectrum):
+        params = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
+        assert h2_dapi_closed_form(1.0, params, spectrum).squared_norm.hex() == "0x1.690cd5abc8517p+6"
+        assert norm_gamma_derivative(0.75, spectrum.nonzero, 1.0, 1.0, 1.0, 1.0).hex() == "0x1.2511577cfa75fp+3"
+        grid = norm_gamma_derivative(np.linspace(0.0, 4.0, 257), spectrum.nonzero, 1.0, 1.0, 1.0, 1.0)
+        digest = hashlib.sha256(" ".join(float(d).hex() for d in grid).encode()).hexdigest()
+        assert digest == "90df9dacdf8525b6990820e8bf1d0700576d13c8cbd06e2a6e11b5141a29d44a"
+        res = optimal_gamma(spectrum, params, alpha=1.0)
+        assert res.gamma_star.hex() == "0x1.b3fbea9100000p-3"
+        assert res.norm_at_star.hex() == "0x1.4c00373ce4d98p+6"
+        assert res.iterations == 34
+        assert res.bracket == (0.0, 1.0)
+
+    @pytest.mark.parametrize(("argv", "sha256"), [
+        (["--random", "200,0.05", "--seed", "3", "--param", "k", "--grid", "0.2:10:0.2", "--at-optimal-gamma",
+          "--format", "json"], "f631e349e74155dd0b538d26887b64efe7d9e272ad83c33eee2dee25d0913286"),
+        (["--line", "10", "--param", "gamma", "--grid", "0:4:0.01"],
+         "dae4f1ad01e7d0a43dc5b8ca2a8ed266394e30b5279151a7a155a6a2d45834e9"),
+    ], ids=["k-at-optimal-gamma-json", "gamma-csv"])
+    def test_sweep_output_bytes(self, argv, sha256, tmp_path, capsys):
+        out = tmp_path / "sweep.out"
+        assert main(["sweep", *argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
