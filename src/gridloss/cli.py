@@ -25,6 +25,7 @@ from .h2 import h2_dapi_closed_form, h2_droop_closed_form, h2_full_gramian, h2_m
 from .network import (
     NetworkGraph,
     Spectrum,
+    _generator,
     _validated_b_range,
     build_complete_graph,
     build_line_graph,
@@ -476,7 +477,7 @@ def _cmd_scaling(args) -> int:
         line_norms = []
         complete_norms = []
         for draw in range(args.seeds):
-            rng = np.random.default_rng((args.seed, draw, n))
+            rng = _generator((args.seed, draw, n))
             line = build_line_graph(n, rng.uniform(b_range[0], b_range[1], n - 1), alpha)
             complete = build_complete_graph(n, rng.uniform(b_range[0], b_range[1], n * (n - 1) // 2), alpha)
             for graph, bucket in ((line, line_norms), (complete, complete_norms)):

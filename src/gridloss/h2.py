@@ -19,12 +19,16 @@ takes the loss weight as its nonzero leading block, factorises a copy of A'
 it owns with one LAPACK ``dgees`` call and back-transforms in place, so
 the full-Gramian route peaks at about five n x n arrays, the deflated A
 included; its docstring has the details and the array accounting.  Its
-two LAPACK kernels, ``dgees`` and ``dtrsyl``, are scipy's own wrappers
-from the compiled extension ``scipy.linalg._flapack``, which ``_lapack``
-loads on the first solve without importing the ``scipy.linalg`` package
-(about 0.3 s and 28 MB of start-up).  So importing gridloss, and every
-command but ``analyze``, loads numpy alone, and ``analyze`` adds that one
-extension module.
+two LAPACK kernels, ``dgees`` and ``dtrsyl``, come from ``_kernels``,
+bound on the first solve: LAPACKE's C interface in the OpenBLAS that
+numpy itself loaded, called through ``ctypes``, where numpy's build
+exports it (numpy's own PyPI wheels do), so no second LAPACK is loaded.
+Elsewhere (numpy on Accelerate, MKL or a system LAPACK) they are scipy's
+wrappers from the compiled extension ``scipy.linalg._flapack``, which
+``_lapack`` loads without importing the ``scipy.linalg`` package (about
+0.3 s and 28 MB of start-up).  So importing gridloss, and every command
+but ``analyze``, loads numpy alone, and ``analyze`` loads no scipy module,
+or that one extension on the fallback.
 
 The modal route solves each mode's 4 or 9 unknowns as one small linear
 system (its Kronecker form), all modes in one batched ``np.linalg.solve``
@@ -37,12 +41,15 @@ agreement of all three cross-checks both the models and the closed forms.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,6 +64,12 @@ _LEAF_ROWS = 64
 
 # scipy's compiled LAPACK wrappers, home of dgees and dtrsyl
 _FLAPACK = "scipy.linalg._flapack"
+
+# LAPACKE's dgees and dtrsyl as numpy's ILP64 scipy-openblas build exports
+# them: 64-bit integers, the scipy_ prefix and the 64_ suffix
+_LAPACKE_DGEES = "scipy_LAPACKE_dgees_work64_"
+_LAPACKE_DTRSYL = "scipy_LAPACKE_dtrsyl_work64_"
+_COLUMN_MAJOR = 102
 
 
 @dataclass(frozen=True)
@@ -251,22 +264,109 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T, U) with A' = U T U', bit for bit ``scipy.linalg.schur(a.T,
-    output="real")``: the same ``dgees`` function (``_lapack``'s, the one
-    ``scipy.linalg.lapack`` exports) with the same queried workspace, the
-    same finiteness check and error messages.  It factorises an F-ordered
-    copy of A' that it owns in place (which becomes T), and its workspace
-    query runs on that copy and is dropped before the factorisation, so it
-    holds no spare copy of A and no spare U."""
-    dgees = _lapack().dgees
+    """(T, U) with A' = U T U', with ``scipy.linalg.schur(a.T,
+    output="real")``'s finiteness check and error messages, from one
+    ``dgees`` call of ``_kernels`` with its queried workspace.  It
+    factorises an F-ordered copy of A' that it owns in place (which becomes
+    T), and the workspace query runs on that copy and is dropped before the
+    factorisation, so it holds no spare copy of A and no spare U.  On
+    scipy's kernels (the fallback) the pair is ``scipy.linalg.schur``'s bit
+    for bit."""
     at = np.array(np.asarray_chkfinite(a).T, order="F")
-    lwork = int(dgees(_unsorted, at, lwork=-1, overwrite_a=1)[-2][0])
-    t, _, _, _, u, _, info = dgees(_unsorted, at, lwork=lwork, overwrite_a=1)
+    t, u, info = _kernels().dgees(at)
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gees")
     if info > 0:
         raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     return t, u
+
+
+@functools.cache
+def _kernels() -> SimpleNamespace:
+    """The full Gramian's two LAPACK kernels, bound once per process:
+    numpy's own (``_numpy_kernels``) where its build exports them, else
+    scipy's (``_scipy_kernels``).  ``origin`` names the one taken.
+
+    ``dgees(at)`` factorises the F-ordered float array ``at`` in place into
+    the real Schur form T (no eigenvalue sorting) and returns (T, U, info);
+    ``dtrsyl(a, b, c)`` returns (X, scale, info) with A X + X B' = scale C
+    for upper quasi-triangular A and B, X a fresh F-ordered array.  ``info``
+    is LAPACK's own code, a negative one naming the Fortran argument."""
+    return _numpy_kernels() or _scipy_kernels()
+
+
+def _numpy_kernels() -> SimpleNamespace | None:
+    """LAPACKE's ``dgees`` and ``dtrsyl`` from the OpenBLAS numpy loaded, or
+    None where numpy's build does not export them.
+
+    The symbols are looked up through the handle of numpy's core extension,
+    and ``dlsym`` searches that library's dependencies.  The ``_work`` entry
+    points are LAPACKE's column-major calls straight into LAPACK: they take
+    the workspace from the caller, as scipy's wrappers do, and check no
+    argument for NaN.  ``ctypes`` releases the GIL for the call, so every
+    array whose address is passed is held by a name until it returns."""
+    from numpy._core import _multiarray_umath
+
+    try:
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+        gees = getattr(library, _LAPACKE_DGEES)
+        trsyl = getattr(library, _LAPACKE_DTRSYL)
+    except (OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    gees.restype = trsyl.restype = i64
+    gees.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, i64,
+                     ptr, i64, ptr]
+    trsyl.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, i64, i64, ptr, i64, ptr, i64, ptr, i64,
+                      ptr]
+
+    def dgees(at):
+        n = at.shape[0]
+        ld = max(n, 1)
+        sdim = ctypes.c_int64()
+        wr, wi, u = np.empty(n), np.empty(n), np.empty((n, n), order="F")
+        head = (_COLUMN_MAJOR, b"V", b"N", None, n, at.ctypes.data, ld, ctypes.byref(sdim),
+                wr.ctypes.data, wi.ctypes.data, u.ctypes.data, ld)
+        query = np.empty(1)
+        info = gees(*head, query.ctypes.data, -1, None)
+        if info == 0:
+            work = np.empty(int(query[0]))
+            info = gees(*head, work.ctypes.data, work.size, None)
+        return at, u, _fortran_info(info)
+
+    def dtrsyl(a, b, c):
+        a = np.asfortranarray(a, dtype=float)
+        b = np.asfortranarray(b, dtype=float)
+        x = np.array(c, dtype=float, order="F")
+        m, n = x.shape
+        scale = ctypes.c_double()
+        info = trsyl(_COLUMN_MAJOR, b"N", b"T", 1, m, n, a.ctypes.data, max(m, 1), b.ctypes.data, max(n, 1),
+                     x.ctypes.data, max(m, 1), ctypes.byref(scale))
+        return x, scale.value, _fortran_info(info)
+
+    return SimpleNamespace(origin="numpy", dgees=dgees, dtrsyl=dtrsyl)
+
+
+def _fortran_info(info: int) -> int:
+    """LAPACK's info from LAPACKE's, which counts its leading layout
+    argument among those it names as illegal."""
+    return info + 1 if info < 0 else info
+
+
+def _scipy_kernels() -> SimpleNamespace:
+    """scipy's ``dgees`` and ``dtrsyl`` wrappers from ``_lapack``, called
+    as ``scipy.linalg.schur`` and ``solve_continuous_lyapunov`` call them."""
+    flapack = _lapack()
+
+    def dgees(at):
+        lwork = int(flapack.dgees(_unsorted, at, lwork=-1, overwrite_a=1)[-2][0])
+        t, _, _, _, u, _, info = flapack.dgees(_unsorted, at, lwork=lwork, overwrite_a=1)
+        return t, u, info
+
+    def dtrsyl(a, b, c):
+        return flapack.dtrsyl(a, b, c, tranb="T")
+
+    return SimpleNamespace(origin="scipy", dgees=dgees, dtrsyl=dtrsyl)
 
 
 def _lapack():
@@ -371,7 +471,7 @@ def _solve_quasi_triangular(t: np.ndarray, rhs) -> tuple[np.ndarray, float]:
         except _Rescaled:
             del f  # partly overwritten; freed before F is formed again
             f = rhs()
-    y, scale, info = _lapack().dtrsyl(t, t, f, tranb="T")
+    y, scale, info = _kernels().dtrsyl(t, t, f)
     _check_trsyl_info(info)
     return y, scale
 
@@ -423,7 +523,7 @@ def _cut(t: np.ndarray) -> int:
 
 
 def _trsyl_block(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    x, scale, info = _lapack().dtrsyl(a, b, c, tranb="T")
+    x, scale, info = _kernels().dtrsyl(a, b, c)
     _check_trsyl_info(info)
     if scale < 1.0:
         raise _Rescaled

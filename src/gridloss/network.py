@@ -286,8 +286,7 @@ class Spectrum:
 
 def build_line_graph(n_nodes: int, susceptances, alpha: float) -> NetworkGraph:
     """Path graph on ``n_nodes`` buses with the given n-1 edge susceptances."""
-    if n_nodes < 2:
-        raise ValidationError(f"line graph needs at least 2 nodes, got {n_nodes}")
+    _check_node_count(n_nodes, "line")
     b = np.asarray(susceptances, dtype=float)
     if len(b) != n_nodes - 1:
         raise ValidationError(f"line graph on {n_nodes} nodes needs {n_nodes - 1} susceptances, got {len(b)}")
@@ -298,8 +297,7 @@ def build_line_graph(n_nodes: int, susceptances, alpha: float) -> NetworkGraph:
 def build_complete_graph(n_nodes: int, b, alpha: float) -> NetworkGraph:
     """Complete graph on ``n_nodes`` buses with uniform susceptance ``b``, or
     with one susceptance per node pair in ``itertools.combinations`` order."""
-    if n_nodes < 2:
-        raise ValidationError(f"complete graph needs at least 2 nodes, got {n_nodes}")
+    _check_node_count(n_nodes, "complete")
     ends_i, ends_j = np.triu_indices(n_nodes, 1)
     if np.ndim(b) == 0:
         b = float(b)
@@ -336,13 +334,12 @@ def build_random_connected_graph(
     Raises:
         GraphGenerationError: if 1000 topology draws all come out disconnected.
     """
-    if n_nodes < 2:
-        raise ValidationError(f"random graph needs at least 2 nodes, got {n_nodes}")
+    _check_node_count(n_nodes, "random")
     p = float(edge_probability)
     if not (0.0 < p <= 1.0):
         raise ValidationError(f"edge_probability must be in (0, 1], got {p!r}")
     lo, hi = _validated_b_range(b_range)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     # the draw for a seed is fixed: pairs i < j in lexicographic order, one
     # uniform per pair, then one weight per chosen pair; pair k lies in the
     # row i whose first pair is k = i (2n - i - 1) / 2
@@ -363,6 +360,24 @@ def build_random_connected_graph(
     raise GraphGenerationError(
         f"no connected sample in 1000 draws (n_nodes={n_nodes}, edge_probability={p})"
     )
+
+
+def _check_node_count(n_nodes, graph: str) -> None:
+    """Refuse a node count that is not an integer, or below 2 for ``graph``."""
+    if not isinstance(n_nodes, (int, np.integer)):
+        raise ValidationError(f"n_nodes must be a positive integer, got {n_nodes!r}")
+    if n_nodes < 2:
+        raise ValidationError(f"{graph} graph needs at least 2 nodes, got {n_nodes}")
+
+
+def _generator(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for a seed that numpy takes: a
+    non-negative integer or a nonempty tuple of them; any other seed is a
+    ValidationError, not numpy's ValueError or TypeError."""
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    if not parts or not all(isinstance(part, (int, np.integer)) and part >= 0 for part in parts):
+        raise ValidationError(f"seed must be a non-negative integer or a tuple of them, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def _validated_b_range(b_range) -> tuple[float, float]:

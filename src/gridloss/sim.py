@@ -32,7 +32,7 @@ import numpy as np
 from .dynamics import StateSpace
 from .errors import FloatRangeError, StabilityError, StepSizeError, ValidationError
 from .h2 import _check_hurwitz, _deflate, _not_deflatable
-from .network import _frozen
+from .network import _frozen, _generator
 
 _N_BATCHES = 20
 
@@ -125,7 +125,7 @@ def phase_perturbation(n_nodes: int, n_states: int, scale: float, seed: int | tu
         raise ValidationError(f"n_states must be 2 or 3 times n_nodes, got {n_states} for {n_nodes}")
     if not np.isfinite(scale) or scale < 0:
         raise ValidationError(f"scale must be finite and >= 0, got {scale!r}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     z = rng.standard_normal(n_nodes)
     z -= z.mean()
     x0 = np.zeros(n_states)
@@ -202,7 +202,7 @@ def simulate(ss: StateSpace, config: SimConfig) -> Trajectory:
     chunk = math.isqrt(n_steps)
     noise_scale = math.sqrt(config.dt * config.noise_intensity)
     if noise_scale > 0.0:
-        rng = np.random.default_rng(config.seed)
+        rng = _generator(config.seed)
         drive = noise_scale * ss.b
         drive[:n] -= drive[:n].mean(axis=0)
         for row in range(1, n_steps + 1, chunk):
@@ -272,9 +272,10 @@ def empirical_h2(trajectory: Trajectory, config: SimConfig) -> tuple[float, floa
         ValidationError: fewer than 40 post-burn-in samples.
         FloatRangeError: the estimate or its standard error overflows.
     """
-    dt = trajectory.times[1] - trajectory.times[0]
-    mask = trajectory.times >= config.burn_in - dt / 2.0
-    samples = trajectory.instantaneous_loss[mask]
+    times = trajectory.times
+    # a one-sample trajectory has no step, and too few samples either way
+    dt = times[1] - times[0] if times.size > 1 else 0.0
+    samples = trajectory.instantaneous_loss[times >= config.burn_in - dt / 2.0]
     if samples.size < 2 * _N_BATCHES:
         raise ValidationError(
             f"insufficient post-burn-in samples for {_N_BATCHES} batches: got {samples.size}, need {2 * _N_BATCHES}"

@@ -3,13 +3,35 @@
 ``verify_modal_equivalence`` certifies that the modal route analyzes the
 assembled closed loop: it transforms the full A into the Laplacian's
 eigenvector basis and compares it with the modal blocks.
+
+``lyapunov_reference`` is ``scipy.linalg.solve_continuous_lyapunov``'s
+algorithm run on the LAPACK kernels that ``solve_lyapunov`` calls, so the
+solver can be held to bits on either of them.
 """
 
 import numpy as np
 
+from gridloss import h2
 from gridloss.dynamics import ModalBlocks, StateSpace
 from gridloss.errors import ValidationError
 from gridloss.network import Spectrum
+
+
+def lyapunov_reference(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The symmetric part of X with A' X + X A = -Q, computed step for step
+    as ``scipy.linalg.solve_continuous_lyapunov(a.T, -q)`` computes it (one
+    real Schur form, F = U' (-Q) U, one whole-matrix ``dtrsyl``, Y times its
+    scale, U Y U'), with ``h2._kernels()``'s ``dgees`` and ``dtrsyl``.  On
+    scipy's kernels it is scipy's solution bit for bit."""
+    kernels = h2._kernels()
+    t, u, info = kernels.dgees(np.array(a.T, order="F"))
+    assert info == 0, info
+    f = u.T.dot((-q).dot(u))
+    y, scale, info = kernels.dtrsyl(t, t, f)
+    assert info == 0, info
+    y *= scale
+    x = u.dot(y).dot(u.T)
+    return (x + x.T) / 2.0
 
 
 def verify_modal_equivalence(ss: StateSpace, blocks: ModalBlocks, spectrum: Spectrum) -> float:

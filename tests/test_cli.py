@@ -811,12 +811,16 @@ class TestScaling:
 class TestDesignPath:
     def test_only_analyze_loads_scipy_and_only_its_lapack_extension(self, tmp_path):
         # importing scipy.linalg about doubles the start-up time and memory of
-        # a command; the full Gramian of analyze needs only its compiled
-        # LAPACK wrappers, and the other commands no scipy at all
+        # a command; the full Gramian of analyze needs only two LAPACK kernels,
+        # numpy's own where its build exports them (no scipy module at all),
+        # else scipy's compiled wrappers, and the other commands no scipy
         target = str(tmp_path / "out")
         code = (
             "import sys\n"
+            "from gridloss import h2\n"
             "from gridloss.cli import main\n"
+            "if sys.argv[1] == 'scipy':\n"
+            "    h2._numpy_kernels = lambda: None\n"
             "def scipy_loaded():\n"
             "    return any(name.split('.')[0] == 'scipy' for name in sys.modules)\n"
             "for argv in (['tune', '--random', '50,0.1'],\n"
@@ -827,13 +831,21 @@ class TestDesignPath:
             f"    assert main([*argv, '--out', {target!r}]) == 0\n"
             "    assert not scipy_loaded(), argv\n"
             f"assert main(['analyze', '--line', '4', '--out', {target!r}]) == 0\n"
+            "print(h2._kernels().origin)\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(__import__("gridloss").__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "['scipy.linalg._flapack']"
+        runs = {}
+        for lookup in ("numpy", "scipy"):
+            out = subprocess.run([sys.executable, "-c", code, lookup], env=env, capture_output=True, text=True,
+                                 timeout=120)
+            assert out.returncode == 0, out.stderr
+            runs[lookup] = tuple(out.stdout.splitlines()[-2:])
+        # with the lookup forced off, exactly scipy's LAPACK extension
+        assert runs["scipy"] == ("scipy", "['scipy.linalg._flapack']")
+        origin, modules = runs["numpy"]
+        assert modules == ("[]" if origin == "numpy" else "['scipy.linalg._flapack']")
 
 
 class TestFreedMemory:

@@ -21,7 +21,7 @@ from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import FloatRangeError, LyapunovSolveError, StabilityError, ValidationError
 from gridloss.h2 import (
     H2Result,
-    _lapack,
+    _kernels,
     _real_schur,
     _solve_quasi_triangular,
     h2_dapi_closed_form,
@@ -41,7 +41,7 @@ from gridloss.network import (
     spectral_decomposition,
     susceptance_laplacian,
 )
-from reference import verify_modal_equivalence
+from reference import lyapunov_reference, verify_modal_equivalence
 
 
 def _spectrum_of(graph):
@@ -76,6 +76,23 @@ def _bumped_quasi_triangular(n, rng, pair=None):
 
     place(0, n)
     return t, bumps
+
+
+@pytest.fixture
+def scipy_kernels(monkeypatch):
+    """The solver on scipy's LAPACK wrappers, the fallback where numpy's
+    build exports no LAPACKE: scipy's bits hold there alone."""
+    kernels = gridloss.h2._scipy_kernels()
+    monkeypatch.setattr(gridloss.h2, "_kernels", lambda: kernels)
+    return kernels
+
+
+# a fresh process that looks for no LAPACKE in numpy, as on a numpy build
+# without it, and so takes scipy's kernels
+_FORCE_SCIPY = textwrap.dedent("""
+    from gridloss import h2
+    h2._numpy_kernels = lambda: None
+""")
 
 
 def _run_fresh(code):
@@ -197,18 +214,18 @@ class TestSolveLyapunov:
         assert np.max(np.abs(x - expected)) <= 1e-8 * np.max(np.abs(expected))
 
     def test_wrong_triangular_solution_rejected(self, monkeypatch):
-        dtrsyl = _lapack().dtrsyl
+        dtrsyl = _kernels().dtrsyl
 
         def perturbed(*args, **kwargs):
             y, scale, info = dtrsyl(*args, **kwargs)
             return y * (1.0 + 1e-4), scale, info
 
-        monkeypatch.setattr(_lapack(), "dtrsyl", perturbed)
+        monkeypatch.setattr(_kernels(), "dtrsyl", perturbed)
         a = -np.eye(3) + 0.1 * np.triu(np.ones((3, 3)), 1)
         with pytest.raises(LyapunovSolveError, match="exceeds tolerance for Q scale"):
             solve_lyapunov(a, np.eye(3))
 
-    def test_matches_scipy_bit_for_bit(self):
+    def test_matches_scipy_bit_for_bit(self, scipy_kernels):
         rng = np.random.default_rng(4)
         checked = 0
         for n in (4, 5, 9, 30):
@@ -224,7 +241,7 @@ class TestSolveLyapunov:
         assert checked >= 8
 
     @pytest.mark.parametrize("n", [31, 48, 64, 65])
-    def test_matches_scipy_at_the_leaf_size(self, n):
+    def test_matches_scipy_at_the_leaf_size(self, n, scipy_kernels):
         # up to 64 rows the triangular stage is one dtrsyl call, exactly
         # scipy's; from 65 rows on it is the recursive blocked solve
         rng = np.random.default_rng(n)
@@ -238,6 +255,24 @@ class TestSolveLyapunov:
             assert np.array_equal(x, expected)
         else:
             assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 31, 64])
+    def test_matches_its_kernels_reference_bit_for_bit(self, n):
+        # on the kernels bound in this process, numpy's or scipy's: up to 64
+        # rows the triangular stage is one dtrsyl call, as in the reference
+        rng = np.random.default_rng(70 + n)
+        a = _stable_random(n, rng)
+        c = rng.standard_normal((2, n))
+        q = c.T @ c
+        assert np.array_equal(solve_lyapunov(a, q), lyapunov_reference(a, q))
+
+    @pytest.mark.parametrize("n", [3, 40, 100])
+    def test_reference_is_scipys_solution_on_scipys_kernels(self, n, scipy_kernels):
+        rng = np.random.default_rng(80 + n)
+        a = _stable_random(n, rng)
+        q = np.eye(n)
+        expected = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
+        assert np.array_equal(lyapunov_reference(a, q), (expected + expected.T) / 2.0)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 130), fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -301,13 +336,13 @@ class TestSolveLyapunov:
 
     def test_no_dtrsyl_call_above_leaf_size(self, monkeypatch):
         sizes = []
-        dtrsyl = _lapack().dtrsyl
+        dtrsyl = _kernels().dtrsyl
 
         def counting(a, b, c, **kwargs):
             sizes.append((a.shape[0], b.shape[0]))
             return dtrsyl(a, b, c, **kwargs)
 
-        monkeypatch.setattr(_lapack(), "dtrsyl", counting)
+        monkeypatch.setattr(_kernels(), "dtrsyl", counting)
         g = build_random_connected_graph(150, 0.05, (0.5, 1.5), alpha=1.0, seed=7)
         ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0))
         assert ss.n_states - 1 >= 449
@@ -318,7 +353,7 @@ class TestSolveLyapunov:
     def test_rescaled_leaf_falls_back_to_one_whole_solve(self, monkeypatch):
         n = 100
         calls = []
-        dtrsyl = _lapack().dtrsyl
+        dtrsyl = _kernels().dtrsyl
 
         def rescaling_leaves(a, b, c, **kwargs):
             calls.append(a.shape[0])
@@ -328,39 +363,38 @@ class TestSolveLyapunov:
         rng = np.random.default_rng(5)
         a = _stable_random(n, rng)
         q = np.eye(n)
-        expected = scipy.linalg.solve_continuous_lyapunov(a.T, -q)
-        monkeypatch.setattr(_lapack(), "dtrsyl", rescaling_leaves)
+        expected = lyapunov_reference(a, q)
+        monkeypatch.setattr(_kernels(), "dtrsyl", rescaling_leaves)
         x = solve_lyapunov(a, q)
         assert calls.count(n) == 1
-        assert np.array_equal(x, (expected + expected.T) / 2.0)
+        assert np.array_equal(x, expected)
 
     @pytest.mark.parametrize("n", [5, 100])
     def test_rejected_argument_raises(self, monkeypatch, n):
-        dtrsyl = _lapack().dtrsyl
+        dtrsyl = _kernels().dtrsyl
 
         def rejecting(*args, **kwargs):
             y, scale, _ = dtrsyl(*args, **kwargs)
             return y, scale, -3
 
-        monkeypatch.setattr(_lapack(), "dtrsyl", rejecting)
+        monkeypatch.setattr(_kernels(), "dtrsyl", rejecting)
         a = _stable_random(n, np.random.default_rng(6))
         with pytest.raises(LyapunovSolveError, match="rejected argument 3"):
             solve_lyapunov(a, np.eye(n))
 
     def test_one_schur_and_no_eigvals_per_solve(self, monkeypatch):
-        # one factorising dgees call; its lwork = -1 workspace query is not one
+        # one dgees of the kernels, which makes its workspace query itself
         calls = []
-        dgees = _lapack().dgees
+        dgees = _kernels().dgees
 
         def counting_dgees(*args, **kwargs):
-            if kwargs.get("lwork") != -1:
-                calls.append(1)
+            calls.append(1)
             return dgees(*args, **kwargs)
 
         def no_eigvals(*args, **kwargs):
             raise AssertionError("solve_lyapunov must not call np.linalg.eigvals")
 
-        monkeypatch.setattr(_lapack(), "dgees", counting_dgees)
+        monkeypatch.setattr(_kernels(), "dgees", counting_dgees)
         monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
         for n in (1, 2, 3, 5, 8):
             calls.clear()
@@ -372,7 +406,7 @@ class TestSolveLyapunov:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("n", [5, 299, 449])
-    def test_schur_form_is_scipys_bit_for_bit(self, n):
+    def test_schur_form_is_scipys_bit_for_bit(self, n, scipy_kernels):
         a = _stable_random(n, np.random.default_rng(40 + n))
         t, u = _real_schur(a)
         expected_t, expected_u = scipy.linalg.schur(a.T, output="real")
@@ -390,15 +424,20 @@ class TestSolveLyapunov:
         assert str(got.value) == str(expected.value) == "array must not contain infs or NaNs"
 
     def test_schur_failure_raises_like_schur(self, monkeypatch):
-        dgees = _lapack().dgees
+        dgees = _kernels().dgees
+        scipy_dgees = scipy.linalg.lapack.dgees
 
-        def failing(*args, **kwargs):
-            *result, info = dgees(*args, **kwargs)
+        def failing(at):
+            t, u, _ = dgees(at)
+            return t, u, 1
+
+        def scipy_failing(*args, **kwargs):
+            *result, info = scipy_dgees(*args, **kwargs)
             return (*result, info if kwargs.get("lwork") == -1 else 1)
 
-        monkeypatch.setattr(_lapack(), "dgees", failing)
+        monkeypatch.setattr(_kernels(), "dgees", failing)
         # scipy.linalg.schur looks gees up through its own module's getter
-        monkeypatch.setattr(scipy.linalg._decomp_schur, "get_lapack_funcs", lambda names, arrays: (failing,))
+        monkeypatch.setattr(scipy.linalg._decomp_schur, "get_lapack_funcs", lambda names, arrays: (scipy_failing,))
         a = _stable_random(5, np.random.default_rng(8))
         with pytest.raises(np.linalg.LinAlgError) as expected:
             scipy.linalg.schur(a.T, output="real")
@@ -414,7 +453,7 @@ class TestSolveLyapunov:
         a = _stable_random(n, rng)
         q = np.eye(n)
         expected = solve_lyapunov(a, q)
-        dtrsyl = _lapack().dtrsyl
+        dtrsyl = _kernels().dtrsyl
 
         def halving(a, b, c, **kwargs):
             y, scale, info = dtrsyl(a, b, c, **kwargs)
@@ -422,7 +461,7 @@ class TestSolveLyapunov:
                 return y, 0.5, info  # a recursive leaf rescales
             return 0.5 * y, 0.5 * scale, info
 
-        monkeypatch.setattr(_lapack(), "dtrsyl", halving)
+        monkeypatch.setattr(_kernels(), "dtrsyl", halving)
         x = solve_lyapunov(a, q)
         if n > 64:
             # the whole-matrix fallback: no longer the recursive stage's bits
@@ -431,13 +470,13 @@ class TestSolveLyapunov:
             assert np.array_equal(x, expected)
 
     def test_unscaled_overflow_raises(self, monkeypatch):
-        dtrsyl = _lapack().dtrsyl
+        dtrsyl = _kernels().dtrsyl
 
         def tiny_scale(*args, **kwargs):
             y, _, info = dtrsyl(*args, **kwargs)
             return y, 1e-310, info
 
-        monkeypatch.setattr(_lapack(), "dtrsyl", tiny_scale)
+        monkeypatch.setattr(_kernels(), "dtrsyl", tiny_scale)
         with pytest.raises(LyapunovSolveError, match="overflows: .* scale 1.000e-310"):
             solve_lyapunov(-np.eye(3), np.eye(3))
 
@@ -514,10 +553,11 @@ _NORMS = textwrap.dedent("""
 
 
 class TestLapackLoader:
-    """``_lapack`` in a fresh process, each way the module is found."""
+    """``_lapack`` in a fresh process that takes scipy's kernels, each way
+    the module is found."""
 
     def test_analyze_first_then_scipy_linalg_shares_the_module(self, tmp_path):
-        out = _run_fresh(f"""
+        out = _run_fresh(_FORCE_SCIPY + textwrap.dedent(f"""
             import contextlib, io, sys
             import numpy as np
             from gridloss import h2
@@ -535,15 +575,14 @@ class TestLapackLoader:
             own_t, own_u = h2._real_schur(a)
             assert np.array_equal(t, own_t) and np.array_equal(u, own_u)
             print("ok")
-        """)
+        """))
         assert out.splitlines()[-1] == "ok"
 
     def test_scipy_linalg_first_reuses_its_module(self):
         out = _run_fresh(textwrap.dedent("""
             import sys
             import scipy.linalg
-            from gridloss import h2
-
+        """) + _FORCE_SCIPY + textwrap.dedent("""
             def refuse():
                 raise AssertionError("the extension was loaded a second time")
 
@@ -563,11 +602,24 @@ class TestLapackLoader:
         "importlib.util.module_from_spec = refuse\n",
     ], ids=["no-file", "file-not-loadable"])
     def test_fallback_imports_scipy_linalg_with_the_same_norms(self, hide):
-        direct = _run_fresh(_NORMS).splitlines()
-        fallback = _run_fresh(hide + _NORMS).splitlines()
+        direct = _run_fresh(_FORCE_SCIPY + _NORMS).splitlines()
+        fallback = _run_fresh(hide + _FORCE_SCIPY + _NORMS).splitlines()
         assert direct[-1] == "['scipy.linalg._flapack']"
         assert "scipy.linalg" in fallback[-1] and "scipy.linalg.lapack" in fallback[-1]
         assert fallback[:-1] == direct[:-1]
+
+
+class TestNumpyKernels:
+    """``_kernels`` on the OpenBLAS that numpy loaded."""
+
+    def test_a_scipy_openblas_build_binds_numpys_kernels(self):
+        # numpy's 64-bit wheels bundle an ILP64 scipy-openblas that exports
+        # LAPACKE; there, scipy's kernels would load a second LAPACK
+        lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+        if lapack.get("name") != "scipy-openblas" or sys.maxsize <= 2**32:
+            pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}, not a 64-bit scipy-openblas")
+        out = _run_fresh("from gridloss import h2\n" + _NORMS + "print(h2._kernels().origin)\n")
+        assert out.splitlines()[-2:] == ["[]", "numpy"]
 
 
 class TestDroopClosedForm:
@@ -771,7 +823,7 @@ class TestModalRoute:
 
     def test_numpy_only(self):
         # the modal route solves its small systems with numpy; scipy stays
-        # for the full Gramian
+        # the full Gramian's fallback
         code = (
             "import sys\n"
             "from gridloss import ControllerParams, build_random_connected_graph, h2_modal,"
@@ -885,7 +937,7 @@ class TestFullGramianRoute:
         # Y and the products of its cuts; Q is an (N-1) x (N-1) block and
         # the Schur form holds only its own copy of A' and U: about 4.9 in all
         h2_full_gramian(assemble_dapi(build_line_graph(3, [1.0, 1.0], alpha=1.0),
-                                      ControllerParams(m=1.0, tau=1.0)))  # loads scipy
+                                      ControllerParams(m=1.0, tau=1.0)))  # binds the LAPACK kernels
         g = build_random_connected_graph(100, 0.05, (0.5, 1.5), alpha=1.0, seed=3)
         ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0))
         states = ss.n_states - 1

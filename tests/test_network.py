@@ -307,6 +307,24 @@ class TestBuilders:
         expected = np.array([[2.0, -2.0, 0.0], [-2.0, 5.0, -3.0], [0.0, -3.0, 3.0]])
         assert np.array_equal(lb.matrix, expected)
 
+    @pytest.mark.parametrize("build", [
+        lambda n: build_line_graph(n, [1.0], alpha=1.0),
+        lambda n: build_complete_graph(n, 1.0, alpha=1.0),
+        lambda n: build_random_connected_graph(n, 0.5, (0.5, 1.5), 1.0, seed=1),
+    ], ids=["line", "complete", "random"])
+    def test_non_integer_node_count_rejected(self, build):
+        with pytest.raises(ValidationError, match=r"^n_nodes must be a positive integer, got 2\.5$"):
+            build(2.5)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3", (), (1, -1), (1, 2.0)])
+    def test_random_graph_seed_must_be_non_negative_integers(self, seed):
+        with pytest.raises(ValidationError, match="^seed must be a non-negative integer or a tuple of them, got "):
+            build_random_connected_graph(5, 0.5, (0.5, 1.5), 1.0, seed=seed)
+
+    def test_random_graph_takes_a_tuple_seed(self):
+        g = build_random_connected_graph(5, 0.5, (0.5, 1.5), 1.0, seed=(3, 1))
+        assert g == build_random_connected_graph(5, 0.5, (0.5, 1.5), 1.0, seed=(3, np.int64(1)))
+
     def test_line_graph_wrong_weight_count(self):
         with pytest.raises(ValidationError):
             build_line_graph(4, [1.0, 1.0], alpha=1.0)

@@ -394,6 +394,12 @@ class TestEmpiricalH2:
             empirical_h2(traj, cfg)
 
 
+    def test_one_sample_trajectory_is_too_short(self):
+        traj = Trajectory(np.array([0.0]), np.zeros((1, 9)), np.array([0.0]))
+        with pytest.raises(ValidationError, match="insufficient post-burn-in samples for 20 batches: got 1, need 40"):
+            empirical_h2(traj, SimConfig(dt=0.01, horizon=10.0))
+
+
 class TestPhasePerturbation:
     def test_zero_mean_and_scale(self):
         x0 = phase_perturbation(10, 30, scale=0.1, seed=4)
@@ -412,6 +418,24 @@ class TestPhasePerturbation:
     def test_bad_scale(self):
         with pytest.raises(ValidationError, match="^scale must be finite and >= 0"):
             phase_perturbation(2, 4, -1.0, 0)
+
+
+class TestSeeds:
+    """A seed numpy's generators refuse is a ValidationError at each entry point."""
+
+    def test_simulate_refuses_a_negative_seed(self):
+        ss = assemble_dapi(build_line_graph(3, [1.0, 1.0], alpha=1.0), ControllerParams(m=1.0, tau=1.0))
+        with pytest.raises(ValidationError, match="^seed must be a non-negative integer or a tuple of them, got -1$"):
+            simulate(ss, SimConfig(dt=0.01, horizon=10.0, seed=-1))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, (2, -1)])
+    def test_phase_perturbation_refuses_the_seed(self, seed):
+        with pytest.raises(ValidationError, match="^seed must be a non-negative integer or a tuple of them"):
+            phase_perturbation(3, 9, 1.0, seed)
+
+    def test_phase_perturbation_takes_a_tuple_seed(self):
+        z = np.random.default_rng((4, 1)).standard_normal(3)
+        assert np.array_equal(phase_perturbation(3, 9, 1.0, (4, 1))[:3], z - z.mean())
 
 
 class TestTrajectoryType:
