@@ -15,10 +15,12 @@ equals the squared H2 norm of the closed loop.  Three routes compute it:
 
 ``solve_lyapunov``, the full Gramian's solver, is Bartels-Stewart with a
 recursive blocked triangular stage (Jonsson & Kagstrom 2002, "RECSY").  It
-takes the loss weight as its nonzero leading block, factorises a copy of A'
-it owns with one LAPACK ``dgees`` call and back-transforms in place, so
-the full-Gramian route peaks at about five n x n arrays, the deflated A
-included; its docstring has the details and the array accounting.  Its
+takes the loss weight as its nonzero leading block, factorises A' with one
+LAPACK ``dgees`` call and back-transforms in place.  The full-Gramian route
+hands it the deflation as a callable, so the deflated A's own buffer
+becomes the Schur form T and the residual check deflates again: the route
+peaks at about 3.6 n x n arrays, as U'QU is formed beside T and U; the
+solver's docstring has the array accounting.  Its
 two LAPACK kernels, ``dgees`` and ``dtrsyl``, come from ``_kernels``,
 bound on the first solve: LAPACKE's C interface in the OpenBLAS that
 numpy itself loaded, called through ``ctypes``, where numpy's build
@@ -186,8 +188,16 @@ def _summed(per_mode: np.ndarray, method: str, route: str) -> H2Result:
     return H2Result(squared_norm=total, method=method, per_mode=per_mode)
 
 
-def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
     """Solve A' X + X A = -Q for Hurwitz A and symmetric Q.
+
+    A is an n x n array, or a callable of no arguments that returns a fresh
+    one.  An array is copied, so the caller's A is never written.  A
+    callable's array is factorised in place as A' (a writeable C-ordered
+    float array is that without a copy, and its contents are lost; any
+    other is copied), and the callable is called a second time for the
+    residual check, which so reads the true A and not a copy kept through
+    the solve.  ``h2_full_gramian`` passes its deflation that way.
 
     Q is either dense (n x n, like A) or its own leading r x r block Q_r,
     standing for Q = blockdiag(Q_r, 0); the full-Gramian route passes the
@@ -213,20 +223,25 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     so the residual A' X + X A + Q is M + M' + Q from the one product M =
     A' X, checked as a backward error (``_check_residual``).
 
-    Memory, in n x n arrays besides A and the r x r Q: the Schur form holds
-    its owned copy of A' (overwritten by T), U and LAPACK's workspace, two;
-    the triangular stage works in place on U'QU, and T, U and Y are dropped
-    once used; the symmetrisation and the residual run 64 rows at a time.
-    The peak, about 3.6, is the triangular stage: T, U, Y and the products
-    of its cuts.
+    Memory, in n x n arrays besides the r x r Q: the Schur form holds A'
+    (overwritten by T; a copy of an array A, the callable's own array
+    otherwise), U and LAPACK's workspace, a few n-vectors; U'QU is formed
+    beside them through the r x n product Q_r U_r; the triangular stage
+    works in place on it, its largest cut product a quarter array, and
+    subtracts T12 Y12' + Y12 T12' 64 rows at a time; T, U and Y are
+    dropped once used, and the symmetrisation and the residual run 64 rows
+    at a time.  The peak, 3 + r/n (3.33 for the full-Gramian route), is T,
+    U and U'QU as it is formed, plus the caller's A where A is an array.
 
     Raises:
+        ValueError: A is not finite (``scipy.linalg.schur``'s message).
         StabilityError: A has an eigenvalue with real part >= -1e-10 *
             max(max|A|, 1) (both absolutely and relative to A's scale).
         LyapunovSolveError: the triangular solve fails, its unscaled
             solution overflows, or the residual is above tolerance.
     """
-    a = np.asarray(a, dtype=float)
+    fresh_a = a if callable(a) else None
+    a = np.asarray(a if fresh_a is None else fresh_a(), dtype=float)
     q = np.asarray(q, dtype=float)
     if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0
             or q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] > a.shape[0]):
@@ -235,16 +250,19 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     q_scale = float(np.max(np.abs(q))) if q.size else 0.0
     if not _symmetric_within(q, 1e-12 * max(q_scale, 1.0)):
         raise ValidationError("Q must be symmetric")
-    t, u = _real_schur(a)
+    a_max = _max_abs(a)
+    t, u = _real_schur(a, overwrite_a=fresh_a is not None)
+    if fresh_a is not None:
+        del a  # its buffer may now hold T
     # LAPACK standardises each 2x2 block of the real Schur form so that both
     # diagonal entries equal the real part of its complex pair
-    _check_hurwitz(np.diag(t), a)
+    _check_hurwitz(np.diag(t), a_max)
     # Q = blockdiag(Q_r, 0) gives U' Q U = U_r' Q_r U_r, U_r the first r rows
     r = int(np.max(np.flatnonzero(q.any(axis=0) | q.any(axis=1)), initial=-1)) + 1
     q = q[:r, :r]
     u_r = u[:r]
     y, scale = _solve_quasi_triangular(t, lambda: u_r.T @ (-q @ u_r))
-    del t
+    del t, u_r  # u_r, a view held by the closure, would keep U alive
     if scale != 1.0:
         try:
             with np.errstate(over="raise"):
@@ -258,21 +276,26 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     x = np.matmul(uy, u.T, out=y if y.flags.c_contiguous else None)
     del uy, y, u
     _symmetrise(x)
+    if fresh_a is not None:
+        a = np.asarray(fresh_a(), dtype=float)
     # X is exactly symmetric, so X A = (A' X)'
     _check_residual(_max_abs_sum_with_transpose(a.T @ x, q), a, x, q_scale)
     return x
 
 
-def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _real_schur(a: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(T, U) with A' = U T U', with ``scipy.linalg.schur(a.T,
     output="real")``'s finiteness check and error messages, from one
     ``dgees`` call of ``_kernels`` with its queried workspace.  It
-    factorises an F-ordered copy of A' that it owns in place (which becomes
-    T), and the workspace query runs on that copy and is dropped before the
-    factorisation, so it holds no spare copy of A and no spare U.  On
-    scipy's kernels (the fallback) the pair is ``scipy.linalg.schur``'s bit
-    for bit."""
-    at = np.array(np.asarray_chkfinite(a).T, order="F")
+    factorises an F-ordered copy of A' in place (which becomes T), or with
+    ``overwrite_a`` A's own buffer where A' is F-ordered there (a writeable
+    C-ordered float A), and the workspace query runs on that array and is
+    dropped before the factorisation, so it holds no spare copy of A and
+    no spare U.  On scipy's kernels (the fallback) the pair is
+    ``scipy.linalg.schur``'s bit for bit."""
+    at = np.asarray_chkfinite(a, dtype=float).T
+    if not (overwrite_a and at.flags.f_contiguous and at.flags.writeable):
+        at = np.array(at, order="F")
     t, u, info = _kernels().dgees(at)
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gees")
@@ -429,10 +452,16 @@ def _max_abs_sum_with_transpose(m: np.ndarray, q: np.ndarray) -> float:
     return np.max(peaks)
 
 
-def _check_hurwitz(real_parts: np.ndarray, a: np.ndarray) -> None:
+def _max_abs(a: np.ndarray):
+    """max|A| of one A, or of each A of a stack."""
+    return np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+
+
+def _check_hurwitz(real_parts: np.ndarray, a_max) -> None:
     """Refuse the first A of a stack (or one A) whose eigenvalue real parts,
-    one row per A, reach -1e-10 max(max|A|, 1), absolutely or relatively."""
-    scale = np.max(np.abs(a), axis=(-2, -1), initial=1.0)
+    one row per A, reach -1e-10 max(max|A|, 1), absolutely or relatively;
+    ``a_max`` is ``_max_abs`` of the A or the stack."""
+    scale = np.maximum(a_max, 1.0)
     unsafe = np.any(real_parts >= -1e-10 * scale[..., None], axis=-1)
     if np.any(unsafe):
         worst = np.max(real_parts.reshape(-1, real_parts.shape[-1])[np.argmax(unsafe)])
@@ -444,8 +473,7 @@ def _check_residual(residual, a: np.ndarray, x: np.ndarray, q_scale) -> None:
     residual max|A' X + X A + Q| exceeds 1e-8 of 2 max|A| max|X| + max|Q|, the
     scale of the terms it sums: a backward error, so a lightly damped system
     with a large Gramian is judged by the rounding its solve can reach."""
-    a_max = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
-    terms = 2.0 * a_max * np.max(np.abs(x), axis=(-2, -1), initial=0.0) + q_scale
+    terms = 2.0 * _max_abs(a) * _max_abs(x) + q_scale
     failed = ~(residual <= 1e-8 * terms)
     if np.any(failed):
         first = np.argmax(failed)
@@ -493,7 +521,11 @@ def _lyapunov_blocks(t: np.ndarray, y: np.ndarray) -> None:
     y12 -= t12 @ y[mid:, mid:]
     _sylvester_blocks(t[:mid, :mid], t[mid:, mid:], y12)
     g = t12 @ y12.T
-    y[:mid, :mid] -= g + g.T
+    # Y11 -= G + G' with G = T12 Y12', 64 rows at a time: the sum is never whole
+    for lo in range(0, mid, _LEAF_ROWS):
+        hi = min(lo + _LEAF_ROWS, mid)
+        y[lo:hi, :mid] -= g[lo:hi] + g[:, lo:hi].T
+    del g
     _lyapunov_blocks(t[:mid, :mid], y[:mid, :mid])
     y[mid:, :mid] = y12.T
 
@@ -560,7 +592,7 @@ def h2_modal(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: s
     lams, a, b, c = blocks.eigenvalues, blocks.a, blocks.b, blocks.c
     n_stable = next((i for i, lam in enumerate(lams) if not check_stability(params, lam, kind)), lams.size)
     # a margin failure below the first Routh failure is found first
-    _check_hurwitz(np.linalg.eigvals(a[:n_stable]).real, a[:n_stable])
+    _check_hurwitz(np.linalg.eigvals(a[:n_stable]).real, _max_abs(a[:n_stable]))
     if n_stable < lams.size:
         raise StabilityError(
             f"mode {n_stable + 2} (eigenvalue {lams[n_stable]:.6g}) is not "
@@ -601,16 +633,19 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     this route computes no spectrum.  No per-mode breakdown
     is available here.  The Hurwitz verdict on the deflated matrix, built by
     ``_deflate``, is the one ``solve_lyapunov`` reaches; ``sim.simulate``
-    applies the same rule to the same matrix.
+    applies the same rule to the same matrix.  The solver gets the
+    deflation as a callable: it factorises that matrix in place and builds
+    it again for its residual check, so no copy of A is held beside the
+    Schur form.
 
     Raises:
         StabilityError: marginal or unstable modes survive deflation (DAPI
             with gamma = 0, or an unstable parameterization).
     """
     n, states = ss.n_nodes, ss.n_states - 1
-    a, basis = _deflate(ss)
+    basis = _ones_complement_basis(n)
     try:
-        gram = solve_lyapunov(a, basis.T @ ss.l_g.matrix @ basis)
+        gram = solve_lyapunov(lambda: _deflate(ss)[0], basis.T @ ss.l_g.matrix @ basis)
     except StabilityError as err:
         raise _not_deflatable(ss, err) from err
     b = np.empty((states, n))

@@ -288,6 +288,8 @@ def build_line_graph(n_nodes: int, susceptances, alpha: float) -> NetworkGraph:
     """Path graph on ``n_nodes`` buses with the given n-1 edge susceptances."""
     _check_node_count(n_nodes, "line")
     b = np.asarray(susceptances, dtype=float)
+    if b.ndim != 1:
+        raise ValidationError(f"susceptances must be a vector of {n_nodes - 1} values, got {susceptances!r}")
     if len(b) != n_nodes - 1:
         raise ValidationError(f"line graph on {n_nodes} nodes needs {n_nodes - 1} susceptances, got {len(b)}")
     ends = np.arange(n_nodes - 1)
@@ -371,18 +373,25 @@ def _check_node_count(n_nodes, graph: str) -> None:
 
 
 def _generator(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)`` for a seed that numpy takes: a
-    non-negative integer or a nonempty tuple of them; any other seed is a
-    ValidationError, not numpy's ValueError or TypeError."""
+    """``np.random.default_rng(seed)`` for a seed ``_check_seed`` passes."""
+    _check_seed(seed)
+    return np.random.default_rng(seed)
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that numpy's generators do not take: anything but a
+    non-negative integer or a nonempty tuple of them is a ValidationError,
+    not numpy's ValueError or TypeError."""
     parts = seed if isinstance(seed, tuple) else (seed,)
     if not parts or not all(isinstance(part, (int, np.integer)) and part >= 0 for part in parts):
         raise ValidationError(f"seed must be a non-negative integer or a tuple of them, got {seed!r}")
-    return np.random.default_rng(seed)
 
 
 def _validated_b_range(b_range) -> tuple[float, float]:
     """``(low, high)`` of a uniform susceptance draw as floats, finite with
     0 < low <= high."""
+    if np.ndim(b_range) != 1 or len(b_range) != 2:
+        raise ValidationError(f"b_range must be a (low, high) pair, got {b_range!r}")
     lo, hi = float(b_range[0]), float(b_range[1])
     if not (0.0 < lo <= hi) or not np.isfinite(hi):
         raise ValidationError(f"b_range must satisfy 0 < low <= high, got {b_range!r}")

@@ -31,8 +31,8 @@ import numpy as np
 
 from .dynamics import StateSpace
 from .errors import FloatRangeError, StabilityError, StepSizeError, ValidationError
-from .h2 import _check_hurwitz, _deflate, _not_deflatable
-from .network import _frozen, _generator
+from .h2 import _check_hurwitz, _deflate, _max_abs, _not_deflatable
+from .network import _check_seed, _frozen, _generator
 
 _N_BATCHES = 20
 
@@ -46,7 +46,8 @@ class SimConfig:
         horizon: final time, > 0 (rounded to a whole number of steps).
         burn_in: time discarded by the loss estimator, in [0, horizon).
         noise_intensity: disturbance power spectral density scale, >= 0.
-        seed: RNG seed; trajectories are bit-identical for a fixed seed.
+        seed: RNG seed, a non-negative integer or a nonempty tuple of them
+            (numpy's rule); trajectories are bit-identical for a fixed seed.
         initial_state: optional start vector (defaults to the origin).
     """
 
@@ -54,7 +55,7 @@ class SimConfig:
     horizon: float
     burn_in: float = 0.0
     noise_intensity: float = 1.0
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
     initial_state: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -75,9 +76,9 @@ class SimConfig:
             )
         if self.noise_intensity < 0:
             raise ValidationError(f"noise_intensity must be >= 0, got {self.noise_intensity}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        _check_seed(self.seed)
+        if not isinstance(self.seed, tuple):
+            object.__setattr__(self, "seed", int(self.seed))
         if self.initial_state is not None:
             x0 = np.array(self.initial_state, dtype=float)
             if x0.ndim != 1 or not np.all(np.isfinite(x0)):
@@ -171,7 +172,7 @@ def simulate(ss: StateSpace, config: SimConfig) -> Trajectory:
     deflated, _ = _deflate(ss)
     eigs = np.linalg.eigvals(deflated)
     try:
-        _check_hurwitz(eigs.real, deflated)
+        _check_hurwitz(eigs.real, _max_abs(deflated))
     except StabilityError as err:
         raise _not_deflatable(ss, err) from err
     if np.any(np.abs(1.0 + config.dt * eigs) >= 1.0):

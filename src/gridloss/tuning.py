@@ -259,7 +259,7 @@ def sweep(
     """
     if parameter_name not in SWEEPABLE:
         raise ValidationError(f"parameter_name must be one of {SWEEPABLE}, got {parameter_name!r}")
-    grid = np.array(grid, dtype=float)
+    grid = _grid(grid, "grid")
     values = np.empty_like(grid)
     for i, point in enumerate(grid.tolist()):
         try:
@@ -271,6 +271,15 @@ def sweep(
         except FloatRangeError as err:
             raise _at_grid_point(err, i, parameter_name, point) from None
     return SweepCurve(parameter_name=parameter_name, grid=grid, values=values)
+
+
+def _grid(points, name: str) -> np.ndarray:
+    """The grid ``points`` as a float vector; a scalar or a nested list is a
+    ValidationError naming the argument ``name``."""
+    grid = np.array(points, dtype=float)
+    if grid.ndim != 1:
+        raise ValidationError(f"{name} must be a vector of grid points, got {points!r}")
+    return grid
 
 
 def _at_grid_point(err: Exception, i: int, name: str, point: float) -> Exception:
@@ -287,7 +296,7 @@ def optimal_gamma_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k
         Each message names the grid point.
     """
     results = []
-    for i, k in enumerate(np.array(k_grid, dtype=float).tolist()):
+    for i, k in enumerate(_grid(k_grid, "k_grid").tolist()):
         try:
             p = ControllerParams(m=m, tau=tau, k=k)
         except ValidationError as err:
@@ -302,7 +311,7 @@ def optimal_gamma_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k
 def gamma_star_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k_grid) -> SweepCurve:
     """Optimal gain at each integral constant k (values are gamma_star), one
     ``optimal_gamma_vs_k`` search per k."""
-    k_grid = np.array(k_grid, dtype=float)
+    k_grid = _grid(k_grid, "k_grid")
     return SweepCurve("k", k_grid, [r.gamma_star for r in optimal_gamma_vs_k(spectrum, alpha, m, tau, k_grid)])
 
 
@@ -314,7 +323,7 @@ def loss_reduction_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, 
     more at that integral constant.  Runs the same ``optimal_gamma_vs_k``
     search per k as ``gamma_star_vs_k``.
     """
-    k_grid = np.array(k_grid, dtype=float)
+    k_grid = _grid(k_grid, "k_grid")
     droop = h2_droop_closed_form(alpha, m, spectrum.n_nodes).squared_norm
     if droop <= 0:
         raise ValidationError("loss reduction undefined: the droop loss is zero (alpha = 0 or a single node)")

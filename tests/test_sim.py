@@ -428,6 +428,17 @@ class TestSeeds:
         with pytest.raises(ValidationError, match="^seed must be a non-negative integer or a tuple of them, got -1$"):
             simulate(ss, SimConfig(dt=0.01, horizon=10.0, seed=-1))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, (2, -1), ()])
+    def test_sim_config_refuses_the_seed(self, seed):
+        # refused where it is set, so a noise-free run, which draws no
+        # noise, refuses it too
+        with pytest.raises(ValidationError, match=r"^seed must be a non-negative integer or a tuple of them, got "):
+            SimConfig(dt=0.01, horizon=10.0, seed=seed, noise_intensity=0.0)
+
+    def test_sim_config_takes_numpys_seeds(self):
+        assert SimConfig(dt=0.01, horizon=10.0, seed=np.int64(3)).seed == 3
+        assert SimConfig(dt=0.01, horizon=10.0, seed=(3, 1)).seed == (3, 1)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, (2, -1)])
     def test_phase_perturbation_refuses_the_seed(self, seed):
         with pytest.raises(ValidationError, match="^seed must be a non-negative integer or a tuple of them"):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gridloss.network
 import gridloss.tuning
 
 from gridloss.cli import main
@@ -349,6 +350,37 @@ class TestSweep:
             assert 0 < best < len(grid) - 1
         curve0 = sweep(spec, ControllerParams(m=1.0, tau=0.0, k=1.0), 1.0, "gamma", grid)
         assert int(np.argmin(curve0.values)) == 0
+
+
+_SPECTRUM = laplacian_eigenvalues(susceptance_laplacian(build_line_graph(3, [1.0, 1.0], alpha=1.0)))
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: build_line_graph(4, 2.5, 1.0), "susceptances must be a vector of 3 values, got 2.5"),
+    (lambda: build_random_connected_graph(5, 0.5, 1.0, 1.0, seed=1), "b_range must be a (low, high) pair, got 1.0"),
+    (lambda: build_random_connected_graph(5, 0.5, [1.0], 1.0, seed=1),
+     "b_range must be a (low, high) pair, got [1.0]"),
+    (lambda: sweep(_SPECTRUM, ControllerParams(m=1.0, tau=1.0), 1.0, "gamma", 0),
+     "grid must be a vector of grid points, got 0"),
+    (lambda: gamma_star_vs_k(_SPECTRUM, 1.0, 1.0, 1.0, 0), "k_grid must be a vector of grid points, got 0"),
+    (lambda: optimal_gamma_vs_k(_SPECTRUM, 1.0, 1.0, 1.0, np.float64(2.0)),
+     "k_grid must be a vector of grid points, got np.float64(2.0)"),
+    (lambda: loss_reduction_vs_k(_SPECTRUM, 1.0, 1.0, 1.0, [[1.0, 2.0]]),
+     "k_grid must be a vector of grid points, got [[1.0, 2.0]]"),
+], ids=["line-susceptances", "random-b-range-scalar", "random-b-range-short", "sweep-grid", "gamma-star-k-grid",
+        "optimal-gamma-k-grid", "loss-reduction-k-grid"])
+def test_a_scalar_for_a_vector_is_refused_by_name(call, monkeypatch, message):
+    # refused before any work: no draw, no graph and no norm
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the argument was checked")
+
+    for module, name in ((gridloss.network, "_generator"), (gridloss.network, "NetworkGraph"),
+                         (gridloss.tuning, "h2_dapi_closed_form"), (gridloss.tuning, "h2_droop_closed_form"),
+                         (gridloss.tuning, "optimal_gamma")):
+        monkeypatch.setattr(module, name, no_work)
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestCurvesVsK:
