@@ -26,11 +26,11 @@ bound on the first solve: LAPACKE's C interface in the OpenBLAS that
 numpy itself loaded, called through ``ctypes``, where numpy's build
 exports it (numpy's own PyPI wheels do), so no second LAPACK is loaded.
 Elsewhere (numpy on Accelerate, MKL or a system LAPACK) they are scipy's
-wrappers from the compiled extension ``scipy.linalg._flapack``, which
-``_lapack`` loads without importing the ``scipy.linalg`` package (about
-0.3 s and 28 MB of start-up).  So importing gridloss, and every command
-but ``analyze``, loads numpy alone, and ``analyze`` loads no scipy module,
-or that one extension on the fallback.
+wrappers from ``scipy.linalg.lapack``, imported by the first full Gramian
+with the whole ``scipy.linalg`` package (about 0.2 s and 25 MB more
+start-up than a load of its extension file on its own).
+So importing gridloss, and every command on numpy's kernels, loads numpy
+alone; on the fallback, ``analyze`` imports ``scipy.linalg``.
 
 The modal route solves each mode's 4 or 9 unknowns as one small linear
 system (its Kronecker form), all modes in one batched ``np.linalg.solve``
@@ -45,11 +45,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -63,9 +59,6 @@ H2_METHODS = ("closed_form", "modal_lyapunov", "full_gramian")
 
 # largest block of the full route's triangular solve handed to dtrsyl whole
 _LEAF_ROWS = 64
-
-# scipy's compiled LAPACK wrappers, home of dgees and dtrsyl
-_FLAPACK = "scipy.linalg._flapack"
 
 # LAPACKE's dgees and dtrsyl as numpy's ILP64 scipy-openblas build exports
 # them: 64-bit integers, the scipy_ prefix and the 64_ suffix
@@ -308,7 +301,8 @@ def _real_schur(a: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, n
 def _kernels() -> SimpleNamespace:
     """The full Gramian's two LAPACK kernels, bound once per process:
     numpy's own (``_numpy_kernels``) where its build exports them, else
-    scipy's (``_scipy_kernels``).  ``origin`` names the one taken.
+    scipy's (``_scipy_kernels``, which imports ``scipy.linalg`` on this
+    first call).  ``origin`` names the one taken.
 
     ``dgees(at)`` factorises the F-ordered float array ``at`` in place into
     the real Schur form T (no eigenvalue sorting) and returns (T, U, info);
@@ -377,53 +371,21 @@ def _fortran_info(info: int) -> int:
 
 
 def _scipy_kernels() -> SimpleNamespace:
-    """scipy's ``dgees`` and ``dtrsyl`` wrappers from ``_lapack``, called
-    as ``scipy.linalg.schur`` and ``solve_continuous_lyapunov`` call them."""
-    flapack = _lapack()
+    """scipy's ``dgees`` and ``dtrsyl`` wrappers from ``scipy.linalg.lapack``,
+    called as ``scipy.linalg.schur`` and ``solve_continuous_lyapunov`` call
+    them.  The import is here, so only this fallback loads scipy, and it
+    brings in the whole ``scipy.linalg`` package."""
+    from scipy.linalg import lapack
 
     def dgees(at):
-        lwork = int(flapack.dgees(_unsorted, at, lwork=-1, overwrite_a=1)[-2][0])
-        t, _, _, _, u, _, info = flapack.dgees(_unsorted, at, lwork=lwork, overwrite_a=1)
+        lwork = int(lapack.dgees(_unsorted, at, lwork=-1, overwrite_a=1)[-2][0])
+        t, _, _, _, u, _, info = lapack.dgees(_unsorted, at, lwork=lwork, overwrite_a=1)
         return t, u, info
 
     def dtrsyl(a, b, c):
-        return flapack.dtrsyl(a, b, c, tranb="T")
+        return lapack.dtrsyl(a, b, c, tranb="T")
 
     return SimpleNamespace(origin="scipy", dgees=dgees, dtrsyl=dtrsyl)
-
-
-def _lapack():
-    """The module ``scipy.linalg._flapack``, loaded once per process.
-
-    The ``sys.modules`` entry is used if there is one.  Otherwise the
-    extension file is loaded from scipy's directory, found without running
-    ``scipy/__init__``, and registered under its own name, so a later
-    ``import scipy.linalg`` reuses this module object.  Only if no such
-    file is found, or it cannot be loaded on its own, is the
-    ``scipy.linalg`` package imported for it."""
-    module = sys.modules.get(_FLAPACK)
-    if module is not None:
-        return module
-    try:
-        return _load_flapack()
-    except ImportError:
-        import scipy.linalg.lapack  # noqa: F401  (the whole package)
-
-        return sys.modules[_FLAPACK]
-
-
-def _load_flapack():
-    scipy_spec = importlib.util.find_spec("scipy")
-    for directory in (scipy_spec and scipy_spec.submodule_search_locations) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(directory, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-                sys.modules[_FLAPACK] = module
-                return module
-    raise ImportError(f"no {_FLAPACK} extension file in scipy's directory")
 
 
 def _unsorted(re: float, im: float) -> None:

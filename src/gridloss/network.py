@@ -196,7 +196,11 @@ class Laplacian:
         tol = max(1e-12 * max(top, -bottom), mat.shape[0] * math.ulp(0.0))
         if not _symmetric_within(mat, tol):
             raise ValidationError("Laplacian must be symmetric")
-        row_sums = mat.sum(axis=1)
+        # a row of huge entries sums to +-inf, refused below, or to NaN (+inf
+        # and -inf partial sums), which needs a positive off-diagonal entry
+        # and is refused for that: neither warns first
+        with np.errstate(over="ignore", invalid="ignore"):
+            row_sums = mat.sum(axis=1)
         if np.any(np.abs(row_sums) > tol):
             raise ValidationError("Laplacian row sums must be zero")
         if np.count_nonzero(mat > tol) > np.count_nonzero(np.diagonal(mat) > tol):

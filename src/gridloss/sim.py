@@ -43,7 +43,8 @@ class SimConfig:
 
     Args:
         dt: step size, > 0 and at most horizon/100.
-        horizon: final time, > 0 (rounded to a whole number of steps).
+        horizon: final time, > 0 (rounded to a whole number of steps, which
+            must be finite).
         burn_in: time discarded by the loss estimator, in [0, horizon).
         noise_intensity: disturbance power spectral density scale, >= 0.
         seed: RNG seed, a non-negative integer or a nonempty tuple of them
@@ -68,6 +69,9 @@ class SimConfig:
             raise ValidationError(f"dt must be > 0, got {self.dt}")
         if self.horizon <= 0:
             raise ValidationError(f"horizon must be > 0, got {self.horizon}")
+        if not np.isfinite(self.horizon / self.dt):
+            raise ValidationError(
+                f"horizon / dt must be a finite number of steps, got horizon {self.horizon} and dt {self.dt}")
         if not (0.0 <= self.burn_in < self.horizon):
             raise ValidationError(f"burn_in must lie in [0, horizon), got {self.burn_in}")
         if self.dt > self.horizon / 100.0 * (1.0 + 1e-12):

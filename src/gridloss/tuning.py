@@ -92,9 +92,27 @@ def norm_gamma_derivative(gamma, eigenvalues_nonzero, alpha: float, m: float, k:
     gamma gives a float, and a vector a vector whose entries have the float
     calls' bits: one broadcast over (gamma values, modes), two arrays of
     that shape (4.2 MB traced for 257 values at N = 1000), one sum per row.
+
+    Raises:
+        ValidationError: m or k is not > 0, tau or alpha is not >= 0, or a
+            gamma is negative or not finite.
     """
+    # plain comparisons, each false for NaN: the gain search makes thousands
+    # of these calls
+    if not m > 0:
+        raise ValidationError(f"droop gain m must be > 0, got {m!r}")
+    if not k > 0:
+        raise ValidationError(f"integral constant k must be > 0, got {k!r}")
+    if not tau >= 0:
+        raise ValidationError(f"filter time constant tau must be >= 0, got {tau!r}")
+    if not alpha >= 0:
+        raise ValidationError(f"alpha must be >= 0, got {alpha!r}")
+    gammas = np.asarray(gamma, dtype=float)
+    if not (0.0 <= float(gammas) < math.inf if gammas.ndim == 0 else ((gammas >= 0.0) & (gammas < math.inf)).all()):
+        bad = next(float(g) for g in gammas.flat if not 0.0 <= g < math.inf)
+        raise ValidationError(f"communication gain gamma must be finite and >= 0, got {bad!r}")
     lam = np.asarray(eigenvalues_nonzero, dtype=float)
-    s, p = _dapi_mode_terms(lam, m, k, tau, np.asarray(gamma, dtype=float)[..., None])
+    s, p = _dapi_mode_terms(lam, m, k, tau, gammas[..., None])
     p += s
     p *= p
     s *= s  # p already holds (P + s)^2, so s's buffer takes the summands

@@ -88,14 +88,6 @@ def scipy_kernels(monkeypatch):
     return kernels
 
 
-# a fresh process that looks for no LAPACKE in numpy, as on a numpy build
-# without it, and so takes scipy's kernels
-_FORCE_SCIPY = textwrap.dedent("""
-    from gridloss import h2
-    h2._numpy_kernels = lambda: None
-""")
-
-
 def _run_fresh(code):
     """stdout of ``code`` run by a fresh interpreter that imports this
     checkout's gridloss, with one BLAS thread."""
@@ -619,63 +611,6 @@ _NORMS = textwrap.dedent("""
               h2_full_gramian(assemble_dapi(g, p)).squared_norm.hex())
     print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
 """)
-
-
-class TestLapackLoader:
-    """``_lapack`` in a fresh process that takes scipy's kernels, each way
-    the module is found."""
-
-    def test_analyze_first_then_scipy_linalg_shares_the_module(self, tmp_path):
-        out = _run_fresh(_FORCE_SCIPY + textwrap.dedent(f"""
-            import contextlib, io, sys
-            import numpy as np
-            from gridloss import h2
-            from gridloss.cli import main
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["analyze", "--line", "4", "--out", {str(tmp_path / "out")!r}]) == 0
-            loaded = h2._lapack()
-            assert "scipy.linalg" not in sys.modules
-            import scipy.linalg
-            assert sys.modules["scipy.linalg._flapack"] is loaded
-            assert scipy.linalg.lapack.dgees is loaded.dgees
-            assert scipy.linalg.lapack.dtrsyl is loaded.dtrsyl
-            a = -np.eye(6) + 0.4 * np.random.default_rng(1).standard_normal((6, 6))
-            t, u = scipy.linalg.schur(a.T, output="real")
-            own_t, own_u = h2._real_schur(a)
-            assert np.array_equal(t, own_t) and np.array_equal(u, own_u)
-            print("ok")
-        """))
-        assert out.splitlines()[-1] == "ok"
-
-    def test_scipy_linalg_first_reuses_its_module(self):
-        out = _run_fresh(textwrap.dedent("""
-            import sys
-            import scipy.linalg
-        """) + _FORCE_SCIPY + textwrap.dedent("""
-            def refuse():
-                raise AssertionError("the extension was loaded a second time")
-
-            h2._load_flapack = refuse
-        """) + _NORMS + textwrap.dedent("""
-            assert h2._lapack() is sys.modules["scipy.linalg._flapack"]
-            assert h2._lapack().dtrsyl is scipy.linalg.lapack.dtrsyl
-            print("ok")
-        """))
-        assert out.splitlines()[-1] == "ok"
-
-    @pytest.mark.parametrize("hide", [
-        "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n",
-        "import importlib.util\n"
-        "def refuse(spec):\n"
-        "    raise ImportError('DLL load failed')\n"
-        "importlib.util.module_from_spec = refuse\n",
-    ], ids=["no-file", "file-not-loadable"])
-    def test_fallback_imports_scipy_linalg_with_the_same_norms(self, hide):
-        direct = _run_fresh(_FORCE_SCIPY + _NORMS).splitlines()
-        fallback = _run_fresh(hide + _FORCE_SCIPY + _NORMS).splitlines()
-        assert direct[-1] == "['scipy.linalg._flapack']"
-        assert "scipy.linalg" in fallback[-1] and "scipy.linalg.lapack" in fallback[-1]
-        assert fallback[:-1] == direct[:-1]
 
 
 class TestNumpyKernels:

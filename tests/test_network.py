@@ -571,6 +571,12 @@ class TestLaplacians:
         ([[1.0, float("inf")], [float("-inf"), 1.0]], "Laplacian entries must be finite"),
         ([1.0, -1.0], "Laplacian must be square, got shape (2,)"),
         ([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]], "Laplacian must be square, got shape (2, 3)"),
+        # the row sums overflow to inf: refused without a RuntimeWarning
+        (np.full((2, 2), 1e308), "Laplacian row sums must be zero"),
+        # numpy's pairwise row sums reach +inf and -inf, so NaN; the positive
+        # off-diagonal entries refuse the matrix, again without a warning
+        (1e308 * np.outer(*[np.tile([1.0, 1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0], 2)] * 2),
+         "Laplacian off-diagonal entries must be <= 0"),
     ])
     def test_invalid_matrix_message(self, matrix, message):
         with pytest.raises(ValidationError) as err:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -63,6 +64,16 @@ class TestSimConfig:
             SimConfig(dt=float("nan"), horizon=1.0)
         with pytest.raises(ValidationError, match="^initial_state must be a finite vector$"):
             SimConfig(dt=0.01, horizon=1.0, initial_state=[0.0, float("inf")])
+
+    @pytest.mark.parametrize(("dt", "horizon", "shown"), [
+        (0.01, 1e308, "horizon 1e+308 and dt 0.01"),
+        (1e-300, 1e10, "horizon 10000000000.0 and dt 1e-300"),
+    ], ids=["huge-horizon", "tiny-dt"])
+    def test_infinite_step_count_refused(self, dt, horizon, shown):
+        # horizon / dt overflows to inf, which no step count can hold
+        message = f"horizon / dt must be a finite number of steps, got {shown}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SimConfig(dt=dt, horizon=horizon)
 
     def test_hundred_steps_boundary_allowed(self):
         SimConfig(dt=0.1, horizon=10.0)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -103,6 +104,32 @@ class TestDerivative:
         lams = np.array([3.0])
         assert norm_gamma_derivative(0.0, lams, 1.0, 1.0, 1.0, 1.0) < 0  # m tau lam = 3 > 1
         assert norm_gamma_derivative(0.0, np.array([0.5]), 1.0, 1.0, 1.0, 1.0) > 0
+
+    @pytest.mark.parametrize(("gamma", "scalars", "message"), [
+        (1.0, dict(m=0.0), "droop gain m must be > 0, got 0.0"),
+        (1.0, dict(m=-1.0), "droop gain m must be > 0, got -1.0"),
+        (1.0, dict(k=0.0), "integral constant k must be > 0, got 0.0"),
+        (1.0, dict(tau=-1.0), "filter time constant tau must be >= 0, got -1.0"),
+        (1.0, dict(alpha=-0.5), "alpha must be >= 0, got -0.5"),
+        (1.0, dict(m=float("nan")), "droop gain m must be > 0, got nan"),
+        (-1.0, {}, "communication gain gamma must be finite and >= 0, got -1.0"),
+        (float("nan"), {}, "communication gain gamma must be finite and >= 0, got nan"),
+        (float("inf"), {}, "communication gain gamma must be finite and >= 0, got inf"),
+        (np.array([0.5, 1.0, -2.0, float("nan")]), {},
+         "communication gain gamma must be finite and >= 0, got -2.0"),
+        (np.array([0.5, float("nan")]), {}, "communication gain gamma must be finite and >= 0, got nan"),
+    ], ids=["m-zero", "m-negative", "k-zero", "tau-negative", "alpha-negative", "m-nan", "gamma-negative",
+            "gamma-nan", "gamma-inf", "gamma-vector-negative", "gamma-vector-nan"])
+    def test_refuses_its_scalars_by_name(self, gamma, scalars, message):
+        args = dict(alpha=1.0, m=1.0, k=1.0, tau=1.0) | scalars
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            norm_gamma_derivative(gamma, np.array([0.5, 3.0]), **args)
+
+    def test_zero_tau_and_alpha_stay_valid(self):
+        lams = np.array([0.5, 3.0])
+        # at tau = 0 each summand is lam s^2 / (P + s)^2 > 0
+        assert norm_gamma_derivative(1.0, lams, 1.0, 1.0, 1.0, 0.0) > 0
+        assert norm_gamma_derivative(1.0, lams, 0.0, 1.0, 1.0, 1.0) == 0.0
 
     def test_at_most_one_sign_change(self):
         # empirical uniqueness probe for the stationary point
