@@ -153,10 +153,9 @@ def _seed(text: str) -> int:
 
 # ---------------------------------------------------------------- resolution
 
-def _resolve(args, spectrum: bool = True) -> tuple[NetworkGraph, dict, ControllerParams, Spectrum | None]:
+def _resolve(args) -> tuple[NetworkGraph, dict, ControllerParams]:
     """The network flags resolved: the graph, the inputs the sidecar records
-    for it (network and controller), the controller parameters and, unless
-    ``spectrum`` is false, the graph's eigenvalue-only Laplacian spectrum."""
+    for it (network and controller) and the controller parameters."""
     alpha = 1.0 if args.alpha is None else args.alpha
     if args.line is not None:
         graph = build_line_graph(args.line, [args.b] * max(args.line - 1, 0), alpha)
@@ -178,7 +177,7 @@ def _resolve(args, spectrum: bool = True) -> tuple[NetworkGraph, dict, Controlle
     meta["alpha"] = graph.alpha
     meta["n_edges"] = graph.weights.size
     params, params_meta = _resolve_params(args)
-    return graph, {"network": meta, "params": params_meta}, params, _spectrum(graph) if spectrum else None
+    return graph, {"network": meta, "params": params_meta}, params
 
 
 def _resolve_params(args) -> tuple[ControllerParams, dict]:
@@ -288,7 +287,8 @@ def _write_json(path, payload) -> None:
 # ----------------------------------------------------------------- handlers
 
 def _cmd_analyze(args) -> int:
-    graph, inputs, params, spectrum = _resolve(args)
+    graph, inputs, params = _resolve(args)
+    spectrum = _spectrum(graph)
     alpha = graph.alpha
     droop = h2_droop_closed_form(alpha, params.m, graph.n_nodes)
     norms = {"droop": {"closed_form": droop.squared_norm,
@@ -357,8 +357,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    graph, inputs, params, spectrum = _resolve(args)
-    result = optimal_gamma(spectrum, params, graph.alpha)
+    graph, inputs, params = _resolve(args)
+    result = optimal_gamma(_spectrum(graph), params, graph.alpha)
     droop_norm = h2_droop_closed_form(graph.alpha, params.m, graph.n_nodes).squared_norm
     reduction = _reduction(result.norm_at_star, droop_norm)
     closed = None
@@ -384,7 +384,8 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     if args.at_optimal_gamma and args.param != "k":
         raise ValidationError("--at-optimal-gamma only applies to --param k")
-    graph, inputs, params, spectrum = _resolve(args)
+    graph, inputs, params = _resolve(args)
+    spectrum = _spectrum(graph)
     alpha = graph.alpha
     # the CSV's columns in order; the JSON names the first one "grid"
     if args.at_optimal_gamma:
@@ -424,7 +425,7 @@ def _cmd_simulate(args) -> int:
         raise ValidationError(f"--init-perturb must be finite and >= 0, got {args.init_perturb!r}")
     if args.stride < 1:
         raise ValidationError(f"--stride must be >= 1, got {args.stride}")
-    graph, inputs, params, _ = _resolve(args, spectrum=False)
+    graph, inputs, params = _resolve(args)
     ss = (assemble_droop if args.controller == "droop" else assemble_dapi)(graph, params)
     initial = None
     if args.init_perturb > 0:

@@ -23,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError, ValidationError
-from .network import Laplacian, NetworkGraph, Spectrum, _frozen, spectral_decomposition, susceptance_laplacian
+from .network import (Laplacian, NetworkGraph, Spectrum, _check_alpha, _frozen, spectral_decomposition,
+                      susceptance_laplacian)
 
 CONTROLLER_KINDS = ("droop", "dapi")
 
@@ -273,8 +274,7 @@ def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float,
     kind = _validated_kind(kind)
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
+    _check_alpha(alpha)
     m, tau, k, gamma = params.m, params.tau, params.k, params.gamma
     lam = spectrum.nonzero
     n, s = lam.size, 2 if kind == "droop" else 3

@@ -53,7 +53,7 @@ import numpy as np
 
 from .dynamics import ControllerParams, StateSpace, check_stability, modal_subsystems
 from .errors import FloatRangeError, LyapunovSolveError, StabilityError, ValidationError
-from .network import _ROW_BLOCK, Spectrum, _symmetric_within
+from .network import _ROW_BLOCK, Spectrum, _check_alpha, _symmetric_within
 
 H2_METHODS = ("closed_form", "modal_lyapunov", "full_gramian")
 
@@ -132,8 +132,7 @@ def _dapi_mode_factor(lam, m: float, k: float, tau: float, gamma: float):
 def h2_droop_closed_form(alpha: float, m: float, n_nodes: int) -> H2Result:
     """Droop loss alpha (N-1) / (2 m): every nonzero mode contributes
     alpha / (2 m) regardless of its eigenvalue, so topology drops out."""
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
+    _check_alpha(alpha)
     if not np.isfinite(m) or m <= 0:
         raise ValidationError(f"droop gain m must be > 0, got {m!r}")
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
@@ -155,8 +154,7 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectr
     Raises:
         FloatRangeError: a mode's loss is not finite, or their sum overflows.
     """
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
+    _check_alpha(alpha)
     if not isinstance(spectrum, Spectrum):
         raise ValidationError(
             "spectrum must be a Spectrum (from spectral_decomposition or laplacian_eigenvalues), "
@@ -538,28 +536,26 @@ def h2_modal(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: s
     belongs to ``spectrum.nonzero[i]``; the zero mode is unobservable
     through the loss output and has no block.  The Kronecker forms (A_n'
     (x) I + I (x) A_n') vec X_n = -vec(C_n' C_n) of all modes are solved
-    together.  Modes are judged in eigenvalue order by the Routh test, then
-    by the Hurwitz margin of ``solve_lyapunov``; the solutions must pass its
-    residual test.
+    together.  The Routh test (``check_stability``) gives every mode one
+    verdict, read once; then each mode in eigenvalue order is judged by the
+    Hurwitz margin of ``solve_lyapunov``, and the solutions by its residual
+    test.
 
     Raises:
         AssemblyError: tau == 0, or a block overflows the float range.
-        StabilityError: some mode fails the Routh test (e.g. DAPI with
-            gamma = 0), named in the message, or is not safely Hurwitz.
+        StabilityError: the modes fail the Routh test (DAPI with gamma =
+            0), mode 2 named in the message, or one is not safely Hurwitz.
         FloatRangeError: a mode's Gramian or loss is not finite, or the
             sum of the losses overflows.
         LyapunovSolveError: some mode's residual is above tolerance.
     """
     blocks = modal_subsystems(spectrum, params, alpha, kind)
     lams, a, b, c = blocks.eigenvalues, blocks.a, blocks.b, blocks.c
-    n_stable = next((i for i, lam in enumerate(lams) if not check_stability(params, lam, kind)), lams.size)
-    # a margin failure below the first Routh failure is found first
-    _check_hurwitz(np.linalg.eigvals(a[:n_stable]).real, _max_abs(a[:n_stable]))
-    if n_stable < lams.size:
-        raise StabilityError(
-            f"mode {n_stable + 2} (eigenvalue {lams[n_stable]:.6g}) is not "
-            "asymptotically stable; the steady-state loss is unbounded"
-        )
+    # the Routh verdict is the same for every mode, so mode 2 speaks for all
+    if lams.size and not check_stability(params, lams[0], kind):
+        raise StabilityError(f"mode 2 (eigenvalue {lams[0]:.6g}) is not asymptotically stable; "
+                             "the steady-state loss is unbounded")
+    _check_hurwitz(np.linalg.eigvals(a).real, _max_abs(a))
     n, s = a.shape[:2]
     at, eye = a.mT, np.eye(s)
     route = f"{kind} modal route"
@@ -607,7 +603,7 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     n, states = ss.n_nodes, ss.n_states - 1
     basis = _ones_complement_basis(n)
     try:
-        gram = solve_lyapunov(lambda: _deflate(ss)[0], basis.T @ ss.l_g.matrix @ basis)
+        gram = solve_lyapunov(lambda: _deflate(ss), basis.T @ ss.l_g.matrix @ basis)
     except StabilityError as err:
         raise _not_deflatable(ss, err) from err
     b = np.empty((states, n))
@@ -617,8 +613,8 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     return H2Result(squared_norm=max(squared, 0.0), method="full_gramian", per_mode=None)
 
 
-def _deflate(ss: StateSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(T' A T, H), T = blockdiag(H, I, ...) and H ``_ones_complement_basis``:
+def _deflate(ss: StateSpace) -> np.ndarray:
+    """T' A T, T = blockdiag(H, I, ...) and H ``_ones_complement_basis``:
     the loop without its rigid phase shift.  The congruence touches only the
     theta rows and columns, one product for each, written into one matrix."""
     n, states = ss.n_nodes, ss.n_states - 1
@@ -630,7 +626,7 @@ def _deflate(ss: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     theta_cols = np.concatenate([theta_rows[:, :n], ss.a[n:, :n]])
     del theta_rows
     np.matmul(theta_cols, basis, out=a[:, :n - 1])
-    return a, basis
+    return a
 
 
 def _not_deflatable(ss: StateSpace, err: StabilityError) -> StabilityError:

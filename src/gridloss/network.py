@@ -61,8 +61,7 @@ class NetworkGraph:
     def __post_init__(self) -> None:
         if not isinstance(self.n_nodes, (int, np.integer)) or self.n_nodes < 1:
             raise ValidationError(f"n_nodes must be a positive integer, got {self.n_nodes!r}")
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         n_nodes = int(self.n_nodes)
         ends_i, ends_j, weights = _validated_edges(n_nodes, self.edges)
         for arr in (ends_i, ends_j, weights):
@@ -77,6 +76,13 @@ class NetworkGraph:
             raise DisconnectedGraphError(
                 f"graph with {n_nodes} nodes and {weights.size} edges is not connected"
             )
+
+
+def _check_alpha(alpha) -> None:
+    """Refuse a conductance-to-susceptance ratio that is not finite and >= 0,
+    by plain comparisons (false for NaN): each derivative call checks it."""
+    if not 0.0 <= alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
 
 
 def _validated_edges(n_nodes: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,13 +249,13 @@ def _symmetric_within(mat: np.ndarray, atol: float) -> bool:
 class Spectrum:
     """Eigenvalues of a susceptance Laplacian, with or without eigenvectors.
 
-    ``eigenvalues`` are ascending with exactly one zero, 0.0 in position 0;
-    construction refuses any other vector.  ``eigenvectors`` is None for an
-    eigenvalue-only spectrum (``laplacian_eigenvalues``); otherwise it holds
-    the matching orthonormal columns, column 0 being the normalized all-ones
-    vector.  Column signs follow a fixed convention (first component of
-    noticeable magnitude positive) so repeated runs produce identical
-    matrices.
+    ``eigenvalues`` are finite and ascending with exactly one zero, 0.0 in
+    position 0; construction refuses any other vector.  ``eigenvectors`` is
+    None for an eigenvalue-only spectrum (``laplacian_eigenvalues``);
+    otherwise it holds the matching orthonormal columns, column 0 being the
+    normalized all-ones vector.  Column signs follow a fixed convention
+    (first component of noticeable magnitude positive) so repeated runs
+    produce identical matrices.
     """
 
     eigenvalues: np.ndarray
@@ -263,6 +269,9 @@ class Spectrum:
                 f"inconsistent spectrum shapes: eigenvalues {w.shape}, "
                 f"eigenvectors {None if u is None else u.shape}"
             )
+        if not np.isfinite(w).all():
+            i = int(np.argmin(np.isfinite(w)))
+            raise ValidationError(f"eigenvalues must be finite, got {float(w[i])!r} at index {i}")
         if np.any(np.diff(w) < 0):
             raise ValidationError("eigenvalues must be ascending")
         if w.size < 1:
@@ -502,11 +511,9 @@ def spectral_decomposition(laplacian: Laplacian) -> Spectrum:
     """
     w, u = np.linalg.eigh(laplacian.matrix)
     w = _pinned_zero_mode(w, laplacian.matrix)
-    for col in range(u.shape[1]):
-        nz = np.flatnonzero(np.abs(u[:, col]) > 1e-8)
-        lead = nz[0] if nz.size else 0
-        if u[lead, col] < 0:
-            u[:, col] = -u[:, col]
+    # each column's first entry above 1e-8 in magnitude (row 0 if none) is made positive
+    lead = np.argmax(np.abs(u) > 1e-8, axis=0)
+    u[:, u[lead, np.arange(w.size)] < 0] *= -1.0
     return Spectrum(eigenvalues=w, eigenvectors=u)
 
 

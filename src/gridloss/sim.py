@@ -173,7 +173,7 @@ def simulate(ss: StateSpace, config: SimConfig) -> Trajectory:
             intensity, the initial state or L_G is too large for it).
     """
     n = ss.n_nodes
-    deflated, _ = _deflate(ss)
+    deflated = _deflate(ss)
     eigs = np.linalg.eigvals(deflated)
     try:
         _check_hurwitz(eigs.real, _max_abs(deflated))

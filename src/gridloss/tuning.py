@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import ControllerParams
 from .errors import FloatRangeError, TuningError, ValidationError
 from .h2 import _dapi_mode_terms, h2_dapi_closed_form, h2_droop_closed_form
-from .network import Spectrum
+from .network import Spectrum, _check_alpha
 
 SWEEPABLE = ("gamma", "k", "tau", "m")
 
@@ -83,35 +83,29 @@ class SweepCurve:
         object.__setattr__(self, "values", values)
 
 
-def norm_gamma_derivative(gamma, eigenvalues_nonzero, alpha: float, m: float, k: float, tau: float):
+def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, alpha: float):
     """d/d(gamma) of the DAPI squared norm, in closed form.
 
-    Per nonzero eigenvalue lam the summand derivative is
+    Per nonzero eigenvalue lam of ``spectrum`` the summand derivative is
     lam (s^2 - k^2 m tau lam) / (P + s)^2, with the s and P of the DAPI
-    loss factor (``h2._dapi_mode_terms``), scaled by alpha / (2 m).  A float
+    loss factor (``h2._dapi_mode_terms``), scaled by alpha / (2 m); m, k
+    and tau are read from ``params``, whose gamma is ignored.  A float
     gamma gives a float, and a vector a vector whose entries have the float
     calls' bits: one broadcast over (gamma values, modes), two arrays of
     that shape (4.2 MB traced for 257 values at N = 1000), one sum per row.
 
     Raises:
-        ValidationError: m or k is not > 0, tau or alpha is not >= 0, or a
-            gamma is negative or not finite.
+        ValidationError: alpha is not finite and >= 0, or a gamma is
+            negative or not finite.
     """
     # plain comparisons, each false for NaN: the gain search makes thousands
-    # of these calls
-    if not m > 0:
-        raise ValidationError(f"droop gain m must be > 0, got {m!r}")
-    if not k > 0:
-        raise ValidationError(f"integral constant k must be > 0, got {k!r}")
-    if not tau >= 0:
-        raise ValidationError(f"filter time constant tau must be >= 0, got {tau!r}")
-    if not alpha >= 0:
-        raise ValidationError(f"alpha must be >= 0, got {alpha!r}")
+    # of these calls; the spectrum and params were checked when built
+    _check_alpha(alpha)
     gammas = np.asarray(gamma, dtype=float)
     if not (0.0 <= float(gammas) < math.inf if gammas.ndim == 0 else ((gammas >= 0.0) & (gammas < math.inf)).all()):
         bad = next(float(g) for g in gammas.flat if not 0.0 <= g < math.inf)
         raise ValidationError(f"communication gain gamma must be finite and >= 0, got {bad!r}")
-    lam = np.asarray(eigenvalues_nonzero, dtype=float)
+    lam, m, k, tau = spectrum.nonzero, params.m, params.k, params.tau
     s, p = _dapi_mode_terms(lam, m, k, tau, gammas[..., None])
     p += s
     p *= p
@@ -133,9 +127,13 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     on a 257-point grid over twice the bracket then probes for further sign
     changes, skipping grid points where every mode's summand has the same
     sign; each point gets the bits of a float call, so the probe and the
-    bisection read the same signs.  More than one (never observed) is
-    reported with a warning and resolved by comparing the minima; the result
-    then carries the probe interval and bisection of the global one.
+    bisection read the same signs.  More than one is reported with a
+    warning and resolved by comparing the minima; the result then carries
+    the probe interval and bisection of the global one.  A minimum
+    narrower than one grid cell is missed, with no warning: for a clique of
+    13 buses (b = 946.5) tied by b = 0.01 to one of 125 (b = 0.0212), m =
+    0.25, k = 0.145 and tau = 3.22 give gamma = 0.00701 (loss 43.488), not
+    gamma = 4.01e-4 (loss 43.090).
 
     The search runs under one ``np.errstate`` that lets the derivative's
     intermediates overflow; every derivative it reads must come out finite.
@@ -146,11 +144,8 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
         FloatRangeError: the DAPI closed form refuses the norm at the
             optimum.
     """
-    lams = spectrum.nonzero
-    m, k, tau = params.m, params.k, params.tau
-
     def deriv(g):
-        d = norm_gamma_derivative(g, lams, alpha, m, k, tau)
+        d = norm_gamma_derivative(g, spectrum, params, alpha)
         # a float for a float g (math.isfinite is the cheap test), an array
         # for the probe's grid
         if isinstance(d, float) and math.isfinite(d) or np.isfinite(d).all():
@@ -177,7 +172,8 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
         bracket = (0.0, hi)
         gamma_star, iterations = _bisect_derivative(deriv, 0.0, hi)
 
-        crossings = _descending_crossings(deriv, hi, _derivative_sign_band(lams, m, k, tau))
+        band = _derivative_sign_band(spectrum.nonzero, params.m, params.k, params.tau)
+        crossings = _descending_crossings(deriv, hi, band)
         if len(crossings) > 1:
             found = [_bisect_derivative(deriv, lo_i, hi_i) for lo_i, hi_i in crossings]
             candidates = [float(g) for g, _ in found]
@@ -217,7 +213,6 @@ def _derivative_sign_band(lams, m: float, k: float, tau: float) -> tuple[float, 
     when m tau lam > 1, and never otherwise (c = 0).  So the derivative is
     negative below min c and positive above max c.  tau = 0 gives (0, 0).
     """
-    lams = np.asarray(lams, dtype=float)
     x = m * tau * lams
     falling = x > 1.0  # never true when tau = 0, so nothing divides by zero
     if not falling.any():

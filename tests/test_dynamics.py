@@ -1,6 +1,7 @@
 """Closed-loop assembly, modal decomposition, and stability tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,16 +52,20 @@ class TestControllerParams:
         assert (p.m, p.tau, p.k, p.gamma) == (0.5, 2.0, 3.0, 0.0)
 
     def test_invalid_values(self):
-        with pytest.raises(ValidationError):
-            ControllerParams(m=0.0, tau=1.0)
-        with pytest.raises(ValidationError):
-            ControllerParams(m=1.0, tau=-1.0)
-        with pytest.raises(ValidationError):
-            ControllerParams(m=1.0, tau=1.0, k=0.0)
-        with pytest.raises(ValidationError):
-            ControllerParams(m=1.0, tau=1.0, gamma=-0.1)
-        with pytest.raises(ValidationError):
-            ControllerParams(m=float("inf"), tau=1.0)
+        # each refusal by its exact text; norm_gamma_derivative reads m, k
+        # and tau from here and checks none of them itself
+        for values, message in [
+            (dict(m=0.0), "droop gain m must be > 0, got 0.0"),
+            (dict(m=-1.0), "droop gain m must be > 0, got -1.0"),
+            (dict(m=float("inf")), "m must be finite, got inf"),
+            (dict(m=float("nan")), "m must be finite, got nan"),
+            (dict(tau=-1.0), "filter time constant tau must be >= 0, got -1.0"),
+            (dict(tau=float("inf")), "tau must be finite, got inf"),
+            (dict(k=0.0), "integral constant k must be > 0, got 0.0"),
+            (dict(gamma=-0.1), "communication gain gamma must be >= 0, got -0.1"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                ControllerParams(**(dict(m=1.0, tau=1.0) | values))
 
 
 class TestAssembleDroop:

@@ -24,6 +24,7 @@ from gridloss.h2 import h2_dapi_closed_form
 from gridloss.network import (
     Laplacian,
     NetworkGraph,
+    Spectrum,
     _symmetric_within,
     build_complete_graph,
     build_line_graph,
@@ -644,6 +645,24 @@ class TestSymmetryCheck:
         assert _symmetric_within(mat, atol) == expected
 
 
+class TestSpectrum:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index", [1, 3], ids=["second", "last"])
+    def test_non_finite_eigenvalue_refused(self, bad, index):
+        # refused before any arithmetic (filterwarnings = error): a NaN
+        # passes the ascending check, and inf - inf warns in it
+        w = np.array([0.0, 1.0, 2.0, 3.0])
+        w[index] = bad
+        with pytest.raises(ValidationError, match=f"^eigenvalues must be finite, got {bad!r} at index {index}$"):
+            Spectrum(w)
+        with pytest.raises(ValidationError, match=f"^eigenvalues must be finite, got {bad!r} at index {index}$"):
+            Spectrum(w, np.eye(4))
+
+    def test_negative_eigenvalue_refused(self):
+        with pytest.raises(ValidationError, match="^eigenvalues must be ascending$"):
+            Spectrum(np.array([0.0, -1.0]))
+
+
 class TestSpectralDecomposition:
     def test_unit_line_four_nodes_eigenvalues(self):
         # path graph on 4 nodes: eigenvalues 0, 2-sqrt(2), 2, 2+sqrt(2)
@@ -699,6 +718,22 @@ class TestSpectralDecomposition:
         for col in range(6):
             lead = np.flatnonzero(np.abs(u1[:, col]) > 1e-8)[0]
             assert u1[lead, col] > 0
+
+    @pytest.mark.parametrize("graph", [
+        build_line_graph(9, [1.0] * 8, alpha=1.0),
+        build_complete_graph(12, 1.0, alpha=1.0),
+        build_random_connected_graph(80, 0.1, (0.5, 1.5), alpha=1.0, seed=4),
+    ], ids=["line", "complete", "random"])
+    def test_signs_match_column_loop_reference(self, graph):
+        # the sign pass is vectorised; the per-column loop it replaced is
+        # the reference, and every bit must agree
+        lb = susceptance_laplacian(graph)
+        _, u = np.linalg.eigh(lb.matrix)
+        for col in range(u.shape[1]):
+            nz = np.flatnonzero(np.abs(u[:, col]) > 1e-8)
+            if u[nz[0] if nz.size else 0, col] < 0:
+                u[:, col] = -u[:, col]
+        assert spectral_decomposition(lb).eigenvectors.tobytes() == u.tobytes()
 
     def test_disconnected_laplacian_rejected(self):
         mat = np.array(

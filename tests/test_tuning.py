@@ -19,6 +19,7 @@ from gridloss.dynamics import ControllerParams
 from gridloss.errors import GridlossError, ValidationError
 from gridloss.h2 import h2_dapi_closed_form, h2_droop_closed_form
 from gridloss.network import (
+    Spectrum,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
@@ -43,6 +44,14 @@ def _spectrum_of(graph):
     return spectral_decomposition(susceptance_laplacian(graph))
 
 
+def _spectrum_with(nonzero):
+    """The eigenvalue-only spectrum whose nonzero eigenvalues are ``nonzero``."""
+    return Spectrum(np.concatenate(([0.0], nonzero)))
+
+
+UNIT = ControllerParams(m=1.0, tau=1.0, k=1.0)
+
+
 class TestDerivative:
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -50,7 +59,6 @@ class TestDerivative:
             n = int(rng.integers(2, 20))
             g = build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=1.0, seed=trial)
             spec = _spectrum_of(g)
-            lams = spec.nonzero
             m, k, tau = rng.uniform(0.1, 5, 3)
             for gamma in (0.01, 0.1, 1.0, 5.0, 20.0):
                 step = 1e-6 * (1.0 + gamma)
@@ -60,15 +68,15 @@ class TestDerivative:
                     return h2_dapi_closed_form(1.0, p, spec).squared_norm
 
                 fd = (total(gamma + step) - total(gamma - step)) / (2.0 * step)
-                an = norm_gamma_derivative(gamma, lams, 1.0, m, k, tau)
+                an = norm_gamma_derivative(gamma, spec, ControllerParams(m=m, tau=tau, k=k), 1.0)
                 assert an == pytest.approx(fd, rel=1e-5, abs=1e-12)
 
     def test_vectorized_matches_scalar(self):
-        lams = np.array([0.5, 2.0, 7.0])
+        spec = _spectrum_with([0.5, 2.0, 7.0])
         gammas = np.array([0.0, 0.3, 2.0])
-        vec = norm_gamma_derivative(gammas, lams, 1.0, 1.0, 1.0, 1.0)
+        vec = norm_gamma_derivative(gammas, spec, UNIT, 1.0)
         for g, v in zip(gammas, vec):
-            assert v == norm_gamma_derivative(float(g), lams, 1.0, 1.0, 1.0, 1.0)
+            assert v == norm_gamma_derivative(float(g), spec, UNIT, 1.0)
 
     @settings(max_examples=200)
     @given(
@@ -91,45 +99,49 @@ class TestDerivative:
     def test_vectorized_matches_scalar_exactly(self, lams, gammas, m, k, tau, alpha):
         # optimal_gamma's probe reads signs from the vectorised call, so every
         # element must be the scalar value bit for bit, not just close to it
-        lams = np.sort(np.array(lams))
-        vec = norm_gamma_derivative(np.array(gammas), lams, alpha, m, k, tau)
+        spec, params = _spectrum_with(np.sort(lams)), ControllerParams(m=m, tau=tau, k=k)
+        vec = norm_gamma_derivative(np.array(gammas), spec, params, alpha)
         assert vec.shape == (len(gammas),)
         for g, v in zip(gammas, vec):
-            scalar = norm_gamma_derivative(g, lams, alpha, m, k, tau)
+            scalar = norm_gamma_derivative(g, spec, params, alpha)
             assert type(scalar) is float
             assert np.float64(scalar).tobytes() == v.tobytes()
 
     def test_sign_at_zero(self):
         # at gamma = 0 each summand carries sign 1 - m tau lam
-        lams = np.array([3.0])
-        assert norm_gamma_derivative(0.0, lams, 1.0, 1.0, 1.0, 1.0) < 0  # m tau lam = 3 > 1
-        assert norm_gamma_derivative(0.0, np.array([0.5]), 1.0, 1.0, 1.0, 1.0) > 0
+        assert norm_gamma_derivative(0.0, _spectrum_with([3.0]), UNIT, 1.0) < 0  # m tau lam = 3 > 1
+        assert norm_gamma_derivative(0.0, _spectrum_with([0.5]), UNIT, 1.0) > 0
 
-    @pytest.mark.parametrize(("gamma", "scalars", "message"), [
-        (1.0, dict(m=0.0), "droop gain m must be > 0, got 0.0"),
-        (1.0, dict(m=-1.0), "droop gain m must be > 0, got -1.0"),
-        (1.0, dict(k=0.0), "integral constant k must be > 0, got 0.0"),
-        (1.0, dict(tau=-1.0), "filter time constant tau must be >= 0, got -1.0"),
-        (1.0, dict(alpha=-0.5), "alpha must be >= 0, got -0.5"),
-        (1.0, dict(m=float("nan")), "droop gain m must be > 0, got nan"),
-        (-1.0, {}, "communication gain gamma must be finite and >= 0, got -1.0"),
-        (float("nan"), {}, "communication gain gamma must be finite and >= 0, got nan"),
-        (float("inf"), {}, "communication gain gamma must be finite and >= 0, got inf"),
-        (np.array([0.5, 1.0, -2.0, float("nan")]), {},
+    # m, k and tau are refused by the ControllerParams the call is given (its
+    # own tests pin every text), the eigenvalues by Spectrum (test_network.py)
+    @pytest.mark.parametrize(("gamma", "alpha", "scalars", "message"), [
+        (1.0, 1.0, dict(m=0.0), "droop gain m must be > 0, got 0.0"),
+        (1.0, 1.0, dict(m=-1.0), "droop gain m must be > 0, got -1.0"),
+        (1.0, 1.0, dict(k=0.0), "integral constant k must be > 0, got 0.0"),
+        (1.0, 1.0, dict(tau=-1.0), "filter time constant tau must be >= 0, got -1.0"),
+        (1.0, 1.0, dict(m=float("nan")), "m must be finite, got nan"),
+        (1.0, -0.5, {}, "alpha must be finite and >= 0, got -0.5"),
+        (1.0, float("inf"), {}, "alpha must be finite and >= 0, got inf"),
+        (1.0, float("nan"), {}, "alpha must be finite and >= 0, got nan"),
+        (-1.0, 1.0, {}, "communication gain gamma must be finite and >= 0, got -1.0"),
+        (float("nan"), 1.0, {}, "communication gain gamma must be finite and >= 0, got nan"),
+        (float("inf"), 1.0, {}, "communication gain gamma must be finite and >= 0, got inf"),
+        (np.array([0.5, 1.0, -2.0, float("nan")]), 1.0, {},
          "communication gain gamma must be finite and >= 0, got -2.0"),
-        (np.array([0.5, float("nan")]), {}, "communication gain gamma must be finite and >= 0, got nan"),
-    ], ids=["m-zero", "m-negative", "k-zero", "tau-negative", "alpha-negative", "m-nan", "gamma-negative",
-            "gamma-nan", "gamma-inf", "gamma-vector-negative", "gamma-vector-nan"])
-    def test_refuses_its_scalars_by_name(self, gamma, scalars, message):
-        args = dict(alpha=1.0, m=1.0, k=1.0, tau=1.0) | scalars
+        (np.array([0.5, float("nan")]), 1.0, {}, "communication gain gamma must be finite and >= 0, got nan"),
+    ], ids=["m-zero", "m-negative", "k-zero", "tau-negative", "m-nan", "alpha-negative", "alpha-inf",
+            "alpha-nan", "gamma-negative", "gamma-nan", "gamma-inf", "gamma-vector-negative",
+            "gamma-vector-nan"])
+    def test_refuses_its_scalars_by_name(self, gamma, alpha, scalars, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            norm_gamma_derivative(gamma, np.array([0.5, 3.0]), **args)
+            params = ControllerParams(**(dict(m=1.0, tau=1.0, k=1.0) | scalars))
+            norm_gamma_derivative(gamma, _spectrum_with([0.5, 3.0]), params, alpha)
 
     def test_zero_tau_and_alpha_stay_valid(self):
-        lams = np.array([0.5, 3.0])
+        spec = _spectrum_with([0.5, 3.0])
         # at tau = 0 each summand is lam s^2 / (P + s)^2 > 0
-        assert norm_gamma_derivative(1.0, lams, 1.0, 1.0, 1.0, 0.0) > 0
-        assert norm_gamma_derivative(1.0, lams, 0.0, 1.0, 1.0, 1.0) == 0.0
+        assert norm_gamma_derivative(1.0, spec, ControllerParams(m=1.0, tau=0.0, k=1.0), 1.0) > 0
+        assert norm_gamma_derivative(1.0, spec, UNIT, 0.0) == 0.0
 
     def test_at_most_one_sign_change(self):
         # empirical uniqueness probe for the stationary point
@@ -137,10 +149,9 @@ class TestDerivative:
         for trial in range(20):
             n = int(rng.integers(2, 25))
             g = build_random_connected_graph(n, 0.4, (0.5, 1.5), alpha=1.0, seed=200 + trial)
-            lams = _spectrum_of(g).nonzero
             m, k, tau = rng.uniform(0.1, 10, 3)
             grid = np.linspace(0.0, 50.0, 2001)
-            d = norm_gamma_derivative(grid, lams, 1.0, m, k, tau)
+            d = norm_gamma_derivative(grid, _spectrum_of(g), ControllerParams(m=m, tau=tau, k=k), 1.0)
             changes = int(np.count_nonzero(np.diff(np.sign(d)) != 0))
             assert changes <= 1
 
@@ -159,12 +170,12 @@ class TestSignBandProbe:
     def test_matches_full_probe(self, n, p, seed, m, k, tau, hi):
         low = min(1.0, 2.0 * math.log(n) / n)
         g = build_random_connected_graph(n, low + (1.0 - low) * p, (0.5, 1.5), alpha=1.0, seed=seed)
-        lams = _spectrum_of(g).nonzero
+        spec = _spectrum_of(g)
 
         def deriv(gv):
-            return norm_gamma_derivative(gv, lams, 1.0, m, k, tau)
+            return norm_gamma_derivative(gv, spec, ControllerParams(m=m, tau=tau, k=k), 1.0)
 
-        band = gridloss.tuning._derivative_sign_band(lams, m, k, tau)
+        band = gridloss.tuning._derivative_sign_band(spec.nonzero, m, k, tau)
         grid = np.linspace(0.0, 2.0 * hi, 257)
         full = deriv(grid) < 0.0
         # the band's claims hold on the grid, so the crossings agree
@@ -196,7 +207,7 @@ class TestSignBandProbe:
 
         def deriv(gv):
             calls.append(np.shape(gv))
-            return norm_gamma_derivative(gv, np.array([3.0]), 1.0, 1.0, 1.0, 1.0)
+            return norm_gamma_derivative(gv, _spectrum_with([3.0]), UNIT, 1.0)
 
         # band below the grid's second point: only gamma = 0 is evaluated
         assert gridloss.tuning._descending_crossings(deriv, 1.0, (0.0, 1e-9)) == [(0.0, 0.0078125)]
@@ -301,7 +312,7 @@ class TestOptimalGamma:
         # a derivative with minima at 0.05 and 1.9: the search brackets the
         # first in (0, 1), the probe over (0, 2) finds the second, and on
         # this graph the loss keeps falling up to gamma = 13.9
-        def two_minima(gamma, lams, alpha, m, k, tau):
+        def two_minima(gamma, spectrum, params, alpha):
             g = np.asarray(gamma, dtype=float)
             d = (g - 0.05) * (g - 1.1) * (g - 1.9)
             return d.item() if d.ndim == 0 else d
@@ -511,8 +522,8 @@ class TestPinnedBits:
     def test_closed_form_derivative_and_search(self, spectrum):
         params = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
         assert h2_dapi_closed_form(1.0, params, spectrum).squared_norm.hex() == "0x1.690cd5abc8517p+6"
-        assert norm_gamma_derivative(0.75, spectrum.nonzero, 1.0, 1.0, 1.0, 1.0).hex() == "0x1.2511577cfa75fp+3"
-        grid = norm_gamma_derivative(np.linspace(0.0, 4.0, 257), spectrum.nonzero, 1.0, 1.0, 1.0, 1.0)
+        assert norm_gamma_derivative(0.75, spectrum, params, 1.0).hex() == "0x1.2511577cfa75fp+3"
+        grid = norm_gamma_derivative(np.linspace(0.0, 4.0, 257), spectrum, params, 1.0)
         digest = hashlib.sha256(" ".join(float(d).hex() for d in grid).encode()).hexdigest()
         assert digest == "90df9dacdf8525b6990820e8bf1d0700576d13c8cbd06e2a6e11b5141a29d44a"
         res = optimal_gamma(spectrum, params, alpha=1.0)
