@@ -10,6 +10,7 @@ input so a run can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -290,7 +291,7 @@ def _cmd_analyze(args) -> int:
     graph, inputs, params = _resolve(args)
     spectrum = _spectrum(graph)
     alpha = graph.alpha
-    droop = h2_droop_closed_form(alpha, params.m, graph.n_nodes)
+    droop = h2_droop_closed_form(alpha, params, graph.n_nodes)
     norms = {"droop": {"closed_form": droop.squared_norm,
                        "modal_lyapunov": h2_modal(spectrum, params, alpha, "droop").squared_norm}}
     dapi = h2_dapi_closed_form(alpha, params, spectrum)
@@ -359,11 +360,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_tune(args) -> int:
     graph, inputs, params = _resolve(args)
     result = optimal_gamma(_spectrum(graph), params, graph.alpha)
-    droop_norm = h2_droop_closed_form(graph.alpha, params.m, graph.n_nodes).squared_norm
+    droop_norm = h2_droop_closed_form(graph.alpha, params, graph.n_nodes).squared_norm
     reduction = _reduction(result.norm_at_star, droop_norm)
-    closed = None
-    if args.complete is not None:
-        closed = optimal_gamma_complete(graph.n_nodes, args.b, params.k, params.m, params.tau)
+    closed = None if args.complete is None else optimal_gamma_complete(graph.n_nodes, args.b, params)
     values = {"gamma_star": result.gamma_star, "norm_at_star": result.norm_at_star,
               "droop_norm": droop_norm, "loss_reduction": reduction}
     _write_out(args, "tune", inputs, lambda: {
@@ -391,16 +390,16 @@ def _cmd_sweep(args) -> int:
     if args.at_optimal_gamma:
         columns = {
             "k": grid,
-            "loss_reduction": loss_reduction_vs_k(spectrum, alpha, params.m, params.tau, grid).values,
-            "gamma_star": gamma_star_vs_k(spectrum, alpha, params.m, params.tau, grid).values,
+            "loss_reduction": loss_reduction_vs_k(spectrum, params, alpha, grid).values,
+            "gamma_star": gamma_star_vs_k(spectrum, params, alpha, grid).values,
         }
     else:
         columns = {args.param: grid, "dapi": sweep(spectrum, params, alpha, args.param, grid).values}
         # after the sweep, which names an invalid grid point by its index
         if args.param == "m":
-            columns["droop"] = [_droop_at(alpha, i, m, graph.n_nodes) for i, m in enumerate(grid.tolist())]
+            columns["droop"] = [_droop_at(alpha, params, i, m, graph.n_nodes) for i, m in enumerate(grid.tolist())]
         else:
-            columns["droop"] = [h2_droop_closed_form(alpha, params.m, graph.n_nodes).squared_norm] * grid.size
+            columns["droop"] = [h2_droop_closed_form(alpha, params, graph.n_nodes).squared_norm] * grid.size
 
     def payload() -> dict:
         lists = {name: [float(v) for v in values] for name, values in columns.items()}
@@ -412,10 +411,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _droop_at(alpha: float, i: int, m: float, n_nodes: int) -> float:
-    """The droop norm at grid point ``i`` of an ``m`` sweep, which a refusal names."""
+def _droop_at(alpha: float, params: ControllerParams, i: int, m: float, n_nodes: int) -> float:
+    """The droop norm at grid point ``i`` of an ``m`` sweep, which a refusal
+    names; the sweep has already checked ``params`` with that m."""
     try:
-        return h2_droop_closed_form(alpha, m, n_nodes).squared_norm
+        return h2_droop_closed_form(alpha, dataclasses.replace(params, m=m), n_nodes).squared_norm
     except FloatRangeError as err:
         raise _at_grid_point(err, i, "m", m) from None
 
@@ -474,9 +474,8 @@ def _cmd_scaling(args) -> int:
 
     rows = []
     for n in sizes:
-        droop_norm = h2_droop_closed_form(alpha, params.m, n).squared_norm
-        line_norms = []
-        complete_norms = []
+        droop_norm = h2_droop_closed_form(alpha, params, n).squared_norm
+        line_norms, complete_norms = [], []
         for draw in range(args.seeds):
             rng = _generator((args.seed, draw, n))
             line = build_line_graph(n, rng.uniform(b_range[0], b_range[1], n - 1), alpha)

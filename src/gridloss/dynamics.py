@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError, ValidationError
-from .network import (Laplacian, NetworkGraph, Spectrum, _check_alpha, _frozen, spectral_decomposition,
+from .network import (Laplacian, NetworkGraph, Spectrum, _check_alpha, _finite, _frozen, spectral_decomposition,
                       susceptance_laplacian)
 
 CONTROLLER_KINDS = ("droop", "dapi")
@@ -37,6 +37,9 @@ _TAU_ZERO_MSG = (
 @dataclass(frozen=True)
 class ControllerParams:
     """Uniform controller parameters across buses.
+
+    The one place m, k, tau and gamma are checked, each a single number:
+    every public function that reads them takes a ``ControllerParams``.
 
     Args:
         m: frequency droop gain, > 0.
@@ -53,10 +56,7 @@ class ControllerParams:
 
     def __post_init__(self) -> None:
         for name in ("m", "tau", "k", "gamma"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if self.m <= 0:
             raise ValidationError(f"droop gain m must be > 0, got {self.m}")
         if self.k <= 0:

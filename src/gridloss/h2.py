@@ -115,39 +115,27 @@ def _dapi_mode_terms(lam: np.ndarray, m: float, k: float, tau: float, gamma):
     return s, p
 
 
-def _dapi_mode_factor(lam, m: float, k: float, tau: float, gamma: float):
-    """Loss factor in (0, 1) multiplying a droop mode's contribution.
-
-    factor = 1 / (1 + s / P) with ``_dapi_mode_terms``' s and P.
-    Well defined for tau = 0 and gamma = 0 (where it gives the limit value of
-    the norm; the gamma = 0 loop itself is marginal and has no finite norm).
-    An intermediate may overflow: a P that does gives s / P = 0 and the
-    factor 1.0 its limit has, and one that overflows with s gives NaN, which
-    ``h2_dapi_closed_form`` refuses.
-    """
-    s, p = _dapi_mode_terms(np.asarray(lam, dtype=float), m, k, tau, gamma)
-    return 1.0 / (1.0 + s / p)
-
-
-def h2_droop_closed_form(alpha: float, m: float, n_nodes: int) -> H2Result:
-    """Droop loss alpha (N-1) / (2 m): every nonzero mode contributes
-    alpha / (2 m) regardless of its eigenvalue, so topology drops out."""
+def h2_droop_closed_form(alpha: float, params: ControllerParams, n_nodes: int) -> H2Result:
+    """Droop loss alpha (N-1) / (2 m), m from ``params``: every nonzero mode
+    contributes alpha / (2 m) regardless of its eigenvalue."""
     _check_alpha(alpha)
-    if not np.isfinite(m) or m <= 0:
-        raise ValidationError(f"droop gain m must be > 0, got {m!r}")
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
         raise ValidationError(f"n_nodes must be a positive integer, got {n_nodes!r}")
-    per_mode = np.full(n_nodes - 1, alpha / (2.0 * m))
+    per_mode = np.full(n_nodes - 1, alpha / (2.0 * params.m))
     return _summed(per_mode, "closed_form", "droop closed form")
 
 
 def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectrum) -> H2Result:
     """DAPI loss from the susceptance Laplacian eigenvalues alone.
 
+    Each mode's droop loss alpha / (2 m) is scaled by 1 / (1 + s / P) in
+    (0, 1), s and P from ``_dapi_mode_terms``.  A P that overflows gives
+    its limit 1.0, and one that overflows with s gives NaN, refused below.
+
     Args:
         alpha: conductance-to-susceptance ratio.
         params: controller parameters; tau = 0 and gamma = 0 are permitted
-            here (the formula is the continuous limit).
+            here (the formula's limit; the gamma = 0 loop has no finite norm).
         spectrum: the ``Spectrum`` of spectral_decomposition or
             laplacian_eigenvalues; only its nonzero eigenvalues are read.
 
@@ -161,8 +149,8 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectr
             f"got {type(spectrum).__name__}"
         )
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        factors = _dapi_mode_factor(spectrum.nonzero, params.m, params.k, params.tau, params.gamma)
-        per_mode = alpha / (2.0 * params.m) * factors
+        s, p = _dapi_mode_terms(spectrum.nonzero, params.m, params.k, params.tau, params.gamma)
+        per_mode = alpha / (2.0 * params.m) * (1.0 / (1.0 + s / p))
     return _summed(per_mode, "closed_form", "dapi closed form")
 
 

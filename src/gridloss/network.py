@@ -79,10 +79,26 @@ class NetworkGraph:
 
 
 def _check_alpha(alpha) -> None:
-    """Refuse a conductance-to-susceptance ratio that is not finite and >= 0,
-    by plain comparisons (false for NaN): each derivative call checks it."""
+    """Refuse an alpha that is not one number, finite and >= 0.  Each gain
+    search makes thousands of these calls: a float passes by plain tests."""
+    if not isinstance(alpha, float):
+        _finite("alpha", alpha)
     if not 0.0 <= alpha < math.inf:
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a float, refused by the field ``name`` unless it is one
+    finite number: a list or an array of one or more dimensions is not."""
+    try:  # numbers skip np.ndim, which costs a microsecond
+        number = float(value) if isinstance(value, (float, int)) or np.ndim(value) == 0 else None
+    except (TypeError, ValueError, OverflowError):  # not a number, a ragged list, an int past the floats
+        number = None
+    if number is None:
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {number!r}")
+    return number
 
 
 def _validated_edges(n_nodes: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,9 +269,9 @@ class Spectrum:
     position 0; construction refuses any other vector.  ``eigenvectors`` is
     None for an eigenvalue-only spectrum (``laplacian_eigenvalues``);
     otherwise it holds the matching orthonormal columns, column 0 being the
-    normalized all-ones vector.  Column signs follow a fixed convention
-    (first component of noticeable magnitude positive) so repeated runs
-    produce identical matrices.
+    normalized all-ones vector, with finite entries.  Column signs follow a
+    fixed convention (first component of noticeable magnitude positive) so
+    repeated runs produce identical matrices.
     """
 
     eigenvalues: np.ndarray
@@ -281,6 +297,10 @@ class Spectrum:
                 f"exactly one zero eigenvalue expected first (got {np.count_nonzero(w == 0.0)} zeros); "
                 "clamp via spectral_decomposition or laplacian_eigenvalues"
             )
+        # max and min are NaN when an entry is, and one is infinite when one is
+        if u is not None and not (math.isfinite(u.max()) and math.isfinite(u.min())):
+            i, j = np.unravel_index(int(np.argmin(np.isfinite(u))), u.shape)
+            raise ValidationError(f"eigenvectors must be finite, got {float(u[i, j])!r} at ({i}, {j})")
         w.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
         if u is not None:

@@ -32,7 +32,7 @@ import numpy as np
 from .dynamics import StateSpace
 from .errors import FloatRangeError, StabilityError, StepSizeError, ValidationError
 from .h2 import _check_hurwitz, _deflate, _max_abs, _not_deflatable
-from .network import _check_seed, _frozen, _generator
+from .network import _check_seed, _finite, _frozen, _generator
 
 _N_BATCHES = 20
 
@@ -61,10 +61,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("dt", "horizon", "burn_in", "noise_intensity"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if self.dt <= 0:
             raise ValidationError(f"dt must be > 0, got {self.dt}")
         if self.horizon <= 0:

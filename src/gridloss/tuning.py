@@ -155,8 +155,7 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
                           "the gain search leaves the float range")
 
     def norm_at(g: float) -> float:
-        q = dataclasses.replace(params, gamma=g)
-        return h2_dapi_closed_form(alpha, q, spectrum).squared_norm
+        return h2_dapi_closed_form(alpha, dataclasses.replace(params, gamma=g), spectrum).squared_norm
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if deriv(0.0) >= 0.0:
@@ -234,26 +233,21 @@ def _descending_crossings(deriv, hi: float, band: tuple[float, float]) -> list[t
     return [(float(grid[i]), float(grid[i + 1])) for i in starts]
 
 
-def optimal_gamma_complete(n_nodes: int, b: float, k: float, m: float, tau: float) -> float:
+def optimal_gamma_complete(n_nodes: int, b: float, params: ControllerParams) -> float:
     """Closed-form optimal gain for a complete graph with uniform susceptance.
 
     Equals (k / (N b tau)) (sqrt(N b m tau) - 1) when N b m tau > 1, else 0
-    (the boundary optimum); tau = 0 always gives 0.
+    (the boundary optimum); tau = 0 always gives 0.  ``params``' gamma is
+    ignored.
     """
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 2:
         raise ValidationError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
-    checks = {"b": b, "k": k, "m": m}
-    for name, value in checks.items():
-        if not np.isfinite(value) or value <= 0:
-            raise ValidationError(f"{name} must be > 0, got {value!r}")
-    if not np.isfinite(tau) or tau < 0:
-        raise ValidationError(f"tau must be >= 0, got {tau!r}")
-    if tau == 0.0:
+    if not np.isfinite(b) or b <= 0:
+        raise ValidationError(f"b must be > 0, got {b!r}")
+    product = n_nodes * b * params.m * params.tau
+    if params.tau == 0.0 or product <= 1.0:
         return 0.0
-    product = n_nodes * b * m * tau
-    if product <= 1.0:
-        return 0.0
-    return k / (n_nodes * b * tau) * (math.sqrt(product) - 1.0)
+    return params.k / (n_nodes * b * params.tau) * (math.sqrt(product) - 1.0)
 
 
 def sweep(
@@ -300,8 +294,9 @@ def _at_grid_point(err: Exception, i: int, name: str, point: float) -> Exception
     return type(err)(f"grid point {i} ({name}={point!r}): {err}")
 
 
-def optimal_gamma_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k_grid) -> list[TuningResult]:
-    """``optimal_gamma`` at each integral constant k, one search per grid point.
+def optimal_gamma_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: float, k_grid) -> list[TuningResult]:
+    """``optimal_gamma`` at each integral constant k, one search per grid
+    point, of ``dataclasses.replace(params, k=k)`` (its gamma is ignored).
 
     Raises:
         ValidationError: a grid point is not a valid k.
@@ -311,7 +306,7 @@ def optimal_gamma_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k
     results = []
     for i, k in enumerate(_grid(k_grid, "k_grid").tolist()):
         try:
-            p = ControllerParams(m=m, tau=tau, k=k)
+            p = dataclasses.replace(params, k=k)
         except ValidationError as err:
             raise _at_grid_point(err, i, "k", k) from None
         try:
@@ -321,14 +316,14 @@ def optimal_gamma_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k
     return results
 
 
-def gamma_star_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k_grid) -> SweepCurve:
+def gamma_star_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: float, k_grid) -> SweepCurve:
     """Optimal gain at each integral constant k (values are gamma_star), one
     ``optimal_gamma_vs_k`` search per k."""
     k_grid = _grid(k_grid, "k_grid")
-    return SweepCurve("k", k_grid, [r.gamma_star for r in optimal_gamma_vs_k(spectrum, alpha, m, tau, k_grid)])
+    return SweepCurve("k", k_grid, [r.gamma_star for r in optimal_gamma_vs_k(spectrum, params, alpha, k_grid)])
 
 
-def loss_reduction_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, k_grid) -> SweepCurve:
+def loss_reduction_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: float, k_grid) -> SweepCurve:
     """Relative loss reduction of optimally tuned DAPI over droop, per k.
 
     values[i] = 1 - dapi(gamma_star(k_i)) / droop, in [0, 1), with droop
@@ -337,8 +332,8 @@ def loss_reduction_vs_k(spectrum: Spectrum, alpha: float, m: float, tau: float, 
     search per k as ``gamma_star_vs_k``.
     """
     k_grid = _grid(k_grid, "k_grid")
-    droop = h2_droop_closed_form(alpha, m, spectrum.n_nodes).squared_norm
+    droop = h2_droop_closed_form(alpha, params, spectrum.n_nodes).squared_norm
     if droop <= 0:
         raise ValidationError("loss reduction undefined: the droop loss is zero (alpha = 0 or a single node)")
-    results = optimal_gamma_vs_k(spectrum, alpha, m, tau, k_grid)
+    results = optimal_gamma_vs_k(spectrum, params, alpha, k_grid)
     return SweepCurve("k", k_grid, [1.0 - r.norm_at_star / droop for r in results])

@@ -94,7 +94,7 @@ def test_criterion_01_three_routes_agree():
     for graph, params in _random_network_draws():
         spectrum = spectral_decomposition(susceptance_laplacian(graph))
         droop = (
-            h2_droop_closed_form(graph.alpha, params.m, graph.n_nodes).squared_norm,
+            h2_droop_closed_form(graph.alpha, params, graph.n_nodes).squared_norm,
             h2_modal(spectrum, params, graph.alpha, "droop").squared_norm,
             h2_full_gramian(assemble_droop(graph, params)).squared_norm,
         )
@@ -144,7 +144,7 @@ def test_criterion_03_dapi_strictly_below_droop():
     min_ratio = np.inf
     for graph, params in _random_network_draws():
         spectrum = spectral_decomposition(susceptance_laplacian(graph))
-        droop = h2_droop_closed_form(graph.alpha, params.m, graph.n_nodes).squared_norm
+        droop = h2_droop_closed_form(graph.alpha, params, graph.n_nodes).squared_norm
         dapi = h2_dapi_closed_form(graph.alpha, params, spectrum).squared_norm
         if not dapi < droop:
             violations += 1
@@ -175,7 +175,7 @@ def test_criterion_04_complete_graph_gain_formula():
         graph = build_complete_graph(n, b, 1.0)
         spectrum = spectral_decomposition(susceptance_laplacian(graph))
         numeric = optimal_gamma(spectrum, params, 1.0).gamma_star
-        closed = optimal_gamma_complete(n, b, k, m, tau)
+        closed = optimal_gamma_complete(n, b, params)
         worst = max(worst, abs(numeric - closed))
     boundary_ok = True
     for j in range(10):
@@ -183,7 +183,7 @@ def test_criterion_04_complete_graph_gain_formula():
         params = ControllerParams(m=m, tau=1.0, k=1.0)
         spectrum = spectral_decomposition(susceptance_laplacian(build_complete_graph(2, 1.0, 1.0)))
         numeric = optimal_gamma(spectrum, params, 1.0).gamma_star
-        closed = optimal_gamma_complete(2, 1.0, 1.0, m, 1.0)
+        closed = optimal_gamma_complete(2, 1.0, params)
         boundary_ok = boundary_ok and numeric == 0.0 and closed == 0.0
     passed = worst <= _GAMMA_STAR_ATOL and boundary_ok
     line = _report(4, passed,
@@ -237,7 +237,7 @@ def test_criterion_06_topology_ordering_with_size():
             for graph, bucket in ((line_graph, line_norms), (complete_graph, complete_norms)):
                 spectrum = spectral_decomposition(susceptance_laplacian(graph))
                 bucket.append(h2_dapi_closed_form(1.0, params, spectrum).squared_norm)
-        droop = h2_droop_closed_form(1.0, params.m, n).squared_norm
+        droop = h2_droop_closed_form(1.0, params, n).squared_norm
         mean_line = float(np.mean(line_norms))
         mean_complete = float(np.mean(complete_norms))
         ok = ok and mean_line < mean_complete < droop and droop == (n - 1) / 2.0
@@ -343,8 +343,9 @@ def test_criterion_10_benchmark_network_trends():
     graph = ingest_edge_list(str(path))
     spectrum = spectral_decomposition(susceptance_laplacian(graph))
     k_grid = np.linspace(0.1, 10.0, 12)
-    reduction = loss_reduction_vs_k(spectrum, 1.0, 1.0, 1.0, k_grid)
-    gains = gamma_star_vs_k(spectrum, 1.0, 1.0, 1.0, k_grid)
+    params = ControllerParams(m=1.0, tau=1.0)
+    reduction = loss_reduction_vs_k(spectrum, params, 1.0, k_grid)
+    gains = gamma_star_vs_k(spectrum, params, 1.0, k_grid)
     decreasing = bool(np.all(np.diff(reduction.values) < 0.0))
     nondecreasing = bool(np.all(np.diff(gains.values) >= -1e-8))
     positive = bool(np.all(reduction.values > 0.0))

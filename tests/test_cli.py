@@ -806,7 +806,7 @@ class TestScaling:
                 for graph, bucket in ((line, line_norms), (complete, complete_norms)):
                     spectrum = spectral_decomposition(susceptance_laplacian(graph))
                     bucket.append(h2_dapi_closed_form(1.0, params, spectrum).squared_norm)
-            droop = h2_droop_closed_form(1.0, params.m, n).squared_norm
+            droop = h2_droop_closed_form(1.0, params, n).squared_norm
             expected.append([float(n), droop, float(np.mean(complete_norms)), float(np.mean(line_norms))])
         assert json.loads(out.read_text())["rows"] == expected
 

@@ -626,31 +626,33 @@ class TestNumpyKernels:
         assert out.splitlines()[-2:] == ["[]", "numpy"]
 
 
+_M1 = ControllerParams(m=1.0, tau=1.0)
+
+
 class TestDroopClosedForm:
     def test_fifty_node_value_exact(self):
-        res = h2_droop_closed_form(alpha=1.0, m=1.0, n_nodes=50)
+        res = h2_droop_closed_form(alpha=1.0, params=_M1, n_nodes=50)
         assert res.squared_norm == 24.5
         assert res.method == "closed_form"
         assert res.per_mode.shape == (49,)
         assert np.all(res.per_mode == 0.5)
 
     def test_single_node_zero(self):
-        res = h2_droop_closed_form(alpha=1.0, m=1.0, n_nodes=1)
+        res = h2_droop_closed_form(alpha=1.0, params=_M1, n_nodes=1)
         assert res.squared_norm == 0.0
         assert res.per_mode.size == 0
 
     def test_scaling_in_alpha_and_m(self):
-        base = h2_droop_closed_form(alpha=1.0, m=1.0, n_nodes=10).squared_norm
-        assert h2_droop_closed_form(alpha=3.0, m=1.0, n_nodes=10).squared_norm == 3.0 * base
-        assert h2_droop_closed_form(alpha=1.0, m=2.0, n_nodes=10).squared_norm == base / 2.0
+        base = h2_droop_closed_form(alpha=1.0, params=_M1, n_nodes=10).squared_norm
+        assert h2_droop_closed_form(alpha=3.0, params=_M1, n_nodes=10).squared_norm == 3.0 * base
+        m2 = ControllerParams(m=2.0, tau=1.0)
+        assert h2_droop_closed_form(alpha=1.0, params=m2, n_nodes=10).squared_norm == base / 2.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
-            h2_droop_closed_form(alpha=-1.0, m=1.0, n_nodes=5)
+            h2_droop_closed_form(alpha=-1.0, params=_M1, n_nodes=5)
         with pytest.raises(ValidationError):
-            h2_droop_closed_form(alpha=1.0, m=0.0, n_nodes=5)
-        with pytest.raises(ValidationError):
-            h2_droop_closed_form(alpha=1.0, m=1.0, n_nodes=0)
+            h2_droop_closed_form(alpha=1.0, params=_M1, n_nodes=0)
 
 
 class TestDapiClosedForm:
@@ -677,7 +679,7 @@ class TestDapiClosedForm:
             m, k, tau, gamma = rng.uniform(0.1, 10, 4)
             p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
             dapi = h2_dapi_closed_form(1.0, p, _spectrum_of(g))
-            droop = h2_droop_closed_form(1.0, m, n)
+            droop = h2_droop_closed_form(1.0, p, n)
             assert dapi.squared_norm < droop.squared_norm
             assert np.all(dapi.per_mode < droop.per_mode)
             assert np.all(dapi.per_mode > 0)
@@ -686,7 +688,7 @@ class TestDapiClosedForm:
         g = build_line_graph(6, [1.0] * 5, alpha=1.0)
         p = ControllerParams(m=2.0, tau=1.5, k=0.7, gamma=1e12)
         dapi = h2_dapi_closed_form(1.0, p, _spectrum_of(g))
-        droop = h2_droop_closed_form(1.0, 2.0, 6)
+        droop = h2_droop_closed_form(1.0, p, 6)
         assert abs(dapi.squared_norm - droop.squared_norm) <= 1e-6 * droop.squared_norm
 
     def test_tau_zero_and_gamma_zero_permitted(self):
@@ -697,7 +699,7 @@ class TestDapiClosedForm:
         assert res0.squared_norm > 0
         assert abs(res0.squared_norm - res_eps.squared_norm) < 1e-6
         res_g0 = h2_dapi_closed_form(1.0, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=0.0), spec)
-        assert 0 < res_g0.squared_norm < h2_droop_closed_form(1.0, 1.0, 4).squared_norm
+        assert 0 < res_g0.squared_norm < h2_droop_closed_form(1.0, _M1, 4).squared_norm
 
     def test_eigenvalue_vector_validation(self):
         p = ControllerParams(m=1.0, tau=1.0)
@@ -723,7 +725,7 @@ class TestModalRoute:
         g = build_line_graph(7, [1.0, 0.5, 2.0, 1.0, 0.7, 1.3], alpha=0.9)
         p = ControllerParams(m=1.7, tau=0.6)
         modal = h2_modal(_spectrum_of(g), p, alpha=0.9, kind="droop")
-        closed = h2_droop_closed_form(0.9, 1.7, 7)
+        closed = h2_droop_closed_form(0.9, p, 7)
         assert modal.method == "modal_lyapunov"
         assert abs(modal.squared_norm - closed.squared_norm) <= 1e-12 * closed.squared_norm
         assert np.allclose(modal.per_mode, closed.per_mode, rtol=1e-12)
@@ -754,7 +756,7 @@ class TestModalRoute:
         spec = _spectrum_of(g)
         p = ControllerParams(m=0.01, tau=1e-9)
         if kind == "droop":
-            closed = h2_droop_closed_form(1.0, p.m, 20).squared_norm
+            closed = h2_droop_closed_form(1.0, p, 20).squared_norm
         else:
             closed = h2_dapi_closed_form(1.0, p, spec).squared_norm
         try:
@@ -786,7 +788,7 @@ class TestModalRoute:
         g = build_random_connected_graph(n, min(1.0, 3.0 / n + 0.1), (0.5, 1.5), alpha=alpha, seed=seed)
         spec = laplacian_eigenvalues(susceptance_laplacian(g))
         p = ControllerParams(m=10.0**log_m, tau=10.0**log_tau, k=10.0**log_k, gamma=10.0**log_gamma)
-        closed = {"droop": h2_droop_closed_form(alpha, p.m, n), "dapi": h2_dapi_closed_form(alpha, p, spec)}
+        closed = {"droop": h2_droop_closed_form(alpha, p, n), "dapi": h2_dapi_closed_form(alpha, p, spec)}
         for kind in ("droop", "dapi"):
             try:
                 modal = h2_modal(spec, p, alpha, kind)
@@ -805,7 +807,7 @@ class TestModalRoute:
         g = build_line_graph(2, [1.5], alpha=0.8)
         spec = laplacian_eigenvalues(susceptance_laplacian(g))
         p = ControllerParams(m=0.7, tau=1.3, k=0.9, gamma=1.1)
-        for kind, closed in (("droop", h2_droop_closed_form(0.8, 0.7, 2)), ("dapi", h2_dapi_closed_form(0.8, p, spec))):
+        for kind, closed in (("droop", h2_droop_closed_form(0.8, p, 2)), ("dapi", h2_dapi_closed_form(0.8, p, spec))):
             res = h2_modal(spec, p, alpha=0.8, kind=kind)
             assert res.per_mode.shape == (1,)
             assert abs(res.squared_norm - closed.squared_norm) <= 1e-14 * closed.squared_norm
@@ -891,7 +893,7 @@ class TestModalRoute:
             h2_modal(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1e307, kind=kind)
         # two modes of the same scale stay in range and agree with the closed form
         spec, params = _spectrum_of(build_line_graph(3, [1.0, 1.0], alpha=1.0)), ControllerParams(m=1.0, tau=1.0)
-        closed = {"droop": h2_droop_closed_form(1e307, 1.0, 3), "dapi": h2_dapi_closed_form(1e307, params, spec)}
+        closed = {"droop": h2_droop_closed_form(1e307, params, 3), "dapi": h2_dapi_closed_form(1e307, params, spec)}
         norm = h2_modal(spec, params, alpha=1e307, kind=kind).squared_norm
         assert norm == pytest.approx(closed[kind].squared_norm, rel=1e-7)
 
@@ -899,9 +901,9 @@ class TestModalRoute:
 class TestFullGramianRoute:
     def test_droop_matches_closed_form(self):
         g = build_line_graph(8, [1.0] * 7, alpha=1.0)
-        ss = assemble_droop(g, ControllerParams(m=0.8, tau=1.1))
-        res = h2_full_gramian(ss)
-        closed = h2_droop_closed_form(1.0, 0.8, 8)
+        p = ControllerParams(m=0.8, tau=1.1)
+        res = h2_full_gramian(assemble_droop(g, p))
+        closed = h2_droop_closed_form(1.0, p, 8)
         assert res.method == "full_gramian"
         assert res.per_mode is None
         assert abs(res.squared_norm - closed.squared_norm) <= 1e-9 * closed.squared_norm
@@ -983,7 +985,7 @@ class TestFullGramianRoute:
         g = build_random_connected_graph(15, 0.3, (0.5, 1.5), alpha=1.4, seed=9)
         p = ControllerParams(m=0.9, tau=1.2, k=1.5, gamma=0.7)
         spectrum = _spectrum_of(g)
-        closed = {"droop": h2_droop_closed_form(1.4, 0.9, 15), "dapi": h2_dapi_closed_form(1.4, p, spectrum)}
+        closed = {"droop": h2_droop_closed_form(1.4, p, 15), "dapi": h2_dapi_closed_form(1.4, p, spectrum)}
 
         def refuse(*args, **kwargs):
             raise AssertionError("a spectrum was computed")
@@ -1028,8 +1030,8 @@ class TestScalingIdentity:
     def test_closed_forms(self, w, c, m, tau, k, gamma, alpha):
         p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
         p_c = ControllerParams(m=c * m, tau=tau, k=k, gamma=c * gamma)
-        droop = h2_droop_closed_form(alpha, m, w.size).squared_norm  # no eigenvalue enters
-        assert droop == pytest.approx(c * h2_droop_closed_form(alpha, c * m, w.size).squared_norm, rel=1e-14)
+        droop = h2_droop_closed_form(alpha, p, w.size).squared_norm  # no eigenvalue enters
+        assert droop == pytest.approx(c * h2_droop_closed_form(alpha, p_c, w.size).squared_norm, rel=1e-14)
         dapi = h2_dapi_closed_form(alpha, p, Spectrum(c * w)).squared_norm
         assert dapi == pytest.approx(c * h2_dapi_closed_form(alpha, p_c, Spectrum(w)).squared_norm, rel=1e-14)
 
@@ -1066,7 +1068,7 @@ class TestThreeWayAgreement:
             spec = _spectrum_of(g)
 
             droop = [
-                h2_droop_closed_form(1.0, m, n).squared_norm,
+                h2_droop_closed_form(1.0, p, n).squared_norm,
                 h2_modal(spec, p, 1.0, "droop").squared_norm,
                 h2_full_gramian(assemble_droop(g, p)).squared_norm,
             ]
@@ -1094,7 +1096,7 @@ class TestThreeWayAgreement:
         # triangular solve runs; droop reaches it from N = 33
         g = build_random_connected_graph(n, p_edge, (0.5, 1.5), alpha=1.0, seed=seed)
         p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
-        droop = h2_droop_closed_form(1.0, m, n).squared_norm
+        droop = h2_droop_closed_form(1.0, p, n).squared_norm
         dapi = h2_dapi_closed_form(1.0, p, _spectrum_of(g)).squared_norm
         assert abs(h2_full_gramian(assemble_droop(g, p)).squared_norm - droop) <= 1e-9 * droop
         assert abs(h2_full_gramian(assemble_dapi(g, p)).squared_norm - dapi) <= 1e-9 * dapi
@@ -1135,7 +1137,7 @@ class TestH2ResultType:
             H2Result(squared_norm=1.0, method="closed_form", per_mode=np.ones((1, 1)))
 
     def test_per_mode_read_only(self):
-        res = h2_droop_closed_form(1.0, 1.0, 5)
+        res = h2_droop_closed_form(1.0, _M1, 5)
         with pytest.raises(ValueError):
             res.per_mode[0] = 9.9
 

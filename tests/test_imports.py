@@ -1,6 +1,7 @@
 """Every name a ``gridloss`` module imports is used in that module, every
 public name is read by some module of the package, and so is every name a
-module assigns at its top level.
+module assigns at its top level.  The controller parameters m, k and tau
+enter the public API only as fields of ``ControllerParams``.
 
 The package's ``__init__`` re-exports names and is left out. An import
 kept for its side effect carries ``# noqa: F401`` on its line, as flake8
@@ -8,6 +9,7 @@ reads it; ``from __future__`` imports are directives, not names.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -69,6 +71,19 @@ def test_every_module_level_name_is_read_in_the_package():
     read = set().union(*(names_read(ast.parse(source)) for source in sources.values()))
     assert [f"{module}: {name}" for module, source in sources.items()
             for name in assigned_names(source) if name not in read] == []
+
+
+def test_controller_parameters_enter_only_through_controller_params():
+    # ControllerParams is the one place m, k and tau are checked, so no other
+    # public function or class takes them as arguments of its own
+    takers = []
+    for name in gridloss.__all__:
+        obj = getattr(gridloss, name)
+        errors = isinstance(obj, type) and issubclass(obj, BaseException)  # they take a message alone
+        if name == "ControllerParams" or not callable(obj) or errors:
+            continue
+        takers += [f"{name}({arg})" for arg in inspect.signature(obj).parameters if arg in ("m", "k", "tau")]
+    assert takers == []
 
 
 def test_assigned_names_finds_every_binding():

@@ -658,6 +658,14 @@ class TestSpectrum:
         with pytest.raises(ValidationError, match=f"^eigenvalues must be finite, got {bad!r} at index {index}$"):
             Spectrum(w, np.eye(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 1)], ids=["first", "inner"])
+    def test_non_finite_eigenvector_entry_refused(self, bad, entry):
+        u = np.eye(3)
+        u[entry] = bad
+        with pytest.raises(ValidationError, match=re.escape(f"eigenvectors must be finite, got {bad!r} at {entry}")):
+            Spectrum([0.0, 1.0, 2.0], u)
+
     def test_negative_eigenvalue_refused(self):
         with pytest.raises(ValidationError, match="^eigenvalues must be ascending$"):
             Spectrum(np.array([0.0, -1.0]))

@@ -199,7 +199,8 @@ class TestSignBandProbe:
         # a uniform complete graph has one nonzero eigenvalue: the band is the optimum
         spec = _spectrum_of(build_complete_graph(20, b=1.0, alpha=1.0))
         c_min, c_max = gridloss.tuning._derivative_sign_band(spec.nonzero, 1.0, 3.0, 2.0)
-        assert c_min == pytest.approx(optimal_gamma_complete(20, 1.0, 3.0, 1.0, 2.0), rel=1e-12)
+        closed = optimal_gamma_complete(20, 1.0, ControllerParams(m=1.0, tau=2.0, k=3.0))
+        assert c_min == pytest.approx(closed, rel=1e-12)
         assert c_max == pytest.approx(c_min, rel=1e-12)
 
     def test_no_point_inside_band_still_makes_one_call(self):
@@ -220,28 +221,27 @@ class TestSignBandProbe:
 
 class TestOptimalGammaComplete:
     def test_fifty_node_reference_value(self):
-        got = optimal_gamma_complete(50, b=1.0, k=1.0, m=1.0, tau=1.0)
+        got = optimal_gamma_complete(50, b=1.0, params=UNIT)
         assert got == pytest.approx((math.sqrt(50.0) - 1.0) / 50.0, rel=1e-15)
 
     def test_tau_zero_boundary(self):
-        assert optimal_gamma_complete(10, b=1.0, k=2.0, m=1.0, tau=0.0) == 0.0
+        assert optimal_gamma_complete(10, b=1.0, params=ControllerParams(m=1.0, tau=0.0, k=2.0)) == 0.0
 
     def test_product_below_one_boundary(self):
-        assert optimal_gamma_complete(2, b=0.4, k=1.0, m=1.0, tau=1.0) == 0.0
-        assert optimal_gamma_complete(2, b=0.5, k=1.0, m=1.0, tau=1.0) == 0.0  # exactly 1
+        assert optimal_gamma_complete(2, b=0.4, params=UNIT) == 0.0
+        assert optimal_gamma_complete(2, b=0.5, params=UNIT) == 0.0  # exactly 1
 
     def test_scaling_in_k(self):
-        g1 = optimal_gamma_complete(20, b=1.0, k=1.0, m=1.0, tau=1.0)
-        g3 = optimal_gamma_complete(20, b=1.0, k=3.0, m=1.0, tau=1.0)
+        g1 = optimal_gamma_complete(20, b=1.0, params=UNIT)
+        g3 = optimal_gamma_complete(20, b=1.0, params=ControllerParams(m=1.0, tau=1.0, k=3.0))
         assert g3 == pytest.approx(3.0 * g1, rel=1e-15)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValidationError):
-            optimal_gamma_complete(1, b=1.0, k=1.0, m=1.0, tau=1.0)
-        with pytest.raises(ValidationError):
-            optimal_gamma_complete(5, b=0.0, k=1.0, m=1.0, tau=1.0)
-        with pytest.raises(ValidationError):
-            optimal_gamma_complete(5, b=1.0, k=1.0, m=1.0, tau=-1.0)
+        with pytest.raises(ValidationError, match="^n_nodes must be an integer >= 2, got 1$"):
+            optimal_gamma_complete(1, b=1.0, params=UNIT)
+        for b in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="^b must be > 0, got "):
+                optimal_gamma_complete(5, b=b, params=UNIT)
 
 
 class TestOptimalGamma:
@@ -250,7 +250,7 @@ class TestOptimalGamma:
             g = build_complete_graph(n, b=b, alpha=1.0)
             p = ControllerParams(m=1.0, tau=1.0, k=1.0)
             res = optimal_gamma(_spectrum_of(g), p, alpha=1.0)
-            expected = optimal_gamma_complete(n, b=b, k=1.0, m=1.0, tau=1.0)
+            expected = optimal_gamma_complete(n, b=b, params=p)
             assert res.gamma_star == pytest.approx(expected, abs=1e-8)
 
     def test_boundary_when_product_small(self):
@@ -341,7 +341,7 @@ class TestOptimalGamma:
     def test_beats_droop_when_interior(self):
         g = build_line_graph(20, [1.0] * 19, alpha=1.0)
         res = optimal_gamma(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0, k=1.0), alpha=1.0)
-        droop = h2_droop_closed_form(1.0, 1.0, 20).squared_norm
+        droop = h2_droop_closed_form(1.0, UNIT, 20).squared_norm
         assert res.norm_at_star < droop
 
 
@@ -400,10 +400,10 @@ _SPECTRUM = laplacian_eigenvalues(susceptance_laplacian(build_line_graph(3, [1.0
      "b_range must be a (low, high) pair, got [1.0]"),
     (lambda: sweep(_SPECTRUM, ControllerParams(m=1.0, tau=1.0), 1.0, "gamma", 0),
      "grid must be a vector of grid points, got 0"),
-    (lambda: gamma_star_vs_k(_SPECTRUM, 1.0, 1.0, 1.0, 0), "k_grid must be a vector of grid points, got 0"),
-    (lambda: optimal_gamma_vs_k(_SPECTRUM, 1.0, 1.0, 1.0, np.float64(2.0)),
+    (lambda: gamma_star_vs_k(_SPECTRUM, UNIT, 1.0, 0), "k_grid must be a vector of grid points, got 0"),
+    (lambda: optimal_gamma_vs_k(_SPECTRUM, UNIT, 1.0, np.float64(2.0)),
      "k_grid must be a vector of grid points, got np.float64(2.0)"),
-    (lambda: loss_reduction_vs_k(_SPECTRUM, 1.0, 1.0, 1.0, [[1.0, 2.0]]),
+    (lambda: loss_reduction_vs_k(_SPECTRUM, UNIT, 1.0, [[1.0, 2.0]]),
      "k_grid must be a vector of grid points, got [[1.0, 2.0]]"),
 ], ids=["line-susceptances", "random-b-range-scalar", "random-b-range-short", "sweep-grid", "gamma-star-k-grid",
         "optimal-gamma-k-grid", "loss-reduction-k-grid"])
@@ -425,16 +425,16 @@ class TestCurvesVsK:
     def test_gamma_star_nondecreasing_in_k_on_complete_graph(self):
         g = build_complete_graph(15, b=1.0, alpha=1.0)
         k_grid = np.linspace(0.1, 10.0, 9)
-        curve = gamma_star_vs_k(_spectrum_of(g), alpha=1.0, m=1.0, tau=1.0, k_grid=k_grid)
+        curve = gamma_star_vs_k(_spectrum_of(g), UNIT, alpha=1.0, k_grid=k_grid)
         assert np.all(np.diff(curve.values) >= -1e-9)
         # complete graph: gamma_star is exactly linear in k
-        expected = [optimal_gamma_complete(15, 1.0, float(k), 1.0, 1.0) for k in k_grid]
+        expected = [optimal_gamma_complete(15, 1.0, dataclasses.replace(UNIT, k=float(k))) for k in k_grid]
         assert np.allclose(curve.values, expected, atol=1e-7)
 
     def test_loss_reduction_decreasing_in_k(self):
         g = build_line_graph(12, [1.0] * 11, alpha=1.0)
         k_grid = np.linspace(0.1, 10.0, 8)
-        curve = loss_reduction_vs_k(_spectrum_of(g), alpha=1.0, m=1.0, tau=1.0, k_grid=k_grid)
+        curve = loss_reduction_vs_k(_spectrum_of(g), UNIT, alpha=1.0, k_grid=k_grid)
         assert np.all(curve.values > 0)
         assert np.all(curve.values < 1)
         assert np.all(np.diff(curve.values) < 0)
@@ -442,12 +442,14 @@ class TestCurvesVsK:
     def test_curves_project_one_search_per_k(self):
         spec = _spectrum_of(build_random_connected_graph(25, 0.3, (0.5, 1.5), alpha=1.0, seed=12))
         k_grid = np.linspace(0.2, 5.0, 7)
-        results = optimal_gamma_vs_k(spec, 1.3, 2.0, 0.7, k_grid)
+        # the k and gamma of the params handed in are not read
+        params = ControllerParams(m=2.0, tau=0.7, k=9.0, gamma=3.0)
+        results = optimal_gamma_vs_k(spec, params, 1.3, k_grid)
         for k, res in zip(k_grid, results):
             assert res == optimal_gamma(spec, ControllerParams(m=2.0, tau=0.7, k=float(k)), 1.3)
         droop = 1.3 * 24 / (2.0 * 2.0)
-        gains = gamma_star_vs_k(spec, 1.3, 2.0, 0.7, k_grid)
-        reduction = loss_reduction_vs_k(spec, 1.3, 2.0, 0.7, k_grid)
+        gains = gamma_star_vs_k(spec, params, 1.3, k_grid)
+        reduction = loss_reduction_vs_k(spec, params, 1.3, k_grid)
         assert list(gains.values) == [r.gamma_star for r in results]
         assert list(reduction.values) == [1.0 - r.norm_at_star / droop for r in results]
 
@@ -455,7 +457,7 @@ class TestCurvesVsK:
         spec = _spectrum_of(build_line_graph(3, [1.0, 1.0], alpha=1.0))
         for curve in (optimal_gamma_vs_k, gamma_star_vs_k, loss_reduction_vs_k):
             with pytest.raises(ValidationError, match="grid point 1") as err:
-                curve(spec, 1.0, 1.0, 1.0, [0.5, -1.0, 1.0])
+                curve(spec, UNIT, 1.0, [0.5, -1.0, 1.0])
             assert "(k=-1.0)" in str(err.value)
 
 
@@ -498,7 +500,7 @@ class TestFloatRange:
         # error fails any numpy warning on the way
         spectrum = _spectrum_of(build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=alpha, seed=seed))
         params = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
-        for compute in (lambda: h2_droop_closed_form(alpha, m, n).squared_norm,
+        for compute in (lambda: h2_droop_closed_form(alpha, params, n).squared_norm,
                         lambda: h2_dapi_closed_form(alpha, params, spectrum).squared_norm,
                         lambda: optimal_gamma(spectrum, params, alpha).norm_at_star):
             try:
