@@ -312,12 +312,12 @@ def check_stability(params: ControllerParams, lam: float, kind: str) -> bool:
     (k tau)^2 (p q - r) = gamma lam tau (gamma lam + 1)
     + k (gamma lam + 1 + k m lam) > 0.  So a droop mode is always stable and
     a DAPI mode iff gamma > 0; gamma = 0 gives r = 0, a marginal integrator
-    mode, hence False.
+    mode, hence False.  Refuses a lam that is not one finite number > 0.
     """
     kind = _validated_kind(kind)
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0:
-        raise ValidationError(f"mode eigenvalue must be > 0, got {lam!r} (zero mode is excluded)")
+    lam = _finite("lam", lam)
+    if lam <= 0:
+        raise ValidationError(f"mode eigenvalue lam must be > 0, got {lam!r} (zero mode is excluded)")
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
     return kind == "droop" or params.gamma > 0

@@ -53,7 +53,7 @@ import numpy as np
 
 from .dynamics import ControllerParams, StateSpace, check_stability, modal_subsystems
 from .errors import FloatRangeError, LyapunovSolveError, StabilityError, ValidationError
-from .network import _ROW_BLOCK, Spectrum, _check_alpha, _symmetric_within
+from .network import _ROW_BLOCK, Spectrum, _check_alpha, _count, _finite, _symmetric_within
 
 H2_METHODS = ("closed_form", "modal_lyapunov", "full_gramian")
 
@@ -73,7 +73,7 @@ class H2Result:
 
     ``per_mode`` (absent for the full-Gramian route) lists the contribution
     of each nonzero eigenvalue in ascending eigenvalue order; the total is
-    their ordered sum.
+    their ordered sum, one finite number >= 0 (refused by name otherwise).
     """
 
     squared_norm: float
@@ -83,8 +83,8 @@ class H2Result:
     def __post_init__(self) -> None:
         if self.method not in H2_METHODS:
             raise ValidationError(f"method must be one of {H2_METHODS}, got {self.method!r}")
-        value = float(self.squared_norm)
-        if not np.isfinite(value) or value < 0:
+        value = _finite("squared_norm", self.squared_norm)
+        if value < 0:
             raise ValidationError(f"squared_norm must be finite and >= 0, got {value!r}")
         object.__setattr__(self, "squared_norm", value)
         if self.per_mode is not None:
@@ -95,9 +95,7 @@ class H2Result:
                 raise ValidationError("per_mode contributions must be finite and >= 0")
             total = math.fsum(pm)
             if abs(total - value) > 1e-10 * max(value, 1e-300):
-                raise ValidationError(
-                    f"squared_norm {value!r} is not the sum of per_mode contributions {total!r}"
-                )
+                raise ValidationError(f"squared_norm {value!r} is not the sum of per_mode contributions {total!r}")
             pm.setflags(write=False)
             object.__setattr__(self, "per_mode", pm)
 
@@ -117,11 +115,10 @@ def _dapi_mode_terms(lam: np.ndarray, m: float, k: float, tau: float, gamma):
 
 def h2_droop_closed_form(alpha: float, params: ControllerParams, n_nodes: int) -> H2Result:
     """Droop loss alpha (N-1) / (2 m), m from ``params``: every nonzero mode
-    contributes alpha / (2 m) regardless of its eigenvalue."""
+    contributes alpha / (2 m) regardless of its eigenvalue.  An n_nodes
+    that is not a positive integer is refused by name."""
     _check_alpha(alpha)
-    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
-        raise ValidationError(f"n_nodes must be a positive integer, got {n_nodes!r}")
-    per_mode = np.full(n_nodes - 1, alpha / (2.0 * params.m))
+    per_mode = np.full(_count("n_nodes", n_nodes) - 1, alpha / (2.0 * params.m))
     return _summed(per_mode, "closed_form", "droop closed form")
 
 

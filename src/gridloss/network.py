@@ -59,10 +59,8 @@ class NetworkGraph:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_nodes, (int, np.integer)) or self.n_nodes < 1:
-            raise ValidationError(f"n_nodes must be a positive integer, got {self.n_nodes!r}")
+        n_nodes = _count("n_nodes", self.n_nodes)
         _check_alpha(self.alpha)
-        n_nodes = int(self.n_nodes)
         ends_i, ends_j, weights = _validated_edges(n_nodes, self.edges)
         for arr in (ends_i, ends_j, weights):
             arr.setflags(write=False)
@@ -73,22 +71,20 @@ class NetworkGraph:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "edges", tuple(zip(ends_i.tolist(), ends_j.tolist(), weights.tolist())))
         if _component_count(n_nodes, ends_i, ends_j) != 1:
-            raise DisconnectedGraphError(
-                f"graph with {n_nodes} nodes and {weights.size} edges is not connected"
-            )
+            raise DisconnectedGraphError(f"graph with {n_nodes} nodes and {weights.size} edges is not connected")
 
 
 def _check_alpha(alpha) -> None:
     """Refuse an alpha that is not one number, finite and >= 0.  Each gain
     search makes thousands of these calls: a float passes by plain tests."""
     if not isinstance(alpha, float):
-        _finite("alpha", alpha)
+        alpha = _finite("alpha", alpha)
     if not 0.0 <= alpha < math.inf:
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
 
 
 def _finite(name: str, value) -> float:
-    """``value`` as a float, refused by the field ``name`` unless it is one
+    """``value`` as a float, refused by the argument ``name`` unless it is one
     finite number: a list or an array of one or more dimensions is not."""
     try:  # numbers skip np.ndim, which costs a microsecond
         number = float(value) if isinstance(value, (float, int)) or np.ndim(value) == 0 else None
@@ -99,6 +95,23 @@ def _finite(name: str, value) -> float:
     if not math.isfinite(number):
         raise ValidationError(f"{name} must be finite, got {number!r}")
     return number
+
+
+def _finite_pair(name: str, pair) -> tuple[float, float]:
+    """``pair``'s two entries read by ``_finite``, refused by ``name`` unless there are two."""
+    try:
+        low, high = pair
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a (low, high) pair, got {pair!r}") from None
+    return _finite(name, low), _finite(name, high)
+
+
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int, refused by ``name`` unless a Python or numpy integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        rule = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
 
 
 def _validated_edges(n_nodes: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -319,7 +332,7 @@ class Spectrum:
 
 def build_line_graph(n_nodes: int, susceptances, alpha: float) -> NetworkGraph:
     """Path graph on ``n_nodes`` buses with the given n-1 edge susceptances."""
-    _check_node_count(n_nodes, "line")
+    n_nodes = _count("n_nodes", n_nodes, least=2)
     b = np.asarray(susceptances, dtype=float)
     if b.ndim != 1:
         raise ValidationError(f"susceptances must be a vector of {n_nodes - 1} values, got {susceptances!r}")
@@ -331,13 +344,14 @@ def build_line_graph(n_nodes: int, susceptances, alpha: float) -> NetworkGraph:
 
 def build_complete_graph(n_nodes: int, b, alpha: float) -> NetworkGraph:
     """Complete graph on ``n_nodes`` buses with uniform susceptance ``b``, or
-    with one susceptance per node pair in ``itertools.combinations`` order."""
-    _check_node_count(n_nodes, "complete")
+    with one susceptance per node pair in ``itertools.combinations`` order.
+    A scalar ``b`` that is not finite and > 0 is refused by name."""
+    n_nodes = _count("n_nodes", n_nodes, least=2)
     ends_i, ends_j = np.triu_indices(n_nodes, 1)
     if np.ndim(b) == 0:
-        b = float(b)
-        if not np.isfinite(b) or b <= 0:
-            raise ValidationError(f"susceptance must be positive, got {b!r}")
+        b = _finite("b", b)
+        if b <= 0:
+            raise ValidationError(f"susceptance b must be positive, got {b!r}")
         weights = np.full(ends_i.size, b)
     else:
         weights = np.asarray(b, dtype=float)
@@ -367,10 +381,11 @@ def build_random_connected_graph(
         seed: RNG seed; the draw is deterministic for a fixed seed.
 
     Raises:
+        ValidationError: an argument outside its rule above, named.
         GraphGenerationError: if 1000 topology draws all come out disconnected.
     """
-    _check_node_count(n_nodes, "random")
-    p = float(edge_probability)
+    n_nodes = _count("n_nodes", n_nodes, least=2)
+    p = _finite("edge_probability", edge_probability)
     if not (0.0 < p <= 1.0):
         raise ValidationError(f"edge_probability must be in (0, 1], got {p!r}")
     lo, hi = _validated_b_range(b_range)
@@ -392,17 +407,7 @@ def build_random_connected_graph(
             continue
         weights = rng.uniform(lo, hi, size=chosen.size)
         return NetworkGraph(n_nodes=n_nodes, edges=np.column_stack((ends_i, ends_j, weights)), alpha=alpha)
-    raise GraphGenerationError(
-        f"no connected sample in 1000 draws (n_nodes={n_nodes}, edge_probability={p})"
-    )
-
-
-def _check_node_count(n_nodes, graph: str) -> None:
-    """Refuse a node count that is not an integer, or below 2 for ``graph``."""
-    if not isinstance(n_nodes, (int, np.integer)):
-        raise ValidationError(f"n_nodes must be a positive integer, got {n_nodes!r}")
-    if n_nodes < 2:
-        raise ValidationError(f"{graph} graph needs at least 2 nodes, got {n_nodes}")
+    raise GraphGenerationError(f"no connected sample in 1000 draws (n_nodes={n_nodes}, edge_probability={p})")
 
 
 def _generator(seed) -> np.random.Generator:
@@ -421,12 +426,9 @@ def _check_seed(seed) -> None:
 
 
 def _validated_b_range(b_range) -> tuple[float, float]:
-    """``(low, high)`` of a uniform susceptance draw as floats, finite with
-    0 < low <= high."""
-    if np.ndim(b_range) != 1 or len(b_range) != 2:
-        raise ValidationError(f"b_range must be a (low, high) pair, got {b_range!r}")
-    lo, hi = float(b_range[0]), float(b_range[1])
-    if not (0.0 < lo <= hi) or not np.isfinite(hi):
+    """``(low, high)`` of a uniform susceptance draw as floats, finite with 0 < low <= high."""
+    lo, hi = _finite_pair("b_range", b_range)
+    if not 0.0 < lo <= hi:
         raise ValidationError(f"b_range must satisfy 0 < low <= high, got {b_range!r}")
     return lo, hi
 

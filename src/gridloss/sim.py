@@ -32,7 +32,7 @@ import numpy as np
 from .dynamics import StateSpace
 from .errors import FloatRangeError, StabilityError, StepSizeError, ValidationError
 from .h2 import _check_hurwitz, _deflate, _max_abs, _not_deflatable
-from .network import _check_seed, _finite, _frozen, _generator
+from .network import _check_seed, _count, _finite, _frozen, _generator
 
 _N_BATCHES = 20
 
@@ -118,14 +118,16 @@ def phase_perturbation(n_nodes: int, n_states: int, scale: float, seed: int | tu
 
     Used for decay experiments: draw a standard normal phase vector, remove
     its mean, scale it, and leave all frequency and integrator states at
-    zero.
+    zero.  Refuses by name an n_nodes that is not a positive integer, an
+    n_states not 2 or 3 times it, and a scale not finite and >= 0.
 
     Raises:
         FloatRangeError: the scaled phases overflow (the scale is named).
     """
+    n_nodes, n_states, scale = _count("n_nodes", n_nodes), _count("n_states", n_states), _finite("scale", scale)
     if n_states not in (2 * n_nodes, 3 * n_nodes):
         raise ValidationError(f"n_states must be 2 or 3 times n_nodes, got {n_states} for {n_nodes}")
-    if not np.isfinite(scale) or scale < 0:
+    if scale < 0:
         raise ValidationError(f"scale must be finite and >= 0, got {scale!r}")
     rng = _generator(seed)
     z = rng.standard_normal(n_nodes)
@@ -311,7 +313,8 @@ def export_trajectory(trajectory: Trajectory, n_nodes: int, path, stride: int = 
 
     Columns: t, loss, theta_1..theta_N, omega_1..omega_N, and Omega_1..
     Omega_N when the state has an integrator block.  ``stride`` keeps every
-    stride-th sample (the first is always kept).  Every value is written
+    stride-th sample (the first is always kept); it and ``n_nodes`` are
+    positive integers, refused by name otherwise.  Every value is written
     exactly as ``'%.12g' % value`` writes it.
 
     The kept rows are formatted in blocks of whole rows, about 2**14 values
@@ -320,17 +323,14 @@ def export_trajectory(trajectory: Trajectory, n_nodes: int, path, stride: int = 
     block is written through the package's atomic writer, so readers never
     see a partial file.
     """
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise ValidationError(f"stride must be a positive integer, got {stride!r}")
+    n_nodes, stride = _count("n_nodes", n_nodes), _count("stride", stride)
     dim = trajectory.states.shape[1]
-    if n_nodes < 1 or dim % n_nodes != 0 or dim // n_nodes not in (2, 3):
+    if dim % n_nodes != 0 or dim // n_nodes not in (2, 3):
         raise ValidationError(f"state dimension {dim} is not 2 or 3 blocks of {n_nodes} nodes")
-    blocks = dim // n_nodes
-    names = ["t", "loss"]
-    for block in ("theta", "omega", "Omega")[:blocks]:
-        names.extend(f"{block}_{i + 1}" for i in range(n_nodes))
+    names = ["t", "loss", *(f"{block}_{i + 1}" for block in ("theta", "omega", "Omega")[:dim // n_nodes]
+                            for i in range(n_nodes))]
     times, loss, states = trajectory.times, trajectory.instantaneous_loss, trajectory.states
-    step = max(1, _BLOCK_VALUES // (2 + dim)) * int(stride)
+    step = max(1, _BLOCK_VALUES // (2 + dim)) * stride
     with _atomic_writer(path) as fh:
         fh.write(",".join(names) + "\n")
         for start in range(0, times.size, step):

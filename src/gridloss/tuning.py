@@ -19,12 +19,13 @@ import numpy as np
 from .dynamics import ControllerParams
 from .errors import FloatRangeError, TuningError, ValidationError
 from .h2 import _dapi_mode_terms, h2_dapi_closed_form, h2_droop_closed_form
-from .network import Spectrum, _check_alpha
+from .network import Spectrum, _check_alpha, _count, _finite, _finite_pair
 
 SWEEPABLE = ("gamma", "k", "tau", "m")
 
 _GAMMA_TOL = 1e-10
 _GAMMA_CAP = 1e6
+_GAMMA_MAX = 1e64  # norm_gamma_derivative's largest: gamma**4 in (P + s)**2 stays < 1e256
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,9 @@ class TuningResult:
     """Outcome of the gain search.
 
     ``bracket`` is the derivative sign-change interval that gamma_star was
-    bisected from in ``iterations`` steps; a boundary optimum
-    (gamma_star = 0) carries the degenerate bracket (0, 0) and zero
-    iterations.
+    bisected from in ``iterations`` steps; a boundary optimum (gamma_star =
+    0) carries the degenerate bracket (0, 0) and zero iterations.  A field
+    that is not a finite number (iterations: an int) is refused by name.
     """
 
     gamma_star: float
@@ -43,18 +44,16 @@ class TuningResult:
     bracket: tuple[float, float]
 
     def __post_init__(self) -> None:
-        lo, hi = float(self.bracket[0]), float(self.bracket[1])
-        if not (0.0 <= lo <= hi) or not np.isfinite(hi):
+        lo, hi = _finite_pair("bracket", self.bracket)
+        if not 0.0 <= lo <= hi:
             raise ValidationError(f"bracket must satisfy 0 <= lo <= hi, got {self.bracket!r}")
-        if not np.isfinite(self.gamma_star) or not (lo <= self.gamma_star <= hi):
+        for name in ("gamma_star", "norm_at_star"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+        if not lo <= self.gamma_star <= hi:
             raise ValidationError(f"gamma_star {self.gamma_star!r} outside bracket {self.bracket!r}")
-        if not np.isfinite(self.norm_at_star) or self.norm_at_star < 0:
+        if self.norm_at_star < 0:
             raise ValidationError(f"norm_at_star must be finite and >= 0, got {self.norm_at_star!r}")
-        if int(self.iterations) < 0:
-            raise ValidationError(f"iterations must be >= 0, got {self.iterations!r}")
-        object.__setattr__(self, "gamma_star", float(self.gamma_star))
-        object.__setattr__(self, "norm_at_star", float(self.norm_at_star))
-        object.__setattr__(self, "iterations", int(self.iterations))
+        object.__setattr__(self, "iterations", _count("iterations", self.iterations, least=0))
         object.__setattr__(self, "bracket", (lo, hi))
 
 
@@ -96,15 +95,17 @@ def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, a
 
     Raises:
         ValidationError: alpha is not finite and >= 0, or a gamma is
-            negative or not finite.
+            negative, not finite or above 1e64.
     """
     # plain comparisons, each false for NaN: the gain search makes thousands
     # of these calls; the spectrum and params were checked when built
     _check_alpha(alpha)
     gammas = np.asarray(gamma, dtype=float)
-    if not (0.0 <= float(gammas) < math.inf if gammas.ndim == 0 else ((gammas >= 0.0) & (gammas < math.inf)).all()):
-        bad = next(float(g) for g in gammas.flat if not 0.0 <= g < math.inf)
-        raise ValidationError(f"communication gain gamma must be finite and >= 0, got {bad!r}")
+    if not (0.0 <= float(gammas) <= _GAMMA_MAX if gammas.ndim == 0
+            else ((gammas >= 0.0) & (gammas <= _GAMMA_MAX)).all()):
+        bad = next(float(g) for g in gammas.flat if not 0.0 <= g <= _GAMMA_MAX)
+        rule = f"at most {_GAMMA_MAX:g}" if math.isfinite(bad) and bad > 0 else "finite and >= 0"
+        raise ValidationError(f"communication gain gamma must be {rule}, got {bad!r}")
     lam, m, k, tau = spectrum.nonzero, params.m, params.k, params.tau
     s, p = _dapi_mode_terms(lam, m, k, tau, gammas[..., None])
     p += s
@@ -238,11 +239,11 @@ def optimal_gamma_complete(n_nodes: int, b: float, params: ControllerParams) -> 
 
     Equals (k / (N b tau)) (sqrt(N b m tau) - 1) when N b m tau > 1, else 0
     (the boundary optimum); tau = 0 always gives 0.  ``params``' gamma is
-    ignored.
+    ignored; an n_nodes below 2 and a b not finite and > 0 are refused.
     """
-    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 2:
-        raise ValidationError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
-    if not np.isfinite(b) or b <= 0:
+    n_nodes = _count("n_nodes", n_nodes, least=2)
+    b = _finite("b", b)
+    if b <= 0:
         raise ValidationError(f"b must be > 0, got {b!r}")
     product = n_nodes * b * params.m * params.tau
     if params.tau == 0.0 or product <= 1.0:

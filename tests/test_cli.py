@@ -234,9 +234,9 @@ class TestNoTraceback:
         (["scaling", "--n-grid", "10:20:10", "--b-range=2,1"], 2,
          "b_range must satisfy 0 < low <= high, got (2.0, 1.0)"),
         (["scaling", "--n-grid", "10:20:10", "--b-range=0.5,inf"], 2,
-         "b_range must satisfy 0 < low <= high, got (0.5, inf)"),
+         "b_range must be finite, got inf"),
         (["scaling", "--n-grid", "10:20:10", "--b-range=nan,1"], 2,
-         "b_range must satisfy 0 < low <= high, got (nan, 1.0)"),
+         "b_range must be finite, got nan"),
         (["scaling", "--n-grid", "10:20:10", "--b-range=0,1"], 2,
          "b_range must satisfy 0 < low <= high, got (0.0, 1.0)"),
         (["analyze", "--line", "5", "--out", "{missing}"], 1,
@@ -245,9 +245,9 @@ class TestNoTraceback:
         (["sweep", "--line", "5", "--param", "k", "--grid", "0:inf:1"], 2,
          "grid bounds must be finite, got '0:inf:1'"),
         (["scaling", "--n-grid", "10:20:10", "--seeds", "0"], 2, "--seeds must be >= 1, got 0"),
-        (["analyze", "--line", "1"], 2, "line graph needs at least 2 nodes, got 1"),
-        (["analyze", "--complete", "1"], 2, "complete graph needs at least 2 nodes, got 1"),
-        (["analyze", "--random", "1,0.5"], 2, "random graph needs at least 2 nodes, got 1"),
+        (["analyze", "--line", "1"], 2, "n_nodes must be an integer >= 2, got 1"),
+        (["analyze", "--complete", "1"], 2, "n_nodes must be an integer >= 2, got 1"),
+        (["analyze", "--random", "1,0.5"], 2, "n_nodes must be an integer >= 2, got 1"),
         # a closed loop whose entries overflow is refused where it is built,
         # with no numpy warning on the way
         (["analyze", "--line", "3", "--m", "1e308"], 1,

@@ -1,7 +1,8 @@
 """Every name a ``gridloss`` module imports is used in that module, every
 public name is read by some module of the package, and so is every name a
 module assigns at its top level.  The controller parameters m, k and tau
-enter the public API only as fields of ``ControllerParams``.
+enter the public API only as fields of ``ControllerParams``, and every
+numeric argument of the public API has a row in ``tests/test_inputs.py``.
 
 The package's ``__init__`` re-exports names and is left out. An import
 kept for its side effect carries ``# noqa: F401`` on its line, as flake8
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import gridloss
+from test_inputs import TABLE
 
 PACKAGE = Path(gridloss.__file__).parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -73,17 +75,42 @@ def test_every_module_level_name_is_read_in_the_package():
             for name in assigned_names(source) if name not in read] == []
 
 
+# arguments that are not one number or count, as "<argument>" or, where
+# the name is a number elsewhere, "<name>-<argument>": objects, names,
+# paths, seeds, and arrays, whose types check their entries
+NOT_NUMBERS = {
+    "spectrum", "params", "graph", "ss", "config", "trajectory", "laplacian", "l_g",
+    "kind", "method", "parameter_name", "path", "seed",
+    "edges", "susceptances", "grid", "k_grid", "values", "eigenvalues", "eigenvectors", "matrix",
+    "a", "c", "q", "times", "states", "instantaneous_loss", "per_mode", "initial_state",
+    "StateSpace-b", "ModalBlocks-b",
+}
+
+
+def _public_callables():
+    for name in gridloss.__all__:
+        obj = getattr(gridloss, name)
+        errors = isinstance(obj, type) and issubclass(obj, BaseException)  # they take a message alone
+        if callable(obj) and not errors:
+            yield name, obj
+
+
 def test_controller_parameters_enter_only_through_controller_params():
     # ControllerParams is the one place m, k and tau are checked, so no other
     # public function or class takes them as arguments of its own
     takers = []
-    for name in gridloss.__all__:
-        obj = getattr(gridloss, name)
-        errors = isinstance(obj, type) and issubclass(obj, BaseException)  # they take a message alone
-        if name == "ControllerParams" or not callable(obj) or errors:
-            continue
-        takers += [f"{name}({arg})" for arg in inspect.signature(obj).parameters if arg in ("m", "k", "tau")]
+    for name, obj in _public_callables():
+        if name != "ControllerParams":
+            takers += [f"{name}({arg})" for arg in inspect.signature(obj).parameters if arg in ("m", "k", "tau")]
     assert takers == []
+
+
+def test_every_numeric_argument_has_a_row_in_the_input_table():
+    # the input contract is one table: an argument missing from it, and not
+    # on the explicit list of non-numbers, is a boundary no test holds
+    missing = [f"{name}-{arg}" for name, obj in _public_callables() for arg in inspect.signature(obj).parameters
+               if f"{name}-{arg}" not in TABLE and arg not in NOT_NUMBERS and f"{name}-{arg}" not in NOT_NUMBERS]
+    assert missing == []
 
 
 def test_assigned_names_finds_every_binding():

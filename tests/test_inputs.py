@@ -1,10 +1,15 @@
-"""The input contract at the public boundary: every public entry point that
-takes alpha, a ``ControllerParams`` field or a ``SimConfig`` field refuses
-a value that is not one finite number in range with a ``ValidationError``
-that names it, and emits no warning on the way.
+"""The input contract at the public boundary: every numeric argument of a
+name in ``gridloss.__all__`` refuses a value outside its rule with a
+``ValidationError`` that names the argument, and emits no warning on the
+way.  ``TABLE`` lists every such argument, and
+``tests/test_imports.py`` checks that it misses none.
 
-A list and an array of one element are refused as well as NaN, infinity
-and -1; numpy scalars and 0-d arrays are numbers.
+A single number (alpha, a ``ControllerParams`` or ``SimConfig`` field, a
+scale, an eigenvalue, a result's value) refuses a list and an array of one
+element as well as NaN, infinity and -1; numpy scalars and 0-d arrays are
+numbers.  A count (a node or state count, a stride, an iteration count)
+refuses 2.5, 3.0, [3] and True; numpy integers are counts.  A (low, high)
+pair, and a number that may also be a vector, refuse their own sets.
 """
 
 import math
@@ -16,13 +21,18 @@ import pytest
 
 from gridloss import (
     ControllerParams,
+    H2Result,
     NetworkGraph,
     SimConfig,
     Spectrum,
+    Trajectory,
+    TuningResult,
     ValidationError,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
+    check_stability,
+    export_trajectory,
     gamma_star_vs_k,
     h2_dapi_closed_form,
     h2_droop_closed_form,
@@ -31,7 +41,9 @@ from gridloss import (
     modal_subsystems,
     norm_gamma_derivative,
     optimal_gamma,
+    optimal_gamma_complete,
     optimal_gamma_vs_k,
+    phase_perturbation,
     sweep,
 )
 
@@ -40,6 +52,7 @@ BAD_IDS = ["list", "array", "nan", "inf", "negative"]
 
 _S = Spectrum([0.0, 1.0, 3.0])
 _P = ControllerParams(m=1.0, tau=1.0)
+_T = Trajectory([0.0, 1.0], np.zeros((2, 6)), [0.0, 0.0])
 
 ALPHA_TAKERS = {
     "NetworkGraph": lambda a: NetworkGraph(2, [(0, 1, 1.0)], a),
@@ -67,24 +80,90 @@ def _config_with(field):
     return lambda value: SimConfig(**{"dt": 0.01, "horizon": 10.0, field: value})
 
 
-# (the field a refusal names, the entry point fed the value)
+# (the field a refusal names, the entry point fed the value): single numbers
 CASES = {
     **{f"{name}-alpha": ("alpha", call) for name, call in ALPHA_TAKERS.items()},
     **{f"ControllerParams-{field}": (field, _params_with(field)) for field in ("m", "tau", "k", "gamma")},
     **{f"SimConfig-{field}": (field, _config_with(field))
        for field in ("dt", "horizon", "burn_in", "noise_intensity")},
+    "check_stability-lam": ("lam", lambda v: check_stability(_P, v, "dapi")),
+    "phase_perturbation-scale": ("scale", lambda v: phase_perturbation(3, 6, v, 0)),
+    "optimal_gamma_complete-b": ("b", lambda v: optimal_gamma_complete(5, v, _P)),
+    "build_random_connected_graph-edge_probability":
+        ("edge_probability", lambda v: build_random_connected_graph(4, v, (0.5, 1.5), 1.0, seed=0)),
+    "H2Result-squared_norm": ("squared_norm", lambda v: H2Result(v, "closed_form")),
+    "TuningResult-gamma_star": ("gamma_star", lambda v: TuningResult(v, 1.0, 1, (0.0, 2.0))),
+    "TuningResult-norm_at_star": ("norm_at_star", lambda v: TuningResult(1.0, v, 1, (0.0, 2.0))),
 }
 
+BAD_COUNTS = [2.5, 3.0, [3], True]
+BAD_COUNT_IDS = ["fraction", "float", "list", "bool"]
 
-@pytest.mark.parametrize("value", BAD, ids=BAD_IDS)
-@pytest.mark.parametrize("case", CASES)
-def test_a_bad_number_is_refused_by_name_without_a_warning(case, value):
-    field, call = CASES[case]
+# counts, each fed to its entry point with the other arguments valid; a file
+# is written, if at all, in the test's own directory
+COUNTS = {
+    "NetworkGraph-n_nodes": ("n_nodes", lambda v: NetworkGraph(v, [(0, 1, 1.0)], 1.0)),
+    "build_line_graph-n_nodes": ("n_nodes", lambda v: build_line_graph(v, [1.0, 1.0], 1.0)),
+    "build_complete_graph-n_nodes": ("n_nodes", lambda v: build_complete_graph(v, 1.0, 1.0)),
+    "build_random_connected_graph-n_nodes":
+        ("n_nodes", lambda v: build_random_connected_graph(v, 1.0, (0.5, 1.5), 1.0, seed=0)),
+    "h2_droop_closed_form-n_nodes": ("n_nodes", lambda v: h2_droop_closed_form(1.0, _P, v)),
+    "optimal_gamma_complete-n_nodes": ("n_nodes", lambda v: optimal_gamma_complete(v, 1.0, _P)),
+    "phase_perturbation-n_nodes": ("n_nodes", lambda v: phase_perturbation(v, 6, 1.0, 0)),
+    "phase_perturbation-n_states": ("n_states", lambda v: phase_perturbation(1, v, 1.0, 0)),
+    "export_trajectory-n_nodes": ("n_nodes", lambda v: export_trajectory(_T, v, "out.csv")),
+    "export_trajectory-stride": ("stride", lambda v: export_trajectory(_T, 3, "out.csv", v)),
+    "TuningResult-iterations": ("iterations", lambda v: TuningResult(1.0, 1.0, v, (0.0, 2.0))),
+}
+
+_SCALARS_ONLY = {"nan": math.nan, "inf": math.inf, "negative": -1.0}
+_BAD_PAIRS = {"scalar": 1.0, "single": [0.5], "list": ([0.5], 1.5), "array": (np.array([0.5]), 1.5),
+              "nan": (math.nan, 1.5), "inf": (0.5, math.inf), "negative": (-1.0, 1.5)}
+
+# arguments of their own shape: (the field, the entry point, its bad values
+# by id); b and gamma here take a vector as well as one number
+SHAPED = {
+    "build_complete_graph-b": ("b", lambda v: build_complete_graph(3, v, 1.0), _SCALARS_ONLY),
+    "norm_gamma_derivative-gamma":
+        ("gamma", lambda v: norm_gamma_derivative(v, _S, _P, 1.0), {**_SCALARS_ONLY, "huge": 1e308}),
+    "build_random_connected_graph-b_range":
+        ("b_range", lambda v: build_random_connected_graph(4, 1.0, v, 1.0, seed=0), _BAD_PAIRS),
+    "TuningResult-bracket": ("bracket", lambda v: TuningResult(0.0, 1.0, 1, v), _BAD_PAIRS),
+}
+
+# every numeric argument of the public API, by "<name>-<argument>"
+TABLE = {**CASES, **COUNTS, **SHAPED}
+
+
+def _refused_by_name(field, call, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError) as err:
             call(value)
     assert re.search(rf"\b{field}\b", str(err.value)), str(err.value)
+
+
+@pytest.mark.parametrize("value", BAD, ids=BAD_IDS)
+@pytest.mark.parametrize("case", CASES)
+def test_a_bad_number_is_refused_by_name_without_a_warning(case, value):
+    _refused_by_name(*CASES[case], value)
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=BAD_COUNT_IDS)
+@pytest.mark.parametrize("case", COUNTS)
+def test_a_bad_count_is_refused_by_name_without_a_warning(case, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _refused_by_name(*COUNTS[case], value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(("case", "value"), [
+    pytest.param(case, value, id=f"{case}-{value_id}")
+    for case, (_, _, values) in SHAPED.items() for value_id, value in values.items()
+])
+def test_a_bad_shaped_argument_is_refused_by_name_without_a_warning(case, value):
+    field, call, _ = SHAPED[case]
+    _refused_by_name(field, call, value)
 
 
 @pytest.mark.parametrize("value", [np.float64(0.5), np.array(0.5)], ids=["numpy-scalar", "0-d-array"])
@@ -94,3 +173,14 @@ def test_a_numpy_scalar_or_0d_array_is_a_number(value):
         assert optimal_gamma(_S, _P, value) == optimal_gamma(_S, _P, 0.5)
         assert ControllerParams(m=value, tau=value, k=value, gamma=value) == ControllerParams(0.5, 0.5, 0.5, 0.5)
         assert SimConfig(dt=value / 100, horizon=value) == SimConfig(dt=0.005, horizon=0.5)
+
+
+def test_a_numpy_integer_is_a_count(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert NetworkGraph(np.int64(2), [(0, 1, 1.0)], 1.0) == NetworkGraph(2, [(0, 1, 1.0)], 1.0)
+        assert np.array_equal(phase_perturbation(np.int64(3), np.int32(6), 0.5, 0), phase_perturbation(3, 6, 0.5, 0))
+        assert TuningResult(1.0, 1.0, np.int64(2), (0.0, 2.0)).iterations == 2
+        export_trajectory(_T, np.int64(3), tmp_path / "t.csv", stride=np.int64(1))
+        export_trajectory(_T, 3, tmp_path / "u.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()

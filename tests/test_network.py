@@ -314,7 +314,7 @@ class TestBuilders:
         lambda n: build_random_connected_graph(n, 0.5, (0.5, 1.5), 1.0, seed=1),
     ], ids=["line", "complete", "random"])
     def test_non_integer_node_count_rejected(self, build):
-        with pytest.raises(ValidationError, match=r"^n_nodes must be a positive integer, got 2\.5$"):
+        with pytest.raises(ValidationError, match=r"^n_nodes must be an integer >= 2, got 2\.5$"):
             build(2.5)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, None, "3", (), (1, -1), (1, 2.0)])
@@ -345,7 +345,7 @@ class TestBuilders:
             build_complete_graph(5, weights[:-1], alpha=1.0)
         with pytest.raises(ValidationError, match="non-positive"):
             build_complete_graph(5, np.r_[weights[:-1], 0.0], alpha=1.0)
-        with pytest.raises(ValidationError, match="susceptance must be positive"):
+        with pytest.raises(ValidationError, match="^susceptance b must be positive, got -1.0$"):
             build_complete_graph(5, -1.0, alpha=1.0)
 
     def test_random_graph_deterministic(self):

@@ -129,9 +129,11 @@ class TestDerivative:
         (np.array([0.5, 1.0, -2.0, float("nan")]), 1.0, {},
          "communication gain gamma must be finite and >= 0, got -2.0"),
         (np.array([0.5, float("nan")]), 1.0, {}, "communication gain gamma must be finite and >= 0, got nan"),
+        (1e308, 1.0, {}, "communication gain gamma must be at most 1e+64, got 1e+308"),
+        (np.array([0.5, 2e64]), 1.0, {}, "communication gain gamma must be at most 1e+64, got 2e+64"),
     ], ids=["m-zero", "m-negative", "k-zero", "tau-negative", "m-nan", "alpha-negative", "alpha-inf",
             "alpha-nan", "gamma-negative", "gamma-nan", "gamma-inf", "gamma-vector-negative",
-            "gamma-vector-nan"])
+            "gamma-vector-nan", "gamma-huge", "gamma-vector-huge"])
     def test_refuses_its_scalars_by_name(self, gamma, alpha, scalars, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             params = ControllerParams(**(dict(m=1.0, tau=1.0, k=1.0) | scalars))
@@ -239,8 +241,10 @@ class TestOptimalGammaComplete:
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError, match="^n_nodes must be an integer >= 2, got 1$"):
             optimal_gamma_complete(1, b=1.0, params=UNIT)
-        for b in (0.0, math.inf, math.nan):
-            with pytest.raises(ValidationError, match="^b must be > 0, got "):
+        with pytest.raises(ValidationError, match="^b must be > 0, got 0.0$"):
+            optimal_gamma_complete(5, b=0.0, params=UNIT)
+        for b in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="^b must be finite, got "):
                 optimal_gamma_complete(5, b=b, params=UNIT)
 
 
