@@ -10,7 +10,6 @@ input so a run can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import CONTROLLER_KINDS, ControllerParams, assemble_dapi, assemble_droop, droop_part
-from .errors import FloatRangeError, GridlossError, ValidationError
+from .errors import GridlossError, ValidationError
 from .h2 import h2_dapi_closed_form, h2_droop_closed_form, h2_full_gramian, h2_modal
 from .network import (
     NetworkGraph,
@@ -38,7 +37,7 @@ from .network import (
 from .sim import SimConfig, _atomic_writer, empirical_h2, export_trajectory, integrated_loss, phase_perturbation, simulate
 from .tuning import (
     SWEEPABLE,
-    _at_grid_point,
+    _over_grid,
     gamma_star_vs_k,
     loss_reduction_vs_k,
     optimal_gamma,
@@ -397,7 +396,8 @@ def _cmd_sweep(args) -> int:
         columns = {args.param: grid, "dapi": sweep(spectrum, params, alpha, args.param, grid).values}
         # after the sweep, which names an invalid grid point by its index
         if args.param == "m":
-            columns["droop"] = [_droop_at(alpha, params, i, m, graph.n_nodes) for i, m in enumerate(grid.tolist())]
+            columns["droop"] = list(_over_grid(
+                lambda q: h2_droop_closed_form(alpha, q, graph.n_nodes).squared_norm, params, "m", grid))
         else:
             columns["droop"] = [h2_droop_closed_form(alpha, params, graph.n_nodes).squared_norm] * grid.size
 
@@ -409,15 +409,6 @@ def _cmd_sweep(args) -> int:
     _write_out(args, "sweep", inputs, payload, lambda: (tuple(columns), zip(*columns.values())))
     print(f"wrote {args.out} ({grid.size} grid points)")
     return 0
-
-
-def _droop_at(alpha: float, params: ControllerParams, i: int, m: float, n_nodes: int) -> float:
-    """The droop norm at grid point ``i`` of an ``m`` sweep, which a refusal
-    names; the sweep has already checked ``params`` with that m."""
-    try:
-        return h2_droop_closed_form(alpha, dataclasses.replace(params, m=m), n_nodes).squared_norm
-    except FloatRangeError as err:
-        raise _at_grid_point(err, i, "m", m) from None
 
 
 def _cmd_simulate(args) -> int:

@@ -85,9 +85,12 @@ def _check_alpha(alpha) -> None:
 
 def _finite(name: str, value) -> float:
     """``value`` as a float, refused by the argument ``name`` unless it is one
-    finite number: a list or an array of one or more dimensions is not."""
+    finite number: a bool, a list or an array of one or more dimensions is not."""
     try:  # numbers skip np.ndim, which costs a microsecond
-        number = float(value) if isinstance(value, (float, int)) or np.ndim(value) == 0 else None
+        if isinstance(value, (float, int)):
+            number = None if isinstance(value, bool) else float(value)
+        else:  # numpy's bools, scalar or 0-d, are not numbers either
+            number = float(value) if np.ndim(value) == 0 and getattr(value, "dtype", None) != bool else None
     except (TypeError, ValueError, OverflowError):  # not a number, a ragged list, an int past the floats
         number = None
     if number is None:
@@ -421,7 +424,7 @@ def _check_seed(seed) -> None:
     non-negative integer or a nonempty tuple of them is a ValidationError,
     not numpy's ValueError or TypeError."""
     parts = seed if isinstance(seed, tuple) else (seed,)
-    if not parts or not all(isinstance(part, (int, np.integer)) and part >= 0 for part in parts):
+    if not parts or any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 0 for p in parts):
         raise ValidationError(f"seed must be a non-negative integer or a tuple of them, got {seed!r}")
 
 

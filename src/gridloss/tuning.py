@@ -93,20 +93,42 @@ def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, a
     calls' bits: one broadcast over (gamma values, modes), two arrays of
     that shape (4.2 MB traced for 257 values at N = 1000), one sum per row.
 
+    Where its terms leave the float range (a huge eigenvalue or m, say) the
+    result is IEEE arithmetic's, possibly inf, NaN or 0, with no warning.
+
     Raises:
         ValidationError: alpha is not finite and >= 0, or a gamma is
             negative, not finite or above 1e64.
     """
-    # plain comparisons, each false for NaN: the gain search makes thousands
-    # of these calls; the spectrum and params were checked when built
+    # plain comparisons, each false for NaN (as min and max are when an entry
+    # is): the gain search makes thousands of these calls; the spectrum and
+    # params were checked when built
     _check_alpha(alpha)
     gammas = np.asarray(gamma, dtype=float)
-    if not (0.0 <= float(gammas) <= _GAMMA_MAX if gammas.ndim == 0
-            else ((gammas >= 0.0) & (gammas <= _GAMMA_MAX)).all()):
+    low, top = ((float(gammas),) * 2 if gammas.ndim == 0
+                else (float(gammas.min(initial=0.0)), float(gammas.max(initial=0.0))))
+    if not (0.0 <= low and top <= _GAMMA_MAX):
         bad = next(float(g) for g in gammas.flat if not 0.0 <= g <= _GAMMA_MAX)
         rule = f"at most {_GAMMA_MAX:g}" if math.isfinite(bad) and bad > 0 else "finite and >= 0"
         raise ValidationError(f"communication gain gamma must be {rule}, got {bad!r}")
     lam, m, k, tau = spectrum.nonzero, params.m, params.k, params.tau
+    # in plain floats, which cannot warn: the terms at the largest gamma and
+    # eigenvalue bound all others, the denominator is at least k^2 and each
+    # summand at most lam + tau / (k^2 m); 1e290 leaves room for the roundings
+    lam_top, kkm = float(spectrum.eigenvalues[-1]), k * k * m
+    s_top = top * tau * lam_top + k
+    p_top = top * lam_top * s_top + kkm * lam_top + s_top
+    if (k * k > 1e-290 and kkm > 1e-290 and p_top * p_top < 1e290
+            and max(s_top * s_top, kkm * tau * lam_top) * lam_top < 1e290
+            and float(alpha) / m * lam.size * (lam_top + tau / kkm) < 1e290):
+        total = _derivative_sum(gammas, lam, m, k, tau, alpha)
+    else:  # only a call whose terms may overflow pays for an errstate
+        with np.errstate(all="ignore"):
+            total = _derivative_sum(gammas, lam, m, k, tau, alpha)
+    return float(total) if total.ndim == 0 else total
+
+
+def _derivative_sum(gammas: np.ndarray, lam: np.ndarray, m: float, k: float, tau: float, alpha):
     s, p = _dapi_mode_terms(lam, m, k, tau, gammas[..., None])
     p += s
     p *= p
@@ -114,8 +136,7 @@ def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, a
     s -= (k * k * m * tau) * lam
     s *= lam
     s /= p
-    total = alpha / (2.0 * m) * s.sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return alpha / (2.0 * m) * s.sum(axis=-1)
 
 
 def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) -> TuningResult:
@@ -136,9 +157,6 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     0.25, k = 0.145 and tau = 3.22 give gamma = 0.00701 (loss 43.488), not
     gamma = 4.01e-4 (loss 43.090).
 
-    The search runs under one ``np.errstate`` that lets the derivative's
-    intermediates overflow; every derivative it reads must come out finite.
-
     Raises:
         TuningError: derivative still negative at the gamma cap, or not
             finite at some gamma (named in the message).
@@ -158,39 +176,38 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     def norm_at(g: float) -> float:
         return h2_dapi_closed_form(alpha, dataclasses.replace(params, gamma=g), spectrum).squared_norm
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if deriv(0.0) >= 0.0:
-            return TuningResult(gamma_star=0.0, norm_at_star=norm_at(0.0), iterations=0, bracket=(0.0, 0.0))
+    if deriv(0.0) >= 0.0:
+        return TuningResult(gamma_star=0.0, norm_at_star=norm_at(0.0), iterations=0, bracket=(0.0, 0.0))
 
-        hi = 1.0
-        while deriv(hi) <= 0.0:
-            hi *= 2.0
-            if hi > _GAMMA_CAP:
-                raise TuningError(
-                    f"loss derivative is still negative at gamma = {_GAMMA_CAP:g}; no stationary point bracketed"
-                )
-        bracket = (0.0, hi)
-        gamma_star, iterations = _bisect_derivative(deriv, 0.0, hi)
-
-        band = _derivative_sign_band(spectrum.nonzero, params.m, params.k, params.tau)
-        crossings = _descending_crossings(deriv, hi, band)
-        if len(crossings) > 1:
-            found = [_bisect_derivative(deriv, lo_i, hi_i) for lo_i, hi_i in crossings]
-            candidates = [float(g) for g, _ in found]
-            best = int(np.argmin([norm_at(g) for g in candidates]))
-            warnings.warn(
-                f"multiple local minima at gamma = {candidates}; returning the global one",
-                RuntimeWarning,
-                stacklevel=2,
+    hi = 1.0
+    while deriv(hi) <= 0.0:
+        hi *= 2.0
+        if hi > _GAMMA_CAP:
+            raise TuningError(
+                f"loss derivative is still negative at gamma = {_GAMMA_CAP:g}; no stationary point bracketed"
             )
-            gamma_star, iterations = found[best]
-            bracket = crossings[best]
-        return TuningResult(
-            gamma_star=gamma_star,
-            norm_at_star=norm_at(gamma_star),
-            iterations=iterations,
-            bracket=bracket,
+    bracket = (0.0, hi)
+    gamma_star, iterations = _bisect_derivative(deriv, 0.0, hi)
+
+    band = _derivative_sign_band(spectrum.nonzero, params.m, params.k, params.tau)
+    crossings = _descending_crossings(deriv, hi, band)
+    if len(crossings) > 1:
+        found = [_bisect_derivative(deriv, lo_i, hi_i) for lo_i, hi_i in crossings]
+        candidates = [float(g) for g, _ in found]
+        best = int(np.argmin([norm_at(g) for g in candidates]))
+        warnings.warn(
+            f"multiple local minima at gamma = {candidates}; returning the global one",
+            RuntimeWarning,
+            stacklevel=2,
         )
+        gamma_star, iterations = found[best]
+        bracket = crossings[best]
+    return TuningResult(
+        gamma_star=gamma_star,
+        norm_at_star=norm_at(gamma_star),
+        iterations=iterations,
+        bracket=bracket,
+    )
 
 
 def _bisect_derivative(deriv, lo: float, hi: float) -> tuple[float, int]:
@@ -213,11 +230,12 @@ def _derivative_sign_band(lams, m: float, k: float, tau: float) -> tuple[float, 
     when m tau lam > 1, and never otherwise (c = 0).  So the derivative is
     negative below min c and positive above max c.  tau = 0 gives (0, 0).
     """
-    x = m * tau * lams
-    falling = x > 1.0  # never true when tau = 0, so nothing divides by zero
-    if not falling.any():
-        return 0.0, 0.0
-    c = k * (np.sqrt(x[falling]) - 1.0) / (tau * lams[falling])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a NaN band probes nowhere
+        x = m * tau * lams
+        falling = x > 1.0  # never true when tau = 0, so nothing divides by zero
+        if not falling.any():
+            return 0.0, 0.0
+        c = k * (np.sqrt(x[falling]) - 1.0) / (tau * lams[falling])
     return (float(c.min()) if falling.all() else 0.0), float(c.max())
 
 
@@ -261,38 +279,44 @@ def sweep(
     """DAPI squared norm along one controller parameter.
 
     ``params`` supplies the held-fixed values; ``parameter_name`` is one of
-    gamma, k, tau, m.  Grid points must be strictly increasing and valid for
-    the parameter (e.g. k > 0), or a validation error names the point; a
-    point where the closed form leaves the float range is named too.
+    gamma, k, tau, m.  The grid must be strictly increasing, checked first,
+    and each point valid for the parameter (e.g. k > 0), or a validation
+    error names the point, as it does where the closed form fails.
     """
     if parameter_name not in SWEEPABLE:
         raise ValidationError(f"parameter_name must be one of {SWEEPABLE}, got {parameter_name!r}")
     grid = _grid(grid, "grid")
-    values = np.empty_like(grid)
-    for i, point in enumerate(grid.tolist()):
-        try:
-            q = dataclasses.replace(params, **{parameter_name: point})
-        except ValidationError as err:
-            raise _at_grid_point(err, i, parameter_name, point) from None
-        try:
-            values[i] = h2_dapi_closed_form(alpha, q, spectrum).squared_norm
-        except FloatRangeError as err:
-            raise _at_grid_point(err, i, parameter_name, point) from None
-    return SweepCurve(parameter_name=parameter_name, grid=grid, values=values)
+    values = _over_grid(lambda q: h2_dapi_closed_form(alpha, q, spectrum).squared_norm, params, parameter_name, grid)
+    return SweepCurve(parameter_name=parameter_name, grid=grid, values=np.fromiter(values, float, grid.size))
 
 
 def _grid(points, name: str) -> np.ndarray:
     """The grid ``points`` as a float vector; a scalar or a nested list is a
-    ValidationError naming the argument ``name``."""
+    ValidationError naming the argument ``name``, and so is a grid that is
+    not strictly increasing (a NaN point is left to the point's own check)."""
     grid = np.array(points, dtype=float)
     if grid.ndim != 1:
         raise ValidationError(f"{name} must be a vector of grid points, got {points!r}")
+    if (grid[1:] <= grid[:-1]).any():  # np.diff would warn on inf - inf
+        raise ValidationError("grid must be strictly increasing")
     return grid
 
 
-def _at_grid_point(err: Exception, i: int, name: str, point: float) -> Exception:
-    """``err`` again, its message led by the grid point it came from."""
-    return type(err)(f"grid point {i} ({name}={point!r}): {err}")
+def _over_grid(evaluate, params: ControllerParams, name: str, grid: np.ndarray):
+    """Yield ``evaluate(q)`` at each point of the vector ``grid``, q being
+    ``params`` with the field ``name`` set to the point.  The point's own
+    refusal, and the evaluation's TuningError or FloatRangeError, are raised
+    again with a message led by the grid point."""
+    for i, point in enumerate(grid.tolist()):
+        try:
+            q = dataclasses.replace(params, **{name: point})
+        except ValidationError as err:
+            raise type(err)(f"grid point {i} ({name}={point!r}): {err}") from None
+        try:
+            value = evaluate(q)
+        except (TuningError, FloatRangeError) as err:
+            raise type(err)(f"grid point {i} ({name}={point!r}): {err}") from None
+        yield value
 
 
 def optimal_gamma_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: float, k_grid) -> list[TuningResult]:
@@ -300,21 +324,11 @@ def optimal_gamma_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: floa
     point, of ``dataclasses.replace(params, k=k)`` (its gamma is ignored).
 
     Raises:
-        ValidationError: a grid point is not a valid k.
+        ValidationError: the grid is out of order or a point is not a valid k.
         TuningError, FloatRangeError: the search at a grid point fails.
-        Each message names the grid point.
+        Each message but the grid's order names the grid point.
     """
-    results = []
-    for i, k in enumerate(_grid(k_grid, "k_grid").tolist()):
-        try:
-            p = dataclasses.replace(params, k=k)
-        except ValidationError as err:
-            raise _at_grid_point(err, i, "k", k) from None
-        try:
-            results.append(optimal_gamma(spectrum, p, alpha))
-        except (TuningError, FloatRangeError) as err:
-            raise _at_grid_point(err, i, "k", k) from None
-    return results
+    return list(_over_grid(lambda q: optimal_gamma(spectrum, q, alpha), params, "k", _grid(k_grid, "k_grid")))
 
 
 def gamma_star_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: float, k_grid) -> SweepCurve:

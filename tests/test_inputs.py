@@ -6,10 +6,11 @@ way.  ``TABLE`` lists every such argument, and
 
 A single number (alpha, a ``ControllerParams`` or ``SimConfig`` field, a
 scale, an eigenvalue, a result's value) refuses a list and an array of one
-element as well as NaN, infinity and -1; numpy scalars and 0-d arrays are
-numbers.  A count (a node or state count, a stride, an iteration count)
-refuses 2.5, 3.0, [3] and True; numpy integers are counts.  A (low, high)
-pair, and a number that may also be a vector, refuse their own sets.
+element as well as NaN, infinity, -1 and a bool (Python's or numpy's);
+numpy scalars and 0-d arrays are numbers.  A count (a node or state count,
+a stride, an iteration count) refuses 2.5, 3.0, [3] and True; numpy
+integers are counts.  A seed refuses a bool, alone or in a tuple.  A (low,
+high) pair, and a number that may also be a vector, refuse their own sets.
 """
 
 import math
@@ -47,8 +48,8 @@ from gridloss import (
     sweep,
 )
 
-BAD = [[1.0], np.array([1.0]), math.nan, math.inf, -1.0]
-BAD_IDS = ["list", "array", "nan", "inf", "negative"]
+BAD = [[1.0], np.array([1.0]), math.nan, math.inf, -1.0, True, np.True_]
+BAD_IDS = ["list", "array", "nan", "inf", "negative", "bool", "numpy-bool"]
 
 _S = Spectrum([0.0, 1.0, 3.0])
 _P = ControllerParams(m=1.0, tau=1.0)
@@ -116,6 +117,13 @@ COUNTS = {
     "TuningResult-iterations": ("iterations", lambda v: TuningResult(1.0, 1.0, v, (0.0, 2.0))),
 }
 
+# the entry points that take a seed, which is not a number of TABLE's kind
+SEED_TAKERS = {
+    "SimConfig": lambda s: SimConfig(dt=0.01, horizon=1.0, seed=s),
+    "phase_perturbation": lambda s: phase_perturbation(3, 6, 1.0, s),
+    "build_random_connected_graph": lambda s: build_random_connected_graph(4, 1.0, (0.5, 1.5), 1.0, seed=s),
+}
+
 _SCALARS_ONLY = {"nan": math.nan, "inf": math.inf, "negative": -1.0}
 _BAD_PAIRS = {"scalar": 1.0, "single": [0.5], "list": ([0.5], 1.5), "array": (np.array([0.5]), 1.5),
               "nan": (math.nan, 1.5), "inf": (0.5, math.inf), "negative": (-1.0, 1.5)}
@@ -155,6 +163,12 @@ def test_a_bad_count_is_refused_by_name_without_a_warning(case, value, tmp_path,
     monkeypatch.chdir(tmp_path)
     _refused_by_name(*COUNTS[case], value)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [True, (1, True)], ids=["bool", "bool-in-tuple"])
+@pytest.mark.parametrize("case", SEED_TAKERS)
+def test_a_bool_seed_is_refused_by_name_without_a_warning(case, value):
+    _refused_by_name("seed", SEED_TAKERS[case], value)
 
 
 @pytest.mark.parametrize(("case", "value"), [

@@ -107,6 +107,17 @@ class TestDerivative:
             assert type(scalar) is float
             assert np.float64(scalar).tobytes() == v.tobytes()
 
+    @pytest.mark.parametrize(("nonzero", "m"), [([1e100], 1.0), ([3.0], 1e308)], ids=["huge-eigenvalue", "huge-m"])
+    def test_terms_past_the_float_range_warn_nothing(self, nonzero, m):
+        # the intermediates overflow; the result is IEEE arithmetic's, the
+        # same for a float gamma and a vector, and no warning is emitted
+        spec, params = _spectrum_with(nonzero), ControllerParams(m=m, tau=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = norm_gamma_derivative(1.0, spec, params, 1.0)
+            vec = norm_gamma_derivative(np.array([1.0, 1.0]), spec, params, 1.0)
+        assert vec.tobytes() == np.float64([scalar] * 2).tobytes()
+
     def test_sign_at_zero(self):
         # at gamma = 0 each summand carries sign 1 - m tau lam
         assert norm_gamma_derivative(0.0, _spectrum_with([3.0]), UNIT, 1.0) < 0  # m tau lam = 3 > 1
@@ -368,11 +379,12 @@ class TestSweep:
         assert np.all(curve.values > 0)
 
     def test_invalid_grid_point_named(self):
+        # a NaN point passes the grid's order check and is refused by its own
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
         with pytest.raises(ValidationError, match="grid point 1") as err:
             sweep(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0,
-                  parameter_name="k", grid=[0.5, 0.0, 1.0])
-        assert "(k=0.0)" in str(err.value)
+                  parameter_name="k", grid=[0.5, math.nan, 1.0])
+        assert "(k=nan)" in str(err.value)
 
     def test_unknown_parameter_rejected(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
@@ -425,6 +437,26 @@ def test_a_scalar_for_a_vector_is_refused_by_name(call, monkeypatch, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("grid", [[0.5, 0.0, 1.0], [5.0, 4.0, 3.0, 2.0, 1.0] * 4, [2.0, 1.0, 1.0],
+                                  [1.0, math.inf, math.inf]], ids=["dip", "descending", "repeat", "repeated-inf"])
+@pytest.mark.parametrize("curve", [
+    lambda grid: sweep(_SPECTRUM, UNIT, 1.0, "k", grid),
+    lambda grid: optimal_gamma_vs_k(_SPECTRUM, UNIT, 1.0, grid),
+    lambda grid: gamma_star_vs_k(_SPECTRUM, UNIT, 1.0, grid),
+    lambda grid: loss_reduction_vs_k(_SPECTRUM, UNIT, 1.0, grid),
+], ids=["sweep", "optimal_gamma_vs_k", "gamma_star_vs_k", "loss_reduction_vs_k"])
+def test_a_grid_out_of_order_is_refused_before_any_point(curve, grid, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a grid point was evaluated before the grid's order was checked")
+
+    for name in ("h2_dapi_closed_form", "h2_droop_closed_form", "optimal_gamma"):
+        monkeypatch.setattr(gridloss.tuning, name, no_work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^grid must be strictly increasing$"):
+            curve(grid)
+
+
 class TestCurvesVsK:
     def test_gamma_star_nondecreasing_in_k_on_complete_graph(self):
         g = build_complete_graph(15, b=1.0, alpha=1.0)
@@ -461,8 +493,8 @@ class TestCurvesVsK:
         spec = _spectrum_of(build_line_graph(3, [1.0, 1.0], alpha=1.0))
         for curve in (optimal_gamma_vs_k, gamma_star_vs_k, loss_reduction_vs_k):
             with pytest.raises(ValidationError, match="grid point 1") as err:
-                curve(spec, UNIT, 1.0, [0.5, -1.0, 1.0])
-            assert "(k=-1.0)" in str(err.value)
+                curve(spec, UNIT, 1.0, [0.5, math.nan, 1.0])
+            assert "(k=nan)" in str(err.value)
 
 
 class TestResultTypes:
