@@ -573,13 +573,13 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     the orthogonal complement of the all-ones vector, with basis H from an
     explicit Householder reflector, and the weight is Q = blockdiag(H' L_G
     H, 0, ...), handed to ``solve_lyapunov`` as its (N-1) x (N-1) block, so
-    this route computes no spectrum.  No per-mode breakdown
-    is available here.  The Hurwitz verdict on the deflated matrix, built by
+    this route computes no spectrum.  No per-mode breakdown is available
+    here.  The Hurwitz verdict on the deflated matrix, built by
     ``_deflate``, is the one ``solve_lyapunov`` reaches; ``sim.simulate``
-    applies the same rule to the same matrix.  The solver gets the
-    deflation as a callable: it factorises that matrix in place and builds
-    it again for its residual check, so no copy of A is held beside the
-    Schur form.
+    gets the same rule on the same matrix from ``_deflated_eigenvalues``.
+    The solver gets the deflation as a callable: it factorises that matrix
+    in place and builds it again for its residual check, so no copy of A is
+    held beside the Schur form.
 
     Raises:
         StabilityError: marginal or unstable modes survive deflation (DAPI
@@ -612,6 +612,17 @@ def _deflate(ss: StateSpace) -> np.ndarray:
     del theta_rows
     np.matmul(theta_cols, basis, out=a[:, :n - 1])
     return a
+
+
+def _deflated_eigenvalues(ss: StateSpace) -> np.ndarray:
+    """Eigenvalues of ``_deflate(ss)``, refused as ``h2_full_gramian`` refuses them."""
+    deflated = _deflate(ss)
+    eigs = np.linalg.eigvals(deflated)
+    try:
+        _check_hurwitz(eigs.real, _max_abs(deflated))
+    except StabilityError as err:
+        raise _not_deflatable(ss, err) from err
+    return eigs
 
 
 def _not_deflatable(ss: StateSpace, err: StabilityError) -> StabilityError:

@@ -467,8 +467,10 @@ def ingest_edge_list(path) -> NetworkGraph:
                 alpha = float(tokens[1])
             except ValueError:
                 raise EdgeListParseError(f"line {line_no}: alpha value {tokens[1]!r} is not a number") from None
-            if not np.isfinite(alpha) or alpha < 0:
-                raise EdgeListParseError(f"line {line_no}: alpha must be finite and >= 0, got {alpha}")
+            try:
+                _check_alpha(alpha)
+            except ValidationError as err:
+                raise EdgeListParseError(f"line {line_no}: {err}") from None
             continue
         if len(tokens) != 3:
             raise EdgeListParseError(f"line {line_no}: expected '<i> <j> <b_ij>', got {text!r}")

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import StateSpace
-from .errors import FloatRangeError, StabilityError, StepSizeError, ValidationError
-from .h2 import _check_hurwitz, _deflate, _max_abs, _not_deflatable
+from .errors import FloatRangeError, StepSizeError, ValidationError
+from .h2 import _deflated_eigenvalues
 from .network import _check_seed, _count, _finite, _frozen, _generator
 
 _N_BATCHES = 20
@@ -104,6 +104,8 @@ class Trajectory:
             raise ValidationError(
                 f"length mismatch: {t.size} times, {x.shape[0]} states, {loss.size} loss samples"
             )
+        if not np.isfinite(t).all():  # np.diff would warn on inf - inf, and NaN passes its test
+            raise ValidationError("times must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValidationError("times must be strictly increasing")
         if np.any(loss < 0) or not np.all(np.isfinite(loss)):
@@ -172,12 +174,7 @@ def simulate(ss: StateSpace, config: SimConfig) -> Trajectory:
             intensity, the initial state or L_G is too large for it).
     """
     n = ss.n_nodes
-    deflated = _deflate(ss)
-    eigs = np.linalg.eigvals(deflated)
-    try:
-        _check_hurwitz(eigs.real, _max_abs(deflated))
-    except StabilityError as err:
-        raise _not_deflatable(ss, err) from err
+    eigs = _deflated_eigenvalues(ss)
     if np.any(np.abs(1.0 + config.dt * eigs) >= 1.0):
         dt_max = float(np.min(-2.0 * eigs.real / np.abs(eigs) ** 2))
         raise StepSizeError(

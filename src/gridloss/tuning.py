@@ -93,50 +93,41 @@ def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, a
     calls' bits: one broadcast over (gamma values, modes), two arrays of
     that shape (4.2 MB traced for 257 values at N = 1000), one sum per row.
 
-    Where its terms leave the float range (a huge eigenvalue or m, say) the
-    result is IEEE arithmetic's, possibly inf, NaN or 0, with no warning.
+    Where only a summand's denominator (P + s)^2 overflows, that summand
+    is 0: on ``Spectrum([0, 1e100])`` with m = k = tau = 1 the result is
+    0.0, not the true 5.0e-101.
 
     Raises:
         ValidationError: alpha is not finite and >= 0, or a gamma is
             negative, not finite or above 1e64.
+        FloatRangeError: the derivative is not finite at some gamma (the
+            first is named): its terms overflowed into inf or NaN.
     """
-    # plain comparisons, each false for NaN (as min and max are when an entry
-    # is): the gain search makes thousands of these calls; the spectrum and
-    # params were checked when built
+    # plain comparisons, each false for NaN: the gain search makes thousands
+    # of these calls; the spectrum and params were checked when built
     _check_alpha(alpha)
     gammas = np.asarray(gamma, dtype=float)
-    low, top = ((float(gammas),) * 2 if gammas.ndim == 0
-                else (float(gammas.min(initial=0.0)), float(gammas.max(initial=0.0))))
-    if not (0.0 <= low and top <= _GAMMA_MAX):
+    if not (0.0 <= float(gammas) <= _GAMMA_MAX if gammas.ndim == 0
+            else ((gammas >= 0.0) & (gammas <= _GAMMA_MAX)).all()):
         bad = next(float(g) for g in gammas.flat if not 0.0 <= g <= _GAMMA_MAX)
         rule = f"at most {_GAMMA_MAX:g}" if math.isfinite(bad) and bad > 0 else "finite and >= 0"
         raise ValidationError(f"communication gain gamma must be {rule}, got {bad!r}")
     lam, m, k, tau = spectrum.nonzero, params.m, params.k, params.tau
-    # in plain floats, which cannot warn: the terms at the largest gamma and
-    # eigenvalue bound all others, the denominator is at least k^2 and each
-    # summand at most lam + tau / (k^2 m); 1e290 leaves room for the roundings
-    lam_top, kkm = float(spectrum.eigenvalues[-1]), k * k * m
-    s_top = top * tau * lam_top + k
-    p_top = top * lam_top * s_top + kkm * lam_top + s_top
-    if (k * k > 1e-290 and kkm > 1e-290 and p_top * p_top < 1e290
-            and max(s_top * s_top, kkm * tau * lam_top) * lam_top < 1e290
-            and float(alpha) / m * lam.size * (lam_top + tau / kkm) < 1e290):
-        total = _derivative_sum(gammas, lam, m, k, tau, alpha)
-    else:  # only a call whose terms may overflow pays for an errstate
-        with np.errstate(all="ignore"):
-            total = _derivative_sum(gammas, lam, m, k, tau, alpha)
-    return float(total) if total.ndim == 0 else total
-
-
-def _derivative_sum(gammas: np.ndarray, lam: np.ndarray, m: float, k: float, tau: float, alpha):
-    s, p = _dapi_mode_terms(lam, m, k, tau, gammas[..., None])
-    p += s
-    p *= p
-    s *= s  # p already holds (P + s)^2, so s's buffer takes the summands
-    s -= (k * k * m * tau) * lam
-    s *= lam
-    s /= p
-    return alpha / (2.0 * m) * s.sum(axis=-1)
+    with np.errstate(all="ignore"):  # the terms may leave the float range; the total is judged
+        s, p = _dapi_mode_terms(lam, m, k, tau, gammas[..., None])
+        p += s
+        p *= p
+        s *= s  # p already holds (P + s)^2, so s's buffer takes the summands
+        s -= (k * k * m * tau) * lam
+        s *= lam
+        s /= p
+        total = alpha / (2.0 * m) * s.sum(axis=-1)
+    total = float(total) if total.ndim == 0 else total  # math.isfinite is the cheap test for a float
+    if not (math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
+        bad = float(np.ravel(gammas)[np.argmin(np.isfinite(total))])
+        raise FloatRangeError(f"loss derivative is not finite at gamma = {bad:.6g}: "
+                              "the gain search leaves the float range")
+    return total
 
 
 def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) -> TuningResult:
@@ -158,20 +149,13 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     gamma = 4.01e-4 (loss 43.090).
 
     Raises:
-        TuningError: derivative still negative at the gamma cap, or not
-            finite at some gamma (named in the message).
-        FloatRangeError: the DAPI closed form refuses the norm at the
-            optimum.
+        TuningError: derivative still negative at the gamma cap.
+        FloatRangeError: ``norm_gamma_derivative`` is not finite at some
+            gamma (named in the message), or the DAPI closed form refuses
+            the norm at the optimum.
     """
-    def deriv(g):
-        d = norm_gamma_derivative(g, spectrum, params, alpha)
-        # a float for a float g (math.isfinite is the cheap test), an array
-        # for the probe's grid
-        if isinstance(d, float) and math.isfinite(d) or np.isfinite(d).all():
-            return d
-        bad = float(np.ravel(g)[np.argmin(np.isfinite(d))])
-        raise TuningError(f"loss derivative is not finite at gamma = {bad:.6g}: "
-                          "the gain search leaves the float range")
+    def deriv(g):  # through the module name, which a tracer may wrap
+        return norm_gamma_derivative(g, spectrum, params, alpha)
 
     def norm_at(g: float) -> float:
         return h2_dapi_closed_form(alpha, dataclasses.replace(params, gamma=g), spectrum).squared_norm

@@ -943,6 +943,13 @@ class TestIngest:
         with pytest.raises(EdgeListParseError, match="line 1"):
             ingest_edge_list(path)
 
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf", "-inf"])
+    def test_alpha_refused_by_the_alpha_rule(self, tmp_path, value):
+        # the graph's own alpha rule and text, led by the header's line
+        path = self._write(tmp_path, f"# header next\nalpha {value}\n1 2 1.0\n")
+        with pytest.raises(EdgeListParseError, match=f"^line 2: alpha must be finite and >= 0, got {value}$"):
+            ingest_edge_list(path)
+
     def test_self_loop_line_number(self, tmp_path):
         path = self._write(tmp_path, "alpha 1.0\n1 2 1.0\n1 1 2.0\n")
         with pytest.raises(EdgeListParseError, match="line 3.*self-loop"):

@@ -473,6 +473,14 @@ class TestTrajectoryType:
         with pytest.raises(ValidationError, match="^times and loss must be vectors, states a matrix$"):
             Trajectory(times=t, states=np.zeros(3), instantaneous_loss=np.zeros(3))
 
+    @pytest.mark.parametrize("times", [[0.0, float("nan")], [float("inf")] * 2, [-float("inf"), 0.0]],
+                             ids=["nan", "inf-inf", "minus-inf"])
+    def test_non_finite_times_refused_without_warning(self, times):
+        # checked before the order: NaN passes the order test, and inf - inf
+        # would warn
+        with pytest.raises(ValidationError, match="^times must be finite$"):
+            Trajectory(times, np.zeros((2, 6)), [0.0, 0.0])
+
     def test_simulate_hands_over_its_arrays_without_a_copy(self, peak_bytes):
         g = build_line_graph(20, np.ones(19), alpha=1.0)
         ss = assemble_dapi(g, ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0))

@@ -16,7 +16,7 @@ import gridloss.tuning
 
 from gridloss.cli import main
 from gridloss.dynamics import ControllerParams
-from gridloss.errors import GridlossError, ValidationError
+from gridloss.errors import FloatRangeError, GridlossError, ValidationError
 from gridloss.h2 import h2_dapi_closed_form, h2_droop_closed_form
 from gridloss.network import (
     Spectrum,
@@ -107,16 +107,25 @@ class TestDerivative:
             assert type(scalar) is float
             assert np.float64(scalar).tobytes() == v.tobytes()
 
-    @pytest.mark.parametrize(("nonzero", "m"), [([1e100], 1.0), ([3.0], 1e308)], ids=["huge-eigenvalue", "huge-m"])
-    def test_terms_past_the_float_range_warn_nothing(self, nonzero, m):
-        # the intermediates overflow; the result is IEEE arithmetic's, the
-        # same for a float gamma and a vector, and no warning is emitted
+    @pytest.mark.parametrize(("nonzero", "m", "refused"), [([1e100], 1.0, False), ([3.0], 1e308, True)],
+                             ids=["huge-eigenvalue", "huge-m"])
+    def test_terms_past_the_float_range_warn_nothing(self, nonzero, m, refused):
+        # the intermediates overflow, with no warning.  Where only (P + s)^2
+        # does, the summand is 0.0, for a float gamma and a vector alike;
+        # where k^2 m tau lam and P do, -inf / inf is NaN and the derivative
+        # is refused, naming the first gamma that gives it
         spec, params = _spectrum_with(nonzero), ControllerParams(m=m, tau=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scalar = norm_gamma_derivative(1.0, spec, params, 1.0)
-            vec = norm_gamma_derivative(np.array([1.0, 1.0]), spec, params, 1.0)
-        assert vec.tobytes() == np.float64([scalar] * 2).tobytes()
+            for gamma, named in ((1.0, "1"), (np.array([0.5, 1.0]), "0.5")):
+                if refused:
+                    with pytest.raises(FloatRangeError, match=rf"^loss derivative is not finite at gamma = {named}: "
+                                                              "the gain search leaves the float range$"):
+                        norm_gamma_derivative(gamma, spec, params, 1.0)
+                else:
+                    value = norm_gamma_derivative(gamma, spec, params, 1.0)
+                    assert type(value) is type(gamma)
+                    assert np.float64(value).tobytes() == np.zeros(np.shape(gamma)).tobytes()
 
     def test_sign_at_zero(self):
         # at gamma = 0 each summand carries sign 1 - m tau lam
@@ -536,9 +545,12 @@ class TestFloatRange:
         # error fails any numpy warning on the way
         spectrum = _spectrum_of(build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=alpha, seed=seed))
         params = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
-        for compute in (lambda: h2_droop_closed_form(alpha, params, n).squared_norm,
-                        lambda: h2_dapi_closed_form(alpha, params, spectrum).squared_norm,
-                        lambda: optimal_gamma(spectrum, params, alpha).norm_at_star):
+        computes = [lambda: h2_droop_closed_form(alpha, params, n).squared_norm,
+                    lambda: h2_dapi_closed_form(alpha, params, spectrum).squared_norm,
+                    lambda: optimal_gamma(spectrum, params, alpha).norm_at_star]
+        if gamma <= 1e64:  # the derivative refuses a larger gamma as invalid
+            computes.append(lambda: norm_gamma_derivative(gamma, spectrum, params, alpha))
+        for compute in computes:
             try:
                 value = compute()
             except GridlossError as err:
