@@ -25,6 +25,7 @@ from .h2 import h2_dapi_closed_form, h2_droop_closed_form, h2_full_gramian, h2_m
 from .network import (
     NetworkGraph,
     Spectrum,
+    _check_alpha,
     _generator,
     _validated_b_range,
     build_complete_graph,
@@ -37,6 +38,7 @@ from .network import (
 from .sim import SimConfig, _atomic_writer, empirical_h2, export_trajectory, integrated_loss, phase_perturbation, simulate
 from .tuning import (
     SWEEPABLE,
+    _loss_reduction,
     _over_grid,
     gamma_star_vs_k,
     loss_reduction_vs_k,
@@ -243,11 +245,6 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _reduction(norm: float, droop_norm: float) -> float:
-    """Relative loss reduction of a DAPI norm over the droop norm."""
-    return 1.0 - norm / droop_norm if droop_norm > 0 else 0.0
-
-
 def _write_out(args, command: str, inputs: dict, payload, table=None, export=None) -> None:
     """Write ``--out`` in the chosen format, then its ``.meta.json`` sidecar
     recording the tool version, ``inputs`` and the seed.
@@ -311,7 +308,7 @@ def _cmd_analyze(args) -> int:
                   f"beyond their {_ROUTE_RTOL:g} agreement contract", file=sys.stderr)
     deviation = max(spreads.values())
     below = dapi.squared_norm < droop.squared_norm
-    reduction = _reduction(dapi.squared_norm, droop.squared_norm)
+    reduction = _loss_reduction(dapi.squared_norm, droop.squared_norm)
     modes = [(idx + 2, spectrum.eigenvalues[idx + 1], droop.per_mode[idx], dapi.per_mode[idx])
              for idx in range(graph.n_nodes - 1)]
 
@@ -360,7 +357,7 @@ def _cmd_tune(args) -> int:
     graph, inputs, params = _resolve(args)
     result = optimal_gamma(_spectrum(graph), params, graph.alpha)
     droop_norm = h2_droop_closed_form(graph.alpha, params, graph.n_nodes).squared_norm
-    reduction = _reduction(result.norm_at_star, droop_norm)
+    reduction = _loss_reduction(result.norm_at_star, droop_norm)
     closed = None if args.complete is None else optimal_gamma_complete(graph.n_nodes, args.b, params)
     values = {"gamma_star": result.gamma_star, "norm_at_star": result.norm_at_star,
               "droop_norm": droop_norm, "loss_reduction": reduction}
@@ -461,7 +458,7 @@ def _cmd_scaling(args) -> int:
         raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
     b_range = _validated_b_range(_parse_pair(args.b_range, float, "--b-range expects 'LO,HI'"))
     params, params_meta = _resolve_params(args)
-    alpha = args.alpha
+    alpha = _check_alpha(args.alpha)
 
     rows = []
     for n in sizes:

@@ -274,7 +274,7 @@ def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float,
     kind = _validated_kind(kind)
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     m, tau, k, gamma = params.m, params.tau, params.k, params.gamma
     lam = spectrum.nonzero
     n, s = lam.size, 2 if kind == "droop" else 3

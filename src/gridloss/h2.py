@@ -117,7 +117,7 @@ def h2_droop_closed_form(alpha: float, params: ControllerParams, n_nodes: int) -
     """Droop loss alpha (N-1) / (2 m), m from ``params``: every nonzero mode
     contributes alpha / (2 m) regardless of its eigenvalue.  An n_nodes
     that is not a positive integer is refused by name."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     per_mode = np.full(_count("n_nodes", n_nodes) - 1, alpha / (2.0 * params.m))
     return _summed(per_mode, "closed_form", "droop closed form")
 
@@ -139,7 +139,7 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectr
     Raises:
         FloatRangeError: a mode's loss is not finite, or their sum overflows.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     if not isinstance(spectrum, Spectrum):
         raise ValidationError(
             "spectrum must be a Spectrum (from spectral_decomposition or laplacian_eigenvalues), "
@@ -168,12 +168,12 @@ def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
     """Solve A' X + X A = -Q for Hurwitz A and symmetric Q.
 
     A is an n x n array, or a callable of no arguments that returns a fresh
-    one.  An array is copied, so the caller's A is never written.  A
-    callable's array is factorised in place as A' (a writeable C-ordered
-    float array is that without a copy, and its contents are lost; any
-    other is copied), and the callable is called a second time for the
-    residual check, which so reads the true A and not a copy kept through
-    the solve.  ``h2_full_gramian`` passes its deflation that way.
+    one; an array is read as the callable of its fresh copies, so the
+    caller's A is never written.  The first call's array is factorised in
+    place as A' (a writeable C-ordered float array without a copy, its
+    contents lost; any other is copied), and the second call's is the
+    residual check's, which so reads the true A and not a copy kept through
+    the solve.  ``h2_full_gramian`` passes its deflation as a callable.
 
     Q is either dense (n x n, like A) or its own leading r x r block Q_r,
     standing for Q = blockdiag(Q_r, 0); the full-Gramian route passes the
@@ -200,14 +200,14 @@ def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
     A' X, checked as a backward error (``_check_residual``).
 
     Memory, in n x n arrays besides the r x r Q: the Schur form holds A'
-    (overwritten by T; a copy of an array A, the callable's own array
-    otherwise), U and LAPACK's workspace, a few n-vectors; U'QU is formed
-    beside them through the r x n product Q_r U_r; the triangular stage
-    works in place on it, its largest cut product a quarter array, and
-    subtracts T12 Y12' + Y12 T12' 64 rows at a time; T, U and Y are
-    dropped once used, and the symmetrisation and the residual run 64 rows
-    at a time.  The peak, 3 + r/n (3.33 for the full-Gramian route), is T,
-    U and U'QU as it is formed, plus the caller's A where A is an array.
+    (the first call's array, overwritten by T), U and LAPACK's workspace, a
+    few n-vectors; U'QU is formed beside them through the r x n product
+    Q_r U_r; the triangular stage works in place on it, its largest cut
+    product a quarter array, and subtracts T12 Y12' + Y12 T12' 64 rows at a
+    time; T, U and Y are dropped once used, and the symmetrisation and the
+    residual run 64 rows at a time.  The peak, 3 + r/n (3.33 for the
+    full-Gramian route), is T, U and U'QU as it is formed, plus the caller's
+    A where A is an array.
 
     Raises:
         ValueError: A is not finite (``scipy.linalg.schur``'s message).
@@ -216,8 +216,8 @@ def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
         LyapunovSolveError: the triangular solve fails, its unscaled
             solution overflows, or the residual is above tolerance.
     """
-    fresh_a = a if callable(a) else None
-    a = np.asarray(a if fresh_a is None else fresh_a(), dtype=float)
+    fresh_a = a if callable(a) else functools.partial(np.array, a, dtype=float)
+    a = np.asarray(fresh_a(), dtype=float)
     q = np.asarray(q, dtype=float)
     if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0
             or q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] > a.shape[0]):
@@ -227,9 +227,8 @@ def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
     if not _symmetric_within(q, 1e-12 * max(q_scale, 1.0)):
         raise ValidationError("Q must be symmetric")
     a_max = _max_abs(a)
-    t, u = _real_schur(a, overwrite_a=fresh_a is not None)
-    if fresh_a is not None:
-        del a  # its buffer may now hold T
+    t, u = _real_schur(a)
+    del a  # its buffer may now hold T
     # LAPACK standardises each 2x2 block of the real Schur form so that both
     # diagonal entries equal the real part of its complex pair
     _check_hurwitz(np.diag(t), a_max)
@@ -252,25 +251,24 @@ def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
     x = np.matmul(uy, u.T, out=y if y.flags.c_contiguous else None)
     del uy, y, u
     _symmetrise(x)
-    if fresh_a is not None:
-        a = np.asarray(fresh_a(), dtype=float)
+    a = np.asarray(fresh_a(), dtype=float)
     # X is exactly symmetric, so X A = (A' X)'
     _check_residual(_max_abs_sum_with_transpose(a.T @ x, q), a, x, q_scale)
     return x
 
 
-def _real_schur(a: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T, U) with A' = U T U', with ``scipy.linalg.schur(a.T,
     output="real")``'s finiteness check and error messages, from one
     ``dgees`` call of ``_kernels`` with its queried workspace.  It
-    factorises an F-ordered copy of A' in place (which becomes T), or with
-    ``overwrite_a`` A's own buffer where A' is F-ordered there (a writeable
-    C-ordered float A), and the workspace query runs on that array and is
-    dropped before the factorisation, so it holds no spare copy of A and
-    no spare U.  On scipy's kernels (the fallback) the pair is
-    ``scipy.linalg.schur``'s bit for bit."""
+    factorises A' in place, which becomes T: A's own buffer where A' is
+    F-ordered there (a writeable C-ordered float A, whose contents are
+    lost), an F-ordered copy of A' otherwise.  The workspace query runs on
+    that array and is dropped before the factorisation, so it holds no
+    spare copy of A and no spare U.  On scipy's kernels (the fallback) the
+    pair is ``scipy.linalg.schur``'s bit for bit."""
     at = np.asarray_chkfinite(a, dtype=float).T
-    if not (overwrite_a and at.flags.f_contiguous and at.flags.writeable):
+    if not (at.flags.f_contiguous and at.flags.writeable):
         at = np.array(at, order="F")
     t, u, info = _kernels().dgees(at)
     if info < 0:

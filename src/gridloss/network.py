@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DisconnectedGraphError,
     EdgeListParseError,
+    FloatRangeError,
     GraphGenerationError,
     ValidationError,
 )
@@ -60,12 +61,12 @@ class NetworkGraph:
 
     def __post_init__(self) -> None:
         n_nodes = _count("n_nodes", self.n_nodes)
-        _check_alpha(self.alpha)
+        alpha = _check_alpha(self.alpha)
         ends_i, ends_j, weights = _validated_edges(n_nodes, self.edges)
         for arr in (ends_i, ends_j, weights):
             arr.setflags(write=False)
         object.__setattr__(self, "n_nodes", n_nodes)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", float(alpha))
         object.__setattr__(self, "ends_i", ends_i)
         object.__setattr__(self, "ends_j", ends_j)
         object.__setattr__(self, "weights", weights)
@@ -74,18 +75,21 @@ class NetworkGraph:
             raise DisconnectedGraphError(f"graph with {n_nodes} nodes and {weights.size} edges is not connected")
 
 
-def _check_alpha(alpha) -> None:
-    """Refuse an alpha that is not one number, finite and >= 0.  Each gain
-    search makes thousands of these calls: a float passes by plain tests."""
+def _check_alpha(alpha) -> float:
+    """``alpha`` checked, with -0.0 read as 0.0; refused unless one number,
+    finite and >= 0.  Each gain search makes thousands of these calls: a
+    float passes by plain tests."""
     if not isinstance(alpha, float):
         alpha = _finite("alpha", alpha)
     if not 0.0 <= alpha < math.inf:
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
+    return alpha + 0.0
 
 
 def _finite(name: str, value) -> float:
-    """``value`` as a float, refused by the argument ``name`` unless it is one
-    finite number: a bool, a list or an array of one or more dimensions is not."""
+    """``value`` as a float, -0.0 read as 0.0, refused by the argument ``name``
+    unless it is one finite number: a bool, a list or an array of one or more
+    dimensions is not."""
     try:  # numbers skip np.ndim, which costs a microsecond
         if isinstance(value, (float, int)):
             number = None if isinstance(value, bool) else float(value)
@@ -97,7 +101,7 @@ def _finite(name: str, value) -> float:
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(number):
         raise ValidationError(f"{name} must be finite, got {number!r}")
-    return number
+    return number + 0.0
 
 
 def _finite_pair(name: str, pair) -> tuple[float, float]:
@@ -468,7 +472,7 @@ def ingest_edge_list(path) -> NetworkGraph:
             except ValueError:
                 raise EdgeListParseError(f"line {line_no}: alpha value {tokens[1]!r} is not a number") from None
             try:
-                _check_alpha(alpha)
+                alpha = _check_alpha(alpha)
             except ValidationError as err:
                 raise EdgeListParseError(f"line {line_no}: {err}") from None
             continue
@@ -535,6 +539,8 @@ def spectral_decomposition(laplacian: Laplacian) -> Spectrum:
     Raises:
         DisconnectedGraphError: several components, or lambda_2 unresolved.
         ValidationError: an eigenvalue is negative beyond tolerance.
+        FloatRangeError: the largest eigenvalue is not finite: the
+            spectrum of the finite entries overflows.
     """
     w, u = np.linalg.eigh(laplacian.matrix)
     w = _pinned_zero_mode(w, laplacian.matrix)
@@ -551,7 +557,8 @@ def laplacian_eigenvalues(laplacian: Laplacian) -> Spectrum:
     The zero mode is decided and pinned exactly as in
     ``spectral_decomposition``, with the same errors; the eigenvalues come
     from ``np.linalg.eigvalsh`` and may differ from ``eigh``'s in the last
-    bits.
+    bits.  It raises what ``spectral_decomposition`` raises, a
+    FloatRangeError for an overflowing spectrum included.
     """
     return Spectrum(eigenvalues=_pinned_zero_mode(np.linalg.eigvalsh(laplacian.matrix), laplacian.matrix))
 
@@ -565,11 +572,15 @@ def _pinned_zero_mode(w: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     keeps every eigenvalue but the first, provided its second lies above
     the rounding floor n eps lambda_max of the symmetric eigensolvers;
     below it, lambda_2's sign and size are rounding noise that differs
-    between ``eigh`` and ``eigvalsh``, so the graph is refused.
+    between ``eigh`` and ``eigvalsh``, so the graph is refused.  A largest
+    eigenvalue that is not finite (finite entries whose spectrum overflows)
+    is refused first, as the float range's fault and not the graph's.
     """
     if w.size == 1:
         return np.zeros(1)
     scale = float(w[-1])
+    if not math.isfinite(scale):
+        raise FloatRangeError(f"the Laplacian's spectrum leaves the float range: its largest eigenvalue is {scale!r}")
     if scale <= 0:
         raise DisconnectedGraphError("Laplacian is zero; graph has no edges")
     if w[0] < -_ZERO_EIG_RTOL * scale:

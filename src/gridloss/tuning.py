@@ -105,7 +105,7 @@ def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, a
     """
     # plain comparisons, each false for NaN: the gain search makes thousands
     # of these calls; the spectrum and params were checked when built
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     gammas = np.asarray(gamma, dtype=float)
     if not (0.0 <= float(gammas) <= _GAMMA_MAX if gammas.ndim == 0
             else ((gammas >= 0.0) & (gammas <= _GAMMA_MAX)).all()):
@@ -318,21 +318,26 @@ def optimal_gamma_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: floa
 def gamma_star_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: float, k_grid) -> SweepCurve:
     """Optimal gain at each integral constant k (values are gamma_star), one
     ``optimal_gamma_vs_k`` search per k."""
-    k_grid = _grid(k_grid, "k_grid")
     return SweepCurve("k", k_grid, [r.gamma_star for r in optimal_gamma_vs_k(spectrum, params, alpha, k_grid)])
 
 
 def loss_reduction_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: float, k_grid) -> SweepCurve:
     """Relative loss reduction of optimally tuned DAPI over droop, per k.
 
-    values[i] = 1 - dapi(gamma_star(k_i)) / droop, in [0, 1), with droop
-    from ``h2_droop_closed_form``; larger means the averaging layer pays off
-    more at that integral constant.  Runs the same ``optimal_gamma_vs_k``
-    search per k as ``gamma_star_vs_k``.
+    values[i] = 1 - dapi(gamma_star(k_i)) / droop, in [0, 1), and 0 where
+    the droop loss (``h2_droop_closed_form``) is 0: alpha = 0 or one node.
+    Larger means the averaging layer pays off more at that integral
+    constant.  One ``optimal_gamma`` search per k, refused as in
+    ``optimal_gamma_vs_k``; the droop norm comes between the grid's check
+    and the first search, so a bad alpha is refused ahead of a bad point.
     """
     k_grid = _grid(k_grid, "k_grid")
     droop = h2_droop_closed_form(alpha, params, spectrum.n_nodes).squared_norm
-    if droop <= 0:
-        raise ValidationError("loss reduction undefined: the droop loss is zero (alpha = 0 or a single node)")
-    results = optimal_gamma_vs_k(spectrum, params, alpha, k_grid)
-    return SweepCurve("k", k_grid, [1.0 - r.norm_at_star / droop for r in results])
+    reductions = _over_grid(lambda q: _loss_reduction(optimal_gamma(spectrum, q, alpha).norm_at_star, droop),
+                            params, "k", k_grid)
+    return SweepCurve("k", k_grid, list(reductions))
+
+
+def _loss_reduction(norm: float, droop: float) -> float:
+    """1 - norm / droop, a DAPI loss's reduction over droop's; 0 where droop is 0."""
+    return 1.0 - norm / droop if droop > 0 else 0.0

@@ -6,6 +6,7 @@ codes, stdout, and the files it writes.
 
 import itertools
 import json
+import math
 import os
 import re
 import shlex
@@ -261,6 +262,10 @@ class TestNoTraceback:
         (["analyze", "--line", "3", "--alpha", "1e308"], 1,
          "closed loop leaves the float range: its alpha entries overflow"),
         (["analyze", "--line", "3", "--b", "1e308"], 2, "Laplacian entries must be finite"),
+        # finite entries whose spectrum overflows: the float range, not a
+        # disconnected graph
+        (["analyze", "--line", "2", "--b", "1e308"], 1,
+         "the Laplacian's spectrum leaves the float range: its largest eigenvalue is inf"),
         # a closed form, the gain search or a simulated loss that leaves the
         # float range is refused by name; a sweep names its grid point
         (["analyze", "--line", "3", "--gamma", "1e308"], 1,
@@ -306,7 +311,7 @@ class TestNoTraceback:
     ], ids=["b-range-reversed", "b-range-inf", "b-range-nan", "b-range-zero", "out-missing-dir",
             "out-is-dir", "grid-inf", "seeds-0", "line-1", "complete-1", "random-1",
             "analyze-m-overflow", "analyze-tau-overflow", "simulate-m-overflow", "simulate-tau-overflow",
-            "analyze-alpha-overflow", "analyze-b-overflow",
+            "analyze-alpha-overflow", "analyze-b-overflow", "analyze-spectrum-overflow",
             "analyze-dapi-closed-form-overflow", "sweep-dapi-closed-form-overflow",
             "scaling-dapi-closed-form-overflow", "analyze-droop-closed-form-overflow",
             "analyze-droop-sum-overflow", "tune-dapi-sum-overflow", "sweep-dapi-sum-overflow",
@@ -538,6 +543,30 @@ class TestAnalyze:
         spread = max(payload["droop"].values()) - min(payload["droop"].values())
         assert spread < 1e-9
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--line", "3", "--alpha", "-0"],
+        ["scaling", "--n-grid", "2:3:1", "--seeds", "1", "--alpha", "-0"],
+        ["sweep", "--line", "3", "--gamma", "-0", "--param", "k", "--grid", "1:2:1"],
+    ], ids=["analyze", "scaling", "sweep"])
+    def test_negative_zero_is_read_as_zero(self, argv, tmp_path, capsys):
+        # -0.0 flags are 0.0: no -0 in the report, the file or the sidecar
+        out = tmp_path / "r.json"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        if argv[0] == "analyze":
+            assert main(argv) == 0
+            assert not re.search(r"(?<![\w.])-0(?![\w.])", capsys.readouterr().out)
+
+        def numbers(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [x for item in node for x in numbers(item)]
+            return [node] if isinstance(node, float) else []
+
+        values = [v for path in (out, Path(f"{out}.meta.json")) for v in numbers(json.loads(path.read_text()))]
+        assert 0.0 in values
+        assert all(math.copysign(1.0, v) > 0 for v in values if v == 0.0)
+
     def test_route_spread_beyond_the_contract_warns(self, tmp_path, capsys):
         # the full Gramian of this stiff DAPI loop is off the closed form and
         # the modal route by about 1e-6: the report, the file and the exit
@@ -674,11 +703,17 @@ class TestSweep:
             assert gain == res.gamma_star
             assert reduction == 1.0 - res.norm_at_star / droop
 
-    def test_zero_alpha_at_optimal_gamma_names_alpha(self, tmp_path, capsys):
-        code = main(["sweep", "--complete", "5", "--alpha", "0", "--param", "k",
-                     "--grid", "0.5:1:0.5", "--at-optimal-gamma", "--out", str(tmp_path / "k.csv")])
-        assert code == 2
-        assert "alpha" in capsys.readouterr().err
+    def test_zero_alpha_at_optimal_gamma_reduces_nothing(self, tmp_path, capsys):
+        # a lossless network: the droop loss is 0, and so is every reduction,
+        # as tune reports it
+        network = ["--complete", "5", "--alpha", "0"]
+        swept, tuned = tmp_path / "k.json", tmp_path / "tune.json"
+        assert main(["sweep", *network, "--param", "k", "--grid", "0.5:1:0.5", "--at-optimal-gamma",
+                     "--format", "json", "--out", str(swept)]) == 0
+        assert main(["tune", *network, "--k", "0.5", "--format", "json", "--out", str(tuned)]) == 0
+        capsys.readouterr()
+        reduction = json.loads(tuned.read_text())["loss_reduction"]
+        assert json.loads(swept.read_text())["loss_reduction"] == [0.0, 0.0] == [reduction] * 2
 
     def test_invalid_grid_point_exits_two(self, tmp_path, capsys):
         code = main(["sweep", "--line", "5", "--param", "m",

@@ -401,19 +401,23 @@ class TestSolveLyapunov:
     @pytest.mark.parametrize("n", [5, 299, 449])
     def test_schur_form_is_scipys_bit_for_bit(self, n, scipy_kernels):
         a = _stable_random(n, np.random.default_rng(40 + n))
-        t, u = _real_schur(a)
+        t, u = _real_schur(a.copy())
         expected_t, expected_u = scipy.linalg.schur(a.T, output="real")
         assert np.array_equal(t, expected_t) and np.array_equal(u, expected_u)
 
     @pytest.mark.parametrize("kernels", ["bound", "scipy"])
-    def test_overwrite_a_factorises_in_place(self, kernels, request):
-        # on either kernel T is A's own buffer, A' read F-ordered from it
-        # without a copy; the pair is the copying call's bit for bit
+    def test_a_is_factorised_in_place(self, kernels, request):
+        # on either kernel T is a writeable C-ordered A's own buffer, A' read
+        # F-ordered from it without a copy; a read-only A is copied, and the
+        # pair is the same bit for bit
         if kernels == "scipy":
             request.getfixturevalue("scipy_kernels")
         a = _stable_random(100, np.random.default_rng(7))
-        expected_t, expected_u = _real_schur(a)
-        t, u = _real_schur(a, overwrite_a=True)
+        read_only = a.copy()
+        read_only.setflags(write=False)
+        expected_t, expected_u = _real_schur(read_only)
+        assert not np.shares_memory(expected_t, read_only)
+        t, u = _real_schur(a)
         assert np.shares_memory(t, a)
         assert np.array_equal(t, expected_t) and np.array_equal(u, expected_u)
 
@@ -946,7 +950,7 @@ class TestFullGramianRoute:
 
     def test_peak_memory_on_scipys_kernels(self, peak_bytes, scipy_kernels):
         # the same stages on scipy's wrappers, whose dgees factorises A' in
-        # place too (test_overwrite_a_factorises_in_place)
+        # place too (test_a_is_factorised_in_place)
         _assert_full_gramian_peak(peak_bytes, 4.0)
 
     def test_norms_are_pinned_bit_for_bit(self):

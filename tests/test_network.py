@@ -17,6 +17,7 @@ from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
 from gridloss.errors import (
     DisconnectedGraphError,
     EdgeListParseError,
+    FloatRangeError,
     GraphGenerationError,
     ValidationError,
 )
@@ -891,6 +892,18 @@ class TestZeroModes:
         if not resolved:
             assert texts == {"the graph is connected, but its second eigenvalue <lambda_2> is not resolved "
                              "above zero (rounding floor n eps lambda_max = 1.110e-14)"}
+
+    @pytest.mark.parametrize("edges", ["1 2 1e308", "1 2 1.0\n2 3 1e308"], ids=["pair", "line"])
+    def test_overflowing_spectrum_is_refused_by_the_float_range(self, edges, tmp_path):
+        # finite entries, but lambda_max overflows: the graph is connected,
+        # and not called disconnected for its lambda_2 against an inf floor
+        path = tmp_path / "g.edges"
+        path.write_text(f"alpha 1.0\n{edges}\n")
+        lap = susceptance_laplacian(ingest_edge_list(path))
+        for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
+            with pytest.raises(FloatRangeError) as err:
+                spectrum_of(lap)
+            assert str(err.value) == "the Laplacian's spectrum leaves the float range: its largest eigenvalue is inf"
 
     @settings(max_examples=60)
     @given(n=st.integers(2, 40), seed=st.integers(0, 10_000), data=st.data())

@@ -498,6 +498,15 @@ class TestCurvesVsK:
         assert list(gains.values) == [r.gamma_star for r in results]
         assert list(reduction.values) == [1.0 - r.norm_at_star / droop for r in results]
 
+    @pytest.mark.parametrize(("spectrum", "alpha"), [(_SPECTRUM, 0.0), (Spectrum([0.0]), 1.0)],
+                             ids=["zero-alpha", "one-node"])
+    def test_no_droop_loss_reduces_nothing(self, spectrum, alpha):
+        # the droop loss is 0, and so is the tuned DAPI loss: as analyze and
+        # tune report it, the reduction is 0 and not refused
+        curve = loss_reduction_vs_k(spectrum, UNIT, alpha, [0.5, 1.0, 2.0])
+        assert curve.values.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(curve.values).any()
+
     def test_invalid_k_named(self):
         spec = _spectrum_of(build_line_graph(3, [1.0, 1.0], alpha=1.0))
         for curve in (optimal_gamma_vs_k, gamma_star_vs_k, loss_reduction_vs_k):
