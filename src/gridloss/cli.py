@@ -409,18 +409,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if not (math.isfinite(args.init_perturb) and args.init_perturb >= 0):
+    init_perturb = args.init_perturb + 0.0  # -0.0 read as 0.0
+    if not (math.isfinite(init_perturb) and init_perturb >= 0):
         raise ValidationError(f"--init-perturb must be finite and >= 0, got {args.init_perturb!r}")
     if args.stride < 1:
         raise ValidationError(f"--stride must be >= 1, got {args.stride}")
     graph, inputs, params = _resolve(args)
     ss = (assemble_droop if args.controller == "droop" else assemble_dapi)(graph, params)
     initial = None
-    if args.init_perturb > 0:
+    if init_perturb > 0:
         # a stream of its own: the noise draws from --seed itself, whose
         # first N normals would otherwise be the perturbation (a trailing 0
         # in the seed tuple hashes like no entry, hence 1)
-        initial = phase_perturbation(graph.n_nodes, ss.n_states, args.init_perturb, (args.seed, 1))
+        initial = phase_perturbation(graph.n_nodes, ss.n_states, init_perturb, (args.seed, 1))
     config = SimConfig(dt=args.dt, horizon=args.horizon, burn_in=args.burn_in,
                        noise_intensity=args.noise, seed=args.seed, initial_state=initial)
     trajectory = simulate(ss, config)
@@ -442,8 +443,8 @@ def _cmd_simulate(args) -> int:
             summary["stderr"] = stderr
             estimate_note = f"; empirical squared norm {_fmt(estimate)} +/- {_fmt(stderr)}"
 
-    inputs.update(controller=args.controller, dt=args.dt, horizon=args.horizon, burn_in=args.burn_in,
-                  noise_intensity=args.noise, init_perturb=args.init_perturb, stride=args.stride)
+    inputs.update(controller=args.controller, dt=config.dt, horizon=config.horizon, burn_in=config.burn_in,
+                  noise_intensity=config.noise_intensity, init_perturb=init_perturb, stride=args.stride)
     _write_out(args, "simulate", inputs, lambda: summary,
                export=lambda path: export_trajectory(trajectory, graph.n_nodes, path, stride=args.stride))
     print(f"wrote {args.out}; integrated loss {_fmt(total)}{estimate_note}")

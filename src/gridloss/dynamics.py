@@ -117,8 +117,7 @@ class StateSpace:
         n = self.n_nodes
         c = np.zeros((n, self.n_states))
         if self.l_g.matrix.any():
-            spectrum = spectral_decomposition(self.l_g)
-            u = spectrum.eigenvectors
+            spectrum, u = spectral_decomposition(self.l_g)
             root = u @ np.diag(np.sqrt(spectrum.eigenvalues)) @ u.T
             c[:, :n] = (root + root.T) / 2.0
         c.setflags(write=False)

@@ -88,13 +88,15 @@ def _check_alpha(alpha) -> float:
 
 def _finite(name: str, value) -> float:
     """``value`` as a float, -0.0 read as 0.0, refused by the argument ``name``
-    unless it is one finite number: a bool, a list or an array of one or more
-    dimensions is not."""
+    unless it is one finite number: a bool, text, a list or an array of one
+    or more dimensions is not."""
     try:  # numbers skip np.ndim, which costs a microsecond
         if isinstance(value, (float, int)):
             number = None if isinstance(value, bool) else float(value)
-        else:  # numpy's bools, scalar or 0-d, are not numbers either
-            number = float(value) if np.ndim(value) == 0 and getattr(value, "dtype", None) != bool else None
+        else:  # nor are text and numpy's bools, scalar or 0-d
+            kind = getattr(getattr(value, "dtype", None), "kind", None)
+            text = isinstance(value, (str, bytes)) or kind in ("S", "U", "b")
+            number = float(value) if not text and np.ndim(value) == 0 else None
     except (TypeError, ValueError, OverflowError):  # not a number, a ragged list, an int past the floats
         number = None
     if number is None:
@@ -283,28 +285,19 @@ def _symmetric_within(mat: np.ndarray, atol: float) -> bool:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a susceptance Laplacian, with or without eigenvectors.
+    """Eigenvalues of a susceptance Laplacian.
 
     ``eigenvalues`` are finite and ascending with exactly one zero, 0.0 in
-    position 0; construction refuses any other vector.  ``eigenvectors`` is
-    None for an eigenvalue-only spectrum (``laplacian_eigenvalues``);
-    otherwise it holds the matching orthonormal columns, column 0 being the
-    normalized all-ones vector, with finite entries.  Column signs follow a
-    fixed convention (first component of noticeable magnitude positive) so
-    repeated runs produce identical matrices.
+    position 0; construction refuses any other vector.  The stored vector
+    is a read-only copy.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         w = np.array(self.eigenvalues, dtype=float)
-        u = None if self.eigenvectors is None else np.array(self.eigenvectors, dtype=float)
-        if w.ndim != 1 or (u is not None and u.shape != (w.size, w.size)):
-            raise ValidationError(
-                f"inconsistent spectrum shapes: eigenvalues {w.shape}, "
-                f"eigenvectors {None if u is None else u.shape}"
-            )
+        if w.ndim != 1:
+            raise ValidationError(f"eigenvalues must be a vector, got shape {w.shape}")
         if not np.isfinite(w).all():
             i = int(np.argmin(np.isfinite(w)))
             raise ValidationError(f"eigenvalues must be finite, got {float(w[i])!r} at index {i}")
@@ -317,15 +310,8 @@ class Spectrum:
                 f"exactly one zero eigenvalue expected first (got {np.count_nonzero(w == 0.0)} zeros); "
                 "clamp via spectral_decomposition or laplacian_eigenvalues"
             )
-        # max and min are NaN when an entry is, and one is infinite when one is
-        if u is not None and not (math.isfinite(u.max()) and math.isfinite(u.min())):
-            i, j = np.unravel_index(int(np.argmin(np.isfinite(u))), u.shape)
-            raise ValidationError(f"eigenvectors must be finite, got {float(u[i, j])!r} at ({i}, {j})")
         w.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
-        if u is not None:
-            u.setflags(write=False)
-            object.__setattr__(self, "eigenvectors", u)
 
     @property
     def n_nodes(self) -> int:
@@ -529,12 +515,15 @@ def susceptance_laplacian(graph: NetworkGraph) -> Laplacian:
     return Laplacian(matrix=lb)
 
 
-def spectral_decomposition(laplacian: Laplacian) -> Spectrum:
-    """Orthonormal eigendecomposition with the zero mode pinned.
+def spectral_decomposition(laplacian: Laplacian) -> tuple[Spectrum, np.ndarray]:
+    """Orthonormal eigendecomposition with the zero mode pinned: the
+    ``Spectrum`` and the read-only matrix U of its eigenvectors.
 
     Eigenvalues are ascending; the first is set to exactly 0.0 once the
     Laplacian's off-diagonal pattern shows one component (``_pinned_zero_mode``).
-    Eigenvector columns are sign-fixed so the decomposition is reproducible.
+    Column i of U belongs to eigenvalue i, and column 0 is the normalised
+    all-ones vector.  Each column's sign is fixed (its first entry above
+    1e-8 in magnitude is positive), so the decomposition is reproducible.
 
     Raises:
         DisconnectedGraphError: several components, or lambda_2 unresolved.
@@ -544,15 +533,14 @@ def spectral_decomposition(laplacian: Laplacian) -> Spectrum:
     """
     w, u = np.linalg.eigh(laplacian.matrix)
     w = _pinned_zero_mode(w, laplacian.matrix)
-    # each column's first entry above 1e-8 in magnitude (row 0 if none) is made positive
-    lead = np.argmax(np.abs(u) > 1e-8, axis=0)
+    lead = np.argmax(np.abs(u) > 1e-8, axis=0)  # row 0 where no entry is above 1e-8
     u[:, u[lead, np.arange(w.size)] < 0] *= -1.0
-    return Spectrum(eigenvalues=w, eigenvectors=u)
+    u.setflags(write=False)
+    return Spectrum(eigenvalues=w), u
 
 
 def laplacian_eigenvalues(laplacian: Laplacian) -> Spectrum:
-    """Eigenvalue-only spectrum (``eigenvectors`` is None), for callers that
-    read eigenvalues alone.
+    """The spectrum alone, for callers that read eigenvalues only.
 
     The zero mode is decided and pinned exactly as in
     ``spectral_decomposition``, with the same errors; the eigenvalues come

@@ -14,7 +14,6 @@ import numpy as np
 from gridloss import h2
 from gridloss.dynamics import ModalBlocks, StateSpace
 from gridloss.errors import ValidationError
-from gridloss.network import Spectrum
 
 
 def lyapunov_reference(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -34,10 +33,12 @@ def lyapunov_reference(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (x + x.T) / 2.0
 
 
-def verify_modal_equivalence(ss: StateSpace, blocks: ModalBlocks, spectrum: Spectrum) -> float:
+def verify_modal_equivalence(ss: StateSpace, blocks: ModalBlocks, u: np.ndarray) -> float:
     """Largest entrywise gap between the congruence-transformed full A and
     the block diagonal of the rigid-mode block and the modal blocks.
 
+    ``u`` is the Laplacian's eigenvector matrix, the second half of
+    ``spectral_decomposition``'s pair, whose eigenvalues built ``blocks``.
     Transforms A by blockdiag(U, U[, U]), reorders states mode-by-mode and
     compares against blockdiag(A_1, A_2, ..., A_N).  ``blocks`` holds A_2
     .. A_N, one per nonzero eigenvalue; the rigid-mode block A_1 is any of
@@ -47,17 +48,11 @@ def verify_modal_equivalence(ss: StateSpace, blocks: ModalBlocks, spectrum: Spec
     system as the full one.
     """
     s = ss.n_states // ss.n_nodes
-    n = spectrum.n_nodes
+    n = u.shape[0]
     if ss.n_nodes != n or blocks.a.shape != (n - 1, s, s):
         raise ValidationError(
             f"dimension mismatch: {ss.controller_kind} system with {ss.n_states} states, "
             f"{n}-node spectrum, modal blocks of shape {blocks.a.shape}"
-        )
-    # the modal blocks are the closed loop in the eigenvector basis, so an
-    # eigenvalue-only spectrum cannot stand for that basis
-    if spectrum.eigenvectors is None:
-        raise ValidationError(
-            "spectrum has no eigenvectors; build it with spectral_decomposition, not laplacian_eigenvalues"
         )
     if n < 2:
         raise ValidationError("a one-bus loop has no mode block to build the rigid-mode block from")
@@ -65,7 +60,7 @@ def verify_modal_equivalence(ss: StateSpace, blocks: ModalBlocks, spectrum: Spec
     rigid[1, 0] = 0.0
     if s == 3:
         rigid[2, 2] = 0.0
-    t = np.kron(np.eye(s), spectrum.eigenvectors)
+    t = np.kron(np.eye(s), u)
     # state (block, mode) of the transformed A, indexed [mode, block, mode', block']
     m = (t.T @ ss.a @ t).reshape(s, n, s, n).transpose(1, 0, 3, 2)
     modes = np.arange(n)

@@ -776,6 +776,17 @@ class TestSimulate:
         for path in (out, tmp_path / "p.csv.meta.json"):
             assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
 
+    def test_negative_zero_flags_are_recorded_as_zero(self, tmp_path, capsys):
+        # the sidecar records the checked values, so -0 reads as 0.0
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--line", "3", "--horizon", "1", "--burn-in", "-0", "--noise", "-0",
+                     "--init-perturb", "-0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        inputs = json.loads((tmp_path / "s.csv.meta.json").read_text())["inputs"]
+        for name in ("burn_in", "noise_intensity", "init_perturb"):
+            assert inputs[name] == 0.0 and math.copysign(1.0, inputs[name]) == 1.0, name
+        assert (inputs["dt"], inputs["horizon"]) == (0.005, 1.0)
+
     def test_deterministic_decay_run(self, tmp_path, capsys):
         out = tmp_path / "decay.json"
         assert main(["simulate", "--line", "6", "--noise", "0",
@@ -839,7 +850,7 @@ class TestScaling:
                 weights = rng.uniform(0.5, 1.5, len(pairs))
                 complete = NetworkGraph(n, tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights)), 1.0)
                 for graph, bucket in ((line, line_norms), (complete, complete_norms)):
-                    spectrum = spectral_decomposition(susceptance_laplacian(graph))
+                    spectrum = spectral_decomposition(susceptance_laplacian(graph))[0]
                     bucket.append(h2_dapi_closed_form(1.0, params, spectrum).squared_norm)
             droop = h2_droop_closed_form(1.0, params, n).squared_norm
             expected.append([float(n), droop, float(np.mean(complete_norms)), float(np.mean(line_norms))])

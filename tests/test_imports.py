@@ -81,7 +81,7 @@ def test_every_module_level_name_is_read_in_the_package():
 NOT_NUMBERS = {
     "spectrum", "params", "graph", "ss", "config", "trajectory", "laplacian", "l_g",
     "kind", "method", "parameter_name", "path", "seed",
-    "edges", "susceptances", "grid", "k_grid", "values", "eigenvalues", "eigenvectors", "matrix",
+    "edges", "susceptances", "grid", "k_grid", "values", "eigenvalues", "matrix",
     "a", "c", "q", "times", "states", "instantaneous_loss", "per_mode", "initial_state",
     "StateSpace-b", "ModalBlocks-b",
 }

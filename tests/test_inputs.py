@@ -6,10 +6,11 @@ way.  ``TABLE`` lists every such argument, and
 
 A single number (alpha, a ``ControllerParams`` or ``SimConfig`` field, a
 scale, an eigenvalue, a result's value) refuses a list and an array of one
-element as well as NaN, infinity, -1 and a bool (Python's or numpy's);
-numpy scalars and 0-d arrays are numbers.  A count (a node or state count,
-a stride, an iteration count) refuses 2.5, 3.0, [3] and True; numpy
-integers are counts.  A seed refuses a bool, alone or in a tuple.  A (low,
+element as well as NaN, infinity, -1, a bool (Python's or numpy's), text
+(a str, bytes or a numpy text array), None, an int past the floats and a
+ragged list; numpy scalars and 0-d arrays are numbers.  A count (a node or
+state count, a stride, an iteration count) refuses 2.5, 3.0, [3], True and
+"3"; numpy integers are counts.  A seed refuses a bool, alone or in a tuple.  A (low,
 high) pair, and a number that may also be a vector, refuse their own sets.
 """
 
@@ -48,8 +49,10 @@ from gridloss import (
     sweep,
 )
 
-BAD = [[1.0], np.array([1.0]), math.nan, math.inf, -1.0, True, np.True_]
-BAD_IDS = ["list", "array", "nan", "inf", "negative", "bool", "numpy-bool"]
+BAD = [[1.0], np.array([1.0]), math.nan, math.inf, -1.0, True, np.True_,
+       "1.0", b"1.0", np.array("1.0"), None, 10**400, [[1.0], [2.0, 3.0]]]
+BAD_IDS = ["list", "array", "nan", "inf", "negative", "bool", "numpy-bool",
+           "text", "bytes", "text-array", "none", "huge-int", "ragged"]
 
 _S = Spectrum([0.0, 1.0, 3.0])
 _P = ControllerParams(m=1.0, tau=1.0)
@@ -97,8 +100,8 @@ CASES = {
     "TuningResult-norm_at_star": ("norm_at_star", lambda v: TuningResult(1.0, v, 1, (0.0, 2.0))),
 }
 
-BAD_COUNTS = [2.5, 3.0, [3], True]
-BAD_COUNT_IDS = ["fraction", "float", "list", "bool"]
+BAD_COUNTS = [2.5, 3.0, [3], True, "3"]
+BAD_COUNT_IDS = ["fraction", "float", "list", "bool", "text"]
 
 # counts, each fed to its entry point with the other arguments valid; a file
 # is written, if at all, in the test's own directory

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import gridloss.sim
 from gridloss.cli import main
 from gridloss.dynamics import ControllerParams, StateSpace, assemble_dapi, assemble_droop
-from gridloss.errors import StabilityError, StepSizeError, ValidationError
+from gridloss.errors import FloatRangeError, StabilityError, StepSizeError, ValidationError
 from gridloss.h2 import h2_dapi_closed_form, h2_full_gramian
 from gridloss.network import (
     NetworkGraph,
@@ -393,7 +393,7 @@ class TestEmpiricalH2:
         ss = assemble_dapi(g, p)
         cfg = SimConfig(dt=0.01, horizon=400.0, burn_in=40.0, noise_intensity=1.0, seed=5)
         est, stderr = empirical_h2(simulate(ss, cfg), cfg)
-        true = h2_dapi_closed_form(1.0, p, spectral_decomposition(susceptance_laplacian(g))).squared_norm
+        true = h2_dapi_closed_form(1.0, p, spectral_decomposition(susceptance_laplacian(g))[0]).squared_norm
         assert abs(est - true) <= max(4.0 * stderr, 0.2 * true)
 
     def test_insufficient_samples(self):
@@ -510,6 +510,15 @@ class TestTrajectoryType:
         t = np.linspace(0.0, 7.0, 701)
         traj = Trajectory(times=t, states=np.zeros((701, 2)), instantaneous_loss=np.ones(701))
         assert integrated_loss(traj) == pytest.approx(7.0, rel=1e-12)
+
+    def test_integrated_loss_past_the_floats_is_refused(self):
+        # each sample is finite, but 10 * 1e308 is not: refused, not inf, and no warning
+        traj = Trajectory([0.0, 10.0], np.zeros((2, 4)), [1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError) as err:
+                integrated_loss(traj)
+        assert str(err.value) == "the integrated loss leaves the float range"
 
 
 class TestExport:

@@ -41,7 +41,7 @@ from gridloss.tuning import (
 
 
 def _spectrum_of(graph):
-    return spectral_decomposition(susceptance_laplacian(graph))
+    return spectral_decomposition(susceptance_laplacian(graph))[0]
 
 
 def _spectrum_with(nonzero):
