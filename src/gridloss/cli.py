@@ -386,11 +386,11 @@ def _cmd_sweep(args) -> int:
     if args.at_optimal_gamma:
         columns = {
             "k": grid,
-            "loss_reduction": loss_reduction_vs_k(spectrum, params, alpha, grid).values,
-            "gamma_star": gamma_star_vs_k(spectrum, params, alpha, grid).values,
+            "loss_reduction": loss_reduction_vs_k(spectrum, params, alpha, grid),
+            "gamma_star": gamma_star_vs_k(spectrum, params, alpha, grid),
         }
     else:
-        columns = {args.param: grid, "dapi": sweep(spectrum, params, alpha, args.param, grid).values}
+        columns = {args.param: grid, "dapi": sweep(spectrum, params, alpha, args.param, grid)}
         # after the sweep, which names an invalid grid point by its index
         if args.param == "m":
             columns["droop"] = list(_over_grid(

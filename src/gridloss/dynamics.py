@@ -86,8 +86,8 @@ class StateSpace:
     l_g: Laplacian
 
     def __post_init__(self) -> None:
-        a = _frozen(self.a)
-        b = _frozen(self.b)
+        a = _frozen("a", self.a)
+        b = _frozen("b", self.b)
         n = b.shape[1] if b.ndim == 2 else 0
         s = b.shape[0] // n if n else 0
         if s not in (2, 3) or a.shape != (s * n, s * n) or b.shape != (s * n, n) or self.l_g.n_nodes != n:
@@ -140,7 +140,7 @@ class ModalBlocks:
 
     def __post_init__(self) -> None:
         for name in ("eigenvalues", "a", "b", "c"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _frozen(name, getattr(self, name)))
         n = self.eigenvalues.size if self.eigenvalues.ndim == 1 else -1
         s = self.a.shape[-1] if self.a.ndim == 3 else 0
         shapes = (self.eigenvalues.shape, self.a.shape, self.b.shape, self.c.shape)

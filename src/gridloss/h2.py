@@ -53,9 +53,7 @@ import numpy as np
 
 from .dynamics import ControllerParams, StateSpace, check_stability, modal_subsystems
 from .errors import FloatRangeError, LyapunovSolveError, StabilityError, ValidationError
-from .network import _ROW_BLOCK, Spectrum, _check_alpha, _count, _finite, _symmetric_within
-
-H2_METHODS = ("closed_form", "modal_lyapunov", "full_gramian")
+from .network import _ROW_BLOCK, Spectrum, _check_alpha, _count, _finite, _float_array, _symmetric_within
 
 # largest block of the full route's triangular solve handed to dtrsyl whole
 _LEAF_ROWS = 64
@@ -69,7 +67,7 @@ _COLUMN_MAJOR = 102
 
 @dataclass(frozen=True)
 class H2Result:
-    """Squared H2 norm with provenance.
+    """Squared H2 norm of one route, named by the function that returns it.
 
     ``per_mode`` (absent for the full-Gramian route) lists the contribution
     of each nonzero eigenvalue in ascending eigenvalue order; the total is
@@ -77,18 +75,15 @@ class H2Result:
     """
 
     squared_norm: float
-    method: str
     per_mode: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in H2_METHODS:
-            raise ValidationError(f"method must be one of {H2_METHODS}, got {self.method!r}")
         value = _finite("squared_norm", self.squared_norm)
         if value < 0:
             raise ValidationError(f"squared_norm must be finite and >= 0, got {value!r}")
         object.__setattr__(self, "squared_norm", value)
         if self.per_mode is not None:
-            pm = np.array(self.per_mode, dtype=float)
+            pm = np.array(_float_array("per_mode", self.per_mode))
             if pm.ndim != 1:
                 raise ValidationError(f"per_mode must be a vector, got shape {pm.shape}")
             if np.any(pm < 0) or not np.all(np.isfinite(pm)):
@@ -119,7 +114,7 @@ def h2_droop_closed_form(alpha: float, params: ControllerParams, n_nodes: int) -
     that is not a positive integer is refused by name."""
     alpha = _check_alpha(alpha)
     per_mode = np.full(_count("n_nodes", n_nodes) - 1, alpha / (2.0 * params.m))
-    return _summed(per_mode, "closed_form", "droop closed form")
+    return _summed(per_mode, "droop closed form")
 
 
 def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectrum) -> H2Result:
@@ -148,20 +143,20 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectr
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s, p = _dapi_mode_terms(spectrum.nonzero, params.m, params.k, params.tau, params.gamma)
         per_mode = alpha / (2.0 * params.m) * (1.0 / (1.0 + s / p))
-    return _summed(per_mode, "closed_form", "dapi closed form")
+    return _summed(per_mode, "dapi closed form")
 
 
-def _summed(per_mode: np.ndarray, method: str, route: str) -> H2Result:
-    """The result of ``method`` from its per-mode losses, whose ordered sum
-    is the norm; ``route`` is named where one of them is not finite or the
-    sum overflows."""
+def _summed(per_mode: np.ndarray, route: str) -> H2Result:
+    """The result of a route from its per-mode losses, whose ordered sum is
+    the norm; ``route`` is named where one of them is not finite or the sum
+    overflows."""
     if not np.isfinite(per_mode).all():
         raise FloatRangeError(f"the {route} leaves the float range: a mode's loss is not finite")
     try:
         total = math.fsum(per_mode)
     except OverflowError:
         raise FloatRangeError(f"the {route} leaves the float range: the sum of its mode losses overflows") from None
-    return H2Result(squared_norm=total, method=method, per_mode=per_mode)
+    return H2Result(squared_norm=total, per_mode=per_mode)
 
 
 def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
@@ -210,15 +205,17 @@ def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
     A where A is an array.
 
     Raises:
+        ValidationError: an entry of A or Q is not a real number
+            (``network._float_array``), or their shapes do not fit.
         ValueError: A is not finite (``scipy.linalg.schur``'s message).
         StabilityError: A has an eigenvalue with real part >= -1e-10 *
             max(max|A|, 1) (both absolutely and relative to A's scale).
         LyapunovSolveError: the triangular solve fails, its unscaled
             solution overflows, or the residual is above tolerance.
     """
-    fresh_a = a if callable(a) else functools.partial(np.array, a, dtype=float)
+    fresh_a = a if callable(a) else functools.partial(np.array, _float_array("a", a))
     a = np.asarray(fresh_a(), dtype=float)
-    q = np.asarray(q, dtype=float)
+    q = _float_array("q", q)
     if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0
             or q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] > a.shape[0]):
         raise ValidationError(
@@ -560,7 +557,7 @@ def h2_modal(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: s
         residual = np.max(np.abs(at @ gram + gram @ a + q), axis=(-2, -1))
         _check_residual(residual, a, gram, np.max(np.abs(q), axis=(-2, -1)))
         per_mode = (b.mT @ gram @ b)[:, 0, 0]
-    return _summed(per_mode, "modal_lyapunov", route)
+    return _summed(per_mode, route)
 
 
 def h2_full_gramian(ss: StateSpace) -> H2Result:
@@ -593,7 +590,7 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     np.matmul(basis.T, ss.b[:n], out=b[:n - 1])
     b[n - 1:] = ss.b[n:]
     squared = float(np.trace(b.T @ gram @ b))
-    return H2Result(squared_norm=max(squared, 0.0), method="full_gramian", per_mode=None)
+    return H2Result(squared_norm=max(squared, 0.0))
 
 
 def _deflate(ss: StateSpace) -> np.ndarray:

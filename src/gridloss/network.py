@@ -90,20 +90,54 @@ def _finite(name: str, value) -> float:
     """``value`` as a float, -0.0 read as 0.0, refused by the argument ``name``
     unless it is one finite number: a bool, text, a list or an array of one
     or more dimensions is not."""
-    try:  # numbers skip np.ndim, which costs a microsecond
+    try:  # numbers skip _numbers, which costs a microsecond
         if isinstance(value, (float, int)):
             number = None if isinstance(value, bool) else float(value)
-        else:  # nor are text and numpy's bools, scalar or 0-d
-            kind = getattr(getattr(value, "dtype", None), "kind", None)
-            text = isinstance(value, (str, bytes)) or kind in ("S", "U", "b")
-            number = float(value) if not text and np.ndim(value) == 0 else None
-    except (TypeError, ValueError, OverflowError):  # not a number, a ragged list, an int past the floats
+        else:  # nor are numpy's bools and a 0-d array that holds text
+            arr = _numbers(value)
+            number = float(arr) if arr is not None and arr.ndim == 0 else None
+    except OverflowError:  # an int past the floats
         number = None
     if number is None:
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(number):
         raise ValidationError(f"{name} must be finite, got {number!r}")
     return number + 0.0
+
+
+# entries that numpy reads as numbers but are not: True is 1.0 and "1.5"
+# is 1.5 to np.array(..., dtype=float), and None is NaN
+_NON_NUMBER_TYPES = (bool, str, bytes, type(None))
+
+
+def _numbers(values) -> np.ndarray | None:
+    """``values`` as a float64 array, or None where an entry is not a real
+    number.  A plain float64 ndarray is returned as it is; anything else
+    is converted into a new array, with the bits ``np.array(values,
+    dtype=float)`` gives.  Not a number: text, bytes, a bool, None, a
+    complex number, and what numpy cannot read as a float (a ragged list,
+    an int past the floats)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        if values.dtype.kind not in "fiu":  # bools, text, complex numbers, dates
+            return None
+        return values if type(values) is np.ndarray and values.dtype == np.float64 else np.array(values, dtype=float)
+    try:  # a list keeps its entries as objects here, so a bool among numbers shows
+        entries = np.array(values, dtype=object)
+        if any(isinstance(entry, _NON_NUMBER_TYPES) or (isinstance(entry, (np.generic, np.ndarray))
+                                                   and entry.dtype.kind not in "fiu") for entry in entries.flat):
+            return None
+        return entries.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _float_array(name: str, values) -> np.ndarray:
+    """``values`` as ``_numbers`` reads them, refused by the argument ``name``
+    where it finds an entry that is not a real number."""
+    arr = _numbers(values)
+    if arr is None:
+        raise ValidationError(f"{name} must hold real numbers only (no text, bools or None), got {values!r}")
+    return arr
 
 
 def _finite_pair(name: str, pair) -> tuple[float, float]:
@@ -167,22 +201,17 @@ def _validated_edges(n_nodes: int, edges) -> tuple[np.ndarray, np.ndarray, np.nd
 def _number_triples(rows) -> tuple[np.ndarray, int | None]:
     """``rows`` as an (E, 3) float array, and None; or, if some row is not
     three numbers, the rows before the first such row and its index."""
-    try:
-        table = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError):
-        table = None
+    table = _numbers(rows)
     if table is not None and ((table.ndim == 2 and table.shape[1] == 3) or len(rows) == 0):
         return table.reshape(-1, 3), None
     # only on malformed input: find the first row that is not three numbers
     malformed = next(r for r, row in enumerate(rows) if not _is_number_triple(row))
-    return np.asarray(rows[:malformed], dtype=float).reshape(-1, 3), malformed
+    return np.array([_numbers(row) for row in rows[:malformed]], dtype=float).reshape(-1, 3), malformed
 
 
 def _is_number_triple(row) -> bool:
-    try:
-        return np.asarray(row, dtype=float).shape == (3,)
-    except (TypeError, ValueError):
-        return False
+    triple = _numbers(row)
+    return triple is not None and triple.shape == (3,)
 
 
 def _component_count(n_nodes: int, ends_i: np.ndarray, ends_j: np.ndarray) -> int:
@@ -226,7 +255,7 @@ class Laplacian:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _frozen(self.matrix)
+        mat = _frozen("matrix", self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"Laplacian must be square, got shape {mat.shape}")
         top, bottom = (float(mat.max()), float(mat.min())) if mat.size else (0.0, 0.0)
@@ -256,13 +285,15 @@ class Laplacian:
         return self.matrix.shape[0]
 
 
-def _frozen(values) -> np.ndarray:
-    """Read-only float64 array of ``values``.  An array that is already
+def _frozen(name: str, values) -> np.ndarray:
+    """Read-only float64 array of ``values``, refused by the argument
+    ``name`` as ``_float_array`` refuses.  An array that is already
     read-only float64 is kept as it is; anything else is copied, so a
     caller's writeable array is never frozen."""
-    arr = np.asarray(values)
-    if arr.dtype != np.float64 or arr.flags.writeable:
-        arr = np.array(arr, dtype=float)
+    arr = _float_array(name, values)
+    if arr.flags.writeable:
+        if arr is values:  # the caller's own array
+            arr = arr.copy()
         arr.setflags(write=False)
     return arr
 
@@ -295,7 +326,7 @@ class Spectrum:
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.array(self.eigenvalues, dtype=float)
+        w = np.array(_float_array("eigenvalues", self.eigenvalues))
         if w.ndim != 1:
             raise ValidationError(f"eigenvalues must be a vector, got shape {w.shape}")
         if not np.isfinite(w).all():
@@ -326,7 +357,7 @@ class Spectrum:
 def build_line_graph(n_nodes: int, susceptances, alpha: float) -> NetworkGraph:
     """Path graph on ``n_nodes`` buses with the given n-1 edge susceptances."""
     n_nodes = _count("n_nodes", n_nodes, least=2)
-    b = np.asarray(susceptances, dtype=float)
+    b = _float_array("susceptances", susceptances)
     if b.ndim != 1:
         raise ValidationError(f"susceptances must be a vector of {n_nodes - 1} values, got {susceptances!r}")
     if len(b) != n_nodes - 1:
@@ -341,13 +372,13 @@ def build_complete_graph(n_nodes: int, b, alpha: float) -> NetworkGraph:
     A scalar ``b`` that is not finite and > 0 is refused by name."""
     n_nodes = _count("n_nodes", n_nodes, least=2)
     ends_i, ends_j = np.triu_indices(n_nodes, 1)
-    if np.ndim(b) == 0:
+    if not isinstance(b, (list, tuple)) and np.ndim(b) == 0:  # np.ndim raises on a ragged list
         b = _finite("b", b)
         if b <= 0:
             raise ValidationError(f"susceptance b must be positive, got {b!r}")
         weights = np.full(ends_i.size, b)
     else:
-        weights = np.asarray(b, dtype=float)
+        weights = _float_array("b", b)
         if len(weights) != ends_i.size:
             raise ValidationError(
                 f"complete graph on {n_nodes} nodes needs {ends_i.size} susceptances, got {len(weights)}"

@@ -32,7 +32,7 @@ import numpy as np
 from .dynamics import StateSpace
 from .errors import FloatRangeError, StepSizeError, ValidationError
 from .h2 import _deflated_eigenvalues
-from .network import _check_seed, _count, _finite, _frozen, _generator
+from .network import _check_seed, _count, _finite, _float_array, _frozen, _generator
 
 _N_BATCHES = 20
 
@@ -81,7 +81,7 @@ class SimConfig:
         if not isinstance(self.seed, tuple):
             object.__setattr__(self, "seed", int(self.seed))
         if self.initial_state is not None:
-            x0 = np.array(self.initial_state, dtype=float)
+            x0 = np.array(_float_array("initial_state", self.initial_state))
             if x0.ndim != 1 or not np.all(np.isfinite(x0)):
                 raise ValidationError("initial_state must be a finite vector")
             x0.setflags(write=False)
@@ -97,7 +97,7 @@ class Trajectory:
     instantaneous_loss: np.ndarray
 
     def __post_init__(self) -> None:
-        t, x, loss = (_frozen(values) for values in (self.times, self.states, self.instantaneous_loss))
+        t, x, loss = (_frozen(name, getattr(self, name)) for name in ("times", "states", "instantaneous_loss"))
         if t.ndim != 1 or x.ndim != 2 or loss.ndim != 1:
             raise ValidationError("times and loss must be vectors, states a matrix")
         if x.shape[0] != t.size or loss.size != t.size:

@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import ControllerParams
 from .errors import FloatRangeError, TuningError, ValidationError
 from .h2 import _dapi_mode_terms, h2_dapi_closed_form, h2_droop_closed_form
-from .network import Spectrum, _check_alpha, _count, _finite, _finite_pair
+from .network import Spectrum, _check_alpha, _count, _finite, _finite_pair, _float_array
 
 SWEEPABLE = ("gamma", "k", "tau", "m")
 
@@ -57,31 +57,6 @@ class TuningResult:
         object.__setattr__(self, "bracket", (lo, hi))
 
 
-@dataclass(frozen=True)
-class SweepCurve:
-    """One-parameter curve: strictly increasing grid with one value per point."""
-
-    parameter_name: str
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        grid = np.array(self.grid, dtype=float)
-        values = np.array(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 1 or values.shape != grid.shape:
-            raise ValidationError(
-                f"grid and values must be equal-length vectors, got {grid.shape} and {values.shape}"
-            )
-        if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(values)):
-            raise ValidationError("grid and values must be finite")
-        if np.any(np.diff(grid) <= 0):
-            raise ValidationError("grid must be strictly increasing")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-
 def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, alpha: float):
     """d/d(gamma) of the DAPI squared norm, in closed form.
 
@@ -93,9 +68,10 @@ def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, a
     calls' bits: one broadcast over (gamma values, modes), two arrays of
     that shape (4.2 MB traced for 257 values at N = 1000), one sum per row.
 
-    Where only a summand's denominator (P + s)^2 overflows, that summand
-    is 0: on ``Spectrum([0, 1e100])`` with m = k = tau = 1 the result is
-    0.0, not the true 5.0e-101.
+    Where a summand's denominator (P + s)^2 overflows, that summand is
+    formed again as (lam / d) (s (s / d) - c / d), d = P + s and c = k^2 m
+    tau lam, whose factors stay in range: on ``Spectrum([0, 1e100])`` with
+    m = k = tau = 1 the result is the true 5.0e-101, not 0.0.
 
     Raises:
         ValidationError: alpha is not finite and >= 0, or a gamma is
@@ -106,7 +82,7 @@ def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, a
     # plain comparisons, each false for NaN: the gain search makes thousands
     # of these calls; the spectrum and params were checked when built
     alpha = _check_alpha(alpha)
-    gammas = np.asarray(gamma, dtype=float)
+    gammas = np.asarray(gamma) if isinstance(gamma, float) else _float_array("gamma", gamma)
     if not (0.0 <= float(gammas) <= _GAMMA_MAX if gammas.ndim == 0
             else ((gammas >= 0.0) & (gammas <= _GAMMA_MAX)).all()):
         bad = next(float(g) for g in gammas.flat if not 0.0 <= g <= _GAMMA_MAX)
@@ -121,6 +97,11 @@ def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, a
         s -= (k * k * m * tau) * lam
         s *= lam
         s /= p
+        if p.max(initial=0.0) == math.inf:  # an overflowed (P + s)^2 made its summand 0 or NaN
+            over = np.isinf(p)
+            t, d = _dapi_mode_terms(lam, m, k, tau, gammas[..., None])
+            t, d, lams = t[over], d[over] + t[over], np.broadcast_to(lam, p.shape)[over]
+            s[over] = lams / d * (t * (t / d) - (k * k * m * tau) * lams / d)
         total = alpha / (2.0 * m) * s.sum(axis=-1)
     total = float(total) if total.ndim == 0 else total  # math.isfinite is the cheap test for a float
     if not (math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
@@ -259,8 +240,9 @@ def sweep(
     alpha: float,
     parameter_name: str,
     grid,
-) -> SweepCurve:
-    """DAPI squared norm along one controller parameter.
+) -> np.ndarray:
+    """DAPI squared norm along one controller parameter, one read-only value
+    per grid point.
 
     ``params`` supplies the held-fixed values; ``parameter_name`` is one of
     gamma, k, tau, m.  The grid must be strictly increasing, checked first,
@@ -271,14 +253,22 @@ def sweep(
         raise ValidationError(f"parameter_name must be one of {SWEEPABLE}, got {parameter_name!r}")
     grid = _grid(grid, "grid")
     values = _over_grid(lambda q: h2_dapi_closed_form(alpha, q, spectrum).squared_norm, params, parameter_name, grid)
-    return SweepCurve(parameter_name=parameter_name, grid=grid, values=np.fromiter(values, float, grid.size))
+    return _read_only(np.fromiter(values, float, grid.size))
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as a float vector that cannot be written."""
+    values = np.asarray(values, dtype=float)
+    values.setflags(write=False)
+    return values
 
 
 def _grid(points, name: str) -> np.ndarray:
-    """The grid ``points`` as a float vector; a scalar or a nested list is a
-    ValidationError naming the argument ``name``, and so is a grid that is
-    not strictly increasing (a NaN point is left to the point's own check)."""
-    grid = np.array(points, dtype=float)
+    """The grid ``points`` as a float vector; a scalar, a nested list or an
+    entry that is not a real number (``_float_array``) is a ValidationError
+    naming the argument ``name``, and so is a grid that is not strictly
+    increasing (a NaN point is left to the point's own check)."""
+    grid = _float_array(name, points)
     if grid.ndim != 1:
         raise ValidationError(f"{name} must be a vector of grid points, got {points!r}")
     if (grid[1:] <= grid[:-1]).any():  # np.diff would warn on inf - inf
@@ -315,27 +305,27 @@ def optimal_gamma_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: floa
     return list(_over_grid(lambda q: optimal_gamma(spectrum, q, alpha), params, "k", _grid(k_grid, "k_grid")))
 
 
-def gamma_star_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: float, k_grid) -> SweepCurve:
-    """Optimal gain at each integral constant k (values are gamma_star), one
-    ``optimal_gamma_vs_k`` search per k."""
-    return SweepCurve("k", k_grid, [r.gamma_star for r in optimal_gamma_vs_k(spectrum, params, alpha, k_grid)])
+def gamma_star_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: float, k_grid) -> np.ndarray:
+    """Optimal gain gamma_star at each integral constant k, read-only, from
+    the ``optimal_gamma_vs_k`` searches."""
+    return _read_only([r.gamma_star for r in optimal_gamma_vs_k(spectrum, params, alpha, k_grid)])
 
 
-def loss_reduction_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: float, k_grid) -> SweepCurve:
+def loss_reduction_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: float, k_grid) -> np.ndarray:
     """Relative loss reduction of optimally tuned DAPI over droop, per k.
 
-    values[i] = 1 - dapi(gamma_star(k_i)) / droop, in [0, 1), and 0 where
+    Entry i is 1 - dapi(gamma_star(k_i)) / droop, in [0, 1), and 0 where
     the droop loss (``h2_droop_closed_form``) is 0: alpha = 0 or one node.
     Larger means the averaging layer pays off more at that integral
-    constant.  One ``optimal_gamma`` search per k, refused as in
-    ``optimal_gamma_vs_k``; the droop norm comes between the grid's check
-    and the first search, so a bad alpha is refused ahead of a bad point.
+    constant.  The vector is read-only and projects the
+    ``optimal_gamma_vs_k`` searches, refused as there; the droop norm comes
+    between the grid's check and the first search, so a bad alpha is
+    refused ahead of a bad point.
     """
     k_grid = _grid(k_grid, "k_grid")
     droop = h2_droop_closed_form(alpha, params, spectrum.n_nodes).squared_norm
-    reductions = _over_grid(lambda q: _loss_reduction(optimal_gamma(spectrum, q, alpha).norm_at_star, droop),
-                            params, "k", k_grid)
-    return SweepCurve("k", k_grid, list(reductions))
+    return _read_only([_loss_reduction(r.norm_at_star, droop)
+                       for r in optimal_gamma_vs_k(spectrum, params, alpha, k_grid)])
 
 
 def _loss_reduction(norm: float, droop: float) -> float:

@@ -202,7 +202,7 @@ def test_criterion_05_gamma_sweep_minimum_location():
     for tau in (1.0, 4.0):
         params = ControllerParams(m=1.0, tau=tau, k=1.0)
         curve = sweep(spectrum, params, 1.0, "gamma", grid)
-        at = int(np.argmin(curve.values))
+        at = int(np.argmin(curve))
         star = optimal_gamma(spectrum, params, 1.0).gamma_star
         interior = 0 < at < grid.size - 1
         near = abs(grid[at] - star) <= 0.01 + 1e-9
@@ -210,10 +210,10 @@ def test_criterion_05_gamma_sweep_minimum_location():
         details.append(f"tau={tau:g}: min at {grid[at]:.2f}, gamma*={star:.4f}")
     params = ControllerParams(m=1.0, tau=0.0, k=1.0)
     curve = sweep(spectrum, params, 1.0, "gamma", grid)
-    at_boundary = int(np.argmin(curve.values)) == 0
+    at_boundary = int(np.argmin(curve)) == 0
     star_zero = optimal_gamma(spectrum, params, 1.0).gamma_star == 0.0
     verdicts.append(at_boundary and star_zero)
-    details.append(f"tau=0: min at {grid[int(np.argmin(curve.values))]:.2f}")
+    details.append(f"tau=0: min at {grid[int(np.argmin(curve))]:.2f}")
     passed = all(verdicts)
     line = _report(5, passed,
                    "gamma sweep on the 50-bus complete graph has an interior "
@@ -346,14 +346,14 @@ def test_criterion_10_benchmark_network_trends():
     params = ControllerParams(m=1.0, tau=1.0)
     reduction = loss_reduction_vs_k(spectrum, params, 1.0, k_grid)
     gains = gamma_star_vs_k(spectrum, params, 1.0, k_grid)
-    decreasing = bool(np.all(np.diff(reduction.values) < 0.0))
-    nondecreasing = bool(np.all(np.diff(gains.values) >= -1e-8))
-    positive = bool(np.all(reduction.values > 0.0))
+    decreasing = bool(np.all(np.diff(reduction) < 0.0))
+    nondecreasing = bool(np.all(np.diff(gains) >= -1e-8))
+    positive = bool(np.all(reduction > 0.0))
     passed = decreasing and nondecreasing and positive
     line = _report(10, passed,
                    "on the 57-bus benchmark the achievable loss reduction falls "
                    "monotonically with k while the optimal gain never falls "
-                   f"(reduction {reduction.values[0]:.2f} -> "
-                   f"{reduction.values[-1]:.2f}, gain {gains.values[0]:.3f} -> "
-                   f"{gains.values[-1]:.3f})")
+                   f"(reduction {reduction[0]:.2f} -> "
+                   f"{reduction[-1]:.2f}, gain {gains[0]:.3f} -> "
+                   f"{gains[-1]:.3f})")
     assert passed, line

@@ -637,7 +637,6 @@ class TestDroopClosedForm:
     def test_fifty_node_value_exact(self):
         res = h2_droop_closed_form(alpha=1.0, params=_M1, n_nodes=50)
         assert res.squared_norm == 24.5
-        assert res.method == "closed_form"
         assert res.per_mode.shape == (49,)
         assert np.all(res.per_mode == 0.5)
 
@@ -730,7 +729,6 @@ class TestModalRoute:
         p = ControllerParams(m=1.7, tau=0.6)
         modal = h2_modal(_spectrum_of(g), p, alpha=0.9, kind="droop")
         closed = h2_droop_closed_form(0.9, p, 7)
-        assert modal.method == "modal_lyapunov"
         assert abs(modal.squared_norm - closed.squared_norm) <= 1e-12 * closed.squared_norm
         assert np.allclose(modal.per_mode, closed.per_mode, rtol=1e-12)
 
@@ -908,7 +906,6 @@ class TestFullGramianRoute:
         p = ControllerParams(m=0.8, tau=1.1)
         res = h2_full_gramian(assemble_droop(g, p))
         closed = h2_droop_closed_form(1.0, p, 8)
-        assert res.method == "full_gramian"
         assert res.per_mode is None
         assert abs(res.squared_norm - closed.squared_norm) <= 1e-9 * closed.squared_norm
 
@@ -1124,21 +1121,17 @@ class TestThreeWayAgreement:
 class TestH2ResultType:
     def test_sum_consistency_enforced(self):
         with pytest.raises(ValidationError, match="sum"):
-            H2Result(squared_norm=1.0, method="closed_form", per_mode=np.array([0.3, 0.3]))
+            H2Result(squared_norm=1.0, per_mode=np.array([0.3, 0.3]))
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
-            H2Result(squared_norm=-1.0, method="closed_form")
+            H2Result(squared_norm=-1.0)
         with pytest.raises(ValidationError):
-            H2Result(squared_norm=0.3, method="closed_form", per_mode=np.array([0.5, -0.2]))
-
-    def test_bad_method_rejected(self):
-        with pytest.raises(ValidationError):
-            H2Result(squared_norm=1.0, method="quadrature")
+            H2Result(squared_norm=0.3, per_mode=np.array([0.5, -0.2]))
 
     def test_per_mode_matrix_rejected(self):
         with pytest.raises(ValidationError, match="per_mode must be a vector"):
-            H2Result(squared_norm=1.0, method="closed_form", per_mode=np.ones((1, 1)))
+            H2Result(squared_norm=1.0, per_mode=np.ones((1, 1)))
 
     def test_per_mode_read_only(self):
         res = h2_droop_closed_form(1.0, _M1, 5)

@@ -17,6 +17,7 @@ high) pair, and a number that may also be a vector, refuse their own sets.
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,9 +25,12 @@ import pytest
 from gridloss import (
     ControllerParams,
     H2Result,
+    Laplacian,
+    ModalBlocks,
     NetworkGraph,
     SimConfig,
     Spectrum,
+    StateSpace,
     Trajectory,
     TuningResult,
     ValidationError,
@@ -46,6 +50,7 @@ from gridloss import (
     optimal_gamma_complete,
     optimal_gamma_vs_k,
     phase_perturbation,
+    solve_lyapunov,
     sweep,
 )
 
@@ -95,7 +100,7 @@ CASES = {
     "optimal_gamma_complete-b": ("b", lambda v: optimal_gamma_complete(5, v, _P)),
     "build_random_connected_graph-edge_probability":
         ("edge_probability", lambda v: build_random_connected_graph(4, v, (0.5, 1.5), 1.0, seed=0)),
-    "H2Result-squared_norm": ("squared_norm", lambda v: H2Result(v, "closed_form")),
+    "H2Result-squared_norm": ("squared_norm", lambda v: H2Result(v)),
     "TuningResult-gamma_star": ("gamma_star", lambda v: TuningResult(v, 1.0, 1, (0.0, 2.0))),
     "TuningResult-norm_at_star": ("norm_at_star", lambda v: TuningResult(1.0, v, 1, (0.0, 2.0))),
 }
@@ -128,30 +133,93 @@ SEED_TAKERS = {
 }
 
 _SCALARS_ONLY = {"nan": math.nan, "inf": math.inf, "negative": -1.0}
+# one value that numpy would read as a number, though it is none
+_NOT_A_NUMBER = {"text": "1.0", "bytes": b"1.0", "bool": True, "numpy-bool": np.True_, "none": None,
+                 "object-text": np.array("1.0", dtype=object)}
 _BAD_PAIRS = {"scalar": 1.0, "single": [0.5], "list": ([0.5], 1.5), "array": (np.array([0.5]), 1.5),
               "nan": (math.nan, 1.5), "inf": (0.5, math.inf), "negative": (-1.0, 1.5)}
 
 # arguments of their own shape: (the field, the entry point, its bad values
 # by id); b and gamma here take a vector as well as one number
 SHAPED = {
-    "build_complete_graph-b": ("b", lambda v: build_complete_graph(3, v, 1.0), _SCALARS_ONLY),
-    "norm_gamma_derivative-gamma":
-        ("gamma", lambda v: norm_gamma_derivative(v, _S, _P, 1.0), {**_SCALARS_ONLY, "huge": 1e308}),
+    "build_complete_graph-b": ("b", lambda v: build_complete_graph(3, v, 1.0), {**_SCALARS_ONLY, **_NOT_A_NUMBER}),
+    "norm_gamma_derivative-gamma": ("gamma", lambda v: norm_gamma_derivative(v, _S, _P, 1.0),
+                                    {**_SCALARS_ONLY, **_NOT_A_NUMBER, "huge": 1e308}),
     "build_random_connected_graph-b_range":
         ("b_range", lambda v: build_random_connected_graph(4, 1.0, v, 1.0, seed=0), _BAD_PAIRS),
     "TuningResult-bracket": ("bracket", lambda v: TuningResult(0.0, 1.0, 1, v), _BAD_PAIRS),
 }
 
-# every numeric argument of the public API, by "<name>-<argument>"
-TABLE = {**CASES, **COUNTS, **SHAPED}
+_L1 = Laplacian(np.zeros((1, 1)))
+
+# vector and matrix arguments: (the field a refusal begins with, the entry
+# point, a valid value); each bad value of ARRAY_BAD is made from the valid
+# one.  An edge list's refusal names the row, as "edge (...)"
+ARRAYS = {
+    "Spectrum-eigenvalues": ("eigenvalues", Spectrum, [0.0, 1.0, 3.0]),
+    "NetworkGraph-edges": ("edge", lambda v: NetworkGraph(2, v, 1.0), [[0.0, 1.0, 1.0]]),
+    "build_line_graph-susceptances": ("susceptances", lambda v: build_line_graph(3, v, 1.0), [1.0, 1.0]),
+    "build_complete_graph-b": ("b", lambda v: build_complete_graph(3, v, 1.0), [1.0, 1.0, 1.0]),
+    "Laplacian-matrix": ("matrix", Laplacian, [[1.0, -1.0], [-1.0, 1.0]]),
+    "StateSpace-a": ("a", lambda v: StateSpace(v, [[0.0], [1.0]], _L1), [[0.0, 1.0], [-1.0, -1.0]]),
+    "StateSpace-b": ("b", lambda v: StateSpace([[0.0, 1.0], [-1.0, -1.0]], v, _L1), [[0.0], [1.0]]),
+    "ModalBlocks-eigenvalues":
+        ("eigenvalues", lambda v: ModalBlocks(v, np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), np.zeros((1, 1, 2))), [1.0]),
+    "ModalBlocks-a": ("a", lambda v: ModalBlocks([1.0], v, np.zeros((1, 2, 1)), np.zeros((1, 1, 2))),
+                      [[[0.0, 1.0], [-1.0, -1.0]]]),
+    "ModalBlocks-b": ("b", lambda v: ModalBlocks([1.0], np.zeros((1, 2, 2)), v, np.zeros((1, 1, 2))), [[[0.0], [1.0]]]),
+    "ModalBlocks-c": ("c", lambda v: ModalBlocks([1.0], np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), v), [[[1.0, 0.0]]]),
+    "H2Result-per_mode": ("per_mode", lambda v: H2Result(1.0, v), [0.5, 0.5]),
+    "solve_lyapunov-a": ("a", lambda v: solve_lyapunov(v, [[1.0]]), [[-1.0]]),
+    "solve_lyapunov-q": ("q", lambda v: solve_lyapunov([[-1.0]], v), [[1.0]]),
+    "norm_gamma_derivative-gamma": ("gamma", lambda v: norm_gamma_derivative(v, _S, _P, 1.0), [0.5, 1.0]),
+    "sweep-grid": ("grid", lambda v: sweep(_S, _P, 1.0, "gamma", v), [0.5, 1.0]),
+    **{f"{name}-k_grid": ("k_grid", lambda v, curve=curve: curve(_S, _P, 1.0, v), [0.5, 1.0])
+       for name, curve in (("optimal_gamma_vs_k", optimal_gamma_vs_k), ("gamma_star_vs_k", gamma_star_vs_k),
+                           ("loss_reduction_vs_k", loss_reduction_vs_k))},
+    "SimConfig-initial_state": ("initial_state", lambda v: SimConfig(dt=0.01, horizon=10.0, initial_state=v), [0.0, 0.0]),
+    "Trajectory-times": ("times", lambda v: Trajectory(v, np.zeros((2, 6)), [0.0, 0.0]), [0.0, 1.0]),
+    "Trajectory-states": ("states", lambda v: Trajectory([0.0, 1.0], v, [0.0, 0.0]), np.zeros((2, 6)).tolist()),
+    "Trajectory-instantaneous_loss":
+        ("instantaneous_loss", lambda v: Trajectory([0.0, 1.0], np.zeros((2, 6)), v), [0.0, 0.0]),
+}
 
 
-def _refused_by_name(field, call, value):
+def _with_last(valid, entry):
+    values = np.array(valid, dtype=object)
+    values.flat[-1] = entry
+    return values
+
+
+# bad values made from a valid one of the same shape: text and bools in a
+# list and in an array, one of them among numbers, None, complex numbers,
+# and a ragged list
+ARRAY_BAD = {
+    "text": lambda v: np.array(v).astype(str).tolist(),
+    "bytes": lambda v: np.array(v).astype(bytes).tolist(),
+    "text-array": lambda v: np.array(v).astype(str),
+    "bool": lambda v: np.array(v).astype(bool).tolist(),
+    "bool-array": lambda v: np.array(v).astype(bool),
+    "bool-among-numbers": lambda v: _with_last(v, True).tolist(),
+    "object-text": lambda v: _with_last(v, "1.0"),
+    "object-numpy-bool": lambda v: _with_last(v, np.True_),
+    "none": lambda v: _with_last(v, None).tolist(),
+    "complex": lambda v: np.array(v, dtype=complex),
+    "ragged": lambda v: [[1.0], [2.0, 3.0]],
+}
+
+# every numeric argument of the public API, by "<name>-<argument>"; b and
+# gamma, which may be one number or a vector, have a row in SHAPED and ARRAYS
+TABLE = {*CASES, *COUNTS, *SHAPED, *ARRAYS}
+
+
+def _refused_by_name(field, call, value) -> str:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError) as err:
             call(value)
     assert re.search(rf"\b{field}\b", str(err.value)), str(err.value)
+    return str(err.value)
 
 
 @pytest.mark.parametrize("value", BAD, ids=BAD_IDS)
@@ -201,3 +269,22 @@ def test_a_numpy_integer_is_a_count(tmp_path):
         export_trajectory(_T, np.int64(3), tmp_path / "t.csv", stride=np.int64(1))
         export_trajectory(_T, 3, tmp_path / "u.csv")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad", ARRAY_BAD)
+@pytest.mark.parametrize("case", ARRAYS)
+def test_a_bad_array_is_refused_by_name_without_a_warning(case, bad):
+    field, call, valid = ARRAYS[case]
+    call(valid)
+    message = _refused_by_name(field, call, ARRAY_BAD[bad](valid))
+    assert message.startswith(f"{field} "), message
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 1.5, 3.0], (0, 1.5, 3), np.array([0.0, 1.5, 3.0], dtype=object), [0, Fraction(3, 2), np.float32(3.0)],
+    np.array([0.0, 1.5, 3.0], dtype=np.float32), np.array([0.0, 1.5, 3.0]),
+], ids=["list", "tuple-with-ints", "object-array", "mixed-numbers", "float32-array", "float64-array"])
+def test_a_vector_of_numbers_keeps_its_bytes(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Spectrum(values).eigenvalues.tobytes() == np.array([0.0, 1.5, 3.0]).tobytes()

@@ -5,10 +5,11 @@ import hashlib
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gridloss.network
@@ -28,7 +29,6 @@ from gridloss.network import (
     susceptance_laplacian,
 )
 from gridloss.tuning import (
-    SweepCurve,
     TuningResult,
     gamma_star_vs_k,
     loss_reduction_vs_k,
@@ -50,6 +50,7 @@ def _spectrum_with(nonzero):
 
 
 UNIT = ControllerParams(m=1.0, tau=1.0, k=1.0)
+_FLOAT_MAX = Fraction(np.finfo(float).max)
 
 
 class TestDerivative:
@@ -96,6 +97,8 @@ class TestDerivative:
              m=2.0, k=0.5, tau=0.3, alpha=1.0)
     @example(lams=[0.2, 3.0, 90.0], gammas=np.linspace(0.0, 40.0, 2731).tolist(), m=1.0, k=1.0, tau=1.0, alpha=1.0)
     @example(lams=[7.0], gammas=np.linspace(0.0, 20.0, 8193).tolist(), m=0.7, k=1.3, tau=2.0, alpha=0.5)
+    # (P + s)^2 overflows for the two large modes, and their summands are formed again
+    @example(lams=[3.0, 1e100, 1e150], gammas=[0.0, 0.5, 1.0, 7.0], m=1.0, k=1.0, tau=1.0, alpha=1.0)
     def test_vectorized_matches_scalar_exactly(self, lams, gammas, m, k, tau, alpha):
         # optimal_gamma's probe reads signs from the vectorised call, so every
         # element must be the scalar value bit for bit, not just close to it
@@ -107,25 +110,59 @@ class TestDerivative:
             assert type(scalar) is float
             assert np.float64(scalar).tobytes() == v.tobytes()
 
-    @pytest.mark.parametrize(("nonzero", "m", "refused"), [([1e100], 1.0, False), ([3.0], 1e308, True)],
+    @pytest.mark.parametrize(("nonzero", "m", "true"),
+                             [([1e100], 1.0, (5e-101, [2e-100, 5e-101])), ([3.0], 1e308, None)],
                              ids=["huge-eigenvalue", "huge-m"])
-    def test_terms_past_the_float_range_warn_nothing(self, nonzero, m, refused):
+    def test_terms_past_the_float_range_warn_nothing(self, nonzero, m, true):
         # the intermediates overflow, with no warning.  Where only (P + s)^2
-        # does, the summand is 0.0, for a float gamma and a vector alike;
-        # where k^2 m tau lam and P do, -inf / inf is NaN and the derivative
-        # is refused, naming the first gamma that gives it
+        # does, the summand keeps its true value (exact: fractions.Fraction),
+        # for a float gamma and a vector alike; where k^2 m tau lam and P do,
+        # -inf / inf is NaN and the derivative is refused, naming the first
+        # gamma that gives it
         spec, params = _spectrum_with(nonzero), ControllerParams(m=m, tau=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for gamma, named in ((1.0, "1"), (np.array([0.5, 1.0]), "0.5")):
-                if refused:
+            for i, (gamma, named) in enumerate(((1.0, "1"), (np.array([0.5, 1.0]), "0.5"))):
+                if true is None:
                     with pytest.raises(FloatRangeError, match=rf"^loss derivative is not finite at gamma = {named}: "
                                                               "the gain search leaves the float range$"):
                         norm_gamma_derivative(gamma, spec, params, 1.0)
                 else:
                     value = norm_gamma_derivative(gamma, spec, params, 1.0)
                     assert type(value) is type(gamma)
-                    assert np.float64(value).tobytes() == np.zeros(np.shape(gamma)).tobytes()
+                    assert np.float64(value).tobytes() == np.array(true[i]).tobytes()
+
+    @settings(max_examples=200)
+    @given(
+        lams=st.lists(st.floats(60.0, 250.0).map(lambda e: 10.0**e), min_size=1, max_size=4),
+        gamma=st.one_of(st.just(0.0), st.floats(-40.0, 6.0).map(lambda e: 10.0**e)),
+        m=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        k=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        tau=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
+    )
+    @example(lams=[1e100], gamma=1.0, m=1.0, k=1.0, tau=1.0)
+    @example(lams=[1e300], gamma=1.0, m=1.0, k=1.0, tau=0.0)  # (s / d)^2 alone would underflow
+    def test_overflowing_denominators_keep_the_true_value(self, lams, gamma, m, k, tau):
+        # summands whose (P + s)^2 overflows: within 1e-12 of the exact
+        # derivative of the float inputs, wherever neither s^2 - c nor the
+        # sum over modes cancels below 1% of its terms (which would amplify
+        # the rounding of s and P alike in any evaluation)
+        exact, size = Fraction(0), Fraction(0)
+        for lam in map(Fraction, lams):
+            s = Fraction(gamma) * Fraction(tau) * lam + Fraction(k)
+            d = Fraction(gamma) * lam * s + Fraction(k) ** 2 * Fraction(m) * lam + s
+            c = Fraction(k) ** 2 * Fraction(m) * Fraction(tau) * lam
+            assume(_FLOAT_MAX < d * d and d < _FLOAT_MAX / 16)
+            assume(abs(s * s - c) >= (s * s + c) / 100)
+            exact += lam * (s * s - c) / (d * d)
+            size += lam * (s * s + c) / (d * d)
+        exact /= 2 * Fraction(m)
+        assume(abs(exact) >= size / (2 * Fraction(m)) / 100 and abs(exact) > Fraction(1e-280))
+        params = ControllerParams(m=m, tau=tau, k=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = norm_gamma_derivative(gamma, _spectrum_with(sorted(lams)), params, 1.0)
+        assert abs(Fraction(value) - exact) <= abs(exact) * Fraction(1e-12)
 
     def test_sign_at_zero(self):
         # at gamma = 0 each summand carries sign 1 - m tau lam
@@ -376,8 +413,8 @@ class TestSweep:
         p = ControllerParams(m=1.0, tau=1.0, k=1.0)
         grid = np.arange(0.0, 2.0001, 0.1)
         curve = sweep(spec, p, alpha=1.0, parameter_name="gamma", grid=grid)
-        assert curve.parameter_name == "gamma"
-        for point, value in zip(curve.grid, curve.values):
+        assert curve.shape == grid.shape
+        for point, value in zip(grid, curve):
             direct = h2_dapi_closed_form(1.0, dataclasses.replace(p, gamma=float(point)), spec)
             assert value == direct.squared_norm
 
@@ -385,7 +422,7 @@ class TestSweep:
         g = build_line_graph(5, [1.0] * 4, alpha=1.0)
         curve = sweep(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0),
                       alpha=1.0, parameter_name="tau", grid=[0.0, 1.0, 4.0])
-        assert np.all(curve.values > 0)
+        assert np.all(curve > 0)
 
     def test_invalid_grid_point_named(self):
         # a NaN point passes the grid's order check and is refused by its own
@@ -409,10 +446,10 @@ class TestSweep:
         grid = np.arange(0.0, 4.0 + 1e-12, 0.01)
         for tau in (1.0, 4.0):
             curve = sweep(spec, ControllerParams(m=1.0, tau=tau, k=1.0), 1.0, "gamma", grid)
-            best = int(np.argmin(curve.values))
+            best = int(np.argmin(curve))
             assert 0 < best < len(grid) - 1
         curve0 = sweep(spec, ControllerParams(m=1.0, tau=0.0, k=1.0), 1.0, "gamma", grid)
-        assert int(np.argmin(curve0.values)) == 0
+        assert int(np.argmin(curve0)) == 0
 
 
 _SPECTRUM = laplacian_eigenvalues(susceptance_laplacian(build_line_graph(3, [1.0, 1.0], alpha=1.0)))
@@ -471,18 +508,18 @@ class TestCurvesVsK:
         g = build_complete_graph(15, b=1.0, alpha=1.0)
         k_grid = np.linspace(0.1, 10.0, 9)
         curve = gamma_star_vs_k(_spectrum_of(g), UNIT, alpha=1.0, k_grid=k_grid)
-        assert np.all(np.diff(curve.values) >= -1e-9)
+        assert np.all(np.diff(curve) >= -1e-9)
         # complete graph: gamma_star is exactly linear in k
         expected = [optimal_gamma_complete(15, 1.0, dataclasses.replace(UNIT, k=float(k))) for k in k_grid]
-        assert np.allclose(curve.values, expected, atol=1e-7)
+        assert np.allclose(curve, expected, atol=1e-7)
 
     def test_loss_reduction_decreasing_in_k(self):
         g = build_line_graph(12, [1.0] * 11, alpha=1.0)
         k_grid = np.linspace(0.1, 10.0, 8)
         curve = loss_reduction_vs_k(_spectrum_of(g), UNIT, alpha=1.0, k_grid=k_grid)
-        assert np.all(curve.values > 0)
-        assert np.all(curve.values < 1)
-        assert np.all(np.diff(curve.values) < 0)
+        assert np.all(curve > 0)
+        assert np.all(curve < 1)
+        assert np.all(np.diff(curve) < 0)
 
     def test_curves_project_one_search_per_k(self):
         spec = _spectrum_of(build_random_connected_graph(25, 0.3, (0.5, 1.5), alpha=1.0, seed=12))
@@ -495,8 +532,8 @@ class TestCurvesVsK:
         droop = 1.3 * 24 / (2.0 * 2.0)
         gains = gamma_star_vs_k(spec, params, 1.3, k_grid)
         reduction = loss_reduction_vs_k(spec, params, 1.3, k_grid)
-        assert list(gains.values) == [r.gamma_star for r in results]
-        assert list(reduction.values) == [1.0 - r.norm_at_star / droop for r in results]
+        assert list(gains) == [r.gamma_star for r in results]
+        assert list(reduction) == [1.0 - r.norm_at_star / droop for r in results]
 
     @pytest.mark.parametrize(("spectrum", "alpha"), [(_SPECTRUM, 0.0), (Spectrum([0.0]), 1.0)],
                              ids=["zero-alpha", "one-node"])
@@ -504,8 +541,8 @@ class TestCurvesVsK:
         # the droop loss is 0, and so is the tuned DAPI loss: as analyze and
         # tune report it, the reduction is 0 and not refused
         curve = loss_reduction_vs_k(spectrum, UNIT, alpha, [0.5, 1.0, 2.0])
-        assert curve.values.tolist() == [0.0, 0.0, 0.0]
-        assert not np.signbit(curve.values).any()
+        assert curve.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(curve).any()
 
     def test_invalid_k_named(self):
         spec = _spectrum_of(build_line_graph(3, [1.0, 1.0], alpha=1.0))
@@ -526,18 +563,13 @@ class TestResultTypes:
         with pytest.raises(ValidationError, match="^bracket must satisfy 0 <= lo <= hi"):
             TuningResult(gamma_star=0.5, norm_at_star=1.0, iterations=1, bracket=(1.0, 0.5))
 
-    def test_sweep_curve_validation(self):
-        with pytest.raises(ValidationError, match="strictly increasing"):
-            SweepCurve(parameter_name="gamma", grid=np.array([0.0, 0.0, 1.0]), values=np.zeros(3))
-        with pytest.raises(ValidationError):
-            SweepCurve(parameter_name="gamma", grid=np.array([0.0, 1.0]), values=np.zeros(3))
-        with pytest.raises(ValidationError, match="^grid and values must be finite$"):
-            SweepCurve("gamma", [0.0, 1.0], [1.0, float("nan")])
-
-    def test_sweep_curve_read_only(self):
-        curve = SweepCurve(parameter_name="gamma", grid=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            curve.values[0] = 5.0
+    def test_curves_are_read_only(self):
+        spec, grid = _SPECTRUM, [0.5, 1.0]
+        for curve in (sweep(spec, UNIT, 1.0, "gamma", grid), gamma_star_vs_k(spec, UNIT, 1.0, grid),
+                      loss_reduction_vs_k(spec, UNIT, 1.0, grid)):
+            assert curve.dtype == np.float64 and curve.shape == (2,)
+            with pytest.raises(ValueError):
+                curve[0] = 5.0
 
 
 # log-uniform over [1e-320, 1e308], subnormals included
