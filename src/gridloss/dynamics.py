@@ -124,30 +124,6 @@ class StateSpace:
         return c
 
 
-@dataclass(frozen=True)
-class ModalBlocks:
-    """Every nonzero eigenvalue's 2x2 (droop) or 3x3 (DAPI) subsystem, stacked.
-
-    ``a`` (N-1, s, s), ``b`` (N-1, s, 1) and ``c`` (N-1, 1, s) hold the
-    blocks of ``eigenvalues[i]``, in the order of ``Spectrum.nonzero``.  The
-    arrays are read-only.
-    """
-
-    eigenvalues: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("eigenvalues", "a", "b", "c"):
-            object.__setattr__(self, name, _frozen(name, getattr(self, name)))
-        n = self.eigenvalues.size if self.eigenvalues.ndim == 1 else -1
-        s = self.a.shape[-1] if self.a.ndim == 3 else 0
-        shapes = (self.eigenvalues.shape, self.a.shape, self.b.shape, self.c.shape)
-        if s not in (2, 3) or shapes[1:] != ((n, s, s), (n, s, 1), (n, 1, s)):
-            raise ValidationError("inconsistent modal shapes: eigenvalues {}, A {}, B {}, C {}".format(*shapes))
-
-
 def assemble_droop(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
     """Closed-loop droop system on 2N states (theta, omega).
 
@@ -247,7 +223,8 @@ def _fill_scaled_eye(out: np.ndarray, scale: float) -> None:
     np.fill_diagonal(out, scale)
 
 
-def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: str) -> ModalBlocks:
+def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float,
+                     kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-eigenvalue subsystems of the block-diagonalized closed loop.
 
     For eigenvalue lam the droop block is
@@ -262,10 +239,11 @@ def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float,
                [0, -1/k, -gamma lam / k]],
         B_n = [0, 1/tau, 0]',  C_n = sqrt(alpha lam) [1, 0, 0].
 
-    One block is stacked per eigenvalue of ``spectrum.nonzero``, in its
-    order; the zero eigenvalue, rigid phase motion, would have a zero
-    output row, dissipates nothing and gets no block.  Only eigenvalues are
-    read; ``laplacian_eigenvalues`` serves.
+    Returns the read-only stacks (A, B, C), shaped (N-1, s, s), (N-1, s, 1)
+    and (N-1, 1, s) for s = 2 (droop) or 3 (DAPI): one block per eigenvalue
+    of ``spectrum.nonzero``, in its order.  The zero eigenvalue, rigid phase
+    motion, would have a zero output row, dissipates nothing and gets no
+    block.  Only eigenvalues are read; ``laplacian_eigenvalues`` serves.
 
     Raises:
         AssemblyError: tau == 0, or an entry overflows the float range.
@@ -292,7 +270,7 @@ def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float,
     _refuse_overflow({"m/tau": a[:, 1, 0], "1/tau": a[:, 1, 1], **dapi, "alpha": c})
     for arr in (a, b, c):
         arr.setflags(write=False)
-    return ModalBlocks(eigenvalues=lam, a=a, b=b, c=c)
+    return a, b, c
 
 
 def check_stability(params: ControllerParams, lam: float, kind: str) -> bool:

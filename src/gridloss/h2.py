@@ -412,9 +412,14 @@ def _check_residual(residual, a: np.ndarray, x: np.ndarray, q_scale) -> None:
     """Refuse the first Lyapunov solution X of a stack (or one X) whose
     residual max|A' X + X A + Q| exceeds 1e-8 of 2 max|A| max|X| + max|Q|, the
     scale of the terms it sums: a backward error, so a lightly damped system
-    with a large Gramian is judged by the rounding its solve can reach."""
-    terms = 2.0 * _max_abs(a) * _max_abs(x) + q_scale
-    failed = ~(residual <= 1e-8 * terms)
+    with a large Gramian is judged by the rounding its solve can reach.
+    Where that sum overflows, 1e-8 of each term is taken first, so the
+    bound leaves the float range only where 1e-8 of the sum does."""
+    a_max, x_max = _max_abs(a), _max_abs(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 1e-8 * (2.0 * a_max * x_max + q_scale)
+        bound = np.where(np.isfinite(bound), bound, 2e-8 * a_max * x_max + 1e-8 * q_scale)
+    failed = ~(residual <= bound)
     if np.any(failed):
         first = np.argmax(failed)
         raise LyapunovSolveError(f"Lyapunov residual {np.ravel(residual)[first]:.3e} exceeds "
@@ -529,8 +534,8 @@ def h2_modal(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: s
             sum of the losses overflows.
         LyapunovSolveError: some mode's residual is above tolerance.
     """
-    blocks = modal_subsystems(spectrum, params, alpha, kind)
-    lams, a, b, c = blocks.eigenvalues, blocks.a, blocks.b, blocks.c
+    a, b, c = modal_subsystems(spectrum, params, alpha, kind)
+    lams = spectrum.nonzero
     # the Routh verdict is the same for every mode, so mode 2 speaks for all
     if lams.size and not check_stability(params, lams[0], kind):
         raise StabilityError(f"mode 2 (eigenvalue {lams[0]:.6g}) is not asymptotically stable; "

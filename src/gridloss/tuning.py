@@ -69,9 +69,13 @@ def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, a
     that shape (4.2 MB traced for 257 values at N = 1000), one sum per row.
 
     Where a summand's denominator (P + s)^2 overflows, that summand is
-    formed again as (lam / d) (s (s / d) - c / d), d = P + s and c = k^2 m
-    tau lam, whose factors stay in range: on ``Spectrum([0, 1e100])`` with
-    m = k = tau = 1 the result is the true 5.0e-101, not 0.0.
+    formed again as lam r^2 - (c / lam) q^2, d = P + s and c = k^2 m tau
+    lam, from ratios that stay in range where d and P overflow: r = s / d =
+    1 / (1 + gamma lam + k^2 m / u) and q = lam / d = r / u, with u = s /
+    lam = gamma tau + k / lam.  On ``Spectrum([0, 1e100])`` with m = k =
+    tau = 1 the result is the true 5.0e-101, and on ``Spectrum([0,
+    1e200])``, where P + s itself overflows, 5.0e-201; neither is 0.0.  A
+    c past the float range makes the derivative non-finite on either path.
 
     Raises:
         ValidationError: alpha is not finite and >= 0, or a gamma is
@@ -99,9 +103,12 @@ def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, a
         s /= p
         if p.max(initial=0.0) == math.inf:  # an overflowed (P + s)^2 made its summand 0 or NaN
             over = np.isinf(p)
-            t, d = _dapi_mode_terms(lam, m, k, tau, gammas[..., None])
-            t, d, lams = t[over], d[over] + t[over], np.broadcast_to(lam, p.shape)[over]
-            s[over] = lams / d * (t * (t / d) - (k * k * m * tau) * lams / d)
+            g, lams = (np.broadcast_to(v, p.shape)[over] for v in (gammas[..., None], lam))
+            u = g * tau + k / lams  # s / lam
+            r = 1.0 / (1.0 + g * lams + (k * k * m) / u)  # s / d = 1 / (1 + P / s)
+            q = r / u  # lam / d
+            c = (k * k * m * tau) * lams  # c / lam from c: an overflowed c is refused, as above
+            s[over] = lams * r * r - c / lams * q * q
         total = alpha / (2.0 * m) * s.sum(axis=-1)
     total = float(total) if total.ndim == 0 else total  # math.isfinite is the cheap test for a float
     if not (math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):

@@ -12,7 +12,7 @@ solver can be held to bits on either of them.
 import numpy as np
 
 from gridloss import h2
-from gridloss.dynamics import ModalBlocks, StateSpace
+from gridloss.dynamics import StateSpace
 from gridloss.errors import ValidationError
 
 
@@ -33,30 +33,31 @@ def lyapunov_reference(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (x + x.T) / 2.0
 
 
-def verify_modal_equivalence(ss: StateSpace, blocks: ModalBlocks, u: np.ndarray) -> float:
+def verify_modal_equivalence(ss: StateSpace, a: np.ndarray, u: np.ndarray) -> float:
     """Largest entrywise gap between the congruence-transformed full A and
     the block diagonal of the rigid-mode block and the modal blocks.
 
-    ``u`` is the Laplacian's eigenvector matrix, the second half of
-    ``spectral_decomposition``'s pair, whose eigenvalues built ``blocks``.
-    Transforms A by blockdiag(U, U[, U]), reorders states mode-by-mode and
-    compares against blockdiag(A_1, A_2, ..., A_N).  ``blocks`` holds A_2
-    .. A_N, one per nonzero eigenvalue; the rigid-mode block A_1 is any of
-    them with its eigenvalue-dependent entries, -m lam / tau and -gamma lam
-    / k, set to zero.  So every block and every cross-coupling is compared.
+    ``a`` is the A stack of ``modal_subsystems``, built from the eigenvalues
+    whose eigenvectors are ``u``, the second half of
+    ``spectral_decomposition``'s pair.  Transforms the full A by
+    blockdiag(U, U[, U]), reorders states mode-by-mode and compares against
+    blockdiag(A_1, A_2, ..., A_N).  ``a`` holds A_2 .. A_N, one per nonzero
+    eigenvalue; the rigid-mode block A_1 is any of them with its
+    eigenvalue-dependent entries, -m lam / tau and -gamma lam / k, set to
+    zero.  So every block and every cross-coupling is compared.
     Values at rounding level certify that the modal route analyzes the same
     system as the full one.
     """
     s = ss.n_states // ss.n_nodes
     n = u.shape[0]
-    if ss.n_nodes != n or blocks.a.shape != (n - 1, s, s):
+    if ss.n_nodes != n or a.shape != (n - 1, s, s):
         raise ValidationError(
             f"dimension mismatch: {ss.controller_kind} system with {ss.n_states} states, "
-            f"{n}-node spectrum, modal blocks of shape {blocks.a.shape}"
+            f"{n}-node spectrum, modal blocks of shape {a.shape}"
         )
     if n < 2:
         raise ValidationError("a one-bus loop has no mode block to build the rigid-mode block from")
-    rigid = blocks.a[0].copy()
+    rigid = a[0].copy()
     rigid[1, 0] = 0.0
     if s == 3:
         rigid[2, 2] = 0.0
@@ -64,5 +65,5 @@ def verify_modal_equivalence(ss: StateSpace, blocks: ModalBlocks, u: np.ndarray)
     # state (block, mode) of the transformed A, indexed [mode, block, mode', block']
     m = (t.T @ ss.a @ t).reshape(s, n, s, n).transpose(1, 0, 3, 2)
     modes = np.arange(n)
-    m[modes, :, modes, :] -= np.concatenate([rigid[None], blocks.a])
+    m[modes, :, modes, :] -= np.concatenate([rigid[None], a])
     return float(np.max(np.abs(m)))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import gridloss.dynamics
 from gridloss.dynamics import (
     ControllerParams,
-    ModalBlocks,
     StateSpace,
     assemble_dapi,
     assemble_droop,
@@ -156,34 +155,33 @@ class TestAssembleDapi:
 class TestModalSubsystems:
     def test_droop_mode_matrices(self):
         g = build_complete_graph(3, b=1.0, alpha=1.0)  # eigenvalues 0, 3, 3
-        blocks = modal_subsystems(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="droop")
-        assert (blocks.a.shape, blocks.b.shape, blocks.c.shape) == ((2, 2, 2), (2, 2, 1), (2, 1, 2))
-        assert blocks.eigenvalues[0] == 3.0
-        assert np.allclose(blocks.a[0], np.array([[0.0, 1.0], [-3.0, -1.0]]), atol=0)
-        assert np.allclose(blocks.b[0], np.array([[0.0], [1.0]]), atol=0)
-        assert np.allclose(blocks.c[0], np.array([[math.sqrt(3.0), 0.0]]), atol=1e-15)
+        a, b, c = modal_subsystems(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="droop")
+        assert (a.shape, b.shape, c.shape) == ((2, 2, 2), (2, 2, 1), (2, 1, 2))
+        assert np.allclose(a[0], np.array([[0.0, 1.0], [-3.0, -1.0]]), atol=0)
+        assert np.allclose(b[0], np.array([[0.0], [1.0]]), atol=0)
+        assert np.allclose(c[0], np.array([[math.sqrt(3.0), 0.0]]), atol=1e-15)
 
     def test_dapi_mode_matrix_coupling_signs(self):
         # omega'_n couples +1/tau into the averaging state; the averaging row
         # couples -1/k and -gamma lam / k.  A sign slip in the (2,3) entry
         # breaks the match with the assembled loop (see equivalence tests).
         g = build_complete_graph(3, b=1.0, alpha=1.0)
-        blocks = modal_subsystems(
+        a, b, c = modal_subsystems(
             _spectrum_of(g), ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0), alpha=1.0, kind="dapi"
         )
         expected = np.array([[0.0, 1.0, 0.0], [-3.0, -1.0, 1.0], [0.0, -1.0, -3.0]])
-        assert np.allclose(blocks.a[1], expected, atol=0)
-        assert np.allclose(blocks.b[1], np.array([[0.0], [1.0], [0.0]]), atol=0)
-        assert np.allclose(blocks.c[1], np.array([[math.sqrt(3.0), 0.0, 0.0]]), atol=1e-15)
+        assert np.allclose(a[1], expected, atol=0)
+        assert np.allclose(b[1], np.array([[0.0], [1.0], [0.0]]), atol=0)
+        assert np.allclose(c[1], np.array([[math.sqrt(3.0), 0.0, 0.0]]), atol=1e-15)
 
     def test_one_block_per_nonzero_mode(self):
         # the zero mode, whose output row is zero, has no block
         g = build_line_graph(5, [1.0] * 4, alpha=3.0)
         spec = _spectrum_of(g)
         for kind in ("droop", "dapi"):
-            blocks = modal_subsystems(spec, ControllerParams(m=1.0, tau=1.0), alpha=3.0, kind=kind)
-            assert blocks.eigenvalues.tobytes() == spec.nonzero.tobytes()
-            assert np.all(np.any(blocks.c != 0.0, axis=(1, 2)))
+            a, _, c = modal_subsystems(spec, ControllerParams(m=1.0, tau=1.0), alpha=3.0, kind=kind)
+            assert len(a) == len(c) == spec.nonzero.size == 4
+            assert np.all(np.any(c != 0.0, axis=(1, 2)))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -202,9 +200,9 @@ class TestModalSubsystems:
         spec = laplacian_eigenvalues(susceptance_laplacian(g))
         p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
         for kind in ("droop", "dapi"):
-            blocks = modal_subsystems(spec, p, alpha, kind)
-            assert isinstance(blocks, ModalBlocks)
-            assert blocks.eigenvalues.tobytes() == spec.nonzero.tobytes()
+            stacks = modal_subsystems(spec, p, alpha, kind)
+            s = 2 if kind == "droop" else 3
+            assert [x.shape for x in stacks] == [(n - 1, s, s), (n - 1, s, 1), (n - 1, 1, s)]
             for i, lam in enumerate(spec.nonzero):
                 gain = np.sqrt(alpha * lam)
                 if kind == "droop":
@@ -219,14 +217,13 @@ class TestModalSubsystems:
                     ])
                     b = np.array([[0.0], [1.0 / tau], [0.0]])
                     c = np.array([[gain, 0.0, 0.0]])
-                for got, want in ((blocks.a[i], a), (blocks.b[i], b), (blocks.c[i], c)):
+                for got, want in zip((stack[i] for stack in stacks), (a, b, c)):
                     assert got.tobytes() == want.tobytes()
                     assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_stack_is_read_only(self):
         g = build_line_graph(4, [1.0] * 3, alpha=1.0)
-        blocks = modal_subsystems(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="dapi")
-        for arr in (blocks.eigenvalues, blocks.a, blocks.b, blocks.c):
+        for arr in modal_subsystems(_spectrum_of(g), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="dapi"):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -428,16 +425,16 @@ class TestModalEquivalence:
         p = ControllerParams(m=1.0, tau=1.0)
         ss = assemble_droop(g, p)
         spec, u = spectral_decomposition(susceptance_laplacian(g))
-        blocks = modal_subsystems(spec, p, alpha=1.0, kind="droop")
-        assert verify_modal_equivalence(ss, blocks, u) <= 1e-12
+        a, _, _ = modal_subsystems(spec, p, alpha=1.0, kind="droop")
+        assert verify_modal_equivalence(ss, a, u) <= 1e-12
 
     def test_complete_graph_dapi(self):
         g = build_complete_graph(3, b=1.0, alpha=1.0)
         p = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
         ss = assemble_dapi(g, p)
         spec, u = spectral_decomposition(susceptance_laplacian(g))
-        blocks = modal_subsystems(spec, p, alpha=1.0, kind="dapi")
-        assert verify_modal_equivalence(ss, blocks, u) <= 1e-12
+        a, _, _ = modal_subsystems(spec, p, alpha=1.0, kind="dapi")
+        assert verify_modal_equivalence(ss, a, u) <= 1e-12
 
     def test_random_graphs_within_tolerance(self):
         rng = np.random.default_rng(3)
@@ -449,8 +446,8 @@ class TestModalEquivalence:
             spec, u = spectral_decomposition(susceptance_laplacian(g))
             for kind, assemble in (("droop", assemble_droop), ("dapi", assemble_dapi)):
                 ss = assemble(g, p)
-                blocks = modal_subsystems(spec, p, alpha=1.0, kind=kind)
-                dev = verify_modal_equivalence(ss, blocks, u)
+                a, _, _ = modal_subsystems(spec, p, alpha=1.0, kind=kind)
+                dev = verify_modal_equivalence(ss, a, u)
                 assert dev <= 1e-8 * np.max(np.abs(ss.a))
 
     def test_dimension_mismatch_rejected(self):
@@ -459,9 +456,9 @@ class TestModalEquivalence:
         p = ControllerParams(m=1.0, tau=1.0)
         ss = assemble_droop(g2, p)
         spec3, u3 = spectral_decomposition(susceptance_laplacian(g3))
-        blocks3 = modal_subsystems(spec3, p, alpha=1.0, kind="droop")
+        a3, _, _ = modal_subsystems(spec3, p, alpha=1.0, kind="droop")
         with pytest.raises(ValidationError, match="mismatch"):
-            verify_modal_equivalence(ss, blocks3, u3)
+            verify_modal_equivalence(ss, a3, u3)
 
 
 class TestStateSpaceType:
@@ -525,17 +522,6 @@ class TestStateSpaceType:
             assert (ss.controller_kind, ss.n_states, ss.n_nodes) == (kind, states, 7)
         by_hand = StateSpace(a=dapi.a, b=dapi.b, l_g=dapi.l_g)
         assert by_hand.controller_kind == "dapi" and by_hand.a is dapi.a
-
-    def test_modal_shape_validation(self):
-        for eigenvalues, a, b, c in [
-            (np.ones(1), np.eye(4)[None], np.zeros((1, 4, 1)), np.zeros((1, 1, 4))),  # order 4
-            (np.ones(2), np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), np.zeros((1, 1, 2))),  # mode count
-            (np.ones(1), np.zeros((1, 3, 3)), np.zeros((1, 2, 1)), np.zeros((1, 1, 3))),  # B's order
-            (np.ones(1), np.zeros((1, 3, 3)), np.zeros((1, 3, 1)), np.zeros((1, 3))),  # C unstacked
-            (np.float64(1.0), np.zeros((3, 3)), np.zeros((3, 1)), np.zeros((1, 3))),  # one mode, unstacked
-        ]:
-            with pytest.raises(ValidationError, match="inconsistent modal shapes"):
-                ModalBlocks(eigenvalues=eigenvalues, a=a, b=b, c=c)
 
 
 class TestDerivedOutput:

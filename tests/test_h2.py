@@ -477,6 +477,17 @@ class TestSolveLyapunov:
         with pytest.raises(LyapunovSolveError, match="exceeds tolerance for Q scale"):
             solve_lyapunov(lambda: next(arrays), np.eye(n))
 
+    def test_residual_bound_past_the_float_range_warns_nothing(self):
+        # 2 max|A| max|X| + max|Q| overflows in each; 1e-8 of it does not.
+        # dtrsyl returns Y = 0 for T = -1e308, whose T + T overflows, so the
+        # second is refused on its residual
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_lyapunov([[-1.0]], [[1e308]]).tolist() == [[5e307]]
+            for q in (1.0, 1e308):
+                with pytest.raises(LyapunovSolveError, match="exceeds tolerance"):
+                    solve_lyapunov([[-1e308]], [[q]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_callable_a_refused_like_an_array(self, bad):
         a = -np.eye(4)
@@ -827,7 +838,7 @@ class TestModalRoute:
         monkeypatch.setattr(gridloss.h2, "modal_subsystems", recording)
         for kind, assemble in (("droop", assemble_droop), ("dapi", assemble_dapi)):
             h2_modal(spec, p, alpha=1.3, kind=kind)
-            assert verify_modal_equivalence(assemble(g, p), solved[-1], u) <= 1e-12
+            assert verify_modal_equivalence(assemble(g, p), solved[-1][0], u) <= 1e-12
 
     def test_numpy_only(self):
         # the modal route solves its small systems with numpy; scipy stays

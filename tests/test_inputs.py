@@ -12,6 +12,10 @@ ragged list; numpy scalars and 0-d arrays are numbers.  A count (a node or
 state count, a stride, an iteration count) refuses 2.5, 3.0, [3], True and
 "3"; numpy integers are counts.  A seed refuses a bool, alone or in a tuple.  A (low,
 high) pair, and a number that may also be a vector, refuse their own sets.
+
+Every row also meets the valid extremes 0, 2.5, 1e308 and 1e-320 (an
+array row its valid value scaled by each, a pair row every pair of them):
+each call returns or raises a ``GridlossError``, and warns nothing.
 """
 
 import math
@@ -24,9 +28,9 @@ import pytest
 
 from gridloss import (
     ControllerParams,
+    GridlossError,
     H2Result,
     Laplacian,
-    ModalBlocks,
     NetworkGraph,
     SimConfig,
     Spectrum,
@@ -163,12 +167,6 @@ ARRAYS = {
     "Laplacian-matrix": ("matrix", Laplacian, [[1.0, -1.0], [-1.0, 1.0]]),
     "StateSpace-a": ("a", lambda v: StateSpace(v, [[0.0], [1.0]], _L1), [[0.0, 1.0], [-1.0, -1.0]]),
     "StateSpace-b": ("b", lambda v: StateSpace([[0.0, 1.0], [-1.0, -1.0]], v, _L1), [[0.0], [1.0]]),
-    "ModalBlocks-eigenvalues":
-        ("eigenvalues", lambda v: ModalBlocks(v, np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), np.zeros((1, 1, 2))), [1.0]),
-    "ModalBlocks-a": ("a", lambda v: ModalBlocks([1.0], v, np.zeros((1, 2, 1)), np.zeros((1, 1, 2))),
-                      [[[0.0, 1.0], [-1.0, -1.0]]]),
-    "ModalBlocks-b": ("b", lambda v: ModalBlocks([1.0], np.zeros((1, 2, 2)), v, np.zeros((1, 1, 2))), [[[0.0], [1.0]]]),
-    "ModalBlocks-c": ("c", lambda v: ModalBlocks([1.0], np.zeros((1, 2, 2)), np.zeros((1, 2, 1)), v), [[[1.0, 0.0]]]),
     "H2Result-per_mode": ("per_mode", lambda v: H2Result(1.0, v), [0.5, 0.5]),
     "solve_lyapunov-a": ("a", lambda v: solve_lyapunov(v, [[1.0]]), [[-1.0]]),
     "solve_lyapunov-q": ("q", lambda v: solve_lyapunov([[-1.0]], v), [[1.0]]),
@@ -288,3 +286,32 @@ def test_a_vector_of_numbers_keeps_its_bytes(values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert Spectrum(values).eigenvalues.tobytes() == np.array([0.0, 1.5, 3.0]).tobytes()
+
+
+EXTREMES = {"zero": 0.0, "2.5": 2.5, "1e308": 1e308, "1e-320": 1e-320}
+
+
+def _extreme_calls():
+    for case, (_, call) in CASES.items():
+        yield from (pytest.param(call, v, id=f"{case}-{i}") for i, v in EXTREMES.items())
+    for case, (_, call, bad) in SHAPED.items():
+        yield from (pytest.param(call, v, id=f"{case}-{i}") for i, v in EXTREMES.items())
+        if bad is _BAD_PAIRS:
+            yield from (pytest.param(call, (v, w), id=f"{case}-({i}, {j})")
+                        for i, v in EXTREMES.items() for j, w in EXTREMES.items())
+    for case, (_, call, valid) in ARRAYS.items():
+        for i, v in EXTREMES.items():
+            with np.errstate(over="ignore"):  # 3 x 1e308 is inf, which the row refuses
+                scaled = np.array(valid) * v
+            yield pytest.param(call, scaled, id=f"{case}-x{i}")
+
+
+@pytest.mark.parametrize(("call", "value"), _extreme_calls())
+def test_a_valid_extreme_returns_or_is_refused_without_a_warning(call, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a file is written, if at all, in the test's own directory
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(value)
+        except GridlossError:
+            pass
