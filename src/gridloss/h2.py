@@ -53,7 +53,7 @@ import numpy as np
 
 from .dynamics import ControllerParams, StateSpace, check_stability, modal_subsystems
 from .errors import FloatRangeError, LyapunovSolveError, StabilityError, ValidationError
-from .network import _ROW_BLOCK, Spectrum, _check_alpha, _count, _finite, _float_array, _symmetric_within
+from .network import _ROW_BLOCK, Spectrum, _check_alpha, _count, _float_array, _symmetric_within
 
 # largest block of the full route's triangular solve handed to dtrsyl whole
 _LEAF_ROWS = 64
@@ -70,29 +70,13 @@ class H2Result:
     """Squared H2 norm of one route, named by the function that returns it.
 
     ``per_mode`` (absent for the full-Gramian route) lists the contribution
-    of each nonzero eigenvalue in ascending eigenvalue order; the total is
-    their ordered sum, one finite number >= 0 (refused by name otherwise).
+    of each nonzero eigenvalue in ascending eigenvalue order, read-only; the
+    norm is their ``math.fsum``.  The routes judge their values, so the
+    record checks nothing.
     """
 
     squared_norm: float
     per_mode: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        value = _finite("squared_norm", self.squared_norm)
-        if value < 0:
-            raise ValidationError(f"squared_norm must be finite and >= 0, got {value!r}")
-        object.__setattr__(self, "squared_norm", value)
-        if self.per_mode is not None:
-            pm = np.array(_float_array("per_mode", self.per_mode))
-            if pm.ndim != 1:
-                raise ValidationError(f"per_mode must be a vector, got shape {pm.shape}")
-            if np.any(pm < 0) or not np.all(np.isfinite(pm)):
-                raise ValidationError("per_mode contributions must be finite and >= 0")
-            total = math.fsum(pm)
-            if abs(total - value) > 1e-10 * max(value, 1e-300):
-                raise ValidationError(f"squared_norm {value!r} is not the sum of per_mode contributions {total!r}")
-            pm.setflags(write=False)
-            object.__setattr__(self, "per_mode", pm)
 
 
 def _dapi_mode_terms(lam: np.ndarray, m: float, k: float, tau: float, gamma):
@@ -147,16 +131,17 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectr
 
 
 def _summed(per_mode: np.ndarray, route: str) -> H2Result:
-    """The result of a route from its per-mode losses, whose ordered sum is
-    the norm; ``route`` is named where one of them is not finite or the sum
-    overflows."""
+    """The result of a route from its per-mode losses, frozen here, whose
+    ordered sum is the norm; ``route`` is named where one of them is not
+    finite or the sum overflows."""
     if not np.isfinite(per_mode).all():
         raise FloatRangeError(f"the {route} leaves the float range: a mode's loss is not finite")
     try:
         total = math.fsum(per_mode)
     except OverflowError:
         raise FloatRangeError(f"the {route} leaves the float range: the sum of its mode losses overflows") from None
-    return H2Result(squared_norm=total, per_mode=per_mode)
+    per_mode.setflags(write=False)
+    return H2Result(total, per_mode)
 
 
 def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
@@ -210,8 +195,9 @@ def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
         ValueError: A is not finite (``scipy.linalg.schur``'s message).
         StabilityError: A has an eigenvalue with real part >= -1e-10 *
             max(max|A|, 1) (both absolutely and relative to A's scale).
-        LyapunovSolveError: the triangular solve fails, its unscaled
-            solution overflows, or the residual is above tolerance.
+        LyapunovSolveError: U' Q U leaves the float range, the triangular
+            solve fails or its solution (unscaled) is not finite, or the
+            residual is above tolerance.
     """
     fresh_a = a if callable(a) else functools.partial(np.array, _float_array("a", a))
     a = np.asarray(fresh_a(), dtype=float)
@@ -233,7 +219,16 @@ def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
     r = int(np.max(np.flatnonzero(q.any(axis=0) | q.any(axis=1)), initial=-1)) + 1
     q = q[:r, :r]
     u_r = u[:r]
-    y, scale = _solve_quasi_triangular(t, lambda: u_r.T @ (-q @ u_r))
+
+    def rotated_q() -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):  # judged once formed
+            f = u_r.T @ (-q @ u_r)
+        if not _all_finite(f):
+            raise LyapunovSolveError(f"Lyapunov right-hand side U' Q U leaves the float range "
+                                     f"for Q scale {q_scale:.3e}")
+        return f
+
+    y, scale = _solve_quasi_triangular(t, rotated_q)
     del t, u_r  # u_r, a view held by the closure, would keep U alive
     if scale != 1.0:
         try:
@@ -243,6 +238,8 @@ def solve_lyapunov(a, q: np.ndarray) -> np.ndarray:
             raise LyapunovSolveError(
                 f"triangular Sylvester solve overflows: its solution exceeds the float range "
                 f"once divided by its scale {scale:.3e}") from None
+    if not _all_finite(y):  # dtrsyl can overflow without scaling
+        raise LyapunovSolveError("triangular Sylvester solve overflows: its solution is not finite")
     uy = u @ y
     # into a Fortran-ordered out the product would not keep its bits
     x = np.matmul(uy, u.T, out=y if y.flags.c_contiguous else None)
@@ -390,6 +387,12 @@ def _max_abs_sum_with_transpose(m: np.ndarray, q: np.ndarray) -> float:
         rows[:len(q_rows), :q.shape[1]] += q_rows
         peaks.append(np.max(np.abs(rows, out=rows)))
     return np.max(peaks)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a nonempty ``a`` is finite, read off its
+    extremes (NaN propagates to both) without a mask of ``a``'s size."""
+    return math.isfinite(a.max()) and math.isfinite(a.min())
 
 
 def _max_abs(a: np.ndarray):
@@ -584,6 +587,7 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     Raises:
         StabilityError: marginal or unstable modes survive deflation (DAPI
             with gamma = 0, or an unstable parameterization).
+        FloatRangeError: the norm, the trace B' X B, is not finite.
     """
     n, states = ss.n_nodes, ss.n_states - 1
     basis = _ones_complement_basis(n)
@@ -594,8 +598,11 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     b = np.empty((states, n))
     np.matmul(basis.T, ss.b[:n], out=b[:n - 1])
     b[n - 1:] = ss.b[n:]
-    squared = float(np.trace(b.T @ gram @ b))
-    return H2Result(squared_norm=max(squared, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # judged once formed
+        squared = float(np.trace(b.T @ gram @ b))
+    if not math.isfinite(squared):
+        raise FloatRangeError("the full Gramian route leaves the float range: its norm is not finite")
+    return H2Result(max(0.0, squared))  # -0.0 reads +0.0
 
 
 def _deflate(ss: StateSpace) -> np.ndarray:

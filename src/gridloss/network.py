@@ -140,15 +140,6 @@ def _float_array(name: str, values) -> np.ndarray:
     return arr
 
 
-def _finite_pair(name: str, pair) -> tuple[float, float]:
-    """``pair``'s two entries read by ``_finite``, refused by ``name`` unless there are two."""
-    try:
-        low, high = pair
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a (low, high) pair, got {pair!r}") from None
-    return _finite(name, low), _finite(name, high)
-
-
 def _count(name: str, value, least: int = 1) -> int:
     """``value`` as an int, refused by ``name`` unless a Python or numpy integer (not a bool) >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -451,7 +442,11 @@ def _check_seed(seed) -> None:
 
 def _validated_b_range(b_range) -> tuple[float, float]:
     """``(low, high)`` of a uniform susceptance draw as floats, finite with 0 < low <= high."""
-    lo, hi = _finite_pair("b_range", b_range)
+    try:
+        lo, hi = b_range
+    except (TypeError, ValueError):
+        raise ValidationError(f"b_range must be a (low, high) pair, got {b_range!r}") from None
+    lo, hi = _finite("b_range", lo), _finite("b_range", hi)
     if not 0.0 < lo <= hi:
         raise ValidationError(f"b_range must satisfy 0 < low <= high, got {b_range!r}")
     return lo, hi

@@ -1,5 +1,6 @@
 """H2 norm routes: closed forms, modal Lyapunov, full Gramian."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -17,11 +18,10 @@ from hypothesis import strategies as st
 
 import gridloss.dynamics
 import gridloss.network
-from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop
-from gridloss.errors import FloatRangeError, LyapunovSolveError, StabilityError, ValidationError
+from gridloss.dynamics import ControllerParams, assemble_dapi, assemble_droop, droop_part
+from gridloss.errors import FloatRangeError, GridlossError, LyapunovSolveError, StabilityError, ValidationError
 from gridloss.h2 import (
     _LEAF_ROWS,
-    H2Result,
     _kernels,
     _real_schur,
     _solve_quasi_triangular,
@@ -42,6 +42,7 @@ from gridloss.network import (
     spectral_decomposition,
     susceptance_laplacian,
 )
+from gridloss.tuning import optimal_gamma
 from reference import lyapunov_reference, verify_modal_equivalence
 
 
@@ -488,6 +489,19 @@ class TestSolveLyapunov:
                 with pytest.raises(LyapunovSolveError, match="exceeds tolerance"):
                     solve_lyapunov([[-1e308]], [[q]])
 
+    @pytest.mark.parametrize(("a", "message"), [
+        # A's Schur vectors mix Q's rows, so U' Q U = diag(2e308, 0) overflows
+        ([[-2.0, 1.0], [1.0, -2.0]], "Lyapunov right-hand side U' Q U leaves the float range for Q scale 1.000e+308"),
+        # U = I, and dtrsyl returns an infinite Y with scale 1
+        ([[-1.0, 0.0], [1.0, -2.0]], "triangular Sylvester solve overflows: its solution is not finite"),
+    ], ids=["rotated-q", "triangular-solution"])
+    def test_overflow_inside_the_solve_is_refused_without_a_warning(self, a, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LyapunovSolveError) as err:
+                solve_lyapunov(a, np.full((2, 2), 1e308))
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_callable_a_refused_like_an_array(self, bad):
         a = -np.eye(4)
@@ -783,7 +797,7 @@ class TestModalRoute:
         p = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
         res = h2_modal(_spectrum_of(g), p, alpha=1.0, kind="dapi")
         assert res.per_mode.size == 9
-        assert abs(res.squared_norm - math.fsum(res.per_mode)) <= 1e-10 * res.squared_norm
+        assert res.squared_norm.hex() == math.fsum(res.per_mode).hex()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -991,6 +1005,20 @@ class TestFullGramianRoute:
             "",
         ]
 
+    @pytest.mark.parametrize("kernels", ["bound", "scipy"])
+    @pytest.mark.parametrize("m", [8e-9, 6e-9])
+    def test_overflowing_norm_is_a_float_range_error(self, m, kernels, request):
+        # the solve succeeds and the trace B' X B overflows: refused as the
+        # other routes refuse a norm past the float range, with no warning
+        if kernels == "scipy":
+            request.getfixturevalue("scipy_kernels")
+        ss = droop_part(assemble_dapi(build_line_graph(10, [1.0] * 9, 1e300), ControllerParams(m=m, tau=1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError, match="^the full Gramian route leaves the float range: "
+                                                      "its norm is not finite$"):
+                h2_full_gramian(ss)
+
     def test_reads_no_spectrum(self, monkeypatch):
         # the loss weight enters as H' L_G H, so neither assembly nor the
         # route computes an eigendecomposition
@@ -1129,25 +1157,102 @@ class TestThreeWayAgreement:
         )
 
 
+def _holds_h2_invariants(res, n):
+    """What ``H2Result``'s constructor once enforced, read off a route's
+    result on ``n`` buses: a finite norm >= 0 (never -0.0) and, for the
+    closed forms and the modal route, a read-only (N-1,) vector of finite
+    mode losses >= 0 whose ``math.fsum`` is the norm, bit for bit."""
+    assert type(res.squared_norm) is float
+    assert math.isfinite(res.squared_norm) and math.copysign(1.0, res.squared_norm) == 1.0
+    if res.per_mode is not None:
+        assert res.squared_norm.hex() == math.fsum(res.per_mode).hex()
+        assert res.per_mode.shape == (n - 1,)
+        assert np.isfinite(res.per_mode).all() and (res.per_mode >= 0).all()
+        assert not res.per_mode.flags.writeable
+
+
+def _holds_tuning_invariants(tuned, spectrum, params, alpha):
+    """What ``TuningResult``'s constructor once enforced, read off
+    ``optimal_gamma(spectrum, params, alpha)``: gamma_star in its finite
+    bracket, an int iteration count >= 0, the DAPI norm at gamma_star bit
+    for bit, and a boundary optimum's degenerate bracket."""
+    lo, hi = tuned.bracket
+    assert 0.0 <= lo <= tuned.gamma_star <= hi < math.inf
+    assert type(tuned.iterations) is int and tuned.iterations >= 0
+    at_star = dataclasses.replace(params, gamma=tuned.gamma_star)
+    assert tuned.norm_at_star.hex() == h2_dapi_closed_form(alpha, at_star, spectrum).squared_norm.hex()
+    if tuned.gamma_star == 0.0:
+        assert tuned.bracket == (0.0, 0.0) and tuned.iterations == 0
+
+
+# every route that returns a result record, fed (graph, spectrum, params,
+# alpha) of one line; a closed form reads the graph only through N or the
+# spectrum
+_RECORD_ROUTES = {
+    "droop-closed-form": lambda g, s, p, a: h2_droop_closed_form(a, p, g.n_nodes),
+    "dapi-closed-form": lambda g, s, p, a: h2_dapi_closed_form(a, p, s),
+    "droop-modal": lambda g, s, p, a: h2_modal(s, p, a, "droop"),
+    "dapi-modal": lambda g, s, p, a: h2_modal(s, p, a, "dapi"),
+    "droop-full-gramian": lambda g, s, p, a: h2_full_gramian(assemble_droop(g, p)),
+    "dapi-full-gramian": lambda g, s, p, a: h2_full_gramian(assemble_dapi(g, p)),
+    "optimal-gamma": lambda g, s, p, a: optimal_gamma(s, p, a),
+}
+
+# the valid extremes of tests/test_inputs.py, each put into one input of a
+# route with the others at 1: alpha, a ControllerParams field, or the scale
+# b of the line's susceptances
+_EXTREMES = {"zero": 0.0, "2.5": 2.5, "1e308": 1e308, "1e-320": 1e-320}
+_EXTREME_INPUTS = ("alpha", "m", "tau", "k", "gamma", "b")
+
+
 class TestH2ResultType:
-    def test_sum_consistency_enforced(self):
-        with pytest.raises(ValidationError, match="sum"):
-            H2Result(squared_norm=1.0, per_mode=np.array([0.3, 0.3]))
+    """``H2Result`` and ``TuningResult`` check nothing when built; what
+    their constructors enforced holds of every result a route returns."""
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            H2Result(squared_norm=-1.0)
-        with pytest.raises(ValidationError):
-            H2Result(squared_norm=0.3, per_mode=np.array([0.5, -0.2]))
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), m=_gains, tau=_gains, k=_gains, gamma=_gains,
+           alpha=st.one_of(st.just(0.0), st.floats(0.1, 3.0)))
+    @example(n=3, seed=0, m=0.1, tau=0.1, k=1.0, gamma=1.0, alpha=1.0)  # m tau lam <= 1: a boundary optimum
+    @example(n=6, seed=0, m=5.0, tau=5.0, k=1.0, gamma=1.0, alpha=1.0)  # a bisected optimum
+    def test_per_mode_read_only(self, n, seed, m, tau, k, gamma, alpha):
+        g = build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=alpha, seed=seed) if n > 1 else \
+            NetworkGraph(1, [], alpha=alpha)
+        spectrum, p = laplacian_eigenvalues(susceptance_laplacian(g)), ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        for res in (h2_droop_closed_form(alpha, p, n), h2_dapi_closed_form(alpha, p, spectrum),
+                    h2_modal(spectrum, p, alpha, "droop"), h2_modal(spectrum, p, alpha, "dapi")):
+            assert res.per_mode is not None
+            _holds_h2_invariants(res, n)
+        for assemble in (assemble_droop, assemble_dapi):
+            res = h2_full_gramian(assemble(g, p))
+            assert res.per_mode is None
+            _holds_h2_invariants(res, n)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "multiple local minima", RuntimeWarning)
+            tuned = optimal_gamma(spectrum, p, alpha)
+        _holds_tuning_invariants(tuned, spectrum, p, alpha)
 
-    def test_per_mode_matrix_rejected(self):
-        with pytest.raises(ValidationError, match="per_mode must be a vector"):
-            H2Result(squared_norm=1.0, per_mode=np.ones((1, 1)))
-
-    def test_per_mode_read_only(self):
-        res = h2_droop_closed_form(1.0, _M1, 5)
-        with pytest.raises(ValueError):
-            res.per_mode[0] = 9.9
+    @pytest.mark.parametrize("value", _EXTREMES.values(), ids=_EXTREMES.keys())
+    @pytest.mark.parametrize("field", _EXTREME_INPUTS)
+    @pytest.mark.parametrize("route", _RECORD_ROUTES)
+    def test_a_result_at_a_valid_extreme_keeps_the_invariants(self, route, field, value):
+        # where overflow and underflow lie in wait, a route returns a record
+        # that keeps the invariants, or refuses with a GridlossError, and
+        # warns nothing either way
+        inputs = {"alpha": 1.0, "m": 1.0, "tau": 1.0, "k": 1.0, "gamma": 1.0, "b": 1.0, field: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                g = build_line_graph(4, [inputs["b"], 0.5 * inputs["b"], 0.25 * inputs["b"]], inputs["alpha"])
+                spectrum = laplacian_eigenvalues(susceptance_laplacian(g))
+                p = ControllerParams(**{name: inputs[name] for name in ("m", "tau", "k", "gamma")})
+                res = _RECORD_ROUTES[route](g, spectrum, p, inputs["alpha"])
+            except GridlossError:
+                return
+            if route == "optimal-gamma":
+                _holds_tuning_invariants(res, spectrum, p, inputs["alpha"])
+            else:
+                assert (res.per_mode is None) == route.endswith("full-gramian")
+                _holds_h2_invariants(res, 4)
 
 
 def _cliques_spectrum(tie):

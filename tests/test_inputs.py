@@ -5,13 +5,13 @@ way.  ``TABLE`` lists every such argument, and
 ``tests/test_imports.py`` checks that it misses none.
 
 A single number (alpha, a ``ControllerParams`` or ``SimConfig`` field, a
-scale, an eigenvalue, a result's value) refuses a list and an array of one
-element as well as NaN, infinity, -1, a bool (Python's or numpy's), text
-(a str, bytes or a numpy text array), None, an int past the floats and a
-ragged list; numpy scalars and 0-d arrays are numbers.  A count (a node or
-state count, a stride, an iteration count) refuses 2.5, 3.0, [3], True and
-"3"; numpy integers are counts.  A seed refuses a bool, alone or in a tuple.  A (low,
-high) pair, and a number that may also be a vector, refuse their own sets.
+scale, an eigenvalue) refuses a list and an array of one element as well
+as NaN, infinity, -1, a bool (Python's or numpy's), text (a str, bytes or
+a numpy text array), None, an int past the floats and a ragged list; numpy
+scalars and 0-d arrays are numbers.  A count (a node or state count, a
+stride) refuses 2.5, 3.0, [3], True and "3"; numpy integers are counts.  A
+seed refuses a bool, alone or in a tuple.  A (low, high) pair, and a
+number that may also be a vector, refuse their own sets.
 
 Every row also meets the valid extremes 0, 2.5, 1e308 and 1e-320 (an
 array row its valid value scaled by each, a pair row every pair of them):
@@ -29,14 +29,12 @@ import pytest
 from gridloss import (
     ControllerParams,
     GridlossError,
-    H2Result,
     Laplacian,
     NetworkGraph,
     SimConfig,
     Spectrum,
     StateSpace,
     Trajectory,
-    TuningResult,
     ValidationError,
     build_complete_graph,
     build_line_graph,
@@ -104,9 +102,6 @@ CASES = {
     "optimal_gamma_complete-b": ("b", lambda v: optimal_gamma_complete(5, v, _P)),
     "build_random_connected_graph-edge_probability":
         ("edge_probability", lambda v: build_random_connected_graph(4, v, (0.5, 1.5), 1.0, seed=0)),
-    "H2Result-squared_norm": ("squared_norm", lambda v: H2Result(v)),
-    "TuningResult-gamma_star": ("gamma_star", lambda v: TuningResult(v, 1.0, 1, (0.0, 2.0))),
-    "TuningResult-norm_at_star": ("norm_at_star", lambda v: TuningResult(1.0, v, 1, (0.0, 2.0))),
 }
 
 BAD_COUNTS = [2.5, 3.0, [3], True, "3"]
@@ -126,7 +121,6 @@ COUNTS = {
     "phase_perturbation-n_states": ("n_states", lambda v: phase_perturbation(1, v, 1.0, 0)),
     "export_trajectory-n_nodes": ("n_nodes", lambda v: export_trajectory(_T, v, "out.csv")),
     "export_trajectory-stride": ("stride", lambda v: export_trajectory(_T, 3, "out.csv", v)),
-    "TuningResult-iterations": ("iterations", lambda v: TuningResult(1.0, 1.0, v, (0.0, 2.0))),
 }
 
 # the entry points that take a seed, which is not a number of TABLE's kind
@@ -151,7 +145,6 @@ SHAPED = {
                                     {**_SCALARS_ONLY, **_NOT_A_NUMBER, "huge": 1e308}),
     "build_random_connected_graph-b_range":
         ("b_range", lambda v: build_random_connected_graph(4, 1.0, v, 1.0, seed=0), _BAD_PAIRS),
-    "TuningResult-bracket": ("bracket", lambda v: TuningResult(0.0, 1.0, 1, v), _BAD_PAIRS),
 }
 
 _L1 = Laplacian(np.zeros((1, 1)))
@@ -167,7 +160,6 @@ ARRAYS = {
     "Laplacian-matrix": ("matrix", Laplacian, [[1.0, -1.0], [-1.0, 1.0]]),
     "StateSpace-a": ("a", lambda v: StateSpace(v, [[0.0], [1.0]], _L1), [[0.0, 1.0], [-1.0, -1.0]]),
     "StateSpace-b": ("b", lambda v: StateSpace([[0.0, 1.0], [-1.0, -1.0]], v, _L1), [[0.0], [1.0]]),
-    "H2Result-per_mode": ("per_mode", lambda v: H2Result(1.0, v), [0.5, 0.5]),
     "solve_lyapunov-a": ("a", lambda v: solve_lyapunov(v, [[1.0]]), [[-1.0]]),
     "solve_lyapunov-q": ("q", lambda v: solve_lyapunov([[-1.0]], v), [[1.0]]),
     "norm_gamma_derivative-gamma": ("gamma", lambda v: norm_gamma_derivative(v, _S, _P, 1.0), [0.5, 1.0]),
@@ -263,7 +255,6 @@ def test_a_numpy_integer_is_a_count(tmp_path):
         warnings.simplefilter("error")
         assert NetworkGraph(np.int64(2), [(0, 1, 1.0)], 1.0) == NetworkGraph(2, [(0, 1, 1.0)], 1.0)
         assert np.array_equal(phase_perturbation(np.int64(3), np.int32(6), 0.5, 0), phase_perturbation(3, 6, 0.5, 0))
-        assert TuningResult(1.0, 1.0, np.int64(2), (0.0, 2.0)).iterations == 2
         export_trajectory(_T, np.int64(3), tmp_path / "t.csv", stride=np.int64(1))
         export_trajectory(_T, 3, tmp_path / "u.csv")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()

@@ -29,7 +29,6 @@ from gridloss.network import (
     susceptance_laplacian,
 )
 from gridloss.tuning import (
-    TuningResult,
     gamma_star_vs_k,
     loss_reduction_vs_k,
     norm_gamma_derivative,
@@ -554,16 +553,6 @@ class TestCurvesVsK:
 
 
 class TestResultTypes:
-    def test_tuning_result_validation(self):
-        with pytest.raises(ValidationError):
-            TuningResult(gamma_star=2.0, norm_at_star=1.0, iterations=3, bracket=(0.0, 1.0))
-        with pytest.raises(ValidationError):
-            TuningResult(gamma_star=0.5, norm_at_star=-1.0, iterations=3, bracket=(0.0, 1.0))
-        with pytest.raises(ValidationError):
-            TuningResult(gamma_star=0.5, norm_at_star=1.0, iterations=-1, bracket=(0.0, 1.0))
-        with pytest.raises(ValidationError, match="^bracket must satisfy 0 <= lo <= hi"):
-            TuningResult(gamma_star=0.5, norm_at_star=1.0, iterations=1, bracket=(1.0, 0.5))
-
     def test_curves_are_read_only(self):
         spec, grid = _SPECTRUM, [0.5, 1.0]
         for curve in (sweep(spec, UNIT, 1.0, "gamma", grid), gamma_star_vs_k(spec, UNIT, 1.0, grid),
