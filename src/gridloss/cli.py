@@ -24,7 +24,6 @@ from .errors import GridlossError, ValidationError
 from .h2 import h2_dapi_closed_form, h2_droop_closed_form, h2_full_gramian, h2_modal
 from .network import (
     NetworkGraph,
-    Spectrum,
     _check_alpha,
     _generator,
     _validated_b_range,
@@ -33,7 +32,6 @@ from .network import (
     build_random_connected_graph,
     ingest_edge_list,
     laplacian_eigenvalues,
-    susceptance_laplacian,
 )
 from .sim import SimConfig, _atomic_writer, empirical_h2, export_trajectory, integrated_loss, phase_perturbation, simulate
 from .tuning import (
@@ -193,10 +191,6 @@ def _resolve_params(args) -> tuple[ControllerParams, dict]:
     return params, meta
 
 
-def _spectrum(graph: NetworkGraph) -> Spectrum:
-    return laplacian_eigenvalues(susceptance_laplacian(graph))
-
-
 def _parse_pair(text: str, first: type, expects: str) -> tuple:
     """Two comma-separated values, the first read by ``first`` and the
     second as a float; otherwise ``expects`` names the form in the error."""
@@ -285,7 +279,7 @@ def _write_json(path, payload) -> None:
 
 def _cmd_analyze(args) -> int:
     graph, inputs, params = _resolve(args)
-    spectrum = _spectrum(graph)
+    spectrum = laplacian_eigenvalues(graph)
     alpha = graph.alpha
     droop = h2_droop_closed_form(alpha, params, graph.n_nodes)
     norms = {"droop": {"closed_form": droop.squared_norm,
@@ -355,7 +349,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_tune(args) -> int:
     graph, inputs, params = _resolve(args)
-    result = optimal_gamma(_spectrum(graph), params, graph.alpha)
+    result = optimal_gamma(laplacian_eigenvalues(graph), params, graph.alpha)
     droop_norm = h2_droop_closed_form(graph.alpha, params, graph.n_nodes).squared_norm
     reduction = _loss_reduction(result.norm_at_star, droop_norm)
     closed = None if args.complete is None else optimal_gamma_complete(graph.n_nodes, args.b, params)
@@ -380,7 +374,7 @@ def _cmd_sweep(args) -> int:
     if args.at_optimal_gamma and args.param != "k":
         raise ValidationError("--at-optimal-gamma only applies to --param k")
     graph, inputs, params = _resolve(args)
-    spectrum = _spectrum(graph)
+    spectrum = laplacian_eigenvalues(graph)
     alpha = graph.alpha
     # the CSV's columns in order; the JSON names the first one "grid"
     if args.at_optimal_gamma:
@@ -470,7 +464,7 @@ def _cmd_scaling(args) -> int:
             line = build_line_graph(n, rng.uniform(b_range[0], b_range[1], n - 1), alpha)
             complete = build_complete_graph(n, rng.uniform(b_range[0], b_range[1], n * (n - 1) // 2), alpha)
             for graph, bucket in ((line, line_norms), (complete, complete_norms)):
-                bucket.append(h2_dapi_closed_form(alpha, params, _spectrum(graph)).squared_norm)
+                bucket.append(h2_dapi_closed_form(alpha, params, laplacian_eigenvalues(graph)).squared_norm)
         rows.append((float(n), droop_norm, float(np.mean(complete_norms)), float(np.mean(line_norms))))
 
     inputs = {"n_grid": args.n_grid, "seeds": args.seeds, "b_range": list(b_range), "alpha": alpha,

@@ -6,9 +6,10 @@ theta, filtered frequency deviations omega) and a third-order model per bus
 under DAPI control, which adds a distributed-averaging integral state Omega
 communicated over a network proportional to the electrical one.
 
-Each closed loop carries its loss weight, the conductance Laplacian L_G:
-the resistive power loss of circulating currents is theta' L_G theta.  Its
-controller is read off its shapes: 2N states for droop, 3N for DAPI.
+Each closed loop carries its network graph, and with it its loss weight,
+the conductance Laplacian L_G = alpha L_B: the resistive power loss of
+circulating currents is theta' L_G theta.  Its controller is read off its
+shapes: 2N states for droop, 3N for DAPI.
 Because all Laplacians commute, both closed loops block-diagonalize in the
 eigenbasis of the susceptance Laplacian into independent 2x2 / 3x3 modal
 subsystems, one per eigenvalue; the zero eigenvalue's block, the rigid phase
@@ -17,13 +18,14 @@ shift, dissipates nothing and is not stacked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import AssemblyError, ValidationError
-from .network import (Laplacian, NetworkGraph, Spectrum, _check_alpha, _finite, _frozen, spectral_decomposition,
+from .network import (NetworkGraph, Spectrum, _check_alpha, _checked_graph, _finite, _frozen, spectral_decomposition,
                       susceptance_laplacian)
 
 CONTROLLER_KINDS = ("droop", "dapi")
@@ -74,25 +76,27 @@ class StateSpace:
     State ordering is block-wise: theta block first, then omega, then (for
     DAPI) Omega.  The shapes fix the controller: with N = ``b.shape[1]``
     buses, 2N states are the droop loop and 3N the DAPI loop, and any other
-    shape is refused.  ``l_g`` is the conductance ``Laplacian``: the loss is
-    theta' L_G theta.  ``c`` = [L_G^{1/2}, 0, ...], with ||C x||^2 the loss,
-    is built from ``spectral_decomposition(l_g)`` on first access.  A and B
-    are kept as handed in when they are already read-only float64 arrays,
-    as the assemblers hand them over; anything else is copied.
+    shape is refused, as is a ``graph`` of another size.  The loss is
+    theta' L_G theta, with ``l_g`` = L_G derived from the graph.  ``c`` =
+    [L_G^{1/2}, 0, ...], with ||C x||^2 the loss, is built from
+    ``spectral_decomposition(graph)`` on first access.  A and B are kept as
+    handed in when they are already read-only float64 arrays, as the
+    assemblers hand them over; anything else is copied.
     """
 
     a: np.ndarray
     b: np.ndarray
-    l_g: Laplacian
+    graph: NetworkGraph
 
     def __post_init__(self) -> None:
         a = _frozen("a", self.a)
         b = _frozen("b", self.b)
+        nodes = _checked_graph(self.graph).n_nodes
         n = b.shape[1] if b.ndim == 2 else 0
         s = b.shape[0] // n if n else 0
-        if s not in (2, 3) or a.shape != (s * n, s * n) or b.shape != (s * n, n) or self.l_g.n_nodes != n:
+        if s not in (2, 3) or a.shape != (s * n, s * n) or b.shape != (s * n, n) or nodes != n:
             raise ValidationError(
-                f"inconsistent system shapes: A {a.shape}, B {b.shape}, L_G {self.l_g.n_nodes} nodes"
+                f"inconsistent system shapes: A {a.shape}, B {b.shape}, graph {nodes} nodes"
             )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -110,15 +114,30 @@ class StateSpace:
         """The controller: droop for 2N states, DAPI for 3N."""
         return "droop" if self.n_states == 2 * self.n_nodes else "dapi"
 
+    @property
+    def l_g(self) -> np.ndarray:
+        """The loss weight L_G = alpha L_B, a new read-only array on each
+        access, so that no caller holds it longer than it needs it.
+
+        Raises:
+            AssemblyError: an entry overflows the float range.
+        """
+        with np.errstate(over="ignore"):
+            l_g = self.graph.alpha * susceptance_laplacian(self.graph)
+        _refuse_overflow({"alpha": np.diagonal(l_g)})
+        l_g.setflags(write=False)
+        return l_g
+
     @cached_property
     def c(self) -> np.ndarray:
-        """[L_G^{1/2}, 0, ...], read-only and cached; zero when L_G is.  The
+        """[L_G^{1/2}, 0, ...], read-only and cached; zero when L_G is.
+        L_G^{1/2} is sqrt(alpha) L_B^{1/2}, from L_B's eigenpairs; the
         clamped zero eigenvalue puts the uniform phase in its kernel."""
         n = self.n_nodes
         c = np.zeros((n, self.n_states))
-        if self.l_g.matrix.any():
-            spectrum, u = spectral_decomposition(self.l_g)
-            root = u @ np.diag(np.sqrt(spectrum.eigenvalues)) @ u.T
+        if self.l_g.any():
+            spectrum, u = spectral_decomposition(self.graph)
+            root = u @ np.diag(math.sqrt(self.graph.alpha) * np.sqrt(spectrum.eigenvalues)) @ u.T
             c[:, :n] = (root + root.T) / 2.0
         c.setflags(write=False)
         return c
@@ -163,7 +182,7 @@ def droop_part(ss: StateSpace) -> StateSpace:
     a, b = ss.a[:s, :s].copy(), ss.b[:s].copy()
     for arr in (a, b):
         arr.setflags(write=False)
-    return StateSpace(a=a, b=b, l_g=ss.l_g)
+    return StateSpace(a=a, b=b, graph=ss.graph)
 
 
 def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> StateSpace:
@@ -175,7 +194,7 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
     scalar makes -0.0 of the zeros of I and L_B."""
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
-    lb = susceptance_laplacian(graph).matrix
+    lb = susceptance_laplacian(graph)
     n = graph.n_nodes
     s = 2 if kind == "droop" else 3
     a = np.zeros((s * n, s * n))
@@ -192,24 +211,24 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
             _fill_scaled_eye(block(2, 1), -(1.0 / params.k))
             l_c = np.multiply(params.gamma, lb, out=block(2, 2))
             l_c *= -(1.0 / params.k)
-        g_matrix = graph.alpha * lb
+        # the loss weight alpha L_B, judged by its diagonal
+        alpha_diagonal = graph.alpha * np.diagonal(lb)
     dapi = {"1/k": block(2, 1), "gamma/k": block(2, 2)} if kind == "dapi" else {}
-    _refuse_overflow({"m/tau": block(1, 0), "1/tau": block(1, 1), **dapi, "alpha": g_matrix})
-    g_matrix.setflags(write=False)
-    l_g = Laplacian(matrix=g_matrix)
+    _refuse_overflow({"m/tau": block(1, 0), "1/tau": block(1, 1), **dapi, "alpha": alpha_diagonal})
     del lb  # so that B is allocated without it
     b = np.zeros((s * n, n))
     np.fill_diagonal(b[n:2 * n], 1.0 / params.tau)
     for arr in (a, b):
         arr.setflags(write=False)
-    return StateSpace(a=a, b=b, l_g=l_g)
+    return StateSpace(a=a, b=b, graph=graph)
 
 
 def _refuse_overflow(scaled: dict[str, np.ndarray]) -> None:
     """Refuse a closed loop with an entry outside the float range, naming
     the scales whose entries overflowed.  Each entry of A, B and the loss
     weight or output that is not passed is 0, 1 or, up to sign, one that
-    is."""
+    is, or no larger in magnitude than one that is: a Laplacian's diagonal
+    entry is the largest of its row, so alpha L_B passes its diagonal."""
     overflowed = [name for name, entries in scaled.items() if not np.isfinite(entries).all()]
     if overflowed:
         raise AssemblyError(

@@ -10,7 +10,8 @@ class ValidationError(GridlossError, ValueError):
 
 
 class DisconnectedGraphError(GridlossError):
-    """Graph is not connected, or a Laplacian has more than one zero mode."""
+    """Graph is not connected (``NetworkGraph`` decides), or its second
+    Laplacian eigenvalue is not resolved above the eigensolvers' rounding."""
 
 
 class EdgeListParseError(GridlossError):

@@ -53,10 +53,14 @@ import numpy as np
 
 from .dynamics import ControllerParams, StateSpace, check_stability, modal_subsystems
 from .errors import FloatRangeError, LyapunovSolveError, StabilityError, ValidationError
-from .network import _ROW_BLOCK, Spectrum, _check_alpha, _count, _float_array, _symmetric_within
+from .network import Spectrum, _check_alpha, _count, _float_array
 
 # largest block of the full route's triangular solve handed to dtrsyl whole
 _LEAF_ROWS = 64
+
+# rows per pass of the row-blocked passes over a dense square matrix: Q's
+# symmetry check, and the Gramian's symmetrisation and residual
+_ROW_BLOCK = 64
 
 # LAPACKE's dgees and dtrsyl as numpy's ILP64 scipy-openblas build exports
 # them: 64-bit integers, the scipy_ prefix and the 64_ suffix
@@ -367,6 +371,22 @@ def _unsorted(re: float, im: float) -> None:
     """``dgees``'s eigenvalue selector, required but unused: no sorting."""
 
 
+def _symmetric_within(mat: np.ndarray, atol: float) -> bool:
+    """The verdict of ``np.allclose(mat, mat.T, rtol=0, atol=atol)`` for a
+    square matrix, without its warning on the infinite or NaN atol that a
+    non-finite matrix gives: each pair within atol with a finite partner, or
+    equal.  It is taken ``_ROW_BLOCK`` rows at a time, so no temporary is
+    larger than ``_ROW_BLOCK`` rows."""
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, mat.shape[0], _ROW_BLOCK):
+            rows, partners = mat[lo:lo + _ROW_BLOCK], mat[:, lo:lo + _ROW_BLOCK].T
+            gap = rows - partners
+            np.abs(gap, out=gap)
+            if not np.all(((gap <= atol) & np.isfinite(partners)) | (rows == partners)):
+                return False
+    return True
+
+
 def _symmetrise(x: np.ndarray) -> None:
     """x <- (x + x') / 2 in place, one block of rows and its mirrored
     columns at a time."""
@@ -592,7 +612,7 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     n, states = ss.n_nodes, ss.n_states - 1
     basis = _ones_complement_basis(n)
     try:
-        gram = solve_lyapunov(lambda: _deflate(ss), basis.T @ ss.l_g.matrix @ basis)
+        gram = solve_lyapunov(lambda: _deflate(ss), basis.T @ ss.l_g @ basis)
     except StabilityError as err:
         raise _not_deflatable(ss, err) from err
     b = np.empty((states, n))

@@ -7,6 +7,12 @@ are assumed proportional to susceptances with a uniform ratio ``alpha``
 multiple of the susceptance Laplacian, and likewise the communication
 Laplacian with ratio ``gamma``.
 
+``NetworkGraph`` is the one validated network input, and it decides
+connectivity, once, from its edges.  Every Laplacian is a read-only array
+derived from a graph (``susceptance_laplacian``), symmetric with zero row
+sums and negative off-diagonal entries by construction, and both spectrum
+functions take the graph.
+
 Node indices are 0-based in memory; the edge-list file format is 1-based.
 """
 
@@ -28,10 +34,6 @@ from .errors import (
 # relative depth below zero at which an eigenvalue shows a matrix not PSD
 _ZERO_EIG_RTOL = 1e-9
 
-# rows per pass of the row-blocked passes over a dense square matrix (the
-# symmetry check here, and the Gramian's symmetrisation and residual)
-_ROW_BLOCK = 64
-
 # uniforms per call in the random-graph draw: the stream does not depend on
 # how it is cut, so the edges of a seed stay the same
 _DRAW_CHUNK = 2**16
@@ -51,8 +53,8 @@ class NetworkGraph:
     The edges are stored in input order as three read-only arrays:
     ``ends_i < ends_j`` (integers) and ``weights``.  ``edges`` holds
     their tuple view with Python ints and floats, built at construction.
-    Connectivity is checked at construction; every analysis operation in
-    this package assumes it.
+    Connectivity is decided here, at construction, and nowhere else;
+    every analysis operation in this package assumes it.
     """
 
     n_nodes: int
@@ -205,6 +207,13 @@ def _is_number_triple(row) -> bool:
     return triple is not None and triple.shape == (3,)
 
 
+def _checked_graph(graph) -> NetworkGraph:
+    """``graph`` itself, refused by its type unless a ``NetworkGraph``."""
+    if not isinstance(graph, NetworkGraph):
+        raise ValidationError(f"graph must be a NetworkGraph, got {type(graph).__name__}")
+    return graph
+
+
 def _component_count(n_nodes: int, ends_i: np.ndarray, ends_j: np.ndarray) -> int:
     """Number of connected components of the undirected edges (i, j).
 
@@ -228,54 +237,6 @@ def _component_count(n_nodes: int, ends_i: np.ndarray, ends_j: np.ndarray) -> in
             parent = grand
 
 
-@dataclass(frozen=True)
-class Laplacian:
-    """Symmetric PSD graph Laplacian: the susceptance Laplacian L_B of
-    ``susceptance_laplacian``, or the conductance Laplacian L_G that a
-    closed loop carries as its loss weight.
-
-    Invariants checked at construction: square with finite entries,
-    symmetric, row sums zero (within 1e-12 of the largest entry, but at
-    least N subnormals),
-    off-diagonal entries <= 0.  Together these make the matrix diagonally
-    dominant with a nonnegative diagonal, hence positive semidefinite.  The
-    stored array is read-only: a matrix that is already a read-only float64
-    array is kept as handed in, anything else is copied (``_frozen``).
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = _frozen("matrix", self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"Laplacian must be square, got shape {mat.shape}")
-        top, bottom = (float(mat.max()), float(mat.min())) if mat.size else (0.0, 0.0)
-        # both are NaN when any entry is, and one is infinite when an entry is
-        if not (math.isfinite(top) and math.isfinite(bottom)):
-            raise ValidationError("Laplacian entries must be finite")
-        # at least the float grid's absolute floor, one subnormal per entry of
-        # a row: an entry rounded to the subnormals (alpha * L_B at alpha =
-        # 5e-324) errs by up to half of one, where the relative term is 0
-        # (the underflow term of the rounding model, Higham 2002)
-        tol = max(1e-12 * max(top, -bottom), mat.shape[0] * math.ulp(0.0))
-        if not _symmetric_within(mat, tol):
-            raise ValidationError("Laplacian must be symmetric")
-        # a row of huge entries sums to +-inf, refused below, or to NaN (+inf
-        # and -inf partial sums), which needs a positive off-diagonal entry
-        # and is refused for that: neither warns first
-        with np.errstate(over="ignore", invalid="ignore"):
-            row_sums = mat.sum(axis=1)
-        if np.any(np.abs(row_sums) > tol):
-            raise ValidationError("Laplacian row sums must be zero")
-        if np.count_nonzero(mat > tol) > np.count_nonzero(np.diagonal(mat) > tol):
-            raise ValidationError("Laplacian off-diagonal entries must be <= 0")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-
 def _frozen(name: str, values) -> np.ndarray:
     """Read-only float64 array of ``values``, refused by the argument
     ``name`` as ``_float_array`` refuses.  An array that is already
@@ -287,22 +248,6 @@ def _frozen(name: str, values) -> np.ndarray:
             arr = arr.copy()
         arr.setflags(write=False)
     return arr
-
-
-def _symmetric_within(mat: np.ndarray, atol: float) -> bool:
-    """The verdict of ``np.allclose(mat, mat.T, rtol=0, atol=atol)`` for a
-    square matrix, without its warning on the infinite or NaN atol that a
-    non-finite matrix gives: each pair within atol with a finite partner, or
-    equal.  It is taken ``_ROW_BLOCK`` rows at a time, so no temporary is
-    larger than ``_ROW_BLOCK`` rows."""
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, mat.shape[0], _ROW_BLOCK):
-            rows, partners = mat[lo:lo + _ROW_BLOCK], mat[:, lo:lo + _ROW_BLOCK].T
-            gap = rows - partners
-            np.abs(gap, out=gap)
-            if not np.all(((gap <= atol) & np.isfinite(partners)) | (rows == partners)):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -527,64 +472,77 @@ def ingest_edge_list(path) -> NetworkGraph:
     return NetworkGraph(n_nodes=n_nodes, edges=edges, alpha=alpha)
 
 
-def susceptance_laplacian(graph: NetworkGraph) -> Laplacian:
-    """Susceptance Laplacian L_B of a graph, filled from its edge arrays."""
+def susceptance_laplacian(graph: NetworkGraph) -> np.ndarray:
+    """Susceptance Laplacian L_B of a graph, filled from its edge arrays, as a
+    new read-only float64 array.
+
+    The graph's checks make it symmetric, with zero row sums and
+    off-diagonal entries -b_ij < 0.  The one thing it can break is the float
+    range: a bus's summed susceptance, its diagonal entry, can overflow.
+
+    Raises:
+        ValidationError: ``graph`` is not a ``NetworkGraph``.
+        FloatRangeError: the susceptance summed at a bus overflows.
+    """
+    graph = _checked_graph(graph)
     lb = np.zeros((graph.n_nodes, graph.n_nodes))
     # each node pair appears at most once, so every entry is written once
     lb[graph.ends_i, graph.ends_j] = -graph.weights
     lb[graph.ends_j, graph.ends_i] = -graph.weights
-    # diagonal set from the finished off-diagonal rows: row sums vanish; a
-    # sum that overflows is left to the Laplacian's finiteness refusal
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.fill_diagonal(lb, -lb.sum(axis=1))
-    lb.setflags(write=False)  # frozen here, so the Laplacian keeps it uncopied
-    return Laplacian(matrix=lb)
+    # the diagonal from the finished off-diagonal rows, so the rows sum to
+    # zero; the entries summed are all negative, so an overflow is -inf
+    with np.errstate(over="ignore"):
+        row_sums = lb.sum(axis=1)
+    if not math.isfinite(row_sums.min()):
+        raise FloatRangeError("the Laplacian leaves the float range: the susceptance summed at a bus overflows")
+    np.fill_diagonal(lb, -row_sums)
+    lb.setflags(write=False)
+    return lb
 
 
-def spectral_decomposition(laplacian: Laplacian) -> tuple[Spectrum, np.ndarray]:
-    """Orthonormal eigendecomposition with the zero mode pinned: the
-    ``Spectrum`` and the read-only matrix U of its eigenvectors.
+def spectral_decomposition(graph: NetworkGraph) -> tuple[Spectrum, np.ndarray]:
+    """Orthonormal eigendecomposition of the graph's L_B with the zero mode
+    pinned: the ``Spectrum`` and the read-only matrix U of its eigenvectors.
 
-    Eigenvalues are ascending; the first is set to exactly 0.0 once the
-    Laplacian's off-diagonal pattern shows one component (``_pinned_zero_mode``).
-    Column i of U belongs to eigenvalue i, and column 0 is the normalised
-    all-ones vector.  Each column's sign is fixed (its first entry above
-    1e-8 in magnitude is positive), so the decomposition is reproducible.
+    Eigenvalues are ascending; the first is set to exactly 0.0, since the
+    graph is connected (``_pinned_zero_mode``).  Column i of U belongs to
+    eigenvalue i, and column 0 is the normalised all-ones vector.  Each
+    column's sign is fixed (its first entry above 1e-8 in magnitude is
+    positive), so the decomposition is reproducible.
 
     Raises:
-        DisconnectedGraphError: several components, or lambda_2 unresolved.
-        ValidationError: an eigenvalue is negative beyond tolerance.
-        FloatRangeError: the largest eigenvalue is not finite: the
-            spectrum of the finite entries overflows.
+        ValidationError: ``graph`` is not a ``NetworkGraph``, or an
+            eigenvalue is negative beyond tolerance.
+        DisconnectedGraphError: lambda_2 is not resolved above rounding.
+        FloatRangeError: L_B or its largest eigenvalue is not finite.
     """
-    w, u = np.linalg.eigh(laplacian.matrix)
-    w = _pinned_zero_mode(w, laplacian.matrix)
+    w, u = np.linalg.eigh(susceptance_laplacian(graph))
+    w = _pinned_zero_mode(w)
     lead = np.argmax(np.abs(u) > 1e-8, axis=0)  # row 0 where no entry is above 1e-8
     u[:, u[lead, np.arange(w.size)] < 0] *= -1.0
     u.setflags(write=False)
     return Spectrum(eigenvalues=w), u
 
 
-def laplacian_eigenvalues(laplacian: Laplacian) -> Spectrum:
-    """The spectrum alone, for callers that read eigenvalues only.
+def laplacian_eigenvalues(graph: NetworkGraph) -> Spectrum:
+    """The spectrum of the graph's L_B alone, for callers that read
+    eigenvalues only.
 
-    The zero mode is decided and pinned exactly as in
-    ``spectral_decomposition``, with the same errors; the eigenvalues come
-    from ``np.linalg.eigvalsh`` and may differ from ``eigh``'s in the last
-    bits.  It raises what ``spectral_decomposition`` raises, a
-    FloatRangeError for an overflowing spectrum included.
+    The zero mode is pinned exactly as in ``spectral_decomposition``, with
+    the same errors; the eigenvalues come from ``np.linalg.eigvalsh`` and
+    may differ from ``eigh``'s in the last bits.
     """
-    return Spectrum(eigenvalues=_pinned_zero_mode(np.linalg.eigvalsh(laplacian.matrix), laplacian.matrix))
+    return Spectrum(eigenvalues=_pinned_zero_mode(np.linalg.eigvalsh(susceptance_laplacian(graph))))
 
 
-def _pinned_zero_mode(w: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Ascending Laplacian eigenvalues ``w`` with the zero mode set to 0.0.
+def _pinned_zero_mode(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues ``w`` of a connected graph's L_B with the zero
+    mode set to 0.0.
 
-    A Laplacian has one exact zero mode per component, so the component
-    count of its off-diagonal pattern (the lines are its negative entries)
-    decides, never the size of a computed eigenvalue.  A connected graph
-    keeps every eigenvalue but the first, provided its second lies above
-    the rounding floor n eps lambda_max of the symmetric eigensolvers;
+    ``NetworkGraph`` has decided that the graph is one component, so L_B
+    has exactly one zero mode, and no computed eigenvalue's size decides
+    it.  Every eigenvalue but the first is kept, provided the second lies
+    above the rounding floor n eps lambda_max of the symmetric eigensolvers;
     below it, lambda_2's sign and size are rounding noise that differs
     between ``eigh`` and ``eigvalsh``, so the graph is refused.  A largest
     eigenvalue that is not finite (finite entries whose spectrum overflows)
@@ -595,16 +553,8 @@ def _pinned_zero_mode(w: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     scale = float(w[-1])
     if not math.isfinite(scale):
         raise FloatRangeError(f"the Laplacian's spectrum leaves the float range: its largest eigenvalue is {scale!r}")
-    if scale <= 0:
-        raise DisconnectedGraphError("Laplacian is zero; graph has no edges")
     if w[0] < -_ZERO_EIG_RTOL * scale:
         raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    rows, cols = np.divmod(np.flatnonzero(matrix < 0), w.size)
-    n_zero = _component_count(w.size, rows, cols)
-    if n_zero > 1:
-        raise DisconnectedGraphError(
-            f"Laplacian has {n_zero} zero modes; the graph splits into {n_zero} components"
-        )
     floor = w.size * np.finfo(float).eps * scale
     if not w[1] > floor:
         raise DisconnectedGraphError(

@@ -214,7 +214,7 @@ def simulate(ss: StateSpace, config: SimConfig) -> Trajectory:
     # a path at the edge of the float range may overflow; its loss is judged
     with np.errstate(over="ignore", invalid="ignore"):
         _scan(states, step)
-        lg = ss.l_g.matrix
+        lg = ss.l_g
         loss = np.empty(n_steps + 1)
         for row in range(0, n_steps + 1, chunk):
             theta = states[row:row + chunk, :n]

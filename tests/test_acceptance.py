@@ -36,7 +36,6 @@ from gridloss import (
     phase_perturbation,
     simulate,
     spectral_decomposition,
-    susceptance_laplacian,
     sweep,
 )
 
@@ -92,7 +91,7 @@ def test_criterion_01_three_routes_agree():
     start = time.monotonic()
     worst = 0.0
     for graph, params in _random_network_draws():
-        spectrum = spectral_decomposition(susceptance_laplacian(graph))[0]
+        spectrum = spectral_decomposition(graph)[0]
         droop = (
             h2_droop_closed_form(graph.alpha, params, graph.n_nodes).squared_norm,
             h2_modal(spectrum, params, graph.alpha, "droop").squared_norm,
@@ -124,7 +123,7 @@ def test_criterion_02_droop_per_mode_value():
         graph = build_random_connected_graph(
             n, float(rng.uniform(0.3, 0.9)), (0.5, 1.5), alpha,
             seed=int(rng.integers(0, 2**31)))
-        spectrum = spectral_decomposition(susceptance_laplacian(graph))[0]
+        spectrum = spectral_decomposition(graph)[0]
         # per-mode droop loss must be alpha/(2m) no matter the eigenvalue,
         # and must ignore k and gamma entirely
         for k, gamma in ((1.0, 1.0), (3.7, 0.2)):
@@ -143,7 +142,7 @@ def test_criterion_03_dapi_strictly_below_droop():
     violations = 0
     min_ratio = np.inf
     for graph, params in _random_network_draws():
-        spectrum = spectral_decomposition(susceptance_laplacian(graph))[0]
+        spectrum = spectral_decomposition(graph)[0]
         droop = h2_droop_closed_form(graph.alpha, params, graph.n_nodes).squared_norm
         dapi = h2_dapi_closed_form(graph.alpha, params, spectrum).squared_norm
         if not dapi < droop:
@@ -173,7 +172,7 @@ def test_criterion_04_complete_graph_gain_formula():
         k = float(rng.uniform(0.2, 5.0))
         params = ControllerParams(m=m, tau=tau, k=k)
         graph = build_complete_graph(n, b, 1.0)
-        spectrum = spectral_decomposition(susceptance_laplacian(graph))[0]
+        spectrum = spectral_decomposition(graph)[0]
         numeric = optimal_gamma(spectrum, params, 1.0).gamma_star
         closed = optimal_gamma_complete(n, b, params)
         worst = max(worst, abs(numeric - closed))
@@ -181,7 +180,7 @@ def test_criterion_04_complete_graph_gain_formula():
     for j in range(10):
         m = 0.3 + 0.02 * j  # keeps N*b*m*tau in (0.6, 0.98]
         params = ControllerParams(m=m, tau=1.0, k=1.0)
-        spectrum = spectral_decomposition(susceptance_laplacian(build_complete_graph(2, 1.0, 1.0)))[0]
+        spectrum = spectral_decomposition(build_complete_graph(2, 1.0, 1.0))[0]
         numeric = optimal_gamma(spectrum, params, 1.0).gamma_star
         closed = optimal_gamma_complete(2, 1.0, params)
         boundary_ok = boundary_ok and numeric == 0.0 and closed == 0.0
@@ -195,7 +194,7 @@ def test_criterion_04_complete_graph_gain_formula():
 
 def test_criterion_05_gamma_sweep_minimum_location():
     graph = build_complete_graph(50, 1.0, 1.0)
-    spectrum = spectral_decomposition(susceptance_laplacian(graph))[0]
+    spectrum = spectral_decomposition(graph)[0]
     grid = np.linspace(0.0, 4.0, 401)
     verdicts = []
     details = []
@@ -235,7 +234,7 @@ def test_criterion_06_topology_ordering_with_size():
             line_graph = build_line_graph(n, rng.uniform(0.5, 1.5, n - 1), 1.0)
             complete_graph = build_complete_graph(n, rng.uniform(0.5, 1.5, n * (n - 1) // 2), 1.0)
             for graph, bucket in ((line_graph, line_norms), (complete_graph, complete_norms)):
-                spectrum = spectral_decomposition(susceptance_laplacian(graph))[0]
+                spectrum = spectral_decomposition(graph)[0]
                 bucket.append(h2_dapi_closed_form(1.0, params, spectrum).squared_norm)
         droop = h2_droop_closed_form(1.0, params, n).squared_norm
         mean_line = float(np.mean(line_norms))
@@ -341,7 +340,7 @@ def test_criterion_09_stability_everywhere():
 def test_criterion_10_benchmark_network_trends():
     path = resources.files("gridloss.data") / "ieee57.edges"
     graph = ingest_edge_list(str(path))
-    spectrum = spectral_decomposition(susceptance_laplacian(graph))[0]
+    spectrum = spectral_decomposition(graph)[0]
     k_grid = np.linspace(0.1, 10.0, 12)
     params = ControllerParams(m=1.0, tau=1.0)
     reduction = loss_reduction_vs_k(spectrum, params, 1.0, k_grid)

@@ -18,24 +18,24 @@ import numpy as np
 import pytest
 
 import gridloss.cli
+import gridloss.dynamics
 import gridloss.network
 from gridloss.cli import _build_parser, _parse_grid, main
 from gridloss.dynamics import ControllerParams
 from gridloss.errors import ValidationError
 from gridloss.h2 import h2_dapi_closed_form, h2_droop_closed_form
 from gridloss.network import (
-    Laplacian,
     NetworkGraph,
     build_line_graph,
     build_random_connected_graph,
     laplacian_eigenvalues,
     spectral_decomposition,
-    susceptance_laplacian,
 )
 from gridloss.tuning import optimal_gamma
 
 IEEE57 = Path(gridloss.network.__file__).parent / "data" / "ieee57.edges"
 README = Path(__file__).resolve().parents[1] / "README.md"
+_LB_OVERFLOW = "the Laplacian leaves the float range: the susceptance summed at a bus overflows"
 _TAU_ZERO = ("filter time constant tau is zero: the loop degenerates to first order "
              "and has no state-space form here; use the closed-form norm route")
 
@@ -261,7 +261,13 @@ class TestNoTraceback:
          "closed loop leaves the float range: its m/tau, 1/tau entries overflow"),
         (["analyze", "--line", "3", "--alpha", "1e308"], 1,
          "closed loop leaves the float range: its alpha entries overflow"),
-        (["analyze", "--line", "3", "--b", "1e308"], 2, "Laplacian entries must be finite"),
+        # a valid graph whose L_B overflows: a bus's summed susceptance
+        (["analyze", "--line", "3", "--b", "1e308"], 1, _LB_OVERFLOW),
+        (["analyze", "--line", "3", "--b", "9e307"], 1, _LB_OVERFLOW),
+        (["tune", "--line", "3", "--b", "1e308"], 1, _LB_OVERFLOW),
+        (["sweep", "--line", "3", "--b", "1e308", "--param", "k", "--grid", "1:2:1"], 1, _LB_OVERFLOW),
+        (["simulate", "--line", "3", "--b", "1e308", "--horizon", "1"], 1, _LB_OVERFLOW),
+        (["scaling", "--n-grid", "3:3:1", "--b-range", "1e308,1e308", "--seeds", "1"], 1, _LB_OVERFLOW),
         # finite entries whose spectrum overflows: the float range, not a
         # disconnected graph
         (["analyze", "--line", "2", "--b", "1e308"], 1,
@@ -311,7 +317,8 @@ class TestNoTraceback:
     ], ids=["b-range-reversed", "b-range-inf", "b-range-nan", "b-range-zero", "out-missing-dir",
             "out-is-dir", "grid-inf", "seeds-0", "line-1", "complete-1", "random-1",
             "analyze-m-overflow", "analyze-tau-overflow", "simulate-m-overflow", "simulate-tau-overflow",
-            "analyze-alpha-overflow", "analyze-b-overflow", "analyze-spectrum-overflow",
+            "analyze-alpha-overflow", "analyze-b-overflow", "analyze-b-overflow-9e307", "tune-b-overflow",
+            "sweep-b-overflow", "simulate-b-overflow", "scaling-b-overflow", "analyze-spectrum-overflow",
             "analyze-dapi-closed-form-overflow", "sweep-dapi-closed-form-overflow",
             "scaling-dapi-closed-form-overflow", "analyze-droop-closed-form-overflow",
             "analyze-droop-sum-overflow", "tune-dapi-sum-overflow", "sweep-dapi-sum-overflow",
@@ -343,8 +350,8 @@ class TestNoTraceback:
         assert list(tmp_path.iterdir()) == []
 
     def test_subnormal_alpha_simulates(self, tmp_path, capsys):
-        # alpha * L_B of subnormal entries is a Laplacian: its row sums are
-        # within the float grid's absolute floor
+        # alpha * L_B of subnormal entries weights the loss as it is: its
+        # rows may sum to a few subnormals, and nothing refuses that
         out = tmp_path / "x.csv"
         argv = ["simulate", "--random", "5,0.4", "--seed", "1", "--alpha", "5e-324", "--horizon", "1",
                 "--out", str(out)]
@@ -479,26 +486,28 @@ class TestSpectrumCalls:
 
 
 class TestLaplacianBuilds:
-    """``analyze`` builds L_B for its spectrum, and L_B and L_G in its one
-    DAPI assembly, whose leading blocks are the droop loop: 3 in all.
-    ``simulate`` builds L_B and L_G once."""
+    """``analyze`` builds L_B for its spectrum, once in its one DAPI
+    assembly, whose leading blocks are the droop loop, and once for each
+    full Gramian's loss weight L_G = alpha L_B: 4 in all.  ``simulate``
+    builds it for its assembly and for its loss weight."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         count = [0]
-        real = Laplacian.__post_init__
+        real = gridloss.network.susceptance_laplacian
 
-        def counted(laplacian):
+        def counted(graph):
             count[0] += 1
-            real(laplacian)
+            return real(graph)
 
-        monkeypatch.setattr(Laplacian, "__post_init__", counted)
+        for module in (gridloss.network, gridloss.dynamics):
+            monkeypatch.setattr(module, "susceptance_laplacian", counted)
         return count
 
-    def test_analyze_builds_three(self, builds, tmp_path, capsys):
+    def test_analyze_builds_four(self, builds, tmp_path, capsys):
         assert main(["analyze", "--random", "30,0.2", "--format", "json", "--out", str(tmp_path / "a.json")]) == 0
         capsys.readouterr()
-        assert builds == [3]
+        assert builds == [4]
 
     def test_simulate_builds_two(self, builds, tmp_path, capsys):
         assert main(["simulate", "--line", "6", "--horizon", "5", "--dt", "0.01",
@@ -695,7 +704,7 @@ class TestSweep:
         capsys.readouterr()
         payload = json.loads(out.read_text())
         graph = build_random_connected_graph(30, 0.2, (0.5, 1.5), 1.0, seed=4)
-        spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
+        spectrum = laplacian_eigenvalues(graph)
         droop = 1.0 * (30 - 1) / (2.0 * 1.5)
         assert len(payload["grid"]) == 16
         for k, reduction, gain in zip(payload["grid"], payload["loss_reduction"], payload["gamma_star"]):
@@ -850,7 +859,7 @@ class TestScaling:
                 weights = rng.uniform(0.5, 1.5, len(pairs))
                 complete = NetworkGraph(n, tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights)), 1.0)
                 for graph, bucket in ((line, line_norms), (complete, complete_norms)):
-                    spectrum = spectral_decomposition(susceptance_laplacian(graph))[0]
+                    spectrum = spectral_decomposition(graph)[0]
                     bucket.append(h2_dapi_closed_form(1.0, params, spectrum).squared_norm)
             droop = h2_droop_closed_form(1.0, params, n).squared_norm
             expected.append([float(n), droop, float(np.mean(complete_norms)), float(np.mean(line_norms))])

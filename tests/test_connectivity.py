@@ -56,7 +56,6 @@ from gridloss import (
     h2_dapi_closed_form,
     h2_modal,
     laplacian_eigenvalues,
-    susceptance_laplacian,
 )
 
 # relative slack of each route against a bound: the bounds are exact up to
@@ -116,7 +115,7 @@ def _factor(lam, p: ControllerParams):
 def _norms(graph: NetworkGraph, p: ControllerParams) -> dict:
     """The DAPI norm by the closed form and, where it accepts the loop, the
     modal route."""
-    spectrum = laplacian_eigenvalues(susceptance_laplacian(graph))
+    spectrum = laplacian_eigenvalues(graph)
     norms = {"closed_form": h2_dapi_closed_form(graph.alpha, p, spectrum).squared_norm}
     try:
         norms["modal_lyapunov"] = h2_modal(spectrum, p, graph.alpha, "dapi").squared_norm
@@ -128,7 +127,7 @@ def _norms(graph: NetworkGraph, p: ControllerParams) -> dict:
 def _bracket(graph: NetworkGraph, p: ControllerParams) -> tuple[float, float]:
     """droop c(lam_bar) and droop f(lam_bar), lam_bar = 2 sum b / (N - 1)."""
     n = graph.n_nodes
-    lam = laplacian_eigenvalues(susceptance_laplacian(graph)).nonzero
+    lam = laplacian_eigenvalues(graph).nonzero
     lam_bar = 2.0 * math.fsum(graph.weights) / (n - 1)
     f_lo, f_hi = _factor(lam[0], p), _factor(lam[-1], p)
     chord = f_lo if lam[-1] == lam[0] else f_lo + (f_hi - f_lo) * (lam_bar - lam[0]) / (lam[-1] - lam[0])

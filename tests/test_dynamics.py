@@ -21,7 +21,6 @@ from gridloss.dynamics import (
 from gridloss.errors import AssemblyError, GridlossError, ValidationError
 from gridloss.h2 import h2_modal
 from gridloss.network import (
-    Laplacian,
     NetworkGraph,
     build_complete_graph,
     build_line_graph,
@@ -34,15 +33,16 @@ from reference import verify_modal_equivalence
 
 
 def _spectrum_of(graph):
-    return spectral_decomposition(susceptance_laplacian(graph))[0]
+    return spectral_decomposition(graph)[0]
 
 
 # log-uniform over [1e-300, 1e300]
 _ANY_SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 
 
-def _zero_laplacian(n):
-    return Laplacian(np.zeros((n, n)))
+def _lossless_line(n):
+    # a graph of n >= 1 buses (one bus for n = 0), with alpha = 0
+    return NetworkGraph(max(n, 1), [(i, i + 1, 1.0) for i in range(n - 1)], 0.0)
 
 
 class TestControllerParams:
@@ -197,7 +197,7 @@ class TestModalSubsystems:
         # the reference builds each mode from array literals; every bit,
         # the sign of each zero included (-m 0 / tau is -0.0), must match
         g = build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=alpha, seed=seed)
-        spec = laplacian_eigenvalues(susceptance_laplacian(g))
+        spec = laplacian_eigenvalues(g)
         p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
         for kind in ("droop", "dapi"):
             stacks = modal_subsystems(spec, p, alpha, kind)
@@ -272,11 +272,10 @@ class TestModalSubsystems:
     )
     def test_eigenvalue_only_spectrum_gives_the_same_modal_norm(self, n, seed, alpha, m, tau, k, gamma):
         g = build_random_connected_graph(n, min(1.0, 3.0 / n + 0.1), (0.5, 1.5), alpha=alpha, seed=seed)
-        lb = susceptance_laplacian(g)
         p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
         for kind in ("droop", "dapi"):
-            want = h2_modal(spectral_decomposition(lb)[0], p, alpha, kind).squared_norm
-            got = h2_modal(laplacian_eigenvalues(lb), p, alpha, kind).squared_norm
+            want = h2_modal(spectral_decomposition(g)[0], p, alpha, kind).squared_norm
+            got = h2_modal(laplacian_eigenvalues(g), p, alpha, kind).squared_norm
             assert abs(got - want) <= 1e-14 * want
 
 
@@ -328,7 +327,7 @@ class TestCheckStability:
     def test_underflowing_k_tau_is_no_division_by_zero(self):
         # k tau underflows to 0 while 1/k and 1/tau stay finite
         p = ControllerParams(m=1.0, tau=1e-200, k=1e-200, gamma=1.0)
-        spectrum = laplacian_eigenvalues(susceptance_laplacian(build_line_graph(3, [1.0, 1.0], alpha=1.0)))
+        spectrum = laplacian_eigenvalues(build_line_graph(3, [1.0, 1.0], alpha=1.0))
         assert all(check_stability(p, lam, "dapi") for lam in spectrum.nonzero)
         try:
             norm = h2_modal(spectrum, p, 1.0, "dapi").squared_norm
@@ -371,9 +370,9 @@ class TestDroopIsLeadingDapiBlock:
         assert np.array_equal(droop.b, dapi.b[:2 * n])
         assert np.array_equal(droop.c, dapi.c[:, :2 * n])
         part = droop_part(dapi)
-        assert part.controller_kind == "droop" and part.l_g is dapi.l_g
+        assert part.controller_kind == "droop" and part.graph is dapi.graph
         assert part.a.tobytes() == droop.a.tobytes() and part.b.tobytes() == droop.b.tobytes()
-        assert droop.l_g.matrix.tobytes() == dapi.l_g.matrix.tobytes()
+        assert droop.l_g.tobytes() == dapi.l_g.tobytes()
 
 
 def _np_block_loop(lb, params, alpha, kind):
@@ -409,10 +408,10 @@ class TestFilledAssembly:
         g = (NetworkGraph(n_nodes=1, edges=(), alpha=alpha) if n == 1
              else build_random_connected_graph(n, 0.4, (0.5, 1.5), alpha=alpha, seed=seed))
         params = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
-        lb = susceptance_laplacian(g).matrix
+        lb = susceptance_laplacian(g)
         systems = {"dapi": assemble_dapi(g, params), "droop": assemble_droop(g, params)}
         for kind, ss in systems.items():
-            for got, expected in zip((ss.a, ss.b, ss.l_g.matrix), _np_block_loop(lb, params, alpha, kind)):
+            for got, expected in zip((ss.a, ss.b, ss.l_g), _np_block_loop(lb, params, alpha, kind)):
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
                 assert np.array_equal(np.signbit(got), np.signbit(expected))
@@ -424,7 +423,7 @@ class TestModalEquivalence:
         g = build_line_graph(2, [1.0], alpha=1.0)
         p = ControllerParams(m=1.0, tau=1.0)
         ss = assemble_droop(g, p)
-        spec, u = spectral_decomposition(susceptance_laplacian(g))
+        spec, u = spectral_decomposition(g)
         a, _, _ = modal_subsystems(spec, p, alpha=1.0, kind="droop")
         assert verify_modal_equivalence(ss, a, u) <= 1e-12
 
@@ -432,7 +431,7 @@ class TestModalEquivalence:
         g = build_complete_graph(3, b=1.0, alpha=1.0)
         p = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
         ss = assemble_dapi(g, p)
-        spec, u = spectral_decomposition(susceptance_laplacian(g))
+        spec, u = spectral_decomposition(g)
         a, _, _ = modal_subsystems(spec, p, alpha=1.0, kind="dapi")
         assert verify_modal_equivalence(ss, a, u) <= 1e-12
 
@@ -443,7 +442,7 @@ class TestModalEquivalence:
             g = build_random_connected_graph(n, 0.4, (0.5, 1.5), alpha=1.0, seed=seed)
             m, k, tau, gamma = rng.uniform(0.1, 5, 4)
             p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
-            spec, u = spectral_decomposition(susceptance_laplacian(g))
+            spec, u = spectral_decomposition(g)
             for kind, assemble in (("droop", assemble_droop), ("dapi", assemble_dapi)):
                 ss = assemble(g, p)
                 a, _, _ = modal_subsystems(spec, p, alpha=1.0, kind=kind)
@@ -455,7 +454,7 @@ class TestModalEquivalence:
         g3 = build_line_graph(3, [1.0, 1.0], alpha=1.0)
         p = ControllerParams(m=1.0, tau=1.0)
         ss = assemble_droop(g2, p)
-        spec3, u3 = spectral_decomposition(susceptance_laplacian(g3))
+        spec3, u3 = spectral_decomposition(g3)
         a3, _, _ = modal_subsystems(spec3, p, alpha=1.0, kind="droop")
         with pytest.raises(ValidationError, match="mismatch"):
             verify_modal_equivalence(ss, a3, u3)
@@ -470,11 +469,11 @@ class TestStateSpaceType:
 
     def test_read_only_float_arrays_are_kept_as_handed_in(self):
         a, b = -np.eye(4), np.vstack([np.zeros((2, 2)), np.eye(2)])
-        writeable = StateSpace(a=a, b=b, l_g=_zero_laplacian(2))
+        writeable = StateSpace(a=a, b=b, graph=_lossless_line(2))
         assert writeable.a is not a and writeable.b is not b and a.flags.writeable
         for arr in (a, b):
             arr.setflags(write=False)
-        kept = StateSpace(a=a, b=b, l_g=_zero_laplacian(2))
+        kept = StateSpace(a=a, b=b, graph=_lossless_line(2))
         assert kept.a is a and kept.b is b
 
     def test_assemblers_hand_over_contiguous_arrays_of_their_own(self):
@@ -491,27 +490,28 @@ class TestStateSpaceType:
     @pytest.mark.parametrize("assemble", [assemble_dapi, assemble_droop])
     def test_assembly_peak_memory(self, assemble, peak_bytes):
         # A is filled in place, L_B is dropped before B is allocated, and
-        # StateSpace adds no copy: the DAPI peak is A, B and L_G, 13 N^2
-        # floats or 1.44 of the 3N x 3N A; droop assembles 2N states only
+        # StateSpace adds no copy and holds no L_G: the DAPI peak is A and B,
+        # 12 N^2 floats or 1.33 of the 3N x 3N A; droop assembles 2N states
+        # only
         g = build_line_graph(300, np.ones(299), alpha=1.0)
         with peak_bytes() as peak:
             ss = assemble(g, ControllerParams(m=1.0, tau=1.0))
         assert ss.n_nodes == 300
-        assert peak.bytes < 1.5 * (3 * 300) ** 2 * 8
+        assert peak.bytes < 1.4 * (3 * 300) ** 2 * 8
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError, match="shapes"):
-            StateSpace(a=np.eye(4), b=np.zeros((4, 2)), l_g=_zero_laplacian(3))
+            StateSpace(a=np.eye(4), b=np.zeros((4, 2)), graph=_lossless_line(3))
         with pytest.raises(ValidationError, match="shapes"):
-            StateSpace(a=np.eye(6), b=np.zeros((4, 2)), l_g=_zero_laplacian(2))
+            StateSpace(a=np.eye(6), b=np.zeros((4, 2)), graph=_lossless_line(2))
 
     def test_bad_kind(self):
         # neither 2N (droop) nor 3N (DAPI) states for N = B's columns
         for states, n in ((8, 2), (1, 1), (5, 2), (0, 0)):
             with pytest.raises(ValidationError, match="inconsistent system shapes"):
-                StateSpace(a=np.eye(states), b=np.zeros((states, n)), l_g=_zero_laplacian(n))
+                StateSpace(a=np.eye(states), b=np.zeros((states, n)), graph=_lossless_line(n))
         with pytest.raises(ValidationError, match="inconsistent system shapes"):
-            StateSpace(a=np.eye(2), b=np.zeros(2), l_g=_zero_laplacian(1))
+            StateSpace(a=np.eye(2), b=np.zeros(2), graph=_lossless_line(1))
 
     def test_kind_is_read_off_the_shapes(self):
         g = build_random_connected_graph(7, 0.5, (0.5, 1.5), alpha=1.1, seed=5)
@@ -520,13 +520,14 @@ class TestStateSpaceType:
         for ss, kind, states in ((assemble_droop(g, p), "droop", 14), (dapi, "dapi", 21),
                                  (droop_part(dapi), "droop", 14)):
             assert (ss.controller_kind, ss.n_states, ss.n_nodes) == (kind, states, 7)
-        by_hand = StateSpace(a=dapi.a, b=dapi.b, l_g=dapi.l_g)
+        by_hand = StateSpace(a=dapi.a, b=dapi.b, graph=dapi.graph)
         assert by_hand.controller_kind == "dapi" and by_hand.a is dapi.a
 
 
 class TestDerivedOutput:
-    """``StateSpace`` carries the loss weight L_G; its output matrix C is
-    derived from it on first access."""
+    """``StateSpace`` carries its graph, and with it the loss weight L_G =
+    alpha L_B; its output matrix C is derived from the graph on first
+    access."""
 
     @pytest.mark.parametrize("assemble", [assemble_droop, assemble_dapi])
     def test_built_once_read_only_and_a_square_root_of_the_weight(self, assemble, monkeypatch):
@@ -535,9 +536,9 @@ class TestDerivedOutput:
         calls = []
         real = gridloss.dynamics.spectral_decomposition
         monkeypatch.setattr(gridloss.dynamics, "spectral_decomposition",
-                            lambda lap: calls.append(lap) or real(lap))
+                            lambda graph: calls.append(graph) or real(graph))
         c = ss.c
-        assert ss.c is c and len(calls) == 1 and calls[0] is ss.l_g
+        assert ss.c is c and len(calls) == 1 and calls[0] is ss.graph
         assert not c.flags.writeable
         with pytest.raises(ValueError):
             c[0, 0] = 1.0
@@ -545,7 +546,7 @@ class TestDerivedOutput:
             ss.c = np.zeros_like(c)
         n = g.n_nodes
         assert c.shape == (n, ss.n_states) and not c[:, n:].any()
-        assert np.allclose(c.T @ c, np.pad(ss.l_g.matrix, (0, ss.n_states - n)), rtol=0, atol=1e-13)
+        assert np.allclose(c.T @ c, np.pad(ss.l_g, (0, ss.n_states - n)), rtol=0, atol=1e-13)
         uniform = np.concatenate([np.ones(n), np.zeros(ss.n_states - n)])
         assert np.linalg.norm(c @ uniform) <= 1e-12
 
@@ -561,11 +562,37 @@ class TestDerivedOutput:
         ss = assemble(NetworkGraph(n_nodes=1, edges=(), alpha=2.0), ControllerParams(m=1.0, tau=1.0))
         assert ss.c.shape == (1, ss.n_states) and not ss.c.any()
 
-    def test_carries_the_conductance_laplacian(self):
-        g = build_random_connected_graph(12, 0.4, (0.5, 1.5), alpha=1.3, seed=4)
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 20), seed=st.integers(0, 10_000),
+           alpha=st.one_of(_ANY_SCALE, st.sampled_from([0.0, 5e-324, 1e-310, 1e300])))
+    def test_loss_weight_is_alpha_times_the_susceptance_laplacian(self, n, seed, alpha):
+        # bit for bit, read-only and new on each access, from each assembler
+        # and from droop_part
+        g = (NetworkGraph(n_nodes=1, edges=(), alpha=alpha) if n == 1
+             else build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=alpha, seed=seed))
         p = ControllerParams(m=1.0, tau=1.0, k=2.0, gamma=0.5)
-        for ss in (assemble_droop(g, p), assemble_dapi(g, p)):
-            assert ss.l_g.matrix.tobytes() == (g.alpha * susceptance_laplacian(g).matrix).tobytes()
+        with np.errstate(over="ignore"):
+            want = g.alpha * susceptance_laplacian(g)
+        for ss in (assemble_droop(g, p), assemble_dapi(g, p), droop_part(assemble_dapi(g, p))):
+            assert ss.l_g.tobytes() == want.tobytes()
+            assert not ss.l_g.flags.writeable and ss.l_g is not ss.l_g
+
+    def test_an_overflowing_loss_weight_is_refused(self):
+        # assembly refuses it; a hand-built system refuses it where it is read
+        g = build_line_graph(3, [1e300, 1e300], alpha=1e10)
+        with pytest.raises(AssemblyError, match="^closed loop leaves the float range: its alpha entries overflow$"):
+            assemble_droop(g, ControllerParams(m=1.0, tau=1.0))
+        droop = assemble_droop(NetworkGraph(3, g.edges, 1.0), ControllerParams(m=1.0, tau=1.0))
+        ss = StateSpace(a=droop.a, b=droop.b, graph=g)
+        for read in (lambda: ss.l_g, lambda: ss.c):
+            with pytest.raises(AssemblyError, match="^closed loop leaves the float range: its alpha entries overflow$"):
+                read()
+
+    @pytest.mark.parametrize("graph", [np.zeros((2, 2)), None, build_line_graph(2, [1.0], 1.0).edges],
+                             ids=["array", "none", "edges"])
+    def test_a_graph_that_is_not_a_network_graph_is_refused_by_its_type(self, graph):
+        with pytest.raises(ValidationError, match=f"^graph must be a NetworkGraph, got {type(graph).__name__}$"):
+            StateSpace(a=-np.eye(4), b=np.vstack([np.zeros((2, 2)), np.eye(2)]), graph=graph)
 
 
 def _refuse(*args, **kwargs):

@@ -25,6 +25,7 @@ from gridloss.h2 import (
     _kernels,
     _real_schur,
     _solve_quasi_triangular,
+    _symmetric_within,
     h2_dapi_closed_form,
     h2_droop_closed_form,
     h2_full_gramian,
@@ -34,20 +35,18 @@ from gridloss.h2 import (
 from gridloss.network import (
     NetworkGraph,
     Spectrum,
-    _symmetric_within,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
     laplacian_eigenvalues,
     spectral_decomposition,
-    susceptance_laplacian,
 )
 from gridloss.tuning import optimal_gamma
 from reference import lyapunov_reference, verify_modal_equivalence
 
 
 def _spectrum_of(graph):
-    return spectral_decomposition(susceptance_laplacian(graph))[0]
+    return spectral_decomposition(graph)[0]
 
 
 def _stable_random(n, rng):
@@ -813,7 +812,7 @@ class TestModalRoute:
         # parameters log-uniform over 4 to 6 decades; a route that refuses
         # (the Hurwitz margin on a stiff mode) is not compared
         g = build_random_connected_graph(n, min(1.0, 3.0 / n + 0.1), (0.5, 1.5), alpha=alpha, seed=seed)
-        spec = laplacian_eigenvalues(susceptance_laplacian(g))
+        spec = laplacian_eigenvalues(g)
         p = ControllerParams(m=10.0**log_m, tau=10.0**log_tau, k=10.0**log_k, gamma=10.0**log_gamma)
         closed = {"droop": h2_droop_closed_form(alpha, p, n), "dapi": h2_dapi_closed_form(alpha, p, spec)}
         for kind in ("droop", "dapi"):
@@ -826,13 +825,13 @@ class TestModalRoute:
 
     @pytest.mark.parametrize("kind", ["droop", "dapi"])
     def test_single_node_has_no_mode(self, kind):
-        spec = laplacian_eigenvalues(susceptance_laplacian(NetworkGraph(1, [], alpha=1.0)))
+        spec = laplacian_eigenvalues(NetworkGraph(1, [], alpha=1.0))
         res = h2_modal(spec, ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind=kind)
         assert res.squared_norm == 0.0 and res.per_mode.shape == (0,)
 
     def test_two_nodes_have_one_mode(self):
         g = build_line_graph(2, [1.5], alpha=0.8)
-        spec = laplacian_eigenvalues(susceptance_laplacian(g))
+        spec = laplacian_eigenvalues(g)
         p = ControllerParams(m=0.7, tau=1.3, k=0.9, gamma=1.1)
         for kind, closed in (("droop", h2_droop_closed_form(0.8, p, 2)), ("dapi", h2_dapi_closed_form(0.8, p, spec))):
             res = h2_modal(spec, p, alpha=0.8, kind=kind)
@@ -841,7 +840,7 @@ class TestModalRoute:
 
     def test_solves_the_blocks_that_verify_modal_equivalence_certifies(self, monkeypatch):
         g = build_random_connected_graph(12, 0.4, (0.5, 1.5), alpha=1.3, seed=4)
-        spec, u = spectral_decomposition(susceptance_laplacian(g))
+        spec, u = spectral_decomposition(g)
         p = ControllerParams(m=0.8, tau=1.2, k=1.4, gamma=0.6)
         solved = []
 
@@ -860,9 +859,9 @@ class TestModalRoute:
         code = (
             "import sys\n"
             "from gridloss import ControllerParams, build_random_connected_graph, h2_modal,"
-            " laplacian_eigenvalues, susceptance_laplacian\n"
+            " laplacian_eigenvalues\n"
             "g = build_random_connected_graph(150, 0.05, (0.5, 1.5), alpha=1.0, seed=3)\n"
-            "spec = laplacian_eigenvalues(susceptance_laplacian(g))\n"
+            "spec = laplacian_eigenvalues(g)\n"
             "for kind in ('droop', 'dapi'):\n"
             "    h2_modal(spec, ControllerParams(m=1.0, tau=1.0), 1.0, kind)\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
@@ -896,7 +895,7 @@ class TestModalRoute:
         # on the stiff line mode 2 fails the margin: a Routh failure in a
         # higher mode comes after it, one in the same mode before it
         g = build_line_graph(20, [1.0] * 19, alpha=1.0)
-        spec = laplacian_eigenvalues(susceptance_laplacian(g))
+        spec = laplacian_eigenvalues(g)
         lam = spec.eigenvalues[routh_fails_at - 1]
         monkeypatch.setattr(gridloss.h2, "check_stability", lambda params, mode_lam, kind: mode_lam != lam)
         with pytest.raises(StabilityError) as info:
@@ -1217,7 +1216,7 @@ class TestH2ResultType:
     def test_per_mode_read_only(self, n, seed, m, tau, k, gamma, alpha):
         g = build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=alpha, seed=seed) if n > 1 else \
             NetworkGraph(1, [], alpha=alpha)
-        spectrum, p = laplacian_eigenvalues(susceptance_laplacian(g)), ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
+        spectrum, p = laplacian_eigenvalues(g), ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
         for res in (h2_droop_closed_form(alpha, p, n), h2_dapi_closed_form(alpha, p, spectrum),
                     h2_modal(spectrum, p, alpha, "droop"), h2_modal(spectrum, p, alpha, "dapi")):
             assert res.per_mode is not None
@@ -1243,7 +1242,7 @@ class TestH2ResultType:
             warnings.simplefilter("error")
             try:
                 g = build_line_graph(4, [inputs["b"], 0.5 * inputs["b"], 0.25 * inputs["b"]], inputs["alpha"])
-                spectrum = laplacian_eigenvalues(susceptance_laplacian(g))
+                spectrum = laplacian_eigenvalues(g)
                 p = ControllerParams(**{name: inputs[name] for name in ("m", "tau", "k", "gamma")})
                 res = _RECORD_ROUTES[route](g, spectrum, p, inputs["alpha"])
             except GridlossError:
@@ -1259,4 +1258,37 @@ def _cliques_spectrum(tie):
     """Eigenvalues of two unit 5-cliques joined by one line of susceptance ``tie``."""
     edges = [(i, j, 1.0) for base in (0, 5) for i, j in itertools.combinations(range(base, base + 5), 2)]
     graph = NetworkGraph(10, [*edges, (4, 5, tie)], alpha=1.0)
-    return laplacian_eigenvalues(susceptance_laplacian(graph))
+    return laplacian_eigenvalues(graph)
+
+
+class TestSymmetryCheck:
+    @settings(max_examples=200)
+    @given(
+        n=st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129]),
+        symmetric=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        spots=st.lists(st.tuples(st.integers(0, 128), st.integers(0, 128),
+                                 st.sampled_from(["nan", "inf", "-inf", "inf-pair", "gap", "small-gap"])),
+                       max_size=3),
+        atol=st.sampled_from([0.0, 1e-12, 1e-3, np.inf, np.nan]),
+    )
+    def test_blocked_verdict_is_allclose(self, n, symmetric, seed, spots, atol):
+        # the check runs 64 rows at a time; sizes and spots straddle the
+        # block edges, and non-finite entries and atol keep allclose's verdict
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((n, n))
+        if symmetric:
+            mat = mat + mat.T
+        for i, j, kind in spots:
+            i, j = i % n, j % n
+            if kind == "inf-pair":
+                mat[i, j] = mat[j, i] = np.inf
+            elif kind in ("gap", "small-gap"):
+                mat[i, j] += 1e-2 if kind == "gap" else 1e-13
+            else:
+                mat[i, j] = float(kind)
+        with warnings.catch_warnings():
+            # allclose warns about an infinite or NaN atol
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.allclose(mat, mat.T, rtol=0, atol=atol)
+        assert _symmetric_within(mat, atol) == expected

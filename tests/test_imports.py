@@ -78,7 +78,7 @@ def test_every_module_level_name_is_read_in_the_package():
 # arguments that hold no number, as "<argument>": objects, whose types
 # check their own fields, names, paths and seeds
 NOT_NUMBERS = {
-    "spectrum", "params", "graph", "ss", "config", "trajectory", "laplacian", "l_g",
+    "spectrum", "params", "graph", "ss", "config", "trajectory",
     "kind", "parameter_name", "path", "seed",
 }
 

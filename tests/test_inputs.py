@@ -29,7 +29,6 @@ import pytest
 from gridloss import (
     ControllerParams,
     GridlossError,
-    Laplacian,
     NetworkGraph,
     SimConfig,
     Spectrum,
@@ -147,7 +146,7 @@ SHAPED = {
         ("b_range", lambda v: build_random_connected_graph(4, 1.0, v, 1.0, seed=0), _BAD_PAIRS),
 }
 
-_L1 = Laplacian(np.zeros((1, 1)))
+_G1 = NetworkGraph(1, (), 1.0)
 
 # vector and matrix arguments: (the field a refusal begins with, the entry
 # point, a valid value); each bad value of ARRAY_BAD is made from the valid
@@ -157,9 +156,8 @@ ARRAYS = {
     "NetworkGraph-edges": ("edge", lambda v: NetworkGraph(2, v, 1.0), [[0.0, 1.0, 1.0]]),
     "build_line_graph-susceptances": ("susceptances", lambda v: build_line_graph(3, v, 1.0), [1.0, 1.0]),
     "build_complete_graph-b": ("b", lambda v: build_complete_graph(3, v, 1.0), [1.0, 1.0, 1.0]),
-    "Laplacian-matrix": ("matrix", Laplacian, [[1.0, -1.0], [-1.0, 1.0]]),
-    "StateSpace-a": ("a", lambda v: StateSpace(v, [[0.0], [1.0]], _L1), [[0.0, 1.0], [-1.0, -1.0]]),
-    "StateSpace-b": ("b", lambda v: StateSpace([[0.0, 1.0], [-1.0, -1.0]], v, _L1), [[0.0], [1.0]]),
+    "StateSpace-a": ("a", lambda v: StateSpace(v, [[0.0], [1.0]], _G1), [[0.0, 1.0], [-1.0, -1.0]]),
+    "StateSpace-b": ("b", lambda v: StateSpace([[0.0, 1.0], [-1.0, -1.0]], v, _G1), [[0.0], [1.0]]),
     "solve_lyapunov-a": ("a", lambda v: solve_lyapunov(v, [[1.0]]), [[-1.0]]),
     "solve_lyapunov-q": ("q", lambda v: solve_lyapunov([[-1.0]], v), [[1.0]]),
     "norm_gamma_derivative-gamma": ("gamma", lambda v: norm_gamma_derivative(v, _S, _P, 1.0), [0.5, 1.0]),

@@ -6,7 +6,6 @@ import importlib.resources
 import itertools
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -24,10 +23,8 @@ from gridloss.errors import (
 )
 from gridloss.h2 import h2_dapi_closed_form
 from gridloss.network import (
-    Laplacian,
     NetworkGraph,
     Spectrum,
-    _symmetric_within,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
@@ -38,9 +35,9 @@ from gridloss.network import (
 )
 
 
-def _eigh_spectrum(laplacian):
+def _eigh_spectrum(graph):
     # the spectrum half of the full decomposition, beside laplacian_eigenvalues
-    return spectral_decomposition(laplacian)[0]
+    return spectral_decomposition(graph)[0]
 
 
 def _edge_loop_laplacian(graph):
@@ -59,8 +56,8 @@ def _assert_matches_edge_loop(graph, gamma):
     reference = _edge_loop_laplacian(graph)
     ss = _dapi_loop(graph, gamma)
     n = graph.n_nodes
-    for got, want in ((susceptance_laplacian(graph).matrix, reference),
-                      (ss.l_g.matrix, graph.alpha * reference),
+    for got, want in ((susceptance_laplacian(graph), reference),
+                      (ss.l_g, graph.alpha * reference),
                       (ss.a[2 * n:, 2 * n:], -(gamma * reference))):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -184,45 +181,22 @@ def _reference_random_edges(n, p, b_range, seed):
 
 
 def _cliques_with_tie(sizes, tie):
-    """Laplacian of cliques of unit weight on consecutive nodes, each joined
-    to the next by one edge of weight ``tie`` (none where ``tie`` is 0)."""
-    n = sum(sizes)
-    lb = np.zeros((n, n))
-    start = 0
+    """Graph of cliques of unit weight on consecutive nodes, each joined to
+    the next by one edge of weight ``tie`` (none where ``tie`` is 0)."""
+    edges, start = [], 0
     for size in sizes:
-        block = slice(start, start + size)
-        lb[block, block] = -1.0
-        if tie and start + size < n:
-            lb[start + size - 1, start + size] = lb[start + size, start + size - 1] = -tie
+        edges += [(i, j, 1.0) for i, j in itertools.combinations(range(start, start + size), 2)]
+        if tie and start + size < sum(sizes):
+            edges.append((start + size - 1, start + size, tie))
         start += size
-    np.fill_diagonal(lb, 0.0)
-    np.fill_diagonal(lb, -lb.sum(axis=1))
-    return lb
-
-
-def _reference_laplacian_verdict(mat):
-    """Message of the first failed Laplacian check, or None: the checks as
-    first written, with np.allclose for symmetry and an explicit diagonal,
-    after a check that every entry is finite."""
-    if not np.all(np.isfinite(mat)):
-        return "Laplacian entries must be finite"
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    tol = 1e-12 * scale
-    with np.errstate(invalid="ignore", over="ignore"):
-        if not np.allclose(mat, mat.T, rtol=0, atol=tol):
-            return "Laplacian must be symmetric"
-        if np.any(np.abs(mat.sum(axis=1)) > tol):
-            return "Laplacian row sums must be zero"
-        if np.any(mat - np.diag(np.diag(mat)) > tol):
-            return "Laplacian off-diagonal entries must be <= 0"
-    return None
+    return NetworkGraph(sum(sizes), edges, 1.0)
 
 
 class TestNetworkGraph:
     def test_two_node_line(self):
         g = build_line_graph(2, [1.0], alpha=1.0)
         lb = susceptance_laplacian(g)
-        assert np.array_equal(lb.matrix, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert np.array_equal(lb, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -313,7 +287,7 @@ class TestBuilders:
         g = build_line_graph(3, [2.0, 3.0], alpha=0.5)
         lb = susceptance_laplacian(g)
         expected = np.array([[2.0, -2.0, 0.0], [-2.0, 5.0, -3.0], [0.0, -3.0, 3.0]])
-        assert np.array_equal(lb.matrix, expected)
+        assert np.array_equal(lb, expected)
 
     @pytest.mark.parametrize("build", [
         lambda n: build_line_graph(n, [1.0], alpha=1.0),
@@ -341,7 +315,7 @@ class TestBuilders:
         g = build_complete_graph(5, b=2.0, alpha=1.0)
         assert len(g.edges) == 10
         lb = susceptance_laplacian(g)
-        assert np.allclose(np.diag(lb.matrix), 8.0)
+        assert np.allclose(np.diag(lb), 8.0)
 
     def test_complete_graph_per_pair_weights(self):
         weights = np.linspace(0.5, 1.5, 10)
@@ -418,13 +392,60 @@ class TestBuilders:
             build_random_connected_graph(30, 1e-6, (0.5, 1.5), alpha=1.0, seed=0)
 
 
+_WIDE_WEIGHTS = st.one_of(st.floats(1e-300, 1e300), st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def _wide_weight_graphs(draw):
+    """Connected graphs whose weights span 1e-300..1e300: a random spanning
+    tree, whose lines may be weak ties beside strong ones, and extra lines."""
+    n = draw(st.integers(2, 30))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs |= set(draw(st.lists(st.integers(1, n - 1).flatmap(lambda i: st.tuples(st.integers(0, i - 1), st.just(i))),
+                               max_size=2 * n)))
+    weights = draw(st.lists(_WIDE_WEIGHTS, min_size=len(pairs), max_size=len(pairs)))
+    return NetworkGraph(n, [(i, j, b) for (i, j), b in zip(sorted(pairs), weights)], draw(st.floats(0.0, 10.0)))
+
+
 class TestLaplacians:
+    @settings(max_examples=200)
+    @given(g=_wide_weight_graphs())
+    def test_is_a_laplacian_by_construction(self, g):
+        # the graph's checks are the Laplacian's: exactly symmetric, -b_ij
+        # off the diagonal where a line is and 0 elsewhere, rows summing to
+        # zero up to rounding, and read-only
+        lb = susceptance_laplacian(g)
+        assert lb.dtype == np.float64 and lb.shape == (g.n_nodes,) * 2 and not lb.flags.writeable
+        assert np.array_equal(lb, lb.T)
+        assert lb[g.ends_i, g.ends_j].tobytes() == (-g.weights).tobytes()
+        others = ~np.eye(g.n_nodes, dtype=bool)
+        others[g.ends_i, g.ends_j] = others[g.ends_j, g.ends_i] = False
+        assert not lb[others].any()
+        assert np.all(np.abs(lb.sum(axis=1)) <= 1e-12 * np.max(np.abs(lb)))
+
+    @pytest.mark.parametrize("b", [1e308, 9e307])
+    def test_an_overflowing_bus_sum_is_a_float_range_error(self, b):
+        # a valid graph whose middle bus sums 2 b: refused by the float
+        # range, without a numpy warning, by the builder and both spectra
+        g = build_line_graph(3, [b, b], alpha=1.0)
+        for build in (susceptance_laplacian, spectral_decomposition, laplacian_eigenvalues):
+            with pytest.raises(FloatRangeError) as err:
+                build(g)
+            assert str(err.value) == "the Laplacian leaves the float range: the susceptance summed at a bus overflows"
+
+    @pytest.mark.parametrize("build", [susceptance_laplacian, spectral_decomposition, laplacian_eigenvalues])
+    @pytest.mark.parametrize("value", [np.array([[1.0, -1.0], [-1.0, 1.0]]), [[1.0, -1.0], [-1.0, 1.0]], None],
+                             ids=["array", "list", "none"])
+    def test_a_value_that_is_not_a_graph_is_refused_by_its_type(self, build, value):
+        with pytest.raises(ValidationError, match=f"^graph must be a NetworkGraph, got {type(value).__name__}$"):
+            build(value)
+
     def test_scaling_is_exact(self):
         g = build_random_connected_graph(9, 0.4, (0.5, 1.5), alpha=0.3, seed=2)
         lb = susceptance_laplacian(g)
         ss = _dapi_loop(g, gamma=2.5, k=0.5)
-        assert np.array_equal(ss.l_g.matrix, 0.3 * lb.matrix)
-        assert np.array_equal(ss.a[18:, 18:], -2.0 * (2.5 * lb.matrix))
+        assert np.array_equal(ss.l_g, 0.3 * lb)
+        assert np.array_equal(ss.a[18:, 18:], -2.0 * (2.5 * lb))
 
     def test_row_sums_and_offdiagonal_signs(self):
         rng = np.random.default_rng(11)
@@ -432,72 +453,39 @@ class TestLaplacians:
             n = int(rng.integers(2, 25))
             g = build_random_connected_graph(n, 0.4, (0.5, 1.5), alpha=1.0, seed=seed)
             lb = susceptance_laplacian(g)
-            scale = np.max(np.abs(lb.matrix))
-            assert np.all(np.abs(lb.matrix.sum(axis=1)) <= 1e-12 * scale)
-            off = lb.matrix - np.diag(np.diag(lb.matrix))
+            scale = np.max(np.abs(lb))
+            assert np.all(np.abs(lb.sum(axis=1)) <= 1e-12 * scale)
+            off = lb - np.diag(np.diag(lb))
             assert np.all(off <= 0.0)
-            assert np.allclose(lb.matrix, lb.matrix.T, rtol=0, atol=0)
+            assert np.allclose(lb, lb.T, rtol=0, atol=0)
 
     def test_matrix_is_read_only(self):
         g = build_line_graph(3, [1.0, 1.0], alpha=1.0)
         lb = susceptance_laplacian(g)
         with pytest.raises(ValueError):
-            lb.matrix[0, 0] = 99.0
-
-    @pytest.mark.parametrize("writeable", [True, False])
-    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32])
-    def test_adopts_only_read_only_float_matrices(self, dtype, writeable):
-        # a read-only float64 matrix is kept as handed in; anything else is
-        # copied, and the caller's array stays as it was
-        mat = np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]], dtype=dtype)
-        mat.setflags(write=writeable)
-        before = mat.copy()
-        lap = Laplacian(matrix=mat)
-        if dtype is np.float64 and not writeable:
-            assert lap.matrix is mat
-        else:
-            assert not np.shares_memory(lap.matrix, mat)
-        assert lap.matrix.dtype == np.float64 and not lap.matrix.flags.writeable
-        assert mat.flags.writeable == writeable and mat.dtype == dtype
-        assert mat.tobytes() == before.tobytes()
+            lb[0, 0] = 99.0
 
     def test_susceptance_laplacian_peak_memory(self, peak_bytes):
-        # the fill, adopted without a copy, and the row-blocked symmetry
-        # check: the peak is the N x N result and small temporaries
+        # one fill of the result, and its row sums: the peak is the N x N
+        # result and small temporaries
         g = build_random_connected_graph(1000, 0.01, (0.5, 1.5), alpha=1.0, seed=3)
         with peak_bytes() as peak:
             lb = susceptance_laplacian(g)
-        assert lb.n_nodes == 1000
-        assert peak.bytes <= 1.25 * 8 * 1000**2
+        assert lb.shape == (1000, 1000)
+        assert peak.bytes <= 1.05 * 8 * 1000**2
 
     def test_subnormal_loss_weight_accepted(self):
         # alpha * L_B at alpha = 5e-324 rounds each entry to the subnormal
-        # grid, so a row can sum to a few subnormals, where the relative
-        # tolerance 1e-12 max|entry| underflows to 0
+        # grid, so a row can sum to a few subnormals; the loss weight keeps
+        # those bits
         tiny = math.ulp(0.0)
         rows_off_zero = 0
         for n, seed in itertools.product((3, 5, 8), range(20)):
             g = build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=tiny, seed=seed)
-            weight = tiny * susceptance_laplacian(g).matrix
+            weight = tiny * susceptance_laplacian(g)
             rows_off_zero += np.count_nonzero(weight.sum(axis=1))
-            assert _loss_weight(g).matrix.tobytes() == weight.tobytes()
+            assert _loss_weight(g).tobytes() == weight.tobytes()
         assert rows_off_zero > 0
-
-    def test_row_sum_floor_is_one_subnormal_per_entry(self):
-        tiny = math.ulp(0.0)
-        mat = tiny * np.array([[5.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-        assert Laplacian(matrix=mat).n_nodes == 3  # row 0 sums to 3 subnormals
-        mat[0, 0] += tiny
-        with pytest.raises(ValidationError, match="row sums"):
-            Laplacian(matrix=mat)
-
-    def test_asymmetric_matrix_rejected(self):
-        with pytest.raises(ValidationError, match="symmetric"):
-            Laplacian(matrix=np.array([[1.0, -1.0], [0.0, 1.0]]))
-
-    def test_positive_offdiagonal_rejected(self):
-        with pytest.raises(ValidationError):
-            Laplacian(matrix=np.array([[-1.0, 1.0], [1.0, -1.0]]))
 
     @settings(max_examples=60)
     @given(n=st.integers(2, 30), seed=st.integers(0, 10_000), exponent=st.integers(-20, 20),
@@ -508,16 +496,16 @@ class TestLaplacians:
         # per-mode closed-form term and the norm with no rounding at all
         params = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
         unit = build_random_connected_graph(n, 0.5, (0.5, 1.5), alpha=1.0, seed=seed)
-        spectrum = laplacian_eigenvalues(susceptance_laplacian(unit))
+        spectrum = laplacian_eigenvalues(unit)
         base = h2_dapi_closed_form(1.0, params, spectrum)
         for a in (alpha, 2.0 ** exponent):
             graph = NetworkGraph(unit.n_nodes, unit.edges, a)
             lb, lg = susceptance_laplacian(graph), _loss_weight(graph)
-            assert lg.matrix.tobytes() == (a * lb.matrix).tobytes()
-            assert lb.matrix.tobytes() == susceptance_laplacian(unit).matrix.tobytes()
+            assert lg.tobytes() == (a * lb).tobytes()
+            assert lb.tobytes() == susceptance_laplacian(unit).tobytes()
             scaled = h2_dapi_closed_form(a, params, spectrum)
             if a == 2.0 ** exponent:
-                assert lg.matrix.tobytes() == (a * _loss_weight(unit).matrix).tobytes()
+                assert lg.tobytes() == (a * _loss_weight(unit)).tobytes()
                 assert scaled.per_mode.tobytes() == (a * base.per_mode).tobytes()
                 assert scaled.squared_norm == a * base.squared_norm
             else:
@@ -528,8 +516,8 @@ class TestLaplacians:
         # block of the closed loop as -(m/tau) L_B
         g = build_random_connected_graph(30, 0.2, (0.5, 1.5), alpha=0.7, seed=4)
         lb = susceptance_laplacian(g)
-        assert not lb.matrix.flags.writeable
-        assert _dapi_loop(g, 1.3).a[30:60, :30].tobytes() == (-lb.matrix).tobytes()
+        assert not lb.flags.writeable
+        assert _dapi_loop(g, 1.3).a[30:60, :30].tobytes() == (-lb).tobytes()
 
     def test_gamma_zero_gives_zero_communication_matrix(self):
         # the integrator block -(1/k) L_C of the DAPI loop vanishes
@@ -565,93 +553,6 @@ class TestLaplacians:
             for gamma in (0.0, 1.0, 0.37):
                 _assert_matches_edge_loop(g, gamma)
 
-    @pytest.mark.parametrize(("matrix", "message"), [
-        ([[1.0, -1.0], [0.0, 1.0]], "Laplacian must be symmetric"),
-        ([[1.0, -1.0], [-1.0 + 1e-11, 1.0]], "Laplacian must be symmetric"),
-        ([[2.0, -1.0], [-1.0, 1.0]], "Laplacian row sums must be zero"),
-        ([[-1.0, 1.0], [1.0, -1.0]], "Laplacian off-diagonal entries must be <= 0"),
-        ([[0.0, 1e-3, -1e-3], [1e-3, 0.0, -1e-3], [-1e-3, -1e-3, 2e-3]],
-         "Laplacian off-diagonal entries must be <= 0"),
-        ([[float("nan"), 0.0], [0.0, 0.0]], "Laplacian entries must be finite"),
-        ([[1.0, -1.0], [-1.0, float("nan")]], "Laplacian entries must be finite"),
-        ([[1.0, float("-inf")], [-1.0, 1.0]], "Laplacian entries must be finite"),
-        ([[1.0, float("inf")], [-1.0, 1.0]], "Laplacian entries must be finite"),
-        ([[1.0, float("inf")], [float("-inf"), 1.0]], "Laplacian entries must be finite"),
-        ([1.0, -1.0], "Laplacian must be square, got shape (2,)"),
-        ([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]], "Laplacian must be square, got shape (2, 3)"),
-        # the row sums overflow to inf: refused without a RuntimeWarning
-        (np.full((2, 2), 1e308), "Laplacian row sums must be zero"),
-        # numpy's pairwise row sums reach +inf and -inf, so NaN; the positive
-        # off-diagonal entries refuse the matrix, again without a warning
-        (1e308 * np.outer(*[np.tile([1.0, 1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0], 2)] * 2),
-         "Laplacian off-diagonal entries must be <= 0"),
-    ])
-    def test_invalid_matrix_message(self, matrix, message):
-        with pytest.raises(ValidationError) as err:
-            Laplacian(matrix=np.array(matrix))
-        assert str(err.value) == message
-
-    @settings(max_examples=400)
-    @given(data=st.data())
-    def test_verdict_matches_reference_checks(self, data):
-        # small matrices of ordinary, tiny, huge and non-finite entries, often
-        # with a mirrored or row-sum diagonal, and sometimes one entry changed
-        n = data.draw(st.integers(1, 4))
-        entry = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-13, -1e-13, 1e300, -1e300,
-                                 float("nan"), float("inf"), float("-inf")])
-        mat = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
-        shape = data.draw(st.sampled_from(["raw", "mirrored", "laplacian"]))
-        if shape != "raw":
-            mat = np.triu(mat) + np.triu(mat, 1).T
-            if shape == "laplacian":
-                np.fill_diagonal(mat, 0.0)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    np.fill_diagonal(mat, -mat.sum(axis=1))
-        if data.draw(st.booleans()):
-            mat[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = data.draw(entry)
-        expected = _reference_laplacian_verdict(mat)
-        try:
-            with np.errstate(invalid="ignore", over="ignore"):
-                Laplacian(matrix=mat)
-        except ValidationError as err:
-            assert str(err) == expected
-        else:
-            assert expected is None
-
-
-class TestSymmetryCheck:
-    @settings(max_examples=200)
-    @given(
-        n=st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129]),
-        symmetric=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-        spots=st.lists(st.tuples(st.integers(0, 128), st.integers(0, 128),
-                                 st.sampled_from(["nan", "inf", "-inf", "inf-pair", "gap", "small-gap"])),
-                       max_size=3),
-        atol=st.sampled_from([0.0, 1e-12, 1e-3, np.inf, np.nan]),
-    )
-    def test_blocked_verdict_is_allclose(self, n, symmetric, seed, spots, atol):
-        # the check runs 64 rows at a time; sizes and spots straddle the
-        # block edges, and non-finite entries and atol keep allclose's verdict
-        rng = np.random.default_rng(seed)
-        mat = rng.standard_normal((n, n))
-        if symmetric:
-            mat = mat + mat.T
-        for i, j, kind in spots:
-            i, j = i % n, j % n
-            if kind == "inf-pair":
-                mat[i, j] = mat[j, i] = np.inf
-            elif kind in ("gap", "small-gap"):
-                mat[i, j] += 1e-2 if kind == "gap" else 1e-13
-            else:
-                mat[i, j] = float(kind)
-        with warnings.catch_warnings():
-            # allclose warns about an infinite or NaN atol
-            warnings.simplefilter("ignore", RuntimeWarning)
-            expected = np.allclose(mat, mat.T, rtol=0, atol=atol)
-        assert _symmetric_within(mat, atol) == expected
-
-
 class TestSpectrum:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("index", [1, 3], ids=["second", "last"])
@@ -683,8 +584,7 @@ class TestSpectralDecomposition:
     def test_unit_line_four_nodes_eigenvalues(self):
         # path graph on 4 nodes: eigenvalues 0, 2-sqrt(2), 2, 2+sqrt(2)
         g = build_line_graph(4, [1.0, 1.0, 1.0], alpha=1.0)
-        lb = susceptance_laplacian(g)
-        spec, _ = spectral_decomposition(lb)
+        spec, _ = spectral_decomposition(g)
         expected = np.array([0.0, 2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)])
         assert spec.eigenvalues[0] == 0.0
         assert np.allclose(spec.eigenvalues, expected, rtol=0, atol=1e-12)
@@ -695,8 +595,7 @@ class TestSpectralDecomposition:
             np.array([[2.0, -2.0, 0.0], [-2.0, 5.0, -3.0], [0.0, -3.0, 3.0]])
         )
         g = build_line_graph(3, [2.0, 3.0], alpha=1.0)
-        lb = susceptance_laplacian(g)
-        spec, _ = spectral_decomposition(lb)
+        spec, _ = spectral_decomposition(g)
         assert spec.eigenvalues[0] == 0.0
         assert np.allclose(spec.eigenvalues[1:], oracle[1:], rtol=1e-12, atol=1e-12)
 
@@ -704,32 +603,28 @@ class TestSpectralDecomposition:
         # complete graph on N nodes, uniform b: nonzero eigenvalues all N*b
         for n, b in ((3, 1.0), (10, 0.7), (50, 1.0)):
             g = build_complete_graph(n, b=b, alpha=1.0)
-            lb = susceptance_laplacian(g)
-            spec, _ = spectral_decomposition(lb)
+            spec, _ = spectral_decomposition(g)
             assert spec.eigenvalues[0] == 0.0
             assert np.allclose(spec.eigenvalues[1:], n * b, rtol=1e-9, atol=0)
 
     def test_orthonormality_and_reconstruction(self):
         for seed in range(10):
             g = build_random_connected_graph(15, 0.3, (0.5, 1.5), alpha=1.0, seed=seed)
-            lb = susceptance_laplacian(g)
-            spec, u = spectral_decomposition(lb)
+            spec, u = spectral_decomposition(g)
             w = spec.eigenvalues
             assert np.max(np.abs(u.T @ u - np.eye(15))) <= 1e-10
             recon = u @ np.diag(w) @ u.T
-            assert np.max(np.abs(recon - lb.matrix)) <= 1e-8 * w[-1]
+            assert np.max(np.abs(recon - susceptance_laplacian(g))) <= 1e-8 * w[-1]
 
     def test_zero_mode_column_is_uniform_positive(self):
         g = build_random_connected_graph(20, 0.3, (0.5, 1.5), alpha=1.0, seed=5)
-        lb = susceptance_laplacian(g)
-        _, u = spectral_decomposition(lb)
+        _, u = spectral_decomposition(g)
         assert np.allclose(u[:, 0], 1.0 / math.sqrt(20), atol=1e-10)
 
     def test_sign_convention_deterministic(self):
         g = build_line_graph(6, [1.0] * 5, alpha=1.0)
-        lb = susceptance_laplacian(g)
-        _, u1 = spectral_decomposition(lb)
-        _, u2 = spectral_decomposition(Laplacian(lb.matrix.copy()))
+        _, u1 = spectral_decomposition(g)
+        _, u2 = spectral_decomposition(NetworkGraph(g.n_nodes, g.edges, g.alpha))
         assert np.array_equal(u1, u2)
         for col in range(6):
             lead = np.flatnonzero(np.abs(u1[:, col]) > 1e-8)[0]
@@ -744,38 +639,23 @@ class TestSpectralDecomposition:
     def test_signs_match_column_loop_reference(self, graph):
         # the sign pass is vectorised; the per-column loop it replaced is
         # the reference, and every bit must agree
-        lb = susceptance_laplacian(graph)
-        _, u = np.linalg.eigh(lb.matrix)
+        _, u = np.linalg.eigh(susceptance_laplacian(graph))
         for col in range(u.shape[1]):
             nz = np.flatnonzero(np.abs(u[:, col]) > 1e-8)
             if u[nz[0] if nz.size else 0, col] < 0:
                 u[:, col] = -u[:, col]
-        assert spectral_decomposition(lb)[1].tobytes() == u.tobytes()
+        assert spectral_decomposition(graph)[1].tobytes() == u.tobytes()
 
     def test_eigenvectors_are_read_only_beside_the_spectrum(self):
-        lb = susceptance_laplacian(build_line_graph(5, [1.0, 2.0, 0.5, 1.5], alpha=1.0))
-        spec, u = spectral_decomposition(lb)
+        spec, u = spectral_decomposition(build_line_graph(5, [1.0, 2.0, 0.5, 1.5], alpha=1.0))
         assert isinstance(spec, Spectrum) and u.shape == (5, 5)
         assert not u.flags.writeable and not spec.eigenvalues.flags.writeable
         with pytest.raises(ValueError):
             u[0, 0] = 1.0
 
-    def test_disconnected_laplacian_rejected(self):
-        mat = np.array(
-            [
-                [1.0, -1.0, 0.0, 0.0],
-                [-1.0, 1.0, 0.0, 0.0],
-                [0.0, 0.0, 1.0, -1.0],
-                [0.0, 0.0, -1.0, 1.0],
-            ]
-        )
-        with pytest.raises(DisconnectedGraphError, match="2"):
-            spectral_decomposition(Laplacian(mat))
-
     def test_eigenvalues_ascending(self):
         g = build_random_connected_graph(25, 0.2, (0.5, 1.5), alpha=1.0, seed=9)
-        lb = susceptance_laplacian(g)
-        spec, _ = spectral_decomposition(lb)
+        spec, _ = spectral_decomposition(g)
         assert np.all(np.diff(spec.eigenvalues) >= 0)
         assert spec.nonzero.size == 24
         assert np.all(spec.nonzero > 0)
@@ -784,8 +664,8 @@ class TestSpectralDecomposition:
         # long paths synchronize poorly: lambda_2 far below the complete graph's
         line = build_line_graph(20, [1.0] * 19, alpha=1.0)
         comp = build_complete_graph(20, b=1.0, alpha=1.0)
-        gap_line = spectral_decomposition(susceptance_laplacian(line))[0].eigenvalues[1]
-        gap_comp = spectral_decomposition(susceptance_laplacian(comp))[0].eigenvalues[1]
+        gap_line = spectral_decomposition(line)[0].eigenvalues[1]
+        gap_comp = spectral_decomposition(comp)[0].eigenvalues[1]
         assert gap_line < gap_comp
 
 
@@ -797,9 +677,8 @@ class TestLaplacianEigenvalues:
         graphs += [build_random_connected_graph(n, p, (0.5, 1.5), alpha=1.0, seed=seed)
                    for n, p, seed in ((2, 1.0, 0), (25, 0.3, 1), (120, 0.05, 2), (300, 0.03, 3))]
         for g in graphs:
-            lb = susceptance_laplacian(g)
-            full, _ = spectral_decomposition(lb)
-            spec = laplacian_eigenvalues(lb)
+            full, _ = spectral_decomposition(g)
+            spec = laplacian_eigenvalues(g)
             assert spec.n_nodes == g.n_nodes
             assert spec.eigenvalues[0] == 0.0 and np.all(spec.nonzero > 0)
             assert not spec.eigenvalues.flags.writeable
@@ -807,40 +686,27 @@ class TestLaplacianEigenvalues:
             assert np.max(np.abs(spec.eigenvalues - full.eigenvalues)) <= tol
 
     def test_single_node(self):
-        lb = susceptance_laplacian(NetworkGraph(n_nodes=1, edges=(), alpha=1.0))
-        assert laplacian_eigenvalues(lb).eigenvalues.tobytes() == np.zeros(1).tobytes()
-        full, u = spectral_decomposition(lb)
+        g = NetworkGraph(n_nodes=1, edges=(), alpha=1.0)
+        assert laplacian_eigenvalues(g).eigenvalues.tobytes() == np.zeros(1).tobytes()
+        full, u = spectral_decomposition(g)
         assert full.eigenvalues.tobytes() == np.zeros(1).tobytes()
         assert u.tobytes() == np.ones((1, 1)).tobytes()
 
-    @pytest.mark.parametrize(("matrix", "error", "message"), [
-        (np.kron(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]]), DisconnectedGraphError,
-         "Laplacian has 2 zero modes; the graph splits into 2 components"),
-        (np.kron(np.eye(3), [[2.0, -2.0], [-2.0, 2.0]]), DisconnectedGraphError,
-         "Laplacian has 3 zero modes; the graph splits into 3 components"),
-        (np.zeros((3, 3)), DisconnectedGraphError, "Laplacian is zero; graph has no edges"),
-    ])
-    def test_same_errors_as_spectral_decomposition(self, matrix, error, message):
-        lap = Laplacian(matrix)
-        for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
-            with pytest.raises(error) as err:
-                spectrum_of(lap)
-            assert str(err.value) == message
-
 
 class TestZeroModes:
-    """The Laplacian's off-diagonal pattern decides the zero modes: one per
-    component, whatever the size of the computed eigenvalues."""
+    """``NetworkGraph`` decides connectivity from its edges, so a connected
+    graph's L_B has one zero mode, whatever the size of the computed
+    eigenvalues."""
 
     def test_weak_tie_is_connected(self):
-        lb = Laplacian(_cliques_with_tie([5, 5], 1e-10))
-        raw = np.linalg.eigvalsh(lb.matrix)
+        g = _cliques_with_tie([5, 5], 1e-10)
+        raw = np.linalg.eigvalsh(susceptance_laplacian(g))
         for spectrum_of in (_eigh_spectrum, laplacian_eigenvalues):
-            w = spectrum_of(lb).eigenvalues
+            w = spectrum_of(g).eigenvalues
             assert w[0] == 0.0 and np.count_nonzero(w == 0.0) == 1
             assert 3.9e-11 < w[1] < 4.1e-11
             assert np.allclose(w[1:], raw[1:], rtol=1e-4, atol=0.0)
-        assert laplacian_eigenvalues(lb).eigenvalues[1:].tobytes() == raw[1:].tobytes()
+        assert laplacian_eigenvalues(g).eigenvalues[1:].tobytes() == raw[1:].tobytes()
 
     @pytest.mark.parametrize(("sizes", "tie", "components"), [
         ([2, 2], 0.0, 2),
@@ -848,43 +714,33 @@ class TestZeroModes:
         ([5, 5, 1], 1e-10, 1),
     ])
     def test_components_counted_from_the_pattern(self, sizes, tie, components):
-        lap = Laplacian(_cliques_with_tie(sizes, tie))
+        # the edges decide, when the graph is built; a split graph has no L_B
+        if components > 1:
+            n, n_edges = sum(sizes), sum(size * (size - 1) // 2 for size in sizes)
+            with pytest.raises(DisconnectedGraphError, match=f"^graph with {n} nodes and {n_edges} edges is not connected$"):
+                _cliques_with_tie(sizes, tie)
+            return
+        g = _cliques_with_tie(sizes, tie)
         for spectrum_of in (_eigh_spectrum, laplacian_eigenvalues):
-            if components == 1:
-                assert np.count_nonzero(spectrum_of(lap).eigenvalues == 0.0) == 1
-                continue
-            with pytest.raises(DisconnectedGraphError) as err:
-                spectrum_of(lap)
-            assert str(err.value) == (f"Laplacian has {components} zero modes; "
-                                      f"the graph splits into {components} components")
-
-    def test_weak_tie_beside_a_split_reports_the_components(self):
-        # a 1e-9 threshold would find three zero eigenvalues; the graph has two parts
-        mat = np.zeros((13, 13))
-        mat[:10, :10] = _cliques_with_tie([5, 5], 1e-10)
-        mat[10:, 10:] = _cliques_with_tie([3], 0.0)
-        assert np.count_nonzero(np.abs(np.linalg.eigvalsh(mat)) < 1e-9 * 5) == 3
-        for spectrum_of in (_eigh_spectrum, laplacian_eigenvalues):
-            with pytest.raises(DisconnectedGraphError, match="has 2 zero modes; the graph splits into 2 components$"):
-                spectrum_of(Laplacian(mat))
+            assert np.count_nonzero(spectrum_of(g).eigenvalues == 0.0) == 1
 
     def test_unresolved_second_eigenvalue_is_refused(self, monkeypatch):
         # a tie so weak that rounding leaves lambda_2 at or below zero
-        lap = Laplacian(_cliques_with_tie([5, 5], 1e-10))
+        g = _cliques_with_tie([5, 5], 1e-10)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([-1e-16, -1e-63] + [5.0] * 8))
         with pytest.raises(DisconnectedGraphError, match="second eigenvalue -1.000e-63 is not resolved above zero"):
-            laplacian_eigenvalues(lap)
+            laplacian_eigenvalues(g)
 
     def test_negative_eigenvalue_is_refused(self, monkeypatch):
         # rounding leaves lambda_1 within 1e-9 lambda_max of zero; deeper,
         # the matrix is not positive semidefinite
-        lap = Laplacian(_cliques_with_tie([5, 5], 1e-10))
+        g = _cliques_with_tie([5, 5], 1e-10)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([-5.1e-9, 1.0] + [5.0] * 8))
         with pytest.raises(ValidationError) as err:
-            laplacian_eigenvalues(lap)
+            laplacian_eigenvalues(g)
         assert str(err.value) == "matrix is not positive semidefinite (min eigenvalue -5.100e-09)"
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([-4.9e-9, 1.0] + [5.0] * 8))
-        assert laplacian_eigenvalues(lap).eigenvalues[:2].tolist() == [0.0, 1.0]
+        assert laplacian_eigenvalues(g).eigenvalues[:2].tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize(("tie", "resolved"), [
         (1e-10, True), (1e-13, True),
@@ -893,16 +749,16 @@ class TestZeroModes:
     def test_second_eigenvalue_needs_the_rounding_floor(self, tie, resolved):
         # below n eps lambda_max = 1.110e-14 the sign and size of lambda_2 are
         # rounding noise, different for eigh and eigvalsh; the verdict is not
-        lap = Laplacian(_cliques_with_tie([5, 5], tie))
+        g = _cliques_with_tie([5, 5], tie)
         texts = set()
         for spectrum_of in (_eigh_spectrum, laplacian_eigenvalues):
             if resolved:
-                w = spectrum_of(lap).eigenvalues
+                w = spectrum_of(g).eigenvalues
                 assert np.count_nonzero(w == 0.0) == 1
                 assert 0.3 * tie < w[1] < 0.5 * tie
                 continue
             with pytest.raises(DisconnectedGraphError, match="is not resolved above zero") as err:
-                spectrum_of(lap)
+                spectrum_of(g)
             texts.add(re.sub(r"eigenvalue \S+ is", "eigenvalue <lambda_2> is", str(err.value)))
         if not resolved:
             assert texts == {"the graph is connected, but its second eigenvalue <lambda_2> is not resolved "
@@ -914,10 +770,10 @@ class TestZeroModes:
         # and not called disconnected for its lambda_2 against an inf floor
         path = tmp_path / "g.edges"
         path.write_text(f"alpha 1.0\n{edges}\n")
-        lap = susceptance_laplacian(ingest_edge_list(path))
+        g = ingest_edge_list(path)
         for spectrum_of in (_eigh_spectrum, laplacian_eigenvalues):
             with pytest.raises(FloatRangeError) as err:
-                spectrum_of(lap)
+                spectrum_of(g)
             assert str(err.value) == "the Laplacian's spectrum leaves the float range: its largest eigenvalue is inf"
 
     @settings(max_examples=60)
@@ -927,9 +783,9 @@ class TestZeroModes:
         perm = data.draw(st.permutations(range(n)))
         order = data.draw(st.permutations(range(len(g.edges))))
         relabelled = NetworkGraph(n, [(perm[j], perm[i], b) for i, j, b in (g.edges[e] for e in order)], 1.0)
-        want = laplacian_eigenvalues(susceptance_laplacian(g)).eigenvalues
+        want = laplacian_eigenvalues(g).eigenvalues
         for spectrum_of in (_eigh_spectrum, laplacian_eigenvalues):
-            got = spectrum_of(susceptance_laplacian(relabelled)).eigenvalues
+            got = spectrum_of(relabelled).eigenvalues
             assert got[0] == 0.0
             assert np.max(np.abs(got - want)) <= 1e-12 * want[-1]
 
@@ -1024,6 +880,6 @@ class TestPackagedTopology:
         assert g.n_nodes == 57
         assert len(g.edges) == 78
         assert g.alpha == 1.0
-        spec, _ = spectral_decomposition(susceptance_laplacian(g))
+        spec, _ = spectral_decomposition(g)
         assert spec.eigenvalues[0] == 0.0
         assert spec.eigenvalues[1] > 0

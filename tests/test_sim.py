@@ -28,7 +28,6 @@ from gridloss.network import (
     build_line_graph,
     build_random_connected_graph,
     spectral_decomposition,
-    susceptance_laplacian,
 )
 from gridloss.sim import (
     SimConfig,
@@ -77,11 +76,6 @@ class TestSimConfig:
 
     def test_hundred_steps_boundary_allowed(self):
         SimConfig(dt=0.1, horizon=10.0)
-
-
-def _conductance(graph):
-    """L_G = alpha L_B, the loss weight the assembled closed loop carries."""
-    return assemble_droop(graph, ControllerParams(m=1.0, tau=1.0)).l_g
 
 
 class TestInstantaneousLoss:
@@ -168,11 +162,12 @@ class TestSimulate:
             simulate(ss, cfg)
 
     def test_laplacian_dimension_mismatch(self):
-        # simulate weights the loss with ss.l_g, whose size the system checks
+        # simulate weights the loss with ss.l_g, from the graph whose size
+        # the system checks
         ss = self._droop(3)
         g4 = build_line_graph(4, [1.0] * 3, alpha=1.0)
-        with pytest.raises(ValidationError, match="L_G 4 nodes"):
-            dataclasses.replace(ss, l_g=_conductance(g4))
+        with pytest.raises(ValidationError, match="graph 4 nodes"):
+            dataclasses.replace(ss, graph=g4)
 
     def test_deterministic_decay_from_perturbation(self):
         g = build_line_graph(6, [1.0] * 5, alpha=1.0)
@@ -201,7 +196,7 @@ def _flipped_coupling_droop():
     ss = assemble_droop(build_line_graph(3, [1.0, 1.0], alpha=1.0), ControllerParams(m=1.0, tau=1.0))
     a = ss.a.copy()
     a[3:, :3] *= -1.0
-    return StateSpace(a=a, b=ss.b, l_g=ss.l_g)
+    return StateSpace(a=a, b=ss.b, graph=ss.graph)
 
 
 _STIFF = ControllerParams(m=0.01, tau=1e-9)
@@ -260,7 +255,7 @@ def _step_loop(ss, config):
     x = config.initial_state.copy() if config.initial_state is not None else np.zeros(ss.n_states)
     rng = np.random.default_rng(config.seed)
     noise_scale = math.sqrt(config.dt * config.noise_intensity)
-    a, b, lg = ss.a, ss.b, ss.l_g.matrix
+    a, b, lg = ss.a, ss.b, ss.l_g
     states = np.empty((n_steps + 1, ss.n_states))
     loss = np.empty(n_steps + 1)
     x[:n] -= x[:n].mean()
@@ -335,7 +330,7 @@ class TestAgainstStepLoop:
         ss = self._system(kind)
         b = ss.b.copy()
         b[:8] += np.linspace(0.1, 0.8, 8)[:, None]
-        ss = StateSpace(a=ss.a, b=b, l_g=ss.l_g)
+        ss = StateSpace(a=ss.a, b=b, graph=ss.graph)
         cfg = SimConfig(dt=0.01, horizon=10.5, noise_intensity=1.0, seed=4)
         traj = _assert_close_to_step_loop(ss, cfg)
         assert np.max(np.abs(traj.states[:, :8].mean(axis=1))) <= 1e-12
@@ -393,7 +388,7 @@ class TestEmpiricalH2:
         ss = assemble_dapi(g, p)
         cfg = SimConfig(dt=0.01, horizon=400.0, burn_in=40.0, noise_intensity=1.0, seed=5)
         est, stderr = empirical_h2(simulate(ss, cfg), cfg)
-        true = h2_dapi_closed_form(1.0, p, spectral_decomposition(susceptance_laplacian(g))[0]).squared_norm
+        true = h2_dapi_closed_form(1.0, p, spectral_decomposition(g)[0]).squared_norm
         assert abs(est - true) <= max(4.0 * stderr, 0.2 * true)
 
     def test_insufficient_samples(self):

@@ -26,7 +26,6 @@ from gridloss.network import (
     build_random_connected_graph,
     laplacian_eigenvalues,
     spectral_decomposition,
-    susceptance_laplacian,
 )
 from gridloss.tuning import (
     gamma_star_vs_k,
@@ -40,7 +39,7 @@ from gridloss.tuning import (
 
 
 def _spectrum_of(graph):
-    return spectral_decomposition(susceptance_laplacian(graph))[0]
+    return spectral_decomposition(graph)[0]
 
 
 def _spectrum_with(nonzero):
@@ -452,7 +451,7 @@ class TestSweep:
         assert int(np.argmin(curve0)) == 0
 
 
-_SPECTRUM = laplacian_eigenvalues(susceptance_laplacian(build_line_graph(3, [1.0, 1.0], alpha=1.0)))
+_SPECTRUM = laplacian_eigenvalues(build_line_graph(3, [1.0, 1.0], alpha=1.0))
 
 
 @pytest.mark.parametrize(("call", "message"), [
@@ -598,7 +597,7 @@ class TestPinnedBits:
     @pytest.fixture(scope="class")
     def spectrum(self):
         graph = build_random_connected_graph(200, 0.05, (0.5, 1.5), 1.0, seed=3)
-        return laplacian_eigenvalues(susceptance_laplacian(graph))
+        return laplacian_eigenvalues(graph)
 
     def test_closed_form_derivative_and_search(self, spectrum):
         params = ControllerParams(m=1.0, tau=1.0, k=1.0, gamma=1.0)
