@@ -15,7 +15,9 @@ number that may also be a vector, refuse their own sets.
 
 Every row also meets the valid extremes 0, 2.5, 1e308 and 1e-320 (an
 array row its valid value scaled by each, a pair row every pair of them):
-each call returns or raises a ``GridlossError``, and warns nothing.
+each call returns or raises a ``GridlossError``, and warns nothing.  So
+does each name that derives L_B from a graph, fed a 3-bus line whose
+weights, or whose alpha, sit at each extreme.
 """
 
 import math
@@ -35,6 +37,8 @@ from gridloss import (
     StateSpace,
     Trajectory,
     ValidationError,
+    assemble_dapi,
+    assemble_droop,
     build_complete_graph,
     build_line_graph,
     build_random_connected_graph,
@@ -44,6 +48,7 @@ from gridloss import (
     h2_dapi_closed_form,
     h2_droop_closed_form,
     h2_modal,
+    laplacian_eigenvalues,
     loss_reduction_vs_k,
     modal_subsystems,
     norm_gamma_derivative,
@@ -52,6 +57,8 @@ from gridloss import (
     optimal_gamma_vs_k,
     phase_perturbation,
     solve_lyapunov,
+    spectral_decomposition,
+    susceptance_laplacian,
     sweep,
 )
 
@@ -302,5 +309,44 @@ def test_a_valid_extreme_returns_or_is_refused_without_a_warning(call, value, tm
         warnings.simplefilter("error")
         try:
             call(value)
+        except GridlossError:
+            pass
+
+
+def _loss_weight_and_output(assemble):
+    def read(graph):
+        ss = assemble(graph, _P)
+        return ss.l_g, ss.c
+    return read
+
+
+# the public names that take a graph, and what they derive from it: L_B, its
+# spectrum, and the closed loop's loss weight alpha L_B and output C
+GRAPH_TAKERS = {
+    "susceptance_laplacian": susceptance_laplacian,
+    "laplacian_eigenvalues": laplacian_eigenvalues,
+    "spectral_decomposition": spectral_decomposition,
+    "assemble_droop": _loss_weight_and_output(assemble_droop),
+    "assemble_dapi": _loss_weight_and_output(assemble_dapi),
+}
+
+
+def _graph_extreme_calls():
+    # both lines of a 3-bus line at each extreme, so its middle bus sums two;
+    # alpha, which only the closed loop reads, at each extreme for the assemblers
+    for case, take in GRAPH_TAKERS.items():
+        yield from (pytest.param(take, lambda v: build_line_graph(3, [v, v], 1.0), v, id=f"{case}-weights-{i}")
+                    for i, v in EXTREMES.items())
+    for case in ("assemble_droop", "assemble_dapi"):
+        yield from (pytest.param(GRAPH_TAKERS[case], lambda v: build_line_graph(3, [1.0, 1.0], v), v,
+                                 id=f"{case}-alpha-{i}") for i, v in EXTREMES.items())
+
+
+@pytest.mark.parametrize(("take", "graph_with", "value"), _graph_extreme_calls())
+def test_a_graph_at_a_valid_extreme_returns_or_is_refused_without_a_warning(take, graph_with, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            take(graph_with(value))
         except GridlossError:
             pass

@@ -692,6 +692,19 @@ class TestLaplacianEigenvalues:
         assert full.eigenvalues.tobytes() == np.zeros(1).tobytes()
         assert u.tobytes() == np.ones((1, 1)).tobytes()
 
+    @pytest.mark.parametrize(("graph", "error", "message"), [
+        (np.kron(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]]), ValidationError, "graph must be a NetworkGraph, got ndarray"),
+        (build_line_graph(2, [1e308], alpha=1.0), FloatRangeError,
+         "the Laplacian's spectrum leaves the float range: its largest eigenvalue is inf"),
+        (build_line_graph(3, [1e308, 1e308], alpha=1.0), FloatRangeError,
+         "the Laplacian leaves the float range: the susceptance summed at a bus overflows"),
+    ], ids=["matrix", "spectrum-overflow", "bus-sum-overflow"])
+    def test_same_errors_as_spectral_decomposition(self, graph, error, message):
+        for spectrum_of in (spectral_decomposition, laplacian_eigenvalues):
+            with pytest.raises(error) as err:
+                spectrum_of(graph)
+            assert str(err.value) == message
+
 
 class TestZeroModes:
     """``NetworkGraph`` decides connectivity from its edges, so a connected
@@ -723,6 +736,18 @@ class TestZeroModes:
         g = _cliques_with_tie(sizes, tie)
         for spectrum_of in (_eigh_spectrum, laplacian_eigenvalues):
             assert np.count_nonzero(spectrum_of(g).eigenvalues == 0.0) == 1
+
+    def test_weak_tie_beside_a_split_is_refused_by_its_edges(self):
+        # a 1e-9 threshold on the eigenvalues would find three zero modes;
+        # the edges find two parts, and the graph is refused when built
+        tied, triangle = _cliques_with_tie([5, 5], 1e-10), _cliques_with_tie([3], 0.0)
+        mat = np.zeros((13, 13))
+        mat[:10, :10], mat[10:, 10:] = susceptance_laplacian(tied), susceptance_laplacian(triangle)
+        assert np.count_nonzero(np.abs(np.linalg.eigvalsh(mat)) < 1e-9 * 5) == 3
+        edges = list(tied.edges) + [(i + 10, j + 10, b) for i, j, b in triangle.edges]
+        with pytest.raises(DisconnectedGraphError) as err:
+            NetworkGraph(13, edges, 1.0)
+        assert str(err.value) == "graph with 13 nodes and 24 edges is not connected"
 
     def test_unresolved_second_eigenvalue_is_refused(self, monkeypatch):
         # a tie so weak that rounding leaves lambda_2 at or below zero
