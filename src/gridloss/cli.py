@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dynamics import CONTROLLER_KINDS, ControllerParams, assemble_dapi, assemble_droop, droop_part
+from .dynamics import CONTROLLER_KINDS, ControllerParams, assemble_dapi, assemble_droop
 from .errors import GridlossError, ValidationError
 from .h2 import h2_dapi_closed_form, h2_droop_closed_form, h2_full_gramian, h2_modal
 from .network import (
@@ -287,11 +287,10 @@ def _cmd_analyze(args) -> int:
     dapi = h2_dapi_closed_form(alpha, params, spectrum)
     norms["dapi"] = {"closed_form": dapi.squared_norm,
                      "modal_lyapunov": h2_modal(spectrum, params, alpha, "dapi").squared_norm}
-    # one assembly for both full Gramians; the modal routes have already
-    # refused tau = 0 and gamma = 0
-    closed_loop = assemble_dapi(graph, params)
-    norms["droop"]["full_gramian"] = h2_full_gramian(droop_part(closed_loop)).squared_norm
-    norms["dapi"]["full_gramian"] = h2_full_gramian(closed_loop).squared_norm
+    # each full Gramian on its own loop; the modal routes have already
+    # refused tau = 0, gamma = 0 and every overflow
+    norms["droop"]["full_gramian"] = h2_full_gramian(assemble_droop(graph, params)).squared_norm
+    norms["dapi"]["full_gramian"] = h2_full_gramian(assemble_dapi(graph, params)).squared_norm
 
     spreads = {}
     for kind, routes in norms.items():

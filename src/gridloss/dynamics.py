@@ -9,7 +9,10 @@ communicated over a network proportional to the electrical one.
 Each closed loop carries its network graph, and with it its loss weight,
 the conductance Laplacian L_G = alpha L_B: the resistive power loss of
 circulating currents is theta' L_G theta.  Its controller is read off its
-shapes: 2N states for droop, 3N for DAPI.
+shapes: 2N states for droop, 3N for DAPI.  Each loop has one builder,
+``assemble_droop`` or ``assemble_dapi``, and both fill their matrices in
+``_assemble``, so the droop loop is bit for bit the DAPI loop's leading 2N
+states.
 Because all Laplacians commute, both closed loops block-diagonalize in the
 eigenbasis of the susceptance Laplacian into independent 2x2 / 3x3 modal
 subsystems, one per eigenvalue; the zero eigenvalue's block, the rigid phase
@@ -25,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError, ValidationError
-from .network import (NetworkGraph, Spectrum, _check_alpha, _checked_graph, _finite, _frozen, spectral_decomposition,
-                      susceptance_laplacian)
+from .network import (NetworkGraph, Spectrum, _check_alpha, _finite, _frozen, _instance,
+                      spectral_decomposition, susceptance_laplacian)
 
 CONTROLLER_KINDS = ("droop", "dapi")
 
@@ -91,7 +94,7 @@ class StateSpace:
     def __post_init__(self) -> None:
         a = _frozen("a", self.a)
         b = _frozen("b", self.b)
-        nodes = _checked_graph(self.graph).n_nodes
+        nodes = _instance("graph", self.graph, NetworkGraph).n_nodes
         n = b.shape[1] if b.ndim == 2 else 0
         s = b.shape[0] // n if n else 0
         if s not in (2, 3) or a.shape != (s * n, s * n) or b.shape != (s * n, n) or nodes != n:
@@ -149,8 +152,9 @@ def assemble_droop(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
         A = [[ 0,            I        ],      B = [[ 0   ],
              [ -(m/tau) L_B, -(1/tau) I ]]         [ I/tau]]
 
-    with loss weight L_G = alpha * L_B: bit for bit ``droop_part`` of the
-    DAPI system, assembled without it.  Neither k nor gamma enters.  Raises
+    with loss weight L_G = alpha * L_B: bit for bit the leading 2N rows and
+    columns of ``assemble_dapi``'s A and B, since the DAPI integrator enters
+    the droop blocks nowhere.  Neither k nor gamma enters.  Raises
     AssemblyError when tau == 0 or an entry overflows the float range.
     """
     return _assemble(graph, params, "droop")
@@ -172,26 +176,17 @@ def assemble_dapi(graph: NetworkGraph, params: ControllerParams) -> StateSpace:
     return _assemble(graph, params, "dapi")
 
 
-def droop_part(ss: StateSpace) -> StateSpace:
-    """The droop loop inside a closed loop: its leading 2N rows and columns
-    (theta, omega), bit for bit, with the same loss weight.  The DAPI
-    integrator enters the droop blocks nowhere, so one DAPI assembly serves
-    both controllers.  A and B are contiguous copies, so the droop system
-    does not keep the larger one alive."""
-    s = 2 * ss.n_nodes
-    a, b = ss.a[:s, :s].copy(), ss.b[:s].copy()
-    for arr in (a, b):
-        arr.setflags(write=False)
-    return StateSpace(a=a, b=b, graph=ss.graph)
-
-
 def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> StateSpace:
-    """The closed loop of ``assemble_dapi``, or its leading 2N states for
-    droop, filled block by block into one matrix.
+    """The one builder of both closed loops, filled block by block into one
+    matrix: the DAPI loop of ``assemble_dapi``, or for droop only its
+    leading 2N states.  So the droop loop holds the bits of the DAPI loop's
+    leading blocks, and this is the one place that knows it.
 
     Each block holds the bits of the scalar-times-matrix product that
     ``np.block`` would stack, the sign of its zeros included: a negative
     scalar makes -0.0 of the zeros of I and L_B."""
+    _instance("graph", graph, NetworkGraph)
+    _instance("params", params, ControllerParams)
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
     lb = susceptance_laplacian(graph)
@@ -267,6 +262,8 @@ def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float,
     Raises:
         AssemblyError: tau == 0, or an entry overflows the float range.
     """
+    _instance("spectrum", spectrum, Spectrum)
+    _instance("params", params, ControllerParams)
     kind = _validated_kind(kind)
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
@@ -310,6 +307,7 @@ def check_stability(params: ControllerParams, lam: float, kind: str) -> bool:
     a DAPI mode iff gamma > 0; gamma = 0 gives r = 0, a marginal integrator
     mode, hence False.  Refuses a lam that is not one finite number > 0.
     """
+    _instance("params", params, ControllerParams)
     kind = _validated_kind(kind)
     lam = _finite("lam", lam)
     if lam <= 0:

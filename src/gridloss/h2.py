@@ -53,7 +53,7 @@ import numpy as np
 
 from .dynamics import ControllerParams, StateSpace, check_stability, modal_subsystems
 from .errors import FloatRangeError, LyapunovSolveError, StabilityError, ValidationError
-from .network import Spectrum, _check_alpha, _count, _float_array
+from .network import Spectrum, _check_alpha, _count, _float_array, _instance
 
 # largest block of the full route's triangular solve handed to dtrsyl whole
 _LEAF_ROWS = 64
@@ -100,6 +100,7 @@ def h2_droop_closed_form(alpha: float, params: ControllerParams, n_nodes: int) -
     """Droop loss alpha (N-1) / (2 m), m from ``params``: every nonzero mode
     contributes alpha / (2 m) regardless of its eigenvalue.  An n_nodes
     that is not a positive integer is refused by name."""
+    _instance("params", params, ControllerParams)
     alpha = _check_alpha(alpha)
     per_mode = np.full(_count("n_nodes", n_nodes) - 1, alpha / (2.0 * params.m))
     return _summed(per_mode, "droop closed form")
@@ -122,12 +123,9 @@ def h2_dapi_closed_form(alpha: float, params: ControllerParams, spectrum: Spectr
     Raises:
         FloatRangeError: a mode's loss is not finite, or their sum overflows.
     """
+    _instance("params", params, ControllerParams)
+    _instance("spectrum", spectrum, Spectrum)
     alpha = _check_alpha(alpha)
-    if not isinstance(spectrum, Spectrum):
-        raise ValidationError(
-            "spectrum must be a Spectrum (from spectral_decomposition or laplacian_eigenvalues), "
-            f"got {type(spectrum).__name__}"
-        )
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s, p = _dapi_mode_terms(spectrum.nonzero, params.m, params.k, params.tau, params.gamma)
         per_mode = alpha / (2.0 * params.m) * (1.0 / (1.0 + s / p))
@@ -609,6 +607,7 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
             with gamma = 0, or an unstable parameterization).
         FloatRangeError: the norm, the trace B' X B, is not finite.
     """
+    _instance("ss", ss, StateSpace)
     n, states = ss.n_nodes, ss.n_states - 1
     basis = _ones_complement_basis(n)
     try:

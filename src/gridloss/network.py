@@ -18,6 +18,7 @@ Node indices are 0-based in memory; the edge-list file format is 1-based.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,9 @@ _ZERO_EIG_RTOL = 1e-9
 # uniforms per call in the random-graph draw: the stream does not depend on
 # how it is cut, so the edges of a seed stay the same
 _DRAW_CHUNK = 2**16
+
+# missing node indices an edge-list refusal lists; past this many it counts them
+_MISSING_SHOWN = 10
 
 
 @dataclass(frozen=True)
@@ -207,11 +211,13 @@ def _is_number_triple(row) -> bool:
     return triple is not None and triple.shape == (3,)
 
 
-def _checked_graph(graph) -> NetworkGraph:
-    """``graph`` itself, refused by its type unless a ``NetworkGraph``."""
-    if not isinstance(graph, NetworkGraph):
-        raise ValidationError(f"graph must be a NetworkGraph, got {type(graph).__name__}")
-    return graph
+def _instance(name: str, value, cls: type):
+    """``value`` itself, refused by the argument ``name`` unless a ``cls``:
+    the one gate of every record argument (a graph, spectrum, parameter
+    set, closed loop, configuration or trajectory)."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _component_count(n_nodes: int, ends_i: np.ndarray, ends_j: np.ndarray) -> int:
@@ -464,9 +470,16 @@ def ingest_edge_list(path) -> NetworkGraph:
             )
         seen_pairs[key] = line_no
         present.update(key)
-    missing = sorted(set(range(1, n_nodes + 1)) - present)
-    if missing:
-        raise EdgeListParseError(f"node indices are not contiguous: {missing} never appear (max index {n_nodes})")
+    n_missing = n_nodes - len(present)
+    if n_missing:
+        # the gaps between the indices present, read lazily: they may run to
+        # the largest index, so only the first few are formed
+        ordered = sorted(present)
+        gaps = (i for lo, hi in zip([0, *ordered], ordered) for i in range(lo + 1, hi))
+        shown = list(itertools.islice(gaps, _MISSING_SHOWN))
+        missing = (f"{shown} never appear" if n_missing <= _MISSING_SHOWN
+                   else f"{n_missing} indices never appear, the first {_MISSING_SHOWN} of them {shown}")
+        raise EdgeListParseError(f"node indices are not contiguous: {missing} (max index {n_nodes})")
 
     edges = tuple((i - 1, j - 1, b) for _, i, j, b in entries)
     return NetworkGraph(n_nodes=n_nodes, edges=edges, alpha=alpha)
@@ -484,7 +497,7 @@ def susceptance_laplacian(graph: NetworkGraph) -> np.ndarray:
         ValidationError: ``graph`` is not a ``NetworkGraph``.
         FloatRangeError: the susceptance summed at a bus overflows.
     """
-    graph = _checked_graph(graph)
+    graph = _instance("graph", graph, NetworkGraph)
     lb = np.zeros((graph.n_nodes, graph.n_nodes))
     # each node pair appears at most once, so every entry is written once
     lb[graph.ends_i, graph.ends_j] = -graph.weights

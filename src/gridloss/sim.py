@@ -32,7 +32,7 @@ import numpy as np
 from .dynamics import StateSpace
 from .errors import FloatRangeError, StepSizeError, ValidationError
 from .h2 import _deflated_eigenvalues
-from .network import _check_seed, _count, _finite, _float_array, _frozen, _generator
+from .network import _check_seed, _count, _finite, _float_array, _frozen, _generator, _instance
 
 _N_BATCHES = 20
 
@@ -169,14 +169,25 @@ def simulate(ss: StateSpace, config: SimConfig) -> Trajectory:
     Raises:
         StabilityError: the deflated loop is not safely Hurwitz.
         StepSizeError: dt outside the stability region of the scheme, with
-            the largest usable step in the message.
+            the largest usable step in the message; or inside it, but so
+            near an edge (a dt below rounding) that 1 + dt z rounds to
+            modulus 1 or more, which the message names.
         FloatRangeError: the loss leaves the float range (the noise
             intensity, the initial state or L_G is too large for it).
     """
+    _instance("ss", ss, StateSpace)
+    _instance("config", config, SimConfig)
     n = ss.n_nodes
     eigs = _deflated_eigenvalues(ss)
-    if np.any(np.abs(1.0 + config.dt * eigs) >= 1.0):
+    growing = np.abs(1.0 + config.dt * eigs) >= 1.0
+    if growing.any():
         dt_max = float(np.min(-2.0 * eigs.real / np.abs(eigs) ** 2))
+        if config.dt < dt_max:  # inside the region: only rounding can put it out
+            raise StepSizeError(
+                f"dt = {config.dt} is within rounding of an edge of the explicit scheme's stability region "
+                f"0 < dt < {dt_max:.6g}: 1 + dt z rounds to modulus 1 or more at the loop's eigenvalue "
+                f"z = {complex(eigs[np.argmax(growing)]):.6g}"
+            )
         raise StepSizeError(
             f"dt = {config.dt} is outside the explicit scheme's stability region; "
             f"use dt < {dt_max:.6g}"
@@ -273,6 +284,8 @@ def empirical_h2(trajectory: Trajectory, config: SimConfig) -> tuple[float, floa
         ValidationError: fewer than 40 post-burn-in samples.
         FloatRangeError: the estimate or its standard error overflows.
     """
+    _instance("trajectory", trajectory, Trajectory)
+    _instance("config", config, SimConfig)
     times = trajectory.times
     # a one-sample trajectory has no step, and too few samples either way
     dt = times[1] - times[0] if times.size > 1 else 0.0
@@ -298,6 +311,7 @@ def integrated_loss(trajectory: Trajectory) -> float:
     Raises:
         FloatRangeError: the integral overflows.
     """
+    _instance("trajectory", trajectory, Trajectory)
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(np.trapezoid(trajectory.instantaneous_loss, trajectory.times))
     if not math.isfinite(total):
@@ -320,6 +334,7 @@ def export_trajectory(trajectory: Trajectory, n_nodes: int, path, stride: int = 
     block is written through the package's atomic writer, so readers never
     see a partial file.
     """
+    _instance("trajectory", trajectory, Trajectory)
     n_nodes, stride = _count("n_nodes", n_nodes), _count("stride", stride)
     dim = trajectory.states.shape[1]
     if dim % n_nodes != 0 or dim // n_nodes not in (2, 3):

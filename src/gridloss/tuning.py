@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import ControllerParams
 from .errors import FloatRangeError, TuningError, ValidationError
 from .h2 import _dapi_mode_terms, h2_dapi_closed_form, h2_droop_closed_form
-from .network import Spectrum, _check_alpha, _count, _finite, _float_array
+from .network import Spectrum, _check_alpha, _count, _finite, _float_array, _instance
 
 SWEEPABLE = ("gamma", "k", "tau", "m")
 
@@ -70,8 +70,10 @@ def norm_gamma_derivative(gamma, spectrum: Spectrum, params: ControllerParams, a
         FloatRangeError: the derivative is not finite at some gamma (the
             first is named): its terms overflowed into inf or NaN.
     """
+    _instance("spectrum", spectrum, Spectrum)
+    _instance("params", params, ControllerParams)
     # plain comparisons, each false for NaN: the gain search makes thousands
-    # of these calls; the spectrum and params were checked when built
+    # of these calls; the spectrum and params checked their fields when built
     alpha = _check_alpha(alpha)
     gammas = np.asarray(gamma) if isinstance(gamma, float) else _float_array("gamma", gamma)
     if not (0.0 <= float(gammas) <= _GAMMA_MAX if gammas.ndim == 0
@@ -129,6 +131,9 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
             gamma (named in the message), or the DAPI closed form refuses
             the norm at the optimum.
     """
+    _instance("spectrum", spectrum, Spectrum)
+    _instance("params", params, ControllerParams)
+
     def deriv(g):  # through the module name, which a tracer may wrap
         return norm_gamma_derivative(g, spectrum, params, alpha)
 
@@ -213,6 +218,7 @@ def optimal_gamma_complete(n_nodes: int, b: float, params: ControllerParams) -> 
     (the boundary optimum); tau = 0 always gives 0.  ``params``' gamma is
     ignored; an n_nodes below 2 and a b not finite and > 0 are refused.
     """
+    _instance("params", params, ControllerParams)
     n_nodes = _count("n_nodes", n_nodes, least=2)
     b = _finite("b", b)
     if b <= 0:
@@ -238,6 +244,8 @@ def sweep(
     and each point valid for the parameter (e.g. k > 0), or a validation
     error names the point, as it does where the closed form fails.
     """
+    _instance("spectrum", spectrum, Spectrum)
+    _instance("params", params, ControllerParams)
     if parameter_name not in SWEEPABLE:
         raise ValidationError(f"parameter_name must be one of {SWEEPABLE}, got {parameter_name!r}")
     grid = _grid(grid, "grid")
@@ -291,6 +299,8 @@ def optimal_gamma_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: floa
         TuningError, FloatRangeError: the search at a grid point fails.
         Each message but the grid's order names the grid point.
     """
+    _instance("spectrum", spectrum, Spectrum)
+    _instance("params", params, ControllerParams)
     return list(_over_grid(lambda q: optimal_gamma(spectrum, q, alpha), params, "k", _grid(k_grid, "k_grid")))
 
 
@@ -311,6 +321,8 @@ def loss_reduction_vs_k(spectrum: Spectrum, params: ControllerParams, alpha: flo
     between the grid's check and the first search, so a bad alpha is
     refused ahead of a bad point.
     """
+    _instance("spectrum", spectrum, Spectrum)
+    _instance("params", params, ControllerParams)
     k_grid = _grid(k_grid, "k_grid")
     droop = h2_droop_closed_form(alpha, params, spectrum.n_nodes).squared_norm
     return _read_only([_loss_reduction(r.norm_at_star, droop)

@@ -31,8 +31,9 @@ SRC = HERE.parents[1] / "src"
 
 # a 4-bus star, and two cliques (buses 1-13, b = 946.5; buses 14-138, b =
 # 0.0212) joined by one weak line: the full Gramian's and the gain search's
-# hard cases, as edge files
+# hard cases, as edge files; and three lines whose indices skip 999,997 buses
 STAR = "alpha 1.0\n1 2 1.0\n1 3 1.0\n1 4 1.0\n"
+GAP = "alpha 1.0\n1 2 1.0\n2 1000000 1.0\n"
 STIFF_DAPI = ["--m", "0.01", "--k", "100", "--tau", "1e-3", "--gamma", "1e-3"]
 _DESIGN = ["--param", "k", "--grid", "0.2:10:0.2", "--at-optimal-gamma", "--format", "json"]
 
@@ -103,6 +104,12 @@ COMMANDS: dict[str, list[str]] = {
     # a gain search with two local minima
     "tune-two-cliques": ["tune", "--file", "two_cliques.edges", "--m", "0.25", "--k", "0.145", "--tau", "3.22",
                          "--out", "tc.json", "--format", "json"],
+    # an edge file with a million-bus gap, refused by count; a step below
+    # rounding, refused as rounding; and ten times that step, which runs
+    "analyze-index-gap": ["analyze", "--file", "gap.edges"],
+    "simulate-dt-below-rounding": ["simulate", "--line", "3", "--dt", "1e-16", "--horizon", "1e-14",
+                                   "--out", "sr.csv"],
+    "simulate-dt-1e-15": ["simulate", "--line", "3", "--dt", "1e-15", "--horizon", "1e-13", "--out", "s15.csv"],
 }
 
 
@@ -117,6 +124,7 @@ def _write_inputs(cwd: Path) -> None:
     data.mkdir(parents=True)
     (data / "ieee57.edges").write_bytes((resources.files("gridloss") / "data" / "ieee57.edges").read_bytes())
     (cwd / "star.edges").write_text(STAR)
+    (cwd / "gap.edges").write_text(GAP)
     cliques = ["alpha 1.0", *_clique_lines(1, 5, "1.0"), *_clique_lines(6, 10, "1.0"), "5 6 1e-10"]
     (cwd / "cliques.edges").write_text("\n".join(cliques) + "\n")
     two = ["alpha 1.0", *_clique_lines(1, 13, "946.5"), *_clique_lines(14, 138, "0.0212"), "13 14 0.01"]

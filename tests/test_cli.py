@@ -486,10 +486,10 @@ class TestSpectrumCalls:
 
 
 class TestLaplacianBuilds:
-    """``analyze`` builds L_B for its spectrum, once in its one DAPI
-    assembly, whose leading blocks are the droop loop, and once for each
-    full Gramian's loss weight L_G = alpha L_B: 4 in all.  ``simulate``
-    builds it for its assembly and for its loss weight."""
+    """``analyze`` builds L_B for its spectrum, once in each of its two
+    assemblies, the droop and the DAPI loop, and once for each full
+    Gramian's loss weight L_G = alpha L_B: 5 in all.  ``simulate`` builds
+    it for its assembly and for its loss weight."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -504,10 +504,10 @@ class TestLaplacianBuilds:
             monkeypatch.setattr(module, "susceptance_laplacian", counted)
         return count
 
-    def test_analyze_builds_four(self, builds, tmp_path, capsys):
+    def test_analyze_builds_five(self, builds, tmp_path, capsys):
         assert main(["analyze", "--random", "30,0.2", "--format", "json", "--out", str(tmp_path / "a.json")]) == 0
         capsys.readouterr()
-        assert builds == [4]
+        assert builds == [5]
 
     def test_simulate_builds_two(self, builds, tmp_path, capsys):
         assert main(["simulate", "--line", "6", "--horizon", "5", "--dt", "0.01",

@@ -2,7 +2,8 @@
 public name is read by some module of the package, and so is every name a
 module assigns at its top level.  The controller parameters m, k and tau
 enter the public API only as fields of ``ControllerParams``, and every
-numeric argument of the public API has a row in ``tests/test_inputs.py``.
+numeric argument and every record argument of the public API has a row in
+``tests/test_inputs.py``.
 
 The package's ``__init__`` re-exports names and is left out. An import
 kept for its side effect carries ``# noqa: F401`` on its line, as flake8
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import gridloss
-from test_inputs import TABLE
+from test_inputs import RECORDS, TABLE
 
 PACKAGE = Path(gridloss.__file__).parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -75,12 +76,12 @@ def test_every_module_level_name_is_read_in_the_package():
             for name in assigned_names(source) if name not in read] == []
 
 
-# arguments that hold no number, as "<argument>": objects, whose types
-# check their own fields, names, paths and seeds
-NOT_NUMBERS = {
-    "spectrum", "params", "graph", "ss", "config", "trajectory",
-    "kind", "parameter_name", "path", "seed",
-}
+# records, whose types check their own fields; each taker refuses any other
+# type by the argument's name
+RECORD_ARGUMENTS = {"spectrum", "params", "graph", "ss", "config", "trajectory"}
+
+# arguments that hold no number, as "<argument>": records, names, paths and seeds
+NOT_NUMBERS = {*RECORD_ARGUMENTS, "kind", "parameter_name", "path", "seed"}
 
 
 def _public_callables():
@@ -109,12 +110,19 @@ def test_every_numeric_argument_has_a_row_in_the_input_table():
     assert missing == []
 
 
+def test_every_record_argument_has_a_row_in_the_record_table():
+    # a record argument missing from RECORDS is a type no test refuses
+    missing = [f"{name}-{arg}" for name, obj in _public_callables() for arg in inspect.signature(obj).parameters
+               if arg in RECORD_ARGUMENTS and f"{name}-{arg}" not in RECORDS]
+    assert missing == []
+
+
 def test_every_input_contract_entry_names_a_public_argument():
     # an entry whose argument has left the API is stale: it would excuse, or
     # claim to test, an argument that no longer exists
     qualified = {f"{name}-{arg}" for name, obj in _public_callables() for arg in inspect.signature(obj).parameters}
     bare = {key.split("-", 1)[1] for key in qualified}
-    assert sorted(set(TABLE) - qualified) + sorted(set(NOT_NUMBERS) - bare) == []
+    assert sorted((set(TABLE) | set(RECORDS)) - qualified) + sorted(set(NOT_NUMBERS) - bare) == []
 
 
 def test_assigned_names_finds_every_binding():

@@ -18,6 +18,12 @@ array row its valid value scaled by each, a pair row every pair of them):
 each call returns or raises a ``GridlossError``, and warns nothing.  So
 does each name that derives L_B from a graph, fed a 3-bus line whose
 weights, or whose alpha, sit at each extreme.
+
+A record argument (a graph, spectrum, parameter set, closed loop,
+configuration or trajectory) refuses a value of any other type, None, an
+array, a dict, a number or another record, with "<argument> must be a
+<Type>, got <type>".  ``RECORDS`` lists every such argument, and
+``tests/test_imports.py`` checks that it misses none.
 """
 
 import math
@@ -43,11 +49,14 @@ from gridloss import (
     build_line_graph,
     build_random_connected_graph,
     check_stability,
+    empirical_h2,
     export_trajectory,
     gamma_star_vs_k,
     h2_dapi_closed_form,
     h2_droop_closed_form,
+    h2_full_gramian,
     h2_modal,
+    integrated_loss,
     laplacian_eigenvalues,
     loss_reduction_vs_k,
     modal_subsystems,
@@ -56,6 +65,7 @@ from gridloss import (
     optimal_gamma_complete,
     optimal_gamma_vs_k,
     phase_perturbation,
+    simulate,
     solve_lyapunov,
     spectral_decomposition,
     susceptance_laplacian,
@@ -350,3 +360,70 @@ def test_a_graph_at_a_valid_extreme_returns_or_is_refused_without_a_warning(take
             take(graph_with(value))
         except GridlossError:
             pass
+
+
+_G3 = build_line_graph(3, [1.0, 1.0], 1.0)
+_C = SimConfig(dt=0.01, horizon=10.0)
+
+# the public names that take a spectrum and controller parameters, called
+# with the two
+_SPECTRUM_TAKERS = {
+    "h2_dapi_closed_form": lambda s, p: h2_dapi_closed_form(1.0, p, s),
+    "h2_modal": lambda s, p: h2_modal(s, p, 1.0, "dapi"),
+    "modal_subsystems": lambda s, p: modal_subsystems(s, p, 1.0, "dapi"),
+    "norm_gamma_derivative": lambda s, p: norm_gamma_derivative(1.0, s, p, 1.0),
+    "optimal_gamma": lambda s, p: optimal_gamma(s, p, 1.0),
+    "sweep": lambda s, p: sweep(s, p, 1.0, "gamma", [1.0, 2.0]),
+    "optimal_gamma_vs_k": lambda s, p: optimal_gamma_vs_k(s, p, 1.0, [1.0, 2.0]),
+    "gamma_star_vs_k": lambda s, p: gamma_star_vs_k(s, p, 1.0, [1.0, 2.0]),
+    "loss_reduction_vs_k": lambda s, p: loss_reduction_vs_k(s, p, 1.0, [1.0, 2.0]),
+}
+
+# every record argument of the public API: (the argument, its type, the
+# entry point fed the value, with the other arguments valid)
+RECORDS = {
+    **{f"{name}-spectrum": ("spectrum", Spectrum, lambda v, take=take: take(v, _P))
+       for name, take in _SPECTRUM_TAKERS.items()},
+    **{f"{name}-params": ("params", ControllerParams, lambda v, take=take: take(_S, v))
+       for name, take in _SPECTRUM_TAKERS.items()},
+    "h2_droop_closed_form-params": ("params", ControllerParams, lambda v: h2_droop_closed_form(1.0, v, 3)),
+    "optimal_gamma_complete-params": ("params", ControllerParams, lambda v: optimal_gamma_complete(5, 1.0, v)),
+    "check_stability-params": ("params", ControllerParams, lambda v: check_stability(v, 1.0, "dapi")),
+    **{f"{name}-graph": ("graph", NetworkGraph, take)
+       for name, take in (("susceptance_laplacian", susceptance_laplacian),
+                          ("laplacian_eigenvalues", laplacian_eigenvalues),
+                          ("spectral_decomposition", spectral_decomposition),
+                          ("assemble_droop", lambda v: assemble_droop(v, _P)),
+                          ("assemble_dapi", lambda v: assemble_dapi(v, _P)))},
+    "StateSpace-graph": ("graph", NetworkGraph, lambda v: StateSpace([[0.0, 1.0], [-1.0, -1.0]], [[0.0], [1.0]], v)),
+    "assemble_droop-params": ("params", ControllerParams, lambda v: assemble_droop(_G3, v)),
+    "assemble_dapi-params": ("params", ControllerParams, lambda v: assemble_dapi(_G3, v)),
+    "h2_full_gramian-ss": ("ss", StateSpace, h2_full_gramian),
+    "simulate-ss": ("ss", StateSpace, lambda v: simulate(v, _C)),
+    "simulate-config": ("config", SimConfig, lambda v: simulate(assemble_droop(_G3, _P), v)),
+    "empirical_h2-trajectory": ("trajectory", Trajectory, lambda v: empirical_h2(v, _C)),
+    "empirical_h2-config": ("config", SimConfig, lambda v: empirical_h2(_T, v)),
+    "integrated_loss-trajectory": ("trajectory", Trajectory, integrated_loss),
+    "export_trajectory-trajectory": ("trajectory", Trajectory, lambda v: export_trajectory(v, 3, "out.csv")),
+}
+
+# values of another type; "record" is a record of another type than the
+# argument's, a Spectrum where that is not wanted and a ControllerParams
+# where it is
+RECORD_BAD = {
+    "none": lambda cls: None,
+    "array": lambda cls: np.array([0.0, 1.0, 3.0]),
+    "dict": lambda cls: {"m": 1.0, "tau": 1.0},
+    "number": lambda cls: 1.0,
+    "record": lambda cls: _P if cls is Spectrum else _S,
+}
+
+
+@pytest.mark.parametrize("bad", RECORD_BAD)
+@pytest.mark.parametrize("case", RECORDS)
+def test_a_record_of_another_type_is_refused_by_name_without_a_warning(case, bad, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a file is written, if at all, in the test's own directory
+    field, cls, call = RECORDS[case]
+    value = RECORD_BAD[bad](cls)
+    assert _refused_by_name(field, call, value) == f"{field} must be a {cls.__name__}, got {type(value).__name__}"
+    assert list(tmp_path.iterdir()) == []

@@ -5,7 +5,11 @@ import hashlib
 import importlib.resources
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -883,6 +887,46 @@ class TestIngest:
         path = self._write(tmp_path, "alpha 1.0\n1 2 1.0\n2 4 1.0\n")
         with pytest.raises(EdgeListParseError, match="not contiguous"):
             ingest_edge_list(path)
+
+    @pytest.mark.parametrize(("lines", "missing"), [
+        ("1 2 1.0\n2 4 1.0\n", "[3] never appear (max index 4)"),
+        ("1 2 1.0\n2 12 1.0\n", "[3, 4, 5, 6, 7, 8, 9, 10, 11] never appear (max index 12)"),
+        ("1 2 1.0\n2 13 1.0\n", "[3, 4, 5, 6, 7, 8, 9, 10, 11, 12] never appear (max index 13)"),
+        ("1 2 1.0\n2 14 1.0\n",
+         "11 indices never appear, the first 10 of them [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] (max index 14)"),
+        ("3 1 1.0\n3 7 1.0\n7 20 1.0\n",
+         "16 indices never appear, the first 10 of them [2, 4, 5, 6, 8, 9, 10, 11, 12, 13] (max index 20)"),
+        ("1 2 1.0\n2 1000000 1.0\n",
+         "999997 indices never appear, the first 10 of them [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] (max index 1000000)"),
+    ], ids=["one", "nine", "ten", "eleven", "three-gaps", "a-million"])
+    def test_missing_indices_are_listed_up_to_ten_then_counted(self, tmp_path, lines, missing):
+        path = self._write(tmp_path, f"alpha 1.0\n{lines}")
+        with pytest.raises(EdgeListParseError) as err:
+            ingest_edge_list(path)
+        assert str(err.value) == f"node indices are not contiguous: {missing}"
+
+    def test_an_index_of_a_trillion_is_refused_at_once(self, tmp_path):
+        # the gaps are read from the indices present, so the largest index
+        # costs nothing; a set of every index up to it would exhaust the
+        # child's address space, capped at 1 GiB, at once (one BLAS thread,
+        # so that numpy's own buffers fit on a host of any core count)
+        path = self._write(tmp_path, "alpha 1.0\n1 2 1.0\n2 1000000000000 1.0\n")
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                "from gridloss import ingest_edge_list\n"
+                "try:\n"
+                "    ingest_edge_list(sys.argv[1])\n"
+                "except Exception as err:\n"
+                "    print(type(err).__name__, err)\n")
+        src = str(Path(gridloss.network.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == ("EdgeListParseError node indices are not contiguous: 999999999997 indices never "
+                              "appear, the first 10 of them [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] "
+                              "(max index 1000000000000)\n")
 
     def test_disconnected_file(self, tmp_path):
         path = self._write(tmp_path, "alpha 1.0\n1 2 1.0\n3 4 1.0\n2 3 1.0\n1 3 1.0\n")

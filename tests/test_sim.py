@@ -155,6 +155,19 @@ class TestSimulate:
         with pytest.raises(StepSizeError, match="dt <"):
             simulate(ss, SimConfig(dt=2.0, horizon=300.0, seed=0))
 
+    def test_a_step_below_rounding_is_refused_as_rounding(self):
+        # dt = 1e-16 lies inside the stability region, dt < 0.398961, but 1
+        # + dt z rounds to modulus 1: the refusal says so, not that dt is
+        # outside the region
+        ss = assemble_dapi(build_line_graph(3, [1.0, 1.0], alpha=1.0), ControllerParams(m=1.0, tau=1.0))
+        with pytest.raises(StepSizeError) as err:
+            simulate(ss, SimConfig(dt=1e-16, horizon=1e-14, seed=0))
+        assert re.fullmatch(r"dt = 1e-16 is within rounding of an edge of the explicit scheme's stability region "
+                            r"0 < dt < 0\.398961: 1 \+ dt z rounds to modulus 1 or more at the loop's eigenvalue "
+                            r"z = -\d\.\d+[+-]\d[.\d]*j", str(err.value)), str(err.value)
+        # ten times that step contracts, and runs
+        assert simulate(ss, SimConfig(dt=1e-15, horizon=1e-13, seed=0)).times.size == 101
+
     def test_initial_state_wrong_length(self):
         ss = self._droop()
         cfg = SimConfig(dt=0.01, horizon=2.0, seed=0, initial_state=np.zeros(5))
