@@ -36,6 +36,7 @@ STAR = "alpha 1.0\n1 2 1.0\n1 3 1.0\n1 4 1.0\n"
 GAP = "alpha 1.0\n1 2 1.0\n2 1000000 1.0\n"
 STIFF_DAPI = ["--m", "0.01", "--k", "100", "--tau", "1e-3", "--gamma", "1e-3"]
 _DESIGN = ["--param", "k", "--grid", "0.2:10:0.2", "--at-optimal-gamma", "--format", "json"]
+_EXPORT = ["simulate", "--line", "20", "--dt", "0.005", "--horizon", "50", "--seed", "5"]
 
 COMMANDS: dict[str, list[str]] = {
     # the README's seven
@@ -110,6 +111,16 @@ COMMANDS: dict[str, list[str]] = {
     "simulate-dt-below-rounding": ["simulate", "--line", "3", "--dt", "1e-16", "--horizon", "1e-14",
                                    "--out", "sr.csv"],
     "simulate-dt-1e-15": ["simulate", "--line", "3", "--dt", "1e-15", "--horizon", "1e-13", "--out", "s15.csv"],
+    # the per-row '%.12g' export and its sidecar: a second seed (the later
+    # --seed wins), a stride and the droop loop
+    "export-seed-5": [*_EXPORT, "--out", "traj.csv"],
+    "export-seed-11": [*_EXPORT, "--seed", "11", "--out", "traj.csv"],
+    "export-stride-7": [*_EXPORT, "--stride", "7", "--out", "traj.csv"],
+    "export-droop": [*_EXPORT, "--controller", "droop", "--out", "traj.csv"],
+    # the k sweep at the optimal gamma on a drawn graph, and the full
+    # Gramian's norms on a line, each as a JSON report of repr floats
+    "sweep-random-200-json": ["sweep", "--random", "200,0.05", "--seed", "3", *_DESIGN, "--out", "sweep.out"],
+    "analyze-line-json": ["analyze", "--line", "20", "--format", "json", "--out", "report.json"],
 }
 
 
@@ -192,7 +203,8 @@ def collect() -> list[dict]:
 
 def differences(records: list[dict], manifest: list[dict]) -> list[str]:
     """One line per command whose record differs from the manifest's,
-    naming what differs; commands missing on either side included."""
+    naming what differs, each written file by name; commands missing on
+    either side included."""
     want = {entry["name"]: entry for entry in manifest}
     got = {entry["name"]: entry for entry in records}
     lines = []
@@ -200,9 +212,12 @@ def differences(records: list[dict], manifest: list[dict]) -> list[str]:
         if name not in got or name not in want:
             lines.append(f"{name}: {'not in the manifest' if name in got else 'no longer run'}")
             continue
-        fields = [key for key in ("argv", "exit", "stdout", "stderr", "files") if got[name][key] != want[name][key]]
-        if fields:
-            lines.append(f"{name}: {', '.join(fields)} differ")
+        parts = [f"{key} differs" for key in ("argv", "exit", "stdout", "stderr") if got[name][key] != want[name][key]]
+        have, pinned = got[name]["files"], want[name]["files"]
+        parts += [f"file {path} {'is new' if path not in pinned else 'is missing' if path not in have else 'differs'}"
+                  for path in sorted(have.keys() | pinned.keys()) if have.get(path) != pinned.get(path)]
+        if parts:
+            lines.append(f"{name}: {', '.join(parts)}")
     return lines
 
 

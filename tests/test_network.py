@@ -184,6 +184,20 @@ def _reference_random_edges(n, p, b_range, seed):
     raise AssertionError("no connected draw")
 
 
+def _in_a_capped_child(code, *argv):
+    """stdout of ``code`` run in a child interpreter whose address space is
+    capped at 1 GiB: a step that allocates by a huge count fails there at
+    once.  One BLAS thread, so that numpy's own buffers fit on a host of
+    any core count."""
+    code = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n" + code
+    src = str(Path(gridloss.network.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr) == (0, "")
+    return out.stdout
+
+
 def _cliques_with_tie(sizes, tie):
     """Graph of cliques of unit weight on consecutive nodes, each joined to
     the next by one edge of weight ``tie`` (none where ``tie`` is 0)."""
@@ -209,6 +223,19 @@ class TestNetworkGraph:
     def test_isolated_node_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             NetworkGraph(n_nodes=3, edges=((0, 1, 1.0),), alpha=1.0)
+
+    def test_too_few_edges_are_refused_at_once(self):
+        # n_nodes - 1 edges are the fewest that connect n_nodes buses; with
+        # fewer, a pointer per bus would exhaust the child's address space
+        code = ("from gridloss import NetworkGraph\n"
+                "for n in (10**8, 10**12):\n"
+                "    try:\n"
+                "        NetworkGraph(n, [(0, 1, 1.0)], 1.0)\n"
+                "    except Exception as err:\n"
+                "        print(type(err).__name__, err)\n")
+        assert _in_a_capped_child(code) == (
+            "DisconnectedGraphError graph with 100000000 nodes and 1 edges is not connected\n"
+            "DisconnectedGraphError graph with 1000000000000 nodes and 1 edges is not connected\n")
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -760,14 +787,10 @@ class TestZeroModes:
         with pytest.raises(DisconnectedGraphError, match="second eigenvalue -1.000e-63 is not resolved above zero"):
             laplacian_eigenvalues(g)
 
-    def test_negative_eigenvalue_is_refused(self, monkeypatch):
-        # rounding leaves lambda_1 within 1e-9 lambda_max of zero; deeper,
-        # the matrix is not positive semidefinite
+    def test_a_negative_first_eigenvalue_is_pinned_to_zero(self, monkeypatch):
+        # the graph is connected, so lambda_1 is the zero mode whatever
+        # rounding left there
         g = _cliques_with_tie([5, 5], 1e-10)
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([-5.1e-9, 1.0] + [5.0] * 8))
-        with pytest.raises(ValidationError) as err:
-            laplacian_eigenvalues(g)
-        assert str(err.value) == "matrix is not positive semidefinite (min eigenvalue -5.100e-09)"
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.array([-4.9e-9, 1.0] + [5.0] * 8))
         assert laplacian_eigenvalues(g).eigenvalues[:2].tolist() == [0.0, 1.0]
 
@@ -908,25 +931,17 @@ class TestIngest:
     def test_an_index_of_a_trillion_is_refused_at_once(self, tmp_path):
         # the gaps are read from the indices present, so the largest index
         # costs nothing; a set of every index up to it would exhaust the
-        # child's address space, capped at 1 GiB, at once (one BLAS thread,
-        # so that numpy's own buffers fit on a host of any core count)
+        # child's address space at once
         path = self._write(tmp_path, "alpha 1.0\n1 2 1.0\n2 1000000000000 1.0\n")
-        code = ("import resource, sys\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        code = ("import sys\n"
                 "from gridloss import ingest_edge_list\n"
                 "try:\n"
                 "    ingest_edge_list(sys.argv[1])\n"
                 "except Exception as err:\n"
                 "    print(type(err).__name__, err)\n")
-        src = str(Path(gridloss.network.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
-                             timeout=120)
-        assert (out.returncode, out.stderr) == (0, "")
-        assert out.stdout == ("EdgeListParseError node indices are not contiguous: 999999999997 indices never "
-                              "appear, the first 10 of them [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] "
-                              "(max index 1000000000000)\n")
+        assert _in_a_capped_child(code, str(path)) == (
+            "EdgeListParseError node indices are not contiguous: 999999999997 indices never appear, the first 10 "
+            "of them [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] (max index 1000000000000)\n")
 
     def test_disconnected_file(self, tmp_path):
         path = self._write(tmp_path, "alpha 1.0\n1 2 1.0\n3 4 1.0\n2 3 1.0\n1 3 1.0\n")
