@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssemblyError, ValidationError
-from .network import (NetworkGraph, Spectrum, _check_alpha, _finite, _frozen, _instance,
+from .network import (NetworkGraph, Spectrum, _all_finite, _check_alpha, _finite, _frozen, _instance,
                       spectral_decomposition, susceptance_laplacian)
 
 CONTROLLER_KINDS = ("droop", "dapi")
@@ -79,12 +79,12 @@ class StateSpace:
     State ordering is block-wise: theta block first, then omega, then (for
     DAPI) Omega.  The shapes fix the controller: with N = ``b.shape[1]``
     buses, 2N states are the droop loop and 3N the DAPI loop, and any other
-    shape is refused, as is a ``graph`` of another size.  The loss is
-    theta' L_G theta, with ``l_g`` = L_G derived from the graph.  ``c`` =
-    [L_G^{1/2}, 0, ...], with ||C x||^2 the loss, is built from
-    ``spectral_decomposition(graph)`` on first access.  A and B are kept as
-    handed in when they are already read-only float64 arrays, as the
-    assemblers hand them over; anything else is copied.
+    shape is refused, as is a ``graph`` of another size or a non-finite
+    entry of A or B.  The loss is theta' L_G theta, with ``l_g`` = L_G
+    derived from the graph.  ``c`` = [L_G^{1/2}, 0, ...], with ||C x||^2 the
+    loss, is built from ``spectral_decomposition(graph)`` on first access.
+    A and B are kept as handed in when they are already read-only float64
+    arrays, as the assemblers hand them over; anything else is copied.
     """
 
     a: np.ndarray
@@ -101,6 +101,9 @@ class StateSpace:
             raise ValidationError(
                 f"inconsistent system shapes: A {a.shape}, B {b.shape}, graph {nodes} nodes"
             )
+        for name, arr in (("a", a), ("b", b)):
+            if not _all_finite(arr):
+                raise ValidationError(f"{name} must be finite, got a NaN or infinite entry")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -180,11 +183,7 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
     """The one builder of both closed loops, filled block by block into one
     matrix: the DAPI loop of ``assemble_dapi``, or for droop only its
     leading 2N states.  So the droop loop holds the bits of the DAPI loop's
-    leading blocks, and this is the one place that knows it.
-
-    Each block holds the bits of the scalar-times-matrix product that
-    ``np.block`` would stack, the sign of its zeros included: a negative
-    scalar makes -0.0 of the zeros of I and L_B."""
+    leading blocks, and this is the one place that knows it."""
     _instance("graph", graph, NetworkGraph)
     _instance("params", params, ControllerParams)
     if params.tau == 0:
@@ -198,12 +197,12 @@ def _assemble(graph: NetworkGraph, params: ControllerParams, kind: str) -> State
         return a[row * n:(row + 1) * n, col * n:(col + 1) * n]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        _fill_scaled_eye(block(0, 1), 1.0)
+        np.fill_diagonal(block(0, 1), 1.0)
         np.multiply(-(params.m / params.tau), lb, out=block(1, 0))
-        _fill_scaled_eye(block(1, 1), -(1.0 / params.tau))
+        np.fill_diagonal(block(1, 1), -(1.0 / params.tau))
         if kind == "dapi":
-            _fill_scaled_eye(block(1, 2), 1.0 / params.tau)
-            _fill_scaled_eye(block(2, 1), -(1.0 / params.k))
+            np.fill_diagonal(block(1, 2), 1.0 / params.tau)
+            np.fill_diagonal(block(2, 1), -(1.0 / params.k))
             l_c = np.multiply(params.gamma, lb, out=block(2, 2))
             l_c *= -(1.0 / params.k)
         # the loss weight alpha L_B, judged by its diagonal
@@ -228,13 +227,6 @@ def _refuse_overflow(scaled: dict[str, np.ndarray]) -> None:
     if overflowed:
         raise AssemblyError(
             f"closed loop leaves the float range: its {', '.join(overflowed)} entries overflow")
-
-
-def _fill_scaled_eye(out: np.ndarray, scale: float) -> None:
-    """Write ``scale * np.eye(n)`` into ``out`` with its bits: ``scale`` on
-    the diagonal and ``scale * 0.0`` off it."""
-    out.fill(scale * 0.0)
-    np.fill_diagonal(out, scale)
 
 
 def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float,
@@ -289,8 +281,8 @@ def modal_subsystems(spectrum: Spectrum, params: ControllerParams, alpha: float,
     return a, b, c
 
 
-def check_stability(params: ControllerParams, lam: float, kind: str) -> bool:
-    """Hurwitz test for one nonzero mode, decided on characteristic
+def check_stability(params: ControllerParams, kind: str) -> bool:
+    """Hurwitz test for every nonzero mode, decided on characteristic
     coefficients alone (Routh conditions, no root finding).
 
     Droop characteristic: z^2 + z/tau + m lam / tau, stable iff 1/tau > 0
@@ -304,14 +296,11 @@ def check_stability(params: ControllerParams, lam: float, kind: str) -> bool:
     positive, the droop conditions always hold, and so do p > 0 and
     (k tau)^2 (p q - r) = gamma lam tau (gamma lam + 1)
     + k (gamma lam + 1 + k m lam) > 0.  So a droop mode is always stable and
-    a DAPI mode iff gamma > 0; gamma = 0 gives r = 0, a marginal integrator
-    mode, hence False.  Refuses a lam that is not one finite number > 0.
+    a DAPI mode iff gamma > 0, whatever its eigenvalue lam; gamma = 0 gives
+    r = 0, a marginal integrator mode, hence False.
     """
     _instance("params", params, ControllerParams)
     kind = _validated_kind(kind)
-    lam = _finite("lam", lam)
-    if lam <= 0:
-        raise ValidationError(f"mode eigenvalue lam must be > 0, got {lam!r} (zero mode is excluded)")
     if params.tau == 0:
         raise AssemblyError(_TAU_ZERO_MSG)
     return kind == "droop" or params.gamma > 0

@@ -53,7 +53,7 @@ import numpy as np
 
 from .dynamics import ControllerParams, StateSpace, check_stability, modal_subsystems
 from .errors import FloatRangeError, LyapunovSolveError, StabilityError, ValidationError
-from .network import Spectrum, _check_alpha, _count, _float_array, _instance
+from .network import Spectrum, _all_finite, _check_alpha, _count, _float_array, _instance
 
 # largest block of the full route's triangular solve handed to dtrsyl whole
 _LEAF_ROWS = 64
@@ -407,12 +407,6 @@ def _max_abs_sum_with_transpose(m: np.ndarray, q: np.ndarray) -> float:
     return np.max(peaks)
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of a nonempty ``a`` is finite, read off its
-    extremes (NaN propagates to both) without a mask of ``a``'s size."""
-    return math.isfinite(a.max()) and math.isfinite(a.min())
-
-
 def _max_abs(a: np.ndarray):
     """max|A| of one A, or of each A of a stack."""
     return np.max(np.abs(a), axis=(-2, -1), initial=0.0)
@@ -558,7 +552,7 @@ def h2_modal(spectrum: Spectrum, params: ControllerParams, alpha: float, kind: s
     a, b, c = modal_subsystems(spectrum, params, alpha, kind)
     lams = spectrum.nonzero
     # the Routh verdict is the same for every mode, so mode 2 speaks for all
-    if lams.size and not check_stability(params, lams[0], kind):
+    if lams.size and not check_stability(params, kind):
         raise StabilityError(f"mode 2 (eigenvalue {lams[0]:.6g}) is not asymptotically stable; "
                              "the steady-state loss is unbounded")
     _check_hurwitz(np.linalg.eigvals(a).real, _max_abs(a))
@@ -611,7 +605,7 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     n, states = ss.n_nodes, ss.n_states - 1
     basis = _ones_complement_basis(n)
     try:
-        gram = solve_lyapunov(lambda: _deflate(ss), basis.T @ ss.l_g @ basis)
+        gram = solve_lyapunov(lambda: _deflate(ss, basis), basis.T @ ss.l_g @ basis)
     except StabilityError as err:
         raise _not_deflatable(ss, err) from err
     b = np.empty((states, n))
@@ -624,12 +618,11 @@ def h2_full_gramian(ss: StateSpace) -> H2Result:
     return H2Result(max(0.0, squared))  # -0.0 reads +0.0
 
 
-def _deflate(ss: StateSpace) -> np.ndarray:
-    """T' A T, T = blockdiag(H, I, ...) and H ``_ones_complement_basis``:
+def _deflate(ss: StateSpace, basis: np.ndarray) -> np.ndarray:
+    """T' A T, T = blockdiag(H, I, ...), H = ``basis`` the loop's ``_ones_complement_basis``:
     the loop without its rigid phase shift.  The congruence touches only the
     theta rows and columns, one product for each, written into one matrix."""
     n, states = ss.n_nodes, ss.n_states - 1
-    basis = _ones_complement_basis(n)
     a = np.empty((states, states))
     theta_rows = basis.T @ ss.a[:n]
     a[:n - 1, n - 1:] = theta_rows[:, n:]
@@ -641,8 +634,8 @@ def _deflate(ss: StateSpace) -> np.ndarray:
 
 
 def _deflated_eigenvalues(ss: StateSpace) -> np.ndarray:
-    """Eigenvalues of ``_deflate(ss)``, refused as ``h2_full_gramian`` refuses them."""
-    deflated = _deflate(ss)
+    """Eigenvalues of ``_deflate``'s matrix, refused as ``h2_full_gramian`` refuses them."""
+    deflated = _deflate(ss, _ones_complement_basis(ss.n_nodes))
     eigs = np.linalg.eigvals(deflated)
     try:
         _check_hurwitz(eigs.real, _max_abs(deflated))

@@ -242,6 +242,12 @@ def _component_count(n_nodes: int, ends_i: np.ndarray, ends_j: np.ndarray) -> in
             parent = grand
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a nonempty ``a`` is finite, read off its
+    extremes (NaN propagates to both) without a mask of ``a``'s size."""
+    return math.isfinite(a.max()) and math.isfinite(a.min())
+
+
 def _frozen(name: str, values) -> np.ndarray:
     """Read-only float64 array of ``values``, refused by the argument
     ``name`` as ``_float_array`` refuses.  An array that is already

@@ -33,8 +33,9 @@ class TuningResult:
     """Outcome of the gain search.
 
     ``bracket`` is the derivative sign-change interval that gamma_star was
-    bisected from in ``iterations`` steps; a boundary optimum (gamma_star =
-    0) carries the degenerate bracket (0, 0) and zero iterations.
+    bisected from in ``iterations`` steps, to a width of at most min(1e-10,
+    1e-7 gamma) or one ulp; a boundary optimum (gamma_star = 0) carries
+    the degenerate bracket (0, 0) and zero iterations.
     ``optimal_gamma`` forms every field, so the record checks nothing.
     """
 
@@ -111,8 +112,9 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     """Minimize the DAPI loss over the communication gain ratio.
 
     The gamma field of ``params`` is ignored.  The derivative sign is
-    bracketed by geometric growth from gamma = 1 (capped at 1e6), then
-    bisected to an interval of width 1e-10; a nonnegative derivative at
+    bracketed by doubling from gamma = 1, the last step stopping at the cap
+    1e6, then bisected until the interval is at most min(1e-10, 1e-7 gamma)
+    wide or its midpoint no longer splits it; a nonnegative derivative at
     gamma = 0 means the boundary is already optimal.  One derivative call
     on a 257-point grid over twice the bracket then probes for further sign
     changes, skipping grid points where every mode's summand has the same
@@ -126,7 +128,7 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
     gamma = 4.01e-4 (loss 43.090).
 
     Raises:
-        TuningError: derivative still negative at the gamma cap.
+        TuningError: derivative still not positive at the gamma cap 1e6.
         FloatRangeError: ``norm_gamma_derivative`` is not finite at some
             gamma (named in the message), or the DAPI closed form refuses
             the norm at the optimum.
@@ -145,11 +147,11 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
 
     hi = 1.0
     while deriv(hi) <= 0.0:
-        hi *= 2.0
-        if hi > _GAMMA_CAP:
+        if hi == _GAMMA_CAP:
             raise TuningError(
                 f"loss derivative is still negative at gamma = {_GAMMA_CAP:g}; no stationary point bracketed"
             )
+        hi = min(2.0 * hi, _GAMMA_CAP)
     bracket = (0.0, hi)
     gamma_star, iterations = _bisect_derivative(deriv, 0.0, hi)
 
@@ -171,8 +173,7 @@ def optimal_gamma(spectrum: Spectrum, params: ControllerParams, alpha: float) ->
 
 def _bisect_derivative(deriv, lo: float, hi: float) -> tuple[float, int]:
     iterations = 0
-    while hi - lo > _GAMMA_TOL and iterations < 200:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > min(_GAMMA_TOL, 1e-7 * hi) and lo < (mid := 0.5 * (lo + hi)) < hi and iterations < 200:
         if deriv(mid) < 0.0:
             lo = mid
         else:

@@ -10,8 +10,6 @@ import math
 import os
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +30,7 @@ from gridloss.network import (
     spectral_decomposition,
 )
 from gridloss.tuning import optimal_gamma
+from child import run_child
 
 IEEE57 = Path(gridloss.network.__file__).parent / "data" / "ieee57.edges"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -650,6 +649,16 @@ class TestTune:
         assert abs(payload["gamma_star"] - payload["gamma_star_closed_form"]) < 1e-8
         assert payload["bracket"][0] <= payload["gamma_star"] <= payload["bracket"][1]
 
+    @pytest.mark.parametrize("k", ["1e-12", "1e-9", "3.2e6"])
+    def test_reports_the_closed_form_optimum_at_extreme_k(self, k, tmp_path, capsys):
+        # an optimum far below 1e-10 is bisected relative to its size, and
+        # one between 2**19 and the cap 1e6 is bracketed by the cap itself
+        out = tmp_path / "tune.json"
+        assert main(["tune", "--complete", "20", "--k", k, "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        assert payload["gamma_star"] == pytest.approx(payload["gamma_star_closed_form"], rel=1e-7)
+
     def test_loss_reduction_matches_sweep_bit_for_bit(self, tmp_path, capsys):
         # both commands divide by the same droop norm; N=6, m=1.5 is a case
         # where alpha (N-1) / (2m) and a sum of N-1 mode terms differ in the
@@ -899,14 +908,7 @@ class TestDesignPath:
             "print(h2._kernels().origin)\n"
             "print(scipy_loaded(), 'scipy.linalg.lapack' in sys.modules)\n"
         )
-        src = str(Path(__import__("gridloss").__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        runs = {}
-        for lookup in ("numpy", "scipy"):
-            out = subprocess.run([sys.executable, "-c", code, lookup], env=env, capture_output=True, text=True,
-                                 timeout=120)
-            assert out.returncode == 0, out.stderr
-            runs[lookup] = tuple(out.stdout.splitlines()[-2:])
+        runs = {lookup: tuple(run_child(code, lookup).stdout.splitlines()[-2:]) for lookup in ("numpy", "scipy")}
         # with the lookup forced off, scipy's LAPACK wrappers module
         assert runs["scipy"] == ("scipy", "True True")
         origin = runs["numpy"][0]
@@ -935,12 +937,8 @@ class TestFreedMemory:
             f"assert main(['simulate', '--line', '20', '--horizon', '50', '--out', {target!r}]) == 0\n"
             "print(resident_mb() - before)\n"
         )
-        src = str(Path(__import__("gridloss").__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
         # the 10001 x 60 state array alone is 4.8 MB
-        assert float(out.stdout.splitlines()[-1]) < 1.5
+        assert float(run_child(code).stdout.splitlines()[-1]) < 1.5
 
 
 class TestReadme:

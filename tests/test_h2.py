@@ -3,12 +3,9 @@
 import dataclasses
 import itertools
 import math
-import os
-import subprocess
 import sys
 import textwrap
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +39,7 @@ from gridloss.network import (
     spectral_decomposition,
 )
 from gridloss.tuning import optimal_gamma
+from child import run_child
 from reference import lyapunov_reference, verify_modal_equivalence
 
 
@@ -86,18 +84,6 @@ def scipy_kernels(monkeypatch):
     kernels = gridloss.h2._scipy_kernels()
     monkeypatch.setattr(gridloss.h2, "_kernels", lambda: kernels)
     return kernels
-
-
-def _run_fresh(code):
-    """stdout of ``code`` run by a fresh interpreter that imports this
-    checkout's gridloss, with one BLAS thread."""
-    src = str(Path(gridloss.h2.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
 
 
 class TestSolveLyapunov:
@@ -477,10 +463,13 @@ class TestSolveLyapunov:
         with pytest.raises(LyapunovSolveError, match="exceeds tolerance for Q scale"):
             solve_lyapunov(lambda: next(arrays), np.eye(n))
 
-    def test_residual_bound_past_the_float_range_warns_nothing(self):
+    @pytest.mark.parametrize("kernels", ["bound", "scipy"])
+    def test_residual_bound_past_the_float_range_warns_nothing(self, kernels, request):
         # 2 max|A| max|X| + max|Q| overflows in each; 1e-8 of it does not.
         # dtrsyl returns Y = 0 for T = -1e308, whose T + T overflows, so the
         # second is refused on its residual
+        if kernels == "scipy":
+            request.getfixturevalue("scipy_kernels")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert solve_lyapunov([[-1.0]], [[1e308]]).tolist() == [[5e307]]
@@ -650,7 +639,7 @@ class TestNumpyKernels:
         lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
         if lapack.get("name") != "scipy-openblas" or sys.maxsize <= 2**32:
             pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}, not a 64-bit scipy-openblas")
-        out = _run_fresh("from gridloss import h2\n" + _NORMS + "print(h2._kernels().origin)\n")
+        out = run_child("from gridloss import h2\n" + _NORMS + "print(h2._kernels().origin)\n").stdout
         assert out.splitlines()[-2:] == ["[]", "numpy"]
 
 
@@ -866,7 +855,7 @@ class TestModalRoute:
             "    h2_modal(spec, ControllerParams(m=1.0, tau=1.0), 1.0, kind)\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         )
-        assert _run_fresh(code) == "[]\n"
+        assert run_child(code).stdout == "[]\n"
 
     def test_never_calls_solve_lyapunov(self, monkeypatch):
         def refuse(*args):
@@ -887,20 +876,14 @@ class TestModalRoute:
         res = h2_modal(_cliques_spectrum(1e-8), ControllerParams(m=1.0, tau=1.0), alpha=1.0, kind="droop")
         assert abs(res.squared_norm - 4.5) <= 1e-12 * 4.5
 
-    @pytest.mark.parametrize(("routh_fails_at", "message"), [
-        (3, "matrix is not safely Hurwitz (max eigenvalue real part -2.462e-04)"),
-        (2, "mode 2 (eigenvalue 0.0246233) is not asymptotically stable"),
-    ], ids=["margin-first", "routh-first"])
-    def test_each_mode_is_judged_by_routh_then_margin(self, monkeypatch, routh_fails_at, message):
-        # on the stiff line mode 2 fails the margin: a Routh failure in a
-        # higher mode comes after it, one in the same mode before it
-        g = build_line_graph(20, [1.0] * 19, alpha=1.0)
-        spec = laplacian_eigenvalues(g)
-        lam = spec.eigenvalues[routh_fails_at - 1]
-        monkeypatch.setattr(gridloss.h2, "check_stability", lambda params, mode_lam, kind: mode_lam != lam)
+    def test_each_mode_is_judged_by_routh_then_margin(self, monkeypatch):
+        # on the stiff line mode 2 fails the margin: the Routh verdict, one
+        # for every mode, comes before it and names mode 2
+        spec = laplacian_eigenvalues(build_line_graph(20, [1.0] * 19, alpha=1.0))
+        monkeypatch.setattr(gridloss.h2, "check_stability", lambda params, kind: False)
         with pytest.raises(StabilityError) as info:
             h2_modal(spec, ControllerParams(m=0.01, tau=1e-9), alpha=1.0, kind="droop")
-        assert str(info.value).startswith(message)
+        assert str(info.value).startswith("mode 2 (eigenvalue 0.0246233) is not asymptotically stable")
 
     def test_wrong_solution_rejected(self, monkeypatch):
         solve = np.linalg.solve
@@ -1007,6 +990,15 @@ class TestFullGramianRoute:
             res = h2_full_gramian(assemble(g, p))
             assert abs(res.squared_norm - closed[kind].squared_norm) <= 1e-9 * closed[kind].squared_norm
 
+    def test_builds_one_deflation_basis(self, monkeypatch):
+        # the weight, the factorised matrix and the residual's matrix all
+        # deflate with the one basis of the call
+        built = []
+        basis = gridloss.h2._ones_complement_basis
+        monkeypatch.setattr(gridloss.h2, "_ones_complement_basis", lambda n: built.append(n) or basis(n))
+        h2_full_gramian(assemble_dapi(build_line_graph(5, [1.0] * 4, alpha=1.0), ControllerParams(m=1.0, tau=1.0)))
+        assert built == [5]
+
 
 def _assert_full_gramian_peak(peak_bytes, arrays):
     """The DAPI full-Gramian route on 100 buses peaks within ``arrays`` n x n
@@ -1100,9 +1092,13 @@ class TestThreeWayAgreement:
         k=st.floats(0.3, 3.0),
         gamma=st.floats(0.3, 3.0),
     )
-    def test_full_gramian_matches_closed_forms_past_the_leaf(self, n, p_edge, seed, m, tau, k, gamma):
+    @pytest.mark.parametrize("kernels", ["bound", "scipy"])
+    def test_full_gramian_matches_closed_forms_past_the_leaf(self, kernels, request, n, p_edge, seed, m, tau, k,
+                                                             gamma):
         # DAPI has 3N - 1 >= 68 deflated states here, so the recursive
         # triangular solve runs; droop reaches it from N = 33
+        if kernels == "scipy":
+            request.getfixturevalue("scipy_kernels")
         g = build_random_connected_graph(n, p_edge, (0.5, 1.5), alpha=1.0, seed=seed)
         p = ControllerParams(m=m, tau=tau, k=k, gamma=gamma)
         droop = h2_droop_closed_form(1.0, p, n).squared_norm

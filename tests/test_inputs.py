@@ -113,7 +113,6 @@ CASES = {
     **{f"ControllerParams-{field}": (field, _params_with(field)) for field in ("m", "tau", "k", "gamma")},
     **{f"SimConfig-{field}": (field, _config_with(field))
        for field in ("dt", "horizon", "burn_in", "noise_intensity")},
-    "check_stability-lam": ("lam", lambda v: check_stability(_P, v, "dapi")),
     "phase_perturbation-scale": ("scale", lambda v: phase_perturbation(3, 6, v, 0)),
     "optimal_gamma_complete-b": ("b", lambda v: optimal_gamma_complete(5, v, _P)),
     "build_random_connected_graph-edge_probability":
@@ -388,7 +387,7 @@ RECORDS = {
        for name, take in _SPECTRUM_TAKERS.items()},
     "h2_droop_closed_form-params": ("params", ControllerParams, lambda v: h2_droop_closed_form(1.0, v, 3)),
     "optimal_gamma_complete-params": ("params", ControllerParams, lambda v: optimal_gamma_complete(5, 1.0, v)),
-    "check_stability-params": ("params", ControllerParams, lambda v: check_stability(v, 1.0, "dapi")),
+    "check_stability-params": ("params", ControllerParams, lambda v: check_stability(v, "dapi")),
     **{f"{name}-graph": ("graph", NetworkGraph, take)
        for name, take in (("susceptance_laplacian", susceptance_laplacian),
                           ("laplacian_eigenvalues", laplacian_eigenvalues),

@@ -5,11 +5,7 @@ import hashlib
 import importlib.resources
 import itertools
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +33,7 @@ from gridloss.network import (
     spectral_decomposition,
     susceptance_laplacian,
 )
+from child import run_child
 
 
 def _eigh_spectrum(graph):
@@ -184,20 +181,6 @@ def _reference_random_edges(n, p, b_range, seed):
     raise AssertionError("no connected draw")
 
 
-def _in_a_capped_child(code, *argv):
-    """stdout of ``code`` run in a child interpreter whose address space is
-    capped at 1 GiB: a step that allocates by a huge count fails there at
-    once.  One BLAS thread, so that numpy's own buffers fit on a host of
-    any core count."""
-    code = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n" + code
-    src = str(Path(gridloss.network.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
-    assert (out.returncode, out.stderr) == (0, "")
-    return out.stdout
-
-
 def _cliques_with_tie(sizes, tie):
     """Graph of cliques of unit weight on consecutive nodes, each joined to
     the next by one edge of weight ``tie`` (none where ``tie`` is 0)."""
@@ -233,7 +216,8 @@ class TestNetworkGraph:
                 "        NetworkGraph(n, [(0, 1, 1.0)], 1.0)\n"
                 "    except Exception as err:\n"
                 "        print(type(err).__name__, err)\n")
-        assert _in_a_capped_child(code) == (
+        out = run_child(code, address_space=2**30)
+        assert out.stderr == "" and out.stdout == (
             "DisconnectedGraphError graph with 100000000 nodes and 1 edges is not connected\n"
             "DisconnectedGraphError graph with 1000000000000 nodes and 1 edges is not connected\n")
 
@@ -939,7 +923,8 @@ class TestIngest:
                 "    ingest_edge_list(sys.argv[1])\n"
                 "except Exception as err:\n"
                 "    print(type(err).__name__, err)\n")
-        assert _in_a_capped_child(code, str(path)) == (
+        out = run_child(code, str(path), address_space=2**30)
+        assert out.stderr == "" and out.stdout == (
             "EdgeListParseError node indices are not contiguous: 999999999997 indices never appear, the first 10 "
             "of them [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] (max index 1000000000000)\n")
 

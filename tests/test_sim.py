@@ -3,10 +3,7 @@
 import dataclasses
 import itertools
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -37,6 +34,7 @@ from gridloss.sim import (
     phase_perturbation,
     simulate,
 )
+from child import run_child
 
 
 class TestSimConfig:
@@ -377,11 +375,7 @@ class TestAgainstStepLoop:
             "gridloss.simulate(gridloss.assemble_dapi(g, p), cfg)\n"
             "print('scipy.signal' in sys.modules)\n"
         )
-        src = str(Path(__import__("gridloss").__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert run_child(code).stdout.strip() == "False"
 
 
 class TestEmpiricalH2:
@@ -676,11 +670,7 @@ class TestExportFormatter:
             "info = _digit_tables.cache_info()\n"
             "print(info.currsize, info.misses, *(arr.flags.writeable for arr in _digit_tables()))\n"
         )
-        src = str(Path(gridloss.sim.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split("\n")[:2] == ["0", "1 1 False False"]
+        assert run_child(code).stdout.split("\n")[:2] == ["0", "1 1 False False"]
 
     @pytest.mark.parametrize("value", [
         0.5, 2.5, 123456789012.5, 123456789013.5, 1.234567890125, 0.1234567890125,

@@ -16,7 +16,7 @@ import gridloss.network
 import gridloss.tuning
 
 from gridloss.dynamics import ControllerParams
-from gridloss.errors import FloatRangeError, GridlossError, ValidationError
+from gridloss.errors import FloatRangeError, GridlossError, TuningError, ValidationError
 from gridloss.h2 import h2_dapi_closed_form, h2_droop_closed_form
 from gridloss.network import (
     Spectrum,
@@ -389,6 +389,27 @@ class TestOptimalGamma:
         assert res.iterations > 0
         q = ControllerParams(m=100.0, tau=1.0, k=10.0, gamma=res.gamma_star)
         assert res.norm_at_star == h2_dapi_closed_form(1.0, q, spec).squared_norm
+
+    @pytest.mark.parametrize("k", [1e-6, 1e-9, 1e-12, 1e-14])
+    def test_small_optimum_is_resolved_relative_to_its_size(self, k):
+        # gamma* = 0.1736 k here: an absolute width of 1e-10 would return a
+        # point of the last interval, not the optimum
+        p = ControllerParams(m=1.0, tau=1.0, k=k)
+        res = optimal_gamma(_spectrum_of(build_complete_graph(20, b=1.0, alpha=1.0)), p, alpha=1.0)
+        assert res.gamma_star == pytest.approx(optimal_gamma_complete(20, 1.0, p), rel=1e-7)
+
+    def test_the_cap_is_the_last_bracket_end(self):
+        # the doubling stops at 1e6 itself: an optimum between 2**19 and the
+        # cap is bracketed and bisected until the midpoint no longer splits
+        # the interval (its ulp is above 1e-10), and one above the cap is refused
+        spec = _spectrum_of(build_complete_graph(20, b=1.0, alpha=1.0))
+        near, past = (ControllerParams(m=1.0, tau=1.0, k=k) for k in (3.2e6, 6e6))
+        res = optimal_gamma(spec, near, alpha=1.0)
+        assert res.bracket == (0.0, 1e6) and res.iterations <= 64
+        assert res.gamma_star == pytest.approx(optimal_gamma_complete(20, 1.0, near), rel=1e-7)
+        assert optimal_gamma_complete(20, 1.0, past) > 1e6
+        with pytest.raises(TuningError, match=r"^loss derivative is still negative at gamma = 1e\+06;"):
+            optimal_gamma(spec, past, alpha=1.0)
 
     def test_params_gamma_field_ignored(self):
         g = build_complete_graph(9, b=1.0, alpha=1.0)
